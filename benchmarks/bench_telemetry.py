@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.core.processor import QueryProcessor
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.data.workload import WorkloadSpec, make_workload
-from repro.obs import flight, metrics, profiler
+from repro.obs import metrics, profiler, requests
 from repro.obs.resources import ResourceSampler
 from repro.obs.timeseries import TimeSeriesRing
 
@@ -84,7 +84,7 @@ class _Mode:
         )
         self._sampler.start()
         if self.name == "full":
-            flight.configure(enabled_=True, latency_threshold_s=0.0)
+            requests.configure(enabled_=True, slow_threshold_s=0.0)
             profiler.install(interval_s=0.01)
         return self
 
@@ -93,8 +93,11 @@ class _Mode:
             return False
         if self.name == "full":
             profiler.uninstall()
-            flight.configure(enabled_=False)
-            flight.clear()
+            requests.configure(
+                enabled_=False,
+                slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+            )
+            requests.clear()
         self._sampler.stop()
         metrics.set_exemplars(False)
         return False

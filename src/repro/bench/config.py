@@ -2,8 +2,8 @@
 
 ``paper()`` is the grid of Table 2 verbatim.  ``default()`` divides the
 cardinalities by 10 and the query count by 20 so the whole suite runs on
-a laptop in pure Python; ``quick()`` shrinks further for CI and the
-pytest-benchmark files.  The reproduced *shapes* (who wins, growth rates,
+a laptop in pure Python; ``quick()`` shrinks further for CI.  The
+reproduced *shapes* (who wins, growth rates,
 crossovers) are scale-stable — EXPERIMENTS.md records the scale used for
 each reported run.
 """
@@ -57,7 +57,7 @@ class BenchConfig:
 
     @classmethod
     def quick(cls) -> "BenchConfig":
-        """Small grid for CI and pytest-benchmark runs."""
+        """Small grid for CI runs."""
         return cls(
             object_cardinality=2_000,
             feature_cardinality=2_000,

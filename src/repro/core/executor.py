@@ -396,29 +396,29 @@ class QueryExecutor:
             positions = list(range(len(queries)))
 
         queue_wait_metric = QUEUE_WAIT_SECONDS.labels(algorithm=algorithm)
-        # Trace ids are minted *here*, before submission, so a failed
-        # execution's id is known even though the processor never got to
-        # return.  An ambient id (a served request entering through
-        # execute_one under trace_scope) is inherited instead of minted,
-        # so the HTTP-level trace and the engine-level spans join on one
-        # id.  The worker closure re-enters the scope — and the caller's
-        # per-request span sink — explicitly: ThreadPoolExecutor does
-        # not propagate contextvars to workers.
-        ambient = _tracing.current_trace_id()
-        trace_ids = [ambient or _tracing.new_trace_id() for _ in to_run]
-        sink = _tracing.current_sink()
+        # Trace contexts are minted *here*, before submission, so a
+        # failed execution's id is known even though the processor never
+        # got to return.  An ambient context (a served request entering
+        # through execute_one under trace_scope) is inherited instead of
+        # minted, so the HTTP-level trace and the engine-level spans
+        # join on one id and one collector.  The worker closure resumes
+        # it explicitly: ThreadPoolExecutor does not propagate
+        # contextvars to workers.
+        ambient = _tracing.capture()
+        contexts = [
+            ambient or _tracing.TraceContext(_tracing.new_trace_id())
+            for _ in to_run
+        ]
 
         def run_one(
-            query: PreferenceQuery, submitted: float, trace_id: str
+            query: PreferenceQuery, submitted: float, ctx
         ) -> QueryResult:
             started = time.perf_counter()
             with self._depth_lock:
                 self._queued -= 1
                 self._running += 1
             try:
-                with _tracing.trace_scope(trace_id), _tracing.sink_scope(
-                    sink
-                ), _tracing.span(
+                with _tracing.resume(ctx), _tracing.span(
                     "executor.query", cat="executor", algorithm=algorithm
                 ):
                     result = self.processor.query(
@@ -440,15 +440,15 @@ class QueryExecutor:
         with self._depth_lock:
             self._queued += len(to_run)
         futures = [
-            self._pool.submit(run_one, query, time.perf_counter(), trace_id)
-            for query, trace_id in zip(to_run, trace_ids)
+            self._pool.submit(run_one, query, time.perf_counter(), ctx)
+            for query, ctx in zip(to_run, contexts)
         ]
         # Settle *every* future before deciding how to react: a failure
         # must not abandon (or cancel) the rest of the batch.
         results: list[QueryResult | None] = []
         failures: list[QueryFailure] = []
-        for pos, query, trace_id, future in zip(
-            positions, to_run, trace_ids, futures
+        for pos, query, ctx, future in zip(
+            positions, to_run, contexts, futures
         ):
             exc = future.exception()
             if exc is None:
@@ -461,7 +461,7 @@ class QueryExecutor:
             failures.append(
                 QueryFailure(
                     index=pos, query=query, error=exc, message=str(exc),
-                    trace_id=trace_id,
+                    trace_id=ctx.trace_id,
                 )
             )
         if failures:

@@ -201,17 +201,6 @@ def _combo_influence_bound_cached(
     return best
 
 
-def _influence_top_k(
-    object_tree: ObjectRTree,
-    combo: Combination,
-    query: PreferenceQuery,
-    floor: float,
-):
-    """Top-k data objects by this combination's influence score."""
-    members = [(f.x, f.y, f.score) for f in combo.features if not f.is_virtual]
-    return _influence_top_k_members(object_tree, members, query, floor)
-
-
 def _influence_top_k_members(
     object_tree: ObjectRTree,
     members: list[tuple[float, float, float]],
@@ -272,10 +261,3 @@ def _combo_influence_bound(
         if g_max < best:
             best = g_max
     return best
-
-
-def _kth_score(best: dict[int, tuple[float, float, float]], k: int) -> float:
-    if len(best) < k:
-        return -math.inf
-    scores = sorted((v[0] for v in best.values()), reverse=True)
-    return scores[k - 1]

@@ -39,6 +39,7 @@ from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
+from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
 
 logger = logging.getLogger(__name__)
@@ -184,9 +185,12 @@ class QueryProcessor:
         the hot paths pay one attribute check.
         """
         t0 = time.perf_counter()
-        trace_id = _tracing.current_trace_id() or _tracing.new_trace_id()
+        ctx = _tracing.capture() or _tracing.TraceContext(
+            _tracing.new_trace_id()
+        )
+        trace_id = ctx.trace_id
         col = _explain.resolve(collector)
-        with _tracing.trace_scope(trace_id):
+        with _tracing.resume(ctx):
             with _tracing.span(
                 f"query.{algorithm}",
                 variant=query.variant.value,
@@ -199,7 +203,7 @@ class QueryProcessor:
                         floor, col,
                     )
                 except Exception as exc:
-                    if _flight.enabled:
+                    if _requests.enabled:
                         _flight.record_error(
                             query, algorithm, pulling, trace_id,
                             time.perf_counter() - t0, exc,
@@ -226,7 +230,7 @@ class QueryProcessor:
             col.finalize(
                 query, algorithm, pulling, trace_id, elapsed, result.stats
             )
-        if _flight.enabled:
+        if _requests.enabled:
             _flight.maybe_record(
                 query, algorithm, pulling, trace_id, elapsed,
                 stats=result.stats,

@@ -468,7 +468,7 @@ def _stds_range_batched(
     candidates: list[tuple[float, int, float, float]] = []
     c = query.c
     debug = logger.isEnabledFor(logging.DEBUG)
-    trace_id = _tracing.current_trace_id()
+    ctx = _tracing.capture()
 
     for start in range(0, len(objects), batch_size):
         chunk = objects[start : start + batch_size]
@@ -479,27 +479,18 @@ def _stds_range_batched(
             # Score the chunk against every feature set concurrently,
             # then replay the serial threshold fold below over the
             # precomputed values — the fold sees exactly the numbers the
-            # serial path would have computed.  The worker re-enters the
-            # caller's trace scope: ThreadPoolExecutor does not carry
+            # serial path would have computed.  The worker resumes the
+            # caller's trace context: ThreadPoolExecutor does not carry
             # context across threads, and the spans recorded inside must
-            # join the query's trace id.
+            # join the query's trace id and collector.
             def _scored(i, tree, pending=pending):
-                if trace_id is None:
-                    with rec.span(
-                        "stds.chunk_scan", feature_set=i, chunk=chunk_id
-                    ):
-                        return compute_scores_batch(
-                            tree, query, query.keyword_masks[i], pending,
-                            stats, collector=collector, set_id=i,
-                        )
-                with _tracing.trace_scope(trace_id):
-                    with rec.span(
-                        "stds.chunk_scan", feature_set=i, chunk=chunk_id
-                    ):
-                        return compute_scores_batch(
-                            tree, query, query.keyword_masks[i], pending,
-                            stats, collector=collector, set_id=i,
-                        )
+                with _tracing.resume(ctx), rec.span(
+                    "stds.chunk_scan", feature_set=i, chunk=chunk_id
+                ):
+                    return compute_scores_batch(
+                        tree, query, query.keyword_masks[i], pending,
+                        stats, collector=collector, set_id=i,
+                    )
 
             futures = [
                 pool.submit(_scored, i, tree)

@@ -46,7 +46,6 @@ from repro.index.nodes import (
 )
 from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
 from repro.model.dataset import FeatureDataset
-from repro.model.objects import FeatureObject
 from repro.storage.buffer import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.similarity import jaccard
@@ -242,14 +241,6 @@ class FeatureTree(RTreeBase):
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def feature_of(self, entry: FeatureLeafEntry) -> FeatureObject:
-        """Materialize a :class:`FeatureObject` from a leaf entry."""
-        from repro.text.similarity import mask_to_ids
-
-        return FeatureObject(
-            entry.fid, entry.x, entry.y, entry.score, mask_to_ids(entry.mask)
-        )
-
     def iter_features(self) -> Iterable[FeatureLeafEntry]:
         """Full scan of all feature leaf entries."""
         yield from self.iter_leaf_entries()

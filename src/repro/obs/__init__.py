@@ -8,15 +8,17 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   gauges and log-bucketed latency histograms (p50/p95/p99);
 * :mod:`repro.obs.tracing` — a near-zero-overhead span tracer (disabled
   by default) recording per-query phase timelines and exporting Chrome
-  trace-event JSON loadable in Perfetto;
+  trace-event JSON loadable in Perfetto; also the one carrier of trace
+  identity across thread and process hops (``capture`` / ``resume``);
 * :mod:`repro.obs.export` — Prometheus text exposition, JSON snapshots,
   and an optional stdlib ``http.server`` scrape endpoint;
 * :mod:`repro.obs.explain` — EXPLAIN/ANALYZE query plans: per-set node
   accesses vs. prunes, combination accept/reject decisions, threshold
   trajectories, per-shard fan-out verdicts
   (``QueryProcessor.explain(...)``);
-* :mod:`repro.obs.flight` — a bounded ring buffer of slow/failed
-  queries (the flight recorder), dumpable to JSONL;
+* :mod:`repro.obs.flight` — the flight recorder: per-query records
+  (arguments, phases, counters, plan summary) kept in the trace store
+  below and read back as a view over it, dumpable to JSONL;
 * :mod:`repro.obs.slog` — structured JSON logging that stamps the
   current trace id on every record;
 * :mod:`repro.obs.regress` — the perf-regression sentinel comparing
@@ -33,10 +35,10 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   sampled into the same ring;
 * :mod:`repro.obs.profiler` — a continuous ``sys._current_frames``
   sampling profiler whose ring is retroactively captured (keyed by
-  trace id) whenever the flight recorder admits a slow query; emits
+  trace id) whenever the trace store admits a slow request; emits
   flamegraph.pl collapsed-stack output;
-* :mod:`repro.obs.requests` — W3C ``traceparent`` interop plus a
-  byte-bounded, tail-sampled store of served requests with their
+* :mod:`repro.obs.requests` — W3C ``traceparent`` interop plus the one
+  byte-bounded, tail-sampled store of finished requests with their
   admission-waterfall span trees (``/traces.json`` on the serving
   endpoint);
 * ``python -m repro.obs`` — run a synthetic workload and emit a metrics
@@ -120,8 +122,6 @@ from repro.obs.tracing import (
     recorder,
     set_enabled,
     span,
-    span_sink,
-    trace,
     trace_scope,
     write_chrome_trace,
 )
@@ -172,10 +172,8 @@ __all__ = [
     "slog",
     "snapshot",
     "span",
-    "span_sink",
     "timeseries",
     "timeseries_payload",
-    "trace",
     "trace_scope",
     "tracing",
     "write_chrome_trace",

@@ -57,6 +57,7 @@ import time
 from pathlib import Path
 
 from repro.obs import export, flight, metrics, tracing
+from repro.obs import requests as requests_mod
 
 logger = logging.getLogger(__name__)
 
@@ -320,7 +321,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 def _fetch_traces(args) -> list[dict]:
     """Stored traces from --url, --file, or the in-process store."""
-    from repro.obs import requests as requests_mod
 
     if args.url is not None:
         import urllib.parse
@@ -338,14 +338,16 @@ def _fetch_traces(args) -> list[dict]:
             url += "?" + urllib.parse.urlencode(params)
         with urllib.request.urlopen(url, timeout=5) as resp:
             return json.load(resp).get("traces", [])
-    if args.file is not None:
-        traces = [
-            json.loads(line)
-            for line in args.file.read_text().splitlines()
-            if line.strip()
-        ]
-    else:
-        traces = requests_mod.query_traces(limit=10_000)
+    if args.file is None:
+        return requests_mod.query_traces(
+            trace_id=args.trace_id, tenant=args.tenant,
+            min_ms=args.min_ms, limit=10_000,
+        )
+    traces = [
+        json.loads(line)
+        for line in args.file.read_text().splitlines()
+        if line.strip()
+    ]
     wanted = (
         requests_mod.w3c_trace_id(args.trace_id) if args.trace_id else None
     )
@@ -371,7 +373,6 @@ def run_trace(args) -> int:
     import sys
     import urllib.error
 
-    from repro.obs import requests as requests_mod
 
     try:
         traces = _fetch_traces(args)
@@ -574,6 +575,13 @@ def run_workload(args) -> dict:
     return summary
 
 
+def _store_off() -> None:
+    requests_mod.configure(
+        enabled_=False,
+        slow_threshold_s=requests_mod.DEFAULT_SLOW_THRESHOLD_S,
+    )
+
+
 def main(argv=None) -> int:
     import sys
 
@@ -617,20 +625,18 @@ def main(argv=None) -> int:
         sampler = ResourceSampler(ring, interval_s=args.sample_interval)
         metrics.set_exemplars(True)
         profiler_mod.install()
-        if args.flight_out is None:
-            # Exemplars/profiler captures join on the flight recorder,
-            # so telemetry mode records every query (threshold 0).
-            flight.clear()
-            flight.configure(enabled_=True, latency_threshold_s=0.0)
         sampler.start()
 
     tracing.clear()
     previous = tracing.set_enabled(
         not args.no_trace, verbose_events=args.verbose_trace
     )
-    if args.flight_out is not None:
-        flight.clear()
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+    keep_queries = args.telemetry or args.flight_out is not None
+    if keep_queries:
+        # --flight-out, and the exemplar -> query record -> profiler
+        # capture join of telemetry mode, want every query kept.
+        requests_mod.clear()
+        requests_mod.configure(enabled_=True, slow_threshold_s=0.0)
     try:
         summary = run_workload(args)
     finally:
@@ -639,8 +645,8 @@ def main(argv=None) -> int:
             sampler.stop()
         if args.telemetry:
             metrics.set_exemplars(False)
-        if args.flight_out is not None and not args.telemetry:
-            flight.configure(enabled_=False)
+        if keep_queries and not args.telemetry:
+            _store_off()
 
     metrics_out.write_text(export.render_prometheus())
     export.write_json(json_out)
@@ -723,7 +729,7 @@ def main(argv=None) -> int:
         from repro.obs import profiler as profiler_mod
 
         profiler_mod.uninstall()
-        flight.configure(enabled_=False)
+        _store_off()
     return 0
 
 

@@ -101,16 +101,6 @@ class BoundSummary:
             "sample": list(self.sample),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundSummary":
-        out = cls()
-        out.count = data.get("count", 0)
-        if out.count:
-            out.min = data["min"]
-            out.max = data["max"]
-            out.sample = list(data.get("sample", []))
-        return out
-
 
 @dataclass(slots=True)
 class FeatureSetDiag:
@@ -346,98 +336,6 @@ class QueryPlan:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryPlan":
-        """Rebuild a plan from :meth:`to_dict` output.
-
-        The inverse of the JSON rendering up to the lossy ``inf -> None``
-        mapping, which is inverted back (``None -> -inf`` where a -inf
-        default applies).  Used by the process-mode shard fan-out to
-        transfer a worker's sub-plan over the result channel and fold it
-        into the parent plan exactly as a thread-mode sub-collector
-        would be.
-        """
-        plan = cls(
-            schema_version=data.get("schema_version", PLAN_SCHEMA_VERSION),
-            trace_id=data.get("trace_id", ""),
-            algorithm=data.get("algorithm", ""),
-            variant=data.get("variant", ""),
-            pulling=data.get("pulling", ""),
-            k=data.get("k", 0),
-            radius=data.get("radius", 0.0),
-            lam=data.get("lam", 0.0),
-            c=data.get("c", 0),
-            elapsed_s=data.get("elapsed_s", 0.0),
-            objects_scored=data.get("objects_scored", 0),
-        )
-        for d in data.get("feature_sets", []):
-            diag = FeatureSetDiag(
-                set_id=d["set_id"],
-                nodes_visited=d.get("nodes_visited", 0),
-                nodes_pruned=d.get("nodes_pruned", 0),
-                entries_pruned=d.get("entries_pruned", 0),
-                pruned_bounds=BoundSummary.from_dict(
-                    d.get("pruned_bounds", {"count": 0})
-                ),
-                features_pulled=d.get("features_pulled", 0),
-                pull_rounds=d.get("pull_rounds", 0),
-            )
-            plan.feature_sets.append(diag)
-        if "combinations" in data:
-            cd = data["combinations"]
-            diag = CombinationDiag(
-                released=cd.get("released", 0),
-                rejected_2r=cd.get("rejected_2r", 0),
-                retrievals_skipped=cd.get("retrievals_skipped", 0),
-                pull_rounds=cd.get("pull_rounds", 0),
-            )
-            for point in cd.get("trajectory", []):
-                threshold = point.get("threshold")
-                diag.trajectory.append((
-                    point["round"],
-                    point["set_id"],
-                    -math.inf if threshold is None else threshold,
-                    point["next_bound"],
-                ))
-            plan.combinations = diag
-        if "stds" in data:
-            sd = data["stds"]
-            threshold_final = sd.get("threshold_final")
-            diag = STDSDiag(
-                objects_dropped=sd.get("objects_dropped", 0),
-                early_terminations=sd.get("early_terminations", 0),
-                threshold_final=(
-                    -math.inf if threshold_final is None else threshold_final
-                ),
-                chunk_count=sd.get("chunk_count", 0),
-            )
-            for chunk in sd.get("chunks", []):
-                threshold = chunk.get("threshold")
-                diag.chunks.append((
-                    chunk["chunk"],
-                    chunk["size"],
-                    -math.inf if threshold is None else threshold,
-                ))
-            plan.stds = diag
-        if "voronoi" in data:
-            plan.voronoi = dict(data["voronoi"])
-        if "iss" in data:
-            plan.iss = dict(data["iss"])
-        for s in data.get("shards", []):
-            floor = s.get("floor")
-            plan.shards.append(ShardDiag(
-                shard_id=s["shard_id"],
-                verdict=s["verdict"],
-                bound=s.get("bound", 0.0),
-                floor=-math.inf if floor is None else floor,
-                elapsed_s=s.get("elapsed_s", 0.0),
-                error=s.get("error"),
-                plan=s.get("plan"),
-            ))
-        if "phase_times" in data:
-            plan.phase_times = dict(data["phase_times"])
-        return plan
 
     def render(self) -> str:
         """Human-readable plan: aligned tables, one section per stage."""
@@ -701,22 +599,17 @@ class DiagnosticsCollector:
         floor: float,
         elapsed_s: float = 0.0,
         error: str | None = None,
-        sub: "DiagnosticsCollector | None" = None,
         sub_plan: "QueryPlan | None" = None,
     ) -> None:
         """Record one shard's fan-out verdict (thread-safe).
 
-        An executed shard's ``sub`` collector (already finalized by the
-        per-shard query) is embedded as a sub-plan AND folded into this
-        plan's aggregates, so the parent plan's counters reconcile with
-        the registry deltas the per-shard executions produced.
-
-        ``sub_plan`` is the process-mode equivalent: a plan already
-        deserialized from a worker's result payload
-        (:meth:`QueryPlan.from_dict`), embedded and folded identically.
+        An executed shard's ``sub_plan`` (its child collector's plan in
+        thread mode, the plan object the worker shipped in process
+        mode; finalized by the per-shard query either way) is embedded
+        AND folded into this plan's aggregates, so the parent plan's
+        counters reconcile with the registry deltas the per-shard
+        executions produced.
         """
-        if sub_plan is None and sub is not None:
-            sub_plan = sub.plan()
         diag = ShardDiag(
             shard_id=shard_id,
             verdict=verdict,

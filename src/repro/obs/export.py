@@ -23,7 +23,7 @@ out of the process:
   ``/healthz``, and — when the server is given a time-series ring —
   ``/timeseries.json`` (windowed rates/quantiles + SLO verdicts) and
   ``/dashboard`` (a self-contained HTML page polling it); plus
-  ``/flight.json`` (flight-recorder ring) and ``/flamegraph.txt``
+  ``/flight.json`` (query records in the trace store) and ``/flamegraph.txt``
   (collapsed stacks from the installed profiler).  The server runs on a
   daemon thread; pass ``port=0`` to bind an ephemeral port (see
   ``server.port``).

@@ -1,80 +1,42 @@
-"""Slow-query flight recorder: a bounded in-memory ring of bad queries.
+"""Slow-query flight recorder: the engine-level view of the trace store.
 
 Production triage needs the *specific* queries that blew the latency
-budget or raised, not aggregate histograms.  The flight recorder keeps
-the last :data:`DEFAULT_CAPACITY` offending queries in a ring buffer —
-each a :class:`QueryRecord` with the query arguments, latency, phase
+budget or raised, not aggregate histograms.  Each executed query is
+described by a :class:`QueryRecord` — query arguments, latency, phase
 totals, counter-style stats, a plan summary when EXPLAIN was active, the
-trace id (join key against Chrome-trace spans and structured logs), and
-the error + ``shard_id`` for failures surfacing through the batch
-executor or the sharded fan-out.
+trace id (join key against spans and structured logs), and the error +
+``shard_id`` for failures surfacing through the batch executor or the
+sharded fan-out.
 
-Recording is **disabled by default**: the processor checks the module
-:data:`enabled` flag once per query, so the off path costs one branch.
-Enable with::
+This module only *builds* records and *reads* them back.  Retention is
+the trace store's (:mod:`repro.obs.requests`): a record built inside a
+collected request rides on that request's
+:class:`~repro.obs.tracing.SpanCollector` and is kept or dropped with
+it; a record built outside one is offered to the store as its own
+entry, under the same keep policy (error → slow → 1-in-N).  So the
+recorder is on exactly when the store is::
 
-    from repro.obs import flight
-    flight.configure(enabled_=True, latency_threshold_s=0.050)
+    from repro.obs import flight, requests
+    requests.configure(enabled_=True, slow_threshold_s=0.050)
 
-and dump with ``flight.dump_jsonl(path)`` (one JSON object per line) or
-inspect ``flight.records()`` in-process.  The buffer is process-wide and
-thread-safe; capacity overflow evicts the oldest record (ring
-semantics), never blocks, and never raises into the query path.
+and ``flight.records()`` / ``flight.dump_jsonl(path)`` / ``/flight.json``
+are filters over what the store kept.  Callers check
+``requests.enabled`` once per query, so the off path costs one branch.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-#: Ring capacity: old records are evicted once this many are buffered.
-DEFAULT_CAPACITY = 512
-
-#: Default ceiling on one record's serialized ``plan_summary``.  Sharded
-#: EXPLAIN summaries scale with shard count; a runaway payload must not
-#: let a single record dominate the ring's memory or the JSONL dump.
-DEFAULT_PLAN_MAX_BYTES = 16 * 1024
-
-#: Module flag, read on hot paths.  Mutate only via :func:`configure`.
-enabled = False
-
-_lock = threading.Lock()
-_buffer: deque = deque(maxlen=DEFAULT_CAPACITY)
-_latency_threshold_s = 0.0
-_plan_max_bytes = DEFAULT_PLAN_MAX_BYTES
-_total_recorded = 0
-_total_evicted = 0
-
-#: Admission hooks: callables invoked (outside the ring lock) with each
-#: newly pushed :class:`QueryRecord`.  The continuous profiler registers
-#: here so admitting a slow query triggers a retroactive stack capture
-#: keyed by the record's trace id.  Hook exceptions are swallowed — the
-#: recorder must never raise into the query path.
-_hooks: list = []
-
-
-def add_hook(hook) -> None:
-    """Register an admission hook (idempotent)."""
-    if hook not in _hooks:
-        _hooks.append(hook)
-
-
-def remove_hook(hook) -> bool:
-    """Unregister an admission hook; True when it was registered."""
-    try:
-        _hooks.remove(hook)
-        return True
-    except ValueError:
-        return False
+from repro.obs import requests as _requests
+from repro.obs import tracing as _tracing
 
 
 @dataclass(slots=True)
 class QueryRecord:
-    """One flight-recorder entry: a slow or failed query, in full."""
+    """One flight-recorder entry: an executed (or rejected) query."""
 
     trace_id: str
     #: Unix timestamp of record creation (wall clock, for correlation
@@ -103,91 +65,12 @@ class QueryRecord:
     decision: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "trace_id": self.trace_id,
-            "ts": self.ts,
-            "algorithm": self.algorithm,
-            "variant": self.variant,
-            "pulling": self.pulling,
-            "query": self.query,
-            "latency_s": self.latency_s,
-            "phase_times": self.phase_times,
-            "counters": self.counters,
-        }
-        if self.plan_summary is not None:
-            out["plan_summary"] = self.plan_summary
-        if self.error is not None:
-            out["error"] = self.error
-        if self.shard_id is not None:
-            out["shard_id"] = self.shard_id
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        if self.decision is not None:
-            out["decision"] = self.decision
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryRecord":
-        """Rebuild a record from :meth:`to_dict` output (see ingest)."""
-        return cls(
-            trace_id=data.get("trace_id", ""),
-            ts=data.get("ts", 0.0),
-            algorithm=data.get("algorithm", ""),
-            variant=data.get("variant", ""),
-            pulling=data.get("pulling", ""),
-            query=dict(data.get("query", {})),
-            latency_s=data.get("latency_s", 0.0),
-            phase_times=dict(data.get("phase_times", {})),
-            counters=dict(data.get("counters", {})),
-            plan_summary=data.get("plan_summary"),
-            error=data.get("error"),
-            shard_id=data.get("shard_id"),
-            tenant=data.get("tenant"),
-            decision=data.get("decision"),
-        )
+        """Fields in declaration order; unset optional ones left out."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def configure(
-    enabled_: bool | None = None,
-    latency_threshold_s: float | None = None,
-    capacity: int | None = None,
-    plan_max_bytes: int | None = None,
-) -> None:
-    """(Re)configure the recorder.
-
-    ``latency_threshold_s`` — queries at or above this latency are
-    recorded (0.0 records every query; errors are always recorded).
-    ``capacity`` resizes the ring, keeping the newest records.
-    ``plan_max_bytes`` caps one record's serialized plan summary;
-    oversize plans are replaced by a truncation stub on admission.
-    """
-    global enabled, _latency_threshold_s, _buffer, _plan_max_bytes
-    with _lock:
-        if latency_threshold_s is not None:
-            _latency_threshold_s = max(0.0, float(latency_threshold_s))
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError(f"capacity must be >= 1, got {capacity}")
-            _buffer = deque(_buffer, maxlen=int(capacity))
-        if plan_max_bytes is not None:
-            if plan_max_bytes < 1:
-                raise ValueError(
-                    f"plan_max_bytes must be >= 1, got {plan_max_bytes}"
-                )
-            _plan_max_bytes = int(plan_max_bytes)
-    if enabled_ is not None:
-        enabled = bool(enabled_)
-
-
-def latency_threshold() -> float:
-    return _latency_threshold_s
-
-
-def capacity() -> int:
-    return _buffer.maxlen or DEFAULT_CAPACITY
-
-
-def _query_args(query) -> dict:
+def query_args(query) -> dict:
+    """The query-shape dict stored with records and traces."""
     return {
         "k": query.k,
         "radius": query.radius,
@@ -197,24 +80,17 @@ def _query_args(query) -> dict:
     }
 
 
-def _stat_counters(stats) -> dict:
-    if stats is None:
-        return {}
-    return {
-        "combinations": stats.combinations,
-        "features_pulled": stats.features_pulled,
-        "objects_scored": stats.objects_scored,
-        "io_reads": stats.io_reads,
-        "buffer_hits": stats.buffer_hits,
-        "node_cache_hits": stats.node_cache_hits,
-        "node_cache_misses": stats.node_cache_misses,
-        "heap_pops": stats.heap_pops,
-        "nodes_expanded": stats.nodes_expanded,
-    }
+#: The ``QueryStats`` counters a record snapshots.
+_COUNTERS = (
+    "combinations", "features_pulled", "objects_scored", "io_reads",
+    "buffer_hits", "node_cache_hits", "node_cache_misses", "heap_pops",
+    "nodes_expanded",
+)
 
 
 def _plan_summary(plan) -> dict:
-    """Compact plan digest — enough to triage without the full plan."""
+    """Compact plan digest — enough to triage without the full plan
+    (a fixed handful of counters, so bounded by construction)."""
     summary: dict = {
         "objects_scored": plan.objects_scored,
         "combinations_released": plan.combinations_released,
@@ -230,189 +106,124 @@ def _plan_summary(plan) -> dict:
     return summary
 
 
-def _cap_plan(record: QueryRecord) -> None:
-    """Replace an oversize plan summary with a truncation stub."""
-    if record.plan_summary is None:
-        return
-    try:
-        size = len(json.dumps(record.plan_summary))
-    except (TypeError, ValueError):
-        record.plan_summary = {"truncated": True, "reason": "unserializable"}
-        return
-    if size > _plan_max_bytes:
-        record.plan_summary = {"truncated": True, "bytes": size}
+def _admit(record: QueryRecord) -> bool:
+    """Hand one record to whoever decides retention for its trace.
+
+    Inside a collected request that is the request's owner (the record
+    joins the collector and shares the request's fate); otherwise the
+    store decides now, with the record as an entry of its own.  Returns
+    whether the record was accepted — for the collector case that is
+    always True, the keep decision comes later.
+    """
+    if not _requests.enabled:
+        return False
+    ctx = _tracing.capture()
+    if ctx is not None and ctx.collector is not None:
+        ctx.collector.records.append(record)
+        return True
+    return _requests.record(
+        trace_id=record.trace_id,
+        tenant=record.tenant or "",
+        outcome="error" if record.error is not None else "ok",
+        status=0,
+        duration_s=record.latency_s,
+        algorithm=record.algorithm,
+        pulling=record.pulling,
+        query=record.query,
+        records=(record,),
+    )
 
 
-def _push(record: QueryRecord) -> None:
-    global _total_recorded, _total_evicted
-    _cap_plan(record)
-    with _lock:
-        if len(_buffer) == _buffer.maxlen:
-            _total_evicted += 1
-        _buffer.append(record)
-        _total_recorded += 1
-    for hook in list(_hooks):
-        try:
-            hook(record)
-        except Exception:  # noqa: BLE001 — never raise into the query path
-            pass
+def _offer(query, algorithm, pulling, trace_id, latency_s, **fields) -> bool:
+    if not _requests.enabled:
+        return False  # before building anything
+    return _admit(
+        QueryRecord(
+            trace_id=trace_id,
+            ts=time.time(),
+            algorithm=algorithm,
+            variant=query.variant.value,
+            pulling=pulling,
+            query=query_args(query),
+            latency_s=latency_s,
+            **fields,
+        )
+    )
 
 
 def maybe_record(
-    query,
-    algorithm: str,
-    pulling: str,
-    trace_id: str,
-    latency_s: float,
-    stats=None,
-    plan=None,
+    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    stats=None, plan=None,
 ) -> bool:
-    """Record a *successful* query iff it met the latency threshold.
-
-    Returns whether a record was written.  Never raises.
-    """
-    if not enabled or latency_s < _latency_threshold_s:
-        return False
-    variant = query.variant.value
-    _push(
-        QueryRecord(
-            trace_id=trace_id,
-            ts=time.time(),
-            algorithm=algorithm,
-            variant=variant,
-            pulling=pulling,
-            query=_query_args(query),
-            latency_s=latency_s,
-            phase_times=dict(stats.phase_times) if stats is not None else {},
-            counters=_stat_counters(stats),
-            plan_summary=_plan_summary(plan) if plan is not None else None,
-        )
+    """Offer a *successful* query; the store's keep policy decides."""
+    return _offer(
+        query, algorithm, pulling, trace_id, latency_s,
+        phase_times=dict(stats.phase_times) if stats is not None else {},
+        counters=(
+            {name: getattr(stats, name) for name in _COUNTERS}
+            if stats is not None else {}
+        ),
+        plan_summary=_plan_summary(plan) if plan is not None else None,
     )
-    return True
 
 
 def record_error(
-    query,
-    algorithm: str,
-    pulling: str,
-    trace_id: str,
-    latency_s: float,
-    error: BaseException,
-    shard_id: int | None = None,
+    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    error: BaseException, shard_id: int | None = None,
 ) -> bool:
-    """Record a failed query (errors bypass the latency threshold)."""
-    if not enabled:
-        return False
+    """Offer a failed query (errors are always kept)."""
     if shard_id is None:
         shard_id = getattr(error, "shard_id", None)
-    _push(
-        QueryRecord(
-            trace_id=trace_id,
-            ts=time.time(),
-            algorithm=algorithm,
-            variant=query.variant.value,
-            pulling=pulling,
-            query=_query_args(query),
-            latency_s=latency_s,
-            error={"type": type(error).__name__, "message": str(error)},
-            shard_id=shard_id,
-        )
+    return _offer(
+        query, algorithm, pulling, trace_id, latency_s,
+        error={"type": type(error).__name__, "message": str(error)},
+        shard_id=shard_id,
     )
-    return True
 
 
 def record_rejection(
-    query,
-    algorithm: str,
-    pulling: str,
-    trace_id: str,
-    latency_s: float,
-    tenant: str | None = None,
-    decision: str | None = None,
+    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    tenant: str | None = None, decision: str | None = None,
 ) -> bool:
-    """Record a serve-layer admission rejection (quota / backpressure).
+    """Offer a serve-layer admission rejection (quota / backpressure).
 
-    A shed request is diagnostic gold — it is exactly the traffic an
-    operator gets paged about — so rejections bypass the latency
-    threshold like errors do, carrying the tenant and the gate that
-    rejected them.
+    A shed request is exactly the traffic an operator gets paged about,
+    so the record carries the tenant and the gate that rejected it; the
+    serving layer calls this inside the request's trace scope, so it is
+    stored once, with the 429's trace.
     """
-    if not enabled:
-        return False
-    _push(
-        QueryRecord(
-            trace_id=trace_id,
-            ts=time.time(),
-            algorithm=algorithm,
-            variant=query.variant.value,
-            pulling=pulling,
-            query=_query_args(query),
-            latency_s=latency_s,
-            tenant=tenant,
-            decision=decision,
-        )
+    return _offer(
+        query, algorithm, pulling, trace_id, latency_s,
+        tenant=tenant, decision=decision,
     )
-    return True
 
 
-def ingest(
-    record_dicts, shard_id: int | None = None
-) -> int:
-    """Adopt records produced in another process into this ring buffer.
+def ingest(records, shard_id: int | None = None) -> None:
+    """Adopt records built in another process.
 
-    The process-mode shard fan-out runs per-shard queries in worker
-    processes whose flight buffers the parent cannot see; workers ship
-    their records (as :meth:`QueryRecord.to_dict` payloads) back over
-    the result channel and the parent replays them here, stamping
-    ``shard_id`` on records that do not already carry one so slow
-    per-shard queries are attributable.  Returns how many records were
-    adopted; no-ops (returning 0) when recording is disabled.
+    Process-mode shard workers ship the records of their per-shard
+    queries back over the result channel; the parent stamps ``shard_id``
+    on those that carry none (so slow per-shard queries are
+    attributable) and admits them exactly as if a shard thread had built
+    them here.
     """
-    if not enabled:
-        return 0
-    n = 0
-    for data in record_dicts:
-        record = (
-            data if isinstance(data, QueryRecord)
-            else QueryRecord.from_dict(data)
-        )
-        if record.shard_id is None and shard_id is not None:
+    for record in records:
+        if record.shard_id is None:
             record.shard_id = shard_id
-        _push(record)
-        n += 1
-    return n
+        _admit(record)
 
 
 def records() -> list[QueryRecord]:
-    """Buffered records, oldest first (a copy)."""
-    with _lock:
-        return list(_buffer)
+    """Every query record the store holds, oldest first (a copy)."""
+    return [r for trace in _requests.entries() for r in trace.records]
 
 
 def stats() -> dict:
-    """Recorder bookkeeping: buffered / total recorded / evicted."""
-    with _lock:
-        return {
-            "buffered": len(_buffer),
-            "capacity": _buffer.maxlen,
-            "total_recorded": _total_recorded,
-            "total_evicted": _total_evicted,
-            "enabled": enabled,
-            "latency_threshold_s": _latency_threshold_s,
-        }
-
-
-def _rotate(path: Path, backups: int) -> None:
-    """Shift ``path`` -> ``path.1`` -> ... -> ``path.<backups>``."""
-    oldest = path.with_name(path.name + f".{backups}")
-    if oldest.exists():
-        oldest.unlink()
-    for i in range(backups - 1, 0, -1):
-        src = path.with_name(path.name + f".{i}")
-        if src.exists():
-            src.rename(path.with_name(path.name + f".{i + 1}"))
-    if path.exists() and backups >= 1:
-        path.rename(path.with_name(path.name + ".1"))
+    """The store's bookkeeping, with ``buffered`` counting records."""
+    store = _requests.stats()
+    store["buffered"] = len(records())
+    store["latency_threshold_s"] = store["slow_threshold_s"]
+    return store
 
 
 def dump_jsonl(
@@ -421,47 +232,8 @@ def dump_jsonl(
     max_bytes: int | None = None,
     backups: int = 3,
 ) -> Path:
-    """Write buffered records to ``path``, one JSON object per line.
-
-    With ``max_bytes`` set, the dump path becomes size-bounded: when the
-    write would push the file past the limit, the existing file rotates
-    to ``path.1`` (shifting older backups up to ``path.<backups>``, the
-    oldest dropped) and the dump starts a fresh file.  A single dump
-    larger than ``max_bytes`` keeps only the *newest* records that fit —
-    the ring's own eviction order.  ``append=True`` adds to the current
-    file instead of overwriting (the long-running-service shape; pair it
-    with ``clear()`` to checkpoint the ring).
-    """
-    path = Path(path)
-    lines = [json.dumps(r.to_dict()) + "\n" for r in records()]
-    if max_bytes is not None:
-        kept: list[str] = []
-        total = 0
-        for line in reversed(lines):  # newest last in `lines`
-            if total + len(line) > max_bytes:
-                break
-            kept.append(line)
-            total += len(line)
-        lines = list(reversed(kept))
-        if path.exists():
-            if not append:
-                # Overwrite mode with a byte cap keeps history: the old
-                # file shifts to ``path.1`` instead of being clobbered.
-                _rotate(path, backups)
-            elif path.stat().st_size + total > max_bytes:
-                _rotate(path, backups)
-                append = False
-    with path.open("a" if append else "w") as fh:
-        fh.writelines(lines)
-    return path
-
-
-def clear() -> int:
-    """Drop all buffered records; returns how many were dropped."""
-    global _total_recorded, _total_evicted
-    with _lock:
-        n = len(_buffer)
-        _buffer.clear()
-        _total_recorded = 0
-        _total_evicted = 0
-    return n
+    """Write :func:`records` as JSONL (see ``requests.dump_jsonl``)."""
+    return _requests.dump_jsonl(
+        path, append=append, max_bytes=max_bytes, backups=backups,
+        docs=[r.to_dict() for r in records()],
+    )

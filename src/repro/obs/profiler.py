@@ -1,4 +1,4 @@
-"""Continuous sampling profiler with flight-recorder-triggered capture.
+"""Continuous sampling profiler with trace-store-triggered capture.
 
 "p99 spiked" is only half an answer; the other half is *what the
 process was doing* during the spike.  :class:`SamplingProfiler` keeps a
@@ -6,8 +6,8 @@ timer thread that snapshots every thread's stack via
 ``sys._current_frames()`` at a fixed interval and buffers the collapsed
 stacks in a bounded ring.  Because sampling is continuous, the stacks
 for a slow query exist *before* anyone knew it was slow — when the
-flight recorder admits a record, a hook retroactively captures the ring
-samples overlapping that query's lifetime and files them under its
+trace store admits a trace, a hook retroactively captures the ring
+samples overlapping that request's lifetime and files them under its
 trace id.  The exemplar on the latency histogram's p99 bucket, the
 flight record, and the profiler capture then all join on one id.
 
@@ -16,7 +16,7 @@ Output is flamegraph.pl/speedscope-compatible collapsed-stack text
 :meth:`write_collapsed`.
 
 Cost model: the profiler is **off by default** and costs nothing when
-off (no thread, and the flight hook is only registered while
+off (no thread, and the store hook is only registered while
 installed).  When on, each tick walks ``threads x stack-depth`` frames
 — at the default 10 ms interval this stays in the low single-digit
 percent range (measured in ``benchmarks/bench_telemetry.py``; numbers
@@ -39,7 +39,7 @@ from collections import Counter, OrderedDict, deque
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.obs import flight as _flight
+from repro.obs import requests as _requests
 
 #: Default sampling interval: 10 ms — coarse enough to stay cheap,
 #: fine enough to attribute queries in the tens-of-ms range.
@@ -181,7 +181,7 @@ class SamplingProfiler:
     ) -> dict:
         """File the last ``lookback_s`` of samples under ``trace_id``.
 
-        Called (via the flight hook) right after a slow query is
+        Called (via the store hook) right after a slow query is
         admitted, so the window covers that query's execution.  Returns
         the capture record (also retrievable via :meth:`captures`).
         """
@@ -221,23 +221,23 @@ class SamplingProfiler:
 
 
 # ----------------------------------------------------------------------
-# module-level shared instance + flight-recorder trigger
+# module-level shared instance + trace-store trigger
 # ----------------------------------------------------------------------
 _shared: SamplingProfiler | None = None
 _install_count = 0
 _state_lock = threading.Lock()
 
-#: Extra window beyond the record's latency, covering the gap between
+#: Extra window beyond the trace's duration, covering the gap between
 #: query completion and hook invocation.
 CAPTURE_SLACK_S = 1.0
 
 
-def _flight_hook(record) -> None:
+def _admission_hook(trace) -> None:
     prof = _shared
-    if prof is None or not record.trace_id:
+    if prof is None or not trace.trace_id:
         return
     prof.capture(
-        record.trace_id, lookback_s=record.latency_s + CAPTURE_SLACK_S
+        trace.trace_id, lookback_s=trace.duration_s + CAPTURE_SLACK_S
     )
 
 
@@ -245,7 +245,7 @@ def install(
     interval_s: float = DEFAULT_INTERVAL_S,
     retention_s: float = DEFAULT_RETENTION_S,
 ) -> bool:
-    """Start (or ref-count) the shared profiler + flight trigger.
+    """Start (or ref-count) the shared profiler + store trigger.
 
     Returns True when this call actually started it (first installer);
     nested installs just bump the count.  Parameters only apply to the
@@ -259,7 +259,7 @@ def install(
         _shared = SamplingProfiler(
             interval_s=interval_s, retention_s=retention_s
         ).start()
-        _flight.add_hook(_flight_hook)
+        _requests.add_hook(_admission_hook)
         return True
 
 
@@ -272,7 +272,7 @@ def uninstall() -> bool:
         _install_count -= 1
         if _install_count > 0 or _shared is None:
             return False
-        _flight.remove_hook(_flight_hook)
+        _requests.remove_hook(_admission_hook)
         _shared.stop()
         _shared = None
         return True

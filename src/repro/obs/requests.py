@@ -1,44 +1,41 @@
-"""Request-level tracing: W3C ``traceparent`` + a tail-sampled trace store.
-
-The serving layer (:mod:`repro.serve`) turns the engine into an online
-multi-tenant service; this module gives every *request* — including the
-ones that never reach the executor (quota 429s, cache hits, shed load) —
-a durable, queryable trace:
+"""Request-level tracing: W3C ``traceparent`` + the tail-sampled trace store.
 
 * :func:`parse_traceparent` / :func:`format_traceparent` — W3C Trace
   Context interop.  A client-supplied ``traceparent`` header donates its
-  128-bit trace id, which then joins the span tracer, flight recorder,
-  histogram exemplars and structured logs exactly like an internally
-  minted id (trace ids are opaque hex strings everywhere in the stack);
-  the response carries a fresh ``traceparent`` naming the same trace.
-* :class:`RequestTrace` + the module-level **trace store** — a bounded
-  in-memory buffer of finished requests with their admission-waterfall
-  span trees (``serve.quota`` → ``serve.cache`` → ``serve.backpressure``
-  → ``serve.execute`` → engine phases), captured per-request through a
-  :class:`~repro.obs.tracing.SpanCollector` even while global Chrome
-  tracing is off.
-* **Tail-based sampling** — the keep/drop decision happens when the
-  request *finishes*, when its outcome is known: errors (4xx/5xx),
-  shed requests (429) and requests slower than the SLO threshold are
-  always kept; the boring bulk is represented by a deterministic
-  1-in-N uniform sample.  The store is byte-bounded; when over budget
-  it evicts oldest *uniform* entries first and touches interesting
-  entries only when nothing boring is left.
+  128-bit trace id, which then joins spans, query records, histogram
+  exemplars and structured logs exactly like an internally minted id
+  (trace ids are opaque hex strings everywhere in the stack); the
+  response carries a fresh ``traceparent`` naming the same trace.
+* :class:`RequestTrace` + the module-level **trace store** — the one
+  bounded buffer of finished work (DESIGN.md §9).  An entry is a served
+  request (429s and cache hits included) or a bare engine query, with
+  the span tree its :class:`~repro.obs.tracing.SpanCollector` gathered
+  *and* the :class:`~repro.obs.flight.QueryRecord` of every query it
+  ran — :mod:`repro.obs.flight` is a view over this store.
+* **Tail-based sampling** — the one keep/drop decision, taken when the
+  request *finishes*: errors (4xx/5xx), shed requests (429) and
+  requests slower than the SLO threshold are always kept; the boring
+  bulk is represented by a deterministic 1-in-N uniform sample.  The
+  store is byte-bounded; over budget it evicts oldest *uniform* entries
+  first and touches interesting ones only when nothing boring is left.
 * ``/traces.json?trace_id=…&tenant=…&min_ms=…`` (served by
   :mod:`repro.obs.export`) and ``python -m repro.obs trace <id>``
   (:func:`render_trace_tree`) are the query paths.
 
-Like the flight recorder, the store is process-wide, thread-safe,
-disabled by default (one flag check per request when off) and never
-raises into the serving path.
+The store is process-wide, thread-safe, disabled by default (one flag
+check per request or query when off) and never raises into the serving
+path.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,20 +53,46 @@ DEFAULT_UNIFORM_EVERY = 20
 #: request dominate the store.
 MAX_SPANS_PER_TRACE = 512
 
-#: Module flag, read once per request.  Mutate only via :func:`configure`.
+#: Module flag, read once per request / query.  Mutate only via
+#: :func:`configure`.
 enabled = False
 
 _lock = threading.Lock()
-_traces: list["RequestTrace"] = []
+#: Kept entries, oldest first, split by what eviction may touch first so
+#: shedding a victim is O(1) even when the store is full of ``shed``
+#: traces; :func:`entries` merges the two back into admission order.
+_uniform: deque["RequestTrace"] = deque()
+_interesting: deque["RequestTrace"] = deque()
 _bytes = 0
 _max_bytes = DEFAULT_MAX_BYTES
 _slow_threshold_s = DEFAULT_SLOW_THRESHOLD_S
 _uniform_every = DEFAULT_UNIFORM_EVERY
-_seen = 0
-_dropped = 0
-_evicted_uniform = 0
-_evicted_interesting = 0
+#: Sampling / eviction accounting, reported by :func:`stats`.
+_counts = {
+    "seen": 0, "dropped": 0, "evicted_uniform": 0, "evicted_interesting": 0,
+}
 _kept_by_reason: dict[str, int] = {}
+
+#: Admission hooks: callables invoked (outside the store lock) with each
+#: newly kept :class:`RequestTrace`.  The continuous profiler registers
+#: here so admitting a slow request triggers a retroactive stack capture
+#: keyed by its trace id.  Hook exceptions are swallowed — the store
+#: must never raise into the query path.
+_hooks: list = []
+
+
+def add_hook(hook) -> None:
+    """Register an admission hook (idempotent)."""
+    if hook not in _hooks:
+        _hooks.append(hook)
+
+
+def remove_hook(hook) -> bool:
+    """Unregister an admission hook; True when it was registered."""
+    if hook not in _hooks:
+        return False
+    _hooks.remove(hook)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -149,15 +172,17 @@ def format_traceparent(
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class RequestTrace:
-    """One finished serving request with its span tree."""
+    """One finished request (or bare engine query) with its span tree."""
 
     trace_id: str
     #: Unix timestamp of request completion.
     ts: float
+    #: Empty for engine queries that did not arrive through serving.
     tenant: str
     #: Terminal outcome: ok / cached / quota / backpressure /
     #: bad_request / error.
     outcome: str
+    #: HTTP-shaped status; 0 for engine queries outside the serve layer.
     status: int
     duration_s: float
     algorithm: str = ""
@@ -166,12 +191,17 @@ class RequestTrace:
     query: dict | None = None
     #: Chrome-trace-shaped span events collected for this request.
     spans: list = field(default_factory=list)
+    #: Engine-level :class:`~repro.obs.flight.QueryRecord` entries of
+    #: the queries run under this trace (the flight-recorder view).
+    records: list = field(default_factory=list)
     #: Why tail sampling kept this trace: error / shed / slow / uniform.
     keep_reason: str = ""
     #: Rejection/error detail, when any.
     reason: str = ""
     #: Estimated serialized size (store accounting).
     approx_bytes: int = 0
+    #: Admission order across both eviction classes.
+    seq: int = 0
 
     def to_dict(self) -> dict:
         out = {
@@ -192,24 +222,9 @@ class RequestTrace:
             out["query"] = self.query
         if self.reason:
             out["reason"] = self.reason
+        if self.records:
+            out["records"] = [r.to_dict() for r in self.records]
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RequestTrace":
-        return cls(
-            trace_id=data.get("trace_id", ""),
-            ts=data.get("ts", 0.0),
-            tenant=data.get("tenant", ""),
-            outcome=data.get("outcome", ""),
-            status=int(data.get("status", 0)),
-            duration_s=data.get("duration_s", 0.0),
-            algorithm=data.get("algorithm", ""),
-            pulling=data.get("pulling", ""),
-            query=data.get("query"),
-            spans=list(data.get("spans", [])),
-            keep_reason=data.get("keep_reason", ""),
-            reason=data.get("reason", ""),
-        )
 
 
 def configure(
@@ -218,7 +233,7 @@ def configure(
     slow_threshold_s: float | None = None,
     uniform_every: int | None = None,
 ) -> None:
-    """(Re)configure the store.
+    """(Re)configure the store — the only retention knobs there are.
 
     ``max_bytes`` bounds the buffered traces' estimated JSON size;
     ``slow_threshold_s`` is the tail-sampling latency cut
@@ -240,31 +255,21 @@ def configure(
                     f"uniform_every must be >= 0, got {uniform_every}"
                 )
             _uniform_every = int(uniform_every)
+        if enabled_:
+            _evict()
     if enabled_ is not None:
         enabled = bool(enabled_)
-    if enabled_:
-        _evict_locked_entry()
-
-
-def _evict_locked_entry() -> None:
-    with _lock:
-        _evict()
-
-
-def slow_threshold() -> float:
-    return _slow_threshold_s
 
 
 def _keep_reason(status: int, outcome: str, duration_s: float) -> str | None:
-    """Tail-sampling verdict; None means drop."""
-    global _seen
+    """Tail-sampling verdict; None means drop.  Caller holds the lock."""
     if status == 429:
         return "shed"
     if status >= 400 or outcome == "error":
         return "error"
     if duration_s >= _slow_threshold_s:
         return "slow"
-    if _uniform_every > 0 and _seen % _uniform_every == 0:
+    if _uniform_every > 0 and _counts["seen"] % _uniform_every == 0:
         return "uniform"
     return None
 
@@ -272,12 +277,9 @@ def _keep_reason(status: int, outcome: str, duration_s: float) -> str | None:
 def _trim_spans(spans) -> list:
     """Copy span events, keeping only the renderable fields.
 
-    Over the per-trace cap, the *longest* spans survive: complete
-    events are appended at close time, so the enclosing request / gate /
-    executor spans land at the very end of the stream — a head
-    truncation would drop exactly the tree's trunk and keep only micro
-    leaf phases.  Duration is the shape-preserving criterion; original
-    order is kept among the survivors.
+    Over the per-trace cap, the *longest* spans survive (original order
+    kept): spans are emitted at close time, so a head truncation would
+    drop exactly the tree's trunk and keep only micro leaf phases.
     """
     events = list(spans)
     if len(events) > MAX_SPANS_PER_TRACE:
@@ -294,12 +296,9 @@ def _trim_spans(spans) -> list:
             "ts": event.get("ts", 0.0),
             "dur": event.get("dur", 0.0),
         }
-        if event.get("cat"):
-            trimmed["cat"] = event["cat"]
-        if event.get("pid") is not None:
-            trimmed["pid"] = event["pid"]
-        if event.get("tid") is not None:
-            trimmed["tid"] = event["tid"]
+        for key in ("cat", "pid", "tid"):
+            if event.get(key) is not None:
+                trimmed[key] = event[key]
         args = event.get("args")
         if args:
             # Coerce exotic arg values here so every stored trace is
@@ -313,19 +312,20 @@ def _trim_spans(spans) -> list:
     return out
 
 
-#: Rough serialized overhead of one trimmed span / one whole trace
-#: (braces, keys, numeric fields) for the byte-budget accounting.
+#: Rough serialized overhead of one trimmed span / one engine record /
+#: one whole trace (braces, keys, numeric fields) for the byte-budget
+#: accounting.
 _SPAN_BASE_BYTES = 96
+_RECORD_BASE_BYTES = 256
 _TRACE_BASE_BYTES = 200
 
 
 def _estimate_bytes(trace: RequestTrace) -> int:
     """Cheap structural size estimate (no serialization on the hot path).
 
-    The store's byte bound is enforced against this estimate, so it only
-    needs to be self-consistent and roughly proportional to the real
-    JSON size — a ``json.dumps`` here would dominate the whole record
-    path for span-heavy traces.
+    The byte bound is enforced against this estimate, so it only needs
+    to be self-consistent and roughly proportional to the real JSON
+    size — a ``json.dumps`` here would dominate the whole record path.
     """
     size = (
         _TRACE_BASE_BYTES
@@ -340,25 +340,27 @@ def _estimate_bytes(trace: RequestTrace) -> int:
         if args:
             for key, value in args.items():
                 size += len(key) + len(str(value)) + 8
+    for record in trace.records:
+        size += _RECORD_BASE_BYTES + 24 * (
+            len(record.query) + len(record.phase_times)
+            + len(record.counters)
+        )
+        if record.plan_summary is not None:
+            size += len(str(record.plan_summary))
     return size
 
 
 def _evict() -> None:
     """Shed oldest *uniform* traces first; interesting ones only when
     nothing boring is left.  Caller holds the lock."""
-    global _bytes, _evicted_uniform, _evicted_interesting
-    while _bytes > _max_bytes and _traces:
-        victim_idx = None
-        for i, trace in enumerate(_traces):
-            if trace.keep_reason == "uniform":
-                victim_idx = i
-                break
-        if victim_idx is None:
-            victim_idx = 0
-            _evicted_interesting += 1
+    global _bytes
+    while _bytes > _max_bytes and (_uniform or _interesting):
+        if _uniform:
+            victim = _uniform.popleft()
+            _counts["evicted_uniform"] += 1
         else:
-            _evicted_uniform += 1
-        victim = _traces.pop(victim_idx)
+            victim = _interesting.popleft()
+            _counts["evicted_interesting"] += 1
         _bytes -= victim.approx_bytes
 
 
@@ -373,6 +375,7 @@ def record(
     query=None,
     spans=None,
     reason: str = "",
+    records=(),
 ) -> bool:
     """Admit one finished request; returns whether it was kept.
 
@@ -380,16 +383,17 @@ def record(
     known.  ``query`` and ``spans`` may be zero-argument callables,
     resolved only when the request is kept — callers on the serving
     hot path use this to defer materializing span/query dicts for the
-    dropped majority.  Never raises into the serving path.
+    dropped majority.  ``records`` are the engine-level query records
+    run under this trace.  Never raises into the serving path.
     """
-    global _seen, _dropped, _bytes
+    global _bytes
     if not enabled:
         return False
     with _lock:
         keep = _keep_reason(status, outcome, duration_s)
-        _seen += 1
+        _counts["seen"] += 1
         if keep is None:
-            _dropped += 1
+            _counts["dropped"] += 1
             return False
         if callable(query):
             query = query()
@@ -405,29 +409,49 @@ def record(
             algorithm=algorithm,
             pulling=pulling,
             query=dict(query) if query else None,
-            spans=_trim_spans(list(spans)) if spans else [],
+            spans=_trim_spans(spans) if spans else [],
+            records=list(records),
             keep_reason=keep,
             reason=reason,
+            seq=_counts["seen"],
         )
         trace.approx_bytes = _estimate_bytes(trace)
-        _traces.append(trace)
+        (_uniform if keep == "uniform" else _interesting).append(trace)
         _bytes += trace.approx_bytes
         _kept_by_reason[keep] = _kept_by_reason.get(keep, 0) + 1
         _evict()
+    for hook in list(_hooks):
+        try:
+            hook(trace)
+        except Exception:  # noqa: BLE001 — never raise into the query path
+            pass
     return True
+
+
+def entries() -> list[RequestTrace]:
+    """Stored traces in admission order, oldest first (a copy)."""
+    with _lock:
+        return list(
+            heapq.merge(_uniform, _interesting, key=lambda t: t.seq)
+        )
+
+
+def _matching(trace_id=None, tenant=None, min_ms=None):
+    """Stored traces passing every given filter, newest first."""
+    wanted = w3c_trace_id(trace_id) if trace_id else None
+    for trace in reversed(entries()):
+        if wanted is not None and w3c_trace_id(trace.trace_id) != wanted:
+            continue
+        if tenant is not None and trace.tenant != tenant:
+            continue
+        if min_ms is not None and trace.duration_s * 1e3 < min_ms:
+            continue
+        yield trace
 
 
 def get(trace_id: str) -> RequestTrace | None:
     """The newest stored trace with this id (16-hex suffixes match)."""
-    wanted = trace_id.lower()
-    with _lock:
-        for trace in reversed(_traces):
-            stored = trace.trace_id.lower()
-            if stored == wanted or w3c_trace_id(stored) == w3c_trace_id(
-                wanted
-            ):
-                return trace
-    return None
+    return next(_matching(trace_id), None)
 
 
 def query_traces(
@@ -437,21 +461,8 @@ def query_traces(
     limit: int = 100,
 ) -> list[dict]:
     """Stored traces matching every given filter, newest first."""
-    with _lock:
-        traces = list(_traces)
-    out = []
-    wanted = w3c_trace_id(trace_id) if trace_id else None
-    for trace in reversed(traces):
-        if wanted is not None and w3c_trace_id(trace.trace_id) != wanted:
-            continue
-        if tenant is not None and trace.tenant != tenant:
-            continue
-        if min_ms is not None and trace.duration_s * 1e3 < min_ms:
-            continue
-        out.append(trace.to_dict())
-        if len(out) >= limit:
-            break
-    return out
+    found = _matching(trace_id, tenant, min_ms)
+    return [trace.to_dict() for trace in itertools.islice(found, limit)]
 
 
 def stats() -> dict:
@@ -459,58 +470,89 @@ def stats() -> dict:
     with _lock:
         return {
             "enabled": enabled,
-            "buffered": len(_traces),
+            "buffered": len(_uniform) + len(_interesting),
             "bytes": _bytes,
             "max_bytes": _max_bytes,
-            "seen": _seen,
+            **_counts,
             "kept": sum(_kept_by_reason.values()),
             "kept_by_reason": dict(_kept_by_reason),
-            "dropped": _dropped,
-            "evicted_uniform": _evicted_uniform,
-            "evicted_interesting": _evicted_interesting,
             "slow_threshold_s": _slow_threshold_s,
             "uniform_every": _uniform_every,
         }
 
 
-def payload(
-    trace_id: str | None = None,
-    tenant: str | None = None,
-    min_ms: float | None = None,
-    limit: int = 100,
-) -> dict:
-    """The ``/traces.json`` document."""
-    return {
-        "stats": stats(),
-        "traces": query_traces(
-            trace_id=trace_id, tenant=tenant, min_ms=min_ms, limit=limit
-        ),
-    }
+def payload(**filters) -> dict:
+    """The ``/traces.json`` document (filters as :func:`query_traces`)."""
+    return {"stats": stats(), "traces": query_traces(**filters)}
 
 
-def dump_jsonl(path) -> Path:
-    """Write the stored traces to ``path``, one JSON object per line."""
+def _rotate(path: Path, backups: int) -> None:
+    """Shift ``path`` -> ``path.1`` -> ... -> ``path.<backups>``."""
+    oldest = path.with_name(path.name + f".{backups}")
+    if oldest.exists():
+        oldest.unlink()
+    for i in range(backups - 1, 0, -1):
+        src = path.with_name(path.name + f".{i}")
+        if src.exists():
+            src.rename(path.with_name(path.name + f".{i + 1}"))
+    if path.exists() and backups >= 1:
+        path.rename(path.with_name(path.name + ".1"))
+
+
+def dump_jsonl(
+    path,
+    append: bool = False,
+    max_bytes: int | None = None,
+    backups: int = 3,
+    docs: list[dict] | None = None,
+) -> Path:
+    """Write ``docs`` (default: the stored traces, oldest first) to
+    ``path``, one JSON object per line.
+
+    With ``max_bytes`` set, the dump path becomes size-bounded: when the
+    write would push the file past the limit, the existing file rotates
+    to ``path.1`` (shifting older backups up to ``path.<backups>``, the
+    oldest dropped) and the dump starts a fresh file.  A single dump
+    larger than ``max_bytes`` keeps only the *newest* documents that
+    fit.  ``append=True`` adds to the current file instead of
+    overwriting (the long-running-service shape; pair it with
+    ``clear()`` to checkpoint the store).
+    """
     path = Path(path)
-    with _lock:
-        traces = list(_traces)
-    with path.open("w") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace.to_dict()) + "\n")
+    if docs is None:
+        docs = [trace.to_dict() for trace in entries()]
+    lines = [json.dumps(doc) + "\n" for doc in docs]
+    if max_bytes is not None:
+        kept: list[str] = []
+        total = 0
+        for line in reversed(lines):  # newest last in `lines`
+            if total + len(line) > max_bytes:
+                break
+            kept.append(line)
+            total += len(line)
+        lines = list(reversed(kept))
+        if path.exists():
+            if not append:
+                # Overwrite mode with a byte cap keeps history: the old
+                # file shifts to ``path.1`` instead of being clobbered.
+                _rotate(path, backups)
+            elif path.stat().st_size + total > max_bytes:
+                _rotate(path, backups)
+                append = False
+    with path.open("a" if append else "w") as fh:
+        fh.writelines(lines)
     return path
 
 
 def clear() -> int:
     """Drop every stored trace and reset the sampling counters."""
-    global _bytes, _seen, _dropped, _evicted_uniform
-    global _evicted_interesting
+    global _bytes
     with _lock:
-        n = len(_traces)
-        _traces.clear()
+        n = len(_uniform) + len(_interesting)
+        _uniform.clear()
+        _interesting.clear()
         _bytes = 0
-        _seen = 0
-        _dropped = 0
-        _evicted_uniform = 0
-        _evicted_interesting = 0
+        _counts.update(dict.fromkeys(_counts, 0))
         _kept_by_reason.clear()
     return n
 
@@ -583,23 +625,3 @@ def render_trace_tree(trace: dict) -> str:
             + pid_note
         )
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "DEFAULT_MAX_BYTES",
-    "DEFAULT_SLOW_THRESHOLD_S",
-    "DEFAULT_UNIFORM_EVERY",
-    "RequestTrace",
-    "clear",
-    "configure",
-    "dump_jsonl",
-    "format_traceparent",
-    "get",
-    "parse_traceparent",
-    "payload",
-    "query_traces",
-    "record",
-    "render_trace_tree",
-    "stats",
-    "w3c_trace_id",
-]

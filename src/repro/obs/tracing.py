@@ -12,41 +12,37 @@ paths pay one branch and one call when tracing is off (the tier-1
 overhead budget is <2%; see ``tests/obs/test_tracing.py``).  Hot loops
 can do even better by checking :data:`enabled` (or
 ``recorder.active``) once per iteration and skipping the call entirely.
-
-Two verbosity levels:
-
-* ``set_enabled(True)`` — phase spans and node-expansion spans;
-* ``set_enabled(True, verbose=True)`` — additionally per-event instants
-  at cache decision points (node-cache / buffer-pool hits and misses),
-  which can produce very large traces.
+``set_enabled(True, verbose_events=True)`` additionally records
+per-event instants at cache decision points (very large traces).
 
 The event buffer is process-wide, thread-safe, and capped at
-:data:`MAX_EVENTS` (overflow is counted, not stored).  Timestamps come
-from ``time.perf_counter`` relative to a module epoch, in microseconds,
-as the trace-event spec requires.
+:data:`MAX_EVENTS` (overflow is counted, not stored).  It holds compact
+span tuples with raw ``time.perf_counter`` stamps; Chrome-event dicts
+(microseconds since a module epoch) are built only when someone reads.
 
-:class:`PhaseRecorder` is the bridge between the tracer and per-query
-cost anatomy: algorithms create one per query (via :func:`recorder`,
-which returns a no-op singleton when tracing is off), wrap their phases
-in ``recorder.span("phase")``, and store ``recorder.totals()`` into
-``QueryStats.phase_times`` — so a single ``QueryResult`` carries its own
-per-phase wall-time breakdown whenever tracing is on.
+This module is also the one carrier of trace identity (DESIGN.md §9): a
+single ContextVar holds the :class:`TraceContext` (trace id + optional
+per-request :class:`SpanCollector`).  :class:`trace_scope` starts a
+trace; a thread hop takes :func:`capture` at submit time and enters
+:class:`resume` on the other side.
+
+:class:`PhaseRecorder` bridges the tracer and per-query cost anatomy:
+algorithms create one per query (via :func:`recorder`, a no-op
+singleton when nothing is recording), wrap their phases in
+``recorder.span("phase")``, and store ``recorder.totals()`` into
+``QueryStats.phase_times``.
 """
 
 from __future__ import annotations
 
 import collections
 import contextvars
-import functools
 import json
-import logging
 import os
 import threading
 import time
 import uuid
 from pathlib import Path
-
-logger = logging.getLogger(__name__)
 
 #: Hard cap on buffered events; beyond it events are counted as dropped.
 MAX_EVENTS = 1_000_000
@@ -58,7 +54,7 @@ enabled = False
 verbose = False
 
 _lock = threading.Lock()
-_events: list[dict] = []
+_events: list[tuple] = []
 _dropped = 0
 _thread_names: dict[int, str] = {}
 #: Thread names adopted from other processes via :func:`ingest`,
@@ -66,46 +62,92 @@ _thread_names: dict[int, str] = {}
 _foreign_thread_names: dict[tuple[int, int], str] = {}
 _EPOCH = time.perf_counter()
 
-#: Cached pid stamped onto every event (``os.getpid`` per span adds up
-#: on the serving path); refreshed in fork children, and spawn children
-#: re-import the module so they pick up their own.
-_PID = os.getpid()
+
+# ----------------------------------------------------------------------
+# the trace context (one ContextVar) and per-request collection
+# ----------------------------------------------------------------------
+#: A span is this 7-tuple everywhere — global buffer, collector, worker
+#: result channel: ``(name, cat, t0, t1, args, trace_id, tid)`` with raw
+#: ``perf_counter`` stamps (``t1`` is None for an instant) and ``tid``
+#: either a local thread id or ``(pid, tid)`` for a span adopted from
+#: another process.  Chrome-event dicts exist only on the read side
+#: (:func:`events`, :func:`chrome_trace`, :meth:`SpanCollector.snapshot`).
+
+#: Spans one collector buffers at most; beyond it the oldest fall off
+#: (a single request must not hoard memory).
+MAX_COLLECTOR_SPANS = 2048
 
 
-def _refresh_pid() -> None:
-    global _PID
-    _PID = os.getpid()
+class SpanCollector:
+    """Everything one traced request produces: spans + engine records.
+
+    ``spans`` is a bounded ring keeping the *newest* spans: a span is
+    emitted when it closes, so the enclosing request / gate / executor
+    spans arrive last — evicting the oldest sheds early micro leaf
+    phases while the tree's trunk survives a span storm.  ``records``
+    holds the engine-level :class:`~repro.obs.flight.QueryRecord` of
+    every query run under this trace; whoever owns the collector hands
+    both to the trace store when the request finishes.  Appends lean on
+    the GIL instead of a lock (once per span on the serving hot path).
+    """
+
+    __slots__ = ("spans", "records")
+
+    def __init__(self) -> None:
+        self.spans: collections.deque[tuple] = collections.deque(
+            maxlen=MAX_COLLECTOR_SPANS
+        )
+        self.records: list = []
+
+    def snapshot(self) -> list[dict]:
+        """The buffered spans as Chrome-style event dicts.
+
+        Call after the request's fan-out has completed — the ring is
+        not locked against concurrent appends.
+        """
+        return _chrome_events(list(self.spans))
+
+
+class TraceContext:
+    """What a hop must carry to stay inside a trace: id + collector.
+
+    ``QueryProcessor.query`` mints one per query unless one is already
+    active; spans, store records, exemplars and structured logs join on
+    ``trace_id``.  The serving layer attaches a :class:`SpanCollector`
+    so one request's spans are captured even while global tracing is
+    off.  ``ThreadPoolExecutor`` does not propagate contextvars, so a
+    thread hop takes :func:`capture` at submit time and enters
+    :class:`resume` in the worker.
+    """
+
+    __slots__ = ("trace_id", "collector")
+
+    def __init__(
+        self, trace_id: str, collector: SpanCollector | None = None
+    ) -> None:
+        self.trace_id = trace_id
+        self.collector = collector
+
+
+_ctx_var: contextvars.ContextVar[TraceContext | None] = (
+    contextvars.ContextVar("repro_trace_context", default=None)
+)
+
+#: How many :class:`trace_scope` blocks with a collector are live
+#: process-wide.  Lets :func:`span` stay a single flag check when no
+#: request is being collected anywhere (the idle / tracing-off case).
+_collecting = 0
+
+
+def _forget_collectors() -> None:
+    # A fork taken mid-request (the shard pool starts workers lazily)
+    # must not leave the child's spans armed for good.
+    global _collecting
+    _collecting = 0
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_refresh_pid)
-
-
-def epoch() -> float:
-    """This process's trace epoch (a ``perf_counter`` stamp).
-
-    Event timestamps are microseconds since this epoch.  On Linux,
-    ``perf_counter`` is ``CLOCK_MONOTONIC`` — the same clock in every
-    process — so a worker's events can be rebased into the parent's
-    timeline by shifting with the difference of the two epochs (see
-    :func:`ingest`).
-    """
-    return _EPOCH
-
-
-# ----------------------------------------------------------------------
-# trace-id correlation
-# ----------------------------------------------------------------------
-#: Per-context trace id.  ``QueryProcessor.query`` mints one per query;
-#: spans, flight records, and structured logs all join on it.  Stored in
-#: a ContextVar so nested queries (sharded fan-out re-entering the
-#: per-shard processors) inherit the outer id automatically — but note
-#: ``ThreadPoolExecutor`` does *not* propagate context into workers, so
-#: cross-thread hops (batch executor, shard fan-out, parallel STDS)
-#: re-enter :func:`trace_scope` explicitly inside the worker closure.
-_trace_id_var: contextvars.ContextVar[str | None] = contextvars.ContextVar(
-    "repro_trace_id", default=None
-)
+    os.register_at_fork(after_in_child=_forget_collectors)
 
 
 def new_trace_id() -> str:
@@ -113,206 +155,69 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
+def capture() -> TraceContext | None:
+    """The trace context active here, to hand to :class:`resume`."""
+    return _ctx_var.get()
+
+
 def current_trace_id() -> str | None:
     """The trace id active in this context, or None outside a query."""
-    return _trace_id_var.get()
+    ctx = _ctx_var.get()
+    return ctx.trace_id if ctx is not None else None
 
 
-class trace_scope:
-    """Make ``trace_id`` the active id for the enclosed block.
+class resume:
+    """Re-enter a captured context (None is fine) for the enclosed block.
 
     A ``__slots__`` class rather than a generator context manager: this
-    sits on the per-request serving path (and inside fan-out worker
-    closures), where the generator protocol's overhead is measurable.
+    sits on the per-query path and inside fan-out worker closures,
+    where the generator protocol's overhead is measurable.
     """
 
-    __slots__ = ("_trace_id", "_token")
+    __slots__ = ("_ctx", "_token")
 
-    def __init__(self, trace_id: str) -> None:
-        self._trace_id = trace_id
+    def __init__(self, ctx: TraceContext | None) -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> TraceContext | None:
+        self._token = _ctx_var.set(self._ctx)
+        return self._ctx
+
+    def __exit__(self, *exc) -> bool:
+        _ctx_var.reset(self._token)
+        return False
+
+
+class trace_scope(resume):
+    """Start a trace: ``trace_id`` (and ``collector``) for the block.
+
+    Owns the collector's lifetime — spans anywhere in the process are
+    armed while it is live — whereas :class:`resume` only borrows a
+    context some enclosing ``trace_scope`` (or query) owns.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, trace_id: str, collector: SpanCollector | None = None
+    ) -> None:
+        self._ctx = TraceContext(trace_id, collector)
 
     def __enter__(self) -> str:
-        self._token = _trace_id_var.set(self._trace_id)
-        return self._trace_id
-
-    def __exit__(self, *exc) -> bool:
-        _trace_id_var.reset(self._token)
-        return False
-
-
-# ----------------------------------------------------------------------
-# per-request span sinks
-# ----------------------------------------------------------------------
-#: Events one collector will buffer at most; beyond it they are counted
-#: as dropped (a single request must not hoard memory).
-MAX_SINK_EVENTS = 2048
-
-#: Per-context span sink.  The serving layer attaches a
-#: :class:`SpanCollector` per request so that request's spans are
-#: captured even while global tracing is off (the tail-sampled trace
-#: store keeps only interesting requests, so always-on collection is
-#: affordable where always-on global tracing is not).  Like the trace
-#: id, the sink does NOT cross ``ThreadPoolExecutor`` hops by itself —
-#: worker closures re-enter :func:`sink_scope` explicitly.
-_sink_var: contextvars.ContextVar["SpanCollector | None"] = (
-    contextvars.ContextVar("repro_span_sink", default=None)
-)
-
-#: How many :func:`span_sink` scopes are live process-wide.  Lets
-#: :func:`span` stay a single flag check when no request is being
-#: collected anywhere (the common idle / tracing-off case).
-_active_sinks = 0
-
-
-class SpanCollector:
-    """Buffers the span events of one request.
-
-    A bounded ring keeping the *newest* events: complete spans are
-    emitted at close time, so the enclosing request / gate / executor
-    spans arrive last — evicting the oldest events sheds early micro
-    leaf phases while guaranteeing the tree's trunk survives even when
-    a span-heavy query overflows the cap.  ``add`` leans on the GIL
-    for deque-append atomicity instead of taking a lock — it runs once
-    per span on the serving hot path; the dropped count can race by a
-    few under cross-thread fan-out, which is fine for bookkeeping.
-    """
-
-    __slots__ = ("events", "dropped")
-
-    def __init__(self) -> None:
-        self.events: collections.deque[dict] = collections.deque(
-            maxlen=MAX_SINK_EVENTS
-        )
-        self.dropped = 0
-
-    def add(self, event: dict) -> None:
-        if len(self.events) == MAX_SINK_EVENTS:
-            self.dropped += 1
-        self.events.append(event)
-
-    def add_span(
-        self,
-        name: str,
-        cat: str,
-        t0: float,
-        t1: float,
-        args: dict | None,
-        trace_id: str | None,
-    ) -> None:
-        """Record one span as a compact tuple (the sink-only fast path).
-
-        Most collected requests are dropped by tail sampling, so
-        building a per-span event dict up front is wasted work; the
-        tuple is materialized by :meth:`snapshot` only when the trace
-        is actually kept.
-        """
-        if len(self.events) == MAX_SINK_EVENTS:
-            self.dropped += 1
-        self.events.append(
-            (name, cat, t0, t1, args, trace_id, threading.get_ident())
-        )
-
-    def snapshot(self) -> list[dict]:
-        """The buffered spans as Chrome-style event dicts.
-
-        Tuple entries from :meth:`add_span` are materialized here;
-        dict entries (worker spans delivered via :func:`ingest`, or
-        copies taken while global tracing was on) pass through as-is.
-        Call after the request's fan-out has completed — the ring is
-        not locked against concurrent adds.
-        """
-        out = []
-        for entry in list(self.events):
-            if isinstance(entry, dict):
-                out.append(entry)
-                continue
-            name, cat, t0, t1, args, trace_id, tid = entry
-            event = {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": (t0 - _EPOCH) * 1e6,
-                "dur": max(0.0, (t1 - t0) * 1e6),
-                "pid": _PID,
-                "tid": tid,
-            }
-            if trace_id is not None:
-                args = dict(args) if args else {}
-                args.setdefault("trace_id", trace_id)
-            if args:
-                event["args"] = args
-            out.append(event)
-        return out
-
-
-class span_sink:
-    """Deliver spans recorded in the enclosed block to the collector.
-
-    ``None`` is a no-op scope, so callers can write
-    ``with span_sink(collector if wanted else None):`` unconditionally.
-    Holds the process-wide active-sink count for its lifetime.  A
-    ``__slots__`` class for the same hot-path reason as
-    :class:`trace_scope`.
-    """
-
-    __slots__ = ("_collector", "_token")
-
-    def __init__(self, collector: "SpanCollector | None") -> None:
-        self._collector = collector
-
-    def __enter__(self) -> "SpanCollector | None":
-        global _active_sinks
-        if self._collector is None:
-            self._token = None
-            return None
-        self._token = _sink_var.set(self._collector)
-        with _lock:
-            _active_sinks += 1
-        return self._collector
-
-    def __exit__(self, *exc) -> bool:
-        global _active_sinks
-        if self._token is not None:
+        global _collecting
+        if self._ctx.collector is not None:
             with _lock:
-                _active_sinks -= 1
-            _sink_var.reset(self._token)
-        return False
-
-
-class sink_scope:
-    """Re-enter an existing sink on another thread.
-
-    Unlike :class:`span_sink` this does not touch the active-sink count —
-    the originating scope owns the sink's lifetime; worker closures only
-    borrow it for the duration of their slice of the request.
-    """
-
-    __slots__ = ("_collector", "_token")
-
-    def __init__(self, collector: "SpanCollector | None") -> None:
-        self._collector = collector
-
-    def __enter__(self) -> "SpanCollector | None":
-        if self._collector is None:
-            self._token = None
-            return None
-        self._token = _sink_var.set(self._collector)
-        return self._collector
+                _collecting += 1
+        self._token = _ctx_var.set(self._ctx)
+        return self._ctx.trace_id
 
     def __exit__(self, *exc) -> bool:
-        if self._token is not None:
-            _sink_var.reset(self._token)
+        global _collecting
+        _ctx_var.reset(self._token)
+        if self._ctx.collector is not None:
+            with _lock:
+                _collecting -= 1
         return False
-
-
-def current_sink() -> "SpanCollector | None":
-    """The span sink active in this context, if any."""
-    return _sink_var.get()
-
-
-def sink_active() -> bool:
-    """Whether any request is being collected process-wide."""
-    return _active_sinks > 0
 
 
 # ----------------------------------------------------------------------
@@ -334,103 +239,61 @@ def set_enabled(on: bool, verbose_events: bool | None = None) -> bool:
     return previous
 
 
-def is_enabled() -> bool:
-    """Whether tracing is currently on."""
-    return enabled
-
-
 class enabled_tracing:
     """Context manager enabling tracing for a block (tests, CLI)."""
 
     def __init__(self, verbose_events: bool = False) -> None:
         self._verbose = verbose_events
-        self._previous = False
-        self._previous_verbose = False
 
     def __enter__(self) -> None:
-        global verbose
-        self._previous_verbose = verbose
-        self._previous = set_enabled(True, verbose_events=self._verbose)
+        self._previous = (enabled, verbose)
+        set_enabled(True, verbose_events=self._verbose)
 
     def __exit__(self, *exc) -> bool:
-        set_enabled(self._previous, verbose_events=self._previous_verbose)
+        set_enabled(*self._previous)
         return False
 
 
 # ----------------------------------------------------------------------
-# event recording
+# span recording
 # ----------------------------------------------------------------------
-def _append(event: dict) -> None:
+def add_complete(
+    name: str,
+    t0: float,
+    t1: float | None,
+    cat: str = "query",
+    args: dict | None = None,
+) -> None:
+    """Record one span from perf_counter stamps ``t0``/``t1``.
+
+    Delivered to the context's collector (if any) and, while tracing is
+    on, to the global buffer — the same tuple, no per-span dict.
+    """
     global _dropped
+    ctx = _ctx_var.get()
+    collector = ctx.collector if ctx is not None else None
+    if collector is None and not enabled:
+        return  # armed by some other request's collector, not ours
     tid = threading.get_ident()
-    event["pid"] = _PID
-    event["tid"] = tid
-    trace_id = _trace_id_var.get()
-    if trace_id is not None:
-        args = event.get("args")
-        if args is None:
-            event["args"] = {"trace_id": trace_id}
-        elif "trace_id" not in args:
-            args["trace_id"] = trace_id
-    sink = _sink_var.get()
-    if sink is not None:
-        # Only reached while global tracing is on (the sink-only path
-        # short-circuits in add_complete), so the global buffer keeps
-        # the original and the sink takes a copy.
-        sink.add(dict(event))
+    trace_id = ctx.trace_id if ctx is not None else None
+    span = (name, cat, t0, t1, args, trace_id, tid)
+    if collector is not None:
+        collector.spans.append(span)
+    if not enabled:
+        return
     with _lock:
         if len(_events) >= MAX_EVENTS:
             _dropped += 1
             return
         if tid not in _thread_names:
             _thread_names[tid] = threading.current_thread().name
-        _events.append(event)
-
-
-def add_complete(
-    name: str,
-    t0: float,
-    t1: float,
-    cat: str = "query",
-    args: dict | None = None,
-) -> None:
-    """Record a complete ("X") span from perf_counter stamps ``t0``/``t1``.
-
-    With global tracing off (a live sink armed the span), the event is
-    handed to the sink as a compact tuple — no dict is built unless
-    tail sampling ends up keeping the request.
-    """
-    if not enabled:
-        sink = _sink_var.get()
-        if sink is not None:
-            sink.add_span(name, cat, t0, t1, args, _trace_id_var.get())
-        return
-    event = {
-        "name": name,
-        "cat": cat,
-        "ph": "X",
-        "ts": (t0 - _EPOCH) * 1e6,
-        "dur": max(0.0, (t1 - t0) * 1e6),
-    }
-    if args:
-        event["args"] = args
-    _append(event)
+        _events.append(span)
 
 
 def instant(name: str, cat: str = "event", **args) -> None:
-    """Record an instant ("i") event (no-op while tracing is off)."""
-    if not enabled:
-        return
-    event = {
-        "name": name,
-        "cat": cat,
-        "ph": "i",
-        "s": "t",  # thread-scoped
-        "ts": (time.perf_counter() - _EPOCH) * 1e6,
-    }
-    if args:
-        event["args"] = args
-    _append(event)
+    """Record an instant event (no-op while tracing is off)."""
+    if enabled:
+        add_complete(name, time.perf_counter(), None, cat, args or None)
 
 
 class _NullSpan:
@@ -449,12 +312,17 @@ NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    __slots__ = ("name", "cat", "args", "_t0")
+    """A timed block; folds its duration into ``recorder`` when given."""
 
-    def __init__(self, name: str, cat: str, args: dict | None) -> None:
+    __slots__ = ("name", "cat", "args", "_recorder", "_t0")
+
+    def __init__(
+        self, name: str, cat: str, args: dict | None, recorder_=None
+    ) -> None:
         self.name = name
         self.cat = cat
         self.args = args
+        self._recorder = recorder_
         self._t0 = 0.0
 
     def __enter__(self) -> "_Span":
@@ -462,9 +330,10 @@ class _Span:
         return self
 
     def __exit__(self, *exc) -> bool:
-        add_complete(
-            self.name, self._t0, time.perf_counter(), self.cat, self.args
-        )
+        t1 = time.perf_counter()
+        if self._recorder is not None:
+            self._recorder.add(self.name, t1 - self._t0)
+        add_complete(self.name, self._t0, t1, self.cat, self.args)
         return False
 
 
@@ -472,35 +341,14 @@ def span(name: str, cat: str = "query", **args):
     """Context manager timing a block as one span.
 
     One branch + one call when tracing is off (returns the shared no-op
-    span); a real timed span otherwise.  A live per-request sink
-    anywhere in the process also arms spans — :func:`_append` then
-    routes them to the context's sink without touching the global
+    span); a real timed span otherwise.  A live per-request collector
+    anywhere in the process also arms spans — :func:`add_complete` then
+    routes them to the context's collector without touching the global
     buffer.
     """
-    if not enabled and not _active_sinks:
+    if not enabled and not _collecting:
         return NULL_SPAN
     return _Span(name, cat, args or None)
-
-
-def trace(name: str | None = None, cat: str = "query"):
-    """Decorator recording each call of the function as one span."""
-
-    def decorate(fn):
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            if not enabled:
-                return fn(*a, **kw)
-            t0 = time.perf_counter()
-            try:
-                return fn(*a, **kw)
-            finally:
-                add_complete(span_name, t0, time.perf_counter(), cat)
-
-        return wrapper
-
-    return decorate
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +369,8 @@ class PhaseRecorder:
         self._totals: dict[str, float] = {}
         self._lock = threading.Lock()
 
-    def span(self, name: str, cat: str = "phase", **args) -> "_PhaseSpan":
-        return _PhaseSpan(self, name, cat, args or None)
+    def span(self, name: str, cat: str = "phase", **args) -> _Span:
+        return _Span(name, cat, args or None, self)
 
     def add(self, name: str, seconds: float) -> None:
         """Fold ``seconds`` into one phase total (thread-safe)."""
@@ -533,33 +381,6 @@ class PhaseRecorder:
         """Per-phase wall seconds accumulated so far (a copy)."""
         with self._lock:
             return dict(self._totals)
-
-
-class _PhaseSpan:
-    __slots__ = ("_recorder", "name", "cat", "args", "_t0")
-
-    def __init__(
-        self,
-        recorder_: PhaseRecorder,
-        name: str,
-        cat: str,
-        args: dict | None,
-    ) -> None:
-        self._recorder = recorder_
-        self.name = name
-        self.cat = cat
-        self.args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_PhaseSpan":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        t1 = time.perf_counter()
-        self._recorder.add(self.name, t1 - self._t0)
-        add_complete(self.name, self._t0, t1, self.cat, self.args)
-        return False
 
 
 class _NullRecorder:
@@ -585,20 +406,46 @@ NULL_RECORDER = _NullRecorder()
 def recorder():
     """A fresh :class:`PhaseRecorder`, or the no-op singleton when off.
 
-    Live per-request sinks arm recorders too, so served queries carry
-    ``phase_times`` and emit phase spans into their request's collector
-    even while global tracing is off.
+    Live per-request collectors arm recorders too, so served queries
+    carry ``phase_times`` and emit phase spans into their request's
+    collector even while global tracing is off.
     """
-    return PhaseRecorder() if (enabled or _active_sinks) else NULL_RECORDER
+    return PhaseRecorder() if (enabled or _collecting) else NULL_RECORDER
 
 
 # ----------------------------------------------------------------------
-# export
+# export (the read side: span tuples become Chrome trace events here)
 # ----------------------------------------------------------------------
+def _chrome_events(spans: list[tuple]) -> list[dict]:
+    own_pid = os.getpid()
+    out = []
+    for name, cat, t0, t1, args, trace_id, tid in spans:
+        pid = own_pid
+        if type(tid) is tuple:  # adopted from another process
+            pid, tid = tid
+        event = {"name": name, "cat": cat, "ts": (t0 - _EPOCH) * 1e6}
+        if t1 is None:
+            event["ph"] = "i"
+            event["s"] = "t"  # thread-scoped
+        else:
+            event["ph"] = "X"
+            event["dur"] = max(0.0, (t1 - t0) * 1e6)
+        event["pid"] = pid
+        event["tid"] = tid
+        if trace_id is not None:
+            args = dict(args) if args else {}
+            args.setdefault("trace_id", trace_id)
+        if args:
+            event["args"] = args
+        out.append(event)
+    return out
+
+
 def events() -> list[dict]:
-    """A copy of the buffered events."""
+    """The buffered events as Chrome-style dicts (built per call)."""
     with _lock:
-        return [dict(e) for e in _events]
+        spans = list(_events)
+    return _chrome_events(spans)
 
 
 def dropped_events() -> int:
@@ -606,71 +453,33 @@ def dropped_events() -> int:
     return _dropped
 
 
-def ingest(
-    event_dicts,
-    thread_names: dict | None = None,
-    worker_epoch: float | None = None,
-) -> int:
-    """Adopt span events recorded in another process into this buffer.
+def ingest(spans, pid: int, thread_names: dict | None = None) -> None:
+    """Adopt spans recorded in process ``pid`` into this one.
 
-    The process-mode shard fan-out collects each worker's events around
-    a query and ships them back over the result channel together with
-    the worker's thread names and trace :func:`epoch`.  Timestamps are
-    rebased from the worker's epoch onto this process's (both are
-    ``CLOCK_MONOTONIC`` stamps, so the shift is exact under fork *and*
-    spawn); thread names are filed under ``(pid, tid)`` so Perfetto
-    labels the worker tracks without colliding with local thread ids.
-
-    Returns how many events were adopted; no-ops (returning 0) when
-    tracing is disabled and no per-request sink is active.  Events
-    beyond :data:`MAX_EVENTS` are counted as dropped, exactly like
-    local recording.  When the ingesting context carries a span sink
-    (a served request fanning out to process workers), the rebased
-    events are delivered to it as well, so the request's stored trace
-    includes the worker-side spans.
+    The process-mode shard fan-out runs each worker query under a
+    collector and ships its span tuples back over the result channel.
+    Their stamps need no rebasing: ``perf_counter`` is the system-wide
+    monotonic clock, identical in every process under fork *and* spawn.
+    Each span's thread id becomes ``(pid, tid)`` so worker tracks never
+    collide with local ones, and ``thread_names`` (tid -> name) label
+    them in Perfetto.  The spans go to the ingesting context's
+    collector (a served request fanning out to workers) and, while
+    tracing is on, to the global buffer, under the same
+    :data:`MAX_EVENTS` cap as local recording.
     """
     global _dropped
-    sink = _sink_var.get()
-    if not enabled and sink is None:
-        return 0
-    shift_us = (
-        (worker_epoch - _EPOCH) * 1e6 if worker_epoch is not None else 0.0
-    )
-    if sink is not None:
-        for event in event_dicts:
-            shifted = dict(event)
-            if shift_us:
-                shifted["ts"] = shifted.get("ts", 0.0) + shift_us
-            sink.add(shifted)
+    ctx = _ctx_var.get()
+    adopted = [span[:6] + ((pid, span[6]),) for span in spans]
+    if ctx is not None and ctx.collector is not None:
+        ctx.collector.spans.extend(adopted)
     if not enabled:
-        return 0
-    n = 0
+        return
     with _lock:
-        for event in event_dicts:
-            if len(_events) >= MAX_EVENTS:
-                _dropped += 1
-                continue
-            event = dict(event)
-            if shift_us:
-                event["ts"] = event.get("ts", 0.0) + shift_us
-            _events.append(event)
-            n += 1
-        if thread_names:
-            pid_default = os.getpid()
-            for tid, name in thread_names.items():
-                pid = pid_default
-                for event in event_dicts:
-                    if event.get("tid") == tid and "pid" in event:
-                        pid = event["pid"]
-                        break
-                _foreign_thread_names[(pid, int(tid))] = name
-    return n
-
-
-def thread_name_map() -> dict[int, str]:
-    """Local thread names observed so far (tid -> name, a copy)."""
-    with _lock:
-        return dict(_thread_names)
+        room = max(0, MAX_EVENTS - len(_events))
+        _events.extend(adopted[:room])
+        _dropped += max(0, len(adopted) - room)
+        for tid, name in (thread_names or {}).items():
+            _foreign_thread_names[(pid, tid)] = name
 
 
 def clear() -> int:
@@ -689,29 +498,20 @@ def chrome_trace() -> dict:
     """The buffered events as a Chrome trace-event JSON object.
 
     Adds ``thread_name`` metadata events so Perfetto labels the executor
-    worker tracks.
+    worker tracks (and the shard-worker process tracks).
     """
     with _lock:
-        trace_events = [dict(e) for e in _events]
-        names = dict(_thread_names)
-        foreign = dict(_foreign_thread_names)
-    pid = os.getpid()
-    for tid, name in sorted(names.items()):
+        spans = list(_events)
+        pid = os.getpid()
+        names = {(pid, tid): name for tid, name in _thread_names.items()}
+        names.update(_foreign_thread_names)
+    trace_events = _chrome_events(spans)
+    for (pid, tid), name in sorted(names.items()):
         trace_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": tid,
-                "args": {"name": name},
-            }
-        )
-    for (fpid, tid), name in sorted(foreign.items()):
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": fpid,
                 "tid": tid,
                 "args": {"name": name},
             }
@@ -723,11 +523,4 @@ def write_chrome_trace(path) -> Path:
     """Write :func:`chrome_trace` to ``path`` (returns the Path written)."""
     path = Path(path)
     path.write_text(json.dumps(chrome_trace()) + "\n")
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "wrote %d trace events to %s (%d dropped)",
-            len(_events),
-            path,
-            _dropped,
-        )
     return path

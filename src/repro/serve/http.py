@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TENANT = "anonymous"
 
+#: Largest ``POST /query`` body accepted (a query is a few hundred
+#: bytes); anything longer is refused before it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str, str]:
     """(tenant, query, algorithm, pulling) from a request's parameters.
@@ -150,10 +154,28 @@ class _ServeHandler(_export._Handler):
         if urlsplit(self.path).path != "/query":
             self.send_error(404, "unknown path")
             return
+        # Content-Length is client input: a negative value would turn
+        # into rfile.read(-1) (read until the socket times out) and an
+        # unchecked one into an unbounded buffer.  The body stays
+        # unread on refusal, so the connection cannot be reused.
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+        except ValueError as exc:
+            self.close_connection = True
+            self._send_json(400, {"status": 400, "error": f"bad body: {exc}"})
+            return
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_json(413, {
+                "status": 413,
+                "error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+            })
+            return
+        try:
             params = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8
             self._send_json(400, {"status": 400, "error": f"bad body: {exc}"})
             return
         self._serve_query(params)

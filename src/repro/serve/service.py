@@ -361,28 +361,30 @@ class QueryService:
 
         ``trace_id`` (when the transport parsed one out of a client
         ``traceparent``) becomes the request's trace id end to end —
-        spans, flight records, exemplars, logs, and the trace store all
+        spans, query records, exemplars, logs, and the trace store all
         join on it; otherwise a fresh id is minted here, *before* the
         gates, so even a quota 429 is a traced event.
         """
         trace_id = trace_id or _tracing.new_trace_id()
         collector = _tracing.SpanCollector() if _requests.enabled else None
         t0 = time.perf_counter()
-        with _tracing.trace_scope(trace_id), _tracing.span_sink(collector):
+        with _tracing.trace_scope(trace_id, collector):
             with _tracing.span("serve.request", cat="serve", tenant=tenant):
                 decision = self._admit(tenant, query, algorithm, pulling)
             decision.trace_id = trace_id
             # Metrics + log inside the scope: the exemplar capture and
             # the log record's trace_id field both read the ContextVar.
             self._finish(t0, tenant, decision)
-        elapsed = time.perf_counter() - t0
-        if decision.status == 429 and _flight.enabled:
-            _flight.record_rejection(
-                query, f"serve/{algorithm}", pulling, trace_id, elapsed,
-                tenant=tenant, decision=decision.outcome,
-            )
-        if _requests.enabled:
-            # Both callables: most requests are dropped by the tail
+            if decision.status == 429 and collector is not None:
+                # Inside the scope too: the rejection's query record
+                # joins this request's collector, so it is stored once.
+                _flight.record_rejection(
+                    query, f"serve/{algorithm}", pulling, trace_id,
+                    time.perf_counter() - t0,
+                    tenant=tenant, decision=decision.outcome,
+                )
+        if collector is not None:
+            # Lazy query/spans: most requests are dropped by the tail
             # sampler, so the span dicts and the query-shape dict are
             # only built for the kept few.
             _requests.record(
@@ -390,12 +392,13 @@ class QueryService:
                 tenant=tenant,
                 outcome=decision.outcome,
                 status=decision.status,
-                duration_s=elapsed,
+                duration_s=time.perf_counter() - t0,
                 algorithm=algorithm,
                 pulling=pulling,
-                query=lambda: _flight._query_args(query),
-                spans=collector.snapshot if collector is not None else None,
+                query=lambda: _flight.query_args(query),
+                spans=collector.snapshot,
                 reason=decision.reason,
+                records=collector.records,
             )
         return decision
 

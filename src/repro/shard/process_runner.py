@@ -17,11 +17,12 @@ one core.  This module runs shard queries on *physical* cores:
    one lightweight :class:`~repro.core.processor.QueryProcessor` per
    shard for reuse across queries (its buffer pool and decoded-node
    cache are worker-local, so hot queries stay hot per worker);
-4. **observe** — the worker runs the query under the parent's trace id,
-   then ships back the :class:`~repro.core.results.QueryResult` plus a
-   metrics-registry delta (:func:`repro.obs.metrics.diff_state`), the
-   serialized EXPLAIN sub-plan, and any flight-recorder records, so the
-   parent's registry, plans, and ring buffer reconcile exactly as in
+4. **observe** — the worker runs the query under the parent's
+   :class:`ObsContext`, then ships back the
+   :class:`~repro.core.results.QueryResult` plus a metrics-registry
+   delta (:func:`repro.obs.metrics.diff_state`), the EXPLAIN sub-plan,
+   and the span tuples and query records its collector gathered, so the
+   parent's registry, plans, and trace store reconcile exactly as in
    thread mode.
 
 Cold-cache semantics: ``ShardedQueryProcessor.clear_buffers`` cannot
@@ -33,7 +34,9 @@ keeps cold-run benchmarks honest in process mode.
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,8 +46,8 @@ from repro.core.processor import QueryProcessor
 from repro.errors import ReproError, ShardError
 from repro.index.reopen import open_tree
 from repro.obs import explain as _explain
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
+from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
 from repro.storage.shm import SharedMemoryPageFile
 
@@ -71,6 +74,37 @@ class ShardManifest:
     radius: float
     object_tree: TreeManifest
     feature_trees: tuple[TreeManifest, ...]
+
+
+@dataclass(frozen=True)
+class ObsContext:
+    """The dispatching context's observability state, for one worker query.
+
+    The picklable counterpart of :class:`repro.obs.tracing.TraceContext`:
+    a collector cannot cross the process boundary, so the worker builds
+    its own and ships what it gathered back.
+    """
+
+    trace_id: str
+    #: Spans are wanted: tracing is on or a request collector is live.
+    spans: bool
+    #: Cache-activity instants are wanted too.
+    verbose: bool
+    #: The trace store is on: build engine-level query records.
+    records: bool
+    exemplars: bool
+
+    @classmethod
+    def capture(cls, trace_id: str) -> "ObsContext":
+        ctx = _tracing.capture()
+        return cls(
+            trace_id=trace_id,
+            spans=_tracing.enabled
+            or (ctx is not None and ctx.collector is not None),
+            verbose=_tracing.verbose,
+            records=_requests.enabled,
+            exemplars=_metrics.exemplars_enabled,
+        )
 
 
 def freeze_shard(
@@ -178,41 +212,34 @@ def _run_shard_query(
     batch_size: int,
     parallelism: int | None,
     floor: float,
-    trace_id: str,
+    obs: ObsContext,
     explain: bool,
-    flight_enabled: bool,
-    flight_threshold_s: float,
-    trace_enabled: bool = False,
-    trace_verbose: bool = False,
-    exemplars: bool = False,
     manifest: "ShardManifest | None" = None,
 ) -> dict:
     """Execute one shard query in a worker process; returns plain data.
 
     Never raises: failures come back as an error payload (with the
     pickled exception when transferable) so the metrics delta and any
-    flight records survive the failure, exactly as they would in-process.
+    query records survive the failure, exactly as they would in-process.
 
-    When the parent has tracing on (``trace_enabled``), the worker
-    records its own spans for this query and ships them back in the
-    payload's ``spans`` entry — events, thread names, and the worker's
-    trace epoch — so the parent can rebase them onto its timeline
-    (:func:`repro.obs.tracing.ingest`) and Chrome-trace export shows the
-    shard-worker tracks.  ``exemplars`` mirrors the parent's exemplar
-    flag so worker histogram observations carry trace ids too (they
-    travel inside the metrics delta).
+    The query runs under a worker-local collector, so its spans and
+    query records travel back in the payload (span tuples carry raw
+    monotonic-clock stamps, valid in the parent as they are) for
+    :func:`repro.obs.tracing.ingest` / :func:`repro.obs.flight.ingest`;
+    retention is decided in the parent.  The worker's own store stays
+    empty and its own tracer is switched on only for the cache instants
+    guarded by ``tracing.verbose``.  ``obs.exemplars`` mirrors the
+    parent's exemplar flag so worker histogram observations carry trace
+    ids too (they travel inside the metrics delta).
     """
-    _flight.configure(
-        enabled_=flight_enabled, latency_threshold_s=flight_threshold_s
+    _requests.configure(enabled_=obs.records)
+    _tracing.set_enabled(obs.verbose, verbose_events=obs.verbose)
+    if obs.verbose:
+        _tracing.clear()  # the collector's copy is the one that travels
+    _metrics.set_exemplars(obs.exemplars)
+    gathered = (
+        _tracing.SpanCollector() if obs.spans or obs.records else None
     )
-    if flight_enabled:
-        _flight.clear()
-    _tracing.set_enabled(trace_enabled, verbose_events=trace_verbose)
-    if trace_enabled:
-        # The previous query's events were already shipped; start clean
-        # so this payload carries exactly this query's spans.
-        _tracing.clear()
-    _metrics.set_exemplars(exemplars)
     collector = _explain.DiagnosticsCollector() if explain else None
     before = _metrics.snapshot_state()
     t0 = time.perf_counter()
@@ -227,7 +254,7 @@ def _run_shard_query(
         if _WORKER["epochs"].get(shard_id, -1) < epoch:
             processor.clear_buffers()
             _WORKER["epochs"][shard_id] = epoch
-        with _tracing.trace_scope(trace_id):
+        with _tracing.trace_scope(obs.trace_id, gathered):
             result = processor.query(
                 query,
                 algorithm=algorithm,
@@ -256,23 +283,17 @@ def _run_shard_query(
         "error": error_payload,
         "metrics": _metrics.diff_state(before, _metrics.snapshot_state()),
         "plan": (
-            collector.plan().to_dict()
+            collector.plan()
             if collector is not None and error_payload is None
             else None
         ),
-        "flight": (
-            [r.to_dict() for r in _flight.records()]
-            if flight_enabled
-            else []
-        ),
-        "spans": (
-            {
-                "events": _tracing.events(),
-                "thread_names": _tracing.thread_name_map(),
-                "epoch": _tracing.epoch(),
-            }
-            if trace_enabled
-            else None
+        "records": gathered.records if gathered is not None else (),
+        "spans": list(gathered.spans) if obs.spans else (),
+        "pid": os.getpid(),
+        "thread_names": (
+            {t.ident: t.name for t in threading.enumerate()}
+            if obs.spans
+            else {}
         ),
     }
     return payload
@@ -344,7 +365,7 @@ class ProcessShardRunner:
         batch_size: int,
         parallelism: int | None,
         floor: float,
-        trace_id: str,
+        obs: ObsContext,
         explain: bool,
         manifest: ShardManifest | None = None,
     ) -> Future:
@@ -367,17 +388,8 @@ class ProcessShardRunner:
             batch_size,
             parallelism,
             floor,
-            trace_id,
+            obs,
             explain,
-            _flight.enabled,
-            _flight.latency_threshold(),
-            # A per-request span sink on the dispatching context wants
-            # worker spans too: the parent's ingest() routes them into
-            # the sink (and into the global buffer only when tracing is
-            # globally on).
-            _tracing.enabled or _tracing.current_sink() is not None,
-            _tracing.verbose,
-            _metrics.exemplars_enabled,
             manifest=manifest,
         )
 

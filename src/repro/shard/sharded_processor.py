@@ -47,9 +47,11 @@ from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
+from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
 from repro.shard.partitioner import ShardSpec, partition
 from repro.shard.process_runner import (
+    ObsContext,
     ProcessShardRunner,
     ShardManifest,
     freeze_shard,
@@ -496,14 +498,17 @@ class ShardedQueryProcessor:
             )
             return QueryResult([], stats)
         t0 = time.perf_counter()
-        trace_id = _tracing.current_trace_id() or _tracing.new_trace_id()
+        ctx = _tracing.capture() or _tracing.TraceContext(
+            _tracing.new_trace_id()
+        )
+        trace_id = ctx.trace_id
         rec = _tracing.recorder()
         col = _explain.resolve(collector)
         merger = _GlobalTopK(query.k)
         results: list[QueryResult] = []
 
         try:
-            with _tracing.trace_scope(trace_id), rec.span(
+            with _tracing.resume(ctx), rec.span(
                 "shard.fanout", shards=self.shard_count
             ):
                 ordered = sorted(
@@ -519,7 +524,7 @@ class ShardedQueryProcessor:
                 else:
                     run = self._make_runner(
                         query, algorithm, pulling, batch_size, parallelism,
-                        floor, merger, col, trace_id,
+                        floor, merger, col, ctx,
                     )
                     workers = self._effective_workers()
                     if workers <= 1 or self.shard_count == 1:
@@ -535,7 +540,7 @@ class ShardedQueryProcessor:
                         outcomes = [f.result() for f in futures]
                     results = [r for r in outcomes if r is not None]
         except Exception as exc:
-            if _flight.enabled:
+            if _requests.enabled:
                 _flight.record_error(
                     query, f"sharded/{algorithm}", pulling, trace_id,
                     time.perf_counter() - t0, exc,
@@ -566,7 +571,7 @@ class ShardedQueryProcessor:
                 query, f"sharded/{algorithm}", pulling, trace_id,
                 stats.wall_s, stats,
             )
-        if _flight.enabled:
+        if _requests.enabled:
             _flight.maybe_record(
                 query, f"sharded/{algorithm}", pulling, trace_id,
                 stats.wall_s, stats=stats,
@@ -660,12 +665,11 @@ class ShardedQueryProcessor:
 
     def _make_runner(
         self, query, algorithm, pulling, batch_size, parallelism,
-        external_floor, merger, col, trace_id,
+        external_floor, merger, col, ctx,
     ):
         # One registry resolution per query, shared by every shard runner
         # (the handle itself is thread-safe).
         outcomes = shard_queries_metric()
-        sink = _tracing.current_sink()
 
         def run(bound: float, idx: int):
             shard = self.shards[idx]
@@ -683,13 +687,11 @@ class ShardedQueryProcessor:
             sub = col.child(shard_id) if col.active else None
             shard_t0 = time.perf_counter()
             # Pool threads don't inherit the caller's contextvars —
-            # re-enter the trace scope (and the caller's per-request
-            # span sink, when serving) so the per-shard query and its
-            # spans, logs, flight records carry the parent trace id.
+            # resume the fan-out's trace context so the per-shard query
+            # and its spans, logs, query records carry the parent trace
+            # id (and reach the request's collector, when serving).
             try:
-                with _tracing.trace_scope(trace_id), _tracing.sink_scope(
-                    sink
-                ), rec.span(
+                with _tracing.resume(ctx), rec.span(
                     "shard.query", shard=shard_id, bound=bound
                 ):
                     result = shard.processor.query(
@@ -701,15 +703,6 @@ class ShardedQueryProcessor:
                         floor=floor,
                         collector=sub,
                     )
-            except ReproError as exc:
-                outcomes.labels(algorithm=algorithm, outcome="failed").inc()
-                if col.active:
-                    col.shard(
-                        shard_id, "failed", bound, floor,
-                        elapsed_s=time.perf_counter() - shard_t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                raise
             except Exception as exc:  # noqa: BLE001 — wrapped with context
                 outcomes.labels(algorithm=algorithm, outcome="failed").inc()
                 if col.active:
@@ -718,6 +711,8 @@ class ShardedQueryProcessor:
                         elapsed_s=time.perf_counter() - shard_t0,
                         error=f"{type(exc).__name__}: {exc}",
                     )
+                if isinstance(exc, ReproError):
+                    raise
                 raise ShardError(
                     shard_id, f"{type(exc).__name__}: {exc}"
                 ) from exc
@@ -727,7 +722,7 @@ class ShardedQueryProcessor:
                 col.shard(
                     shard_id, "executed", bound, floor,
                     elapsed_s=time.perf_counter() - shard_t0,
-                    sub=sub,
+                    sub_plan=sub.plan(),
                 )
             return result
 
@@ -744,11 +739,13 @@ class ShardedQueryProcessor:
         so shards falling out of contention while earlier ones run are
         pruned without ever crossing the process boundary.  Completed
         payloads are folded back in completion order: metrics deltas
-        into the (possibly scoped) parent registry, flight records into
-        the parent ring buffer, sub-plans into the parent collector —
-        the observable behavior matches thread mode exactly.
+        into the (possibly scoped) parent registry, spans and query
+        records into the dispatching trace context, sub-plans into the
+        parent collector — the observable behavior matches thread mode
+        exactly.
         """
         outcomes_metric = shard_queries_metric()
+        obs = ObsContext.capture(trace_id)
         runner = self._ensure_process_runner()
         workers = max(1, min(self._effective_workers(), len(ordered)))
         results: list[QueryResult] = []
@@ -772,7 +769,7 @@ class ShardedQueryProcessor:
                     continue
                 future = runner.submit(
                     shard_id, self._epoch, query, algorithm, pulling,
-                    batch_size, parallelism, floor, trace_id, col.active,
+                    batch_size, parallelism, floor, obs, col.active,
                     manifest=self._manifests[idx],
                 )
                 in_flight[future] = (bound, shard_id, floor)
@@ -790,15 +787,11 @@ class ShardedQueryProcessor:
                 # Fold observability back in even for failed shards —
                 # the worker did the work; the registry must show it.
                 _metrics.merge_state(payload["metrics"])
-                if _flight.enabled:
-                    _flight.ingest(payload["flight"], shard_id=shard_id)
-                spans = payload.get("spans")
-                if spans is not None:
-                    _tracing.ingest(
-                        spans["events"],
-                        thread_names=spans["thread_names"],
-                        worker_epoch=spans["epoch"],
-                    )
+                _flight.ingest(payload["records"], shard_id=shard_id)
+                _tracing.ingest(
+                    payload["spans"], payload["pid"],
+                    payload["thread_names"],
+                )
                 error = payload["error"]
                 if error is not None:
                     outcomes_metric.labels(
@@ -819,21 +812,17 @@ class ShardedQueryProcessor:
                     algorithm=algorithm, outcome="executed"
                 ).inc()
                 if col.active:
-                    sub_plan = (
-                        _explain.QueryPlan.from_dict(payload["plan"])
-                        if payload["plan"] is not None
-                        else None
-                    )
                     col.shard(
                         shard_id, "executed", bound, floor,
-                        elapsed_s=payload["elapsed_s"], sub_plan=sub_plan,
+                        elapsed_s=payload["elapsed_s"],
+                        sub_plan=payload["plan"],
                     )
                 results.append(result)
             if failure is None:
                 while len(in_flight) < workers and dispatch_next():
                     pass
             # On failure: stop dispatching, drain what is in flight so
-            # their metrics/flight records land, then raise.
+            # their metrics/query records land, then raise.
         if failure is not None:
             raise failure
         return results

@@ -71,15 +71,6 @@ def live_segments() -> list[tuple[str, int, bool]]:
         return list(_live_segments.values())
 
 
-def live_bytes(owned_only: bool = False) -> int:
-    """Total bytes of mapped segments (optionally only owned ones)."""
-    with _live_lock:
-        return sum(
-            size for _, size, owner in _live_segments.values()
-            if owner or not owned_only
-        )
-
-
 @contextlib.contextmanager
 def _untracked_attach():
     """Swap ``resource_tracker.register`` out while attaching a segment.

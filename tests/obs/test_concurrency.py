@@ -1,4 +1,4 @@
-"""Concurrency tests: scrape-under-load, flight wraparound, trace ids.
+"""Concurrency tests: scrape-under-load, store eviction, trace ids.
 
 The observability layer is shared mutable state under the batch
 executor's worker threads — these tests drive real concurrent query
@@ -16,24 +16,25 @@ from repro.core.executor import QueryExecutor
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
-from repro.obs import flight
+from repro.obs import flight, requests
 from repro.obs.export import MetricsServer
 from repro.obs.metrics import MetricsRegistry
 
 
+def _reset_store():
+    requests.clear()
+    requests.configure(
+        enabled_=False,
+        max_bytes=requests.DEFAULT_MAX_BYTES,
+        slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+    )
+
+
 @pytest.fixture(autouse=True)
-def clean_flight():
-    flight.clear()
-    flight.configure(
-        enabled_=False, latency_threshold_s=0.0,
-        capacity=flight.DEFAULT_CAPACITY,
-    )
+def clean_store():
+    _reset_store()
     yield
-    flight.clear()
-    flight.configure(
-        enabled_=False, latency_threshold_s=0.0,
-        capacity=flight.DEFAULT_CAPACITY,
-    )
+    _reset_store()
 
 
 @pytest.fixture(scope="module")
@@ -114,24 +115,29 @@ class TestScrapeUnderLoad:
 
 
 class TestFlightUnderLoad:
-    def test_wraparound_under_query_many(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0, capacity=8)
+    def test_byte_bound_eviction_under_query_many(self, processor):
+        # Room for ~8 of the ~630-byte entries: 30 concurrent
+        # admissions must evict without losing count or order.
+        requests.configure(
+            enabled_=True, slow_threshold_s=0.0, max_bytes=5000
+        )
         queries = _queries(30)
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many(queries, dedup=False)
         assert len(results) == 30
         stats = flight.stats()
-        assert stats["buffered"] == 8
-        assert stats["total_recorded"] == 30
-        assert stats["total_evicted"] == 22
+        assert stats["seen"] == stats["kept"] == 30
+        assert stats["bytes"] <= stats["max_bytes"]
         records = flight.records()
-        assert len(records) == 8
-        # Ring keeps the newest: timestamps are non-decreasing.
+        assert 0 < len(records) < 30
+        assert stats["buffered"] == len(records)
+        assert len(records) + stats["evicted_interesting"] == 30
+        # The store keeps the newest: timestamps are non-decreasing.
         ts = [r.ts for r in records]
         assert ts == sorted(ts)
 
     def test_trace_ids_unique_per_execution(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         queries = _queries(12)
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many(queries, dedup=False)
@@ -142,7 +148,7 @@ class TestFlightUnderLoad:
         assert {r.stats.trace_id for r in results} == set(record_ids)
 
     def test_dedup_executes_once_records_once(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         query = _queries(1)[0]
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many([query] * 6, dedup=True)

@@ -16,7 +16,7 @@ import pytest
 from repro.core.processor import QUERY_SECONDS, QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
-from repro.obs import flight, metrics, profiler
+from repro.obs import flight, metrics, profiler, requests
 from repro.obs.export import render_openmetrics
 
 
@@ -24,15 +24,18 @@ from repro.obs.export import render_openmetrics
 def telemetry():
     """Exemplars + record-everything flight + fast profiler, then reset."""
     metrics.set_exemplars(True)
-    flight.clear()
-    flight.configure(enabled_=True, latency_threshold_s=0.0)
+    requests.clear()
+    requests.configure(enabled_=True, slow_threshold_s=0.0)
     profiler.install(interval_s=0.002)
     try:
         yield
     finally:
         profiler.uninstall()
-        flight.configure(enabled_=False)
-        flight.clear()
+        requests.configure(
+            enabled_=False,
+            slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+        )
+        requests.clear()
         metrics.set_exemplars(False)
 
 
@@ -89,12 +92,15 @@ class TestExemplarWalk:
         assert f'trace_id="{trace_id}"' in render_openmetrics()
 
     def test_no_exemplars_when_disabled(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         try:
             result = processor.query(
                 PreferenceQuery(3, 0.05, 0.5, (0b11, 0b11))
             )
         finally:
-            flight.configure(enabled_=False)
-            flight.clear()
+            requests.configure(
+                enabled_=False,
+                slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+            )
+            requests.clear()
         assert _exemplar_for(result.stats.trace_id) is None

@@ -111,7 +111,7 @@ class TestCollector:
         sub.feature_pulled(1)
         sub.combination(1.0, accepted=True)
         sub.combination(0.5, accepted=False)
-        col.shard(0, "executed", 1.0, -math.inf, sub=sub)
+        col.shard(0, "executed", 1.0, -math.inf, sub_plan=sub.plan())
         plan = col.plan()
         assert plan.features_pulled_total == 2
         assert plan.combinations.released == 1

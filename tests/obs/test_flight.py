@@ -1,4 +1,5 @@
-"""Tests for repro.obs.flight: the slow-query flight recorder."""
+"""Tests for repro.obs.flight: query records as a view over the trace
+store (:mod:`repro.obs.requests` owns retention)."""
 
 from __future__ import annotations
 
@@ -10,24 +11,28 @@ from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.errors import QueryError, ShardError
-from repro.obs import flight
+from repro.obs import flight, requests, tracing
+
+
+def _reset_store(uniform_every: int) -> None:
+    requests.clear()
+    requests.configure(
+        enabled_=False,
+        max_bytes=requests.DEFAULT_MAX_BYTES,
+        slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+        uniform_every=uniform_every,
+    )
 
 
 @pytest.fixture(autouse=True)
-def clean_flight():
-    """Recorder state is process-global: isolate every test."""
-    flight.clear()
-    flight.configure(
-        enabled_=False, latency_threshold_s=0.0,
-        capacity=flight.DEFAULT_CAPACITY,
-    )
+def clean_store():
+    """Store state is process-global: isolate every test.
+
+    The uniform sample is off so "below the threshold" means dropped.
+    """
+    _reset_store(uniform_every=0)
     yield
-    flight.clear()
-    flight.configure(
-        enabled_=False, latency_threshold_s=0.0,
-        capacity=flight.DEFAULT_CAPACITY,
-        plan_max_bytes=flight.DEFAULT_PLAN_MAX_BYTES,
-    )
+    _reset_store(uniform_every=requests.DEFAULT_UNIFORM_EVERY)
 
 
 def _query(k: int = 5) -> PreferenceQuery:
@@ -36,12 +41,12 @@ def _query(k: int = 5) -> PreferenceQuery:
 
 class TestRecorderBasics:
     def test_disabled_by_default(self):
-        assert flight.enabled is False
+        assert requests.enabled is False
         assert not flight.maybe_record(_query(), "stps", "p", "t1", 1.0)
         assert flight.records() == []
 
     def test_latency_threshold(self):
-        flight.configure(enabled_=True, latency_threshold_s=0.1)
+        requests.configure(enabled_=True, slow_threshold_s=0.1)
         assert not flight.maybe_record(_query(), "stps", "p", "t1", 0.05)
         assert flight.maybe_record(_query(), "stps", "p", "t2", 0.15)
         records = flight.records()
@@ -51,7 +56,7 @@ class TestRecorderBasics:
         assert records[0].query["k"] == 5
 
     def test_errors_bypass_threshold(self):
-        flight.configure(enabled_=True, latency_threshold_s=10.0)
+        requests.configure(enabled_=True, slow_threshold_s=10.0)
         err = QueryError("bad query")
         assert flight.record_error(_query(), "stps", "p", "t3", 0.001, err)
         record = flight.records()[0]
@@ -59,40 +64,45 @@ class TestRecorderBasics:
         assert record.shard_id is None
 
     def test_shard_id_from_shard_error(self):
-        flight.configure(enabled_=True)
+        requests.configure(enabled_=True)
         err = ShardError(3, "shard blew up")
         flight.record_error(_query(), "stps", "p", "t4", 0.001, err)
         assert flight.records()[0].shard_id == 3
 
     def test_explicit_shard_id_wins(self):
-        flight.configure(enabled_=True)
+        requests.configure(enabled_=True)
         flight.record_error(
             _query(), "stps", "p", "t5", 0.001, QueryError("x"), shard_id=7
         )
         assert flight.records()[0].shard_id == 7
 
-    def test_ring_wraparound(self):
-        flight.configure(enabled_=True, capacity=4)
-        for i in range(10):
+    def test_records_are_a_view_over_the_store(self):
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
+        for i in range(3):
             flight.maybe_record(_query(), "stps", "p", f"t{i}", 0.01)
-        records = flight.records()
-        assert [r.trace_id for r in records] == ["t6", "t7", "t8", "t9"]
+        assert [r.trace_id for r in flight.records()] == ["t0", "t1", "t2"]
+        # One store entry per bare engine query, carrying its record.
+        entries = requests.entries()
+        assert [e.trace_id for e in entries] == ["t0", "t1", "t2"]
+        assert all(e.records == [r] for e, r in zip(
+            entries, flight.records()
+        ))
+        assert entries[0].outcome == "ok" and entries[0].tenant == ""
         stats = flight.stats()
-        assert stats["buffered"] == 4
-        assert stats["total_recorded"] == 10
-        assert stats["total_evicted"] == 6
+        assert stats["buffered"] == 3
+        assert stats["latency_threshold_s"] == 0.0
 
-    def test_capacity_resize_keeps_newest(self):
-        flight.configure(enabled_=True, capacity=8)
-        for i in range(6):
-            flight.maybe_record(_query(), "stps", "p", f"t{i}", 0.01)
-        flight.configure(capacity=2)
-        assert [r.trace_id for r in flight.records()] == ["t4", "t5"]
-        with pytest.raises(ValueError):
-            flight.configure(capacity=0)
+    def test_record_inside_a_collected_request_joins_its_collector(self):
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
+        collector = tracing.SpanCollector()
+        with tracing.trace_scope("req1", collector):
+            assert flight.maybe_record(_query(), "stps", "p", "req1", 0.01)
+        # The request's owner decides: nothing stored until it does.
+        assert flight.records() == []
+        assert [r.trace_id for r in collector.records] == ["req1"]
 
     def test_dump_jsonl(self, tmp_path):
-        flight.configure(enabled_=True)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         flight.maybe_record(_query(), "stps", "p", "aa", 0.01)
         flight.record_error(_query(), "stds", "p", "bb", 0.02, ShardError(1, "x"))
         path = flight.dump_jsonl(tmp_path / "flight.jsonl")
@@ -103,12 +113,12 @@ class TestRecorderBasics:
         assert lines[1]["error"]["type"] == "ShardError"
         assert lines[1]["shard_id"] == 1
 
-    def test_clear(self):
-        flight.configure(enabled_=True)
+    def test_clearing_the_store_clears_the_view(self):
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         flight.maybe_record(_query(), "stps", "p", "t", 0.01)
-        assert flight.clear() == 1
+        assert requests.clear() == 1
         assert flight.records() == []
-        assert flight.stats()["total_recorded"] == 0
+        assert flight.stats()["buffered"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +130,7 @@ def processor():
 
 class TestProcessorIntegration:
     def test_slow_query_recorded_with_trace_id(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         result = processor.query(_query())
         records = flight.records()
         assert len(records) == 1
@@ -132,7 +142,7 @@ class TestProcessorIntegration:
         )
 
     def test_explain_attaches_plan_summary(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         report = processor.explain(_query())
         record = flight.records()[-1]
         assert record.plan_summary is not None
@@ -141,7 +151,7 @@ class TestProcessorIntegration:
         )
 
     def test_failed_query_recorded(self, processor):
-        flight.configure(enabled_=True, latency_threshold_s=10.0)
+        requests.configure(enabled_=True, slow_threshold_s=10.0)
         bad = PreferenceQuery(5, 0.05, 0.5, (0b1,))  # c=1 vs 2 trees
         with pytest.raises(QueryError):
             processor.query(bad)
@@ -161,7 +171,7 @@ class TestShardedIntegration:
 
         objects = synthetic_objects(200, seed=11)
         feature_sets = synthetic_feature_sets(2, 150, 32, seed=12)
-        flight.configure(enabled_=True, latency_threshold_s=10.0)
+        requests.configure(enabled_=True, slow_threshold_s=10.0)
         with ShardedQueryProcessor.build(
             objects, feature_sets, shards=2, radius=0.08, max_workers=1
         ) as sharded:
@@ -186,7 +196,7 @@ class TestShardedIntegration:
 
         objects = synthetic_objects(200, seed=11)
         feature_sets = synthetic_feature_sets(2, 150, 32, seed=12)
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         with ShardedQueryProcessor.build(
             objects, feature_sets, shards=2, radius=0.08
         ) as sharded:
@@ -211,50 +221,14 @@ def _boom(*args, **kwargs):
     raise RuntimeError("injected shard failure")
 
 
-class TestPlanPayloadCap:
-    def test_oversized_plan_truncated(self):
-        flight.configure(
-            enabled_=True, latency_threshold_s=0.0, plan_max_bytes=256,
-        )
-        big_plan = {"nodes": ["x" * 64] * 50}
-        record = flight.QueryRecord(
-            trace_id="t-cap", ts=0.0, algorithm="stps", variant="range",
-            pulling="p", query={}, latency_s=0.1,
-            plan_summary=big_plan,
-        )
-        flight._push(record)
-        stored = flight.records()[0]
-        assert stored.plan_summary["truncated"] is True
-        assert stored.plan_summary["bytes"] > 256
-
-    def test_small_plan_kept_intact(self):
-        flight.configure(
-            enabled_=True, latency_threshold_s=0.0, plan_max_bytes=4096,
-        )
-        plan = {"nodes": ["scan"]}
-        record = flight.QueryRecord(
-            trace_id="t-ok", ts=0.0, algorithm="stps", variant="range",
-            pulling="p", query={}, latency_s=0.1, plan_summary=plan,
-        )
-        flight._push(record)
-        assert flight.records()[0].plan_summary == plan
-
-
 class TestDumpRotation:
     def _fill(self, n: int) -> None:
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(n):
             flight.maybe_record(_query(), "stps", "p", f"t{i}", 0.5)
 
-    def test_wraparound_then_rotation(self, tmp_path):
-        # Ring wraparound first: capacity 4, 10 records -> newest 4 kept.
-        flight.configure(
-            enabled_=True, latency_threshold_s=0.0, capacity=4,
-        )
-        self._fill(10)
-        assert [r.trace_id for r in flight.records()] == [
-            "t6", "t7", "t8", "t9",
-        ]
+    def test_rotation(self, tmp_path):
+        self._fill(4)
         path = tmp_path / "flight.jsonl"
         # First dump: no existing file, no rotation.
         flight.dump_jsonl(path, max_bytes=1 << 16)
@@ -282,7 +256,7 @@ class TestDumpRotation:
         flight.dump_jsonl(path, max_bytes=one_line * 3 + 10)
         lines = path.read_text().splitlines()
         assert 0 < len(lines) <= 4
-        # Newest survive (eviction order matches the ring's).
+        # Newest survive (eviction order matches the store's).
         assert json.loads(lines[-1])["trace_id"] == "t49"
         assert path.stat().st_size <= one_line * 3 + 10
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import flight, profiler
+from repro.obs import flight, profiler, requests
 from repro.obs.profiler import CAPTURE_SLACK_S, MAX_CAPTURES, SamplingProfiler
 
 
@@ -18,8 +18,11 @@ def clean_profiler_state():
     # Drain any leftover installs so tests stay independent.
     while profiler.uninstall() or profiler._install_count:
         pass
-    flight.configure(enabled_=False)
-    flight.clear()
+    requests.configure(
+        enabled_=False,
+        slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+    )
+    requests.clear()
 
 
 def _busy_wait(stop: threading.Event) -> None:
@@ -114,8 +117,8 @@ class TestModuleLifecycle:
         from repro.core.query import PreferenceQuery
 
         profiler.install(interval_s=0.002)
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
-        flight.clear()
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
+        requests.clear()
         time.sleep(0.04)  # let the ring fill before the "query" lands
         assert flight.maybe_record(
             PreferenceQuery(5, 0.06, 0.5, (0b11, 0b11)),

@@ -187,6 +187,31 @@ class TestTailSampling:
         assert stats["evicted_interesting"] > 0
         assert stats["buffered"] > 0
 
+    def test_uniform_evicted_first_and_order_kept_across_classes(self):
+        # One uniform trace is ~270 estimated bytes; budget for ~12.
+        rq.configure(enabled_=True, max_bytes=3300, uniform_every=1)
+        ids = []
+        for i in range(40):
+            shed = i % 4 == 0
+            ids.append(f"{'shed' if shed else 'ok'}{i:04x}")
+            rq.record(
+                trace_id=ids[-1], tenant="t",
+                outcome="quota" if shed else "ok",
+                status=429 if shed else 200, duration_s=0.001,
+            )
+        stored = [t.trace_id for t in rq.entries()]
+        # Admission order survives the split by eviction class ...
+        assert stored == [i for i in ids if i in set(stored)]
+        # ... every shed trace outlived the older uniform ones ...
+        assert [i for i in stored if i.startswith("shed")] == ids[::4]
+        stats = rq.stats()
+        assert stats["evicted_uniform"] > 0
+        assert stats["evicted_interesting"] == 0
+        # ... and the uniform survivors are the newest.
+        uniform = [i for i in ids if i.startswith("ok")]
+        kept_uniform = [i for i in stored if i.startswith("ok")]
+        assert kept_uniform == uniform[-len(kept_uniform):]
+
     def test_slow_threshold_zero_keeps_everything(self):
         rq.configure(enabled_=True, slow_threshold_s=0.0, uniform_every=0)
         assert _fill(10) == 10
@@ -244,9 +269,7 @@ class TestQueryAndDump:
         path = rq.dump_jsonl(tmp_path / "traces.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == 1
-        assert rq.RequestTrace.from_dict(
-            json.loads(lines[0])
-        ).trace_id == "x1"
+        assert json.loads(lines[0])["trace_id"] == "x1"
 
 
 class TestRenderTraceTree:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
@@ -14,7 +15,6 @@ from repro.obs import tracing
 class TestDisabledByDefault:
     def test_disabled_flag(self):
         assert tracing.enabled is False
-        assert tracing.is_enabled() is False
 
     def test_span_is_shared_noop(self):
         a = tracing.span("x")
@@ -47,6 +47,53 @@ class TestDisabledByDefault:
                 pass
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0  # ~10 µs/call budget; typically ~0.1 µs
+
+
+class TestCollectorScope:
+    def test_collector_arms_spans_only_inside_its_scope(self):
+        collector = tracing.SpanCollector()
+        with tracing.trace_scope("t1", collector) as trace_id:
+            assert trace_id == "t1" == tracing.current_trace_id()
+            with tracing.span("inside", k=1):
+                pass
+        assert tracing.span("outside") is tracing.NULL_SPAN
+        assert tracing.current_trace_id() is None
+        (event,) = collector.snapshot()
+        assert event["name"] == "inside"
+        assert event["args"] == {"k": 1, "trace_id": "t1"}
+        assert tracing.events() == []  # global buffer untouched
+
+    def test_resume_carries_id_and_collector_to_another_thread(self):
+        collector = tracing.SpanCollector()
+        seen = []
+
+        def worker(ctx):
+            seen.append(tracing.current_trace_id())  # not inherited
+            with tracing.resume(ctx), tracing.span("hop"):
+                seen.append(tracing.current_trace_id())
+
+        with tracing.trace_scope("t2", collector):
+            thread = threading.Thread(
+                target=worker, args=(tracing.capture(),)
+            )
+            thread.start()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert seen == [None, "t2"]
+        assert [span[0] for span in collector.spans] == ["hop"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_child_starts_with_no_live_collector(self):
+        # The shard pool forks its workers lazily, i.e. mid-request.
+        read_end, write_end = os.pipe()
+        with tracing.trace_scope("t3", tracing.SpanCollector()):
+            pid = os.fork()
+            if pid == 0:
+                armed = tracing.span("x") is not tracing.NULL_SPAN
+                os.write(write_end, b"1" if armed else b"0")
+                os._exit(0)
+        os.waitpid(pid, 0)
+        assert os.read(read_end, 1) == b"0"
 
 
 class TestEnabledSpans:
@@ -85,23 +132,6 @@ class TestEnabledSpans:
         with tracing.enabled_tracing():
             assert tracing.enabled
         assert not tracing.enabled
-
-    def test_trace_decorator(self):
-        calls = []
-
-        @tracing.trace("my.fn", cat="test")
-        def fn(x):
-            calls.append(x)
-            return x * 2
-
-        assert fn(3) == 6  # disabled: no event
-        assert tracing.events() == []
-        tracing.set_enabled(True)
-        assert fn(4) == 8
-        (event,) = tracing.events()
-        assert event["name"] == "my.fn"
-        assert event["cat"] == "test"
-        assert calls == [3, 4]
 
     def test_event_cap_counts_drops(self, monkeypatch):
         monkeypatch.setattr(tracing, "MAX_EVENTS", 2)

@@ -120,6 +120,31 @@ class TestQueryEndpoint:
         assert int(excinfo.value.headers["Retry-After"]) >= 1
         assert json.load(excinfo.value)["retry_after_s"] > 0
 
+    @pytest.mark.parametrize("content_length, status", [
+        ("-1", 400),  # would have been rfile.read(-1): a 5 s stall
+        ("banana", 400),
+        (str((1 << 20) + 1), 413),  # refused before any body is read
+    ])
+    def test_content_length_is_checked_before_reading(
+        self, served, content_length, status
+    ):
+        _, base = served
+        host, port = base.removeprefix("http://").split(":")
+        t0 = time.perf_counter()
+        with socket.create_connection((host, int(port)), timeout=3) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode()
+            )
+            # Read to EOF: the unread body makes the connection
+            # unusable, so the server must close it after replying.
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
+        # Answered at once, not after the handler's socket timeout.
+        assert time.perf_counter() - t0 < 2.0
+
     def test_unknown_post_path_is_404(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:

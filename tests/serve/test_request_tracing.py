@@ -74,24 +74,20 @@ def observability():
     """The full tracing stack, torn back down afterwards.
 
     ``slow_threshold_s=0.0`` makes every completed request "interesting"
-    so tail sampling keeps all of them; the flight threshold 0.0 admits
-    every engine query.  Yields the stream the JSON log handler writes.
+    so tail sampling keeps all of them, engine query records included.
+    Yields the stream the JSON log handler writes.
     """
     _requests.configure(
         enabled_=True, max_bytes=_requests.DEFAULT_MAX_BYTES,
         slow_threshold_s=0.0, uniform_every=_requests.DEFAULT_UNIFORM_EVERY,
     )
     _requests.clear()
-    _flight.configure(enabled_=True, latency_threshold_s=0.0)
-    _flight.clear()
     previous_exemplars = _metrics.set_exemplars(True)
     stream = io.StringIO()
     _slog.configure(level=logging.INFO, stream=stream)
     yield stream
     _slog.teardown()
     _metrics.set_exemplars(previous_exemplars)
-    _flight.configure(enabled_=False, latency_threshold_s=0.0)
-    _flight.clear()
     _requests.configure(
         enabled_=False,
         slow_threshold_s=_requests.DEFAULT_SLOW_THRESHOLD_S,

@@ -19,7 +19,7 @@ from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.errors import QueryError, ShardError
-from repro.obs import flight
+from repro.obs import flight, requests
 from repro.shard import ShardedQueryProcessor
 
 START_METHODS = ["fork", "spawn"]
@@ -126,8 +126,8 @@ class TestProcessModeBehavior:
         assert result.stats.trace_id
 
     def test_flight_records_forwarded_with_shard_id(self, sharded, queries):
-        flight.configure(enabled_=True, latency_threshold_s=0.0)
-        flight.clear()
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
+        requests.clear()
         try:
             result = sharded.query(queries[0])
             records = flight.records()
@@ -139,8 +139,11 @@ class TestProcessModeBehavior:
                 r.trace_id == result.stats.trace_id for r in records
             )
         finally:
-            flight.configure(enabled_=False)
-            flight.clear()
+            requests.configure(
+                enabled_=False,
+                slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+            )
+            requests.clear()
 
     def test_oversized_radius_rejected_like_thread_mode(self, sharded):
         bad = PreferenceQuery(5, 0.5, 0.5, (0b1011, 0b1101))
@@ -154,12 +157,13 @@ class TestProcessModeBehavior:
         # process boundary as an error payload and rehydrates into the
         # original ReproError subclass.
         from repro.core.combinations import PULL_PRIORITIZED
-        from repro.shard.process_runner import unpickle_error
+        from repro.shard.process_runner import ObsContext, unpickle_error
 
         runner = sharded._ensure_process_runner()
         future = runner.submit(
             999, sharded._epoch, queries[0], "stps", PULL_PRIORITIZED,
-            64, None, float("-inf"), "trace-err-test", False,
+            64, None, float("-inf"),
+            ObsContext.capture("trace-err-test"), False,
         )
         payload = future.result()
         assert payload["result"] is None

@@ -2,8 +2,9 @@
 
 With ``fanout="processes"`` the shard work happens in other
 interpreters, which used to leave blank worker tracks in the Chrome
-trace.  Workers now record their own spans and ship them back in the
-result payload; the parent rebases them onto its monotonic timeline.
+trace.  Workers record their own spans and ship them back in the
+result payload as raw tuples; their monotonic-clock stamps land on the
+parent's timeline as they are.
 Spawn mode is the proving ground: a fresh interpreter can't inherit the
 parent's tracer state, so any event that shows up really did travel
 through the payload.
@@ -66,8 +67,8 @@ def test_worker_spans_reach_parent_trace(corpus, start_method):
     names = {e["name"] for e in tagged}
     assert any(n.startswith("query.") for n in names), names
 
-    # Rebased timestamps interleave with the parent's own fan-out span
-    # window (same monotonic clock, shifted by the worker epoch delta).
+    # Worker timestamps interleave with the parent's own fan-out span
+    # window (same monotonic clock in both processes).
     parent_query = [
         e for e in events
         if e.get("pid") == parent_pid and e["name"] == "shard.fanout"
@@ -104,10 +105,10 @@ def test_worker_thread_names_in_chrome_trace(corpus):
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_sink_collects_worker_spans_with_tracing_off(corpus, start_method):
-    """A served request's sink sees worker spans under one trace id.
+def test_collector_gets_worker_spans_with_tracing_off(corpus, start_method):
+    """A served request's collector sees worker spans under one trace id.
 
-    Global tracing stays OFF the whole time: the per-request span sink
+    Global tracing stays OFF the whole time: the per-request collector
     alone must arm span recording across the process boundary, and the
     spans that come back must carry the caller's trace id — under spawn,
     where nothing is inherited, that identity can only have travelled
@@ -120,7 +121,7 @@ def test_sink_collects_worker_spans_with_tracing_off(corpus, start_method):
         objects, feature_sets, shards=2, radius=0.1,
         fanout="processes", start_method=start_method,
     ) as sharded:
-        with tracing.trace_scope(trace_id), tracing.span_sink(collector):
+        with tracing.trace_scope(trace_id, collector):
             result = sharded.query(
                 PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
             )
@@ -129,12 +130,12 @@ def test_sink_collects_worker_spans_with_tracing_off(corpus, start_method):
     assert tracing.events() == []  # global buffer untouched
     spans = collector.snapshot()
     foreign = [e for e in spans if e.get("pid") != os.getpid()]
-    assert foreign, "no worker-process spans reached the request sink"
+    assert foreign, "no worker-process spans reached the collector"
     assert all(
         (e.get("args") or {}).get("trace_id") == trace_id for e in foreign
     ), "worker spans lost the request trace id"
     local = [e for e in spans if e.get("pid") == os.getpid()]
-    assert local, "no parent-side spans in the request sink"
+    assert local, "no parent-side spans in the collector"
 
 
 def test_disabled_tracing_ships_no_spans(corpus):

@@ -6,8 +6,9 @@ Demonstrates the storage substrate of the reproduction:
 1. datasets saved/loaded as JSON lines;
 2. the SRT-index built directly on an on-disk page file and reopened in
    a new process-lifetime (via the metadata page);
-3. the effect of the LRU buffer pool on physical page reads — the
-   quantity behind the dark (I/O) bar segments in the paper's figures.
+3. the effect of the node cache's size (``buffer_pages``) on physical
+   page reads — the quantity behind the dark (I/O) bar segments in the
+   paper's figures.
 
 Run:  python examples/disk_resident_indexes.py
 """
@@ -62,7 +63,7 @@ def main() -> None:
     print(f"   reopened index answers: tau_i((0.5, 0.5)) = {score:.4f}")
     pagefile.close()
 
-    # 3. buffer-pool effect --------------------------------------------
+    # 3. node-cache size effect ----------------------------------------
     objects = synthetic_objects(5000, seed=10)
     print("3. physical reads per query vs buffer size (same workload):")
     for buffer_pages in (8, 32, 128, 512):

@@ -3,11 +3,10 @@
 A :class:`QueryExecutor` couples a :class:`~repro.core.processor.QueryProcessor`
 with a thread pool and runs many :class:`~repro.core.query.PreferenceQuery`s
 against the *same* index objects.  The indexes are treated as read-only:
-the buffer pool and the decoded-node cache take internal locks around
-their LRU bookkeeping (see :mod:`repro.storage.buffer` and
+the node cache takes an internal lock around its LRU bookkeeping (see
 :mod:`repro.storage.node_cache`), so concurrent traversals are safe and
-every thread benefits from nodes decoded by the others — a repeated-query
-workload runs almost entirely out of the decoded-node cache.
+every thread benefits from nodes read by the others — a repeated-query
+workload runs almost entirely out of the node cache.
 
 Each query is executed by exactly the same code path the serial
 :meth:`QueryProcessor.query` uses, so per-query *results* are identical

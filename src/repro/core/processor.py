@@ -374,21 +374,15 @@ class QueryProcessor:
         return stps_stream(self.object_tree, self.feature_trees, query, pulling)
 
     def clear_buffers(self) -> dict[str, int]:
-        """Drop all cached pages and decoded nodes (cold-cache runs).
+        """Drop all cached nodes (cold-cache runs).
 
-        Returns what was dropped: ``{"pages": ..., "nodes": ...}`` summed
-        over the object tree and every feature tree.
+        Returns what was dropped: ``{"nodes": ...}`` summed over the
+        object tree and every feature tree.
         """
-        dropped = {"pages": 0, "nodes": 0}
-        for tree in (self.object_tree, *self.feature_trees):
-            tree_dropped = tree.clear_cache()
-            dropped["pages"] += tree_dropped["pages"]
-            dropped["nodes"] += tree_dropped["nodes"]
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "clear_buffers dropped %d pages, %d decoded nodes",
-                dropped["pages"], dropped["nodes"],
-            )
+        dropped = {
+            "nodes": sum(tree.clear_cache()["nodes"] for tree in self.trees())
+        }
+        logger.debug("clear_buffers dropped %d cached nodes", dropped["nodes"])
         return dropped
 
     def reset_stats(self, metrics: bool = True) -> None:

@@ -39,10 +39,7 @@ import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-try:  # optional fast path; see repro.index.leafdata
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery, Variant
@@ -75,6 +72,8 @@ def compute_score(
     radius = query.radius
     r2 = radius * radius
     px, py = point
+    # (-bound, push counter, item): an internal entry to expand, or None
+    # for a leaf feature (only its score matters here).
     heap: list[tuple[float, int, object]] = []
     counter = 0
 
@@ -94,10 +93,7 @@ def compute_score(
                 if valid.any():
                     best = int(np.argmax(np.where(valid, scores, -np.inf)))
                     counter += 1
-                    heapq.heappush(
-                        heap,
-                        (-float(scores[best]), counter, node.entries[best]),
-                    )
+                    heapq.heappush(heap, (-float(scores[best]), counter, None))
                 return
             for e in node.entries:
                 if (
@@ -105,7 +101,7 @@ def compute_score(
                     and _dist2(point, (e.x, e.y)) <= r2
                 ):
                     counter += 1
-                    heapq.heappush(heap, (-scorer.leaf_score(e), counter, e))
+                    heapq.heappush(heap, (-scorer.leaf_score(e), counter, None))
         else:
             for e in node.entries:
                 if scorer.node_relevant(e) and e.rect.mindist(point) <= radius:
@@ -119,7 +115,7 @@ def compute_score(
         neg_bound, _, entry = heapq.heappop(heap)
         if stats is not None:
             stats.heap_pops += 1
-        if isinstance(entry, FeatureLeafEntry):
+        if entry is None:
             return -neg_bound
         node = tree.read_node(entry.child)
         if stats is not None:
@@ -287,6 +283,8 @@ def compute_scores_batch(
                 drops.append((-needed, oid))
         heapq.heapify(drops)
 
+    # (-bound, push counter, item): an internal entry to expand, or the
+    # (x, y) location of a leaf feature.
     heap: list[tuple[float, int, object]] = []
     counter = 0
 
@@ -296,22 +294,27 @@ def compute_scores_batch(
             arrays = tree.leaf_arrays(node)
             if arrays is not None:
                 # Vectorized: one array pass scores the leaf; only the
-                # relevant entries reach the heap (bulk-converted to
-                # Python floats — ``tolist`` is far cheaper than
-                # per-element indexing).
+                # relevant rows reach the heap (bulk-converted to Python
+                # floats — ``tolist`` is far cheaper than per-element
+                # indexing).
                 leaf_scores, relevant = scorer.leaf_score_arrays(arrays)
                 idx = relevant.nonzero()[0]
                 if idx.size:
-                    entries = node.entries
-                    values = leaf_scores[idx].tolist()
-                    for i, value in zip(idx.tolist(), values):
+                    locations = zip(
+                        arrays.xs[idx].tolist(), arrays.ys[idx].tolist()
+                    )
+                    for value, location in zip(
+                        leaf_scores[idx].tolist(), locations
+                    ):
                         counter += 1
-                        heapq.heappush(heap, (-value, counter, entries[i]))
+                        heapq.heappush(heap, (-value, counter, location))
                 return
             for e in node.entries:
                 if scorer.leaf_relevant(e):
                     counter += 1
-                    heapq.heappush(heap, (-scorer.leaf_score(e), counter, e))
+                    heapq.heappush(
+                        heap, (-scorer.leaf_score(e), counter, (e.x, e.y))
+                    )
         else:
             for e in node.entries:
                 if scorer.node_relevant(e):
@@ -329,8 +332,8 @@ def compute_scores_batch(
             _, oid = heappop(drops)
             x, y = pending[oid]
             grid_discard(oid, x, y)
-        if isinstance(entry, FeatureLeafEntry):
-            for oid in pop_within(entry.x, entry.y, radius):
+        if type(entry) is tuple:
+            for oid in pop_within(entry[0], entry[1], radius):
                 scores[oid] = -neg_bound
         else:
             # Expand only when some pending object is within range of the
@@ -430,24 +433,17 @@ def stds(
 def _scan_objects(object_tree: ObjectRTree) -> list[tuple[int, float, float]]:
     """Sequential scan of all data objects as ``(oid, x, y)`` tuples.
 
-    Uses the columnar leaf views when available (bulk ``tolist`` beats
+    Reads the leaf columns in bulk on the fast path (``tolist`` beats
     per-entry attribute walks); the leaf order matches the scalar scan,
     so chunking — and therefore every downstream result — is identical.
     """
-    if np is not None and vectorized_enabled():
+    if vectorized_enabled():
         out: list[tuple[int, float, float]] = []
         for node in object_tree.iter_leaves():
             arrays = object_leaf_arrays(node)
-            if arrays is None:
-                out.extend((e.oid, e.x, e.y) for e in node.entries)
-            else:
-                out.extend(
-                    zip(
-                        arrays.oids.tolist(),
-                        arrays.xs.tolist(),
-                        arrays.ys.tolist(),
-                    )
-                )
+            out.extend(
+                zip(arrays.oids.tolist(), arrays.xs.tolist(), arrays.ys.tolist())
+            )
         return out
     return [(e.oid, e.x, e.y) for e in object_tree.all_entries()]
 

@@ -16,7 +16,6 @@ import heapq
 from dataclasses import dataclass
 
 from repro.index.feature_tree import FeatureScorer, FeatureTree
-from repro.index.nodes import FeatureLeafEntry
 from repro.obs import explain as _explain
 
 
@@ -57,6 +56,8 @@ class FeatureStream:
     ) -> None:
         self.tree = tree
         self.scorer: FeatureScorer = tree.make_scorer(query_mask, lam)
+        # (-bound, push counter, item): an internal entry to expand, or
+        # the (fid, x, y) row of a leaf feature.
         self._heap: list[tuple[float, int, object]] = []
         self._counter = 0
         self._virtual_pending = emit_virtual
@@ -82,11 +83,11 @@ class FeatureStream:
         collector = self.collector
         while self._heap:
             neg_bound, _, entry = heapq.heappop(self._heap)
-            if isinstance(entry, FeatureLeafEntry):
+            if type(entry) is tuple:
                 self.pulled += 1
                 if collector.active:
                     collector.feature_pulled(self.set_id)
-                return StreamedFeature(entry.fid, entry.x, entry.y, -neg_bound)
+                return StreamedFeature(*entry, -neg_bound)
             node = self.tree.read_node(entry.child)
             if collector.active:
                 collector.node_visited(self.set_id, -neg_bound)
@@ -133,22 +134,28 @@ class FeatureStream:
                 idx = relevant.nonzero()[0]
                 if collector.active:
                     collector.entries_pruned(
-                        self.set_id, len(node.entries) - int(idx.size)
+                        self.set_id, len(arrays) - int(idx.size)
                     )
                 if idx.size:
-                    entries = node.entries
-                    values = scores[idx].tolist()
-                    for i, value in zip(idx.tolist(), values):
+                    rows = zip(
+                        arrays.fids[idx].tolist(),
+                        arrays.xs[idx].tolist(),
+                        arrays.ys[idx].tolist(),
+                    )
+                    for value, row in zip(scores[idx].tolist(), rows):
                         self._counter += 1
-                        heapq.heappush(
-                            heap, (-value, self._counter, entries[i])
-                        )
+                        heapq.heappush(heap, (-value, self._counter, row))
                 return
             for entry in node.entries:
                 if scorer.leaf_relevant(entry):
                     self._counter += 1
                     heapq.heappush(
-                        heap, (-scorer.leaf_score(entry), self._counter, entry)
+                        heap,
+                        (
+                            -scorer.leaf_score(entry),
+                            self._counter,
+                            (entry.fid, entry.x, entry.y),
+                        ),
                     )
                 elif collector.active:
                     collector.entries_pruned(self.set_id)

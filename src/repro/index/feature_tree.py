@@ -25,10 +25,7 @@ from __future__ import annotations
 from abc import abstractmethod
 from collections.abc import Iterable
 
-try:  # optional fast path; see repro.index.leafdata
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry.rect import Rect
@@ -36,7 +33,6 @@ from repro.index.leafdata import (
     SCORE_MEMO_CAP,
     feature_leaf_arrays,
     pack_mask,
-    words_for_bytes,
 )
 from repro.index.nodes import (
     FeatureInternalEntry,
@@ -46,7 +42,7 @@ from repro.index.nodes import (
 )
 from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
 from repro.model.dataset import FeatureDataset
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.similarity import jaccard
 
@@ -61,14 +57,13 @@ class FeatureScorer:
     descendant feature.
     """
 
-    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper", "_qwords")
+    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper")
 
     def __init__(self, query_mask: int, lam: float, sim_upper) -> None:
         self.query_mask = query_mask
         self.lam = lam
         self.n_terms = query_mask.bit_count()
         self._sim_upper = sim_upper
-        self._qwords = None  # packed query mask, built on first vector use
 
     def leaf_score(self, entry: FeatureLeafEntry) -> float:
         """Exact preference score ``s(t)`` of a feature (Definition 1)."""
@@ -120,12 +115,10 @@ class FeatureScorer:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        words = arrays.mask_words
-        qwords = self._qwords
-        if qwords is None or qwords.shape[0] != words.shape[1]:
-            qwords = pack_mask(self.query_mask, words.shape[1])
-            self._qwords = qwords
-        inter = np.bitwise_count(words & qwords).sum(axis=1, dtype=np.int64)
+        masks = arrays.masks
+        row_bytes = masks.shape[1] * masks.itemsize
+        qwords = pack_mask(self.query_mask, row_bytes).view(masks.dtype)
+        inter = np.bitwise_count(masks & qwords).sum(axis=1, dtype=np.int64)
         union = arrays.mask_pops + self.n_terms - inter
         relevant = inter > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -145,9 +138,8 @@ class FeatureTree(RTreeBase):
         vocab_size: int,
         pagefile: PageFile | None = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        node_cache_pages: int | None = None,
     ) -> None:
-        super().__init__(pagefile, buffer_pages, node_cache_pages)
+        super().__init__(pagefile, buffer_pages)
         if vocab_size < 1:
             raise IndexError_("vocabulary size must be >= 1")
         self.vocab_size = vocab_size
@@ -155,7 +147,6 @@ class FeatureTree(RTreeBase):
             mask_bytes=(vocab_size + 7) // 8,
             summary_bytes=self.summary_bytes(),
         )
-        self._mask_words = words_for_bytes(self._codec.mask_bytes)
 
     @property
     def codec(self) -> FeatureNodeCodec:
@@ -236,7 +227,7 @@ class FeatureTree(RTreeBase):
     # ------------------------------------------------------------------
     def leaf_arrays(self, node: Node):
         """Columnar view of a leaf node, or None off the numpy fast path."""
-        return feature_leaf_arrays(node, self._mask_words)
+        return feature_leaf_arrays(node, self._codec.mask_bytes)
 
     # ------------------------------------------------------------------
     # convenience

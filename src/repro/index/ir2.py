@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.hilbert.curve import hilbert_key_2d
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureLeafEntry
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.signature import SignatureScheme
 from repro.text.similarity import mask_to_ids
@@ -35,10 +35,9 @@ class IR2Tree(FeatureTree):
         pagefile: PageFile | None = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         scheme: SignatureScheme | None = None,
-        node_cache_pages: int | None = None,
     ) -> None:
         self.scheme = scheme or SignatureScheme.for_vocabulary(vocab_size)
-        super().__init__(vocab_size, pagefile, buffer_pages, node_cache_pages)
+        super().__init__(vocab_size, pagefile, buffer_pages)
 
     def summary_bytes(self) -> int:
         return self.scheme.byte_length

@@ -2,79 +2,62 @@
 
 Scoring a leaf one entry at a time in pure Python dominates STDS/STPS
 CPU time: each entry costs an attribute walk, a Jaccard popcount and a
-float blend.  This module packs a leaf's entries into flat arrays —
-``x``/``y``/``score`` as float64 plus the keyword masks as little-endian
-``uint64`` words — so a whole leaf is scored with a handful of array
-operations (``np.bitwise_count`` for the popcounts).
+float blend.  A leaf page stores its entries as columns
+(:mod:`repro.index.nodes`), so the arrays here are read-only views over
+the cached page payload — ``x``/``y``/``score`` as float64 plus the
+keyword masks as one row of little-endian words per entry — and a whole
+leaf is scored with a handful of array operations (``np.bitwise_count``
+for the popcounts) without any per-entry object.
 
-The arrays are built lazily on first use and cached on the
-:class:`~repro.index.nodes.Node` object itself, so the decoded-node cache
-(:mod:`repro.storage.node_cache`) amortizes the packing across queries;
-``RTreeBase.write_node`` drops the cached view whenever a node mutates.
+The views are built on first use and cached on the
+:class:`~repro.index.nodes.Node` object itself, so the node cache
+(:mod:`repro.storage.node_cache`) keeps them — and the score memo —
+across queries; ``RTreeBase.write_node`` drops them whenever a node is
+rewritten.
 
-The fast path is strictly optional: when numpy is unavailable (or lacks
-``bitwise_count``, added in numpy 2.0) every helper returns ``None`` and
-callers fall back to the per-entry scalar loop.  The two paths produce
-bit-identical scores — the vector expressions mirror the scalar formulas
-operation for operation.  :func:`set_vectorized` lets tests and
-benchmarks force the scalar path at runtime.
+The feature-mask fast path needs ``np.bitwise_count`` (numpy 2.0);
+without it, or after :func:`set_vectorized` turned the fast path off
+(tests and benchmarks use that as the reference), the helpers return
+``None`` and callers run the per-entry scalar loop over
+:attr:`Node.entries`.  The two paths produce bit-identical scores — the
+vector expressions mirror the scalar formulas operation for operation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import numpy as np
 
-try:  # pragma: no cover - exercised via set_vectorized in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.index.nodes import Node, leaf_columns
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.index.nodes import Node
-
-NUMPY_AVAILABLE = np is not None
 #: ``np.bitwise_count`` (vectorized popcount) arrived in numpy 2.0; the
 #: feature-mask fast path needs it, the object-location one does not.
-MASK_COUNT_AVAILABLE = NUMPY_AVAILABLE and hasattr(np, "bitwise_count")
+MASK_COUNT_AVAILABLE = hasattr(np, "bitwise_count")
 
-_enabled = NUMPY_AVAILABLE
-
-_WORD_BITS = 64
-_WORD_BYTES = 8
+_enabled = True
 
 
 def vectorized_enabled() -> bool:
     """True when the numpy fast path is active."""
-    return _enabled and NUMPY_AVAILABLE
+    return _enabled
 
 
 def set_vectorized(enabled: bool) -> bool:
-    """Enable/disable the numpy fast path; returns the previous setting.
-
-    Enabling is a no-op when numpy is not importable — the library then
-    keeps using the scalar fallback.
-    """
+    """Enable/disable the numpy fast path; returns the previous setting."""
     global _enabled
     previous = _enabled
-    _enabled = bool(enabled) and NUMPY_AVAILABLE
+    _enabled = bool(enabled)
     return previous
 
 
-def words_for_bytes(mask_bytes: int) -> int:
-    """Number of 64-bit words needed to hold ``mask_bytes`` bytes."""
-    return max(1, (mask_bytes + _WORD_BYTES - 1) // _WORD_BYTES)
+def pack_mask(mask: int, n_bytes: int):
+    """One keyword bit mask as a ``(n_bytes,)`` uint8 array.
 
-
-def pack_mask(mask: int, n_words: int):
-    """One keyword bit mask as a ``(n_words,)`` uint64 array.
-
-    Bits beyond ``n_words * 64`` are truncated — callers that need exact
+    Bits beyond ``n_bytes * 8`` are truncated — callers that need exact
     union sizes keep the full popcount separately (see
     ``FeatureScorer.leaf_score_arrays``).
     """
-    width = n_words * _WORD_BYTES
-    clipped = mask & ((1 << (n_words * _WORD_BITS)) - 1)
-    return np.frombuffer(clipped.to_bytes(width, "little"), dtype="<u8").copy()
+    clipped = mask & ((1 << (n_bytes * 8)) - 1)
+    return np.frombuffer(clipped.to_bytes(n_bytes, "little"), dtype=np.uint8)
 
 
 #: Max distinct ``(query_mask, lam)`` score vectors memoized per leaf.
@@ -85,75 +68,59 @@ SCORE_MEMO_CAP = 64
 
 
 class FeatureLeafArrays:
-    """Columnar view of a feature leaf: locations, scores, packed masks.
+    """Columns of a feature leaf payload: ids, locations, scores, masks.
 
     ``memo`` caches per-query score vectors keyed by ``(mask, lam)`` —
-    repeated-query workloads then score each leaf once per distinct
-    query instead of once per execution.  The memo lives and dies with
-    the arrays object, which ``Node.invalidate_arrays`` drops whenever
-    the node mutates, so it can never go stale.
+    STDS rescoring the same leaf once per object chunk, and
+    repeated-query workloads, then score each leaf once per distinct
+    query.  The memo lives and dies with the arrays object, which
+    ``Node.invalidate_arrays`` drops whenever the node is rewritten, so
+    it can never go stale.
     """
 
-    __slots__ = ("xs", "ys", "scores", "mask_words", "mask_pops", "memo")
+    __slots__ = ("fids", "xs", "ys", "scores", "masks", "mask_pops", "memo")
 
-    def __init__(self, entries, n_words: int) -> None:
+    def __init__(self, payload: bytes, mask_bytes: int) -> None:
         self.memo: dict = {}
-        n = len(entries)
-        self.xs = np.fromiter((e.x for e in entries), dtype=np.float64, count=n)
-        self.ys = np.fromiter((e.y for e in entries), dtype=np.float64, count=n)
-        self.scores = np.fromiter(
-            (e.score for e in entries), dtype=np.float64, count=n
+        self.fids, self.xs, self.ys, self.scores, self.masks = leaf_columns(
+            payload, mask_bytes
         )
-        width = n_words * _WORD_BYTES
-        buf = b"".join(e.mask.to_bytes(width, "little") for e in entries)
-        self.mask_words = np.frombuffer(buf, dtype="<u8").reshape(n, n_words)
         # Exact per-entry popcounts |t.W|, used to derive union sizes.
-        self.mask_pops = np.bitwise_count(self.mask_words).sum(
-            axis=1, dtype=np.int64
-        )
+        self.mask_pops = np.bitwise_count(self.masks).sum(axis=1, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.xs)
 
 
 class ObjectLeafArrays:
-    """Columnar view of an object leaf: ids and locations."""
+    """Columns of an object leaf payload: ids and locations."""
 
     __slots__ = ("oids", "xs", "ys")
 
-    def __init__(self, entries) -> None:
-        n = len(entries)
-        self.oids = np.fromiter((e.oid for e in entries), dtype=np.int64, count=n)
-        self.xs = np.fromiter((e.x for e in entries), dtype=np.float64, count=n)
-        self.ys = np.fromiter((e.y for e in entries), dtype=np.float64, count=n)
+    def __init__(self, payload: bytes) -> None:
+        self.oids, self.xs, self.ys = leaf_columns(payload)
 
     def __len__(self) -> int:
         return len(self.oids)
 
 
-def feature_leaf_arrays(node: "Node", n_words: int) -> FeatureLeafArrays | None:
+def feature_leaf_arrays(node: Node, mask_bytes: int) -> FeatureLeafArrays | None:
     """Cached columnar view of a feature leaf, or None off the fast path."""
-    if not (_enabled and MASK_COUNT_AVAILABLE):
-        return None
-    if not node.is_leaf or not node.entries:
+    if not (_enabled and MASK_COUNT_AVAILABLE) or not node.is_leaf:
         return None
     cached = node._leaf_arrays
     if isinstance(cached, FeatureLeafArrays):
         return cached
-    arrays = FeatureLeafArrays(node.entries, n_words)
-    node._leaf_arrays = arrays
+    arrays = node._leaf_arrays = FeatureLeafArrays(node.payload, mask_bytes)
     return arrays
 
 
-def object_leaf_arrays(node: "Node") -> ObjectLeafArrays | None:
+def object_leaf_arrays(node: Node) -> ObjectLeafArrays | None:
     """Cached columnar view of an object leaf, or None off the fast path."""
-    if not (_enabled and NUMPY_AVAILABLE):
-        return None
-    if not node.is_leaf or not node.entries:
+    if not _enabled or not node.is_leaf:
         return None
     cached = node._leaf_arrays
     if isinstance(cached, ObjectLeafArrays):
         return cached
-    arrays = ObjectLeafArrays(node.entries)
-    node._leaf_arrays = arrays
+    arrays = node._leaf_arrays = ObjectLeafArrays(node.payload)
     return arrays

@@ -24,7 +24,7 @@ from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import Node, ObjectLeafEntry, ObjectNodeCodec
 from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
 from repro.model.objects import DataObject
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 
 
@@ -35,9 +35,8 @@ class ObjectRTree(RTreeBase):
         self,
         pagefile: PageFile | None = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        node_cache_pages: int | None = None,
     ) -> None:
-        super().__init__(pagefile, buffer_pages, node_cache_pages)
+        super().__init__(pagefile, buffer_pages)
         self._codec = ObjectNodeCodec()
 
     @property
@@ -66,14 +65,13 @@ class ObjectRTree(RTreeBase):
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         method: str = "hilbert",
         fill: float = DEFAULT_FILL,
-        node_cache_pages: int | None = None,
     ) -> "ObjectRTree":
         """Build a tree from data objects.
 
         ``method`` is ``"hilbert"`` (bulk load in Hilbert order, default),
         ``"str"`` (sort-tile-recursive) or ``"insert"`` (one-by-one).
         """
-        tree = cls(pagefile, buffer_pages, node_cache_pages)
+        tree = cls(pagefile, buffer_pages)
         entries = [ObjectLeafEntry(o.oid, o.x, o.y) for o in objects]
         if method == "hilbert":
             entries.sort(key=lambda e: hilbert_key_2d(e.x, e.y))
@@ -114,19 +112,20 @@ class ObjectRTree(RTreeBase):
                 arrays = object_leaf_arrays(node)
                 if arrays is not None:
                     # Vectorized: one distance test per anchor for the
-                    # whole leaf (see repro.index.leafdata).
+                    # whole leaf (see repro.index.leafdata); entries are
+                    # built for the qualifying rows only.
                     keep = None
                     for ax, ay in anchors:
                         dx = arrays.xs - ax
                         dy = arrays.ys - ay
                         near = dx * dx + dy * dy <= r2
                         keep = near if keep is None else keep & near
-                    entries = node.entries
-                    if keep is None:
-                        yield from entries
-                    else:
-                        for i in keep.nonzero()[0]:
-                            yield entries[i]
+                    columns = (arrays.oids, arrays.xs, arrays.ys)
+                    if keep is not None:
+                        columns = [column[keep] for column in columns]
+                    yield from map(
+                        ObjectLeafEntry, *(column.tolist() for column in columns)
+                    )
                     continue
                 for e in node.entries:
                     if all(

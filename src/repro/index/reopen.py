@@ -20,7 +20,7 @@ from repro.index.irtree import IRTree
 from repro.index.object_rtree import ObjectRTree
 from repro.index.rtree_base import META_PAGE_ID, RTreeBase
 from repro.index.srt import SRTIndex
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.signature import SignatureScheme
 
@@ -36,7 +36,6 @@ TREE_KINDS = {
 def open_tree(
     pagefile: PageFile,
     buffer_pages: int = DEFAULT_BUFFER_PAGES,
-    node_cache_pages: int | None = None,
 ) -> RTreeBase:
     """Open the tree persisted in ``pagefile`` (see module docstring)."""
     meta = RTreeBase.read_meta(pagefile)
@@ -52,23 +51,16 @@ def open_tree(
             f"page file uses {pagefile.page_size}"
         )
     if kind == "object":
-        tree: RTreeBase = ObjectRTree(pagefile, buffer_pages, node_cache_pages)
-    elif kind == "srt":
-        tree = SRTIndex(
-            meta["vocab_size"], pagefile, buffer_pages, node_cache_pages
-        )
+        tree: RTreeBase = ObjectRTree(pagefile, buffer_pages)
     elif kind == "ir2":
         tree = IR2Tree(
             meta["vocab_size"],
             pagefile,
             buffer_pages,
             SignatureScheme(meta["signature_bits"], meta["bits_per_term"]),
-            node_cache_pages,
         )
-    else:  # "irtree"
-        tree = IRTree(
-            meta["vocab_size"], pagefile, buffer_pages, node_cache_pages
-        )
+    else:  # "srt" / "irtree"
+        tree = TREE_KINDS[kind](meta["vocab_size"], pagefile, buffer_pages)
     tree.root_id = meta["root"]
     tree.height = meta["height"]
     tree.count = meta["count"]

@@ -5,9 +5,9 @@ R-trees over the paged storage layer; they differ only in entry contents,
 per-node aggregates and build order.  This base class implements the parts
 they share:
 
-* node read/write through a :class:`~repro.storage.buffer.BufferPool`
-  (every node occupies exactly one page, so node accesses are the I/Os the
-  benchmarks count);
+* node read/write against the page file under one
+  :class:`~repro.storage.node_cache.NodeCache` (every node occupies
+  exactly one page, so node accesses are the I/Os the benchmarks count);
 * bottom-up bulk loading from a sorted run of leaf entries — the
   "bulk insertion [9]" (Kamel & Faloutsos) build the paper uses;
 * classic Guttman insertion with quadratic split, for the incremental
@@ -27,15 +27,14 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 
-from repro.errors import IndexError_
+from repro.errors import IndexError_, StorageError
 from repro.obs import tracing as _tracing
 from repro.geometry.rect import Rect
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferPool
-from repro.storage.node_cache import NodeCache
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES, NodeCache
 from repro.storage.page import Page
 from repro.storage.pagefile import MemoryPageFile, PageFile
 from repro.storage.stats import IOStats
-from repro.index.nodes import LEAF_LEVEL, Node
+from repro.index.nodes import LEAF_LAYOUT, LEAF_LEVEL, Node
 
 DEFAULT_FILL = 0.9
 MIN_FILL_RATIO = 0.4
@@ -49,26 +48,21 @@ class RTreeBase(ABC):
         self,
         pagefile: PageFile | None = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        node_cache_pages: int | None = None,
     ) -> None:
         self.pagefile = pagefile if pagefile is not None else MemoryPageFile()
-        self.buffer = BufferPool(self.pagefile, buffer_pages)
         self.root_id: int | None = None
         self.height = 0
         self.count = 0
         self._meta_page_id: int | None = None
-        # Decoded-node LRU above the page buffer: decoding a node is far
-        # more expensive than the page lookup, so hot nodes are kept in
-        # object form (see repro.storage.node_cache).  Hits additionally
-        # count as buffer hits (one logical read).  ``node_cache_pages``
-        # defaults to the buffer capacity; 0 disables the layer.
-        if node_cache_pages is None:
-            node_cache_pages = buffer_pages
-        self._node_cache = NodeCache(node_cache_pages, self.pagefile.stats)
+        # The one cache between a query and the page file: ``buffer_pages``
+        # nodes, each holding its page payload plus whatever was derived
+        # from it (see repro.storage.node_cache).  A hit counts as a
+        # buffer hit (one logical read served from memory); 0 disables it.
+        self._node_cache = NodeCache(buffer_pages, self.pagefile.stats)
 
     @property
     def node_cache(self) -> NodeCache:
-        """The decoded-node cache (hit/miss counters live here too)."""
+        """The node cache (hit/miss counters live here too)."""
         return self._node_cache
 
     # ------------------------------------------------------------------
@@ -112,13 +106,12 @@ class RTreeBase(ABC):
             # also counts as a buffer hit for the I/O accounting.
             self.pagefile.stats.record_hit()
             return cached
-        if _tracing.enabled:
-            # Node-cache misses are the real node expansions: the page is
-            # fetched and decoded.  Trace them as spans so the timeline
-            # shows where traversals leave the decoded-node cache.
-            t0 = time.perf_counter()
-            page = self.buffer.read(page_id)
-            node = self.codec.decode(page_id, page.payload)
+        # Node-cache misses are the real node expansions: the page is
+        # fetched and decoded.  Trace them as spans so the timeline shows
+        # where traversals leave the node cache.
+        t0 = time.perf_counter() if _tracing.enabled else None
+        node = self.codec.decode(page_id, self.pagefile.read(page_id).payload)
+        if t0 is not None:
             _tracing.add_complete(
                 "rtree.node_expand",
                 t0,
@@ -130,37 +123,34 @@ class RTreeBase(ABC):
                     "level": node.level,
                 },
             )
-        else:
-            page = self.buffer.read(page_id)
-            node = self.codec.decode(page_id, page.payload)
         self._node_cache.put(node)
         return node
 
     def write_node(self, node: Node) -> None:
         """Encode and persist a node.
 
-        The decoded-node cache is explicitly invalidated for the page and
-        then refreshed with the node object just written, so a stale
-        decode can never be served after a mutation; the node's packed
-        leaf arrays are dropped because its entries may have changed.
+        The node cache is explicitly invalidated for the page and then
+        refreshed with the node object just written — now carrying the
+        payload just encoded — so a stale image can never be served after
+        a mutation; the node's leaf arrays are dropped because they view
+        the previous payload.
         """
+        payload = self.codec.encode(node)
+        self.pagefile.write(Page(node.page_id, payload))
+        node.payload = payload
         node.invalidate_arrays()
-        self.buffer.write(Page(node.page_id, self.codec.encode(node)))
         self._node_cache.invalidate(node.page_id)
         self._node_cache.put(node)
 
     def clear_cache(self) -> dict[str, int]:
-        """Drop all cached pages and decoded nodes (cold-cache runs).
+        """Drop all cached nodes (cold-cache runs).
 
-        Returns ``{"nodes": ..., "pages": ...}`` — how many decoded
-        nodes and buffered pages were dropped.
+        Returns ``{"nodes": ...}`` — how many were dropped.
         """
-        nodes = self._node_cache.clear()
-        pages = self.buffer.clear()
-        return {"nodes": nodes, "pages": pages}
+        return {"nodes": self._node_cache.clear()}
 
     def _new_node(self, level: int, entries: list) -> Node:
-        node = Node(self.buffer.allocate(), level, entries)
+        node = Node(self.pagefile.allocate(), level, entries)
         self.write_node(node)
         return node
 
@@ -187,19 +177,30 @@ class RTreeBase(ABC):
     # ------------------------------------------------------------------
     def _write_meta(self) -> None:
         if self._meta_page_id is None:
-            self._meta_page_id = self.buffer.allocate()
-            if self._meta_page_id != META_PAGE_ID:
-                # Not fatal (memory files), but disk reopen expects page 0.
-                pass
+            self._meta_page_id = self.pagefile.allocate()
         meta = dict(self.metadata())
-        meta.update(root=self.root_id, height=self.height, count=self.count)
+        meta.update(
+            root=self.root_id, height=self.height, count=self.count,
+            layout=LEAF_LAYOUT,
+        )
         payload = json.dumps(meta).encode()
-        self.buffer.write(Page(self._meta_page_id, payload))
+        self.pagefile.write(Page(self._meta_page_id, payload))
 
     @staticmethod
     def read_meta(pagefile: PageFile) -> dict:
-        """Read the metadata page of a persisted tree."""
-        return json.loads(pagefile.read(META_PAGE_ID).payload.decode())
+        """Read the metadata page of a persisted tree.
+
+        A tree written before the meta page recorded a leaf layout stores
+        its leaves as rows, which this code would misread as columns.
+        """
+        meta = json.loads(pagefile.read(META_PAGE_ID).payload.decode())
+        layout = meta.get("layout", 1)
+        if layout != LEAF_LAYOUT:
+            raise StorageError(
+                f"tree was written with leaf layout {layout}; rebuild "
+                f"(this version reads layout {LEAF_LAYOUT} only)"
+            )
+        return meta
 
     # ------------------------------------------------------------------
     # bulk loading

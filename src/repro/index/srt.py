@@ -23,7 +23,7 @@ from repro.hilbert.curve import hilbert_key_4d
 from repro.hilbert.keywords import KeywordHilbert
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureInternalEntry, FeatureLeafEntry
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.similarity import overlap_ratio
 
@@ -38,10 +38,9 @@ class SRTIndex(FeatureTree):
         vocab_size: int,
         pagefile: PageFile | None = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        node_cache_pages: int | None = None,
     ) -> None:
         self._kh = KeywordHilbert(max(1, vocab_size))
-        super().__init__(vocab_size, pagefile, buffer_pages, node_cache_pages)
+        super().__init__(vocab_size, pagefile, buffer_pages)
 
     def summary_bytes(self) -> int:
         # The exact keyword-union mask: one bit per vocabulary term.

@@ -12,8 +12,8 @@ Every mutation writes through the underlying R-trees
 (:meth:`~repro.index.rtree_base.RTreeBase.insert` /
 :meth:`~repro.index.rtree_base.RTreeBase.delete`), which recompute the
 paper's per-node aggregates ``(e.s, e.W)`` bottom-up along the mutation
-path and invalidate the decoded-node cache, the page buffer entry, and
-the per-leaf score memo for every rewritten page
+path and invalidate the node-cache entry and the per-leaf score memo
+for every rewritten page
 (``RTreeBase.write_node`` → ``Node.invalidate_arrays``).  Lemma 1's
 pruning bound ``ŝ(e)`` therefore stays *exact* — never stale-tight —
 after any mutation sequence; ``tests/live`` proves this with an

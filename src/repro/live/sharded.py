@@ -156,7 +156,7 @@ class LiveShardedDataset(LiveBase):
             for tree in shard.processor.trees():
                 frozen = tree.pagefile
                 trees.append(
-                    open_tree(_thaw_pagefile(frozen), tree.buffer.capacity)
+                    open_tree(_thaw_pagefile(frozen), tree.node_cache.capacity)
                 )
                 self._retired.append(frozen)
             from repro.core.processor import QueryProcessor
@@ -181,7 +181,7 @@ class LiveShardedDataset(LiveBase):
             with _tracing.span("live.refreeze", cat="live", shards=len(dirty)):
                 for idx in dirty:
                     shard = self.processor.shards[idx]
-                    buffer_pages = shard.processor.object_tree.buffer.capacity
+                    buffer_pages = shard.processor.object_tree.node_cache.capacity
                     frozen_proc, manifest = freeze_shard(
                         shard.spec.geometry(), shard.processor, buffer_pages
                     )

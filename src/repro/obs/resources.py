@@ -15,9 +15,8 @@ Sources, all stdlib/procfs (no psutil in the image):
 * open fd count from ``/proc/self/fd``;
 * shared-memory bytes from the live-segment registry
   :mod:`repro.storage.shm` maintains (owner vs. attached split);
-* decoded-node cache occupancy/bytes and buffer-pool pages/bytes from
-  the weak instance registries in :mod:`repro.storage.node_cache` /
-  :mod:`repro.storage.buffer`;
+* node-cache occupancy/bytes from the weak instance registry in
+  :mod:`repro.storage.node_cache`;
 * executor queue depth and in-flight counts from
   :func:`repro.core.executor.live_executors`;
 * thread count from :mod:`threading`, child processes from
@@ -47,8 +46,6 @@ GAUGES = (
     "repro_resource_shm_segments",
     "repro_resource_node_cache_nodes",
     "repro_resource_node_cache_bytes",
-    "repro_resource_buffer_pages",
-    "repro_resource_buffer_bytes",
     "repro_resource_executor_queue_depth",
     "repro_resource_executor_running",
     "repro_resource_threads",
@@ -83,13 +80,11 @@ def collect(reg: "_metrics.MetricsRegistry | None" = None) -> dict:
 
     from repro.core import executor as _executor
     from repro.serve import service as _serve
-    from repro.storage import buffer as _buffer
     from repro.storage import node_cache as _node_cache
     from repro.storage import shm as _shm
 
     segments = _shm.live_segments()
     caches = _node_cache.live_caches()
-    pools = _buffer.live_pools()
     executors = _executor.live_executors()
     services = _serve.live_services()
 
@@ -102,10 +97,6 @@ def collect(reg: "_metrics.MetricsRegistry | None" = None) -> dict:
         "repro_resource_node_cache_nodes": sum(len(c) for c in caches),
         "repro_resource_node_cache_bytes": sum(
             c.estimated_bytes() for c in caches
-        ),
-        "repro_resource_buffer_pages": sum(len(p) for p in pools),
-        "repro_resource_buffer_bytes": sum(
-            p.estimated_bytes() for p in pools
         ),
         "repro_resource_executor_queue_depth": sum(
             e.queue_depth for e in executors
@@ -141,13 +132,9 @@ _HELP = {
     "repro_resource_shm_segments":
         "Live SharedMemoryPageFile mappings in this process.",
     "repro_resource_node_cache_nodes":
-        "Decoded nodes held across live NodeCache instances.",
+        "Nodes held across live NodeCache instances.",
     "repro_resource_node_cache_bytes":
-        "Estimated heap bytes of cached decoded nodes.",
-    "repro_resource_buffer_pages":
-        "Pages held across live BufferPool instances.",
-    "repro_resource_buffer_bytes":
-        "Bytes of cached pages (pages x page size).",
+        "Page payload bytes held by cached nodes.",
     "repro_resource_executor_queue_depth":
         "Queries submitted but not yet picked up, all executors.",
     "repro_resource_executor_running":

@@ -15,8 +15,8 @@ one core.  This module runs shard queries on *physical* cores:
 3. **attach** — each worker process lazily attaches the segments,
    reopens the trees (:func:`repro.index.reopen.open_tree`), and caches
    one lightweight :class:`~repro.core.processor.QueryProcessor` per
-   shard for reuse across queries (its buffer pool and decoded-node
-   cache are worker-local, so hot queries stay hot per worker);
+   shard for reuse across queries (its node caches are worker-local,
+   so hot queries stay hot per worker);
 4. **observe** — the worker runs the query under the parent's
    :class:`ObsContext`, then ships back the
    :class:`~repro.core.results.QueryResult` plus a metrics-registry

@@ -432,7 +432,7 @@ class ShardedQueryProcessor:
         return out
 
     def clear_buffers(self) -> dict[str, int]:
-        """Drop cached pages/nodes in every shard (cold-cache runs).
+        """Drop cached nodes in every shard (cold-cache runs).
 
         Worker-process caches cannot be reached synchronously, so the
         cache *epoch* is bumped instead: every process-mode task carries
@@ -441,12 +441,11 @@ class ShardedQueryProcessor:
         stay cold in both fan-out modes.
         """
         self._epoch += 1
-        dropped = {"pages": 0, "nodes": 0}
-        for shard in self.shards:
-            shard_dropped = shard.processor.clear_buffers()
-            dropped["pages"] += shard_dropped["pages"]
-            dropped["nodes"] += shard_dropped["nodes"]
-        return dropped
+        return {
+            "nodes": sum(
+                shard.processor.clear_buffers()["nodes"] for shard in self.shards
+            )
+        }
 
     def reset_stats(self, metrics: bool = True) -> None:
         """Zero per-index counters in every shard.

@@ -1,7 +1,6 @@
-"""Paged storage substrate: pages, page files, buffer pool, I/O stats."""
+"""Paged storage substrate: pages, page files, node cache, I/O stats."""
 
-from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferPool
-from repro.storage.node_cache import NodeCache
+from repro.storage.node_cache import DEFAULT_BUFFER_PAGES, NodeCache
 from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 from repro.storage.pagefile import DiskPageFile, MemoryPageFile, PageFile
 from repro.storage.shm import SharedMemoryPageFile
@@ -11,7 +10,6 @@ __all__ = [
     "DEFAULT_BUFFER_PAGES",
     "DEFAULT_PAGE_READ_COST_S",
     "DEFAULT_PAGE_SIZE",
-    "BufferPool",
     "DiskPageFile",
     "IOStats",
     "MemoryPageFile",

@@ -1,15 +1,18 @@
-"""Decoded-node LRU cache — the layer above the page buffer.
+"""Node LRU cache — the one cache between an index and its page file.
 
 The storage hierarchy seen by an index is::
 
-    pagefile (simulated disk)  ->  BufferPool (raw pages)  ->  NodeCache
+    pagefile (simulated disk)  ->  NodeCache
 
-Decoding a page into entry objects costs far more CPU than the buffer
-lookup itself (``struct`` unpacking plus one Python object per entry), so
-hot nodes are kept in *object* form here and the codec runs only on cache
-misses.  The cache is keyed by page id and must be explicitly invalidated
-whenever a page is rewritten (``RTreeBase.write_node`` does this and then
-re-caches the fresh node object, so readers never observe a stale decode).
+A cached :class:`~repro.index.nodes.Node` holds its page payload and
+everything derived from it: an internal node's entry objects, a leaf's
+array views and per-query score memo.  A warm lookup is a dict hit
+(~1 µs) where re-reading the page costs a CRC pass plus fresh views, and
+the memo can only live on an object that survives between visits — which
+is why leaves are cached too.  The cache is keyed by page id and must be
+explicitly invalidated whenever a page is rewritten
+(``RTreeBase.write_node`` does this and then re-caches the node it wrote,
+so readers never observe a stale image).
 
 Hits and misses are recorded on the owning page file's :class:`IOStats`
 (as ``node_cache_hits`` / ``node_cache_misses``) so per-query accounting
@@ -45,11 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: locked and dead entries vanish on GC, so no lifecycle hooks needed.
 _live_caches: "weakref.WeakSet[NodeCache]" = weakref.WeakSet()
 
-#: Rough per-entry cost of a decoded node: the entry object, its MBR
-#: floats, and dict/list slack.  An estimate for capacity planning, not
-#: an accounting truth (see ``NodeCache.estimated_bytes``).
-_ENTRY_BYTES = 200
-_NODE_BYTES = 120
+#: Default cache capacity in nodes (= pages) per tree.
+DEFAULT_BUFFER_PAGES = 256
 
 
 def live_caches() -> list["NodeCache"]:
@@ -58,7 +58,7 @@ def live_caches() -> list["NodeCache"]:
 
 
 class NodeCache:
-    """Fixed-capacity LRU cache of decoded :class:`~repro.index.nodes.Node`s.
+    """Fixed-capacity LRU cache of :class:`~repro.index.nodes.Node`s.
 
     ``stats`` (optional) is the :class:`IOStats` of the page file backing
     the tree; when present, hits and misses are recorded there.
@@ -160,11 +160,14 @@ class NodeCache:
         return self.hits / total if total else 0.0
 
     def estimated_bytes(self) -> int:
-        """Rough heap bytes held by cached nodes (entries dominate)."""
+        """Page payload bytes held by cached nodes.
+
+        A floor: entry objects and score memos derived from a payload
+        are not counted, and asking a leaf for them would build them.
+        """
         with self._lock:
-            nodes = len(self._cache)
-            entries = sum(len(n.entries) for n in self._cache.values())
-        return nodes * _NODE_BYTES + entries * _ENTRY_BYTES
+            nodes = list(self._cache.values())
+        return sum(len(n.payload) for n in nodes if n.payload is not None)
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -132,10 +132,9 @@ class TestBufferControl:
         processor = QueryProcessor.build(objects, feature_sets)
         processor.query(_q())
         dropped = processor.clear_buffers()
-        assert dropped["pages"] > 0
         assert dropped["nodes"] > 0
         # Everything is gone, so a second clear drops nothing.
-        assert processor.clear_buffers() == {"pages": 0, "nodes": 0}
+        assert processor.clear_buffers() == {"nodes": 0}
 
     def test_cold_run_stats_start_from_zero(self, objects, feature_sets):
         """clear_buffers + reset_stats gives a genuinely cold measurement."""

@@ -1,33 +1,39 @@
 """Node-cache coherence under mutation, on every storage flavour.
 
-Two caches sit between a query and a page: the decoded-node cache and
-the page buffer pool.  A mutation must leave neither serving a
-pre-mutation image.  These tests warm both caches with traversals, then
-mutate, then check two ways:
+One cache sits between a query and a page: the node cache, whose nodes
+hold their page payload, the entry objects materialised from it and the
+leaf arrays that view it.  A mutation must leave none of the three
+serving a pre-mutation image.  These tests warm the cache (arrays
+included) with traversals, then mutate — inserts that split, deletes
+that condense — then check two ways:
 
-* **structurally** — every page still held by the decoded-node cache
-  must equal a fresh decode of its page read straight from the page
-  file (below both caches);
+* **structurally** — every node still held by the cache must carry the
+  payload of its page read straight from the page file, its entries must
+  equal a fresh decode, and a leaf's arrays must spell the same rows;
 * **behaviourally** — a warm-cache traversal returns exactly what a
-  cold reopen of the same storage returns.
+  cold reopen of the same storage returns, and a
+  ``SharedMemoryPageFile`` frozen from it reads the same leaves.
 
-Parametrized over buffered ``DiskPageFile`` and its ``mmap_reads=True``
-mode, where a stale shared mapping would be an extra way to serve old
-bytes.
+Parametrized over ``MemoryPageFile``, buffered ``DiskPageFile`` and its
+``mmap_reads=True`` mode, where a stale shared mapping would be an extra
+way to serve old bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
 from repro.index.reopen import open_tree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
 from repro.storage.pagefile import DiskPageFile, MemoryPageFile
+from repro.storage.shm import SharedMemoryPageFile
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import VOCAB_SIZE, make_data_objects, make_feature_objects
 
@@ -44,21 +50,62 @@ def _pagefile(kind: str, tmp_path, name: str, page_size: int = 256):
     )
 
 
+def _leaf_arrays(tree, node):
+    if isinstance(tree, ObjectRTree):
+        return object_leaf_arrays(node)
+    return tree.leaf_arrays(node)  # None where numpy lacks bitwise_count
+
+
+def _array_rows(arrays) -> list[tuple]:
+    """A leaf's arrays spelled as the field tuples of its entries."""
+    xs, ys = arrays.xs.tolist(), arrays.ys.tolist()
+    if hasattr(arrays, "oids"):
+        return list(zip(arrays.oids.tolist(), xs, ys))
+    masks = [int.from_bytes(row.tobytes(), "little") for row in arrays.masks]
+    return list(zip(arrays.fids.tolist(), xs, ys, arrays.scores.tolist(), masks))
+
+
+def _entry_rows(entries) -> list[tuple]:
+    return [dataclasses.astuple(e) for e in entries]
+
+
 def assert_node_cache_coherent(tree) -> None:
-    """Cached decoded nodes == fresh decodes of their persisted pages."""
+    """Cached nodes == fresh decodes of their persisted pages."""
     for page_id in tree.node_cache.page_ids():
         cached = tree.node_cache.peek(page_id)
         if cached is None:
             continue
-        fresh = tree.codec.decode(page_id, tree.pagefile.read(page_id).payload)
+        payload = tree.pagefile.read(page_id).payload
+        fresh = tree.codec.decode(page_id, payload)
         assert cached.level == fresh.level, f"page {page_id}: stale level"
+        assert cached.payload == payload, f"page {page_id}: stale payload"
         assert cached.entries == fresh.entries, (
-            f"page {page_id}: decoded-node cache serves a pre-mutation image"
+            f"page {page_id}: node cache serves a pre-mutation image"
         )
+        arrays = _leaf_arrays(tree, cached) if cached.is_leaf else None
+        if arrays is not None:
+            assert _array_rows(arrays) == _entry_rows(fresh.entries), (
+                f"page {page_id}: leaf arrays view pre-mutation bytes"
+            )
+
+
+def assert_frozen_copy_reads_same_leaves(tree) -> None:
+    """A shared-memory freeze of the storage serves the rewritten leaves."""
+    def rows(t) -> list[tuple]:
+        out = []
+        for leaf in t.iter_leaves():
+            arrays = _leaf_arrays(t, leaf)
+            out += _entry_rows(leaf.entries) if arrays is None else _array_rows(arrays)
+        return sorted(out)
+
+    with SharedMemoryPageFile.freeze(tree.pagefile) as shm:
+        assert rows(tree) == rows(open_tree(shm))
 
 
 def _warm(tree) -> None:
-    list(tree.range_search((0.5, 0.5), 2.0))
+    """Cache every node, and every leaf's arrays, ahead of a mutation."""
+    for leaf in tree.iter_leaves():
+        _leaf_arrays(tree, leaf)
 
 
 @pytest.mark.parametrize("storage", STORAGES)
@@ -85,6 +132,7 @@ class TestObjectTreeCoherence:
             if step % 15 == 0:
                 assert_node_cache_coherent(tree)
         assert_node_cache_coherent(tree)
+        assert_frozen_copy_reads_same_leaves(tree)
         got = sorted(e.oid for e in tree.range_search((0.5, 0.5), 2.0))
         assert got == sorted(alive)
 
@@ -126,14 +174,26 @@ class TestFeatureTreeCoherence:
             buffer_pages=64,
         )
         rng = random.Random(7)
-        survivors = list(features)
-        for step in range(60):
-            list(tree.iter_features())  # full traversal warms the caches
-            f = survivors.pop(rng.randrange(len(survivors)))
-            assert tree.delete(
-                FeatureLeafEntry(f.fid, f.x, f.y, f.score, f.keyword_mask())
-            )
+        survivors = [
+            FeatureLeafEntry(f.fid, f.x, f.y, f.score, f.keyword_mask())
+            for f in features
+        ]
+        for step in range(90):
+            _warm(tree)
+            if step % 3 == 2:  # inserts split the 6-entry leaves
+                entry = FeatureLeafEntry(
+                    10_000 + step, rng.random(), rng.random(), rng.random(),
+                    rng.randrange(1, 1 << VOCAB_SIZE),
+                )
+                tree.insert(entry)
+                survivors.append(entry)
+            else:
+                assert tree.delete(survivors.pop(rng.randrange(len(survivors))))
             if step % 10 == 0:
                 assert_node_cache_coherent(tree)
         assert_node_cache_coherent(tree)
+        assert_frozen_copy_reads_same_leaves(tree)
+        assert sorted(tree.iter_features(), key=lambda e: e.fid) == sorted(
+            survivors, key=lambda e: e.fid
+        )
         tree.validate()

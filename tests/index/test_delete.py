@@ -1,14 +1,17 @@
 """Tests for R-tree deletion (CondenseTree)."""
 
+import json
 import math
 import random
 
 import pytest
 
+from repro.errors import StorageError
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
+from repro.storage.page import Page
 from repro.storage.pagefile import MemoryPageFile
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import VOCAB_SIZE, make_data_objects, make_feature_objects
@@ -131,6 +134,26 @@ class TestReopenAfterDelete:
         reopened.validate()
         got = {e.oid for e in reopened.range_search((0.5, 0.5), 2.0)}
         assert got == alive
+        # The reopened file answers exactly what a fresh build over the
+        # survivors answers.
+        rebuilt = ObjectRTree.build([o for o in objects if o.oid in alive])
+        for tree in (reopened, rebuilt):
+            tree.clear_cache()
+        answers = [
+            sorted(tree.range_search((0.4, 0.6), 0.25), key=lambda e: e.oid)
+            for tree in (reopened, rebuilt)
+        ]
+        assert answers[0] and answers[0] == answers[1]
+
+        # A file whose meta page predates the layout field stores its
+        # leaves as rows; it is refused, not misread as columns.
+        pagefile = reopened.pagefile
+        meta = json.loads(pagefile.read(0).payload)
+        assert meta.pop("layout") == 2
+        pagefile.write(Page(0, json.dumps(meta).encode()))
+        with pytest.raises(StorageError, match="leaf layout 1; rebuild"):
+            open_tree(pagefile)
+        pagefile.close()
 
 
 class TestFeatureTreeDelete:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.query import PreferenceQuery, Variant
-from repro.index import leafdata
 from repro.index.leafdata import (
     feature_leaf_arrays,
     object_leaf_arrays,
     pack_mask,
     set_vectorized,
     vectorized_enabled,
-    words_for_bytes,
 )
 from repro.index.object_rtree import ObjectRTree
 from tests.conftest import make_data_objects, random_mask
@@ -36,32 +35,23 @@ def scalar_mode():
 
 
 class TestPacking:
-    def test_words_for_bytes(self):
-        assert words_for_bytes(1) == 1
-        assert words_for_bytes(8) == 1
-        assert words_for_bytes(9) == 2
-        assert words_for_bytes(16) == 2
-        assert words_for_bytes(0) == 1  # at least one word
+    """``pack_mask`` lays a query mask out like a leaf's mask column."""
 
     def test_pack_mask_roundtrip(self):
-        np = pytest.importorskip("numpy")
         mask = 0b1011_0001
-        words = pack_mask(mask, 1)
-        assert words.dtype == np.dtype("<u8")
-        assert int(words[0]) == mask
+        packed = pack_mask(mask, 1)
+        assert packed.dtype == np.uint8
+        assert packed.tolist() == [mask]
 
-    def test_pack_mask_multiword(self):
-        pytest.importorskip("numpy")
+    def test_pack_mask_multibyte(self):
         mask = (1 << 100) | 0b101
-        words = pack_mask(mask, 2)
-        assert int(words[0]) == 0b101
-        assert int(words[1]) == 1 << (100 - 64)
+        packed = pack_mask(mask, 17)
+        assert packed.shape == (17,)
+        assert int.from_bytes(packed.tobytes(), "little") == mask
 
     def test_pack_mask_truncates_overflow(self):
-        pytest.importorskip("numpy")
         mask = (1 << 200) | 0b11
-        words = pack_mask(mask, 1)
-        assert int(words[0]) == 0b11
+        assert pack_mask(mask, 1).tolist() == [0b11]
 
 
 class TestToggle:
@@ -82,9 +72,6 @@ class TestToggle:
         assert feature_leaf_arrays(node, 1) is None
 
 
-@pytest.mark.skipif(
-    not leafdata.NUMPY_AVAILABLE, reason="numpy not installed"
-)
 class TestArrayCaching:
     def _leaf(self, tree):
         node = tree.read_node(tree.root_id)
@@ -98,6 +85,7 @@ class TestArrayCaching:
         first = object_leaf_arrays(node)
         assert first is not None
         assert len(first) == len(node.entries)
+        assert np.shares_memory(first.xs, np.frombuffer(node.payload, np.uint8))
         assert object_leaf_arrays(node) is first
 
     def test_invalidate_arrays_drops_view(self):
@@ -108,15 +96,6 @@ class TestArrayCaching:
         second = object_leaf_arrays(node)
         assert second is not None
         assert second is not first
-
-    def test_arrays_match_entries(self):
-        tree = ObjectRTree.build(make_data_objects(80, seed=64))
-        node = self._leaf(tree)
-        arrays = object_leaf_arrays(node)
-        for i, e in enumerate(node.entries):
-            assert int(arrays.oids[i]) == e.oid
-            assert float(arrays.xs[i]) == e.x
-            assert float(arrays.ys[i]) == e.y
 
 
 class TestFallbackParity:
@@ -170,12 +149,9 @@ class TestFallbackParity:
         tree = ObjectRTree.build(objects)
         got = sorted(e.oid for e in tree.range_search((0.5, 0.5), 0.2))
         set_vectorized(True)
-        if leafdata.NUMPY_AVAILABLE:
-            tree2 = ObjectRTree.build(objects)
-            fast = sorted(
-                e.oid for e in tree2.range_search((0.5, 0.5), 0.2)
-            )
-            assert fast == got
+        tree2 = ObjectRTree.build(objects)
+        fast = sorted(e.oid for e in tree2.range_search((0.5, 0.5), 0.2))
+        assert fast == got
         # Brute-force ground truth.
         expected = sorted(
             o.oid

@@ -1,11 +1,83 @@
-"""Tests for the decoded-node cache layered on the page buffer."""
+"""Tests for the node cache — the one cache between a tree and its pages."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.index.nodes import ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
 from repro.storage.pagefile import MemoryPageFile
 from tests.conftest import make_data_objects
+
+
+def _small_tree(buffer_pages: int) -> tuple[ObjectRTree, list[int]]:
+    """A multi-page tree on a cold cache, plus its leaf page ids."""
+    tree = ObjectRTree.build(
+        make_data_objects(120, seed=50),
+        pagefile=MemoryPageFile(page_size=256),
+        buffer_pages=buffer_pages,
+    )
+    leaves = [leaf.page_id for leaf in tree.iter_leaves()]
+    assert len(leaves) >= 8
+    tree.clear_cache()
+    tree.stats.reset()
+    return tree, leaves
+
+
+class TestLRU:
+    """LRU, write-through, invalidation and capacity of the one cache."""
+
+    def test_eviction_and_recency(self):
+        tree, (a, b, c, *_) = _small_tree(buffer_pages=2)
+        tree.read_node(a)
+        tree.read_node(b)
+        tree.read_node(a)  # a becomes most recent
+        tree.read_node(c)  # evicts b, not a
+        assert a in tree.node_cache and c in tree.node_cache
+        assert b not in tree.node_cache
+        assert tree.stats.reads == 3
+        tree.read_node(b)  # physical again
+        assert tree.stats.reads == 4
+
+    def test_write_through_visibility(self):
+        tree, (a, *_) = _small_tree(buffer_pages=4)
+        node = tree.read_node(a)
+        node.entries = node.entries[:1]
+        tree.stats.reset()
+        tree.write_node(node)
+        assert tree.stats.writes == 1
+        # The page file holds the new image ...
+        assert tree.pagefile.read(a).payload == node.payload
+        tree.stats.reset()
+        # ... and the next read is served from the cache, with it.
+        again = tree.read_node(a)
+        assert tree.stats.reads == 0
+        assert again.payload == node.payload
+        assert len(again.entries) == 1
+
+    def test_invalidate_forces_physical_read(self):
+        tree, (a, *_) = _small_tree(buffer_pages=4)
+        tree.read_node(a)
+        tree.node_cache.invalidate(a)
+        tree.read_node(a)
+        assert tree.stats.reads == 2
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(StorageError):
+            ObjectRTree(buffer_pages=-1)
+
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_any_access_pattern_is_correct_and_bounded(self, accesses):
+        tree, leaves = _small_tree(buffer_pages=3)
+        stored = {p: tree.pagefile.read(p).payload for p in leaves[:8]}
+        tree.stats.reset()
+        for i in accesses:
+            page_id = leaves[i]
+            assert tree.read_node(page_id).payload == stored[page_id]
+            assert len(tree.node_cache) <= 3
+        assert tree.stats.reads + tree.stats.buffer_hits == len(accesses)
 
 
 class TestNodeCacheCoherence:
@@ -98,7 +170,7 @@ class TestCapacityZeroParity:
     def test_disabled_cache_same_results(self):
         objects = make_data_objects(400, seed=59)
         cached = ObjectRTree.build(objects)
-        uncached = ObjectRTree.build(objects, node_cache_pages=0)
+        uncached = ObjectRTree.build(objects, buffer_pages=0)
         assert len(uncached._node_cache) == 0
         got_cached = sorted(e.oid for e in cached.range_search((0.3, 0.7), 0.15))
         got_uncached = sorted(
@@ -130,7 +202,7 @@ class TestCapacityZeroParity:
 
 
 class TestClearBuffers:
-    def test_clear_buffers_clears_both_layers(self, srt_processor):
+    def test_clear_buffers_empties_every_tree(self, srt_processor):
         from repro.core.query import PreferenceQuery
 
         query = PreferenceQuery(
@@ -138,11 +210,10 @@ class TestClearBuffers:
         )
         srt_processor.query(query)
         trees = [srt_processor.object_tree] + srt_processor.feature_trees
-        assert any(len(t._node_cache) > 0 for t in trees)
-        assert any(len(t.buffer) > 0 for t in trees)
-        srt_processor.clear_buffers()
-        assert all(len(t._node_cache) == 0 for t in trees)
-        assert all(len(t.buffer) == 0 for t in trees)
+        cached = sum(len(t.node_cache) for t in trees)
+        assert cached > 0
+        assert srt_processor.clear_buffers() == {"nodes": cached}
+        assert all(len(t.node_cache) == 0 for t in trees)
 
 
 class TestAccountingInvariant:

@@ -285,7 +285,7 @@ class TestLifecycle:
         ) as sharded:
             sharded.query(_query())
             dropped = sharded.clear_buffers()
-            assert dropped["pages"] > 0
+            assert dropped["nodes"] > 0
 
     def test_from_specs_roundtrip(self, datasets, base, tmp_path):
         from repro.data import load_shards, save_shards

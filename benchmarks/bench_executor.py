@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -177,6 +178,7 @@ def bench(args) -> dict:
             "distinct_queries": args.queries,
             "repeats": args.repeats,
             "workers": args.workers,
+            "cpus": os.cpu_count(),
             "numpy_fast_path": leafdata.vectorized_enabled(),
             "python": platform.python_version(),
         },

@@ -18,11 +18,20 @@ pulling features from the per-set sorted streams only as needed:
   Lemma 1); the influence and NN variants disable that filter
   (``enforce_2r=False``), as Section 7 prescribes.
 
-Combinations over the already-pulled features are enumerated lazily over
-the product lattice of the per-set sorted lists (seed ``(0,...,0)``, pop a
-tuple, push its ``c`` single-increment successors).  This produces exactly
-the non-increasing score order of the paper's eager ``validCombinations``
-while keeping the candidate heap linear in the number of pops.
+Combinations are assembled by a rank join driven by each pull: a feature
+``t`` arriving in set ``i`` is, by construction, the last-pulled member of
+every combination it forms with the features pulled before it, so those
+combinations — and only those — are seeded when it arrives.  For the
+range variant the partners come from a hash grid of cell size ``2r`` over
+each other set's pulled features (only features within ``2r`` of ``t``
+can share a valid combination with it, Lemma 1); without the ``2r`` rule
+every pulled feature of the other sets is a partner.  Each arrival pushes
+one small sub-lattice ``{t} × N_j(t) × …`` of score-sorted partner lists
+(seed ``(0,...,0)``; a popped tuple pushes its single-increment
+successors), so every combination is produced exactly once, in the
+non-increasing score order of the paper's eager ``validCombinations``,
+and a feature far from everything costs one grid probe and no heap
+entry.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery
 from repro.core.stream import FeatureStream, StreamedFeature
 from repro.errors import QueryError
@@ -113,18 +123,30 @@ class CombinationIterator:
             s.next_bound if s.next_bound is not None else 0.0
             for s in self.streams
         ]
-        self._heap: list[tuple[float, int, tuple[int, ...]]] = []
-        self._submitted: set[tuple[int, ...]] = set()
-        self._blocked: list[list[tuple[int, ...]]] = [[] for _ in range(self.c)]
+        # (-score, push counter, idx, dim, partners, limits): position
+        # ``idx`` of one arrival's sub-lattice, whose per-set partner
+        # sequences are readable up to ``limits``.  Successors advance
+        # coordinates ``>= dim`` only, which reaches every position of the
+        # sub-lattice exactly once without a visited set.
+        self._heap: list[tuple] = []
         self._counter = 0
         self._rr_next = 0
         self.combinations_released = 0
+        self._diameter = 2.0 * query.radius
+        if enforce_2r:
+            # Positions in ``pulled[j]`` bucketed by location.  The cell
+            # size is clamped so that neither a vanishing radius (as in
+            # the STDS grid) nor an unbounded one can overflow the cell
+            # arithmetic; probing with a hair more than a cell keeps the
+            # grid's squared-distance test looser than the exact
+            # ``hypot`` predicate, which alone decides validity.
+            cell = min(max(self._diameter, 1e-6), 1e150)
+            self._grids = [SpatialGrid(cell) for _ in range(self.c)]
+            self._probe = cell * (1.0 + 1e-9)
         # Seed: one pull per set guarantees every list is non-empty (a
         # stream always yields at least the virtual feature).
         for i in range(self.c):
-            with self.recorder.span("stps.feature_pull", feature_set=i):
-                self._pull(i)
-        self._submit(tuple([0] * self.c))
+            self._pull(i)
 
     # ------------------------------------------------------------------
     # iteration
@@ -133,14 +155,13 @@ class CombinationIterator:
         """Next combination by descending score, or None when done."""
         rec = self.recorder
         collector = self.collector
+        heap = self._heap
         while True:
             with rec.span("stps.threshold_update"):
-                threshold = self._threshold()
-            if self._heap and -self._heap[0][0] >= threshold - _EPS:
+                threshold, source = self._threshold()
+            if heap and -heap[0][0] >= threshold - _EPS:
                 with rec.span("stps.combination_assembly"):
-                    _, _, idx = heapq.heappop(self._heap)
-                    self._expand(idx)
-                    combo = self._materialize(idx)
+                    combo = self._pop()
                     valid = self._valid(combo)
                 if collector.active:
                     collector.combination(combo.score, valid)
@@ -148,11 +169,12 @@ class CombinationIterator:
                     self.combinations_released += 1
                     return combo
                 continue
-            pull_from = self._next_feature_set()
-            if pull_from is None:
-                if self._heap:
-                    continue  # threshold is -inf now; drain the heap
-                return None
+            if source is None:
+                return None  # τ = -inf released everything formable
+            pull_from = (
+                source if self.pulling == PULL_PRIORITIZED
+                else self._round_robin()
+            )
             if collector.active:
                 bound = self.streams[pull_from].next_bound
                 collector.pull(
@@ -160,8 +182,7 @@ class CombinationIterator:
                     threshold,
                     bound if bound is not None else 0.0,
                 )
-            with rec.span("stps.feature_pull", feature_set=pull_from):
-                self._pull(pull_from)
+            self._pull(pull_from)
 
     @property
     def features_pulled(self) -> int:
@@ -169,11 +190,16 @@ class CombinationIterator:
         return sum(s.pulled for s in self.streams)
 
     # ------------------------------------------------------------------
-    # thresholding scheme
+    # thresholding scheme and pulling strategy
     # ------------------------------------------------------------------
-    def _threshold(self) -> float:
-        """Best score of any combination not yet formable (τ of Alg. 4)."""
+    def _threshold(self) -> tuple[float, int | None]:
+        """τ of Alg. 4 and the set responsible for it (Definition 5).
+
+        τ is the best score of any combination not yet formable; the
+        set is None (and τ ``-inf``) once every stream is exhausted.
+        """
         best = -math.inf
+        source = None
         total_max = sum(self.set_max)
         for j, stream in enumerate(self.streams):
             bound = stream.next_bound
@@ -182,78 +208,113 @@ class CombinationIterator:
             candidate = total_max - self.set_max[j] + bound
             if candidate > best:
                 best = candidate
-        return best
+                source = j
+        return best, source
 
-    def _next_feature_set(self) -> int | None:
-        """Which stream to pull from next (Definition 5 or round-robin)."""
-        pullable = [
-            j for j, s in enumerate(self.streams) if s.next_bound is not None
+    def _round_robin(self) -> int:
+        """The next non-exhausted stream in cyclic order (the ablation).
+
+        Only called while some stream can still deliver.
+        """
+        while True:
+            j = self._rr_next % self.c
+            self._rr_next += 1
+            if self.streams[j].next_bound is not None:
+                return j
+
+    # ------------------------------------------------------------------
+    # join on pull
+    # ------------------------------------------------------------------
+    def _pull(self, i: int) -> None:
+        """One pulling round: sorted access, then the join on arrival."""
+        rec = self.recorder
+        with rec.span("stps.feature_pull", feature_set=i):
+            # Never None: a stream whose ``next_bound`` is set delivers
+            # at least its virtual feature.
+            feature = self.streams[i].next()
+        with rec.span("stps.combination_assembly"):
+            pulled = self.pulled[i]
+            if not pulled:
+                self.set_max[i] = feature.score
+            if self.enforce_2r and not feature.is_virtual:
+                self._grids[i].insert(len(pulled), feature.x, feature.y)
+            pulled.append(feature)
+            partners: list = [None] * self.c
+            partners[i] = (feature,)
+            self._seed(partners, feature, 0)
+
+    def _seed(
+        self, partners: list, anchor: StreamedFeature, start: int
+    ) -> None:
+        """Fill ``partners[start:]`` and push the sub-lattice's best tuple.
+
+        ``partners`` holds the arriving feature in its own set; every
+        other set contributes the already-pulled features that can join
+        it, best first — under the 2r rule, those around ``anchor``, the
+        tuple's fixed member (``∅`` while it has no real one).
+        """
+        for j in range(start, self.c):
+            if partners[j] is not None:
+                continue  # the arriving feature's own set
+            if not self.enforce_2r:
+                partners[j] = self.pulled[j]
+            elif not anchor.is_virtual:
+                partners[j] = self._neighbours(j, anchor)
+            else:
+                # No real member yet, so nothing to probe around: every
+                # pulled feature of set j heads its own sub-lattice — a
+                # real one as the anchor, ∅ passing the search on.
+                for feature in self.pulled[j]:
+                    branch = partners.copy()
+                    branch[j] = (feature,)
+                    self._seed(branch, feature, j + 1)
+                return
+            if not partners[j]:
+                return  # set j has delivered nothing yet (construction)
+        # ``pulled[j]`` keeps growing; the limit freezes the view at the
+        # features that preceded this arrival (later ones seed their own).
+        limits = tuple(len(p) for p in partners)
+        self._push(partners, limits, (0,) * self.c, 0)
+
+    def _neighbours(self, j: int, anchor: StreamedFeature) -> list:
+        """Set ``j``'s pulled features within ``2r`` of ``anchor``, best
+        first, followed by its ``∅`` once the stream has delivered it."""
+        pulled = self.pulled[j]
+        x, y = anchor.x, anchor.y
+        diameter = self._diameter
+        hypot = math.hypot
+        near = [
+            pos
+            for pos, px, py in self._grids[j].near_point(x, y, self._probe)
+            if not hypot(x - px, y - py) > diameter
         ]
-        if not pullable:
-            return None
-        if self.pulling == PULL_ROUND_ROBIN:
-            for _ in range(self.c):
-                j = self._rr_next % self.c
-                self._rr_next += 1
-                if j in pullable:
-                    return j
-            return pullable[0]
-        # Prioritized: the set responsible for the current threshold.
-        total_max = sum(self.set_max)
-        return max(
-            pullable,
-            key=lambda j: total_max - self.set_max[j] + self.streams[j].next_bound,
+        near.sort()  # pull order = non-increasing score
+        out = [pulled[pos] for pos in near]
+        if pulled and pulled[-1].is_virtual:
+            out.append(pulled[-1])
+        return out
+
+    def _push(self, partners, limits, idx: tuple[int, ...], dim: int) -> None:
+        score = sum(partners[j][idx[j]].score for j in range(self.c))
+        self._counter += 1
+        heapq.heappush(
+            self._heap, (-score, self._counter, idx, dim, partners, limits)
         )
 
-    # ------------------------------------------------------------------
-    # lattice enumeration
-    # ------------------------------------------------------------------
-    def _pull(self, i: int) -> bool:
-        feature = self.streams[i].next()
-        if feature is None:
-            return False
-        if not self.pulled[i]:
-            self.set_max[i] = feature.score
-        self.pulled[i].append(feature)
-        ready = self._blocked[i]
-        self._blocked[i] = []
-        for idx in ready:
-            self._push(idx)
-        return True
-
-    def _submit(self, idx: tuple[int, ...]) -> None:
-        if idx in self._submitted:
-            return
-        self._submitted.add(idx)
-        for j in range(self.c):
-            if idx[j] >= len(self.pulled[j]):
-                # At most one coordinate can be ahead (successors advance
-                # one coordinate at a time); park until that list grows.
-                self._blocked[j].append(idx)
-                return
-        self._push(idx)
-
-    def _push(self, idx: tuple[int, ...]) -> None:
-        score = sum(self.pulled[j][idx[j]].score for j in range(self.c))
-        self._counter += 1
-        heapq.heappush(self._heap, (-score, self._counter, idx))
-
-    def _expand(self, idx: tuple[int, ...]) -> None:
-        for j in range(self.c):
-            if self.pulled[j][idx[j]].is_virtual:
-                continue  # nothing ranks below the virtual feature
-            successor = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-            self._submit(successor)
-
-    def _materialize(self, idx: tuple[int, ...]) -> Combination:
-        features = tuple(self.pulled[j][idx[j]] for j in range(self.c))
-        score = sum(f.score for f in features)
-        return Combination(features, score)
+    def _pop(self) -> Combination:
+        """Take the best pending tuple, queueing its successors."""
+        neg, _, idx, dim, partners, limits = heapq.heappop(self._heap)
+        for j in range(dim, self.c):
+            if idx[j] + 1 < limits[j]:
+                successor = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
+                self._push(partners, limits, successor, j)
+        features = tuple(partners[j][idx[j]] for j in range(self.c))
+        return Combination(features, -neg)
 
     def _valid(self, combo: Combination) -> bool:
         if not self.enforce_2r:
             return True
-        diameter = 2.0 * self.query.radius
+        diameter = self._diameter
         real = [f for f in combo.features if not f.is_virtual]
         for a, b in itertools.combinations(real, 2):
             if math.hypot(a.x - b.x, a.y - b.y) > diameter:

@@ -18,8 +18,16 @@ Two comparison modes, chosen automatically per pair:
 * **floor** — workload shapes differ (e.g. a CI smoke run vs. the
   committed full-size baseline).  Absolute floors apply instead: the
   hot path must still show a real speedup
-  (:data:`EXECUTOR_SPEEDUP_FLOOR`) and shard scaling must still scale
-  (:data:`SHARD_SPEEDUP_FLOOR` on the headline algorithm at 4 shards).
+  (:data:`EXECUTOR_SPEEDUP_FLOOR`) and the shard fan-out must stay
+  within its overhead cap (:data:`SHARD_FANOUT_FLOOR` on the headline
+  algorithm at 4 shards).
+
+Shard-scaling documents are also held, in either mode, to a count that
+repeats exactly on every machine: the combinations STPS assembles and
+then rejects under Lemma 1 may not exceed ``c`` times the combinations
+it releases (the join on pull leaves only pairs among one anchor's
+neighbours to reject; an enumerate-then-filter assembly rejects
+thousands per release).
 
 Noise tolerance is deliberately generous (a 45% speedup drop passes a
 ratio check) — the sentinel exists to catch structural regressions
@@ -53,8 +61,11 @@ SENTINEL_SCHEMA_VERSION = 1
 RATIO_TOLERANCE = 0.55
 #: Floor mode: minimum per-algorithm hot-path speedup (executor bench).
 EXECUTOR_SPEEDUP_FLOOR = 1.2
-#: Floor mode: minimum headline-algorithm speedup_cold at 4 shards.
-SHARD_SPEEDUP_FLOOR = 1.3
+#: Floor mode: fan-out overhead cap — the headline algorithm's cold pass
+#: at 4 shards may take at most 1/0.4 = 2.5x the single-node time.  Not
+#: a speedup floor: STPS work is linear in the features it pulls, so on
+#: one core splitting the space buys nothing and costs the dispatch.
+SHARD_FANOUT_FLOOR = 0.4
 #: Floor mode: minimum process-fanout cold speedup over thread fan-out
 #: at 4 shards.  Only meaningful with real cores to spread across, so
 #: it gates only when the run's machine had >= PROCESS_FANOUT_MIN_CPUS.
@@ -168,6 +179,27 @@ def _check(unit, metric, rule, threshold, baseline, current) -> dict:
     }
 
 
+def _wasted_work_checks(doc: dict) -> list[dict]:
+    """``rejected_2r <= c * released`` per row that recorded the counts."""
+    c = int(doc.get("config", {}).get("feature_sets") or 0)
+    checks = []
+    for row in doc.get("results", []):
+        counts = row.get("combinations")
+        if not counts:
+            continue
+        ceiling = c * counts["released"]
+        checks.append({
+            "unit": f"shards/{row['algorithm']}",
+            "metric": "combinations_rejected_2r",
+            "rule": "ceiling",
+            "threshold": ceiling,
+            "baseline": None,
+            "current": counts["rejected_2r"],
+            "ok": counts["rejected_2r"] <= ceiling,
+        })
+    return checks
+
+
 def compare_docs(baseline: dict, current: dict) -> dict:
     """One pair's verdict: mode, per-check outcomes, overall ok."""
     bench = current.get("benchmark", "")
@@ -244,7 +276,7 @@ def compare_docs(baseline: dict, current: dict) -> dict:
             if value is not None:
                 checks.append(_check(
                     unit, "speedup_cold_s4", "floor",
-                    SHARD_SPEEDUP_FLOOR,
+                    SHARD_FANOUT_FLOOR,
                     base_metrics.get(unit, {}).get("speedup_cold_s4"),
                     value,
                 ))
@@ -287,6 +319,8 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                         unit, metric, "floor", floor,
                         base_metrics.get(unit, {}).get(metric), value,
                     ))
+    if bench == "shard-scaling":
+        checks.extend(_wasted_work_checks(current))
     if not checks:
         return {
             "benchmark": bench,
@@ -465,8 +499,9 @@ def main(argv: list[str] | None = None) -> int:
             cur = check.get("current")
             cur_s = f"{cur:.2f}" if isinstance(cur, (int, float)) else "-"
             threshold = check.get("threshold")
+            op = "<=" if check["rule"] == "ceiling" else ">="
             thr_s = (
-                f" (>= {threshold:.2f})" if threshold is not None else ""
+                f" ({op} {threshold:.2f})" if threshold is not None else ""
             )
             print(
                 f"    {mark:>10}  {check['unit']}:{check['metric']}  "

@@ -11,7 +11,10 @@ from repro.core.combinations import (
     PULL_ROUND_ROBIN,
     CombinationIterator,
 )
+from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
+from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
+from repro.data.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
@@ -208,3 +211,32 @@ class TestValidation:
             [*sets, extra], masks, 0.2, enforce_2r=False
         )
         assert got == expected
+
+
+class TestWastedWork:
+    """Lemma 1 is applied while joining, not after enumerating: what is
+    still popped and rejected is bounded by what is released."""
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_rejections_bounded_by_releases(self, c):
+        objects = synthetic_objects(300, seed=1)
+        feature_sets = synthetic_feature_sets(c, 200, 64, seed=2)
+        processor = QueryProcessor.build(objects, feature_sets)
+        queries = make_workload(
+            feature_sets, WorkloadSpec(n_queries=12, seed=3)
+        )
+        released = rejected = 0
+        for query in queries:
+            combinations = processor.explain(
+                query, algorithm="stps"
+            ).plan.combinations
+            released += combinations.released
+            rejected += combinations.rejected_2r
+        assert released > 0
+        if c == 2:
+            # The one pair of a c = 2 tuple is the anchor and its own
+            # grid neighbour.
+            assert rejected == 0
+        else:
+            # Only pairs among one anchor's neighbours can still fail.
+            assert rejected <= c * released

@@ -36,7 +36,7 @@ EXECUTOR_DOC = {
 SHARDS_DOC = {
     "benchmark": "shard-scaling",
     "config": {
-        "objects": 1000, "features_per_set": 600, "feature_sets": 2,
+        "objects": 1000, "features_per_set": 600, "feature_sets": 3,
         "queries": 4, "cpus": 8, "python": "3.11.7",
     },
     "headline_algorithm": "stps",
@@ -48,6 +48,7 @@ SHARDS_DOC = {
                 {"shards": 4, "speedup_cold": 4.2},
             ],
             "speedup_cold_s4": 4.2,
+            "combinations": {"released": 20, "rejected_2r": 7},
         },
     ],
 }
@@ -111,10 +112,29 @@ class TestCompareDocs:
         verdict = regress.compare_docs(SHARDS_DOC, smoke)
         assert verdict["mode"] == "floor"
         assert verdict["ok"] is True
-        (check,) = verdict["checks"]
-        assert check["unit"] == "shards/stps"
-        smoke["results"][0]["speedup_cold_s4"] = 1.0
+        overhead, wasted = verdict["checks"]
+        assert overhead["unit"] == wasted["unit"] == "shards/stps"
+        assert overhead["threshold"] == regress.SHARD_FANOUT_FLOOR
+        # One core, linear work: no speed-up is demanded of the fan-out,
+        # only that it stays within its overhead cap.
+        smoke["results"][0]["speedup_cold_s4"] = 0.8
+        assert regress.compare_docs(SHARDS_DOC, smoke)["ok"] is True
+        smoke["results"][0]["speedup_cold_s4"] = 0.3
         assert regress.compare_docs(SHARDS_DOC, smoke)["ok"] is False
+
+    @pytest.mark.parametrize("config_objects", [1000, 500])
+    def test_wasted_work_ceiling_gates_both_modes(self, config_objects):
+        """Rejections above ``c * released`` fail whatever the timings."""
+        current = copy.deepcopy(SHARDS_DOC)
+        current["config"]["objects"] = config_objects
+        current["results"][0]["combinations"]["rejected_2r"] = 60
+        assert regress.compare_docs(SHARDS_DOC, current)["ok"] is True
+        current["results"][0]["combinations"]["rejected_2r"] = 61
+        verdict = regress.compare_docs(SHARDS_DOC, current)
+        assert verdict["ok"] is False
+        (failing,) = [c for c in verdict["checks"] if not c["ok"]]
+        assert failing["rule"] == "ceiling"
+        assert failing["metric"] == "combinations_rejected_2r"
 
     def test_speedup_cold_s4_fallback_from_rows(self):
         doc = copy.deepcopy(SHARDS_DOC)

@@ -22,16 +22,20 @@ Combinations are assembled by a rank join driven by each pull: a feature
 ``t`` arriving in set ``i`` is, by construction, the last-pulled member of
 every combination it forms with the features pulled before it, so those
 combinations — and only those — are seeded when it arrives.  For the
-range variant the partners come from a hash grid of cell size ``2r`` over
-each other set's pulled features (only features within ``2r`` of ``t``
-can share a valid combination with it, Lemma 1); without the ``2r`` rule
-every pulled feature of the other sets is a partner.  Each arrival pushes
-one small sub-lattice ``{t} × N_j(t) × …`` of score-sorted partner lists
-(seed ``(0,...,0)``; a popped tuple pushes its single-increment
-successors), so every combination is produced exactly once, in the
-non-increasing score order of the paper's eager ``validCombinations``,
-and a feature far from everything costs one grid probe and no heap
-entry.
+range variant the partners come from a hash grid over each other set's
+pulled features (only features within ``2r`` of ``t`` can share a valid
+combination with it, Lemma 1); without the ``2r`` rule every pulled
+feature of the other sets is a partner.  Each arrival pushes one small
+sub-lattice ``{t} × N_j(t) × …`` of score-sorted partner lists (seed
+``(0,...,0)``; a popped tuple pushes its single-increment successors),
+so every combination is produced exactly once, in the non-increasing
+score order of the paper's eager ``validCombinations``.
+
+The grid is built miss-first, because nearly every arrival has no
+partner: a pulled feature is filed, on insert, under every cell within
+``2r`` of it (cells are ``4r`` wide, so at most four), and an arrival
+looks up the one cell it lies in.  A feature far from everything costs
+that one hash lookup and no heap entry.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery
 from repro.core.stream import FeatureStream, StreamedFeature
 from repro.errors import QueryError
@@ -134,15 +137,20 @@ class CombinationIterator:
         self.combinations_released = 0
         self._diameter = 2.0 * query.radius
         if enforce_2r:
-            # Positions in ``pulled[j]`` bucketed by location.  The cell
-            # size is clamped so that neither a vanishing radius (as in
+            # ``_near[j][cell]``: set j's pulled features that may lie
+            # within ``2r`` of a point of ``cell``, in pull order.  A
+            # feature is filed under every cell its ``reach``-interval
+            # touches on each axis, where ``reach`` is a hair more than
+            # ``2r`` — clamped so that neither a vanishing radius (as in
             # the STDS grid) nor an unbounded one can overflow the cell
-            # arithmetic; probing with a hair more than a cell keeps the
-            # grid's squared-distance test looser than the exact
-            # ``hypot`` predicate, which alone decides validity.
-            cell = min(max(self._diameter, 1e-6), 1e150)
-            self._grids = [SpatialGrid(cell) for _ in range(self.c)]
-            self._probe = cell * (1.0 + 1e-9)
+            # arithmetic.  ``floor(v * inv)`` is monotone in ``v`` also
+            # after rounding, so the cell of any point within ``reach``
+            # of the feature on both axes is among them: the grid never
+            # hides a partner from the exact ``hypot`` predicate, which
+            # alone decides validity.
+            self._reach = min(max(self._diameter, 1e-6), 1e150) * (1.0 + 1e-9)
+            self._inv = 0.5 / self._reach
+            self._near: list[dict] = [{} for _ in range(self.c)]
         # Seed: one pull per set guarantees every list is non-empty (a
         # stream always yields at least the virtual feature).
         for i in range(self.c):
@@ -157,7 +165,12 @@ class CombinationIterator:
         collector = self.collector
         heap = self._heap
         while True:
-            with rec.span("stps.threshold_update"):
+            # Once per pull: off, the phase spans are skipped outright
+            # rather than entered as null context managers.
+            if rec.active:
+                with rec.span("stps.threshold_update"):
+                    threshold, source = self._threshold()
+            else:
                 threshold, source = self._threshold()
             if heap and -heap[0][0] >= threshold - _EPS:
                 with rec.span("stps.combination_assembly"):
@@ -200,12 +213,13 @@ class CombinationIterator:
         """
         best = -math.inf
         source = None
-        total_max = sum(self.set_max)
+        set_max = self.set_max
+        total_max = sum(set_max)
         for j, stream in enumerate(self.streams):
             bound = stream.next_bound
             if bound is None:
                 continue
-            candidate = total_max - self.set_max[j] + bound
+            candidate = total_max - set_max[j] + bound
             if candidate > best:
                 best = candidate
                 source = j
@@ -228,20 +242,40 @@ class CombinationIterator:
     def _pull(self, i: int) -> None:
         """One pulling round: sorted access, then the join on arrival."""
         rec = self.recorder
-        with rec.span("stps.feature_pull", feature_set=i):
-            # Never None: a stream whose ``next_bound`` is set delivers
-            # at least its virtual feature.
-            feature = self.streams[i].next()
-        with rec.span("stps.combination_assembly"):
-            pulled = self.pulled[i]
-            if not pulled:
-                self.set_max[i] = feature.score
-            if self.enforce_2r and not feature.is_virtual:
-                self._grids[i].insert(len(pulled), feature.x, feature.y)
-            pulled.append(feature)
-            partners: list = [None] * self.c
-            partners[i] = (feature,)
-            self._seed(partners, feature, 0)
+        # Never None: a stream whose ``next_bound`` is set delivers at
+        # least its virtual feature.
+        if rec.active:
+            with rec.span("stps.feature_pull", feature_set=i):
+                feature = self.streams[i].next()
+            with rec.span("stps.combination_assembly"):
+                self._join(i, feature)
+        else:
+            self._join(i, self.streams[i].next())
+
+    def _join(self, i: int, feature: StreamedFeature) -> None:
+        """File the arrival and seed the combinations it completes."""
+        pulled = self.pulled[i]
+        if not pulled:
+            self.set_max[i] = feature.score
+        if self.enforce_2r and not feature.is_virtual:
+            near = self._near[i]
+            inv = self._inv
+            reach = self._reach
+            floor = math.floor
+            x, y = feature.x, feature.y
+            cy0 = floor((y - reach) * inv)
+            cy1 = floor((y + reach) * inv) + 1
+            for cx in range(floor((x - reach) * inv), floor((x + reach) * inv) + 1):
+                for cy in range(cy0, cy1):
+                    cell = near.get((cx, cy))
+                    if cell is None:
+                        near[cx, cy] = [feature]
+                    else:
+                        cell.append(feature)
+        pulled.append(feature)
+        partners: list = [None] * self.c
+        partners[i] = (feature,)
+        self._seed(partners, feature, 0)
 
     def _seed(
         self, partners: list, anchor: StreamedFeature, start: int
@@ -281,15 +315,17 @@ class CombinationIterator:
         first, followed by its ``∅`` once the stream has delivered it."""
         pulled = self.pulled[j]
         x, y = anchor.x, anchor.y
-        diameter = self._diameter
-        hypot = math.hypot
-        near = [
-            pos
-            for pos, px, py in self._grids[j].near_point(x, y, self._probe)
-            if not hypot(x - px, y - py) > diameter
-        ]
-        near.sort()  # pull order = non-increasing score
-        out = [pulled[pos] for pos in near]
+        inv = self._inv
+        near = self._near[j].get((math.floor(x * inv), math.floor(y * inv)))
+        if near is None:
+            out = []
+        else:
+            diameter = self._diameter
+            hypot = math.hypot
+            # Filed in pull order = non-increasing score.
+            out = [
+                f for f in near if not hypot(x - f.x, y - f.y) > diameter
+            ]
         if pulled and pulled[-1].is_virtual:
             out.append(pulled[-1])
         return out

@@ -21,9 +21,10 @@ same traversal and drop the range predicate, exactly as described.
 
 Performance notes (not part of the paper's algorithms):
 
-* leaf nodes are scored through the columnar numpy fast path when
-  available (:mod:`repro.index.leafdata`) — one array pass per leaf
-  instead of one Python iteration per entry, with bit-identical scores;
+* a leaf is scored once per query as a sorted run of its relevant rows
+  (``FeatureTree.leaf_run``; through the columnar numpy fast path of
+  :mod:`repro.index.leafdata` when available, with bit-identical
+  scores), which every chunk that reopens the leaf reuses;
 * ``stds(..., parallelism=n)`` scores a chunk against all feature sets
   concurrently on a thread pool and then *replays* the serial
   threshold fold over the precomputed scores, so results are exactly
@@ -39,11 +40,8 @@ import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery, Variant
-from repro.index.leafdata import object_leaf_arrays, vectorized_enabled
 from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
@@ -80,28 +78,19 @@ def compute_score(
     def push_node(node) -> None:
         nonlocal counter
         if node.is_leaf:
-            arrays = tree.leaf_arrays(node)
-            if arrays is not None:
-                # Vectorized: score + filter the whole leaf at once and
-                # push only its best valid entry — any other entry of
-                # this leaf is dominated, so the traversal result is
-                # unchanged.
-                scores, relevant = scorer.leaf_score_arrays(arrays)
-                dx = arrays.xs - px
-                dy = arrays.ys - py
-                valid = relevant & (dx * dx + dy * dy <= r2)
-                if valid.any():
-                    best = int(np.argmax(np.where(valid, scores, -np.inf)))
-                    counter += 1
-                    heapq.heappush(heap, (-float(scores[best]), counter, None))
-                return
-            for e in node.entries:
-                if (
-                    scorer.leaf_relevant(e)
-                    and _dist2(point, (e.x, e.y)) <= r2
-                ):
-                    counter += 1
-                    heapq.heappush(heap, (-scorer.leaf_score(e), counter, None))
+            # The run is sorted, so the first of its rows within range is
+            # the leaf's best valid entry; any other is dominated and only
+            # the score matters, so it alone reaches the heap.
+            run = tree.leaf_run(node, scorer)
+            rows = run.rows
+            dx = run.xs[rows] - px
+            dy = run.ys[rows] - py
+            valid = dx * dx + dy * dy <= r2
+            if valid.any():
+                counter += 1
+                heapq.heappush(
+                    heap, (run.neg_scores[int(valid.argmax())], counter, None)
+                )
         else:
             for e in node.entries:
                 if scorer.node_relevant(e) and e.rect.mindist(point) <= radius:
@@ -291,30 +280,17 @@ def compute_scores_batch(
     def push_node(node) -> None:
         nonlocal counter
         if node.is_leaf:
-            arrays = tree.leaf_arrays(node)
-            if arrays is not None:
-                # Vectorized: one array pass scores the leaf; only the
-                # relevant rows reach the heap (bulk-converted to Python
-                # floats — ``tolist`` is far cheaper than per-element
-                # indexing).
-                leaf_scores, relevant = scorer.leaf_score_arrays(arrays)
-                idx = relevant.nonzero()[0]
-                if idx.size:
-                    locations = zip(
-                        arrays.xs[idx].tolist(), arrays.ys[idx].tolist()
-                    )
-                    for value, location in zip(
-                        leaf_scores[idx].tolist(), locations
-                    ):
-                        counter += 1
-                        heapq.heappush(heap, (-value, counter, location))
-                return
-            for e in node.entries:
-                if scorer.leaf_relevant(e):
+            # Every relevant row reaches the heap, its location
+            # bulk-converted to Python floats (``tolist`` is far cheaper
+            # than per-element indexing).  The run's score ties are in
+            # row order, so they pop in row order.
+            run = tree.leaf_run(node, scorer)
+            if run.neg_scores:
+                rows = run.rows
+                locations = zip(run.xs[rows].tolist(), run.ys[rows].tolist())
+                for neg, location in zip(run.neg_scores, locations):
                     counter += 1
-                    heapq.heappush(
-                        heap, (-scorer.leaf_score(e), counter, (e.x, e.y))
-                    )
+                    heapq.heappush(heap, (neg, counter, location))
         else:
             for e in node.entries:
                 if scorer.node_relevant(e):
@@ -401,7 +377,7 @@ def stds(
     collector = _explain.resolve(collector)
 
     with rec.span("stds.scan_objects"):
-        objects = _scan_objects(object_tree)
+        objects = object_tree.scan()
     stats.objects_scored = len(objects)
 
     if query.variant is Variant.RANGE:
@@ -428,24 +404,6 @@ def stds(
     result = QueryResult(rank_items(candidates, query.k), stats)
     tracker.finish(stats)
     return result
-
-
-def _scan_objects(object_tree: ObjectRTree) -> list[tuple[int, float, float]]:
-    """Sequential scan of all data objects as ``(oid, x, y)`` tuples.
-
-    Reads the leaf columns in bulk on the fast path (``tolist`` beats
-    per-entry attribute walks); the leaf order matches the scalar scan,
-    so chunking — and therefore every downstream result — is identical.
-    """
-    if vectorized_enabled():
-        out: list[tuple[int, float, float]] = []
-        for node in object_tree.iter_leaves():
-            arrays = object_leaf_arrays(node)
-            out.extend(
-                zip(arrays.oids.tolist(), arrays.xs.tolist(), arrays.ys.tolist())
-            )
-        return out
-    return [(e.oid, e.x, e.y) for e in object_tree.all_entries()]
 
 
 def _stds_range_batched(
@@ -618,10 +576,3 @@ def _stds_per_object(
 
 def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Squared distance — the same predicate the vectorized path uses."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy

@@ -102,9 +102,7 @@ def stps(
             # the whole result ties at zero).
             with rec.span("stps.get_data_objects", tail=True):
                 remaining = sorted(
-                    (e.oid, e.x, e.y)
-                    for e in object_tree.all_entries()
-                    if e.oid not in seen
+                    row for row in object_tree.scan() if row[0] not in seen
                 )
             for oid, x, y in remaining[: query.k]:
                 seen.add(oid)

@@ -13,18 +13,18 @@ feature set contributes nothing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.obs import explain as _explain
 
 
-@dataclass(frozen=True, slots=True)
-class StreamedFeature:
+class StreamedFeature(NamedTuple):
     """A feature pulled from a stream, scored against the query.
 
     ``is_virtual`` marks the paper's ``∅`` object: ``s(∅) = 0`` and it
-    imposes no distance constraint (``dist(·, ∅) = 0``).
+    imposes no distance constraint (``dist(·, ∅) = 0``).  A named tuple:
+    one is built per pull, and a tuple is the cheapest immutable record.
     """
 
     fid: int
@@ -43,7 +43,15 @@ def virtual_feature() -> StreamedFeature:
 
 
 class FeatureStream:
-    """Iterator over one feature set in decreasing ``s(t)`` order."""
+    """Iterator over one feature set in decreasing ``s(t)`` order.
+
+    A lazy k-way merge: an opened leaf is one sorted
+    :class:`~repro.index.leafdata.LeafRun` and one heap entry, re-keyed
+    on the run's next score each time a feature is taken from it, so the
+    heap does O(leaves opened + features pulled) work however many
+    relevant features the opened leaves hold.  The emission order is
+    that of a heap holding every feature by itself.
+    """
 
     def __init__(
         self,
@@ -56,12 +64,15 @@ class FeatureStream:
     ) -> None:
         self.tree = tree
         self.scorer: FeatureScorer = tree.make_scorer(query_mask, lam)
-        # (-bound, push counter, item): an internal entry to expand, or
-        # the (fid, x, y) row of a leaf feature.
-        self._heap: list[tuple[float, int, object]] = []
+        # (-bound, counter, item, pos): an internal entry to expand
+        # (``pos`` -1), or an opened leaf's run whose best untaken
+        # feature is ``pos``.  Counters break score ties first come
+        # first served: an internal entry takes the next one, a leaf
+        # reserves one per run position (a run's ties are in row order),
+        # so its entry is re-keyed without consulting the stream.
+        self._heap: list[tuple[float, int, object, int]] = []
         self._counter = 0
         self._virtual_pending = emit_virtual
-        self._exhausted = False
         self.pulled = 0
         # EXPLAIN collector (repro.obs.explain): per-set node accesses
         # and text prunes.  The null collector makes every call a no-op;
@@ -73,7 +84,14 @@ class FeatureStream:
             if self.collector.active:
                 # The root carries no entry bound; 1.0 is the score cap.
                 self.collector.node_visited(set_id, 1.0)
-            self._push_children(root)
+            self._open(root)
+        #: Best possible score of any not-yet-returned feature — the
+        #: ``min_i`` of the paper's thresholding scheme: the heap top's
+        #: bound while entries remain, ``0.0`` while only the virtual
+        #: feature is pending, and ``None`` once fully exhausted.  A
+        #: plain attribute, refreshed by :meth:`next` (the threshold
+        #: reads it for every stream on every pull).
+        self.next_bound: float | None = self._bound()
 
     # ------------------------------------------------------------------
     # iteration
@@ -81,92 +99,75 @@ class FeatureStream:
     def next(self) -> StreamedFeature | None:
         """The next feature by descending score; ``∅`` last; then None."""
         collector = self.collector
-        while self._heap:
-            neg_bound, _, entry = heapq.heappop(self._heap)
-            if type(entry) is tuple:
-                self.pulled += 1
+        heap = self._heap
+        while heap:
+            neg_bound, counter, item, pos = heap[0]
+            if pos < 0:
+                heapq.heappop(heap)
+                node = self.tree.read_node(item.child)
                 if collector.active:
-                    collector.feature_pulled(self.set_id)
-                return StreamedFeature(*entry, -neg_bound)
-            node = self.tree.read_node(entry.child)
+                    collector.node_visited(self.set_id, -neg_bound)
+                self._open(node)
+                continue
+            row = item.rows.item(pos)
+            pos += 1
+            neg_scores = item.neg_scores
+            if pos < len(neg_scores):
+                heapq.heapreplace(
+                    heap, (neg_scores[pos], counter + 1, item, pos)
+                )
+            else:
+                heapq.heappop(heap)
+            self.pulled += 1
             if collector.active:
-                collector.node_visited(self.set_id, -neg_bound)
-            self._push_children(node)
+                collector.feature_pulled(self.set_id)
+            self.next_bound = self._bound()
+            return StreamedFeature(
+                item.fids.item(row), item.xs.item(row), item.ys.item(row),
+                -neg_bound,
+            )
+        self.next_bound = None
         if self._virtual_pending:
             self._virtual_pending = False
             return virtual_feature()
-        self._exhausted = True
-        return None
-
-    @property
-    def next_bound(self) -> float | None:
-        """Best possible score of any not-yet-returned feature.
-
-        This is the ``min_i`` of the paper's thresholding scheme: the heap
-        top's bound while entries remain, ``0.0`` while only the virtual
-        feature is pending, and ``None`` once fully exhausted.
-        """
-        if self._heap:
-            return -self._heap[0][0]
-        if self._virtual_pending:
-            return 0.0
         return None
 
     @property
     def exhausted(self) -> bool:
-        """True once :meth:`next` has returned None."""
-        return self._exhausted or (not self._heap and not self._virtual_pending)
+        """True once nothing is left to deliver, ``∅`` included."""
+        return self.next_bound is None
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _push_children(self, node) -> None:
+    def _bound(self) -> float | None:
+        if self._heap:
+            return -self._heap[0][0]
+        return 0.0 if self._virtual_pending else None
+
+    def _open(self, node) -> None:
+        """Queue a node's relevant children, or a leaf's run."""
         scorer = self.scorer
         heap = self._heap
         collector = self.collector
         if node.is_leaf:
-            arrays = self.tree.leaf_arrays(node)
-            if arrays is not None:
-                # Vectorized: score the whole leaf in one array pass
-                # (repro.index.leafdata); push order and score values
-                # are identical to the scalar loop below.
-                scores, relevant = scorer.leaf_score_arrays(arrays)
-                idx = relevant.nonzero()[0]
-                if collector.active:
-                    collector.entries_pruned(
-                        self.set_id, len(arrays) - int(idx.size)
-                    )
-                if idx.size:
-                    rows = zip(
-                        arrays.fids[idx].tolist(),
-                        arrays.xs[idx].tolist(),
-                        arrays.ys[idx].tolist(),
-                    )
-                    for value, row in zip(scores[idx].tolist(), rows):
-                        self._counter += 1
-                        heapq.heappush(heap, (-value, self._counter, row))
-                return
-            for entry in node.entries:
-                if scorer.leaf_relevant(entry):
-                    self._counter += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            -scorer.leaf_score(entry),
-                            self._counter,
-                            (entry.fid, entry.x, entry.y),
-                        ),
-                    )
-                elif collector.active:
-                    collector.entries_pruned(self.set_id)
-        else:
-            for entry in node.entries:
-                if scorer.node_relevant(entry):
-                    self._counter += 1
-                    heapq.heappush(
-                        heap, (-scorer.node_bound(entry), self._counter, entry)
-                    )
-                elif collector.active:
-                    # Text-irrelevant subtree (sim = 0): pruned without
-                    # a bound value — ŝ(e) is not computed for it.
-                    collector.node_pruned(self.set_id)
+            run = self.tree.leaf_run(node, scorer)
+            neg_scores = run.neg_scores
+            if collector.active:
+                collector.entries_pruned(
+                    self.set_id, len(run.fids) - len(neg_scores)
+                )
+            if neg_scores:
+                heapq.heappush(heap, (neg_scores[0], self._counter + 1, run, 0))
+                self._counter += len(neg_scores)
+            return
+        for entry in node.entries:
+            if scorer.node_relevant(entry):
+                self._counter += 1
+                heapq.heappush(
+                    heap, (-scorer.node_bound(entry), self._counter, entry, -1)
+                )
+            elif collector.active:
+                # Text-irrelevant subtree (sim = 0): pruned without
+                # a bound value — ŝ(e) is not computed for it.
+                collector.node_pruned(self.set_id)

@@ -31,6 +31,7 @@ from repro.errors import IndexError_
 from repro.geometry.rect import Rect
 from repro.index.leafdata import (
     SCORE_MEMO_CAP,
+    LeafRun,
     feature_leaf_arrays,
     pack_mask,
 )
@@ -57,13 +58,16 @@ class FeatureScorer:
     descendant feature.
     """
 
-    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper")
+    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper", "_qwords")
 
     def __init__(self, query_mask: int, lam: float, sim_upper) -> None:
         self.query_mask = query_mask
         self.lam = lam
         self.n_terms = query_mask.bit_count()
         self._sim_upper = sim_upper
+        # The query mask as one row of leaf mask words, packed at the
+        # first leaf scored (a scorer serves one tree, so one width).
+        self._qwords = None
 
     def leaf_score(self, entry: FeatureLeafEntry) -> float:
         """Exact preference score ``s(t)`` of a feature (Definition 1)."""
@@ -98,36 +102,59 @@ class FeatureScorer:
         return self.node_relevant(entry)
 
     # ------------------------------------------------------------------
-    # vectorized fast path (see repro.index.leafdata)
+    # a scored leaf (see repro.index.leafdata.LeafRun)
     # ------------------------------------------------------------------
-    def leaf_score_arrays(self, arrays):
-        """``(scores, relevant)`` arrays for a whole leaf at once.
+    def leaf_run(self, arrays) -> LeafRun:
+        """The leaf's relevant rows as a sorted run, memoised per query.
 
-        Mirrors :meth:`leaf_score` / :meth:`leaf_relevant` operation for
-        operation so the results are bit-identical to the scalar loop:
-        ``|t.W ∩ W|`` comes from a vectorized popcount of the packed
-        masks and ``|t.W ∪ W| = |t.W| + |W| - |t.W ∩ W|`` (exact even
-        when the query mask is wider than the packed entry masks, whose
-        overflow bits can never intersect).
+        Scores the rows that share a keyword with the query and no
+        others, mirroring :meth:`leaf_score` / :meth:`leaf_relevant`
+        operation for operation so the values are bit-identical to
+        :meth:`entries_run`: ``|t.W ∩ W|`` comes from a vectorized
+        popcount of the packed masks and ``|t.W ∪ W| = |t.W| + |W| -
+        |t.W ∩ W|`` (exact even when the query mask is wider than the
+        packed entry masks, whose overflow bits can never intersect;
+        never 0 on a relevant row).  This is the one place that keys,
+        fills and caps ``arrays.memo``.
         """
         key = (self.query_mask, self.lam)
         memo = arrays.memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        run = memo.get(key)
+        if run is not None:
+            return run
         masks = arrays.masks
-        row_bytes = masks.shape[1] * masks.itemsize
-        qwords = pack_mask(self.query_mask, row_bytes).view(masks.dtype)
+        qwords = self._qwords
+        if qwords is None:
+            qwords = self._qwords = pack_mask(
+                self.query_mask, masks.shape[1] * masks.itemsize
+            ).view(masks.dtype)
         inter = np.bitwise_count(masks & qwords).sum(axis=1, dtype=np.int64)
-        union = arrays.mask_pops + self.n_terms - inter
-        relevant = inter > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jac = np.where(union > 0, inter / union, 0.0)
-        scores = (1.0 - self.lam) * arrays.scores + self.lam * jac
+        rows = inter.nonzero()[0]
+        inter = inter[rows]
+        union = arrays.mask_pops[rows] + self.n_terms - inter
+        neg = -((1.0 - self.lam) * arrays.scores[rows] + self.lam * (inter / union))
+        order = neg.argsort(kind="stable")
+        run = LeafRun(
+            neg[order].tolist(), rows[order], arrays.fids, arrays.xs, arrays.ys
+        )
         if len(memo) >= SCORE_MEMO_CAP:
             memo.clear()
-        memo[key] = (scores, relevant)
-        return scores, relevant
+        memo[key] = run
+        return run
+
+    def entries_run(self, entries: list) -> LeafRun:
+        """:meth:`leaf_run` off the numpy fast path: the same run, scored
+        one entry at a time and not memoised."""
+        rows = [i for i, e in enumerate(entries) if self.leaf_relevant(e)]
+        neg = [-self.leaf_score(entries[i]) for i in rows]
+        order = sorted(range(len(rows)), key=neg.__getitem__)
+        return LeafRun(
+            [neg[i] for i in order],
+            np.array([rows[i] for i in order], dtype=np.intp),
+            np.array([e.fid for e in entries], dtype=np.int64),
+            np.array([e.x for e in entries], dtype=np.float64),
+            np.array([e.y for e in entries], dtype=np.float64),
+        )
 
 
 class FeatureTree(RTreeBase):
@@ -228,6 +255,14 @@ class FeatureTree(RTreeBase):
     def leaf_arrays(self, node: Node):
         """Columnar view of a leaf node, or None off the numpy fast path."""
         return feature_leaf_arrays(node, self._codec.mask_bytes)
+
+    def leaf_run(self, node: Node, scorer: FeatureScorer) -> LeafRun:
+        """A leaf scored by ``scorer`` — the same run on or off the fast
+        path, so no caller branches on which one it got."""
+        arrays = self.leaf_arrays(node)
+        if arrays is None:
+            return scorer.entries_run(node.entries)
+        return scorer.leaf_run(arrays)
 
     # ------------------------------------------------------------------
     # convenience

@@ -11,16 +11,18 @@ for the popcounts) without any per-entry object.
 
 The views are built on first use and cached on the
 :class:`~repro.index.nodes.Node` object itself, so the node cache
-(:mod:`repro.storage.node_cache`) keeps them — and the score memo —
-across queries; ``RTreeBase.write_node`` drops them whenever a node is
-rewritten.
+(:mod:`repro.storage.node_cache`) keeps them — and the memoised
+:class:`LeafRun` of each query that scored the leaf — across queries;
+``RTreeBase.write_node`` drops them whenever a node is rewritten.
 
 The feature-mask fast path needs ``np.bitwise_count`` (numpy 2.0);
 without it, or after :func:`set_vectorized` turned the fast path off
 (tests and benchmarks use that as the reference), the helpers return
-``None`` and callers run the per-entry scalar loop over
-:attr:`Node.entries`.  The two paths produce bit-identical scores — the
-vector expressions mirror the scalar formulas operation for operation.
+``None`` and the leaf is scored one :attr:`Node.entries` item at a time.
+Either way a scored feature leaf is a :class:`LeafRun`
+(``FeatureTree.leaf_run``), and the two ways produce bit-identical runs
+— the vector expressions mirror the scalar formulas operation for
+operation.
 """
 
 from __future__ import annotations
@@ -54,28 +56,56 @@ def pack_mask(mask: int, n_bytes: int):
 
     Bits beyond ``n_bytes * 8`` are truncated — callers that need exact
     union sizes keep the full popcount separately (see
-    ``FeatureScorer.leaf_score_arrays``).
+    ``FeatureScorer.leaf_run``).
     """
     clipped = mask & ((1 << (n_bytes * 8)) - 1)
     return np.frombuffer(clipped.to_bytes(n_bytes, "little"), dtype=np.uint8)
 
 
-#: Max distinct ``(query_mask, lam)`` score vectors memoized per leaf.
-#: A leaf's vectors cost ~1 KB each, so even at the cap a 1000-leaf tree
-#: holds ~64 MB of memoized scores; the memo is wiped wholesale when the
-#: cap is hit (repeated-query workloads rarely exceed it).
+#: Max distinct ``(query_mask, lam)`` runs memoised per leaf.  A run
+#: holds the leaf's text-relevant rows only — a float and an index
+#: each, ~50 bytes a row, so ~0.7 KB where 11 of a leaf's 91 rows share
+#: a keyword with the query — and even at the cap a 1000-leaf tree holds
+#: ~45 MB of runs; ``FeatureScorer.leaf_run`` wipes a leaf's memo
+#: wholesale when the cap is hit (repeated-query workloads rarely
+#: exceed it).
 SCORE_MEMO_CAP = 64
+
+
+class LeafRun:
+    """A feature leaf scored against one query: one immutable sorted run.
+
+    Holds the text-relevant rows only (``sim > 0``, Definition 2), best
+    first: ``neg_scores[i]`` is ``-s(t)`` of the feature in row
+    ``rows[i]`` of the leaf's ``fids`` / ``xs`` / ``ys`` columns, ordered
+    by descending score with ties in row order.  ``neg_scores`` is a
+    list of Python floats, negated because that is what a min-heap keys
+    on; ``rows`` is an index array, so a consumer gathers columns in
+    bulk (``run.xs[run.rows]``) or reads one feature when it takes it
+    (``run.xs.item(run.rows.item(i))``).  A run is never mutated, so
+    concurrent queries share it.
+    """
+
+    __slots__ = ("neg_scores", "rows", "fids", "xs", "ys")
+
+    def __init__(self, neg_scores: list, rows, fids, xs, ys) -> None:
+        self.neg_scores = neg_scores
+        self.rows = rows
+        self.fids = fids
+        self.xs = xs
+        self.ys = ys
 
 
 class FeatureLeafArrays:
     """Columns of a feature leaf payload: ids, locations, scores, masks.
 
-    ``memo`` caches per-query score vectors keyed by ``(mask, lam)`` —
-    STDS rescoring the same leaf once per object chunk, and
-    repeated-query workloads, then score each leaf once per distinct
-    query.  The memo lives and dies with the arrays object, which
-    ``Node.invalidate_arrays`` drops whenever the node is rewritten, so
-    it can never go stale.
+    ``memo`` is the leaf's only per-query state: the :class:`LeafRun` of
+    each ``(mask, lam)`` that scored it, filled, keyed and capped by
+    ``FeatureScorer.leaf_run`` alone — STDS reopening the same leaf once
+    per object chunk, and repeated-query workloads, then score each leaf
+    once per distinct query.  The memo lives and dies with the arrays
+    object, which ``Node.invalidate_arrays`` drops whenever the node is
+    rewritten, so it can never go stale.
     """
 
     __slots__ = ("fids", "xs", "ys", "scores", "masks", "mask_pops", "memo")

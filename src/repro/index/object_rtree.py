@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.hilbert.curve import hilbert_key_2d
-from repro.index.leafdata import object_leaf_arrays
+from repro.index.leafdata import object_leaf_arrays, vectorized_enabled
 from repro.index.nodes import Node, ObjectLeafEntry, ObjectNodeCodec
 from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
 from repro.model.objects import DataObject
@@ -211,8 +211,26 @@ class ObjectRTree(RTreeBase):
         return results
 
     def all_entries(self) -> Iterator[ObjectLeafEntry]:
-        """Sequential scan of every data object (used by STDS)."""
+        """Sequential scan of every data object, as entries."""
         yield from self.iter_leaf_entries()
+
+    def scan(self) -> list[tuple[int, float, float]]:
+        """Every data object as an ``(oid, x, y)`` tuple, in leaf order.
+
+        What a read path that needs all objects uses (the STDS scan, the
+        STPS score-0 tail): the leaf columns are read in bulk on the fast
+        path (``tolist`` beats building an entry per object); the order
+        is :meth:`all_entries`' either way.
+        """
+        if not vectorized_enabled():
+            return [(e.oid, e.x, e.y) for e in self.iter_leaf_entries()]
+        out: list[tuple[int, float, float]] = []
+        for node in self.iter_leaves():
+            arrays = object_leaf_arrays(node)
+            out.extend(
+                zip(arrays.oids.tolist(), arrays.xs.tolist(), arrays.ys.tolist())
+            )
+        return out
 
 
 def _point_dist2(x: float, y: float, anchor: tuple[float, float]) -> float:

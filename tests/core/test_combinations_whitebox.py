@@ -1,13 +1,29 @@
 """Behaviour tests for the combination iterator's join on pull."""
 
+import random
+
 import pytest
 
-from repro.core.combinations import CombinationIterator
+from repro.core.combinations import (
+    PULL_PRIORITIZED,
+    PULL_ROUND_ROBIN,
+    CombinationIterator,
+)
 from repro.core.query import PreferenceQuery
+from repro.core.stps import stps
+from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
-from repro.model.dataset import FeatureDataset
+from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import FeatureObject
+from repro.obs.explain import DiagnosticsCollector
+from repro.storage.pagefile import MemoryPageFile
 from repro.text.vocabulary import Vocabulary
+from tests.conftest import (
+    VOCAB_SIZE,
+    make_data_objects,
+    make_feature_objects,
+    random_mask,
+)
 
 VOCAB = Vocabulary(["a", "b"])
 
@@ -139,3 +155,62 @@ class TestValidityFilter:
         assert (False, True) in keys
         assert (True, False) in keys
         assert (True, True) in keys
+
+
+class TestPinnedWork:
+    """Sorted access and the join got cheaper, not different.
+
+    Six seeded queries over three 600-feature sets on 512-byte pages (55
+    leaves each); the constants are what the per-feature stream heap and
+    the nine-cell grid probe did at commit ef1af7e.  A change that pulls
+    other features, opens other nodes or forms other tuples moves them.
+    """
+
+    #: (c, pulling) -> (features pulled, nodes visited per set,
+    #: combinations released, combinations rejected by the 2r rule).
+    PINNED = {
+        (2, PULL_PRIORITIZED): (226, [236, 233], 21, 0),
+        (2, PULL_ROUND_ROBIN): (306, [252, 245], 21, 0),
+        (3, PULL_PRIORITIZED): (1160, [299, 303, 323], 68, 40),
+        (3, PULL_ROUND_ROBIN): (1321, [309, 322, 328], 68, 39),
+    }
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))
+        trees = [
+            SRTIndex.build(
+                FeatureDataset(
+                    make_feature_objects(600, seed=70 + i), vocab, f"s{i}"
+                ),
+                pagefile=MemoryPageFile(page_size=512),
+            )
+            for i in range(3)
+        ]
+        objects = ObjectRTree.build(ObjectDataset(make_data_objects(600, seed=69)))
+        return objects, trees
+
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
+    def test_counts_equal_parent_commit(self, world, c, pulling):
+        objects, trees = world
+        rng = random.Random(5)
+        pulled, released, rejected = 0, 0, 0
+        visited = [0] * c
+        for _ in range(6):
+            query = PreferenceQuery(
+                k=5, radius=0.06, lam=0.5,
+                keyword_masks=tuple(random_mask(rng) for _ in range(c)),
+            )
+            collector = DiagnosticsCollector()
+            result = stps(
+                objects, trees[:c], query, pulling=pulling, collector=collector
+            )
+            plan = collector.plan()
+            assert plan.combinations.released == result.stats.combinations
+            pulled += result.stats.features_pulled
+            released += plan.combinations.released
+            rejected += plan.combinations.rejected_2r
+            for diag in plan.feature_sets:
+                visited[diag.set_id] += diag.nodes_visited
+        assert (pulled, visited, released, rejected) == self.PINNED[c, pulling]

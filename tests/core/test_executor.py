@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from repro.core.executor import BatchReport, QueryExecutor
+from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.errors import QueryError
 from tests.conftest import random_mask
@@ -105,6 +107,50 @@ class TestBatchDedup:
         lookups_full = full.node_cache_hits + full.node_cache_misses
         assert lookups_deduped < lookups_full
         assert deduped.queries == full.queries == len(workload)
+
+
+class TestSharedLeafRuns:
+    """Concurrent queries read and fill the same per-leaf run memo."""
+
+    def test_two_threads_share_runs_and_match_serial(self, objects, feature_sets):
+        # Two keyword-mask pairs under many (k, radius): distinct queries
+        # (no dedup) that score every leaf under one of two memo keys.
+        pairs = [(0b1011 << 3, 0b1101 << 9), (0b111 << 12, 0b1011 << 3)]
+        queries = [
+            PreferenceQuery(k=k, radius=radius, lam=0.5, keyword_masks=masks)
+            for k in (1, 3, 6)
+            for radius in (0.05, 0.09, 0.14)
+            for masks in pairs
+        ]
+        # The serial answers come from separately built (cold-memo) indexes.
+        reference = QueryProcessor.build(objects, feature_sets, page_size=512)
+        shared = QueryProcessor.build(objects, feature_sets, page_size=512)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over inside leaf_run
+        try:
+            with QueryExecutor(shared, max_workers=2) as executor:
+                for algorithm in ("stps", "stds"):
+                    serial = [
+                        reference.query(q, algorithm=algorithm) for q in queries
+                    ]
+                    concurrent = executor.query_many(
+                        queries, algorithm=algorithm, dedup=False
+                    )
+                    for a, b in zip(serial, concurrent):
+                        assert_same_result(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+        # One memoised run per leaf and (mask, λ): the 18 queries per
+        # algorithm shared them rather than keeping a run each.
+        for tree, masks in zip(shared.feature_trees, zip(*pairs)):
+            keys = {(mask, 0.5) for mask in masks}
+            memos = [
+                arrays.memo
+                for leaf in tree.iter_leaves()
+                if (arrays := tree.leaf_arrays(leaf)) is not None
+            ]
+            assert all(set(memo) <= keys for memo in memos)
+            assert any(memo for memo in memos) or not memos
 
 
 class TestProcessorConvenience:

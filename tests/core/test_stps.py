@@ -9,6 +9,7 @@ from repro.core.combinations import PULL_ROUND_ROBIN
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stps import stps
 from repro.errors import QueryError
+from repro.index.leafdata import set_vectorized
 from tests.conftest import random_mask
 
 
@@ -46,6 +47,35 @@ class TestCorrectness:
         got = stps(srt_processor.object_tree, srt_processor.feature_trees, query)
         assert len(got) == 4
         assert got.scores == [0.0] * 4
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_sparse_keywords_reach_score_zero_tail(
+        self, srt_processor, objects, feature_sets, monkeypatch, vectorized
+    ):
+        """Fewer than k objects score above 0, so the all-virtual
+        combination fills the rest: lowest unseen ids, cut at k, read off
+        the leaf columns without an entry object per data object."""
+        query = _q((1 << 7, 1 << 19), k=120, radius=0.05)
+        want = brute_force(objects, feature_sets, query)
+        positive = sum(score > 0.0 for score in want.scores)
+        assert 0 < positive < query.k < len(objects)
+        tree = srt_processor.object_tree
+
+        def no_entries(self):
+            raise AssertionError("the score-0 tail materialised entries")
+
+        if vectorized:
+            monkeypatch.setattr(type(tree), "all_entries", no_entries)
+            monkeypatch.setattr(type(tree), "iter_leaf_entries", no_entries)
+        previous = set_vectorized(vectorized)
+        try:
+            got = stps(tree, srt_processor.feature_trees, query)
+        finally:
+            set_vectorized(previous)
+        assert got.oids == want.oids
+        assert got.scores == pytest.approx(want.scores, abs=1e-9)
+        tail = got.oids[positive:]
+        assert tail == sorted(tail) and len(got) == query.k
 
     def test_huge_radius(self, srt_processor, objects, feature_sets):
         query = _q((0b110, 0b11), radius=2.0)

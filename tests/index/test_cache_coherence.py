@@ -14,6 +14,11 @@ that condense — then check two ways:
   cold reopen of the same storage returns, and a
   ``SharedMemoryPageFile`` frozen from it reads the same leaves.
 
+A feature leaf additionally memoises, per ``(mask, λ)``, the sorted run
+a query scored it into (``FeatureScorer.leaf_run``); ``TestLeafRunCoherence``
+checks that the same query repeated after a rescore, move or delete that
+lands in that leaf never streams from the old run.
+
 Parametrized over ``MemoryPageFile``, buffered ``DiskPageFile`` and its
 ``mmap_reads=True`` mode, where a stale shared mapping would be an extra
 way to serve old bytes.
@@ -26,6 +31,7 @@ import random
 
 import pytest
 
+from repro.core.stream import FeatureStream
 from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
@@ -197,3 +203,64 @@ class TestFeatureTreeCoherence:
             survivors, key=lambda e: e.fid
         )
         tree.validate()
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("op", ["rescore", "move", "delete"])
+class TestLeafRunCoherence:
+    MASK, LAM = 0b1011 << 4, 0.5
+
+    def _stream(self, tree) -> list[tuple[int, float]]:
+        """Drain the sorted stream: opens (and memoises a run in) every
+        leaf that holds a relevant feature."""
+        stream = FeatureStream(tree, self.MASK, self.LAM, emit_virtual=False)
+        out = []
+        while (feature := stream.next()) is not None:
+            out.append((feature.fid, feature.score))
+        return out
+
+    def test_repeated_query_never_sees_the_old_run(self, storage, op, tmp_path):
+        vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))
+        features = make_feature_objects(150, seed=98)
+        tree = SRTIndex.build(
+            FeatureDataset(features, vocab, "runs"),
+            pagefile=_pagefile(storage, tmp_path, "runs.tree"),
+            buffer_pages=64,
+        )
+        entries = {
+            f.fid: FeatureLeafEntry(f.fid, f.x, f.y, f.score, f.keyword_mask())
+            for f in features
+        }
+        scorer = tree.make_scorer(self.MASK, self.LAM)
+        rng = random.Random(8)
+        for _ in range(12):
+            before = self._stream(tree)
+            assert self._stream(tree) == before  # now served from the memo
+            # A victim the query scores, so its leaf holds a memoised run.
+            old = entries[rng.choice(before)[0]]
+            assert tree.delete(old)
+            if op == "delete":
+                del entries[old.fid]
+            else:
+                changed = (
+                    {"score": round(1.0 - old.score, 3)}
+                    if op == "rescore"
+                    else {"x": rng.random(), "y": rng.random()}
+                )
+                entries[old.fid] = dataclasses.replace(old, **changed)
+                tree.insert(entries[old.fid])
+            after = self._stream(tree)
+            assert sorted(after) == sorted(
+                (e.fid, scorer.leaf_score(e))
+                for e in entries.values()
+                if scorer.leaf_relevant(e)
+            )
+            assert [score for _, score in after] == sorted(
+                (score for _, score in after), reverse=True
+            )
+            # ids → locations come from the same leaf columns as the run.
+            stream = FeatureStream(tree, self.MASK, self.LAM, emit_virtual=False)
+            while (feature := stream.next()) is not None:
+                entry = entries[feature.fid]
+                assert (feature.x, feature.y) == (entry.x, entry.y)
+        assert_node_cache_coherent(tree)

@@ -185,9 +185,19 @@ class TestColumnarLeaf:
             assert len(column) == len(entries)
             assert not entries or np.shares_memory(column, raw)
         scorer = FeatureScorer(query_mask, lam, sim_upper=None)
-        scores, relevant = scorer.leaf_score_arrays(arrays)
-        assert scores.tolist() == [scorer.leaf_score(e) for e in entries]
-        assert relevant.tolist() == [scorer.leaf_relevant(e) for e in entries]
+        run = scorer.leaf_run(arrays)
+        rows = run.rows.tolist()
+        assert sorted(rows) == [
+            i for i, e in enumerate(entries) if scorer.leaf_relevant(e)
+        ]
+        assert run.neg_scores == [-scorer.leaf_score(entries[i]) for i in rows]
+        # Best first, ties in row order; the scalar way builds the same run.
+        keys = list(zip(run.neg_scores, rows))
+        assert keys == sorted(keys)
+        scalar = scorer.entries_run(entries)
+        assert (scalar.neg_scores, scalar.rows.tolist()) == (run.neg_scores, rows)
+        assert scalar.fids.tolist() == run.fids.tolist()
+        assert scorer.leaf_run(arrays) is run  # memoised under (mask, lam)
 
     @given(st.lists(st.tuples(int64, unit, unit), max_size=170))
     @settings(max_examples=40, deadline=None)

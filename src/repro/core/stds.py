@@ -25,6 +25,13 @@ Performance notes (not part of the paper's algorithms):
   (``FeatureTree.leaf_run``; through the columnar numpy fast path of
   :mod:`repro.index.leafdata` when available, with bit-identical
   scores), which every chunk that reopens the leaf reuses;
+* the batched traversal takes each decision at the earliest point at
+  which it is already final, because its pending set only ever shrinks
+  (:func:`compute_scores_batch` says why none of it can change a score
+  or an expansion): an entry out of reach of the pending set's bounding
+  box is pruned when its parent opens, an opened leaf is one heap entry
+  re-keyed per feature taken, and the scan ends when every object left
+  is doomed;
 * ``stds(..., parallelism=n)`` scores a chunk against all feature sets
   concurrently on a thread pool and then *replays* the serial
   threshold fold over the precomputed scores, so results are exactly
@@ -39,6 +46,8 @@ import logging
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery, Variant
@@ -93,9 +102,10 @@ def compute_score(
                 )
         else:
             for e in node.entries:
-                if scorer.node_relevant(e) and e.rect.mindist(point) <= radius:
+                bound = scorer.relevant_bound(e)
+                if bound is not None and e.rect.mindist(point) <= radius:
                     counter += 1
-                    heapq.heappush(heap, (-scorer.node_bound(e), counter, e))
+                    heapq.heappush(heap, (-bound, counter, e))
 
     if tree.root_id is None or tree.count == 0:
         return 0.0
@@ -240,91 +250,138 @@ def compute_scores_batch(
     ``p``'s final aggregate is strictly below the final k-th score no
     matter how it resolves, and every later candidate filter discards it
     either way — dropping it early changes only work, never results.
+
+    The pending set only shrinks (objects resolve or are dropped, none
+    arrives), so a "no pending object can be near" answer is final the
+    moment it is true.  Three shortcuts rest on that, and none can change
+    a score or an expansion:
+
+    * an internal entry farther than ``r`` from the pending set's
+      bounding box is pruned when its parent opens.  The pop-time test
+      would reject it too — the box still contains every pending object
+      then — and a rejected entry contributes nothing, so the entries
+      that *are* expanded, and their order, are untouched;
+    * an opened leaf is one heap entry over its sorted run, re-keyed on
+      the next score per feature taken, with one tie-break counter
+      reserved per run position: features pop in exactly the order of a
+      heap holding each by itself, but those the scan never reaches are
+      never pushed;
+    * when every pending object's ``needed`` exceeds the popped bound,
+      all of them are doomed at once and the scan ends — what the
+      one-by-one drops would have left is an empty pending set, on
+      which the loop ends anyway.
     """
-    scores = {oid: 0.0 for oid in pending}
+    scores = dict.fromkeys(pending, 0.0)
     if tree.root_id is None or tree.count == 0 or not pending:
         return scores
     radius = query.radius
     scorer = tree.make_scorer(mask, query.lam)
-    # The pending set lives in a uniform grid (cell size ``r``): both hot
-    # membership tests — "who is within range of this popped feature" and
-    # "is any pending object near this rectangle" — run in expected O(1)
-    # per candidate.  Both scoring paths (vectorized and scalar) share
-    # this structure, so traversal decisions are trivially identical.
+    # The pending set lives in a uniform grid (cell size ``r``): "who is
+    # within range of this popped feature" and "is any pending object near
+    # this rectangle" run in expected O(1) per candidate.
     grid = SpatialGrid(max(radius, 1e-6))
-    grid.bulk_insert((oid, x, y) for oid, (x, y) in pending.items())
+    grid.bulk_insert(pending)
     pop_within = grid.pop_within
     any_near_rect = grid.any_near_rect
+    out_of_reach = grid.out_of_reach
     grid_discard = grid.discard
 
-    # Max-heap of (-needed, oid): object ``oid`` is doomed once the pop
-    # bound falls strictly below ``needed = threshold - remaining - τ̂``.
+    # Drop cursor: the objects by decreasing ``needed = threshold -
+    # remaining - τ̂`` (keys negated, like the heap's).  An object is
+    # doomed once the pop bound falls strictly below its ``needed``, and
+    # pop bounds only fall, so the doomed are always a prefix.
     # ``_DROP_EPS`` keeps the test conservative under floating point:
     # rearranged sums differ from the fold's own accumulation by ~1e-16,
     # so backing the cut off by 1e-9 can only *shrink* the drop set —
     # never drop an object whose exact aggregate ties the k-th score.
-    drops: list[tuple[float, int]] = []
+    drop_keys: list[float] = []
+    drop_oids: list[int] = []
     if partial is not None and threshold > -math.inf:
         slack = threshold - remaining_sets - _DROP_EPS
-        for oid in pending:
-            needed = slack - partial[oid]
-            if needed > 0.0:
-                drops.append((-needed, oid))
-        heapq.heapify(drops)
+        needed = slack - np.fromiter(
+            map(partial.__getitem__, pending), np.float64, len(pending)
+        )
+        order = np.argsort(-needed, kind="stable")
+        order = order[: np.count_nonzero(needed > 0.0)]
+        drop_keys = (-needed[order]).tolist()
+        oids = list(pending)
+        drop_oids = [oids[i] for i in order.tolist()]
+    n_drops = len(drop_keys)
+    cursor = 0
+    # The (negated) bound below which *every* pending object is doomed.
+    # Always reached on a chunk's first feature set, where ``needed`` is
+    # one value; never while some object has no positive ``needed``.
+    all_doomed = drop_keys[-1] if n_drops == len(pending) else math.inf
 
-    # (-bound, push counter, item): an internal entry to expand, or the
-    # (x, y) location of a leaf feature.
-    heap: list[tuple[float, int, object]] = []
+    # (-bound, counter, item, pos): an internal entry to expand (``pos``
+    # -1), or an opened leaf's run whose best untaken feature is ``pos``,
+    # keyed and tie-broken exactly as in ``FeatureStream``.
+    heap: list[tuple[float, int, object, int]] = []
     counter = 0
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
-    def push_node(node) -> None:
+    def open_node(node) -> None:
         nonlocal counter
         if node.is_leaf:
-            # Every relevant row reaches the heap, its location
-            # bulk-converted to Python floats (``tolist`` is far cheaper
-            # than per-element indexing).  The run's score ties are in
-            # row order, so they pop in row order.
             run = tree.leaf_run(node, scorer)
-            if run.neg_scores:
-                rows = run.rows
-                locations = zip(run.xs[rows].tolist(), run.ys[rows].tolist())
-                for neg, location in zip(run.neg_scores, locations):
-                    counter += 1
-                    heapq.heappush(heap, (neg, counter, location))
-        else:
-            for e in node.entries:
-                if scorer.node_relevant(e):
-                    counter += 1
-                    heapq.heappush(heap, (-scorer.node_bound(e), counter, e))
+            neg_scores = run.neg_scores
+            if neg_scores:
+                heappush(heap, (neg_scores[0], counter + 1, run, 0))
+                counter += len(neg_scores)
+            return
+        for e in node.entries:
+            bound = scorer.relevant_bound(e)
+            if bound is None:
+                continue
+            if out_of_reach(e.rect, radius):
+                # The bound-prune, decided before e is ever queued.
+                if collector.active:
+                    collector.node_pruned(set_id, bound)
+                continue
+            counter += 1
+            heappush(heap, (-bound, counter, e, -1))
 
-    push_node(tree.read_node(tree.root_id))
-    heappop = heapq.heappop
+    open_node(tree.read_node(tree.root_id))
     while heap and len(grid):
-        neg_bound, _, entry = heappop(heap)
+        neg_bound, tie, item, pos = heap[0]
         if stats is not None:
             stats.heap_pops += 1
-        while drops and drops[0][0] < neg_bound:
-            # needed > bound (both negated): the object is out of reach.
-            _, oid = heappop(drops)
-            x, y = pending[oid]
-            grid_discard(oid, x, y)
-        if type(entry) is tuple:
-            for oid in pop_within(entry[0], entry[1], radius):
+        if cursor < n_drops and drop_keys[cursor] < neg_bound:
+            # needed > bound (both negated): out of reach from here on.
+            if all_doomed < neg_bound:
+                break
+            while cursor < n_drops and drop_keys[cursor] < neg_bound:
+                oid = drop_oids[cursor]
+                cursor += 1
+                x, y = pending[oid]
+                grid_discard(oid, x, y)
+        if pos >= 0:
+            row = item.rows.item(pos)
+            pos += 1
+            neg_scores = item.neg_scores
+            if pos < len(neg_scores):
+                heapreplace(heap, (neg_scores[pos], tie + 1, item, pos))
+            else:
+                heappop(heap)
+            for oid in pop_within(item.xs.item(row), item.ys.item(row), radius):
                 scores[oid] = -neg_bound
         else:
+            heappop(heap)
             # Expand only when some pending object is within range of the
             # entry (the batched expansion rule of Section 5).
-            if any_near_rect(entry.rect, radius):
-                node = tree.read_node(entry.child)
+            if any_near_rect(item.rect, radius):
+                node = tree.read_node(item.child)
                 if stats is not None:
                     stats.nodes_expanded += 1
                 if collector.active:
                     collector.node_visited(set_id, -neg_bound)
-                push_node(node)
+                open_node(node)
             elif collector.active:
                 # The bound-prune of the batched expansion rule: the
                 # subtree's ŝ(e) is known (= -neg_bound) but no pending
-                # object is near its rectangle.
+                # object is near its rectangle any more.
                 collector.node_pruned(set_id, -neg_bound)
     return scores
 

@@ -162,11 +162,10 @@ class FeatureStream:
                 self._counter += len(neg_scores)
             return
         for entry in node.entries:
-            if scorer.node_relevant(entry):
+            bound = scorer.relevant_bound(entry)
+            if bound is not None:
                 self._counter += 1
-                heapq.heappush(
-                    heap, (-scorer.node_bound(entry), self._counter, entry, -1)
-                )
+                heapq.heappush(heap, (-bound, self._counter, entry, -1))
             elif collector.active:
                 # Text-irrelevant subtree (sim = 0): pruned without
                 # a bound value — ŝ(e) is not computed for it.

@@ -89,6 +89,14 @@ class FeatureScorer:
         """May the subtree contain a feature with ``sim > 0``?"""
         return self._sim_upper(entry.summary) > 0.0
 
+    def relevant_bound(self, entry: FeatureInternalEntry) -> float | None:
+        """:meth:`node_bound` when :meth:`node_relevant`, else ``None`` —
+        the traversals' test-then-bound with one ``sim_ub`` evaluation."""
+        sim = self._sim_upper(entry.summary)
+        if sim > 0.0:
+            return (1.0 - self.lam) * entry.max_score + self.lam * sim
+        return None
+
     def bound(self, entry) -> float:
         """``ŝ(e)`` for internal entries, exact ``s(t)`` for leaf entries."""
         if isinstance(entry, FeatureLeafEntry):

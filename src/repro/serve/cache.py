@@ -10,8 +10,10 @@ enforced *before* the cache so a hot key never launders an exhausted
 tenant's traffic past its bucket).
 
 Coherence under live mutation is epoch-based: every entry is stamped
-with the cache epoch current at fill time, and :meth:`ResultCache.get`
-rejects entries from an older epoch (lazy eviction — no scan).  The
+with the cache epoch its answer was computed under (a fill whose epoch
+moved while the miss was executing is dropped), and
+:meth:`ResultCache.get` rejects entries from an older epoch (lazy
+eviction — no scan).  The
 epoch advances via :meth:`ResultCache.bump` — wired to
 :meth:`repro.live.LiveBase.add_mutation_listener` by
 :meth:`ResultCache.attach_live`, so any insert/delete/move/rescore on
@@ -150,9 +152,20 @@ class ResultCache:
             cache_outcomes_metric().labels(event="hit").inc()
             return result
 
-    def put(self, key: tuple, result: QueryResult) -> None:
-        """Fill ``key`` at the current epoch, evicting LRU past the cap."""
+    def put(
+        self, key: tuple, result: QueryResult, epoch: int | None = None
+    ) -> bool:
+        """Fill ``key``, evicting LRU past the cap; False if dropped.
+
+        ``epoch`` is the :attr:`epoch` read *before* ``result`` was
+        computed.  When a mutation bumped the epoch since, the result may
+        predate it and is dropped rather than stamped fresh.  Omit it
+        only when nothing can bump between computing and filling.
+        """
         with self._lock:
+            if epoch is not None and epoch != self._epoch:
+                cache_outcomes_metric().labels(event="fill_stale").inc()
+                return False
             self._entries[key] = (self._epoch, result)
             self._entries.move_to_end(key)
             cache_outcomes_metric().labels(event="fill").inc()
@@ -160,6 +173,7 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 cache_outcomes_metric().labels(event="evict").inc()
+            return True
 
     def clear(self) -> int:
         """Drop every entry (epoch unchanged); returns how many."""

@@ -461,7 +461,10 @@ class QueryService:
                 reason=why,
             )
 
-        # Execute.
+        # Execute.  The fill is stamped with the epoch read here: a
+        # mutation landing while the miss runs must not have its
+        # pre-mutation answer cached under the post-mutation epoch.
+        epoch = self.cache.epoch
         try:
             with _tracing.span(
                 "serve.execute", cat="serve", algorithm=algorithm
@@ -483,7 +486,7 @@ class QueryService:
         with self._lock:
             self._queue_waits.append((time.monotonic(), queue_wait_s))
         if key is not None:
-            self.cache.put(key, result)
+            self.cache.put(key, result, epoch)
         self.served += 1
         return ServeDecision(
             status=200, outcome="ok", result=result,

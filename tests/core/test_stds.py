@@ -13,8 +13,10 @@ from repro.core.stds import (
     compute_scores_batch,
     stds,
 )
+from repro.core.processor import QueryProcessor
 from repro.errors import QueryError
-from tests.conftest import random_mask
+from repro.model.dataset import FeatureDataset, ObjectDataset
+from tests.conftest import make_data_objects, make_feature_objects, random_mask
 
 
 def _q(masks, variant=Variant.RANGE, k=5, radius=0.08, lam=0.5):
@@ -128,3 +130,53 @@ class TestFullSTDS:
         query = _q((1,))
         with pytest.raises(QueryError):
             stds(srt_processor.object_tree, srt_processor.feature_trees, query)
+
+
+class TestPinnedWork:
+    """The batched scan's *work* is pinned to the constants measured at
+    the commit before it started deciding at push time (PR 17, 5f65027):
+    which nodes it expands, per feature set, is part of the contract.
+
+    Two counters moved with that change, and only these.  ``heap_pops``
+    fell by the entries now pruned against the pending set's bounding box
+    when their parent opens — 98 (c = 2) / 154 (c = 3) of them, of which
+    the old scan had popped 94 / 150 just to reject them.  EXPLAIN
+    ``nodes_pruned`` rose by 3: the other 4 push-time prunes are counted
+    when decided although the old scan ended before reaching them, minus
+    the one entry the old scan popped and rejected against an already
+    empty grid in the iteration where the new one breaks.
+    """
+
+    MASKS = (0b1011, 0b110100, 0b11000001)
+    # c -> (nodes_expanded, per-set node_visited, heap_pops then -> now,
+    #       per-set nodes_pruned then -> now)
+    PINNED = {
+        2: (167, [102, 65], 530, 436, [60, 56], [60, 59]),
+        3: (288, [102, 92, 94], 970, 820, [60, 54, 64], [60, 54, 67]),
+    }
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_expansions_are_the_parents(self, vocab, c):
+        objects = ObjectDataset(make_data_objects(400, seed=31))
+        feature_sets = [
+            FeatureDataset(
+                make_feature_objects(300, seed=40 + j), vocab, f"s{j}"
+            )
+            for j in range(c)
+        ]
+        processor = QueryProcessor.build(
+            objects, feature_sets, index="srt", page_size=512
+        )
+        assert [t.height for t in processor.feature_trees] == [3] * c
+        query = _q(self.MASKS[:c], radius=0.05)
+        report = processor.explain(query, algorithm="stds", batch_size=64)
+        expanded, visited, pops_then, pops_now, pruned_then, pruned_now = (
+            self.PINNED[c]
+        )
+        stats = report.result.stats
+        sets = report.plan.feature_sets
+        assert stats.nodes_expanded == expanded == sum(visited)
+        assert [fs.nodes_visited for fs in sets] == visited
+        assert stats.heap_pops == pops_now == pops_then - {2: 94, 3: 150}[c]
+        assert [fs.nodes_pruned for fs in sets] == pruned_now
+        assert sum(pruned_now) == sum(pruned_then) + 4 - 1

@@ -75,3 +75,41 @@ class TestChunkThreshold:
         candidates = _stds_range_batched([set1], query, objects, batch_size=3)
         assert len(candidates) == 10
         assert all(s == pytest.approx(0.6) for s, *_ in candidates)
+
+
+class TestDropCursor:
+    """The fold state's early drops: who is doomed, and when the scan may
+    stop outright."""
+
+    def setup_method(self):
+        self.tree = tree_with([
+            FeatureObject(0, 0.1, 0.1, 1.0, frozenset({0})),
+            FeatureObject(1, 0.9, 0.9, 0.2, frozenset({0})),
+        ])
+        self.query = PreferenceQuery(
+            k=1, radius=0.05, lam=0.0, keyword_masks=(1,)
+        )
+        self.pending = {0: (0.1, 0.1), 1: (0.9, 0.9), 2: (0.5, 0.5)}
+
+    def test_all_equal_needed_ends_the_scan_at_the_cut(self):
+        """A chunk's first feature set: one ``needed`` for everybody, so
+        once the pop bound is under it every object left is doomed and
+        the scan stops — object 1 is left at 0.0, not resolved to 0.2."""
+        assert compute_scores_batch(
+            self.tree, self.query, 1, self.pending
+        ) == {0: 1.0, 1: 0.2, 2: 0.0}
+        partial = dict.fromkeys(self.pending, 0.0)
+        assert compute_scores_batch(
+            self.tree, self.query, 1, self.pending,
+            partial=partial, threshold=0.5, remaining_sets=0,
+        ) == {0: 1.0, 1: 0.0, 2: 0.0}
+
+    def test_an_undroppable_object_keeps_the_scan_going(self):
+        """Object 1 already beats the threshold, so it has no ``needed``:
+        the others being doomed from the first pop on must neither end
+        the scan nor cost it its 0.2."""
+        partial = {0: 0.0, 1: 2.0, 2: 0.0}
+        assert compute_scores_batch(
+            self.tree, self.query, 1, self.pending,
+            partial=partial, threshold=1.5, remaining_sets=0,
+        ) == {0: 0.0, 1: 0.2, 2: 0.0}

@@ -109,6 +109,20 @@ class TestEpochs:
         cache.put(("a",), _result(2))
         assert cache.get(("a",)).stats.wall_s == 2
 
+    def test_fill_computed_before_a_bump_is_dropped(self):
+        # A mutation lands between the miss and the fill: the answer was
+        # computed on the pre-mutation world and must not be stamped
+        # with the post-mutation epoch.
+        cache = ResultCache()
+        assert cache.get(("k",)) is None
+        epoch = cache.epoch
+        cache.bump()
+        assert cache.put(("k",), _result(1), epoch) is False
+        assert cache.get(("k",)) is None and len(cache) == 0
+        # The same fill at an unmoved epoch is kept.
+        assert cache.put(("k",), _result(2), cache.epoch) is True
+        assert cache.get(("k",)).stats.wall_s == 2
+
     def test_metrics_count_events(self):
         with _metrics.scoped_registry() as reg:
             cache = ResultCache()

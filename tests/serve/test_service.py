@@ -118,6 +118,32 @@ class TestCacheGate:
         assert executor.calls == 1
         assert second.result.items[0].oid == first.result.items[0].oid
 
+    def test_mutation_during_a_miss_is_not_cached_as_fresh(self):
+        # The live dataset's listener fires while the executor is still
+        # computing the miss: that answer may predate the write, so the
+        # next request must execute again instead of hitting it.
+        class Live:
+            def add_mutation_listener(self, fn):
+                self.fire = fn
+
+            def remove_mutation_listener(self, fn):
+                pass
+
+        class MutatingExecutor(FakeExecutor):
+            def execute_one(self, *args, **kwargs):
+                out = super().execute_one(*args, **kwargs)
+                if self.calls == 1:
+                    live.fire("features[0]", "insert")
+                return out
+
+        live = Live()
+        executor = MutatingExecutor()
+        service = QueryService(executor, ServeConfig(), live=live)
+        assert service.handle("a", QUERY).status == 200
+        second = service.handle("b", QUERY)
+        assert not second.cached and executor.calls == 2
+        assert service.handle("c", QUERY).cached  # the clean fill sticks
+
     def test_cache_disabled_executes_every_time(self):
         executor = FakeExecutor()
         service = QueryService(

@@ -58,7 +58,7 @@ def run_cold(processor, workload, algorithm: str) -> float:
     """Timed serial pass with every cache dropped before each query.
 
     The ``clear_buffers`` calls happen off the clock — only query
-    execution is timed, exactly as in ``bench_executor.py``.
+    execution is timed.
     """
     total = 0.0
     for query in workload:

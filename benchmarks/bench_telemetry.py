@@ -7,8 +7,8 @@ configurations and reports the overhead of each against the first:
   resource sampler, no profiler.  This is the default production hot
   path and the baseline the other modes are measured against.  (That
   the *disabled* path itself stayed flat across PRs is guarded
-  separately: the regress sentinel compares ``BENCH_executor.json``
-  runs, where any hot-path tax would show up as lost speedup.)
+  separately: the layer ledger's ``direct_*`` workloads run with
+  tracing off, where any hot-path tax would show up in ``op_p50_ms``.)
 * **light** — exemplars + the background resource sampler, the
   recommended always-on serving configuration.  Budget: <= 5%.
 * **full** — light plus a record-everything flight recorder and the

@@ -7,7 +7,7 @@ same queries arrive again and again:
 
 1. the decoded-node cache (warm after the first pass — traversals stop
    paying the page-decode cost),
-2. vectorized leaf scoring (numpy fast path, scalar fallback otherwise),
+2. columnar leaf scoring (a leaf page's bytes are the numpy arrays),
 3. the :class:`~repro.core.executor.QueryExecutor` — a shared thread
    pool with batch deduplication: identical queries in a batch execute
    once and share their immutable result.

@@ -15,11 +15,6 @@ page-file statistics and therefore include activity of concurrently
 running queries; use :meth:`BatchReport.aggregate` (or the per-tree
 ``IOStats``) for workload-level accounting instead.
 
-Within a single STDS query, ``parallelism`` additionally scores every
-chunk against all feature sets concurrently (see
-:func:`repro.core.stds.stds` — results stay byte-identical to the serial
-fold).
-
 Batches are deduplicated by default: identical queries (``PreferenceQuery``
 is hashable by value) execute once and share their immutable result, so
 repeated-query workloads pay for each distinct query only.  Disable with
@@ -47,7 +42,6 @@ from dataclasses import dataclass, field
 from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult
-from repro.core.stds import DEFAULT_BATCH_SIZE
 from repro.errors import QueryError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -245,7 +239,6 @@ class QueryExecutor:
         self,
         processor,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        profile: bool = False,
     ) -> None:
         if max_workers < 1:
             raise QueryError(f"max_workers must be >= 1, got {max_workers}")
@@ -262,14 +255,6 @@ class QueryExecutor:
         self._depth_lock = threading.Lock()
         self._queued = 0
         self._running = 0
-        # ``profile=True`` arms the continuous sampling profiler for this
-        # executor's lifetime (the flight recorder can then resolve slow
-        # queries to stacks); close() disarms it if we armed it.
-        self._profiling = False
-        if profile:
-            from repro.obs import profiler as _profiler
-
-            self._profiling = _profiler.install()
         _live_executors.add(self)
 
     @property
@@ -290,11 +275,6 @@ class QueryExecutor:
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=True)
-            if self._profiling:
-                from repro.obs import profiler as _profiler
-
-                _profiler.uninstall()
-                self._profiling = False
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -335,8 +315,6 @@ class QueryExecutor:
         queries: Sequence[PreferenceQuery],
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         dedup: bool = True,
         on_error: str = "raise",
         _timings: list[tuple[float, float]] | None = None,
@@ -424,8 +402,6 @@ class QueryExecutor:
                         query,
                         algorithm=algorithm,
                         pulling=pulling,
-                        batch_size=batch_size,
-                        parallelism=parallelism,
                     )
             finally:
                 with self._depth_lock:
@@ -482,8 +458,6 @@ class QueryExecutor:
         query: PreferenceQuery,
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
     ) -> tuple[QueryResult, float, float]:
         """Run one query through the pool; ``(result, queue_wait_s, latency_s)``.
 
@@ -498,8 +472,6 @@ class QueryExecutor:
             [query],
             algorithm=algorithm,
             pulling=pulling,
-            batch_size=batch_size,
-            parallelism=parallelism,
             dedup=False,
             on_error="raise",
             _timings=timings,
@@ -512,8 +484,6 @@ class QueryExecutor:
         queries: Sequence[PreferenceQuery],
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> BatchReport:
@@ -537,8 +507,6 @@ class QueryExecutor:
             queries,
             algorithm=algorithm,
             pulling=pulling,
-            batch_size=batch_size,
-            parallelism=parallelism,
             dedup=dedup,
             on_error=on_error,
             _timings=timings,

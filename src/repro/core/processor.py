@@ -27,7 +27,7 @@ from repro.core.influence import stps_influence
 from repro.core.nearest import stps_nearest
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats
-from repro.core.stds import DEFAULT_BATCH_SIZE, stds
+from repro.core.stds import stds
 from repro.core.stps import stps
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
@@ -140,8 +140,6 @@ class QueryProcessor:
         query: PreferenceQuery,
         algorithm: str = ALGORITHM_STPS,
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         floor: float = float("-inf"),
         collector=None,
     ) -> QueryResult:
@@ -151,11 +149,6 @@ class QueryProcessor:
         (Influence Score Search, the combination-free extension algorithm
         for the influence variant); the score variant comes from the
         query itself.
-
-        ``batch_size`` and ``parallelism`` tune the STDS scan (chunk size
-        of the batched Algorithm 2 and the number of threads scoring a
-        chunk against the feature sets concurrently); they are ignored by
-        the other algorithms.  Results never depend on either knob.
 
         ``floor`` is an externally known lower bound on the caller's
         merged k-th best score (the sharded engine's cross-shard
@@ -199,8 +192,7 @@ class QueryProcessor:
             ):
                 try:
                     result = self._dispatch(
-                        query, algorithm, pulling, batch_size, parallelism,
-                        floor, col,
+                        query, algorithm, pulling, floor, col
                     )
                 except Exception as exc:
                     if _requests.enabled:
@@ -243,8 +235,6 @@ class QueryProcessor:
         query: PreferenceQuery,
         algorithm: str = ALGORITHM_STPS,
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         floor: float = float("-inf"),
     ) -> "_explain.ExplainReport":
         """EXPLAIN ANALYZE: execute the query and return plan + result.
@@ -262,8 +252,6 @@ class QueryProcessor:
             query,
             algorithm=algorithm,
             pulling=pulling,
-            batch_size=batch_size,
-            parallelism=parallelism,
             floor=floor,
             collector=collector,
         )
@@ -274,8 +262,6 @@ class QueryProcessor:
         query: PreferenceQuery,
         algorithm: str,
         pulling: str,
-        batch_size: int,
-        parallelism: int | None,
         floor: float = float("-inf"),
         collector=_explain.NULL_COLLECTOR,
     ) -> QueryResult:
@@ -295,8 +281,6 @@ class QueryProcessor:
                 self.object_tree,
                 self.feature_trees,
                 query,
-                batch_size=batch_size,
-                parallelism=parallelism,
                 floor=floor,
                 collector=collector,
             )
@@ -327,8 +311,6 @@ class QueryProcessor:
         queries,
         algorithm: str = ALGORITHM_STPS,
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         max_workers: int = 4,
         dedup: bool = True,
         on_error: str = "raise",
@@ -352,8 +334,6 @@ class QueryProcessor:
                 queries,
                 algorithm=algorithm,
                 pulling=pulling,
-                batch_size=batch_size,
-                parallelism=parallelism,
                 dedup=dedup,
                 on_error=on_error,
             )

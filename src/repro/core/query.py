@@ -9,6 +9,7 @@ reuse the same query shape; the variant is part of the query here.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -42,8 +43,10 @@ class PreferenceQuery:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise QueryError(f"k must be >= 0, got {self.k}")
-        if self.radius <= 0.0:
-            raise QueryError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise QueryError(
+                f"radius must be positive and finite, got {self.radius}"
+            )
         if not 0.0 <= self.lam <= 1.0:
             raise QueryError(f"lambda must be in [0, 1], got {self.lam}")
         if not self.keyword_masks:

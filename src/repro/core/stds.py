@@ -22,21 +22,16 @@ same traversal and drop the range predicate, exactly as described.
 Performance notes (not part of the paper's algorithms):
 
 * a leaf is scored once per query as a sorted run of its relevant rows
-  (``FeatureTree.leaf_run``; through the columnar numpy fast path of
-  :mod:`repro.index.leafdata` when available, with bit-identical
-  scores), which every chunk that reopens the leaf reuses;
+  (``FeatureTree.leaf_run``, over the columnar arrays of
+  :mod:`repro.index.leafdata`), which every chunk that reopens the leaf
+  reuses;
 * the batched traversal takes each decision at the earliest point at
   which it is already final, because its pending set only ever shrinks
   (:func:`compute_scores_batch` says why none of it can change a score
   or an expansion): an entry out of reach of the pending set's bounding
   box is pruned when its parent opens, an opened leaf is one heap entry
   re-keyed per feature taken, and the scan ends when every object left
-  is doomed;
-* ``stds(..., parallelism=n)`` scores a chunk against all feature sets
-  concurrently on a thread pool and then *replays* the serial
-  threshold fold over the precomputed scores, so results are exactly
-  those of the serial path (``compute_scores_batch`` values depend only
-  on the object and the tree, never on the rest of the batch).
+  is doomed.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import heapq
 import logging
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -394,7 +388,6 @@ def stds(
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    parallelism: int | None = None,
     floor: float = -math.inf,
     collector=None,
 ) -> QueryResult:
@@ -406,9 +399,8 @@ def stds(
     provided for completeness and as a correctness oracle).
 
     ``batch_size`` controls the chunking of the scan (threshold pruning
-    kicks in between chunks).  ``parallelism`` > 1 scores each chunk
-    against all feature sets concurrently (range variant only; results
-    are identical to the serial path, see module docstring).
+    kicks in between chunks); no engine above this function sets it —
+    it is the seam tests use to force many chunks on a small world.
 
     ``floor`` is an externally known lower bound on the global k-th best
     score (used by the sharded engine, which feeds each shard the merged
@@ -424,8 +416,6 @@ def stds(
         )
     if batch_size < 1:
         raise QueryError(f"batch size must be >= 1, got {batch_size}")
-    if parallelism is not None and parallelism < 1:
-        raise QueryError(f"parallelism must be >= 1, got {parallelism}")
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
@@ -438,18 +428,10 @@ def stds(
     stats.objects_scored = len(objects)
 
     if query.variant is Variant.RANGE:
-        workers = 0 if parallelism is None else min(parallelism, query.c)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                candidates = _stds_range_batched(
-                    feature_trees, query, objects, batch_size, stats, pool,
-                    rec=rec, floor=floor, collector=collector,
-                )
-        else:
-            candidates = _stds_range_batched(
-                feature_trees, query, objects, batch_size, stats, rec=rec,
-                floor=floor, collector=collector,
-            )
+        candidates = _stds_range_batched(
+            feature_trees, query, objects, batch_size, stats, rec=rec,
+            floor=floor, collector=collector,
+        )
     else:
         with rec.span("stds.score_objects"):
             candidates = _stds_per_object(
@@ -469,7 +451,6 @@ def _stds_range_batched(
     objects: list[tuple[int, float, float]],
     batch_size: int,
     stats: QueryStats | None = None,
-    pool: ThreadPoolExecutor | None = None,
     rec=_tracing.NULL_RECORDER,
     floor: float = -math.inf,
     collector=_explain.NULL_COLLECTOR,
@@ -479,58 +460,29 @@ def _stds_range_batched(
     candidates: list[tuple[float, int, float, float]] = []
     c = query.c
     debug = logger.isEnabledFor(logging.DEBUG)
-    ctx = _tracing.capture()
 
     for start in range(0, len(objects), batch_size):
         chunk = objects[start : start + batch_size]
         chunk_id = start // batch_size
         pending = {oid: (x, y) for oid, x, y in chunk}
-        precomputed: list[dict[int, float]] | None = None
-        if pool is not None and c > 1:
-            # Score the chunk against every feature set concurrently,
-            # then replay the serial threshold fold below over the
-            # precomputed values — the fold sees exactly the numbers the
-            # serial path would have computed.  The worker resumes the
-            # caller's trace context: ThreadPoolExecutor does not carry
-            # context across threads, and the spans recorded inside must
-            # join the query's trace id and collector.
-            def _scored(i, tree, pending=pending):
-                with _tracing.resume(ctx), rec.span(
-                    "stds.chunk_scan", feature_set=i, chunk=chunk_id
-                ):
-                    return compute_scores_batch(
-                        tree, query, query.keyword_masks[i], pending,
-                        stats, collector=collector, set_id=i,
-                    )
-
-            futures = [
-                pool.submit(_scored, i, tree)
-                for i, tree in enumerate(feature_trees)
-            ]
-            precomputed = [f.result() for f in futures]
         partial = {oid: 0.0 for oid, _, _ in chunk}
         for i, tree in enumerate(feature_trees):
             if not pending:
                 break
             remaining_sets = c - i - 1
-            if precomputed is not None:
-                scores = precomputed[i]
-            else:
-                with rec.span(
-                    "stds.chunk_scan", feature_set=i, chunk=chunk_id
-                ):
-                    scores = compute_scores_batch(
-                        tree,
-                        query,
-                        query.keyword_masks[i],
-                        pending,
-                        stats,
-                        partial=partial,
-                        threshold=threshold,
-                        remaining_sets=remaining_sets,
-                        collector=collector,
-                        set_id=i,
-                    )
+            with rec.span("stds.chunk_scan", feature_set=i, chunk=chunk_id):
+                scores = compute_scores_batch(
+                    tree,
+                    query,
+                    query.keyword_masks[i],
+                    pending,
+                    stats,
+                    partial=partial,
+                    threshold=threshold,
+                    remaining_sets=remaining_sets,
+                    collector=collector,
+                    set_id=i,
+                )
             if remaining_sets == 0:
                 # Last feature set: no survivor set to build.
                 for oid in pending:

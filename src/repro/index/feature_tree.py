@@ -118,7 +118,7 @@ class FeatureScorer:
         Scores the rows that share a keyword with the query and no
         others, mirroring :meth:`leaf_score` / :meth:`leaf_relevant`
         operation for operation so the values are bit-identical to
-        :meth:`entries_run`: ``|t.W ∩ W|`` comes from a vectorized
+        theirs: ``|t.W ∩ W|`` comes from a vectorized
         popcount of the packed masks and ``|t.W ∪ W| = |t.W| + |W| -
         |t.W ∩ W|`` (exact even when the query mask is wider than the
         packed entry masks, whose overflow bits can never intersect;
@@ -149,20 +149,6 @@ class FeatureScorer:
             memo.clear()
         memo[key] = run
         return run
-
-    def entries_run(self, entries: list) -> LeafRun:
-        """:meth:`leaf_run` off the numpy fast path: the same run, scored
-        one entry at a time and not memoised."""
-        rows = [i for i, e in enumerate(entries) if self.leaf_relevant(e)]
-        neg = [-self.leaf_score(entries[i]) for i in rows]
-        order = sorted(range(len(rows)), key=neg.__getitem__)
-        return LeafRun(
-            [neg[i] for i in order],
-            np.array([rows[i] for i in order], dtype=np.intp),
-            np.array([e.fid for e in entries], dtype=np.int64),
-            np.array([e.x for e in entries], dtype=np.float64),
-            np.array([e.y for e in entries], dtype=np.float64),
-        )
 
 
 class FeatureTree(RTreeBase):
@@ -258,19 +244,15 @@ class FeatureTree(RTreeBase):
         return entry.rect
 
     # ------------------------------------------------------------------
-    # vectorized fast path
+    # columnar leaves
     # ------------------------------------------------------------------
     def leaf_arrays(self, node: Node):
-        """Columnar view of a leaf node, or None off the numpy fast path."""
+        """Columnar view of a leaf node."""
         return feature_leaf_arrays(node, self._codec.mask_bytes)
 
     def leaf_run(self, node: Node, scorer: FeatureScorer) -> LeafRun:
-        """A leaf scored by ``scorer`` — the same run on or off the fast
-        path, so no caller branches on which one it got."""
-        arrays = self.leaf_arrays(node)
-        if arrays is None:
-            return scorer.entries_run(node.entries)
-        return scorer.leaf_run(arrays)
+        """A leaf scored by ``scorer``."""
+        return scorer.leaf_run(self.leaf_arrays(node))
 
     # ------------------------------------------------------------------
     # convenience

@@ -15,14 +15,12 @@ The views are built on first use and cached on the
 :class:`LeafRun` of each query that scored the leaf — across queries;
 ``RTreeBase.write_node`` drops them whenever a node is rewritten.
 
-The feature-mask fast path needs ``np.bitwise_count`` (numpy 2.0);
-without it, or after :func:`set_vectorized` turned the fast path off
-(tests and benchmarks use that as the reference), the helpers return
-``None`` and the leaf is scored one :attr:`Node.entries` item at a time.
-Either way a scored feature leaf is a :class:`LeafRun`
-(``FeatureTree.leaf_run``), and the two ways produce bit-identical runs
-— the vector expressions mirror the scalar formulas operation for
-operation.
+This is the only way a leaf is scored, which is why the package needs
+numpy >= 2.0 (``np.bitwise_count``).  A scored feature leaf is a
+:class:`LeafRun` (``FeatureTree.leaf_run``); its vector expressions
+mirror the per-entry formulas ``FeatureScorer.leaf_score`` /
+``leaf_relevant`` operation for operation, so the values are
+bit-identical to them — the tests hold the run to that reference.
 """
 
 from __future__ import annotations
@@ -30,26 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index.nodes import Node, leaf_columns
-
-#: ``np.bitwise_count`` (vectorized popcount) arrived in numpy 2.0; the
-#: feature-mask fast path needs it, the object-location one does not.
-MASK_COUNT_AVAILABLE = hasattr(np, "bitwise_count")
-
-_enabled = True
-
-
-def vectorized_enabled() -> bool:
-    """True when the numpy fast path is active."""
-    return _enabled
-
-
-def set_vectorized(enabled: bool) -> bool:
-    """Enable/disable the numpy fast path; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
 
 def pack_mask(mask: int, n_bytes: int):
     """One keyword bit mask as a ``(n_bytes,)`` uint8 array.
@@ -134,10 +112,8 @@ class ObjectLeafArrays:
         return len(self.oids)
 
 
-def feature_leaf_arrays(node: Node, mask_bytes: int) -> FeatureLeafArrays | None:
-    """Cached columnar view of a feature leaf, or None off the fast path."""
-    if not (_enabled and MASK_COUNT_AVAILABLE) or not node.is_leaf:
-        return None
+def feature_leaf_arrays(node: Node, mask_bytes: int) -> FeatureLeafArrays:
+    """Cached columnar view of a feature leaf."""
     cached = node._leaf_arrays
     if isinstance(cached, FeatureLeafArrays):
         return cached
@@ -145,10 +121,8 @@ def feature_leaf_arrays(node: Node, mask_bytes: int) -> FeatureLeafArrays | None
     return arrays
 
 
-def object_leaf_arrays(node: Node) -> ObjectLeafArrays | None:
-    """Cached columnar view of an object leaf, or None off the fast path."""
-    if not _enabled or not node.is_leaf:
-        return None
+def object_leaf_arrays(node: Node) -> ObjectLeafArrays:
+    """Cached columnar view of an object leaf."""
     cached = node._leaf_arrays
     if isinstance(cached, ObjectLeafArrays):
         return cached

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.hilbert.curve import hilbert_key_2d
-from repro.index.leafdata import object_leaf_arrays, vectorized_enabled
+from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import Node, ObjectLeafEntry, ObjectNodeCodec
 from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
 from repro.model.objects import DataObject
@@ -109,29 +109,22 @@ class ObjectRTree(RTreeBase):
         while stack:
             node = self.read_node(stack.pop())
             if node.is_leaf:
+                # One distance test per anchor for the whole leaf (see
+                # repro.index.leafdata); entries are built for the
+                # qualifying rows only.
                 arrays = object_leaf_arrays(node)
-                if arrays is not None:
-                    # Vectorized: one distance test per anchor for the
-                    # whole leaf (see repro.index.leafdata); entries are
-                    # built for the qualifying rows only.
-                    keep = None
-                    for ax, ay in anchors:
-                        dx = arrays.xs - ax
-                        dy = arrays.ys - ay
-                        near = dx * dx + dy * dy <= r2
-                        keep = near if keep is None else keep & near
-                    columns = (arrays.oids, arrays.xs, arrays.ys)
-                    if keep is not None:
-                        columns = [column[keep] for column in columns]
-                    yield from map(
-                        ObjectLeafEntry, *(column.tolist() for column in columns)
-                    )
-                    continue
-                for e in node.entries:
-                    if all(
-                        _point_dist2(e.x, e.y, a) <= r2 for a in anchors
-                    ):
-                        yield e
+                keep = None
+                for ax, ay in anchors:
+                    dx = arrays.xs - ax
+                    dy = arrays.ys - ay
+                    near = dx * dx + dy * dy <= r2
+                    keep = near if keep is None else keep & near
+                columns = (arrays.oids, arrays.xs, arrays.ys)
+                if keep is not None:
+                    columns = [column[keep] for column in columns]
+                yield from map(
+                    ObjectLeafEntry, *(column.tolist() for column in columns)
+                )
             else:
                 for e in node.entries:
                     if all(e.rect.mindist(a) <= radius for a in anchors):
@@ -218,12 +211,9 @@ class ObjectRTree(RTreeBase):
         """Every data object as an ``(oid, x, y)`` tuple, in leaf order.
 
         What a read path that needs all objects uses (the STDS scan, the
-        STPS score-0 tail): the leaf columns are read in bulk on the fast
-        path (``tolist`` beats building an entry per object); the order
-        is :meth:`all_entries`' either way.
+        STPS score-0 tail): the leaf columns are read in bulk (``tolist``
+        beats building an entry per object), in :meth:`all_entries`' order.
         """
-        if not vectorized_enabled():
-            return [(e.oid, e.x, e.y) for e in self.iter_leaf_entries()]
         out: list[tuple[int, float, float]] = []
         for node in self.iter_leaves():
             arrays = object_leaf_arrays(node)
@@ -231,13 +221,6 @@ class ObjectRTree(RTreeBase):
                 zip(arrays.oids.tolist(), arrays.xs.tolist(), arrays.ys.tolist())
             )
         return out
-
-
-def _point_dist2(x: float, y: float, anchor: tuple[float, float]) -> float:
-    """Squared distance — the same predicate the vectorized path uses."""
-    dx = x - anchor[0]
-    dy = y - anchor[1]
-    return dx * dx + dy * dy
 
 
 def _str_order(

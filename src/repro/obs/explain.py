@@ -443,11 +443,11 @@ class QueryPlan:
 class DiagnosticsCollector:
     """Accumulates a :class:`QueryPlan` while a query executes.
 
-    Thread-safe: the sharded fan-out records verdicts from worker
-    threads, and the parallel STDS chunk scan updates per-set counts
-    concurrently.  All mutation goes through one lock — EXPLAIN mode is
-    diagnostic, correctness beats nanoseconds here; the *disabled* path
-    (:data:`NULL_COLLECTOR`) costs one attribute check.
+    Thread-safe: the sharded fan-out records shard verdicts and folds
+    sub-plans in from worker threads.  All mutation goes through one
+    lock — EXPLAIN mode is diagnostic, correctness beats nanoseconds
+    here; the *disabled* path (:data:`NULL_COLLECTOR`) costs one
+    attribute check.
     """
 
     __slots__ = ("_plan", "_lock", "_set_diags")

@@ -25,9 +25,8 @@ threads without interrupting them; Python guarantees the returned
 frames are safe to walk.
 
 Module-level :func:`install` / :func:`uninstall` manage one shared
-instance with reference counting, so the ``QueryExecutor(profile=True)``
-knob and ``python -m repro.obs --telemetry`` compose without fighting
-over lifecycle.
+instance with reference counting, so ``python -m repro.obs --telemetry``
+and any embedding caller compose without fighting over lifecycle.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Perf-regression sentinel: compare bench results against baselines.
 
-The repo commits benchmark result documents (``BENCH_executor.json``,
-``BENCH_shards.json``) produced by the scripts in ``benchmarks/``.  This
+The repo commits benchmark result documents (``BENCH_shards.json``,
+``BENCH_serve.json``) produced by the scripts in ``benchmarks/``.  This
 module compares a *current* run against a *baseline* document and emits
 a machine-readable verdict that CI gates on, plus an append-only history
 line (``BENCH_history.jsonl``) so perf over time is greppable.
@@ -17,10 +17,9 @@ Two comparison modes, chosen automatically per pair:
   changes that absolute latencies would not.
 * **floor** — workload shapes differ (e.g. a CI smoke run vs. the
   committed full-size baseline).  Absolute floors apply instead: the
-  hot path must still show a real speedup
-  (:data:`EXECUTOR_SPEEDUP_FLOOR`) and the shard fan-out must stay
-  within its overhead cap (:data:`SHARD_FANOUT_FLOOR` on the headline
-  algorithm at 4 shards).
+  shard fan-out must stay within its overhead cap
+  (:data:`SHARD_FANOUT_FLOOR` on the headline algorithm at 4 shards)
+  and the serving bench above its ``SERVE_*`` floors.
 
 Shard-scaling documents are also held, in either mode, to a count that
 repeats exactly on every machine: the combinations STPS assembles and
@@ -37,8 +36,8 @@ shared CI box.
 Use::
 
     python -m repro.obs regress \
-        --pair BENCH_executor.json current_executor.json \
         --pair BENCH_shards.json current_shards.json \
+        --pair BENCH_serve.json current_serve.json \
         --history BENCH_history.jsonl --verdict sentinel_verdict.json
 
 Exit status 0 iff every pair passes; the verdict JSON carries the full
@@ -59,8 +58,6 @@ SENTINEL_SCHEMA_VERSION = 1
 
 #: Matched mode: current relative metric must be >= baseline * this.
 RATIO_TOLERANCE = 0.55
-#: Floor mode: minimum per-algorithm hot-path speedup (executor bench).
-EXECUTOR_SPEEDUP_FLOOR = 1.2
 #: Floor mode: fan-out overhead cap — the headline algorithm's cold pass
 #: at 4 shards may take at most 1/0.4 = 2.5x the single-node time.  Not
 #: a speedup floor: STPS work is linear in the features it pulls, so on
@@ -82,9 +79,7 @@ SERVE_RATIO_FLOOR = 1.0
 
 #: Config keys that describe the machine, not the workload — two runs
 #: differing only in these still compare in matched mode.
-MACHINE_CONFIG_KEYS = frozenset(
-    {"python", "cpus", "workers", "numpy_fast_path"}
-)
+MACHINE_CONFIG_KEYS = frozenset({"python", "cpus", "workers"})
 
 
 def load_doc(path: str | Path) -> dict:
@@ -104,21 +99,13 @@ def workload_config(doc: dict) -> dict:
 def extract_metrics(doc: dict) -> dict[str, dict[str, float]]:
     """``{unit: {metric: value}}`` of the tracked relative metrics.
 
-    Units are ``executor/<algorithm>`` or ``shards/<algorithm>``; only
+    Units are ``shards/<algorithm>`` or ``serve/<phase>``; only
     machine-portable metrics (speedup ratios, throughput) are tracked —
     absolute wall times are recorded in history but never gated on.
     """
     bench = doc.get("benchmark", "")
     out: dict[str, dict[str, float]] = {}
-    if bench == "executor-hot-path":
-        for row in doc.get("results", []):
-            unit = f"executor/{row['algorithm']}"
-            metrics = {}
-            for key in ("speedup", "speedup_warm", "throughput_qps"):
-                if key in row:
-                    metrics[key] = float(row[key])
-            out[unit] = metrics
-    elif bench == "shard-scaling":
+    if bench == "shard-scaling":
         for row in doc.get("results", []):
             unit = f"shards/{row['algorithm']}"
             metrics = {}
@@ -260,16 +247,7 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                 ))
     else:
         mode = "floor"
-        if bench == "executor-hot-path":
-            for unit, metrics in cur_metrics.items():
-                if "speedup" in metrics:
-                    checks.append(_check(
-                        unit, "speedup", "floor",
-                        EXECUTOR_SPEEDUP_FLOOR,
-                        base_metrics.get(unit, {}).get("speedup"),
-                        metrics["speedup"],
-                    ))
-        elif bench == "shard-scaling":
+        if bench == "shard-scaling":
             headline = current.get("headline_algorithm", "stps")
             unit = f"shards/{headline}"
             value = cur_metrics.get(unit, {}).get("speedup_cold_s4")

@@ -56,9 +56,8 @@ def query_signature(
 ) -> tuple:
     """The canonical, tenant-agnostic identity of one serving request.
 
-    Everything that can change the *answer* is in the key; everything
-    that cannot (tenant, batch_size, parallelism — tuning knobs proven
-    result-neutral) is excluded, maximising cross-tenant sharing.
+    Everything that can change the *answer* is in the key; the tenant
+    cannot, and is excluded, maximising cross-tenant sharing.
     """
     return (
         algorithm,

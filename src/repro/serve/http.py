@@ -66,7 +66,11 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
     algorithm = str(params.get("algorithm", "stps"))
     pulling = str(params.get("pulling", "prioritized"))
     try:
-        k = int(params["k"])
+        k = params["k"]
+        # int() would truncate 2.7 to 2 and read true as 1.
+        if isinstance(k, bool) or (isinstance(k, float) and not k.is_integer()):
+            raise QueryError(f"'k' must be an integer, got {k!r}")
+        k = int(k)
         radius = float(params["radius"])
         lam = float(params["lam"])
     except KeyError as exc:

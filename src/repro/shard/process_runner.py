@@ -209,8 +209,6 @@ def _run_shard_query(
     query,
     algorithm: str,
     pulling: str,
-    batch_size: int,
-    parallelism: int | None,
     floor: float,
     obs: ObsContext,
     explain: bool,
@@ -259,8 +257,6 @@ def _run_shard_query(
                 query,
                 algorithm=algorithm,
                 pulling=pulling,
-                batch_size=batch_size,
-                parallelism=parallelism,
                 floor=floor,
                 collector=collector,
             )
@@ -362,8 +358,6 @@ class ProcessShardRunner:
         query,
         algorithm: str,
         pulling: str,
-        batch_size: int,
-        parallelism: int | None,
         floor: float,
         obs: ObsContext,
         explain: bool,
@@ -385,8 +379,6 @@ class ProcessShardRunner:
             query,
             algorithm,
             pulling,
-            batch_size,
-            parallelism,
             floor,
             obs,
             explain,

@@ -41,7 +41,6 @@ from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, rank_items
-from repro.core.stds import DEFAULT_BATCH_SIZE
 from repro.errors import QueryError, ReproError, ShardError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
@@ -470,8 +469,6 @@ class ShardedQueryProcessor:
         query: PreferenceQuery,
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         floor: float = float("-inf"),
         collector=None,
     ) -> QueryResult:
@@ -517,13 +514,12 @@ class ShardedQueryProcessor:
                 )
                 if self.fanout == "processes":
                     results = self._run_processes(
-                        ordered, query, algorithm, pulling, batch_size,
-                        parallelism, floor, merger, col, trace_id,
+                        ordered, query, algorithm, pulling, floor, merger,
+                        col, trace_id,
                     )
                 else:
                     run = self._make_runner(
-                        query, algorithm, pulling, batch_size, parallelism,
-                        floor, merger, col, ctx,
+                        query, algorithm, pulling, floor, merger, col, ctx,
                     )
                     workers = self._effective_workers()
                     if workers <= 1 or self.shard_count == 1:
@@ -583,8 +579,6 @@ class ShardedQueryProcessor:
         query: PreferenceQuery,
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         floor: float = float("-inf"),
     ) -> "_explain.ExplainReport":
         """Run the query with diagnostics on; return plan + result.
@@ -597,8 +591,6 @@ class ShardedQueryProcessor:
             query,
             algorithm=algorithm,
             pulling=pulling,
-            batch_size=batch_size,
-            parallelism=parallelism,
             floor=floor,
             collector=collector,
         )
@@ -609,8 +601,6 @@ class ShardedQueryProcessor:
         queries,
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        parallelism: int | None = None,
         max_workers: int = 4,
         dedup: bool = True,
         on_error: str = "raise",
@@ -631,8 +621,6 @@ class ShardedQueryProcessor:
                 queries,
                 algorithm=algorithm,
                 pulling=pulling,
-                batch_size=batch_size,
-                parallelism=parallelism,
                 dedup=dedup,
                 on_error=on_error,
             )
@@ -663,8 +651,7 @@ class ShardedQueryProcessor:
             )
 
     def _make_runner(
-        self, query, algorithm, pulling, batch_size, parallelism,
-        external_floor, merger, col, ctx,
+        self, query, algorithm, pulling, external_floor, merger, col, ctx,
     ):
         # One registry resolution per query, shared by every shard runner
         # (the handle itself is thread-safe).
@@ -697,8 +684,6 @@ class ShardedQueryProcessor:
                         query,
                         algorithm=algorithm,
                         pulling=pulling,
-                        batch_size=batch_size,
-                        parallelism=parallelism,
                         floor=floor,
                         collector=sub,
                     )
@@ -728,8 +713,8 @@ class ShardedQueryProcessor:
         return run
 
     def _run_processes(
-        self, ordered, query, algorithm, pulling, batch_size, parallelism,
-        external_floor, merger, col, trace_id,
+        self, ordered, query, algorithm, pulling, external_floor, merger,
+        col, trace_id,
     ) -> list[QueryResult]:
         """Process-mode fan-out: throttled dispatch over the worker pool.
 
@@ -768,7 +753,7 @@ class ShardedQueryProcessor:
                     continue
                 future = runner.submit(
                     shard_id, self._epoch, query, algorithm, pulling,
-                    batch_size, parallelism, floor, obs, col.active,
+                    floor, obs, col.active,
                     manifest=self._manifests[idx],
                 )
                 in_flight[future] = (bound, shard_id, floor)

@@ -10,6 +10,7 @@ import pytest
 from repro.core.executor import BatchReport, QueryExecutor
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
+from repro.core.stds import stds
 from repro.errors import QueryError
 from tests.conftest import random_mask
 
@@ -145,9 +146,7 @@ class TestSharedLeafRuns:
         for tree, masks in zip(shared.feature_trees, zip(*pairs)):
             keys = {(mask, 0.5) for mask in masks}
             memos = [
-                arrays.memo
-                for leaf in tree.iter_leaves()
-                if (arrays := tree.leaf_arrays(leaf)) is not None
+                tree.leaf_arrays(leaf).memo for leaf in tree.iter_leaves()
             ]
             assert all(set(memo) <= keys for memo in memos)
             assert any(memo for memo in memos) or not memos
@@ -165,26 +164,19 @@ class TestProcessorConvenience:
         query = make_queries(1, seed=86)[0]
         base = srt_processor.query(query, algorithm="stds")
         for batch_size in (1, 3, 1000):
-            got = srt_processor.query(
-                query, algorithm="stds", batch_size=batch_size
+            got = stds(
+                srt_processor.object_tree, srt_processor.feature_trees,
+                query, batch_size=batch_size,
             )
             assert_same_result(got, base)
-
-    def test_parallelism_does_not_change_results(self, srt_processor):
-        queries = make_queries(4, seed=87)
-        for query in queries:
-            serial = srt_processor.query(query, algorithm="stds")
-            threaded = srt_processor.query(
-                query, algorithm="stds", parallelism=4
-            )
-            assert_same_result(threaded, serial)
 
     def test_invalid_knobs_rejected(self, srt_processor):
         query = make_queries(1, seed=88)[0]
         with pytest.raises(QueryError):
-            srt_processor.query(query, algorithm="stds", batch_size=0)
-        with pytest.raises(QueryError):
-            srt_processor.query(query, algorithm="stds", parallelism=0)
+            stds(
+                srt_processor.object_tree, srt_processor.feature_trees,
+                query, batch_size=0,
+            )
 
 
 class TestLifecycle:

@@ -31,7 +31,9 @@ class TestValidation:
         # layer must answer it, not 500 on it.
         assert valid_query(k=0).k == 0
 
-    @pytest.mark.parametrize("radius", [0.0, -0.1])
+    @pytest.mark.parametrize(
+        "radius", [0.0, -0.1, float("nan"), float("inf")]
+    )
     def test_bad_radius(self, radius):
         with pytest.raises(QueryError):
             valid_query(radius=radius)

@@ -6,7 +6,7 @@ opens, one heap entry per leaf run, a drop cursor that ends the scan when
 every object is doomed.  None of that may change a score: the batch must
 equal the per-object ``compute_score`` on every object the threshold has
 not doomed (a doomed one is left at 0.0), and ``stds`` must equal brute
-force at every ``batch_size`` / ``parallelism``.
+force at every ``batch_size``.
 
 Worlds sit where those shortcuts bite: 256-byte pages (fan-out 5-7, so
 40 features make a height-3 tree), coordinates on a 1/8 lattice with
@@ -144,12 +144,11 @@ def test_stds_equals_brute_force_at_every_batching(
     )
     want = brute_force(objects, feature_sets, query)
     for batch_size in (1, 3, 1024):
-        for parallelism in (None, 2):
-            got = stds(
-                processor.object_tree, processor.feature_trees, query,
-                batch_size=batch_size, parallelism=parallelism,
-            )
-            assert [item.oid for item in got.items] == [
-                item.oid for item in want.items
-            ], (batch_size, parallelism)
-            assert got.scores == pytest.approx(want.scores, abs=1e-9)
+        got = stds(
+            processor.object_tree, processor.feature_trees, query,
+            batch_size=batch_size,
+        )
+        assert [item.oid for item in got.items] == [
+            item.oid for item in want.items
+        ], batch_size
+        assert got.scores == pytest.approx(want.scores, abs=1e-9)

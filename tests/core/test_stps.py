@@ -9,7 +9,6 @@ from repro.core.combinations import PULL_ROUND_ROBIN
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stps import stps
 from repro.errors import QueryError
-from repro.index.leafdata import set_vectorized
 from tests.conftest import random_mask
 
 
@@ -48,9 +47,8 @@ class TestCorrectness:
         assert len(got) == 4
         assert got.scores == [0.0] * 4
 
-    @pytest.mark.parametrize("vectorized", [True, False])
     def test_sparse_keywords_reach_score_zero_tail(
-        self, srt_processor, objects, feature_sets, monkeypatch, vectorized
+        self, srt_processor, objects, feature_sets, monkeypatch
     ):
         """Fewer than k objects score above 0, so the all-virtual
         combination fills the rest: lowest unseen ids, cut at k, read off
@@ -64,14 +62,9 @@ class TestCorrectness:
         def no_entries(self):
             raise AssertionError("the score-0 tail materialised entries")
 
-        if vectorized:
-            monkeypatch.setattr(type(tree), "all_entries", no_entries)
-            monkeypatch.setattr(type(tree), "iter_leaf_entries", no_entries)
-        previous = set_vectorized(vectorized)
-        try:
-            got = stps(tree, srt_processor.feature_trees, query)
-        finally:
-            set_vectorized(previous)
+        monkeypatch.setattr(type(tree), "all_entries", no_entries)
+        monkeypatch.setattr(type(tree), "iter_leaf_entries", no_entries)
+        got = stps(tree, srt_processor.feature_trees, query)
         assert got.oids == want.oids
         assert got.scores == pytest.approx(want.scores, abs=1e-9)
         tail = got.oids[positive:]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core.stream import VIRTUAL_FID, FeatureStream, virtual_feature
 from repro.index.ir2 import IR2Tree
-from repro.index.leafdata import set_vectorized
 from repro.index.nodes import FeatureLeafEntry
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
@@ -209,7 +208,6 @@ def stream_cases(draw):
         sum(1 << t for t in terms),
         draw(st.sampled_from([0.0, 0.3, 1.0])),
         draw(st.sampled_from([SRTIndex, IR2Tree])),
-        draw(st.booleans()),
     )
 
 
@@ -219,35 +217,31 @@ class TestRunMerge:
     @given(stream_cases())
     @settings(max_examples=120, deadline=None)
     def test_emits_reference_sequence(self, case):
-        vocab_size, features, mask, lam, index, vectorized = case
+        vocab_size, features, mask, lam, index = case
         vocab = Vocabulary(f"kw{i}" for i in range(vocab_size))
         tree = index.build(
             FeatureDataset(features, vocab, "prop"),
             pagefile=MemoryPageFile(page_size=512),
         )
         n_nodes = count_nodes(tree)
-        previous = set_vectorized(vectorized)
-        try:
-            expected = reference_stream(tree, mask, lam)
-            # Twice: the second stream reads the runs the first memoised.
-            for _ in range(2):
-                stream = FeatureStream(tree, mask, lam)
-                got, bounds = [], []
-                while True:
-                    assert len(stream._heap) <= n_nodes
-                    bounds.append(stream.next_bound)
-                    feature = stream.next()
-                    if feature is None:
-                        break
-                    got.append((feature.fid, feature.score))
-                assert got[:-1] == expected  # ties included, bit for bit
-                assert got[-1] == (VIRTUAL_FID, 0.0)
-                assert stream.pulled == len(expected)
-                # next_bound dominates everything delivered after it.
-                later = 0.0
-                for bound, (_, score) in zip(reversed(bounds[:-1]), reversed(got)):
-                    later = max(later, score)
-                    assert bound >= later
-                assert bounds[-1] is None and stream.exhausted
-        finally:
-            set_vectorized(previous)
+        expected = reference_stream(tree, mask, lam)
+        # Twice: the second stream reads the runs the first memoised.
+        for _ in range(2):
+            stream = FeatureStream(tree, mask, lam)
+            got, bounds = [], []
+            while True:
+                assert len(stream._heap) <= n_nodes
+                bounds.append(stream.next_bound)
+                feature = stream.next()
+                if feature is None:
+                    break
+                got.append((feature.fid, feature.score))
+            assert got[:-1] == expected  # ties included, bit for bit
+            assert got[-1] == (VIRTUAL_FID, 0.0)
+            assert stream.pulled == len(expected)
+            # next_bound dominates everything delivered after it.
+            later = 0.0
+            for bound, (_, score) in zip(reversed(bounds[:-1]), reversed(got)):
+                later = max(later, score)
+                assert bound >= later
+            assert bounds[-1] is None and stream.exhausted

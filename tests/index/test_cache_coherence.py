@@ -59,7 +59,7 @@ def _pagefile(kind: str, tmp_path, name: str, page_size: int = 256):
 def _leaf_arrays(tree, node):
     if isinstance(tree, ObjectRTree):
         return object_leaf_arrays(node)
-    return tree.leaf_arrays(node)  # None where numpy lacks bitwise_count
+    return tree.leaf_arrays(node)
 
 
 def _array_rows(arrays) -> list[tuple]:
@@ -88,8 +88,8 @@ def assert_node_cache_coherent(tree) -> None:
         assert cached.entries == fresh.entries, (
             f"page {page_id}: node cache serves a pre-mutation image"
         )
-        arrays = _leaf_arrays(tree, cached) if cached.is_leaf else None
-        if arrays is not None:
+        if cached.is_leaf:
+            arrays = _leaf_arrays(tree, cached)
             assert _array_rows(arrays) == _entry_rows(fresh.entries), (
                 f"page {page_id}: leaf arrays view pre-mutation bytes"
             )
@@ -100,8 +100,7 @@ def assert_frozen_copy_reads_same_leaves(tree) -> None:
     def rows(t) -> list[tuple]:
         out = []
         for leaf in t.iter_leaves():
-            arrays = _leaf_arrays(t, leaf)
-            out += _entry_rows(leaf.entries) if arrays is None else _array_rows(arrays)
+            out += _array_rows(_leaf_arrays(t, leaf))
         return sorted(out)
 
     with SharedMemoryPageFile.freeze(tree.pagefile) as shm:

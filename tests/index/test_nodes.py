@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import IndexError_, StorageError
 from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureScorer
-from repro.index.leafdata import (
-    MASK_COUNT_AVAILABLE,
-    FeatureLeafArrays,
-    ObjectLeafArrays,
-)
+from repro.index.leafdata import FeatureLeafArrays, ObjectLeafArrays
 from repro.index.nodes import (
     FeatureInternalEntry,
     FeatureLeafEntry,
@@ -176,8 +172,6 @@ class TestColumnarLeaf:
         assert len(payload) <= PAYLOAD_CAPACITY
         decoded = codec.decode(9, payload)
         assert decoded.entries == entries
-        if not MASK_COUNT_AVAILABLE:
-            return
         arrays = FeatureLeafArrays(payload, codec.mask_bytes)
         raw = np.frombuffer(payload, np.uint8)
         for column in (arrays.fids, arrays.xs, arrays.ys, arrays.scores, arrays.masks):
@@ -191,12 +185,10 @@ class TestColumnarLeaf:
             i for i, e in enumerate(entries) if scorer.leaf_relevant(e)
         ]
         assert run.neg_scores == [-scorer.leaf_score(entries[i]) for i in rows]
-        # Best first, ties in row order; the scalar way builds the same run.
+        # Best first, ties in row order.
         keys = list(zip(run.neg_scores, rows))
         assert keys == sorted(keys)
-        scalar = scorer.entries_run(entries)
-        assert (scalar.neg_scores, scalar.rows.tolist()) == (run.neg_scores, rows)
-        assert scalar.fids.tolist() == run.fids.tolist()
+        assert run.fids.tolist() == [e.fid for e in entries]
         assert scorer.leaf_run(arrays) is run  # memoised under (mask, lam)
 
     @given(st.lists(st.tuples(int64, unit, unit), max_size=170))

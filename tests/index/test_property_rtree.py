@@ -31,7 +31,7 @@ class TestRangeQueryProperty:
         tree = ObjectRTree.build(objects, method=method)
         got = sorted(e.oid for e in tree.range_search(center, radius))
         # The index's documented predicate is dx² + dy² <= r² (see
-        # ``object_rtree._point_dist2``); ``math.hypot`` differs from it
+        # ``ObjectRTree.within_all``); ``math.hypot`` differs from it
         # for denormal offsets, whose squares underflow to zero.
         want = sorted(
             o.oid

@@ -131,23 +131,3 @@ class TestModuleLifecycle:
         assert capture is not None
         assert capture["lookback_s"] == pytest.approx(0.03 + CAPTURE_SLACK_S)
         assert capture["samples"] > 0
-
-    def test_executor_profile_knob(self):
-        from repro.core.executor import QueryExecutor
-        from repro.core.processor import QueryProcessor
-        from repro.data.synthetic import (
-            synthetic_feature_sets,
-            synthetic_objects,
-        )
-
-        processor = QueryProcessor.build(
-            synthetic_objects(120, seed=11),
-            synthetic_feature_sets(2, 80, 32, seed=12),
-        )
-        executor = QueryExecutor(processor, max_workers=1, profile=True)
-        try:
-            assert profiler.get() is not None
-            assert profiler.get().running
-        finally:
-            executor.close()
-        assert profiler.get() is None

@@ -12,32 +12,11 @@ from repro.obs import regress
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-EXECUTOR_DOC = {
-    "benchmark": "executor-hot-path",
-    "config": {
-        "objects": 2000, "features_per_set": 1000, "feature_sets": 2,
-        "vocabulary": 64, "distinct_queries": 5, "repeats": 2,
-        "workers": 4, "numpy_fast_path": True, "python": "3.11.7",
-    },
-    "results": [
-        {
-            "algorithm": "stps", "queries": 10, "speedup": 40.0,
-            "speedup_warm": 9.0, "throughput_qps": 900.0,
-            "optimized_s": 0.2,
-        },
-        {
-            "algorithm": "stds", "queries": 10, "speedup": 12.0,
-            "speedup_warm": 8.0, "throughput_qps": 50.0,
-            "optimized_s": 3.0,
-        },
-    ],
-}
-
 SHARDS_DOC = {
     "benchmark": "shard-scaling",
     "config": {
         "objects": 1000, "features_per_set": 600, "feature_sets": 3,
-        "queries": 4, "cpus": 8, "python": "3.11.7",
+        "queries": 4, "cpus": 8, "workers": 4, "python": "3.11.7",
     },
     "headline_algorithm": "stps",
     "results": [
@@ -56,54 +35,46 @@ SHARDS_DOC = {
 
 class TestCompareDocs:
     def test_identical_docs_pass_matched_mode(self):
-        verdict = regress.compare_docs(EXECUTOR_DOC, EXECUTOR_DOC)
+        verdict = regress.compare_docs(SHARDS_DOC, SHARDS_DOC)
         assert verdict["mode"] == "matched"
         assert verdict["ok"] is True
-        units = {c["unit"] for c in verdict["checks"]}
-        assert units == {"executor/stps", "executor/stds"}
+        assert {c["unit"] for c in verdict["checks"]} == {"shards/stps"}
 
     def test_synthetic_2x_slowdown_fails(self):
-        slowed = copy.deepcopy(EXECUTOR_DOC)
-        for row in slowed["results"]:
-            row["speedup"] /= 2.0
-            row["speedup_warm"] /= 2.0
-            row["throughput_qps"] /= 2.0
-            row["optimized_s"] *= 2.0
-        verdict = regress.compare_docs(EXECUTOR_DOC, slowed)
+        slowed = copy.deepcopy(SHARDS_DOC)
+        slowed["results"][0]["speedup_cold_s4"] /= 2.0
+        verdict = regress.compare_docs(SHARDS_DOC, slowed)
         assert verdict["mode"] == "matched"
         assert verdict["ok"] is False
-        failing = [c for c in verdict["checks"] if not c["ok"]]
-        assert failing  # every ratio check is below tolerance
-        assert all(c["rule"] == "ratio" for c in failing)
+        (failing,) = [c for c in verdict["checks"] if not c["ok"]]
+        assert failing["rule"] == "ratio"
 
     def test_noise_within_tolerance_passes(self):
-        noisy = copy.deepcopy(EXECUTOR_DOC)
-        for row in noisy["results"]:
-            row["speedup"] *= 0.8  # 20% dip: inside the 45% budget
-            row["speedup_warm"] *= 0.8
-            row["throughput_qps"] *= 0.8
-        assert regress.compare_docs(EXECUTOR_DOC, noisy)["ok"] is True
+        noisy = copy.deepcopy(SHARDS_DOC)
+        noisy["results"][0]["speedup_cold_s4"] *= 0.8  # inside the 45% budget
+        assert regress.compare_docs(SHARDS_DOC, noisy)["ok"] is True
 
     def test_machine_keys_do_not_break_matched_mode(self):
-        other = copy.deepcopy(EXECUTOR_DOC)
+        other = copy.deepcopy(SHARDS_DOC)
         other["config"]["python"] = "3.12.1"
         other["config"]["workers"] = 8
-        verdict = regress.compare_docs(EXECUTOR_DOC, other)
+        other["config"]["cpus"] = 16
+        verdict = regress.compare_docs(SHARDS_DOC, other)
         assert verdict["mode"] == "matched"
 
     def test_workload_mismatch_uses_floor_mode(self):
-        smoke = copy.deepcopy(EXECUTOR_DOC)
+        smoke = copy.deepcopy(SHARDS_DOC)
         smoke["config"]["objects"] = 500  # different workload shape
-        verdict = regress.compare_docs(EXECUTOR_DOC, smoke)
+        verdict = regress.compare_docs(SHARDS_DOC, smoke)
         assert verdict["mode"] == "floor"
-        assert verdict["ok"] is True  # speedups 40/12 clear the 1.2 floor
-        assert {c["rule"] for c in verdict["checks"]} == {"floor"}
+        assert verdict["ok"] is True  # 4.2 clears the 0.4 overhead cap
+        assert {c["rule"] for c in verdict["checks"]} == {"floor", "ceiling"}
 
     def test_floor_mode_catches_lost_speedup(self):
-        smoke = copy.deepcopy(EXECUTOR_DOC)
+        smoke = copy.deepcopy(SHARDS_DOC)
         smoke["config"]["objects"] = 500
-        smoke["results"][0]["speedup"] = 1.05  # hot path gone
-        verdict = regress.compare_docs(EXECUTOR_DOC, smoke)
+        smoke["results"][0]["speedup_cold_s4"] = 0.3  # past the cap
+        verdict = regress.compare_docs(SHARDS_DOC, smoke)
         assert verdict["ok"] is False
 
     def test_shard_floor_mode_uses_headline(self):
@@ -143,15 +114,18 @@ class TestCompareDocs:
         assert metrics["shards/stps"]["speedup_cold_s4"] == 4.2
 
     def test_benchmark_type_mismatch_is_invalid(self):
-        verdict = regress.compare_docs(EXECUTOR_DOC, SHARDS_DOC)
+        serve = {**SHARDS_DOC, "benchmark": "serve-load"}
+        verdict = regress.compare_docs(serve, SHARDS_DOC)
         assert verdict["mode"] == "invalid"
         assert verdict["ok"] is False
 
     def test_missing_metric_fails(self):
-        broken = copy.deepcopy(EXECUTOR_DOC)
-        del broken["results"][0]["speedup"]
-        verdict = regress.compare_docs(EXECUTOR_DOC, broken)
+        broken = copy.deepcopy(SHARDS_DOC)
+        del broken["results"][0]["speedup_cold_s4"]
+        del broken["results"][0]["shards"]
+        verdict = regress.compare_docs(SHARDS_DOC, broken)
         assert verdict["ok"] is False
+        assert "present" in {c["rule"] for c in verdict["checks"]}
 
 
 class TestCli:
@@ -161,7 +135,7 @@ class TestCli:
         return str(path)
 
     def test_pass_run_writes_verdict_and_history(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", EXECUTOR_DOC)
+        base = self._write(tmp_path, "base.json", SHARDS_DOC)
         verdict_path = tmp_path / "verdict.json"
         history_path = tmp_path / "history.jsonl"
         rc = regress.main([
@@ -179,21 +153,22 @@ class TestCli:
         assert record["ok"] is True
         assert record["git_sha"]
         assert record["timestamp"]
-        assert record["pairs"][0]["metrics"]["executor/stps:speedup"] == 40.0
+        assert (
+            record["pairs"][0]["metrics"]["shards/stps:speedup_cold_s4"] == 4.2
+        )
         assert "PASS" in capsys.readouterr().out
 
     def test_history_appends(self, tmp_path):
-        base = self._write(tmp_path, "base.json", EXECUTOR_DOC)
+        base = self._write(tmp_path, "base.json", SHARDS_DOC)
         history_path = tmp_path / "history.jsonl"
         for _ in range(2):
             regress.main(["--pair", base, base, "--history", str(history_path)])
         assert len(history_path.read_text().splitlines()) == 2
 
     def test_regression_exits_nonzero(self, tmp_path, capsys):
-        slowed = copy.deepcopy(EXECUTOR_DOC)
-        for row in slowed["results"]:
-            row["speedup"] /= 2.0
-        base = self._write(tmp_path, "base.json", EXECUTOR_DOC)
+        slowed = copy.deepcopy(SHARDS_DOC)
+        slowed["results"][0]["speedup_cold_s4"] /= 2.0
+        base = self._write(tmp_path, "base.json", SHARDS_DOC)
         cur = self._write(tmp_path, "cur.json", slowed)
         verdict_path = tmp_path / "verdict.json"
         rc = regress.main(
@@ -204,28 +179,27 @@ class TestCli:
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_multiple_pairs_all_must_pass(self, tmp_path):
-        base_e = self._write(tmp_path, "e.json", EXECUTOR_DOC)
-        base_s = self._write(tmp_path, "s.json", SHARDS_DOC)
-        assert regress.main(["--pair", base_e, base_e,
-                             "--pair", base_s, base_s]) == 0
+        base = self._write(tmp_path, "s.json", SHARDS_DOC)
+        assert regress.main(["--pair", base, base,
+                             "--pair", base, base]) == 0
         broken = copy.deepcopy(SHARDS_DOC)
         broken["results"][0]["speedup_cold_s4"] = 0.1
-        cur_s = self._write(tmp_path, "s2.json", broken)
-        assert regress.main(["--pair", base_e, base_e,
-                             "--pair", base_s, cur_s]) == 1
+        cur = self._write(tmp_path, "s2.json", broken)
+        assert regress.main(["--pair", base, base,
+                             "--pair", base, cur]) == 1
 
 
 @pytest.mark.skipif(
-    not (REPO_ROOT / "BENCH_executor.json").exists(),
+    not (REPO_ROOT / "BENCH_shards.json").exists(),
     reason="committed baselines not present",
 )
 class TestCommittedBaselines:
     def test_baselines_pass_against_themselves(self):
-        executor = str(REPO_ROOT / "BENCH_executor.json")
         shards = str(REPO_ROOT / "BENCH_shards.json")
+        serve = str(REPO_ROOT / "BENCH_serve.json")
         assert regress.main([
-            "--pair", executor, executor,
             "--pair", shards, shards,
+            "--pair", serve, serve,
         ]) == 0
 
 
@@ -304,7 +278,7 @@ class TestSloVerdictRideAlong:
     def test_slo_fields_merge_into_pair_verdict(self, tmp_path):
         from repro.obs.regress import main as regress_main
 
-        doc = copy.deepcopy(EXECUTOR_DOC)
+        doc = copy.deepcopy(SHARDS_DOC)
         base = tmp_path / "base.json"
         cur = tmp_path / "cur.json"
         base.write_text(json.dumps(doc))

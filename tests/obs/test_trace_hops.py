@@ -4,9 +4,9 @@ Each thread or process hop in the engine takes ``tracing.capture()`` at
 submit time and enters ``tracing.resume(ctx)`` on the other side.  This
 file enters a query under one trace context *with a collector* through
 each hop in turn and checks the same three things: exactly one trace
-store record comes out, its span tree contains that hop's spans, and —
-where the hop is reachable from ``QueryService.handle`` — the same trace
-id is served by both views, ``/traces.json`` and ``/flight.json``.
+store record comes out, its span tree contains that hop's spans, and the
+same trace id is served by both views, ``/traces.json`` and
+``/flight.json``.
 """
 
 from __future__ import annotations
@@ -102,27 +102,8 @@ def _shard_processes_hop(corpus):
     )
 
 
-def _stds_parallel_hop(corpus):
-    # QueryService.handle does not pass ``parallelism``, so this hop is
-    # entered directly and the test plays the request owner.
-    processor = QueryProcessor.build(*corpus)
-    collector = tracing.SpanCollector()
-    with tracing.trace_scope(TRACE_ID, collector):
-        result = processor.query(
-            QUERY, algorithm="stds", parallelism=2, batch_size=100
-        )
-    assert result.stats.trace_id == TRACE_ID
-    requests.record(
-        trace_id=TRACE_ID, tenant="", outcome="ok", status=0,
-        duration_s=result.stats.wall_s, spans=collector.snapshot,
-        records=collector.records,
-    )
-    return lambda span: span["name"] == "stds.chunk_scan"
-
-
 @pytest.mark.parametrize("hop", [
     _executor_hop,
-    _stds_parallel_hop,
     _shard_threads_hop,
     _shard_processes_hop,
 ])
@@ -139,32 +120,9 @@ def test_hop_keeps_one_trace_one_record(corpus, hop):
     assert {r.trace_id for r in trace.records} == {TRACE_ID}
     assert tracing.events() == []  # the global buffer was never armed
 
-    if hop is not _stds_parallel_hop:
-        traces, records = _views(TRACE_ID)
-        assert [t["trace_id"] for t in traces] == [TRACE_ID]
-        assert len(records) == len(trace.records)
-
-
-def test_stds_parallel_scorer_keeps_chunk_scan_spans(corpus):
-    """Regression: the scorer threads used to re-enter the trace id but
-    not the collector, so a collected STDS query kept its
-    ``stds.chunk_scan`` spans serially and lost all of them in parallel
-    (``phase_times`` counted them either way)."""
-    processor = QueryProcessor.build(*corpus)
-    counts = {}
-    for parallelism in (None, 2):
-        collector = tracing.SpanCollector()
-        with tracing.trace_scope(TRACE_ID, collector):
-            result = processor.query(
-                QUERY, algorithm="stds", parallelism=parallelism,
-                batch_size=100,
-            )
-        assert result.stats.phase_times["stds.chunk_scan"] > 0
-        counts[parallelism] = sum(
-            span[0] == "stds.chunk_scan" for span in collector.spans
-        )
-    assert counts[None] > 0
-    assert counts[2] == counts[None]
+    traces, records = _views(TRACE_ID)
+    assert [t["trace_id"] for t in traces] == [TRACE_ID]
+    assert len(records) == len(trace.records)
 
 
 def test_quota_429_is_stored_once_and_seen_through_both_views(corpus):

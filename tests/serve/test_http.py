@@ -77,6 +77,11 @@ class TestParseRequest:
         {"k": "??", "radius": 0.25, "lam": 0.5, "masks": [1]},
         {"k": 5, "radius": 0.25, "lam": 0.5, "masks": [1],
          "variant": "bogus"},
+        {"k": 2.7, "radius": 0.25, "lam": 0.5, "masks": [1]},  # not k=2
+        {"k": True, "radius": 0.25, "lam": 0.5, "masks": [1]},  # not k=1
+        {"k": float("inf"), "radius": 0.25, "lam": 0.5, "masks": [1]},
+        {"k": 5, "radius": "nan", "lam": 0.5, "masks": [1]},
+        {"k": 5, "radius": "inf", "lam": 0.5, "masks": [1]},
     ])
     def test_malformed_raises(self, broken):
         from repro.errors import QueryError
@@ -108,6 +113,23 @@ class TestQueryEndpoint:
             urllib.request.urlopen(base + "/query?k=5")
         assert excinfo.value.code == 400
         assert "missing" in json.load(excinfo.value)["error"]
+
+    @pytest.mark.parametrize("algorithm", ["stps", "stds"])
+    @pytest.mark.parametrize(
+        "field", [{"radius": "nan"}, {"radius": "inf"}, {"k": 2.7}],
+        ids=["radius=nan", "radius=inf", "k=2.7"],
+    )
+    def test_unanswerable_numbers_are_400_for_every_engine(
+        self, served, algorithm, field
+    ):
+        """These used to depend on the engine: ``radius=nan`` was a 500
+        through STPS, ``radius=inf`` a 500 through STDS and a 200 through
+        STPS; a JSON ``k`` of 2.7 was served as ``k=2``."""
+        _, base = served
+        payload = body_for(QUERY, tenant="t3", algorithm=algorithm, **field)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + "/query", payload)
+        assert excinfo.value.code == 400
 
     def test_quota_429_carries_retry_after(self, served):
         _, base = served

@@ -162,7 +162,7 @@ class TestProcessModeBehavior:
         runner = sharded._ensure_process_runner()
         future = runner.submit(
             999, sharded._epoch, queries[0], "stps", PULL_PRIORITIZED,
-            64, None, float("-inf"),
+            float("-inf"),
             ObsContext.capture("trace-err-test"), False,
         )
         payload = future.result()

@@ -48,3 +48,31 @@ class TestPublicApi:
                     module.__name__,
                     name,
                 )
+
+    def test_query_path_keeps_its_switches_closed(self):
+        """No caller ever set these, so the engines stopped taking them;
+        before one grows back, ``grep -rn "<param>=" src benchmarks
+        examples`` must show a workload that needs it."""
+        import inspect
+
+        import repro.index.leafdata as leafdata
+        from repro.core.executor import QueryExecutor
+        from repro.core.processor import QueryProcessor
+        from repro.shard import ShardedQueryProcessor
+
+        closed = {"batch_size", "parallelism", "profile"}
+        for func in (
+            QueryProcessor.query,
+            QueryProcessor.explain,
+            QueryProcessor.query_many,
+            QueryExecutor.__init__,
+            QueryExecutor.query_many,
+            QueryExecutor.execute_one,
+            QueryExecutor.run,
+            ShardedQueryProcessor.query,
+            ShardedQueryProcessor.explain,
+            ShardedQueryProcessor.query_many,
+        ):
+            taken = closed & set(inspect.signature(func).parameters)
+            assert not taken, (func.__qualname__, taken)
+        assert not [name for name in dir(leafdata) if "vectorized" in name]

@@ -47,10 +47,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.query import PreferenceQuery
+from repro.core.results import QueryStats
 from repro.core.stream import FeatureStream, StreamedFeature
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
-from repro.obs import explain as _explain
+from repro.obs.explain import MAX_TRAJECTORY
 from repro.obs import tracing as _tracing
 
 _EPS = 1e-12
@@ -88,7 +89,7 @@ class CombinationIterator:
         enforce_2r: bool = True,
         pulling: str = PULL_PRIORITIZED,
         recorder=None,
-        collector=None,
+        stats: QueryStats | None = None,
     ) -> None:
         if len(feature_trees) != query.c:
             raise QueryError(
@@ -106,14 +107,13 @@ class CombinationIterator:
         self.recorder = (
             recorder if recorder is not None else _tracing.NULL_RECORDER
         )
-        # EXPLAIN collector: records pulling rounds with the τ value
-        # that justified each pull (Definition 5) and every combination
-        # accept/reject decision (Lemma 1).
-        self.collector = _explain.resolve(collector)
+        # The query's accumulator: pulling rounds (Definition 5), Lemma 1
+        # accept/reject decisions and, via the streams, per-set traversal.
+        self.stats = stats or QueryStats()
         self.c = query.c
         self.streams = [
             FeatureStream(
-                tree, mask, query.lam, collector=self.collector, set_id=i
+                tree, mask, query.lam, stats=self.stats.feature_set(i)
             )
             for i, (tree, mask) in enumerate(
                 zip(feature_trees, query.keyword_masks)
@@ -134,7 +134,6 @@ class CombinationIterator:
         self._heap: list[tuple] = []
         self._counter = 0
         self._rr_next = 0
-        self.combinations_released = 0
         self._diameter = 2.0 * query.radius
         if enforce_2r:
             # ``_near[j][cell]``: set j's pulled features that may lie
@@ -162,7 +161,8 @@ class CombinationIterator:
     def next(self) -> Combination | None:
         """Next combination by descending score, or None when done."""
         rec = self.recorder
-        collector = self.collector
+        stats = self.stats
+        detail = stats.detail
         heap = self._heap
         while True:
             # Once per pull: off, the phase spans are skipped outright
@@ -176,11 +176,10 @@ class CombinationIterator:
                 with rec.span("stps.combination_assembly"):
                     combo = self._pop()
                     valid = self._valid(combo)
-                if collector.active:
-                    collector.combination(combo.score, valid)
                 if valid:
-                    self.combinations_released += 1
+                    stats.combinations += 1
                     return combo
+                stats.rejected_2r += 1
                 continue
             if source is None:
                 return None  # τ = -inf released everything formable
@@ -188,19 +187,14 @@ class CombinationIterator:
                 source if self.pulling == PULL_PRIORITIZED
                 else self._round_robin()
             )
-            if collector.active:
-                bound = self.streams[pull_from].next_bound
-                collector.pull(
-                    pull_from,
-                    threshold,
-                    bound if bound is not None else 0.0,
-                )
+            stream = self.streams[pull_from]
+            stream.stats.pull_rounds += 1
+            if detail is not None and len(detail.trajectory) < MAX_TRAJECTORY:
+                detail.trajectory.append((
+                    stats.pull_rounds, pull_from, threshold,
+                    stream.next_bound or 0.0,
+                ))
             self._pull(pull_from)
-
-    @property
-    def features_pulled(self) -> int:
-        """Real features retrieved from the streams so far."""
-        return sum(s.pulled for s in self.streams)
 
     # ------------------------------------------------------------------
     # thresholding scheme and pulling strategy

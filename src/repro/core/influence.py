@@ -33,7 +33,6 @@ from repro.core.stps import record_features_pulled
 from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import explain as _explain
 from repro.obs import tracing as _tracing
 
 
@@ -43,7 +42,7 @@ def stps_influence(
     query: PreferenceQuery,
     pulling: str = PULL_PRIORITIZED,
     floor: float = -math.inf,
-    collector=None,
+    stats: QueryStats | None = None,
 ) -> QueryResult:
     """Run STPS for the influence score variant (Algorithm 5).
 
@@ -57,12 +56,11 @@ def stps_influence(
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
-    stats = QueryStats()
+    stats = stats or QueryStats()
     rec = _tracing.recorder()
-    collector = _explain.resolve(collector)
     iterator = CombinationIterator(
         feature_trees, query, enforce_2r=False, pulling=pulling, recorder=rec,
-        collector=collector,
+        stats=stats,
     )
     best: dict[int, tuple[float, float, float]] = {}  # oid -> (score, x, y)
     k = query.k
@@ -101,8 +99,7 @@ def stps_influence(
             )
             < threshold
         ):
-            if collector.active:
-                collector.retrieval_skipped(combo.score)
+            stats.retrievals_skipped += 1
             continue
         members = [
             (f.x, f.y, f.score) for f in combo.features if not f.is_virtual
@@ -142,11 +139,9 @@ def stps_influence(
         for oid, x, y in remaining[: query.k - len(best)]:
             best[oid] = (0.0, x, y)
 
-    stats.combinations = iterator.combinations_released
-    stats.features_pulled = iterator.features_pulled
     stats.objects_scored = len(best)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps_influence", iterator.streams)
+    record_features_pulled("stps_influence", stats)
     candidates = [
         (score, oid, x, y) for oid, (score, x, y) in best.items()
     ]

@@ -40,7 +40,6 @@ from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import explain as _explain
 from repro.obs import tracing as _tracing
 
 
@@ -48,7 +47,7 @@ def influence_search(
     object_tree: ObjectRTree,
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
-    collector=None,
+    stats: QueryStats | None = None,
 ) -> QueryResult:
     """Exact top-k influence query without combination enumeration."""
     if query.variant is not Variant.INFLUENCE:
@@ -61,8 +60,7 @@ def influence_search(
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
-    stats = QueryStats()
-    collector = _explain.resolve(collector)
+    stats = stats or QueryStats()
     scorers = [
         tree.make_scorer(mask, query.lam)
         for tree, mask in zip(feature_trees, query.keyword_masks)
@@ -122,10 +120,10 @@ def influence_search(
                             (entry.x, entry.y) if is_point else entry.rect,
                             is_point,
                         )
-                    if collector.active:
-                        collector.iss_probe(is_point)
                     if is_point:
-                        stats.objects_scored += 1
+                        stats.iss_probes_point += 1
+                    else:
+                        stats.iss_probes_node += 1
                     push(entry, bound, True)
                     continue
                 if is_point:
@@ -140,6 +138,7 @@ def influence_search(
                     ).entries:
                         push(child_entry, -neg_bound, False)
 
+    stats.objects_scored = stats.iss_probes_point  # a probed point is scored
     stats.phase_times = rec.totals()
     result = QueryResult(rank_items(collected, query.k), stats)
     tracker.finish(stats)

@@ -31,7 +31,6 @@ from repro.core.stps import record_features_pulled
 from repro.geometry.polygon import ConvexPolygon
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import explain as _explain
 from repro.obs import tracing as _tracing
 
 
@@ -41,7 +40,7 @@ def stps_nearest(
     query: PreferenceQuery,
     pulling: str = PULL_PRIORITIZED,
     floor: float = float("-inf"),
-    collector=None,
+    stats: QueryStats | None = None,
 ) -> QueryResult:
     """Run STPS for the nearest-neighbor score variant.
 
@@ -54,12 +53,11 @@ def stps_nearest(
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
-    stats = QueryStats()
+    stats = stats or QueryStats()
     rec = _tracing.recorder()
-    collector = _explain.resolve(collector)
     iterator = CombinationIterator(
         feature_trees, query, enforce_2r=False, pulling=pulling, recorder=rec,
-        collector=collector,
+        stats=stats,
     )
     scorers = [
         tree.make_scorer(mask, query.lam)
@@ -117,14 +115,12 @@ def stps_nearest(
                     unit_region,
                 )
                 cell_caches[i][feature.fid] = cell
-                if collector.active:
-                    collector.voronoi_cell(cache_hit=False)
-            elif collector.active:
-                collector.voronoi_cell(cache_hit=True)
+                stats.voronoi_cells_computed += 1
+            else:
+                stats.voronoi_cell_cache_hits += 1
             region = region.intersection(cell)
             if region.is_empty:
-                if collector.active:
-                    collector.voronoi_empty()
+                stats.voronoi_empty_intersections += 1
                 break
         vor_span.__exit__(None, None, None)
         stats.voronoi_cpu_s += time.perf_counter() - vor_t0
@@ -144,11 +140,9 @@ def stps_nearest(
             seen.add(e.oid)
             collected.append((combo.score, e.oid, e.x, e.y))
 
-    stats.combinations = iterator.combinations_released
-    stats.features_pulled = iterator.features_pulled
     stats.objects_scored = len(collected)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps_nearest", iterator.streams)
+    record_features_pulled("stps_nearest", stats)
     result = QueryResult(rank_items(collected, query.k), stats)
     tracker.finish(stats)
     return result

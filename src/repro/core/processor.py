@@ -141,7 +141,7 @@ class QueryProcessor:
         algorithm: str = ALGORITHM_STPS,
         pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
-        collector=None,
+        stats: QueryStats | None = None,
     ) -> QueryResult:
         """Execute a query with the chosen algorithm.
 
@@ -169,20 +169,16 @@ class QueryProcessor:
         every trace span, any flight-recorder entry, and structured
         logs, so all diagnostics for one query join on one key.
 
-        ``collector`` (a
-        :class:`~repro.obs.explain.DiagnosticsCollector`) turns on
-        EXPLAIN mode: the algorithm records per-feature-set node
-        accesses and prunes, combination accept/reject decisions, and
-        threshold trajectories into it.  Prefer :meth:`explain`, which
-        wraps this.  When None, the shared no-op collector is used and
-        the hot paths pay one attribute check.
+        ``stats`` is the accumulator the engine counts into and returns
+        as ``result.stats`` (a fresh :class:`QueryStats` when None);
+        :meth:`explain` hands in one whose ``detail`` also keeps the τ
+        trajectory, the chunk list and the pruned-bound summaries.
         """
         t0 = time.perf_counter()
         ctx = _tracing.capture() or _tracing.TraceContext(
             _tracing.new_trace_id()
         )
         trace_id = ctx.trace_id
-        col = _explain.resolve(collector)
         with _tracing.resume(ctx):
             with _tracing.span(
                 f"query.{algorithm}",
@@ -192,7 +188,7 @@ class QueryProcessor:
             ):
                 try:
                     result = self._dispatch(
-                        query, algorithm, pulling, floor, col
+                        query, algorithm, pulling, floor, stats
                     )
                 except Exception as exc:
                     if _requests.enabled:
@@ -218,15 +214,10 @@ class QueryProcessor:
                 result.stats.objects_scored
             )
         result.stats.trace_id = trace_id
-        if col.active:
-            col.finalize(
-                query, algorithm, pulling, trace_id, elapsed, result.stats
-            )
         if _requests.enabled:
             _flight.maybe_record(
                 query, algorithm, pulling, trace_id, elapsed,
                 stats=result.stats,
-                plan=col.plan() if col.active else None,
             )
         return result
 
@@ -247,15 +238,14 @@ class QueryProcessor:
         query really executes; items are identical to :meth:`query`).
         Render with ``report.plan.render()`` or ``report.plan.to_json()``.
         """
-        collector = _explain.DiagnosticsCollector()
         result = self.query(
-            query,
-            algorithm=algorithm,
-            pulling=pulling,
-            floor=floor,
-            collector=collector,
+            query, algorithm=algorithm, pulling=pulling, floor=floor,
+            stats=QueryStats(detail=_explain.PlanDetail()),
         )
-        return _explain.ExplainReport(plan=collector.plan(), result=result)
+        plan = _explain.QueryPlan.from_stats(
+            query, algorithm, pulling, result.stats
+        )
+        return _explain.ExplainReport(plan=plan, result=result)
 
     def _dispatch(
         self,
@@ -263,7 +253,7 @@ class QueryProcessor:
         algorithm: str,
         pulling: str,
         floor: float = float("-inf"),
-        collector=_explain.NULL_COLLECTOR,
+        stats: QueryStats | None = None,
     ) -> QueryResult:
         """Route to the algorithm/variant implementation (uninstrumented)."""
         if algorithm not in (ALGORITHM_STPS, ALGORITHM_STDS, ALGORITHM_ISS):
@@ -275,35 +265,34 @@ class QueryProcessor:
             # k=0 asks for nothing: the empty result is exact and
             # (vacuously) tie-complete for every engine.  Short-circuit
             # here so no engine has to reason about an empty top-k heap.
-            return QueryResult([], QueryStats())
+            return QueryResult([], stats or QueryStats())
         if algorithm == ALGORITHM_STDS:
             return stds(
                 self.object_tree,
                 self.feature_trees,
                 query,
                 floor=floor,
-                collector=collector,
+                stats=stats,
             )
         if algorithm == ALGORITHM_ISS:
             from repro.core.influence_search import influence_search
 
             return influence_search(
-                self.object_tree, self.feature_trees, query,
-                collector=collector,
+                self.object_tree, self.feature_trees, query, stats=stats
             )
         if query.variant is Variant.RANGE:
             return stps(
                 self.object_tree, self.feature_trees, query, pulling,
-                floor=floor, collector=collector,
+                floor=floor, stats=stats,
             )
         if query.variant is Variant.INFLUENCE:
             return stps_influence(
                 self.object_tree, self.feature_trees, query, pulling,
-                floor=floor, collector=collector,
+                floor=floor, stats=stats,
             )
         return stps_nearest(
             self.object_tree, self.feature_trees, query, pulling, floor=floor,
-            collector=collector,
+            stats=stats,
         )
 
     def query_many(

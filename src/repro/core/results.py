@@ -1,17 +1,31 @@
-"""Query results and per-query cost accounting.
+"""Query results and the per-query accumulator.
 
 Mirrors the paper's metrics (Section 8.1): execution time split into I/O
 time (number of page reads x per-page cost) and CPU time, plus the
 algorithm-specific counters the paper discusses (combinations examined,
 Voronoi-cell cost for the NN variant).
+
+:class:`QueryStats` is the *one* object the engine counts into — node
+visits, prunes, pulls, rejected combinations, dropped objects, shard
+verdicts, always.  The metrics registry, the flight recorder and the
+EXPLAIN plan (:meth:`repro.obs.explain.QueryPlan.from_stats`) all read
+it, so they cannot disagree about what the query did.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from repro.obs.explain import (
+    MAX_CHUNKS,
+    BoundSummary,
+    FeatureSetDiag,
+    PlanDetail,
+    ShardDiag,
+)
 from repro.storage.pagefile import PageFile
 
 
@@ -27,7 +41,8 @@ class ResultItem:
 
 @dataclass(slots=True)
 class QueryStats:
-    """Cost counters for a single query execution."""
+    """Cost counters for a single query execution: an engine counts into
+    a fresh one, or the one it is handed (``explain``'s carries ``detail``)."""
 
     wall_s: float = 0.0
     io_reads: int = 0
@@ -35,14 +50,33 @@ class QueryStats:
     node_cache_hits: int = 0
     node_cache_misses: int = 0
     io_time_s: float = 0.0
+    #: Combinations released (valid under Lemma 1) / rejected by the ``2r``
+    #: rule / released but skipped by the influence bound (Algorithm 5).
     combinations: int = 0
-    features_pulled: int = 0
+    rejected_2r: int = 0
+    retrievals_skipped: int = 0
     objects_scored: int = 0
-    heap_pops: int = 0
-    nodes_expanded: int = 0
+    #: STDS: objects dropped by ``τ̂(p) < threshold``, per-object early
+    #: terminations, chunks scanned and the k-th score after the last.
+    objects_dropped: int = 0
+    early_terminations: int = 0
+    chunk_count: int = 0
+    threshold_final: float = -math.inf
     voronoi_io_reads: int = 0
     voronoi_cpu_s: float = 0.0
     voronoi_io_time_s: float = 0.0
+    voronoi_cells_computed: int = 0
+    voronoi_cell_cache_hits: int = 0
+    voronoi_empty_intersections: int = 0
+    #: ISS bound probes, of object points / of object-tree nodes.
+    iss_probes_point: int = 0
+    iss_probes_node: int = 0
+    #: Per-feature-set counters, by ``set_id`` (see :meth:`feature_set`).
+    feature_sets: list[FeatureSetDiag] = field(default_factory=list)
+    #: Sharded engine: one verdict per shard, by ``shard_id``.
+    shards: list[ShardDiag] = field(default_factory=list)
+    #: Present when a plan was asked for: the length-dependent series.
+    detail: PlanDetail | None = None
     #: Per-query trace id minted by the processor (see
     #: :mod:`repro.obs.tracing`): the join key across Chrome-trace spans,
     #: flight-recorder records, and structured logs.  Empty until the
@@ -52,6 +86,66 @@ class QueryStats:
     #: tracing is enabled (see :mod:`repro.obs.tracing`); empty otherwise.
     #: Phase names follow the span taxonomy of DESIGN.md §9.
     phase_times: dict[str, float] = field(default_factory=dict)
+
+    def feature_set(self, set_id: int) -> FeatureSetDiag:
+        """The record of feature set ``set_id``, created on first use."""
+        for diag in self.feature_sets:
+            if diag.set_id == set_id:
+                return diag
+        bounds = BoundSummary() if self.detail is not None else None
+        diag = FeatureSetDiag(set_id, pruned_bounds=bounds)
+        self.feature_sets.append(diag)
+        self.feature_sets.sort(key=lambda d: d.set_id)
+        return diag
+
+    def chunk_scanned(self, chunk_id: int, size: int, threshold: float) -> None:
+        """One STDS chunk folded; ``threshold`` is the k-th score now."""
+        self.chunk_count += 1
+        self.threshold_final = threshold
+        if self.detail is not None and len(self.detail.chunks) < MAX_CHUNKS:
+            self.detail.chunks.append((chunk_id, size, threshold))
+
+    def merge(self, other: "QueryStats") -> None:
+        """Fold another execution's counts in (a shard's, into the whole).
+
+        Numeric fields sum, except ``threshold_final`` (the best k-th
+        score any part reached); per-set records merge by set id; verdicts
+        concatenate; ``trace_id`` and ``detail`` stay with their execution.
+        """
+        for f in fields(self):
+            name = f.name
+            if name == "threshold_final":
+                self.threshold_final = max(self.threshold_final, other.threshold_final)
+            elif f.type in ("int", "float"):
+                setattr(self, name, getattr(self, name) + getattr(other, name))
+        for diag in other.feature_sets:
+            self.feature_set(diag.set_id).merge(diag)
+        self.shards.extend(other.shards)
+        for phase, seconds in other.phase_times.items():
+            self.phase_times[phase] = (
+                self.phase_times.get(phase, 0.0) + seconds
+            )
+
+    @property
+    def features_pulled(self) -> int:
+        """Feature objects pulled from the sorted streams, all sets."""
+        return sum(d.features_pulled for d in self.feature_sets)
+
+    @property
+    def pull_rounds(self) -> int:
+        """Pulling rounds after each set's seed pull (Definition 5)."""
+        return sum(d.pull_rounds for d in self.feature_sets)
+
+    @property
+    def nodes_expanded(self) -> int:
+        """Feature-index nodes visited, all sets."""
+        return sum(d.nodes_visited for d in self.feature_sets)
+
+    @property
+    def heap_pops(self) -> int:
+        """Heap pops of the STDS traversals (Algorithm 2 and its per-object
+        variants); 0 for STPS and ISS, which do not count theirs."""
+        return sum(d.heap_pops for d in self.feature_sets)
 
     @property
     def cpu_time_s(self) -> float:

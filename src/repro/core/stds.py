@@ -50,7 +50,7 @@ from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.nodes import FeatureLeafEntry
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import explain as _explain
+from repro.obs.explain import FeatureSetDiag
 from repro.obs import tracing as _tracing
 
 logger = logging.getLogger(__name__)
@@ -66,9 +66,13 @@ def compute_score(
     query: PreferenceQuery,
     mask: int,
     point: tuple[float, float],
-    stats: QueryStats | None = None,
+    stats: FeatureSetDiag | None = None,
 ) -> float:
-    """``τ_i(p)`` for one object and one feature set (range variant)."""
+    """``τ_i(p)`` for one object and one feature set (range variant).
+
+    ``stats`` (also in the two variants below) is the set's record in the
+    query's accumulator: the traversal's heap pops and node visits."""
+    stats = stats or FeatureSetDiag(0)
     scorer = tree.make_scorer(mask, query.lam)
     radius = query.radius
     r2 = radius * radius
@@ -106,13 +110,11 @@ def compute_score(
     push_node(tree.read_node(tree.root_id))
     while heap:
         neg_bound, _, entry = heapq.heappop(heap)
-        if stats is not None:
-            stats.heap_pops += 1
+        stats.heap_pops += 1
         if entry is None:
             return -neg_bound
         node = tree.read_node(entry.child)
-        if stats is not None:
-            stats.nodes_expanded += 1
+        stats.nodes_visited += 1
         push_node(node)
     return 0.0
 
@@ -122,10 +124,11 @@ def compute_score_influence(
     query: PreferenceQuery,
     mask: int,
     point: tuple[float, float],
-    stats: QueryStats | None = None,
+    stats: FeatureSetDiag | None = None,
 ) -> float:
     """Influence ``τ_i(p)`` (Definition 6): no range cut-off, the
     priority of each entry is its influence bound ``ŝ(e)·2^(-mindist/r)``."""
+    stats = stats or FeatureSetDiag(0)
     scorer = tree.make_scorer(mask, query.lam)
     radius = query.radius
     heap: list[tuple[float, int, object]] = []
@@ -153,13 +156,11 @@ def compute_score_influence(
     push(root.entries, root.is_leaf)
     while heap:
         neg_bound, _, entry = heapq.heappop(heap)
-        if stats is not None:
-            stats.heap_pops += 1
+        stats.heap_pops += 1
         if isinstance(entry, FeatureLeafEntry):
             return -neg_bound
         node = tree.read_node(entry.child)
-        if stats is not None:
-            stats.nodes_expanded += 1
+        stats.nodes_visited += 1
         push(node.entries, node.is_leaf)
     return 0.0
 
@@ -169,11 +170,12 @@ def compute_score_nearest(
     query: PreferenceQuery,
     mask: int,
     point: tuple[float, float],
-    stats: QueryStats | None = None,
+    stats: FeatureSetDiag | None = None,
 ) -> float:
     """Nearest-neighbor ``τ_i(p)`` (Definition 7): the score of the
     closest *relevant* feature — best-first by minimum distance with the
     ``sim > 0`` pruning retained."""
+    stats = stats or FeatureSetDiag(0)
     scorer = tree.make_scorer(mask, query.lam)
     heap: list[tuple[float, int, object]] = []
     counter = 0
@@ -197,13 +199,11 @@ def compute_score_nearest(
     push(root.entries, root.is_leaf)
     while heap:
         _, _, entry = heapq.heappop(heap)
-        if stats is not None:
-            stats.heap_pops += 1
+        stats.heap_pops += 1
         if isinstance(entry, FeatureLeafEntry):
             return scorer.leaf_score(entry)
         node = tree.read_node(entry.child)
-        if stats is not None:
-            stats.nodes_expanded += 1
+        stats.nodes_visited += 1
         push(node.entries, node.is_leaf)
     return 0.0
 
@@ -222,12 +222,10 @@ def compute_scores_batch(
     query: PreferenceQuery,
     mask: int,
     pending: dict[int, tuple[float, float]],
-    stats: QueryStats | None = None,
+    stats: FeatureSetDiag | None = None,
     partial: dict[int, float] | None = None,
     threshold: float = -math.inf,
     remaining_sets: int = 0,
-    collector=_explain.NULL_COLLECTOR,
-    set_id: int = 0,
 ) -> dict[int, float]:
     """``τ_i(p)`` for a batch of objects in one index traversal.
 
@@ -268,6 +266,9 @@ def compute_scores_batch(
     scores = dict.fromkeys(pending, 0.0)
     if tree.root_id is None or tree.count == 0 or not pending:
         return scores
+    stats = stats or FeatureSetDiag(0)
+    # Pruned ``ŝ(e)`` values are plan detail: summarised only on request.
+    pruned_bounds = stats.pruned_bounds
     radius = query.radius
     scorer = tree.make_scorer(mask, query.lam)
     # The pending set lives in a uniform grid (cell size ``r``): "who is
@@ -331,8 +332,9 @@ def compute_scores_batch(
                 continue
             if out_of_reach(e.rect, radius):
                 # The bound-prune, decided before e is ever queued.
-                if collector.active:
-                    collector.node_pruned(set_id, bound)
+                stats.nodes_pruned += 1
+                if pruned_bounds is not None:
+                    pruned_bounds.add(bound)
                 continue
             counter += 1
             heappush(heap, (-bound, counter, e, -1))
@@ -340,8 +342,7 @@ def compute_scores_batch(
     open_node(tree.read_node(tree.root_id))
     while heap and len(grid):
         neg_bound, tie, item, pos = heap[0]
-        if stats is not None:
-            stats.heap_pops += 1
+        stats.heap_pops += 1
         if cursor < n_drops and drop_keys[cursor] < neg_bound:
             # needed > bound (both negated): out of reach from here on.
             if all_doomed < neg_bound:
@@ -367,16 +368,15 @@ def compute_scores_batch(
             # entry (the batched expansion rule of Section 5).
             if any_near_rect(item.rect, radius):
                 node = tree.read_node(item.child)
-                if stats is not None:
-                    stats.nodes_expanded += 1
-                if collector.active:
-                    collector.node_visited(set_id, -neg_bound)
+                stats.nodes_visited += 1
                 open_node(node)
-            elif collector.active:
+            else:
                 # The bound-prune of the batched expansion rule: the
                 # subtree's ŝ(e) is known (= -neg_bound) but no pending
                 # object is near its rectangle any more.
-                collector.node_pruned(set_id, -neg_bound)
+                stats.nodes_pruned += 1
+                if pruned_bounds is not None:
+                    pruned_bounds.add(-neg_bound)
     return scores
 
 
@@ -389,7 +389,7 @@ def stds(
     query: PreferenceQuery,
     batch_size: int = DEFAULT_BATCH_SIZE,
     floor: float = -math.inf,
-    collector=None,
+    stats: QueryStats | None = None,
 ) -> QueryResult:
     """Run STDS for any score variant.
 
@@ -408,6 +408,7 @@ def stds(
     below ``floor`` may be omitted from the result; objects scoring
     ``>= floor`` are always reported exactly, so a caller that only
     consumes items at or above its own floor sees unchanged answers.
+    ``stats`` is the accumulator to count into (a fresh one when None).
     """
     if len(feature_trees) != query.c:
         raise QueryError(
@@ -419,9 +420,8 @@ def stds(
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
-    stats = QueryStats()
+    stats = stats or QueryStats()
     rec = _tracing.recorder()
-    collector = _explain.resolve(collector)
 
     with rec.span("stds.scan_objects"):
         objects = object_tree.scan()
@@ -430,13 +430,12 @@ def stds(
     if query.variant is Variant.RANGE:
         candidates = _stds_range_batched(
             feature_trees, query, objects, batch_size, stats, rec=rec,
-            floor=floor, collector=collector,
+            floor=floor,
         )
     else:
         with rec.span("stds.score_objects"):
             candidates = _stds_per_object(
                 feature_trees, query, objects, stats, floor=floor,
-                collector=collector,
             )
 
     stats.phase_times = rec.totals()
@@ -453,8 +452,9 @@ def _stds_range_batched(
     stats: QueryStats | None = None,
     rec=_tracing.NULL_RECORDER,
     floor: float = -math.inf,
-    collector=_explain.NULL_COLLECTOR,
 ) -> list[tuple[float, int, float, float]]:
+    stats = stats or QueryStats()
+    sets = [stats.feature_set(i) for i in range(query.c)]
     top: list[tuple[float, int]] = []  # min-heap by score
     threshold = floor
     candidates: list[tuple[float, int, float, float]] = []
@@ -476,12 +476,10 @@ def _stds_range_batched(
                     query,
                     query.keyword_masks[i],
                     pending,
-                    stats,
+                    sets[i],
                     partial=partial,
                     threshold=threshold,
                     remaining_sets=remaining_sets,
-                    collector=collector,
-                    set_id=i,
                 )
             if remaining_sets == 0:
                 # Last feature set: no survivor set to build.
@@ -500,8 +498,7 @@ def _stds_range_batched(
                 # (score desc, oid asc) tie-break sees it.
                 if total + remaining_sets > drop_cut:
                     survivors[oid] = loc
-            if collector.active:
-                collector.objects_dropped(len(pending) - len(survivors))
+            stats.objects_dropped += len(pending) - len(survivors)
             pending = survivors
         with rec.span("stds.threshold_fold", chunk=chunk_id):
             for oid, x, y in chunk:
@@ -513,8 +510,7 @@ def _stds_range_batched(
                     heapq.heapreplace(top, (score, -oid))
                 if len(top) == query.k and top[0][0] > threshold:
                     threshold = top[0][0]
-        if collector.active:
-            collector.chunk(chunk_id, len(chunk), threshold)
+        stats.chunk_scanned(chunk_id, len(chunk), threshold)
         if debug:
             logger.debug(
                 "stds chunk %d: %d objects, threshold now %.6f",
@@ -546,8 +542,9 @@ def _stds_per_object(
     objects: list[tuple[int, float, float]],
     stats: QueryStats | None = None,
     floor: float = -math.inf,
-    collector=_explain.NULL_COLLECTOR,
 ) -> list[tuple[float, int, float, float]]:
+    stats = stats or QueryStats()
+    sets = [stats.feature_set(i) for i in range(query.c)]
     score_fn = {
         Variant.INFLUENCE: compute_score_influence,
         Variant.NEAREST: compute_score_nearest,
@@ -564,11 +561,10 @@ def _stds_per_object(
                 # τ̂(p) strictly below the k-th score (epsilon-guarded so
                 # an exact tie at the cut always survives for the
                 # (score desc, oid asc) tie-break).
-                if collector.active:
-                    collector.early_termination()
-                    collector.objects_dropped()
+                stats.early_terminations += 1
+                stats.objects_dropped += 1
                 break
-            total += score_fn(tree, query, query.keyword_masks[i], (x, y), stats)
+            total += score_fn(tree, query, query.keyword_masks[i], (x, y), sets[i])
         else:
             candidates.append((total, oid, x, y))
             if len(top) < query.k:
@@ -577,9 +573,8 @@ def _stds_per_object(
                 heapq.heapreplace(top, (total, -oid))
             if len(top) == query.k and top[0][0] > threshold:
                 threshold = top[0][0]
-    if collector.active:
-        # The per-object scan is a single logical chunk.
-        collector.chunk(0, len(objects), threshold)
+    # The per-object scan is a single logical chunk.
+    stats.chunk_scanned(0, len(objects), threshold)
     return candidates
 
 

@@ -20,7 +20,6 @@ from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import explain as _explain
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 
@@ -33,13 +32,13 @@ FEATURES_PULLED = _metrics.registry().counter(
 )
 
 
-def record_features_pulled(algorithm: str, streams) -> None:
-    """Fold per-stream pull counts into :data:`FEATURES_PULLED`."""
-    for i, stream in enumerate(streams):
-        if stream.pulled:
+def record_features_pulled(algorithm: str, stats: QueryStats) -> None:
+    """Fold the query's per-set pull counts into :data:`FEATURES_PULLED`."""
+    for diag in stats.feature_sets:
+        if diag.features_pulled:
             FEATURES_PULLED.labels(
-                algorithm=algorithm, feature_set=str(i)
-            ).inc(stream.pulled)
+                algorithm=algorithm, feature_set=str(diag.set_id)
+            ).inc(diag.features_pulled)
 
 
 def stps(
@@ -48,7 +47,7 @@ def stps(
     query: PreferenceQuery,
     pulling: str = PULL_PRIORITIZED,
     floor: float = float("-inf"),
-    collector=None,
+    stats: QueryStats | None = None,
 ) -> QueryResult:
     """Run STPS for the range score variant (Definition 2).
 
@@ -57,7 +56,8 @@ def stps(
     stream in descending score order, so the loop stops as soon as the
     next combination scores *strictly* below ``floor`` — objects at or
     above the floor are always reported exactly; objects strictly below
-    it may be omitted.
+    it may be omitted.  ``stats`` is the accumulator to count into (a
+    fresh one when None).
     """
     if query.variant is not Variant.RANGE:
         raise QueryError(
@@ -67,12 +67,11 @@ def stps(
     tracker = StatsTracker(
         [object_tree.pagefile] + [t.pagefile for t in feature_trees]
     )
-    stats = QueryStats()
+    stats = stats or QueryStats()
     rec = _tracing.recorder()
-    collector = _explain.resolve(collector)
     iterator = CombinationIterator(
         feature_trees, query, enforce_2r=True, pulling=pulling, recorder=rec,
-        collector=collector,
+        stats=stats,
     )
     seen: set[int] = set()
     collected: list[tuple[float, int, float, float]] = []
@@ -118,11 +117,9 @@ def stps(
             seen.add(e.oid)
             collected.append((combo.score, e.oid, e.x, e.y))
 
-    stats.combinations = iterator.combinations_released
-    stats.features_pulled = iterator.features_pulled
     stats.objects_scored = len(collected)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps", iterator.streams)
+    record_features_pulled("stps", stats)
     result = QueryResult(rank_items(collected, query.k), stats)
     tracker.finish(stats)
     return result

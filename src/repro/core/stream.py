@@ -16,7 +16,7 @@ import heapq
 from typing import NamedTuple
 
 from repro.index.feature_tree import FeatureScorer, FeatureTree
-from repro.obs import explain as _explain
+from repro.obs.explain import FeatureSetDiag
 
 
 class StreamedFeature(NamedTuple):
@@ -59,8 +59,7 @@ class FeatureStream:
         query_mask: int,
         lam: float,
         emit_virtual: bool = True,
-        collector=None,
-        set_id: int = 0,
+        stats: FeatureSetDiag | None = None,
     ) -> None:
         self.tree = tree
         self.scorer: FeatureScorer = tree.make_scorer(query_mask, lam)
@@ -73,17 +72,12 @@ class FeatureStream:
         self._heap: list[tuple[float, int, object, int]] = []
         self._counter = 0
         self._virtual_pending = emit_virtual
-        self.pulled = 0
-        # EXPLAIN collector (repro.obs.explain): per-set node accesses
-        # and text prunes.  The null collector makes every call a no-op;
-        # hot loops check ``active`` first to skip the call entirely.
-        self.collector = _explain.resolve(collector)
-        self.set_id = set_id
+        # This set's record in the query's accumulator: node accesses,
+        # text prunes and pulls are counted there and nowhere else.
+        self.stats = stats or FeatureSetDiag(0)
         if tree.root_id is not None and tree.count > 0:
             root = tree.read_node(tree.root_id)
-            if self.collector.active:
-                # The root carries no entry bound; 1.0 is the score cap.
-                self.collector.node_visited(set_id, 1.0)
+            self.stats.nodes_visited += 1
             self._open(root)
         #: Best possible score of any not-yet-returned feature — the
         #: ``min_i`` of the paper's thresholding scheme: the heap top's
@@ -98,15 +92,13 @@ class FeatureStream:
     # ------------------------------------------------------------------
     def next(self) -> StreamedFeature | None:
         """The next feature by descending score; ``∅`` last; then None."""
-        collector = self.collector
         heap = self._heap
         while heap:
             neg_bound, counter, item, pos = heap[0]
             if pos < 0:
                 heapq.heappop(heap)
                 node = self.tree.read_node(item.child)
-                if collector.active:
-                    collector.node_visited(self.set_id, -neg_bound)
+                self.stats.nodes_visited += 1
                 self._open(node)
                 continue
             row = item.rows.item(pos)
@@ -118,9 +110,7 @@ class FeatureStream:
                 )
             else:
                 heapq.heappop(heap)
-            self.pulled += 1
-            if collector.active:
-                collector.feature_pulled(self.set_id)
+            self.stats.features_pulled += 1
             self.next_bound = self._bound()
             return StreamedFeature(
                 item.fids.item(row), item.xs.item(row), item.ys.item(row),
@@ -149,14 +139,11 @@ class FeatureStream:
         """Queue a node's relevant children, or a leaf's run."""
         scorer = self.scorer
         heap = self._heap
-        collector = self.collector
+        stats = self.stats
         if node.is_leaf:
             run = self.tree.leaf_run(node, scorer)
             neg_scores = run.neg_scores
-            if collector.active:
-                collector.entries_pruned(
-                    self.set_id, len(run.fids) - len(neg_scores)
-                )
+            stats.entries_pruned += len(run.fids) - len(neg_scores)
             if neg_scores:
                 heapq.heappush(heap, (neg_scores[0], self._counter + 1, run, 0))
                 self._counter += len(neg_scores)
@@ -166,7 +153,7 @@ class FeatureStream:
             if bound is not None:
                 self._counter += 1
                 heapq.heappush(heap, (-bound, self._counter, entry, -1))
-            elif collector.active:
+            else:
                 # Text-irrelevant subtree (sim = 0): pruned without
                 # a bound value — ŝ(e) is not computed for it.
-                collector.node_pruned(self.set_id)
+                stats.nodes_pruned += 1

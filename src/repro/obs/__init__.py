@@ -76,11 +76,7 @@ from repro.obs import (
     timeseries,
     tracing,
 )
-from repro.obs.explain import (
-    DiagnosticsCollector,
-    ExplainReport,
-    QueryPlan,
-)
+from repro.obs.explain import ExplainReport, QueryPlan
 from repro.obs.export import (
     MetricsServer,
     render_openmetrics,
@@ -132,7 +128,6 @@ __all__ = [
     "AvailabilitySLO",
     "BurnRateAlert",
     "DEFAULT_LATENCY_BUCKETS",
-    "DiagnosticsCollector",
     "ExplainReport",
     "LatencySLO",
     "MetricsRegistry",

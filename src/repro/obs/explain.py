@@ -9,21 +9,20 @@ accesses vs. prunes with the ``ŝ(e)`` bound values, combinations
 assembled vs. rejected by Lemma 1, the threshold trajectory per pulling
 round, and — for the sharded engine — per-shard fan-out verdicts.
 
-A :class:`DiagnosticsCollector` is threaded alongside the existing
-``PhaseRecorder`` through the query stack (``QueryProcessor.query``
-accepts ``collector=``); when absent, hot paths see the shared
-:data:`NULL_COLLECTOR` (``active`` is False) and pay one attribute check
-per instrumentation point — the ``explain=False`` overhead budget is
-<5% on the smoke bench.
-
-The result is a :class:`QueryPlan` with a JSON renderer
-(:meth:`QueryPlan.to_dict` / :meth:`QueryPlan.to_json`) and a
-human-readable table renderer (:meth:`QueryPlan.render`).  Plan counts
-reconcile *exactly* with the metrics-registry counter deltas
-(``repro_combinations_total``, ``repro_features_pulled_total``,
-``repro_objects_scored_total``, ``repro_shard_queries``) — enforced by
-``tests/differential/test_plan_reconciliation.py`` for every engine
-variant.
+The plan is a *view* of the query's one accumulator,
+:class:`repro.core.results.QueryStats`: the engine counts every event
+into it, always, and :meth:`QueryPlan.from_stats` arranges those counts
+into sections after the query returns.  This module defines the records
+the accumulator is made of (:class:`FeatureSetDiag`, :class:`ShardDiag`)
+and the :class:`PlanDetail` it carries only when a plan was asked for —
+the three series that grow with query length (τ trajectory, chunk list,
+pruned-bound summaries).  Plan counts reconcile *exactly* with the
+metrics-registry counter deltas (``repro_combinations_total``,
+``repro_features_pulled_total``, ``repro_objects_scored_total``,
+``repro_shard_queries``) because both read the same ``QueryStats``
+fields — ``tests/differential/test_plan_reconciliation.py`` checks every
+engine variant.  Render with :meth:`QueryPlan.to_dict` / ``to_json`` or
+the human-readable :meth:`QueryPlan.render`.
 
 Typical use::
 
@@ -41,8 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 #: Version of the plan JSON schema (bump on breaking field changes).
 PLAN_SCHEMA_VERSION = 1
@@ -104,24 +102,36 @@ class BoundSummary:
 
 @dataclass(slots=True)
 class FeatureSetDiag:
-    """Per-feature-set traversal anatomy (Algorithm 2 / the streams)."""
+    """One feature set's part of ``QueryStats``: the stream or STDS
+    traversal (Algorithm 2) walking the set counts into it."""
 
     set_id: int
     #: Index nodes expanded (read + children pushed) for this set.
     nodes_visited: int = 0
     #: Internal entries discarded without expansion (text-irrelevant at
-    #: push time, or bound-pruned at pop time — see ``pruned_bounds``).
+    #: push time, or bound-pruned — see ``pruned_bounds``).
     nodes_pruned: int = 0
     #: Leaf entries discarded (text-irrelevant or out of range).
     entries_pruned: int = 0
-    #: ``ŝ(e)`` values of entries pruned *by bound* (the batched STDS
-    #: expansion rule; push-time text prunes carry no bound).
-    pruned_bounds: BoundSummary = field(default_factory=BoundSummary)
+    #: ``ŝ(e)`` of entries pruned *by bound* (batched STDS; text prunes
+    #: carry none).  Plan detail: None unless ``QueryStats.detail`` is set.
+    pruned_bounds: BoundSummary | None = None
     #: Feature objects pulled from this set's sorted stream (STPS).
     #: Reconciles with ``repro_features_pulled_total{feature_set=...}``.
     features_pulled: int = 0
     #: Pulling rounds charged to this set (Definition 5 decisions).
     pull_rounds: int = 0
+    #: Heap pops of this set's STDS traversals (not part of the plan).
+    heap_pops: int = 0
+
+    def merge(self, other: "FeatureSetDiag") -> None:
+        for f in fields(self):
+            if f.type == "int" and f.name != "set_id":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        if other.pruned_bounds is not None:
+            if self.pruned_bounds is None:
+                self.pruned_bounds = BoundSummary()
+            self.pruned_bounds.merge(other.pruned_bounds)
 
     def to_dict(self) -> dict:
         return {
@@ -129,10 +139,24 @@ class FeatureSetDiag:
             "nodes_visited": self.nodes_visited,
             "nodes_pruned": self.nodes_pruned,
             "entries_pruned": self.entries_pruned,
-            "pruned_bounds": self.pruned_bounds.to_dict(),
+            "pruned_bounds": (self.pruned_bounds or BoundSummary()).to_dict(),
             "features_pulled": self.features_pulled,
             "pull_rounds": self.pull_rounds,
         }
+
+
+@dataclass(slots=True)
+class PlanDetail:
+    """The series that grow with query length, kept only for a plan."""
+
+    #: τ trajectory, capped at :data:`MAX_TRAJECTORY` (``pull_rounds`` has
+    #: the true total): (round, set pulled from, τ before, its ``min_j``).
+    trajectory: list[tuple[int, int, float, float]] = field(
+        default_factory=list
+    )
+    #: (chunk id, chunk size, threshold after the fold), capped at
+    #: :data:`MAX_CHUNKS`.
+    chunks: list[tuple[int, int, float]] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -149,9 +173,7 @@ class CombinationDiag:
     retrievals_skipped: int = 0
     #: Total pulling rounds across all sets.
     pull_rounds: int = 0
-    #: τ trajectory: one point per pulling round (capped; ``pull_rounds``
-    #: keeps the true total).  Each point is (round, set pulled from,
-    #: τ before the pull, that set's next bound ``min_j``).
+    #: ``PlanDetail.trajectory`` (empty for a sharded whole).
     trajectory: list[tuple[int, int, float, float]] = field(
         default_factory=list
     )
@@ -223,8 +245,11 @@ class ShardDiag:
     floor: float = -math.inf
     elapsed_s: float = 0.0
     error: str | None = None
-    #: Full sub-plan of the per-shard execution (executed shards only).
+    #: Full sub-plan of the per-shard execution (executed shards only),
+    #: filled in by :meth:`QueryPlan.from_stats` from ``stats``.
     plan: dict | None = None
+    #: The per-shard execution's own ``QueryStats`` (executed shards).
+    stats: object | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -267,6 +292,67 @@ class QueryPlan:
     shards: list[ShardDiag] = field(default_factory=list)
     #: Phase wall-times copied from the result stats (tracing on only).
     phase_times: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_stats(cls, query, algorithm: str, pulling: str, stats) -> "QueryPlan":
+        """The plan of one executed query, read off its ``QueryStats``.
+
+        A section is present when its engine counted anything; an
+        executed shard's sub-plan is built from the verdict's own stats.
+        """
+        detail = stats.detail
+        plan = cls(
+            trace_id=stats.trace_id,
+            algorithm=algorithm,
+            variant=query.variant.value,
+            pulling=pulling,
+            k=query.k,
+            radius=query.radius,
+            lam=query.lam,
+            c=query.c,
+            elapsed_s=stats.wall_s,
+            objects_scored=stats.objects_scored,
+            feature_sets=list(stats.feature_sets),
+            phase_times=dict(stats.phase_times),
+        )
+        if stats.combinations or stats.rejected_2r or stats.pull_rounds:
+            plan.combinations = CombinationDiag(
+                released=stats.combinations,
+                rejected_2r=stats.rejected_2r,
+                retrievals_skipped=stats.retrievals_skipped,
+                pull_rounds=stats.pull_rounds,
+                trajectory=detail.trajectory if detail is not None else [],
+            )
+        if stats.chunk_count or stats.objects_dropped:
+            plan.stds = STDSDiag(
+                objects_dropped=stats.objects_dropped,
+                early_terminations=stats.early_terminations,
+                threshold_final=stats.threshold_final,
+                chunks=detail.chunks if detail is not None else [],
+                chunk_count=stats.chunk_count,
+            )
+        voronoi = {
+            "cells_computed": stats.voronoi_cells_computed,
+            "cell_cache_hits": stats.voronoi_cell_cache_hits,
+            "empty_intersections": stats.voronoi_empty_intersections,
+        }
+        plan.voronoi = voronoi if any(voronoi.values()) else None
+        iss = {
+            "bound_probes_point": stats.iss_probes_point,
+            "bound_probes_node": stats.iss_probes_node,
+        }
+        plan.iss = iss if any(iss.values()) else None
+        shard_algorithm = algorithm.removeprefix("sharded/")
+        plan.shards = [
+            shard if shard.stats is None else replace(
+                shard,
+                plan=cls.from_stats(
+                    query, shard_algorithm, pulling, shard.stats
+                ).to_dict(),
+            )
+            for shard in stats.shards
+        ]
+        return plan
 
     # ------------------------------------------------------------------
     # reconciliation / rendering
@@ -358,7 +444,8 @@ class QueryPlan:
             for d in self.feature_sets:
                 pb = d.pruned_bounds
                 span = (
-                    f"[{pb.min:.4f}, {pb.max:.4f}]" if pb.count else "-"
+                    f"[{pb.min:.4f}, {pb.max:.4f}]"
+                    if pb is not None and pb.count else "-"
                 )
                 lines.append(
                     f"    {d.set_id:>3}  {d.nodes_visited:>7}  "
@@ -435,349 +522,6 @@ class QueryPlan:
             for phase, seconds in sorted(self.phase_times.items()):
                 lines.append(f"    {phase:<32} {seconds:.4f}s")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# collectors
-# ----------------------------------------------------------------------
-class DiagnosticsCollector:
-    """Accumulates a :class:`QueryPlan` while a query executes.
-
-    Thread-safe: the sharded fan-out records shard verdicts and folds
-    sub-plans in from worker threads.  All mutation goes through one
-    lock — EXPLAIN mode is diagnostic, correctness beats nanoseconds
-    here; the *disabled* path (:data:`NULL_COLLECTOR`) costs one
-    attribute check.
-    """
-
-    __slots__ = ("_plan", "_lock", "_set_diags")
-
-    active = True
-
-    def __init__(self) -> None:
-        self._plan = QueryPlan()
-        self._lock = threading.Lock()
-        self._set_diags: dict[int, FeatureSetDiag] = {}
-
-    # -- feature-set traversal (Algorithm 2 / streams) ------------------
-    def _set_diag(self, set_id: int) -> FeatureSetDiag:
-        diag = self._set_diags.get(set_id)
-        if diag is None:
-            diag = FeatureSetDiag(set_id)
-            self._set_diags[set_id] = diag
-            self._plan.feature_sets.append(diag)
-            self._plan.feature_sets.sort(key=lambda d: d.set_id)
-        return diag
-
-    def node_visited(self, set_id: int, bound: float) -> None:
-        """An index node of ``set_id`` was expanded at bound ``ŝ(e)``."""
-        with self._lock:
-            self._set_diag(set_id).nodes_visited += 1
-
-    def node_pruned(
-        self, set_id: int, bound: float | None = None
-    ) -> None:
-        """An internal entry was discarded; ``bound`` when bound-pruned."""
-        with self._lock:
-            diag = self._set_diag(set_id)
-            diag.nodes_pruned += 1
-            if bound is not None:
-                diag.pruned_bounds.add(bound)
-
-    def entries_pruned(self, set_id: int, count: int = 1) -> None:
-        """``count`` leaf entries were discarded (text / range)."""
-        if count <= 0:
-            return
-        with self._lock:
-            self._set_diag(set_id).entries_pruned += count
-
-    def feature_pulled(self, set_id: int) -> None:
-        """One feature object left ``set_id``'s sorted stream."""
-        with self._lock:
-            self._set_diag(set_id).features_pulled += 1
-
-    # -- combination stream (Algorithms 3-4) ----------------------------
-    def _combinations(self) -> CombinationDiag:
-        if self._plan.combinations is None:
-            self._plan.combinations = CombinationDiag()
-        return self._plan.combinations
-
-    def pull(
-        self, set_id: int, threshold: float, next_bound: float
-    ) -> None:
-        """One pulling round: ``set_id`` chosen at threshold ``τ``."""
-        with self._lock:
-            diag = self._combinations()
-            diag.pull_rounds += 1
-            self._set_diag(set_id).pull_rounds += 1
-            if len(diag.trajectory) < MAX_TRAJECTORY:
-                diag.trajectory.append(
-                    (diag.pull_rounds, set_id, threshold, next_bound)
-                )
-
-    def combination(self, score: float, accepted: bool) -> None:
-        """A combination was assembled; ``accepted`` per Lemma 1."""
-        with self._lock:
-            diag = self._combinations()
-            if accepted:
-                diag.released += 1
-            else:
-                diag.rejected_2r += 1
-
-    def retrieval_skipped(self, score: float) -> None:
-        """A released combination's retrieval was bound-skipped."""
-        with self._lock:
-            self._combinations().retrievals_skipped += 1
-
-    # -- STDS scan (Algorithm 1) ----------------------------------------
-    def _stds(self) -> STDSDiag:
-        if self._plan.stds is None:
-            self._plan.stds = STDSDiag()
-        return self._plan.stds
-
-    def chunk(self, chunk_id: int, size: int, threshold: float) -> None:
-        with self._lock:
-            diag = self._stds()
-            diag.chunk_count += 1
-            diag.threshold_final = threshold
-            if len(diag.chunks) < MAX_CHUNKS:
-                diag.chunks.append((chunk_id, size, threshold))
-
-    def objects_dropped(self, count: int = 1) -> None:
-        if count <= 0:
-            return
-        with self._lock:
-            self._stds().objects_dropped += count
-
-    def early_termination(self) -> None:
-        with self._lock:
-            self._stds().early_terminations += 1
-
-    # -- NN Voronoi / ISS ----------------------------------------------
-    def voronoi_cell(self, cache_hit: bool) -> None:
-        with self._lock:
-            v = self._plan.voronoi
-            if v is None:
-                v = self._plan.voronoi = {
-                    "cells_computed": 0,
-                    "cell_cache_hits": 0,
-                    "empty_intersections": 0,
-                }
-            v["cell_cache_hits" if cache_hit else "cells_computed"] += 1
-
-    def voronoi_empty(self) -> None:
-        with self._lock:
-            v = self._plan.voronoi
-            if v is None:
-                v = self._plan.voronoi = {
-                    "cells_computed": 0,
-                    "cell_cache_hits": 0,
-                    "empty_intersections": 0,
-                }
-            v["empty_intersections"] += 1
-
-    def iss_probe(self, point: bool) -> None:
-        with self._lock:
-            p = self._plan.iss
-            if p is None:
-                p = self._plan.iss = {
-                    "bound_probes_point": 0,
-                    "bound_probes_node": 0,
-                }
-            p["bound_probes_point" if point else "bound_probes_node"] += 1
-
-    # -- shard fan-out --------------------------------------------------
-    def child(self, shard_id: int) -> "DiagnosticsCollector":
-        """A fresh collector for one shard's per-shard execution."""
-        return DiagnosticsCollector()
-
-    def shard(
-        self,
-        shard_id: int,
-        verdict: str,
-        bound: float,
-        floor: float,
-        elapsed_s: float = 0.0,
-        error: str | None = None,
-        sub_plan: "QueryPlan | None" = None,
-    ) -> None:
-        """Record one shard's fan-out verdict (thread-safe).
-
-        An executed shard's ``sub_plan`` (its child collector's plan in
-        thread mode, the plan object the worker shipped in process
-        mode; finalized by the per-shard query either way) is embedded
-        AND folded into this plan's aggregates, so the parent plan's
-        counters reconcile with the registry deltas the per-shard
-        executions produced.
-        """
-        diag = ShardDiag(
-            shard_id=shard_id,
-            verdict=verdict,
-            bound=bound,
-            floor=floor,
-            elapsed_s=elapsed_s,
-            error=error,
-            plan=sub_plan.to_dict() if sub_plan is not None else None,
-        )
-        with self._lock:
-            self._plan.shards.append(diag)
-            self._plan.shards.sort(key=lambda s: s.shard_id)
-            if sub_plan is not None:
-                self._merge_sub_plan(sub_plan)
-
-    def _merge_sub_plan(self, sub: QueryPlan) -> None:
-        """Fold one shard's plan into the parent aggregates (lock held)."""
-        for d in sub.feature_sets:
-            mine = self._set_diag(d.set_id)
-            mine.nodes_visited += d.nodes_visited
-            mine.nodes_pruned += d.nodes_pruned
-            mine.entries_pruned += d.entries_pruned
-            mine.features_pulled += d.features_pulled
-            mine.pull_rounds += d.pull_rounds
-            mine.pruned_bounds.merge(d.pruned_bounds)
-        if sub.combinations is not None:
-            cd = self._combinations()
-            cd.released += sub.combinations.released
-            cd.rejected_2r += sub.combinations.rejected_2r
-            cd.retrievals_skipped += sub.combinations.retrievals_skipped
-            cd.pull_rounds += sub.combinations.pull_rounds
-            # Trajectories stay per-shard (in the embedded sub-plan) —
-            # interleaving them across shards would be meaningless.
-        if sub.stds is not None:
-            sd = self._stds()
-            sd.objects_dropped += sub.stds.objects_dropped
-            sd.early_terminations += sub.stds.early_terminations
-            sd.chunk_count += sub.stds.chunk_count
-            if sub.stds.threshold_final > sd.threshold_final:
-                sd.threshold_final = sub.stds.threshold_final
-        if sub.voronoi is not None:
-            if self._plan.voronoi is None:
-                self._plan.voronoi = {
-                    "cells_computed": 0,
-                    "cell_cache_hits": 0,
-                    "empty_intersections": 0,
-                }
-            for key, value in sub.voronoi.items():
-                self._plan.voronoi[key] = (
-                    self._plan.voronoi.get(key, 0) + value
-                )
-        if sub.iss is not None:
-            if self._plan.iss is None:
-                self._plan.iss = {
-                    "bound_probes_point": 0,
-                    "bound_probes_node": 0,
-                }
-            for key, value in sub.iss.items():
-                self._plan.iss[key] = self._plan.iss.get(key, 0) + value
-
-    # -- lifecycle ------------------------------------------------------
-    def finalize(
-        self,
-        query,
-        algorithm: str,
-        pulling: str,
-        trace_id: str,
-        elapsed_s: float,
-        stats,
-    ) -> None:
-        """Stamp query identity + result stats onto the plan.
-
-        Counter-bearing fields (``objects_scored``, per-set
-        ``features_pulled``) are copied from the *same* ``QueryStats``
-        the metrics instrumentation reads, so plan counts and registry
-        deltas cannot diverge.
-        """
-        with self._lock:
-            plan = self._plan
-            plan.trace_id = trace_id
-            plan.algorithm = algorithm
-            plan.variant = query.variant.value
-            plan.pulling = pulling
-            plan.k = query.k
-            plan.radius = query.radius
-            plan.lam = query.lam
-            plan.c = query.c
-            plan.elapsed_s = elapsed_s
-            plan.objects_scored = stats.objects_scored
-            if plan.combinations is not None:
-                plan.combinations.released = stats.combinations
-            if stats.phase_times:
-                plan.phase_times = dict(stats.phase_times)
-
-    def plan(self) -> QueryPlan:
-        """The accumulated plan (live object; copy if mutating)."""
-        return self._plan
-
-
-class _NullCollector:
-    """Shared no-op collector used when EXPLAIN is off.
-
-    Hot paths check ``collector.active`` once per instrumentation point;
-    every method is a no-op so a stray un-guarded call is still safe.
-    """
-
-    __slots__ = ()
-
-    active = False
-
-    def node_visited(self, set_id, bound) -> None:
-        pass
-
-    def node_pruned(self, set_id, bound=None) -> None:
-        pass
-
-    def entries_pruned(self, set_id, count=1) -> None:
-        pass
-
-    def feature_pulled(self, set_id) -> None:
-        pass
-
-    def pull(self, set_id, threshold, next_bound) -> None:
-        pass
-
-    def combination(self, score, accepted) -> None:
-        pass
-
-    def retrieval_skipped(self, score) -> None:
-        pass
-
-    def chunk(self, chunk_id, size, threshold) -> None:
-        pass
-
-    def objects_dropped(self, count=1) -> None:
-        pass
-
-    def early_termination(self) -> None:
-        pass
-
-    def voronoi_cell(self, cache_hit) -> None:
-        pass
-
-    def voronoi_empty(self) -> None:
-        pass
-
-    def iss_probe(self, point) -> None:
-        pass
-
-    def child(self, shard_id) -> "_NullCollector":
-        return self
-
-    def shard(self, *args, **kwargs) -> None:
-        pass
-
-    def finalize(self, *args, **kwargs) -> None:
-        pass
-
-    def plan(self) -> QueryPlan:
-        return QueryPlan()
-
-
-NULL_COLLECTOR = _NullCollector()
-
-
-def resolve(collector) -> "DiagnosticsCollector | _NullCollector":
-    """``collector`` or the shared null collector."""
-    return collector if collector is not None else NULL_COLLECTOR
 
 
 @dataclass(slots=True)

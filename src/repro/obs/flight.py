@@ -3,8 +3,9 @@
 Production triage needs the *specific* queries that blew the latency
 budget or raised, not aggregate histograms.  Each executed query is
 described by a :class:`QueryRecord` — query arguments, latency, phase
-totals, counter-style stats, a plan summary when EXPLAIN was active, the
-trace id (join key against spans and structured logs), and the error +
+totals, one ``counters`` digest of its ``QueryStats`` (what an EXPLAIN
+plan is a view of, so every record says what its query did), the trace
+id (join key against spans and structured logs), and the error +
 ``shard_id`` for failures surfacing through the batch executor or the
 sharded fan-out.
 
@@ -50,10 +51,8 @@ class QueryRecord:
     latency_s: float
     #: Per-phase wall seconds (empty unless tracing was on).
     phase_times: dict = field(default_factory=dict)
-    #: Counter-style stats from ``QueryResult.stats``.
+    #: Digest of ``QueryResult.stats`` (see :func:`_counters`).
     counters: dict = field(default_factory=dict)
-    #: Compact plan summary (present when EXPLAIN was active).
-    plan_summary: dict | None = None
     #: ``{"type": ..., "message": ...}`` for failed queries, else None.
     error: dict | None = None
     #: Shard that produced the failure, when attributable.
@@ -80,30 +79,25 @@ def query_args(query) -> dict:
     }
 
 
-#: The ``QueryStats`` counters a record snapshots.
+#: The scalar ``QueryStats`` counters a record snapshots.
 _COUNTERS = (
     "combinations", "features_pulled", "objects_scored", "io_reads",
     "buffer_hits", "node_cache_hits", "node_cache_misses", "heap_pops",
-    "nodes_expanded",
+    "nodes_expanded", "rejected_2r", "pull_rounds", "objects_dropped",
 )
 
 
-def _plan_summary(plan) -> dict:
-    """Compact plan digest — enough to triage without the full plan
-    (a fixed handful of counters, so bounded by construction)."""
-    summary: dict = {
-        "objects_scored": plan.objects_scored,
-        "combinations_released": plan.combinations_released,
-        "features_pulled": plan.features_pulled_total,
-    }
-    if plan.combinations is not None:
-        summary["combinations_rejected_2r"] = plan.combinations.rejected_2r
-        summary["pull_rounds"] = plan.combinations.pull_rounds
-    if plan.stds is not None:
-        summary["objects_dropped"] = plan.stds.objects_dropped
-    if plan.shards:
-        summary["shard_outcomes"] = plan.shard_outcomes()
-    return summary
+def _counters(stats) -> dict:
+    """Flat numeric digest (as the store's byte estimate assumes): the
+    scalar counters, per-set visits and prunes, shard outcomes."""
+    out = {name: getattr(stats, name) for name in _COUNTERS}
+    for diag in stats.feature_sets:
+        out[f"nodes_visited[{diag.set_id}]"] = diag.nodes_visited
+        out[f"nodes_pruned[{diag.set_id}]"] = diag.nodes_pruned
+    for shard in stats.shards:
+        key = f"shards[{shard.verdict}]"
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def _admit(record: QueryRecord) -> bool:
@@ -153,17 +147,13 @@ def _offer(query, algorithm, pulling, trace_id, latency_s, **fields) -> bool:
 
 def maybe_record(
     query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
-    stats=None, plan=None,
+    stats=None,
 ) -> bool:
     """Offer a *successful* query; the store's keep policy decides."""
     return _offer(
         query, algorithm, pulling, trace_id, latency_s,
         phase_times=dict(stats.phase_times) if stats is not None else {},
-        counters=(
-            {name: getattr(stats, name) for name in _COUNTERS}
-            if stats is not None else {}
-        ),
-        plan_summary=_plan_summary(plan) if plan is not None else None,
+        counters=_counters(stats) if stats is not None else {},
     )
 
 

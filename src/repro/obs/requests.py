@@ -345,8 +345,6 @@ def _estimate_bytes(trace: RequestTrace) -> int:
             len(record.query) + len(record.phase_times)
             + len(record.counters)
         )
-        if record.plan_summary is not None:
-            size += len(str(record.plan_summary))
     return size
 
 

@@ -19,11 +19,12 @@ one core.  This module runs shard queries on *physical* cores:
    so hot queries stay hot per worker);
 4. **observe** — the worker runs the query under the parent's
    :class:`ObsContext`, then ships back the
-   :class:`~repro.core.results.QueryResult` plus a metrics-registry
-   delta (:func:`repro.obs.metrics.diff_state`), the EXPLAIN sub-plan,
-   and the span tuples and query records its collector gathered, so the
-   parent's registry, plans, and trace store reconcile exactly as in
-   thread mode.
+   :class:`~repro.core.results.QueryResult` (its ``stats`` are what
+   the parent merges and builds the shard's sub-plan from) plus a
+   metrics-registry delta (:func:`repro.obs.metrics.diff_state`) and
+   the span tuples and query records its span collector gathered, so
+   the parent's registry, plans, and trace store reconcile exactly as
+   in thread mode.
 
 Cold-cache semantics: ``ShardedQueryProcessor.clear_buffers`` cannot
 reach worker-process caches directly, so it bumps a per-processor
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from repro.core.processor import QueryProcessor
+from repro.core.results import QueryStats
 from repro.errors import ReproError, ShardError
 from repro.index.reopen import open_tree
 from repro.obs import explain as _explain
@@ -220,7 +222,7 @@ def _run_shard_query(
     pickled exception when transferable) so the metrics delta and any
     query records survive the failure, exactly as they would in-process.
 
-    The query runs under a worker-local collector, so its spans and
+    The query runs under a worker-local span collector, so its spans and
     query records travel back in the payload (span tuples carry raw
     monotonic-clock stamps, valid in the parent as they are) for
     :func:`repro.obs.tracing.ingest` / :func:`repro.obs.flight.ingest`;
@@ -228,7 +230,9 @@ def _run_shard_query(
     empty and its own tracer is switched on only for the cache instants
     guarded by ``tracing.verbose``.  ``obs.exemplars`` mirrors the
     parent's exemplar flag so worker histogram observations carry trace
-    ids too (they travel inside the metrics delta).
+    ids too (they travel inside the metrics delta).  ``explain`` makes
+    the result's stats carry the plan detail (they cross the hop as
+    part of the result).
     """
     _requests.configure(enabled_=obs.records)
     _tracing.set_enabled(obs.verbose, verbose_events=obs.verbose)
@@ -238,7 +242,6 @@ def _run_shard_query(
     gathered = (
         _tracing.SpanCollector() if obs.spans or obs.records else None
     )
-    collector = _explain.DiagnosticsCollector() if explain else None
     before = _metrics.snapshot_state()
     t0 = time.perf_counter()
     error_payload = None
@@ -258,7 +261,9 @@ def _run_shard_query(
                 algorithm=algorithm,
                 pulling=pulling,
                 floor=floor,
-                collector=collector,
+                stats=QueryStats(
+                    detail=_explain.PlanDetail() if explain else None
+                ),
             )
     except Exception as exc:  # noqa: BLE001 — transferred to the parent
         try:
@@ -278,11 +283,6 @@ def _run_shard_query(
         "result": result,
         "error": error_payload,
         "metrics": _metrics.diff_state(before, _metrics.snapshot_state()),
-        "plan": (
-            collector.plan()
-            if collector is not None and error_payload is None
-            else None
-        ),
         "records": gathered.records if gathered is not None else (),
         "spans": list(gathered.spans) if obs.spans else (),
         "pid": os.getpid(),

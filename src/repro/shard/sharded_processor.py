@@ -44,6 +44,7 @@ from repro.core.results import QueryResult, QueryStats, rank_items
 from repro.errors import QueryError, ReproError, ShardError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
+from repro.obs.explain import ShardDiag
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
@@ -470,16 +471,15 @@ class ShardedQueryProcessor:
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
-        collector=None,
+        stats: QueryStats | None = None,
     ) -> QueryResult:
         """Execute one query across all shards; results match unsharded.
 
         ``floor`` composes with the internal cross-shard threshold (the
         larger of the two wins), so a sharded processor can itself sit
-        behind another merger.  ``collector`` — an optional
-        :class:`~repro.obs.explain.DiagnosticsCollector`; each shard gets
-        a child collector and the parent plan records every shard's
-        verdict (pruned/executed/failed) with its bound and floor.
+        behind another merger.  ``stats`` is the accumulator to count
+        into (a fresh one when None): every shard's verdict with its
+        bound and floor, and the executed shards' own stats merged in.
         """
         if self._closed:
             raise ShardError(-1, "sharded processor is closed")
@@ -488,7 +488,7 @@ class ShardedQueryProcessor:
             # Nothing to fan out for: k=0's empty answer is exact and
             # tie-complete regardless of shard layout or fanout mode
             # (and _GlobalTopK(0) has no meaningful floor).
-            stats = QueryStats()
+            stats = stats or QueryStats()
             stats.trace_id = (
                 _tracing.current_trace_id() or _tracing.new_trace_id()
             )
@@ -499,7 +499,7 @@ class ShardedQueryProcessor:
         )
         trace_id = ctx.trace_id
         rec = _tracing.recorder()
-        col = _explain.resolve(collector)
+        stats = stats or QueryStats()
         merger = _GlobalTopK(query.k)
         results: list[QueryResult] = []
 
@@ -515,11 +515,11 @@ class ShardedQueryProcessor:
                 if self.fanout == "processes":
                     results = self._run_processes(
                         ordered, query, algorithm, pulling, floor, merger,
-                        col, trace_id,
+                        stats, trace_id,
                     )
                 else:
                     run = self._make_runner(
-                        query, algorithm, pulling, floor, merger, col, ctx,
+                        query, algorithm, pulling, floor, merger, stats, ctx,
                     )
                     workers = self._effective_workers()
                     if workers <= 1 or self.shard_count == 1:
@@ -554,23 +554,21 @@ class ShardedQueryProcessor:
             ]
             items = rank_items(candidates, query.k)
 
-        stats = _merge_stats(results)
+        # Verdicts land in completion order; fold them in by shard id.
+        stats.shards.sort(key=lambda verdict: verdict.shard_id)
+        for verdict in list(stats.shards):
+            if verdict.stats is not None:
+                stats.merge(verdict.stats)
         stats.wall_s = time.perf_counter() - t0
         stats.trace_id = trace_id
         for phase, seconds in rec.totals().items():
             stats.phase_times[phase] = (
                 stats.phase_times.get(phase, 0.0) + seconds
             )
-        if col.active:
-            col.finalize(
-                query, f"sharded/{algorithm}", pulling, trace_id,
-                stats.wall_s, stats,
-            )
         if _requests.enabled:
             _flight.maybe_record(
                 query, f"sharded/{algorithm}", pulling, trace_id,
                 stats.wall_s, stats=stats,
-                plan=col.plan() if col.active else None,
             )
         return QueryResult(items, stats)
 
@@ -586,15 +584,14 @@ class ShardedQueryProcessor:
         The plan's shard section lists every shard's verdict, bound, and
         floor at decision time; executed shards embed their own sub-plan.
         """
-        collector = _explain.DiagnosticsCollector()
         result = self.query(
-            query,
-            algorithm=algorithm,
-            pulling=pulling,
-            floor=floor,
-            collector=collector,
+            query, algorithm=algorithm, pulling=pulling, floor=floor,
+            stats=QueryStats(detail=_explain.PlanDetail()),
         )
-        return _explain.ExplainReport(plan=collector.plan(), result=result)
+        plan = _explain.QueryPlan.from_stats(
+            query, f"sharded/{algorithm}", pulling, result.stats
+        )
+        return _explain.ExplainReport(plan=plan, result=result)
 
     def query_many(
         self,
@@ -651,11 +648,13 @@ class ShardedQueryProcessor:
             )
 
     def _make_runner(
-        self, query, algorithm, pulling, external_floor, merger, col, ctx,
+        self, query, algorithm, pulling, external_floor, merger, stats, ctx,
     ):
         # One registry resolution per query, shared by every shard runner
         # (the handle itself is thread-safe).
         outcomes = shard_queries_metric()
+        verdicts = stats.shards  # list.append is atomic across pool threads
+        explain = stats.detail is not None
 
         def run(bound: float, idx: int):
             shard = self.shards[idx]
@@ -666,11 +665,9 @@ class ShardedQueryProcessor:
                 # (ties at the floor are NOT pruned: bound == floor
                 # still executes so oid tie-breaks see every candidate).
                 outcomes.labels(algorithm=algorithm, outcome="pruned").inc()
-                if col.active:
-                    col.shard(shard_id, "pruned", bound, floor)
+                verdicts.append(ShardDiag(shard_id, "pruned", bound, floor))
                 return None
             rec = _tracing.recorder()
-            sub = col.child(shard_id) if col.active else None
             shard_t0 = time.perf_counter()
             # Pool threads don't inherit the caller's contextvars —
             # resume the fan-out's trace context so the per-shard query
@@ -685,16 +682,17 @@ class ShardedQueryProcessor:
                         algorithm=algorithm,
                         pulling=pulling,
                         floor=floor,
-                        collector=sub,
+                        stats=QueryStats(
+                            detail=_explain.PlanDetail() if explain else None
+                        ),
                     )
             except Exception as exc:  # noqa: BLE001 — wrapped with context
                 outcomes.labels(algorithm=algorithm, outcome="failed").inc()
-                if col.active:
-                    col.shard(
-                        shard_id, "failed", bound, floor,
-                        elapsed_s=time.perf_counter() - shard_t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                verdicts.append(ShardDiag(
+                    shard_id, "failed", bound, floor,
+                    elapsed_s=time.perf_counter() - shard_t0,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
                 if isinstance(exc, ReproError):
                     raise
                 raise ShardError(
@@ -702,19 +700,18 @@ class ShardedQueryProcessor:
                 ) from exc
             merger.offer(item.score for item in result.items)
             outcomes.labels(algorithm=algorithm, outcome="executed").inc()
-            if col.active:
-                col.shard(
-                    shard_id, "executed", bound, floor,
-                    elapsed_s=time.perf_counter() - shard_t0,
-                    sub_plan=sub.plan(),
-                )
+            verdicts.append(ShardDiag(
+                shard_id, "executed", bound, floor,
+                elapsed_s=time.perf_counter() - shard_t0,
+                stats=result.stats,
+            ))
             return result
 
         return run
 
     def _run_processes(
         self, ordered, query, algorithm, pulling, external_floor, merger,
-        col, trace_id,
+        stats, trace_id,
     ) -> list[QueryResult]:
         """Process-mode fan-out: throttled dispatch over the worker pool.
 
@@ -724,11 +721,12 @@ class ShardedQueryProcessor:
         pruned without ever crossing the process boundary.  Completed
         payloads are folded back in completion order: metrics deltas
         into the (possibly scoped) parent registry, spans and query
-        records into the dispatching trace context, sub-plans into the
-        parent collector — the observable behavior matches thread mode
-        exactly.
+        records into the dispatching trace context, verdicts (with the
+        worker's stats) into ``stats`` — the observable behavior matches
+        thread mode exactly.
         """
         outcomes_metric = shard_queries_metric()
+        verdicts = stats.shards
         obs = ObsContext.capture(trace_id)
         runner = self._ensure_process_runner()
         workers = max(1, min(self._effective_workers(), len(ordered)))
@@ -748,12 +746,11 @@ class ShardedQueryProcessor:
                     outcomes_metric.labels(
                         algorithm=algorithm, outcome="pruned"
                     ).inc()
-                    if col.active:
-                        col.shard(shard_id, "pruned", bound, floor)
+                    verdicts.append(ShardDiag(shard_id, "pruned", bound, floor))
                     continue
                 future = runner.submit(
                     shard_id, self._epoch, query, algorithm, pulling,
-                    floor, obs, col.active,
+                    floor, obs, stats.detail is not None,
                     manifest=self._manifests[idx],
                 )
                 in_flight[future] = (bound, shard_id, floor)
@@ -781,12 +778,11 @@ class ShardedQueryProcessor:
                     outcomes_metric.labels(
                         algorithm=algorithm, outcome="failed"
                     ).inc()
-                    if col.active:
-                        col.shard(
-                            shard_id, "failed", bound, floor,
-                            elapsed_s=payload["elapsed_s"],
-                            error=f"{error['type']}: {error['message']}",
-                        )
+                    verdicts.append(ShardDiag(
+                        shard_id, "failed", bound, floor,
+                        elapsed_s=payload["elapsed_s"],
+                        error=f"{error['type']}: {error['message']}",
+                    ))
                     if failure is None:
                         failure = unpickle_error(error, shard_id)
                     continue
@@ -795,12 +791,11 @@ class ShardedQueryProcessor:
                 outcomes_metric.labels(
                     algorithm=algorithm, outcome="executed"
                 ).inc()
-                if col.active:
-                    col.shard(
-                        shard_id, "executed", bound, floor,
-                        elapsed_s=payload["elapsed_s"],
-                        sub_plan=payload["plan"],
-                    )
+                verdicts.append(ShardDiag(
+                    shard_id, "executed", bound, floor,
+                    elapsed_s=payload["elapsed_s"],
+                    stats=result.stats,
+                ))
                 results.append(result)
             if failure is None:
                 while len(in_flight) < workers and dispatch_next():
@@ -837,28 +832,3 @@ class ShardedQueryProcessor:
                     start_method=self.start_method,
                 )
             return self._process_runner
-
-
-def _merge_stats(results: Sequence[QueryResult]) -> QueryStats:
-    """Sum per-shard cost counters into one workload-level view."""
-    stats = QueryStats()
-    for result in results:
-        s = result.stats
-        stats.io_reads += s.io_reads
-        stats.buffer_hits += s.buffer_hits
-        stats.node_cache_hits += s.node_cache_hits
-        stats.node_cache_misses += s.node_cache_misses
-        stats.io_time_s += s.io_time_s
-        stats.combinations += s.combinations
-        stats.features_pulled += s.features_pulled
-        stats.objects_scored += s.objects_scored
-        stats.heap_pops += s.heap_pops
-        stats.nodes_expanded += s.nodes_expanded
-        stats.voronoi_io_reads += s.voronoi_io_reads
-        stats.voronoi_cpu_s += s.voronoi_cpu_s
-        stats.voronoi_io_time_s += s.voronoi_io_time_s
-        for phase, seconds in s.phase_times.items():
-            stats.phase_times[phase] = (
-                stats.phase_times.get(phase, 0.0) + seconds
-            )
-    return stats

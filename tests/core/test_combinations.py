@@ -176,7 +176,7 @@ class TestPullingStrategies:
             for _ in range(5):
                 if iterator.next() is None:
                     break
-            pulls[strategy] = iterator.features_pulled
+            pulls[strategy] = iterator.stats.features_pulled
         assert pulls[PULL_PRIORITIZED] <= pulls[PULL_ROUND_ROBIN] + 2
 
     def test_unknown_strategy_rejected(self, small_world):

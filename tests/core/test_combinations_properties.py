@@ -91,7 +91,7 @@ def check_against_brute_force(rows, radius, enforce_2r, pulling):
     assert dict(got) == expected
     scores = [score for _, score in got]
     assert scores == sorted(scores, reverse=True)
-    assert iterator.combinations_released == len(expected)
+    assert iterator.stats.combinations == len(expected)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)

@@ -15,7 +15,6 @@ from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import FeatureObject
-from repro.obs.explain import DiagnosticsCollector
 from repro.storage.pagefile import MemoryPageFile
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import (
@@ -130,7 +129,7 @@ class TestJoinOnPull:
         iterator = CombinationIterator(trees, query(), enforce_2r=False)
         while iterator.next() is not None:
             pass
-        assert iterator.features_pulled == 3  # virtuals not counted
+        assert iterator.stats.features_pulled == 3  # virtuals not counted
 
 
 class TestValidityFilter:
@@ -202,15 +201,10 @@ class TestPinnedWork:
                 k=5, radius=0.06, lam=0.5,
                 keyword_masks=tuple(random_mask(rng) for _ in range(c)),
             )
-            collector = DiagnosticsCollector()
-            result = stps(
-                objects, trees[:c], query, pulling=pulling, collector=collector
-            )
-            plan = collector.plan()
-            assert plan.combinations.released == result.stats.combinations
-            pulled += result.stats.features_pulled
-            released += plan.combinations.released
-            rejected += plan.combinations.rejected_2r
-            for diag in plan.feature_sets:
+            stats = stps(objects, trees[:c], query, pulling=pulling).stats
+            pulled += stats.features_pulled
+            released += stats.combinations
+            rejected += stats.rejected_2r
+            for diag in stats.feature_sets:
                 visited[diag.set_id] += diag.nodes_visited
         assert (pulled, visited, released, rejected) == self.PINNED[c, pulling]

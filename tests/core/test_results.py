@@ -1,5 +1,7 @@
 """Tests for result containers and stats tracking."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.results import (
@@ -9,6 +11,7 @@ from repro.core.results import (
     StatsTracker,
     rank_items,
 )
+from repro.obs.explain import BoundSummary, FeatureSetDiag, PlanDetail, ShardDiag
 from repro.storage.page import Page
 from repro.storage.pagefile import MemoryPageFile
 
@@ -48,6 +51,94 @@ class TestQueryStats:
         stats = QueryStats(wall_s=0.5, io_time_s=1.5)
         assert stats.total_time_s == pytest.approx(2.0)
         assert stats.cpu_time_s == pytest.approx(0.5)
+
+
+def _filled(cls, base: int, **fixed):
+    """An instance with every numeric field set to a distinct value."""
+    obj = cls(**fixed)
+    for n, f in enumerate(dataclasses.fields(cls)):
+        if f.name not in fixed and f.type in ("int", "float"):
+            setattr(obj, f.name, type(getattr(obj, f.name))(base + n))
+    return obj
+
+
+class TestMerge:
+    """``QueryStats.merge`` is the one hand-written fold: a field added
+    without a rule must fail here, not vanish from sharded totals."""
+
+    #: Fields that describe one execution and are not folded.
+    PER_EXECUTION = {"trace_id", "detail"}
+
+    def _pair(self):
+        a = _filled(QueryStats, 100, trace_id="a", detail=PlanDetail())
+        b = _filled(QueryStats, 1000, trace_id="b", detail=PlanDetail())
+        a.feature_sets = [_filled(FeatureSetDiag, 10, set_id=0)]
+        b.feature_sets = [
+            _filled(FeatureSetDiag, 20, set_id=0),
+            _filled(FeatureSetDiag, 30, set_id=1),
+        ]
+        a.feature_sets[0].pruned_bounds = BoundSummary()
+        a.feature_sets[0].pruned_bounds.add(0.25)
+        b.feature_sets[0].pruned_bounds = BoundSummary()
+        b.feature_sets[0].pruned_bounds.add(0.75)
+        a.shards = [ShardDiag(2, "executed", 0.9, 0.1)]
+        b.shards = [ShardDiag(0, "pruned", 0.2, 0.5)]
+        a.phase_times = {"p": 1.0, "q": 2.0}
+        b.phase_times = {"q": 4.0, "r": 8.0}
+        b.detail.trajectory.append((1, 0, 0.5, 0.4))
+        return a, b
+
+    def test_every_field_has_a_merge_rule(self):
+        a, b = self._pair()
+        before = {
+            f.name: getattr(a, f.name) for f in dataclasses.fields(a)
+            if f.type in ("int", "float")
+        }
+        set0 = dataclasses.replace(a.feature_sets[0], pruned_bounds=None)
+        a.merge(b)
+        for f in dataclasses.fields(QueryStats):
+            mine, theirs = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "threshold_final":
+                assert mine == max(before[f.name], theirs)
+            elif f.name in before:
+                assert before[f.name] and theirs, f.name  # both non-zero
+                assert mine == before[f.name] + theirs, f.name
+            elif f.name == "feature_sets":
+                assert [d.set_id for d in mine] == [0, 1]
+                for g in dataclasses.fields(FeatureSetDiag):
+                    if g.type == "int" and g.name != "set_id":
+                        assert getattr(mine[0], g.name) == getattr(
+                            set0, g.name
+                        ) + getattr(theirs[0], g.name), g.name
+                        assert getattr(mine[1], g.name) == getattr(
+                            theirs[1], g.name
+                        ), g.name
+                    else:
+                        assert g.name in ("set_id", "pruned_bounds"), g.name
+                bounds = mine[0].pruned_bounds
+                assert (bounds.count, bounds.min, bounds.max) == (2, 0.25, 0.75)
+                assert mine[1] is not theirs[1]  # merged into a copy
+            elif f.name == "shards":
+                assert [s.shard_id for s in mine] == [2, 0]  # mine, then theirs
+            elif f.name == "phase_times":
+                assert mine == {"p": 1.0, "q": 6.0, "r": 8.0}
+            else:
+                assert f.name in self.PER_EXECUTION, (
+                    f"QueryStats.{f.name} has no merge rule"
+                )
+        assert a.trace_id == "a"
+        assert a.detail.trajectory == []  # series stay per execution
+
+    def test_derived_totals_follow_the_per_set_records(self):
+        a, b = self._pair()
+        a.merge(b)
+        assert a.features_pulled == sum(
+            d.features_pulled for d in a.feature_sets
+        )
+        assert a.nodes_expanded == sum(d.nodes_visited for d in a.feature_sets)
+        assert a.heap_pops == sum(d.heap_pops for d in a.feature_sets)
+        with pytest.raises(AttributeError):
+            a.nodes_expanded = 1  # a view, not a second count
 
 
 class TestStatsTracker:

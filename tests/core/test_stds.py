@@ -16,7 +16,6 @@ from repro.core.stds import (
 from repro.core.processor import QueryProcessor
 from repro.errors import QueryError
 from repro.model.dataset import FeatureDataset, ObjectDataset
-from repro.obs.explain import DiagnosticsCollector
 from tests.conftest import make_data_objects, make_feature_objects, random_mask
 
 
@@ -170,16 +169,14 @@ class TestPinnedWork:
         )
         assert [t.height for t in processor.feature_trees] == [3] * c
         query = _q(self.MASKS[:c], radius=0.05)
-        collector = DiagnosticsCollector()
-        result = stds(
+        stats = stds(
             processor.object_tree, processor.feature_trees, query,
-            batch_size=64, collector=collector,
-        )
+            batch_size=64,
+        ).stats
         expanded, visited, pops_then, pops_now, pruned_then, pruned_now = (
             self.PINNED[c]
         )
-        stats = result.stats
-        sets = collector.plan().feature_sets
+        sets = stats.feature_sets
         assert stats.nodes_expanded == expanded == sum(visited)
         assert [fs.nodes_visited for fs in sets] == visited
         assert stats.heap_pops == pops_now == pops_then - {2: 94, 3: 150}[c]

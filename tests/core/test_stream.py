@@ -139,7 +139,7 @@ class TestNextBound:
                 break
             if not f.is_virtual:
                 n += 1
-        assert stream.pulled == n
+        assert stream.stats.features_pulled == n
 
 
 def reference_stream(tree, mask, lam):
@@ -238,7 +238,7 @@ class TestRunMerge:
                 got.append((feature.fid, feature.score))
             assert got[:-1] == expected  # ties included, bit for bit
             assert got[-1] == (VIRTUAL_FID, 0.0)
-            assert stream.pulled == len(expected)
+            assert stream.stats.features_pulled == len(expected)
             # next_bound dominates everything delivered after it.
             later = 0.0
             for bound, (_, score) in zip(reversed(bounds[:-1]), reversed(got)):

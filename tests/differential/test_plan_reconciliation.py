@@ -1,7 +1,7 @@
 """Differential check: EXPLAIN plans reconcile with metric counters.
 
-The QueryPlan is built from its own event stream inside the collector;
-the Prometheus counters are incremented independently on the hot path.
+The QueryPlan is a view of the query's ``QueryStats``; the Prometheus
+counters are incremented from the same stats after the query returns.
 If the two ever disagree, one of them is lying about what the query did.
 For every algorithm/variant/pulling combination (and the sharded
 engine), this module runs ``explain`` and asserts
@@ -15,6 +15,7 @@ engine), this module runs ``explain`` and asserts
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -189,3 +190,43 @@ class TestProcessFanoutReconciliation:
         assert [s.shard_id for s in report.plan.shards] == [
             s.shard_id for s in thread_report.plan.shards
         ]
+
+    def test_thread_and_process_fanout_merge_to_equal_stats(self, corpus):
+        """One merge, two substrates: the same 3-shard query run shard
+        by shard yields the same merged counts and plan counters whether
+        the shards' stats came from pool threads or crossed a process
+        boundary inside the result."""
+        objects, feature_sets = corpus
+        query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
+        io_fields = {
+            "io_reads", "buffer_hits", "node_cache_hits",
+            "node_cache_misses", "voronoi_io_reads",
+        }  # cache state is per process, not per query
+
+        def counts(stats):
+            scalars = {
+                f.name: getattr(stats, f.name)
+                for f in dataclasses.fields(stats)
+                if f.type == "int" and f.name not in io_fields
+            }
+            sets = [
+                (d.to_dict(), d.heap_pops) for d in stats.feature_sets
+            ]
+            verdicts = [
+                (s.shard_id, s.verdict, s.bound, s.floor)
+                for s in stats.shards
+            ]
+            return scalars, sets, verdicts
+
+        reports = {}
+        for fanout in ("threads", "processes"):
+            with ShardedQueryProcessor.build(
+                objects, feature_sets, shards=3, radius=0.08,
+                fanout=fanout, max_workers=1,
+            ) as proc:
+                reports[fanout] = proc.explain(query)
+        threads, processes = reports["threads"], reports["processes"]
+        assert counts(threads.result.stats) == counts(processes.result.stats)
+        assert threads.result.stats.pull_rounds > 0
+        assert threads.plan.counters() == processes.plan.counters()
+        assert threads.result.items == processes.result.items

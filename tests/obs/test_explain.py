@@ -1,4 +1,4 @@
-"""Tests for repro.obs.explain: collectors, plans, EXPLAIN end-to-end."""
+"""Tests for repro.obs.explain: plans as views of QueryStats, EXPLAIN end-to-end."""
 
 from __future__ import annotations
 
@@ -9,20 +9,27 @@ import pytest
 
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
+from repro.core.results import QueryStats
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.obs import explain
 from repro.obs.explain import (
     MAX_BOUND_SAMPLES,
     MAX_TRAJECTORY,
-    NULL_COLLECTOR,
     BoundSummary,
-    DiagnosticsCollector,
+    PlanDetail,
     QueryPlan,
+    ShardDiag,
     counter_deltas,
     counter_snapshot,
-    resolve,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.shard import ShardedQueryProcessor
+
+QUERY = PreferenceQuery(5, 0.05, 0.5, (0b1, 0b1))
+
+
+def _plan(stats: QueryStats, algorithm: str = "stps") -> QueryPlan:
+    return QueryPlan.from_stats(QUERY, algorithm, "prioritized", stats)
 
 
 class TestBoundSummary:
@@ -57,15 +64,17 @@ class TestBoundSummary:
 
 
 class TestCollector:
+    """The accumulator is ``QueryStats``; the plan is read off it."""
+
     def test_feature_set_anatomy(self):
-        col = DiagnosticsCollector()
-        col.node_visited(0, 1.0)
-        col.node_pruned(0)  # text prune: no bound
-        col.node_pruned(0, 0.4)  # bound prune
-        col.entries_pruned(0, 7)
-        col.entries_pruned(0, 0)  # no-op
-        col.feature_pulled(1)
-        plan = col.plan()
+        stats = QueryStats(detail=PlanDetail())
+        stats.feature_set(1).features_pulled += 1
+        d0 = stats.feature_set(0)
+        d0.nodes_visited += 1
+        d0.nodes_pruned += 2  # one text prune, one bound prune
+        d0.pruned_bounds.add(0.4)
+        d0.entries_pruned += 7
+        plan = _plan(stats)
         assert [d.set_id for d in plan.feature_sets] == [0, 1]
         d0 = plan.feature_sets[0]
         assert (d0.nodes_visited, d0.nodes_pruned, d0.entries_pruned) == (
@@ -73,81 +82,99 @@ class TestCollector:
         )
         assert d0.pruned_bounds.count == 1  # only the bound-carrying prune
         assert plan.feature_sets[1].features_pulled == 1
+        # Without plan detail the bounds are not summarised at all.
+        plain = QueryStats().feature_set(0)
+        assert plain.pruned_bounds is None
+        assert plain.to_dict()["pruned_bounds"] == {"count": 0}
 
     def test_pull_trajectory_capped(self):
-        col = DiagnosticsCollector()
-        for i in range(MAX_TRAJECTORY + 5):
-            col.pull(0, 0.5, 0.4)
-        cd = col.plan().combinations
-        assert cd.pull_rounds == MAX_TRAJECTORY + 5
+        # Tiny radius, k = every object: STPS drains both streams.
+        objects = synthetic_objects(60, seed=7)
+        feature_sets = synthetic_feature_sets(2, 400, 4, seed=8)
+        processor = QueryProcessor.build(objects, feature_sets)
+        query = PreferenceQuery(60, 1e-4, 0.5, (0b1111, 0b1111))
+        report = processor.explain(query, pulling="round_robin")
+        cd = report.plan.combinations
+        assert cd.pull_rounds > MAX_TRAJECTORY
+        assert cd.pull_rounds == sum(
+            d.pull_rounds for d in report.plan.feature_sets
+        )
         assert len(cd.trajectory) == MAX_TRAJECTORY
+        assert [point[0] for point in cd.trajectory[:3]] == [1, 2, 3]
         assert cd.to_dict()["trajectory_truncated"] is True
 
     def test_combination_accept_reject(self):
-        col = DiagnosticsCollector()
-        col.combination(1.0, accepted=True)
-        col.combination(0.9, accepted=False)
-        col.retrieval_skipped(0.8)
-        cd = col.plan().combinations
+        stats = QueryStats(combinations=1, rejected_2r=1, retrievals_skipped=1)
+        cd = _plan(stats).combinations
         assert (cd.released, cd.rejected_2r, cd.retrievals_skipped) == (
             1, 1, 1,
         )
+        assert _plan(QueryStats()).combinations is None  # nothing counted
 
     def test_shard_verdicts_sorted_and_counted(self):
-        col = DiagnosticsCollector()
-        col.shard(2, "pruned", 0.3, 0.5)
-        col.shard(0, "executed", 0.9, 0.5)
-        col.shard(1, "failed", 0.7, 0.5, error="boom")
-        plan = col.plan()
+        objects = synthetic_objects(240, seed=31)
+        feature_sets = synthetic_feature_sets(2, 150, 32, seed=32)
+        with ShardedQueryProcessor.build(
+            objects, feature_sets, shards=3, radius=0.08
+        ) as sharded:
+            query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
+            plan = sharded.explain(query).plan
         assert [s.shard_id for s in plan.shards] == [0, 1, 2]
+        assert sum(plan.shard_outcomes().values()) == 3
+        stats = QueryStats()
+        stats.shards += [
+            ShardDiag(0, "executed", 0.9, 0.5),
+            ShardDiag(1, "failed", 0.7, 0.5, error="boom"),
+            ShardDiag(2, "pruned", 0.3, 0.5),
+        ]
+        plan = _plan(stats, "sharded/stps")
         assert plan.shard_outcomes() == {
             "executed": 1, "failed": 1, "pruned": 1,
         }
+        assert plan.to_dict()["shards"][1]["error"] == "boom"
 
     def test_executed_shard_merges_sub_plan(self):
-        col = DiagnosticsCollector()
-        sub = col.child(0)
-        sub.feature_pulled(0)
-        sub.feature_pulled(1)
-        sub.combination(1.0, accepted=True)
-        sub.combination(0.5, accepted=False)
-        col.shard(0, "executed", 1.0, -math.inf, sub_plan=sub.plan())
-        plan = col.plan()
+        stats = QueryStats(detail=PlanDetail())
+        sub = QueryStats(combinations=1, rejected_2r=1, detail=PlanDetail())
+        sub.feature_set(0).features_pulled += 1
+        sub.feature_set(1).features_pulled += 1
+        stats.shards.append(
+            ShardDiag(0, "executed", 1.0, -math.inf, stats=sub)
+        )
+        stats.merge(sub)
+        plan = _plan(stats, "sharded/stps")
         assert plan.features_pulled_total == 2
         assert plan.combinations.released == 1
         assert plan.combinations.rejected_2r == 1
-        # The embedded sub-plan survives verbatim.
-        assert plan.shards[0].plan["feature_sets"][0]["features_pulled"] == 1
+        # The embedded sub-plan is the shard's own execution, unsummed.
+        embedded = plan.shards[0].plan
+        assert embedded["algorithm"] == "stps"
+        assert embedded["feature_sets"][0]["features_pulled"] == 1
+        assert stats.shards[0].plan is None  # the view copies, not edits
 
     def test_finalize_copies_stats(self):
-        from repro.core.results import QueryStats
-
-        col = DiagnosticsCollector()
-        col.combination(1.0, accepted=True)
-        stats = QueryStats()
-        stats.objects_scored = 17
-        stats.combinations = 4  # the authoritative count
+        stats = QueryStats(
+            objects_scored=17, combinations=4, trace_id="abc123", wall_s=0.01
+        )
         query = PreferenceQuery(5, 0.05, 0.5, (0b1,))
-        col.finalize(query, "stps", "prioritized", "abc123", 0.01, stats)
-        plan = col.plan()
+        plan = QueryPlan.from_stats(query, "stps", "prioritized", stats)
         assert plan.objects_scored == 17
         assert plan.combinations.released == 4
         assert plan.trace_id == "abc123"
+        assert plan.elapsed_s == 0.01
         assert plan.algorithm == "stps"
         assert plan.variant == "range"
-        assert plan.k == 5
+        assert (plan.k, plan.c) == (5, 1)
 
     def test_counters_view(self):
-        col = DiagnosticsCollector()
-        col.feature_pulled(0)
-        col.feature_pulled(0)
-        col.feature_pulled(1)
-        col.combination(1.0, accepted=True)
-        col.shard(0, "executed", 1.0, -math.inf)
-        col.shard(1, "pruned", 0.1, 0.5)
-        plan = col.plan()
-        plan.objects_scored = 3
-        assert plan.counters() == {
+        stats = QueryStats(combinations=1, objects_scored=3)
+        stats.feature_set(0).features_pulled += 2
+        stats.feature_set(1).features_pulled += 1
+        stats.shards += [
+            ShardDiag(0, "executed", 1.0, -math.inf),
+            ShardDiag(1, "pruned", 0.1, 0.5),
+        ]
+        assert _plan(stats).counters() == {
             "repro_combinations_total": 1.0,
             "repro_objects_scored_total": 3.0,
             "repro_features_pulled_total[0]": 2.0,
@@ -157,37 +184,23 @@ class TestCollector:
         }
 
 
-class TestNullCollector:
-    def test_inactive_and_inert(self):
-        assert NULL_COLLECTOR.active is False
-        NULL_COLLECTOR.node_visited(0, 1.0)
-        NULL_COLLECTOR.pull(0, 0.5, 0.4)
-        NULL_COLLECTOR.shard(0, "executed", 1.0, 0.0)
-        assert NULL_COLLECTOR.child(3) is NULL_COLLECTOR
-        assert NULL_COLLECTOR.plan().objects_scored == 0
-
-    def test_resolve(self):
-        col = DiagnosticsCollector()
-        assert resolve(col) is col
-        assert resolve(None) is NULL_COLLECTOR
-
-
 class TestPlanRendering:
     def _populated_plan(self) -> QueryPlan:
-        col = DiagnosticsCollector()
-        col.node_visited(0, 1.0)
-        col.node_pruned(0, 0.3)
-        col.pull(0, 0.8, 0.7)
-        col.combination(1.0, accepted=True)
-        col.chunk(0, 100, 0.9)
-        col.voronoi_cell(cache_hit=False)
-        col.iss_probe(point=True)
-        col.shard(0, "executed", 1.0, -math.inf)
-        plan = col.plan()
-        plan.algorithm = "stps"
-        plan.variant = "range"
-        plan.trace_id = "deadbeef"
-        return plan
+        stats = QueryStats(
+            combinations=1,
+            voronoi_cells_computed=1,
+            iss_probes_point=1,
+            trace_id="deadbeef",
+            detail=PlanDetail(trajectory=[(1, 0, 0.8, 0.7)]),
+        )
+        diag = stats.feature_set(0)
+        diag.nodes_visited += 1
+        diag.nodes_pruned += 1
+        diag.pruned_bounds.add(0.3)
+        diag.pull_rounds += 1
+        stats.chunk_scanned(0, 100, 0.9)
+        stats.shards.append(ShardDiag(0, "executed", 1.0, -math.inf))
+        return _plan(stats)
 
     def test_to_json_round_trips(self):
         doc = json.loads(self._populated_plan().to_json())
@@ -195,7 +208,11 @@ class TestPlanRendering:
         assert doc["trace_id"] == "deadbeef"
         assert doc["feature_sets"][0]["nodes_visited"] == 1
         assert doc["combinations"]["released"] == 1
+        assert doc["combinations"]["trajectory"][0]["threshold"] == 0.8
         assert doc["stds"]["chunk_count"] == 1
+        assert doc["stds"]["chunks"] == [
+            {"chunk": 0, "size": 100, "threshold": 0.9}
+        ]
         assert doc["shards"][0]["verdict"] == "executed"
         assert doc["shard_outcomes"] == {"executed": 1}
 
@@ -271,11 +288,49 @@ class TestExplainEndToEnd:
         assert report.plan.voronoi["cells_computed"] >= 1
 
     def test_query_without_collector_builds_no_plan(self, processor):
+        """A plain query keeps every counter but none of the series."""
         q = PreferenceQuery(5, 0.05, 0.5, (0b111, 0b1110))
         result = processor.query(q)
         assert result.stats.trace_id  # trace id is always minted
-        # and the null collector accumulated nothing (shared instance).
-        assert NULL_COLLECTOR.plan().feature_sets == []
+        assert result.stats.detail is None
+        assert result.stats.pull_rounds > 0
+        assert all(
+            d.pruned_bounds is None for d in result.stats.feature_sets
+        )
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("algorithm", ["stps", "stds", "iss"])
+    def test_stats_and_plan_agree_on_node_visits(
+        self, processor, algorithm, variant
+    ):
+        """One count per event: what ``stats.nodes_expanded`` says is
+        what the plan's per-set ``nodes_visited`` add up to."""
+        if algorithm == "iss" and variant is not Variant.INFLUENCE:
+            pytest.skip("ISS answers the influence variant only")
+        q = PreferenceQuery(5, 0.05, 0.5, (0b111, 0b1110), variant=variant)
+        report = processor.explain(q, algorithm=algorithm)
+        visited = sum(d.nodes_visited for d in report.plan.feature_sets)
+        assert report.result.stats.nodes_expanded == visited
+        if algorithm != "iss":  # ISS probes do not count their visits
+            assert visited > 0
+        plain = processor.query(q, algorithm=algorithm).stats
+        assert plain.nodes_expanded == visited  # explain changes no count
+        assert plain.heap_pops == sum(d.heap_pops for d in plain.feature_sets)
+
+    @pytest.mark.parametrize("algorithm", ["stps", "stds"])
+    def test_sharded_explain_k0_is_stamped(self, algorithm):
+        objects = synthetic_objects(120, seed=5)
+        feature_sets = synthetic_feature_sets(2, 80, 32, seed=6)
+        q = PreferenceQuery(0, 0.05, 0.5, (0b111, 0b1110))
+        with ShardedQueryProcessor.build(
+            objects, feature_sets, shards=2, radius=0.08
+        ) as sharded:
+            report = sharded.explain(q, algorithm=algorithm)
+        plan = report.plan
+        assert report.result.items == []
+        assert plan.algorithm == f"sharded/{algorithm}"
+        assert plan.trace_id == report.result.stats.trace_id != ""
+        assert (plan.k, plan.c, plan.radius) == (0, 2, 0.05)
 
 
 class TestCounterSnapshot:

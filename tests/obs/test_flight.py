@@ -141,14 +141,30 @@ class TestProcessorIntegration:
             result.stats.objects_scored
         )
 
-    def test_explain_attaches_plan_summary(self, processor):
+    def test_every_record_carries_the_plan_counts(self, processor):
+        """One digest, with or without ``explain``: a plain query's
+        record holds the counts an EXPLAIN of it would show."""
         requests.configure(enabled_=True, slow_threshold_s=0.0)
-        report = processor.explain(_query())
-        record = flight.records()[-1]
-        assert record.plan_summary is not None
-        assert record.plan_summary["objects_scored"] == (
-            report.plan.objects_scored
+        processor.query(_query())
+        plan = processor.explain(_query()).plan
+        plain, explained = flight.records()[-2:]
+        assert plain.counters == explained.counters
+        counters = plain.counters
+        assert counters["objects_scored"] == plan.objects_scored
+        assert counters["pull_rounds"] == plan.combinations.pull_rounds > 0
+        assert counters["rejected_2r"] == plan.combinations.rejected_2r
+        assert counters["objects_dropped"] == 0  # STPS drops nothing
+        for diag in plan.feature_sets:
+            assert counters[f"nodes_visited[{diag.set_id}]"] == (
+                diag.nodes_visited
+            )
+            assert counters[f"nodes_pruned[{diag.set_id}]"] == (
+                diag.nodes_pruned
+            )
+        assert counters["nodes_expanded"] == sum(
+            d.nodes_visited for d in plan.feature_sets
         )
+        assert "plan_summary" not in plain.to_dict()
 
     def test_failed_query_recorded(self, processor):
         requests.configure(enabled_=True, slow_threshold_s=10.0)
@@ -206,6 +222,13 @@ class TestShardedIntegration:
         ]
         assert len(fanout) == 1
         assert fanout[0].trace_id == result.stats.trace_id
+        # The fan-out's digest is the merged one, verdicts included.
+        verdicts = {
+            key: n for key, n in fanout[0].counters.items()
+            if key.startswith("shards[")
+        }
+        assert sum(verdicts.values()) == 2
+        assert fanout[0].counters["pull_rounds"] == result.stats.pull_rounds
         # Per-shard executions (inside the fan-out's trace scope) were
         # recorded too, under the same trace id.
         per_shard = [

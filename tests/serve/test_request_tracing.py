@@ -150,6 +150,26 @@ class TestOneTraceIdEverywhere:
             for entry in logged
         ), logged
 
+    def test_served_record_says_what_the_query_did(
+        self, served, observability
+    ):
+        """No ``explain`` needed: the slow-kept request's stored engine
+        record carries the plan's counts in its one digest."""
+        _, base = served
+        query = PreferenceQuery(3, 0.24, 0.5, (0xFF, 0xFF))
+        _, _, doc = post(base + "/query", body_for(query, algorithm="stps"))
+        trace = _requests.get(doc["trace_id"])
+        assert trace is not None and trace.keep_reason == "slow"
+        (record,) = trace.records
+        counters = record.to_dict()["counters"]
+        assert counters["pull_rounds"] > 0
+        assert counters["rejected_2r"] >= 0
+        assert counters["objects_dropped"] == 0
+        assert counters["nodes_visited[0]"] + counters["nodes_visited[1]"] == (
+            counters["nodes_expanded"]
+        ) > 0
+        assert "nodes_pruned[0]" in counters
+
     def test_minted_id_when_client_sends_none(self, served, observability):
         _, base = served
         query = PreferenceQuery(4, 0.22, 0.5, (0xFF, 0xFF))

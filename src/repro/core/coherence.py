@@ -1,0 +1,120 @@
+"""Which mutations can change a known top-k (result-cache coherence).
+
+A cached answer is the top-k of one world; :func:`answer_survives`
+decides whether it is still the top-k after a sequence of live-dataset
+deltas ``(target, op, set_id, old, new)`` (what a
+:meth:`~repro.live.LiveBase.add_mutation_listener` listener receives),
+without re-running the query.  Each delta is judged on its own against
+the answer — the rules bound what *any* object can gain or lose from
+it, so harmless deltas compose in any order.  Any doubt is "no".  With
+``s_k`` the last reported score and "full" meaning ``len(items) == k``:
+
+* **R1** (Defs. 2, 6, 7: only features with ``sim(t, W_i) > 0`` score)
+  — a feature delta whose ``old`` and ``new`` share no keyword with
+  ``W_i`` is invisible to the query, in every variant.
+* **R2** (Def. 2, range) — removing a relevant feature lowers only the
+  scores of objects within ``r`` of it: harmless unless one of them is
+  reported (a non-member that loses score cannot enter).
+* **R3** (Defs. 1, 2, range) — adding a relevant feature raises only
+  objects within ``r`` of it, to at most ``s(t) + (c - 1)`` since
+  ``s ≤ 1`` bounds every other set: harmless when the answer is full,
+  no reported object is that near and the bound is below ``s_k``.  A
+  move or rescore is R2 on ``old`` plus R3 on ``new``.  Influence and
+  nearest-neighbour scores have no cut-off radius, so a relevant side
+  there is never harmless.
+* **R4** — deleting an object that is not reported changes nothing.
+* **R5** (Algorithm 2) — an inserted object is harmless iff the answer
+  is full and its exact score is below ``s_k``.
+
+"Below" is strict by ``stds._DROP_EPS``, the scan's own tie guard, so
+an object that would tie the k-th score (and could win the ``oid``
+tie-break) always counts as a change.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Sequence
+
+from repro.core.query import PreferenceQuery, Variant
+from repro.core.results import ResultItem
+from repro.core.stds import _DROP_EPS
+from repro.index.feature_tree import FeatureScorer
+from repro.index.nodes import FeatureLeafEntry
+from repro.model.objects import FeatureObject
+
+#: Relative slack on ``r²`` that makes :func:`_reported_within` at least
+#: as inclusive as any engine's ``dx² + dy² ≤ r²``.
+_RANGE_SLACK = 1.0 + 1e-9
+
+
+def _reported_within(
+    items: Sequence[ResultItem], f: FeatureObject, radius: float
+) -> bool:
+    """Does some reported object lie within ``radius`` of ``f``?"""
+    r2 = radius * radius * _RANGE_SLACK
+    fx, fy = f.x, f.y
+    return any(
+        (item.x - fx) ** 2 + (item.y - fy) ** 2 <= r2 for item in items
+    )
+
+
+def _relevant_entry(
+    scorer: FeatureScorer, f: FeatureObject | None
+) -> FeatureLeafEntry | None:
+    """``f`` as the leaf entry it occupies, if ``sim(f, W_i) > 0``."""
+    if f is None:
+        return None
+    entry = FeatureLeafEntry(f.fid, f.x, f.y, f.score, f.keyword_mask())
+    return entry if scorer.leaf_relevant(entry) else None
+
+
+def _harmless(
+    query: PreferenceQuery,
+    items: Sequence[ResultItem],
+    delta: tuple,
+    object_score: Callable | None,
+) -> bool:
+    target, _op, set_id, old, new = delta
+    full = bool(items) and len(items) == query.k
+    if target == "object":
+        if old is not None and any(item.oid == old.oid for item in items):
+            return False  # R4: a reported object left
+        if new is None:
+            return True
+        if not full or object_score is None:
+            return False
+        score = object_score(query, (new.x, new.y))  # R5
+        return score is not None and score < items[-1].score - _DROP_EPS
+    # Leaf-side scoring only: no index bound is asked of this scorer.
+    scorer = FeatureScorer(query.keyword_masks[set_id], query.lam, None)
+    gone = _relevant_entry(scorer, old)
+    come = _relevant_entry(scorer, new)
+    if gone is None and come is None:
+        return True  # R1
+    if query.variant is not Variant.RANGE:
+        return False
+    if gone is not None and _reported_within(items, old, query.radius):
+        return False  # R2
+    if come is not None:  # R3
+        if not full or _reported_within(items, new, query.radius):
+            return False
+        ceiling = scorer.leaf_score(come) + (query.c - 1)
+        return ceiling < items[-1].score - _DROP_EPS
+    return True
+
+
+def answer_survives(
+    query: PreferenceQuery,
+    items: Sequence[ResultItem],
+    deltas: Iterable[tuple],
+    object_score: Callable | None = None,
+) -> bool:
+    """Is ``items`` still the answer to ``query`` after ``deltas``?
+
+    ``items`` is the ranked answer over the world before the deltas;
+    ``object_score(query, point)`` returns the exact ``τ(p)`` of a
+    point over the *current* feature sets, or None when it cannot say
+    (:meth:`repro.live.LiveBase.object_score`).  True is a proof (rules
+    R1-R5 in the module docstring); False only means "re-run it".
+    """
+    return all(_harmless(query, items, d, object_score) for d in deltas)

@@ -208,6 +208,27 @@ def compute_score_nearest(
     return 0.0
 
 
+#: The per-object ``τ_i(p)`` of each score variant.
+SCORE_FNS = {
+    Variant.RANGE: compute_score,
+    Variant.INFLUENCE: compute_score_influence,
+    Variant.NEAREST: compute_score_nearest,
+}
+
+
+def score_object(
+    feature_trees: Sequence[FeatureTree],
+    query: PreferenceQuery,
+    point: tuple[float, float],
+) -> float:
+    """``τ(p) = Σ_i τ_i(p)`` of one location, under the query's variant."""
+    score_fn = SCORE_FNS[query.variant]
+    return sum(
+        score_fn(tree, query, mask, point)
+        for tree, mask in zip(feature_trees, query.keyword_masks)
+    )
+
+
 # ----------------------------------------------------------------------
 # batched Algorithm 2 (range variant)
 # ----------------------------------------------------------------------
@@ -545,11 +566,7 @@ def _stds_per_object(
 ) -> list[tuple[float, int, float, float]]:
     stats = stats or QueryStats()
     sets = [stats.feature_set(i) for i in range(query.c)]
-    score_fn = {
-        Variant.INFLUENCE: compute_score_influence,
-        Variant.NEAREST: compute_score_nearest,
-        Variant.RANGE: compute_score,
-    }[query.variant]
+    score_fn = SCORE_FNS[query.variant]
     threshold = floor
     top: list[tuple[float, int]] = []
     candidates: list[tuple[float, int, float, float]] = []

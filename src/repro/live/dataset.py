@@ -38,6 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.processor import QueryProcessor
+from repro.core.stds import score_object
 from repro.errors import DatasetError
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.model.dataset import FeatureDataset, ObjectDataset
@@ -219,7 +220,7 @@ class LiveBase:
             self._check_new_feature(set_id, feature)
             self._index_insert_feature(set_id, feature)
             self._features[set_id][feature.fid] = feature
-            self._bump("feature", "insert")
+            self._bump("feature", "insert", set_id, None, feature)
 
     def delete_feature(self, set_id: int, fid: int) -> FeatureObject:
         """Remove a feature by id; returns the removed object."""
@@ -230,7 +231,7 @@ class LiveBase:
             old = self._existing_feature(set_id, fid)
             self._index_delete_feature(set_id, old)
             del self._features[set_id][fid]
-            self._bump("feature", "delete")
+            self._bump("feature", "delete", set_id, old, None)
             return old
 
     def move_feature(
@@ -245,7 +246,7 @@ class LiveBase:
             new = dataclasses.replace(old, x=x, y=y)
             self._index_replace_feature(set_id, old, new)
             self._features[set_id][fid] = new
-            self._bump("feature", "move")
+            self._bump("feature", "move", set_id, old, new)
             return new
 
     def rescore_feature(
@@ -260,7 +261,7 @@ class LiveBase:
             new = dataclasses.replace(old, score=score)
             self._index_replace_feature(set_id, old, new)
             self._features[set_id][fid] = new
-            self._bump("feature", "rescore")
+            self._bump("feature", "rescore", set_id, old, new)
             return new
 
     def insert_object(self, obj: DataObject) -> None:
@@ -272,7 +273,7 @@ class LiveBase:
                 raise DatasetError(f"object id {obj.oid} already present")
             self._index_insert_object(obj)
             self._objects[obj.oid] = obj
-            self._bump("object", "insert")
+            self._bump("object", "insert", None, None, obj)
 
     def delete_object(self, oid: int) -> DataObject:
         """Remove a data object by id; returns the removed object."""
@@ -285,7 +286,7 @@ class LiveBase:
                 raise DatasetError(f"unknown data object id {oid}") from None
             self._index_delete_object(old)
             del self._objects[oid]
-            self._bump("object", "delete")
+            self._bump("object", "delete", None, old, None)
             return old
 
     def apply(self, mutation: Mutation) -> None:
@@ -311,10 +312,17 @@ class LiveBase:
             )
 
     def add_mutation_listener(self, fn) -> None:
-        """Register ``fn(target, op)``, called after every applied mutation.
+        """Register ``fn(target, op, set_id, old, new)``, called with the
+        delta of every applied mutation.
+
+        ``target`` is ``"feature"`` or ``"object"``, ``op`` the verb
+        (``insert`` / ``delete`` / ``move`` / ``rescore``), ``set_id``
+        the feature set (None for objects), and ``old`` / ``new`` the
+        :class:`FeatureObject` / :class:`DataObject` before and after
+        (None on insert / delete respectively).
 
         Listeners run under the mutation lock, *after* the index write
-        and mirror update committed — a listener that invalidates a
+        and mirror update committed — a listener that maintains a
         derived structure (e.g. the serving layer's result cache, see
         :mod:`repro.serve.cache`) therefore never observes a
         half-applied world.  Keep listeners cheap: they sit on the
@@ -331,11 +339,20 @@ class LiveBase:
             except ValueError:
                 pass
 
-    def _bump(self, target: str, op: str) -> None:
+    def _bump(
+        self, target: str, op: str, set_id: int | None, old, new
+    ) -> None:
         self.version += 1
         live_mutations_metric().labels(target=target, op=op).inc()
         for fn in tuple(self._mutation_listeners):
-            fn(target, op)
+            fn(target, op, set_id, old, new)
+
+    def object_score(
+        self, query, point: tuple[float, float]
+    ) -> float | None:
+        """Exact ``τ(p)`` of a location over the current feature sets,
+        or None when this dataset cannot tell without a full query."""
+        return None
 
     # ------------------------------------------------------------------
     # snapshots (rebuild / brute-force oracle input)
@@ -454,6 +471,14 @@ class LiveDataset(LiveBase):
     # ------------------------------------------------------------------
     # query passthrough
     # ------------------------------------------------------------------
+    def object_score(
+        self, query, point: tuple[float, float]
+    ) -> float | None:
+        """Per-object Algorithm 2 over the live feature trees, taken
+        under the mutation lock so it never reads a half-written tree."""
+        with self._lock:
+            return score_object(self.processor.feature_trees, query, point)
+
     def query(self, query, **kwargs):
         """Execute a query against the live indexes (see QueryProcessor)."""
         return self.processor.query(query, **kwargs)

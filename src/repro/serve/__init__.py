@@ -5,9 +5,9 @@ service (ROADMAP: "online serving").  Layers, bottom-up:
 
 * :mod:`repro.serve.quota` — per-tenant token buckets with lazy,
   bounded tenant tables (:class:`TenantQuotas`);
-* :mod:`repro.serve.cache` — the tenant-agnostic, epoch-invalidated
-  result cache (:class:`ResultCache`), wired to ``repro.live`` mutation
-  listeners for coherence;
+* :mod:`repro.serve.cache` — the tenant-agnostic result cache
+  (:class:`ResultCache`), kept coherent by replaying ``repro.live``
+  mutation deltas against each entry;
 * :mod:`repro.serve.service` — transport-agnostic admission control +
   dispatch (:class:`QueryService`, :class:`ServeConfig`): quota gate,
   cache gate, SLO-driven backpressure gate, then

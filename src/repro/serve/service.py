@@ -13,7 +13,7 @@ A request passes through three gates, in a deliberate order:
    First, so an abusive tenant is clamped before it can touch shared
    resources (even the cache: a hot key must not launder an exhausted
    tenant's traffic past its bucket).
-2. **Cache** — the epoch-validated result cache
+2. **Cache** — the delta-validated result cache
    (:mod:`repro.serve.cache`).  Hits return immediately and *bypass
    backpressure*: a cache hit costs no executor capacity, so rejecting
    it during overload would throw away exactly the traffic that is
@@ -486,7 +486,7 @@ class QueryService:
         with self._lock:
             self._queue_waits.append((time.monotonic(), queue_wait_s))
         if key is not None:
-            self.cache.put(key, result, epoch)
+            self.cache.put(key, result, epoch, query)
         self.served += 1
         return ServeDecision(
             status=200, outcome="ok", result=result,

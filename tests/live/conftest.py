@@ -28,30 +28,25 @@ def live_world(
     n_objects: int = 80,
     n_features: int = 60,
     seed: int = 20,
+    n_sets: int = 2,
 ) -> tuple[ObjectDataset, list[FeatureDataset]]:
-    """A fresh small world (two feature sets) for live-update tests."""
+    """A fresh small world (two feature sets unless told) for live tests."""
     vocab = Vocabulary(f"kw{i}" for i in range(LIVE_VOCAB_SIZE))
     objects = ObjectDataset(make_data_objects(n_objects, seed=seed))
     feature_sets = [
         FeatureDataset(
-            make_feature_objects(
-                n_features, seed=seed + 1, vocab_size=LIVE_VOCAB_SIZE
-            ),
-            vocab,
-            "A",
-        ),
-        FeatureDataset(
             [
                 FeatureObject(
-                    1000 + f.fid, f.x, f.y, f.score, f.keywords, f.name
+                    1000 * j + f.fid, f.x, f.y, f.score, f.keywords, f.name
                 )
                 for f in make_feature_objects(
-                    n_features, seed=seed + 2, vocab_size=LIVE_VOCAB_SIZE
+                    n_features, seed=seed + 1 + j, vocab_size=LIVE_VOCAB_SIZE
                 )
             ],
             vocab,
-            "B",
-        ),
+            "ABCDEFGH"[j],
+        )
+        for j in range(n_sets)
     ]
     return objects, feature_sets
 
@@ -84,6 +79,7 @@ class MutationStream:
         self.mirrored_moves = 0
         self._next_fid = 5_000_000
         self._next_oid = 5_000_000
+        self._n_sets = len(live.feature_snapshots())
         objects = live.objects_snapshot()
         xs = [o.x for o in objects]
         ys = [o.y for o in objects]
@@ -117,7 +113,7 @@ class MutationStream:
             ),
             weights=(18, 12, 30, 12, 16, 12),
         )[0]
-        set_id = self.rng.randrange(2)
+        set_id = self.rng.randrange(self._n_sets)
         if op == "insert_feature":
             x, y = self._point()
             self._next_fid += 1

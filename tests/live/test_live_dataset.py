@@ -175,8 +175,19 @@ class TestMutations:
             Mutation("delete_object", oid=oid),
         ]
         assert {e.op for e in events} == set(MUTATION_OPS)
+        deltas = []
+        live.add_mutation_listener(lambda *delta: deltas.append(delta))
         for event in events:
             live.apply(event)
+        assert [d[:3] for d in deltas] == [
+            ("feature", "insert", 0), ("feature", "move", 0),
+            ("feature", "rescore", 0), ("feature", "delete", 0),
+            ("object", "insert", None), ("object", "delete", None),
+        ]
+        assert [(d[3] is None, d[4] is None) for d in deltas] == [
+            (True, False), (False, False), (False, False),
+            (False, True), (True, False), (False, True),
+        ]
         assert fid not in live.feature_ids(0)
         assert live.get_feature(0, 910).score == 0.1
         assert oid not in live.object_ids()
@@ -350,14 +361,34 @@ class TestShardedRouting:
     def test_boundary_crossing_move_counts_a_relocation(self):
         with self.small_sharded() as live:
             registry().reset(LIVE_METRIC_FAMILIES)
+            deltas = []
+            live.add_mutation_listener(lambda *delta: deltas.append(delta))
             # Corner-to-corner move: the halo set must change on a 2x2
             # partition with r=0.25.
             feature = FeatureObject(952, 0.02, 0.02, 0.9, frozenset({1}))
             live.insert_feature(0, feature)
             before = live.relocations
-            live.move_feature(0, 952, 0.98, 0.98)
+            moved = live.move_feature(0, 952, 0.98, 0.98)
             assert live.relocations == before + 1
             assert live_relocations_metric().value == 1
+            # The listener gets the same delta as on a single node — the
+            # objects before and after, whatever the shards did — for
+            # the re-halo move and for each of the other five ops.
+            rescored = live.rescore_feature(0, 952, 0.2)
+            live.delete_feature(0, 952)
+            obj = DataObject(953, 0.5, 0.5)
+            live.insert_object(obj)
+            live.delete_object(953)
+            assert (moved.x, moved.y, moved.score) == (0.98, 0.98, 0.9)
+            assert deltas == [
+                ("feature", "insert", 0, None, feature),
+                ("feature", "move", 0, feature, moved),
+                ("feature", "rescore", 0, moved, rescored),
+                ("feature", "delete", 0, rescored, None),
+                ("object", "insert", None, None, obj),
+                ("object", "delete", None, obj, None),
+            ]
+            assert live.object_score(QUERY, (0.5, 0.5)) is None
             live.check_consistency()
 
     def test_membership_divergence_is_reported(self):

@@ -1,22 +1,29 @@
-"""Result-cache tests: LRU/epoch mechanics plus the live-coherence
+"""Result-cache tests: LRU/epoch mechanics, the live-coherence
 differential — a mutation that changes a cached query's answer must
-never be served stale (verified against brute force at 1e-9).
+never be served stale (verified against brute force at 1e-9) — and one
+hand-built kill test per rule of ``repro.core.coherence``: a world in
+which serving the entry without that rule's guard is a wrong top-k.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
 from repro.core.bruteforce import brute_force
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery, Variant
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, ResultItem
 from repro.errors import ReproError
 from repro.live import LiveDataset
-from repro.model.objects import FeatureObject
+from repro.model.dataset import FeatureDataset, ObjectDataset
+from repro.model.objects import DataObject, FeatureObject
 from repro.obs import metrics as _metrics
-from repro.serve.cache import ResultCache, query_signature
+from repro.serve.cache import DELTA_LOG, ResultCache, query_signature
 from repro.serve.service import QueryService, ServeConfig
+from repro.text.vocabulary import Vocabulary
 
 from tests.live.conftest import live_world
 
@@ -160,6 +167,26 @@ class TestLiveCoherence:
         cache.put(("k2",), _result(2))
         assert cache.get(("k2",)) is not None  # detached: no more bumps
 
+    def test_attaching_a_second_dataset_detaches_the_first(self):
+        class Live:
+            def __init__(self):
+                self.listeners = []
+
+            def add_mutation_listener(self, fn):
+                self.listeners.append(fn)
+
+            def remove_mutation_listener(self, fn):
+                self.listeners.remove(fn)
+
+        first, second = Live(), Live()
+        cache = ResultCache()
+        cache.attach_live(first)
+        cache.attach_live(second)
+        assert not first.listeners and len(second.listeners) == 1
+        cache.detach()
+        cache.detach()  # idempotent
+        assert not second.listeners
+
     def test_served_answers_track_mutations_vs_brute_force(self, live):
         """The coherence differential the satellite demands.
 
@@ -206,3 +233,302 @@ class TestLiveCoherence:
                 )
             assert service.cache.stale >= 3  # each round invalidated
             service.close()
+
+
+# ----------------------------------------------------------------------
+# one kill test per coherence rule (repro.core.coherence, R1-R5)
+# ----------------------------------------------------------------------
+K0 = frozenset({0})  # the query's keyword, in both sets
+VOCAB = Vocabulary(f"kw{i}" for i in range(8))
+
+
+class HandBuilt:
+    """A five-object world scored by hand.  ``λ = 0`` makes ``s(t)`` the
+    feature's own score, so with ``r = 0.1``::
+
+        A (1)  0.9 + 0.9 = 1.8      C (3)  0.5 + 0.7 = 1.2
+        B (2)  0.8 + 0.8 = 1.6      D (4), E (5): nothing in range, 0
+
+    Feature ``10·oid + set`` is the one object ``oid`` scores from in
+    that set; feature 90 is relevant but out of everyone's range, 91 is
+    beside C and irrelevant (keyword 5).
+    """
+
+    SPOTS = {1: (0.2, 0.2), 2: (0.5, 0.5), 3: (0.8, 0.8),
+             4: (0.2, 0.8), 5: (0.8, 0.2)}
+    SCORES = {1: (0.9, 0.9), 2: (0.8, 0.8), 3: (0.5, 0.7)}
+
+    def __init__(self, k: int = 2, oids=(1, 2, 3, 4, 5)) -> None:
+        objects = ObjectDataset(
+            [DataObject(oid, *self.SPOTS[oid]) for oid in oids]
+        )
+        sets = []
+        for i in range(2):
+            features = [
+                FeatureObject(10 * oid + i, x + 0.01, y, scores[i], K0)
+                for oid, scores in self.SCORES.items()
+                for x, y in [self.SPOTS[oid]]
+            ]
+            if i == 0:
+                features.append(FeatureObject(90, 0.5, 0.1, 1.0, K0))
+                features.append(
+                    FeatureObject(91, 0.8, 0.79, 1.0, frozenset({5}))
+                )
+            sets.append(FeatureDataset(features, VOCAB, "AB"[i]))
+        self.live = LiveDataset.build(
+            objects, sets, page_size=512, buffer_pages=16
+        )
+        self.query = PreferenceQuery(k, 0.1, 0.0, (1, 1))
+        self.key = query_signature(self.query, "stps", "prioritized")
+        self.cache = ResultCache()
+        self.cache.attach_live(self.live)
+        self.filled = self.live.query(self.query, algorithm="stps")
+        self.cache.put(self.key, self.filled, self.cache.epoch, self.query)
+
+    def ranked(self, result=None) -> list[tuple[int, float]]:
+        result = result or self.live.query(self.query, algorithm="stds")
+        return [(i.oid, pytest.approx(i.score, abs=1e-9)) for i in result.items]
+
+    def assert_killed(self) -> None:
+        """The cached answer is now wrong, and the cache knows."""
+        assert self.ranked() != self.ranked(self.filled)
+        assert self.cache.get(self.key) is None
+        assert (self.cache.stale, self.cache.hits) == (1, 0)
+
+    def assert_survives(self) -> None:
+        """The cached answer is still right, and is served by replay."""
+        assert self.ranked() == self.ranked(self.filled)
+        assert self.cache.get(self.key) is self.filled
+        assert self.cache.revalidated == self.cache.hits == 1
+        assert self.cache.describe()["revalidated"] == 1
+        # Re-stamped: the next lookup compares epochs and replays nothing.
+        assert self.cache.get(self.key) is self.filled
+        assert (self.cache.revalidated, self.cache.hits) == (1, 2)
+
+
+class TestCoherenceRules:
+    def test_the_world_is_what_the_docstring_says(self):
+        w = HandBuilt(k=5)
+        assert w.ranked() == [(1, 1.8), (2, 1.6), (3, 1.2), (4, 0), (5, 0)]
+
+    # R1 ---------------------------------------------------------------
+    def test_r1_irrelevant_feature_writes_are_invisible(self):
+        w = HandBuilt()
+        w.live.move_feature(0, 91, 0.5, 0.49)  # beside B now
+        w.live.rescore_feature(0, 91, 0.3)
+        w.live.delete_feature(0, 91)
+        w.live.insert_feature(
+            1, FeatureObject(92, 0.2, 0.21, 1.0, frozenset({3, 4}))
+        )
+        w.assert_survives()
+
+    def test_r1_counts_a_revalidated_hit_as_its_own_event(self):
+        with _metrics.scoped_registry() as reg:
+            w = HandBuilt()
+            w.live.delete_feature(0, 91)
+            w.cache.get(w.key)
+            w.cache.get(w.key)
+            family = reg.get("repro_serve_cache_total")
+            counts = {lv[0]: c.value for lv, c in family.series()}
+        assert counts == {"fill": 1, "hit": 2, "revalidated": 1}
+
+    # R2 ---------------------------------------------------------------
+    def test_r2_deleting_the_feature_a_reported_object_scores_from(self):
+        w = HandBuilt()
+        w.live.delete_feature(0, 20)  # B: 1.6 -> 0.8, C takes its place
+        w.assert_killed()
+
+    def test_r2_down_scoring_it(self):
+        w = HandBuilt()
+        w.live.rescore_feature(1, 21, 0.1)  # B: 1.6 -> 0.9
+        w.assert_killed()
+
+    def test_r2_a_non_member_losing_score_cannot_enter(self):
+        w = HandBuilt()
+        w.live.delete_feature(0, 30)
+        w.live.rescore_feature(1, 31, 0.2)
+        w.assert_survives()
+
+    # R3 ---------------------------------------------------------------
+    def test_r3_insert_beside_a_non_member_that_overtakes_the_kth(self):
+        w = HandBuilt()
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 1.0, K0))
+        w.assert_killed()  # C: 1.2 -> 1.7 > 1.6
+
+    def test_r3_insert_beside_a_member(self):
+        w = HandBuilt()
+        w.live.insert_feature(0, FeatureObject(93, 0.5, 0.51, 0.85, K0))
+        w.assert_killed()  # B: 1.6 -> 1.65, same ids, another score
+
+    def test_r3_a_weak_insert_beside_a_non_member_survives(self):
+        w = HandBuilt()
+        # 0.55 + (c - 1) < 1.6: whatever it is near stays below B.
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 0.55, K0))
+        w.assert_survives()
+
+    def test_r3_the_ceiling_counts_every_other_set_as_one(self):
+        w = HandBuilt()
+        # 0.6 + 1 is not below 1.6: no one is within r of it, but the
+        # rule does not look, so this is doubt — and doubt is stale.
+        w.live.insert_feature(0, FeatureObject(93, 0.5, 0.9, 0.6, K0))
+        assert w.cache.get(w.key) is None
+
+    def test_move_with_a_harmless_old_side_and_a_harmful_new_side(self):
+        w = HandBuilt()
+        w.live.move_feature(0, 90, 0.8, 0.81)  # from nowhere to beside C
+        w.assert_killed()  # C: 1.2 -> 1.7
+
+    def test_move_between_two_harmless_places_survives(self):
+        w = HandBuilt()
+        w.live.rescore_feature(0, 90, 0.3)  # still out of everyone's range
+        w.live.move_feature(0, 90, 0.2, 0.81)  # beside D: 0 -> 0.3
+        w.assert_survives()
+
+    def test_influence_and_nearest_have_no_radius_to_hide_behind(self):
+        for variant in (Variant.INFLUENCE, Variant.NEAREST):
+            w = HandBuilt()
+            query = w.query.with_variant(variant)
+            filled = w.live.query(query, algorithm="stps")
+            w.cache.put(w.key, filled, w.cache.epoch, query)
+            w.live.rescore_feature(0, 90, 0.3)  # relevant, far from all
+            assert w.cache.get(w.key) is None, variant
+            w.cache.put(w.key, filled, w.cache.epoch, query)
+            w.live.delete_feature(0, 91)  # R1 holds in every variant
+            assert w.cache.get(w.key) is filled, variant
+
+    # R4 ---------------------------------------------------------------
+    def test_r4_deleting_a_reported_object(self):
+        w = HandBuilt()
+        w.live.delete_object(2)
+        w.assert_killed()
+
+    def test_r4_deleting_an_unreported_object_changes_nothing(self):
+        w = HandBuilt()
+        w.live.delete_object(3)
+        w.live.delete_object(5)
+        w.assert_survives()
+
+    # R5 ---------------------------------------------------------------
+    def test_r5_inserting_an_object_that_ties_the_kth_score(self):
+        w = HandBuilt()
+        w.live.insert_object(DataObject(0, 0.5, 0.5))  # 1.6, and oid < B's
+        w.assert_killed()
+
+    def test_r5_inserting_an_object_that_beats_it(self):
+        w = HandBuilt()
+        w.live.insert_object(DataObject(9, 0.2, 0.2))  # 1.8
+        w.assert_killed()
+
+    def test_r5_inserting_an_object_that_scores_below_it(self):
+        w = HandBuilt()
+        w.live.insert_object(DataObject(0, 0.8, 0.8))  # 1.2
+        w.assert_survives()
+
+    def test_r5_scores_the_object_over_the_features_as_they_are_now(self):
+        w = HandBuilt()
+        w.live.insert_object(DataObject(0, 0.8, 0.8))  # 1.2 when inserted
+        w.live.insert_feature(
+            0, FeatureObject(93, 0.8, 0.81, 0.55, K0)
+        )  # weak enough for R3; lifts C and the newcomer to 1.25
+        w.assert_survives()
+
+    def test_r5_is_unknown_without_a_scorer(self):
+        w = HandBuilt()
+        w.live.object_score = lambda query, point: None  # as on shards
+        w.live.insert_object(DataObject(0, 0.8, 0.8))
+        assert w.cache.get(w.key) is None
+
+    # edges ------------------------------------------------------------
+    def test_zero_score_tail_is_ordered_by_oid_alone(self):
+        w = HandBuilt(k=4)  # A, B, C, then D at 0 — E ties it at 0
+        w.live.insert_object(DataObject(0, 0.5, 0.9))  # 0 too, smaller oid
+        w.assert_killed()
+
+    def test_zero_score_tail_lets_any_relevant_insert_in(self):
+        w = HandBuilt(k=4)
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.21, 0.01, K0))
+        w.assert_killed()  # E: 0 -> 0.01 passes D
+
+    def test_fewer_than_k_objects_reports_every_newcomer(self):
+        w = HandBuilt(k=4, oids=(1, 2, 3))
+        assert len(w.filled.items) == 3
+        w.live.insert_object(DataObject(7, 0.5, 0.9))  # scores 0, still in
+        w.assert_killed()
+
+    def test_fewer_than_k_objects_still_sees_harmless_writes(self):
+        w = HandBuilt(k=4, oids=(1, 2, 3))
+        w.live.delete_feature(0, 91)
+        w.assert_survives()
+
+    def test_an_entry_older_than_the_delta_log_is_stale(self):
+        w = HandBuilt()
+        for i in range(DELTA_LOG):
+            w.live.rescore_feature(0, 91, (i % 2) / 2)
+        w.assert_survives()  # exactly the log's length: all replayed
+        for i in range(DELTA_LOG + 1):
+            w.live.rescore_feature(0, 91, (i % 2) / 2)
+        assert w.cache.get(w.key) is None  # one delta fell off the log
+        assert w.ranked() == w.ranked(w.filled)  # doubt, not a change
+
+    def test_an_unscoped_bump_is_not_replayed_around(self):
+        w = HandBuilt()
+        w.live.rescore_feature(0, 91, 0.5)
+        w.assert_survives()
+        # The log holds two harmless deltas and the entry is two epochs
+        # behind — but one of those epochs was the bump.
+        w.cache.bump()
+        w.live.delete_feature(0, 91)
+        assert w.cache.get(w.key) is None
+
+
+def test_racing_lookups_fills_and_writes_keep_the_books():
+    """Threads replay deltas outside the cache lock while the others keep
+    appending them, re-stamping and refilling: every lookup is still
+    counted exactly once, nothing but the filled result is ever served,
+    and a write that kills the answer is never replayed around."""
+
+    class Live:
+        def add_mutation_listener(self, fn):
+            self.fire = fn
+
+        def remove_mutation_listener(self, fn):
+            pass
+
+    live = Live()
+    mutation_lock = threading.Lock()  # LiveBase: one writer at a time
+    cache = ResultCache()
+    cache.attach_live(live)
+    query = PreferenceQuery(1, 0.1, 0.5, (1, 1))
+    filled = QueryResult([ResultItem(1, 1.5, 0.5, 0.5)])
+    harmless = FeatureObject(7, 0.5, 0.5, 1.0, frozenset({5}))
+    wrong = []
+
+    def work() -> None:
+        for i in range(2000):
+            if i % 3 == 0:
+                with mutation_lock:
+                    live.fire("feature", "insert", 0, None, harmless)
+            got = cache.get(("k",))
+            if got is None:
+                cache.put(("k",), filled, cache.epoch, query)
+            elif got is not filled:
+                wrong.append(got)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert cache.hits + cache.misses + cache.stale == 4 * 2000
+    assert cache.revalidated > 1000 and cache.epoch == 4 * 667
+    cache.put(("k",), filled, cache.epoch, query)
+    with mutation_lock:
+        live.fire("object", "delete", None, DataObject(1, 0.5, 0.5), None)
+    assert cache.get(("k",)) is None

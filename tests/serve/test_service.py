@@ -16,12 +16,15 @@ from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.errors import QueryError, ReproError
+from repro.model.objects import FeatureObject
 from repro.obs import metrics as _metrics
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import QueryService, ServeConfig
 
 QUERY = PreferenceQuery(3, 0.1, 0.5, (0b111, 0b101))
 OTHER = PreferenceQuery(4, 0.1, 0.5, (0b111, 0b101))
+#: A feature sharing no keyword with QUERY's first set.
+IRRELEVANT = FeatureObject(1, 0.5, 0.5, 0.9, frozenset({5}))
 
 
 class FakeExecutor:
@@ -133,7 +136,9 @@ class TestCacheGate:
             def execute_one(self, *args, **kwargs):
                 out = super().execute_one(*args, **kwargs)
                 if self.calls == 1:
-                    live.fire("features[0]", "insert")
+                    # Harmless by R1 (no keyword of QUERY) — were it
+                    # replayed; a fill that overlapped it is dropped.
+                    live.fire("feature", "insert", 0, None, IRRELEVANT)
                 return out
 
         live = Live()

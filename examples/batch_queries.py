@@ -8,9 +8,9 @@ same queries arrive again and again:
 1. the decoded-node cache (warm after the first pass — traversals stop
    paying the page-decode cost),
 2. columnar leaf scoring (a leaf page's bytes are the numpy arrays),
-3. the :class:`~repro.core.executor.QueryExecutor` — a shared thread
-   pool with batch deduplication: identical queries in a batch execute
-   once and share their immutable result.
+3. the :class:`~repro.core.executor.QueryExecutor` — batch
+   deduplication: identical queries in a batch execute once and share
+   their immutable result.
 
 Run:  python examples/batch_queries.py
 """
@@ -46,11 +46,14 @@ def main() -> None:
     # ------------------------------------------------------------------
     # One-shot convenience: results come back in input order.
     # ------------------------------------------------------------------
-    results = processor.query_many(workload, max_workers=4)
+    results = processor.query_many(workload)
     print(f"query_many answered {len(results)} queries")
 
     # ------------------------------------------------------------------
-    # Reusable executor + workload-level accounting.
+    # Reusable executor + workload-level accounting.  The executor runs
+    # every query on the calling thread; max_workers bounds how many
+    # threads may be inside it at once (a server's handlers — here there
+    # is one caller, so it never waits).
     # ------------------------------------------------------------------
     with QueryExecutor(processor, max_workers=4) as executor:
         executor.query_many(distinct)  # warm the decoded-node cache

@@ -1,28 +1,27 @@
-"""Concurrent batch-query execution over shared read-only indexes.
+"""Batch and request-at-a-time query execution on the caller's thread.
 
-A :class:`QueryExecutor` couples a :class:`~repro.core.processor.QueryProcessor`
-with a thread pool and runs many :class:`~repro.core.query.PreferenceQuery`s
-against the *same* index objects.  The indexes are treated as read-only:
-the node cache takes an internal lock around its LRU bookkeeping (see
-:mod:`repro.storage.node_cache`), so concurrent traversals are safe and
-every thread benefits from nodes read by the others — a repeated-query
-workload runs almost entirely out of the node cache.
+A :class:`QueryExecutor` wraps a processor
+(:class:`~repro.core.processor.QueryProcessor` or the sharded one) and
+owns no threads: every query runs the exact
+:meth:`QueryProcessor.query` code path on the thread that asked, behind
+a slot gate admitting ``max_workers`` executions at once.  Threads that
+call in concurrently (the HTTP server's handlers) share the read-only
+indexes — the node cache locks its own LRU bookkeeping
+(:mod:`repro.storage.node_cache`) — and wait at the gate when it is
+full; ``queue_depth`` counts them and ``queue_wait_s`` is the time one
+spent there, which is what the serving layer's admission control reads.
 
-Each query is executed by exactly the same code path the serial
-:meth:`QueryProcessor.query` uses, so per-query *results* are identical
-to a serial run.  Per-query *I/O counters* are attributed from shared
-page-file statistics and therefore include activity of concurrently
-running queries; use :meth:`BatchReport.aggregate` (or the per-tree
-``IOStats``) for workload-level accounting instead.
-
-Batches are deduplicated by default: identical queries (``PreferenceQuery``
-is hashable by value) execute once and share their immutable result, so
-repeated-query workloads pay for each distinct query only.  Disable with
-``dedup=False`` when per-entry execution matters.
+What a batch adds over a ``for`` loop: identical queries
+(``PreferenceQuery`` is hashable by value) execute once and share their
+immutable result unless ``dedup=False``; a failing query is isolated
+(``on_error``) instead of ending the batch; and :meth:`QueryExecutor.run`
+returns workload-level accounting.  Per-query I/O counters are read off
+shared page-file statistics, so under concurrent callers use
+:class:`BatchReport` (or the per-tree ``IOStats``) for totals.
 
 Typical use::
 
-    with QueryExecutor(processor, max_workers=4) as executor:
+    with QueryExecutor(processor) as executor:
         results = executor.query_many(queries)          # STPS, in order
         report = executor.run(queries, algorithm="stds")
         print(report.throughput_qps, report.node_cache_hit_rate)
@@ -36,7 +35,6 @@ import threading
 import time
 import weakref
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.combinations import PULL_PRIORITIZED
@@ -50,10 +48,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_WORKERS = 4
 
-#: Time a query spends in the executor queue before a worker picks it up.
+#: Time a caller spends waiting at the slot gate before its query starts.
 QUEUE_WAIT_SECONDS = _metrics.registry().histogram(
     "repro_executor_queue_wait_seconds",
-    "Time between submission and execution start.",
+    "Time between asking and execution start.",
     ("algorithm",),
 )
 #: Whole-batch wall time per ``QueryExecutor.run`` call.
@@ -62,10 +60,10 @@ BATCH_SECONDS = _metrics.registry().histogram(
     "Wall time of one batch run.",
     ("algorithm",),
 )
-#: Worker exceptions, labeled by algorithm and exception class name.
+#: Failed executions, labeled by algorithm and exception class name.
 EXECUTOR_FAILURES = _metrics.registry().counter(
     "repro_executor_failures_total",
-    "Queries that raised inside an executor worker.",
+    "Queries that raised inside the executor.",
     ("algorithm", "error"),
 )
 
@@ -97,7 +95,7 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 
 @dataclass(slots=True)
 class QueryFailure:
-    """One query that raised inside an executor worker.
+    """One query that raised inside the executor.
 
     ``index`` is the position of the query's *first occurrence* in the
     input batch (deduplicated batches execute each distinct query once;
@@ -140,9 +138,9 @@ class BatchReport:
 
     ``latencies_s`` / ``queue_waits_s`` hold one sample per *executed*
     query (deduplicated batches execute each distinct query once):
-    execution wall time and time spent waiting in the pool queue before
-    a worker picked the query up.  The ``latency_p*`` / ``queue_wait_p*``
-    properties are nearest-rank percentiles over those samples.
+    execution wall time and time spent waiting for a slot.  The
+    ``latency_p*_s`` / ``queue_wait_p95_s`` properties are nearest-rank
+    percentiles over those samples, NaN when there are none.
     """
 
     results: list[QueryResult | None] = field(default_factory=list)
@@ -167,28 +165,6 @@ class BatchReport:
         total = self.node_cache_hits + self.node_cache_misses
         return self.node_cache_hits / total if total else 0.0
 
-    def latency_percentiles(self) -> dict[str, float]:
-        """{"p50": ..., "p95": ..., "p99": ...} of per-query latency.
-
-        All values are NaN when no query executed successfully (e.g. an
-        all-failures batch under ``on_error="return"``).
-        """
-        ordered = sorted(self.latencies_s)
-        return {
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
-        }
-
-    def queue_wait_percentiles(self) -> dict[str, float]:
-        """{"p50": ..., "p95": ..., "p99": ...} of queue wait."""
-        ordered = sorted(self.queue_waits_s)
-        return {
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
-        }
-
     @property
     def latency_p50_s(self) -> float:
         return _percentile(sorted(self.latencies_s), 0.50)
@@ -202,16 +178,8 @@ class BatchReport:
         return _percentile(sorted(self.latencies_s), 0.99)
 
     @property
-    def queue_wait_p50_s(self) -> float:
-        return _percentile(sorted(self.queue_waits_s), 0.50)
-
-    @property
     def queue_wait_p95_s(self) -> float:
         return _percentile(sorted(self.queue_waits_s), 0.95)
-
-    @property
-    def queue_wait_p99_s(self) -> float:
-        return _percentile(sorted(self.queue_waits_s), 0.99)
 
     def aggregate_phase_times(self) -> dict[str, float]:
         """Per-phase wall seconds summed over the batch's distinct results.
@@ -233,7 +201,7 @@ class BatchReport:
 
 
 class QueryExecutor:
-    """Runs batches of preference queries on a shared thread pool."""
+    """Runs queries on the calling thread, ``max_workers`` at a time."""
 
     def __init__(
         self,
@@ -244,37 +212,32 @@ class QueryExecutor:
             raise QueryError(f"max_workers must be >= 1, got {max_workers}")
         self.processor = processor
         self.max_workers = max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-query"
-        )
         self._closed = False
-        # Backpressure accounting: queries submitted to the pool but not
-        # yet picked up, and queries currently executing.  Sampled by the
-        # resource sampler; a growing queue depth is the serving layer's
-        # admission-control signal.
-        self._depth_lock = threading.Lock()
+        # The slot gate, a counted semaphore whose two counts can be
+        # read: callers waiting for a slot and queries executing.  The
+        # resource sampler exports both; the waiting count is the
+        # serving layer's admission-control signal.
+        self._gate = threading.Condition()
         self._queued = 0
         self._running = 0
         _live_executors.add(self)
 
     @property
     def queue_depth(self) -> int:
-        """Queries submitted to the pool but not yet picked up."""
+        """Callers waiting for an execution slot."""
         return self._queued
 
     @property
     def running_count(self) -> int:
-        """Queries currently executing on pool threads."""
+        """Queries currently executing (at most ``max_workers``)."""
         return self._running
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down; subsequent submissions raise."""
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=True)
+        """Refuse new calls; queries already admitted finish."""
+        self._closed = True
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -282,33 +245,101 @@ class QueryExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self) -> None:
-        # Safety net for executors abandoned without close(): without
-        # it the pool threads (non-daemon) outlive the object and keep
-        # the interpreter alive.  close() remains the real API.
-        try:
-            if not self._closed:
-                self._closed = True
-                self._pool.shutdown(wait=False)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _trees(self):
-        """Every index the processor reads (duck-typed).
+    def _execute(
+        self, query: PreferenceQuery, algorithm: str, pulling: str
+    ) -> tuple[QueryResult, float, float]:
+        """One query, here, once a slot is free.
 
-        Prefers the processor's ``trees()`` accessor (both
-        :class:`~repro.core.processor.QueryProcessor` and
-        :class:`~repro.shard.ShardedQueryProcessor` provide it) and falls
-        back to the classic ``object_tree``/``feature_trees`` attributes
-        for processor-shaped test doubles.
+        Returns ``(result, queue_wait_s, latency_s)``.  The query runs
+        in the caller's context, so an ambient trace (a served request
+        under ``trace_scope``) is simply still active.  A failure is
+        counted in ``repro_executor_failures_total`` and re-raised.
         """
-        trees = getattr(self.processor, "trees", None)
-        if callable(trees):
-            return list(trees())
-        return [self.processor.object_tree, *self.processor.feature_trees]
+        asked = time.perf_counter()
+        with self._gate:
+            self._queued += 1
+            try:
+                while self._running >= self.max_workers:
+                    self._gate.wait()
+                self._running += 1
+            finally:
+                self._queued -= 1
+        started = time.perf_counter()
+        QUEUE_WAIT_SECONDS.labels(algorithm=algorithm).observe(started - asked)
+        try:
+            with _tracing.span(
+                "executor.query", cat="executor", algorithm=algorithm
+            ):
+                result = self.processor.query(
+                    query, algorithm=algorithm, pulling=pulling
+                )
+        except Exception as exc:
+            EXECUTOR_FAILURES.labels(
+                algorithm=algorithm, error=type(exc).__name__
+            ).inc()
+            raise
+        finally:
+            with self._gate:
+                self._running -= 1
+                self._gate.notify()
+        return result, started - asked, time.perf_counter() - started
+
+    def _batch(
+        self,
+        queries: Sequence[PreferenceQuery],
+        algorithm: str,
+        pulling: str,
+        dedup: bool,
+        on_error: str,
+    ) -> BatchReport:
+        """The batch loop; fills everything of the report but wall and I/O."""
+        if self._closed:
+            raise QueryError("executor is closed")
+        if on_error not in ON_ERROR_MODES:
+            raise QueryError(
+                f"unknown on_error {on_error!r}; choose from {ON_ERROR_MODES}"
+            )
+        ambient = _tracing.capture()
+        report = BatchReport(queries=len(queries))
+        executed: dict[PreferenceQuery, QueryResult | None] = {}
+        for pos, query in enumerate(queries):
+            if dedup and query in executed:
+                report.results.append(executed[query])
+                continue
+            # Minted here rather than by the processor so a failed
+            # execution's id is known; an ambient trace is kept.
+            ctx = ambient or _tracing.TraceContext(_tracing.new_trace_id())
+            result = None
+            try:
+                with _tracing.resume(ctx):
+                    result, wait_s, latency_s = self._execute(
+                        query, algorithm, pulling
+                    )
+                report.queue_waits_s.append(wait_s)
+                report.latencies_s.append(latency_s)
+            except Exception as exc:  # noqa: BLE001 — isolated per query
+                report.failures.append(
+                    QueryFailure(
+                        index=pos, query=query, error=exc, message=str(exc),
+                        trace_id=ctx.trace_id,
+                    )
+                )
+            if dedup:
+                executed[query] = result
+            report.results.append(result)
+        if report.failures:
+            logger.warning(
+                "batch: %d of %d queries failed (first: %s)",
+                len(report.failures),
+                len(report.latencies_s) + len(report.failures),
+                report.failures[0].message,
+            )
+            if on_error == "raise":
+                raise report.failures[0].error
+        return report
 
     def query_many(
         self,
@@ -317,141 +348,38 @@ class QueryExecutor:
         pulling: str = PULL_PRIORITIZED,
         dedup: bool = True,
         on_error: str = "raise",
-        _timings: list[tuple[float, float]] | None = None,
-        _failures: list[QueryFailure] | None = None,
     ) -> list[QueryResult | None]:
-        """Execute many queries concurrently; results in input order.
+        """Execute many queries; results in input order.
 
         Every query runs the exact serial code path, so each
-        :class:`QueryResult`'s items match a serial
+        :class:`QueryResult`'s items match a
         :meth:`QueryProcessor.query` call for the same query.
 
         ``dedup`` (default on) executes each *distinct* query in the
         batch exactly once and shares the :class:`QueryResult` across its
         duplicates — the batch-level analogue of common-subexpression
         elimination.  Query evaluation is deterministic and results are
-        immutable, so the answer at every position is identical to a
-        serial run; only the attributed per-query stats collapse onto the
-        shared object.  Pass ``dedup=False`` to force one execution per
-        entry (e.g. when measuring per-query costs).
+        immutable, so the answer at every position is unchanged; only
+        the attributed per-query stats collapse onto the shared object.
+        Pass ``dedup=False`` to force one execution per entry (e.g. when
+        measuring per-query costs).
 
-        ``on_error`` decides what a worker exception does to the batch.
-        Either way every submitted future is awaited first, so one bad
-        query can never wedge or abandon the rest of the batch:
+        ``on_error`` decides what a failing query does to the batch.
+        Either way every query runs first, so one bad query never costs
+        the rest of the batch their answers:
 
         * ``"raise"`` (default) — re-raise the first failure (by input
-          order) after the whole batch has settled;
+          order) after the whole batch has run;
         * ``"return"`` — succeed with ``None`` at each failed position
           and record one :class:`QueryFailure` per failed execution
           (surfaced as :attr:`BatchReport.failures` via :meth:`run`).
 
         Failures also increment
         ``repro_executor_failures_total{algorithm,error}``.
-
-        ``_timings`` / ``_failures`` (internal, used by :meth:`run`)
-        collect per-executed-query ``(queue_wait_s, latency_s)`` samples
-        and structured failures; ``list.append`` is atomic, so workers
-        share the lists freely.
         """
-        if self._closed:
-            raise QueryError("executor is closed")
-        if on_error not in ON_ERROR_MODES:
-            raise QueryError(
-                f"unknown on_error {on_error!r}; choose from {ON_ERROR_MODES}"
-            )
-        if dedup:
-            # PreferenceQuery is a frozen dataclass — hashable by value.
-            distinct: dict[PreferenceQuery, int] = {}
-            first_pos: dict[PreferenceQuery, int] = {}
-            for pos, query in enumerate(queries):
-                distinct.setdefault(query, len(distinct))
-                first_pos.setdefault(query, pos)
-            to_run: Sequence[PreferenceQuery] = list(distinct)
-            positions = [first_pos[query] for query in to_run]
-        else:
-            to_run = queries
-            positions = list(range(len(queries)))
-
-        queue_wait_metric = QUEUE_WAIT_SECONDS.labels(algorithm=algorithm)
-        # Trace contexts are minted *here*, before submission, so a
-        # failed execution's id is known even though the processor never
-        # got to return.  An ambient context (a served request entering
-        # through execute_one under trace_scope) is inherited instead of
-        # minted, so the HTTP-level trace and the engine-level spans
-        # join on one id and one collector.  The worker closure resumes
-        # it explicitly: ThreadPoolExecutor does not propagate
-        # contextvars to workers.
-        ambient = _tracing.capture()
-        contexts = [
-            ambient or _tracing.TraceContext(_tracing.new_trace_id())
-            for _ in to_run
-        ]
-
-        def run_one(
-            query: PreferenceQuery, submitted: float, ctx
-        ) -> QueryResult:
-            started = time.perf_counter()
-            with self._depth_lock:
-                self._queued -= 1
-                self._running += 1
-            try:
-                with _tracing.resume(ctx), _tracing.span(
-                    "executor.query", cat="executor", algorithm=algorithm
-                ):
-                    result = self.processor.query(
-                        query,
-                        algorithm=algorithm,
-                        pulling=pulling,
-                    )
-            finally:
-                with self._depth_lock:
-                    self._running -= 1
-            finished = time.perf_counter()
-            queue_wait_metric.observe(started - submitted)
-            if _timings is not None:
-                _timings.append((started - submitted, finished - started))
-            return result
-
-        with self._depth_lock:
-            self._queued += len(to_run)
-        futures = [
-            self._pool.submit(run_one, query, time.perf_counter(), ctx)
-            for query, ctx in zip(to_run, contexts)
-        ]
-        # Settle *every* future before deciding how to react: a failure
-        # must not abandon (or cancel) the rest of the batch.
-        results: list[QueryResult | None] = []
-        failures: list[QueryFailure] = []
-        for pos, query, ctx, future in zip(
-            positions, to_run, contexts, futures
-        ):
-            exc = future.exception()
-            if exc is None:
-                results.append(future.result())
-                continue
-            results.append(None)
-            EXECUTOR_FAILURES.labels(
-                algorithm=algorithm, error=type(exc).__name__
-            ).inc()
-            failures.append(
-                QueryFailure(
-                    index=pos, query=query, error=exc, message=str(exc),
-                    trace_id=ctx.trace_id,
-                )
-            )
-        if failures:
-            failures.sort(key=lambda f: f.index)
-            logger.warning(
-                "batch: %d of %d queries failed (first: %s)",
-                len(failures), len(to_run), failures[0].message,
-            )
-            if on_error == "raise":
-                raise failures[0].error
-            if _failures is not None:
-                _failures.extend(failures)
-        if not dedup:
-            return results
-        return [results[distinct[query]] for query in queries]
+        return self._batch(
+            queries, algorithm, pulling, dedup, on_error
+        ).results
 
     def execute_one(
         self,
@@ -459,25 +387,17 @@ class QueryExecutor:
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
     ) -> tuple[QueryResult, float, float]:
-        """Run one query through the pool; ``(result, queue_wait_s, latency_s)``.
+        """Run one query; ``(result, queue_wait_s, latency_s)``.
 
-        The serving layer's entry point: a request-at-a-time analogue of
-        :meth:`query_many` that surfaces the two numbers admission
-        control needs — how long the query waited for a worker and how
-        long it executed.  Failures raise (the caller owns per-request
-        error mapping; there is no batch to isolate them from).
+        The serving layer's entry point: it surfaces the two numbers
+        admission control needs — how long the caller waited for a slot
+        and how long the query executed.  Failures raise (the caller
+        owns per-request error mapping; there is no batch to isolate
+        them from).
         """
-        timings: list[tuple[float, float]] = []
-        result = self.query_many(
-            [query],
-            algorithm=algorithm,
-            pulling=pulling,
-            dedup=False,
-            on_error="raise",
-            _timings=timings,
-        )[0]
-        queue_wait_s, latency_s = timings[0] if timings else (0.0, 0.0)
-        return result, queue_wait_s, latency_s
+        if self._closed:
+            raise QueryError("executor is closed")
+        return self._execute(query, algorithm, pulling)
 
     def run(
         self,
@@ -493,35 +413,13 @@ class QueryExecutor:
         with ``dedup`` on, duplicated queries execute once, so counters
         cover the distinct executions while ``queries``/``throughput_qps``
         count every answered position.
-
-        With ``on_error="return"``, failed positions hold ``None`` in
-        :attr:`BatchReport.results` and each failed execution is recorded
-        as a :class:`QueryFailure` in :attr:`BatchReport.failures`.
         """
-        trees = self._trees()
+        trees = list(self.processor.trees())
         before = [t.pagefile.stats.snapshot() for t in trees]
-        timings: list[tuple[float, float]] = []
-        failures: list[QueryFailure] = []
         t0 = time.perf_counter()
-        results = self.query_many(
-            queries,
-            algorithm=algorithm,
-            pulling=pulling,
-            dedup=dedup,
-            on_error=on_error,
-            _timings=timings,
-            _failures=failures,
-        )
-        wall_s = time.perf_counter() - t0
-        BATCH_SECONDS.labels(algorithm=algorithm).observe(wall_s)
-        report = BatchReport(
-            results=results,
-            wall_s=wall_s,
-            queries=len(results),
-            failures=failures,
-            queue_waits_s=[w for w, _ in timings],
-            latencies_s=[lat for _, lat in timings],
-        )
+        report = self._batch(queries, algorithm, pulling, dedup, on_error)
+        report.wall_s = time.perf_counter() - t0
+        BATCH_SECONDS.labels(algorithm=algorithm).observe(report.wall_s)
         for tree, snap in zip(trees, before):
             delta = tree.pagefile.stats.delta_since(snap)
             report.node_cache_hits += delta.node_cache_hits

@@ -300,25 +300,23 @@ class QueryProcessor:
         queries,
         algorithm: str = ALGORITHM_STPS,
         pulling: str = PULL_PRIORITIZED,
-        max_workers: int = 4,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> list[QueryResult]:
-        """Execute many queries concurrently; results in input order.
+        """Execute many queries; results in input order.
 
         Convenience wrapper around
-        :class:`~repro.core.executor.QueryExecutor` for one-shot batches;
-        construct the executor directly to reuse its thread pool across
-        batches.  Each result's items are identical to a serial
-        :meth:`query` call for the same query.  ``dedup`` (default on)
-        executes duplicate queries once and shares the result object.
+        :class:`~repro.core.executor.QueryExecutor` for one-shot
+        batches.  Each result's items are identical to a :meth:`query`
+        call for the same query.  ``dedup`` (default on) executes
+        duplicate queries once and shares the result object.
         ``on_error="return"`` isolates failing queries as ``None``
         positions instead of raising (see
         :meth:`QueryExecutor.query_many`).
         """
         from repro.core.executor import QueryExecutor
 
-        with QueryExecutor(self, max_workers=max_workers) as executor:
+        with QueryExecutor(self) as executor:
             return executor.query_many(
                 queries,
                 algorithm=algorithm,

@@ -168,7 +168,7 @@ class LiveShardedDataset(LiveBase):
     def flush(self) -> int:
         """Refreeze dirty shards and publish them to worker processes.
 
-        Returns the number of shards refrozen (0 in thread mode and when
+        Returns the number of shards refrozen (0 in serial mode and when
         nothing mutated).  Called automatically by :meth:`query`.
         """
         if not self._dirty:

@@ -6,7 +6,7 @@ artifacts:
 
 * a Chrome trace-event JSON (``--trace-out``, default
   ``obs_trace.json``) — open it in Perfetto / ``chrome://tracing`` to
-  see the per-query phase timeline across executor worker threads;
+  see the per-query phase timeline;
 * a Prometheus text-exposition snapshot (``--metrics-out``, default
   ``obs_metrics.prom``) with the query latency histograms labeled by
   algorithm / variant / pulling strategy;
@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="distinct queries in the workload")
     parser.add_argument("--repeats", type=int, default=3,
                         help="workload repetitions (warm-cache traffic)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="executor worker threads")
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--radius", type=float, default=0.02)
     parser.add_argument("--seed", type=int, default=42)
@@ -428,7 +426,6 @@ def build_slo_parser() -> argparse.ArgumentParser:
     parser.add_argument("--vocab", type=int, default=64)
     parser.add_argument("--queries", type=int, default=12)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--radius", type=float, default=0.02)
     parser.add_argument("--seed", type=int, default=42)
@@ -546,7 +543,7 @@ def run_workload(args) -> dict:
     processor.reset_stats(metrics=False)
 
     summary: dict = {"algorithms": {}}
-    with QueryExecutor(processor, max_workers=args.workers) as executor:
+    with QueryExecutor(processor) as executor:
         for algorithm in args.algorithms:
             batch = workload
             if algorithm == "iss":

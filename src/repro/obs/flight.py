@@ -159,15 +159,17 @@ def maybe_record(
 
 def record_error(
     query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
-    error: BaseException, shard_id: int | None = None,
+    error: BaseException, shard_id: int | None = None, stats=None,
 ) -> bool:
-    """Offer a failed query (errors are always kept)."""
+    """Offer a failed query (errors are always kept); ``stats`` is what
+    it had counted when it died (the sharded fan-out's verdicts so far)."""
     if shard_id is None:
         shard_id = getattr(error, "shard_id", None)
     return _offer(
         query, algorithm, pulling, trace_id, latency_s,
         error={"type": type(error).__name__, "message": str(error)},
         shard_id=shard_id,
+        counters=_counters(stats) if stats is not None else {},
     )
 
 

@@ -589,7 +589,7 @@ class scoped_registry:
 # see.  The worker snapshots its registry around the query, diffs the two
 # snapshots, and ships the *delta* back over the result channel; the
 # parent replays it into its own (current default) registry, so counter
-# deltas and EXPLAIN plans reconcile exactly as in thread mode.  Only
+# deltas and EXPLAIN plans reconcile exactly as in serial mode.  Only
 # counters and histograms travel — gauges are point-in-time values of
 # the process that set them and would be meaningless merged.
 

@@ -63,7 +63,7 @@ RATIO_TOLERANCE = 0.55
 #: a speedup floor: STPS work is linear in the features it pulls, so on
 #: one core splitting the space buys nothing and costs the dispatch.
 SHARD_FANOUT_FLOOR = 0.4
-#: Floor mode: minimum process-fanout cold speedup over thread fan-out
+#: Floor mode: minimum process-fanout cold speedup over serial fan-out
 #: at 4 shards.  Only meaningful with real cores to spread across, so
 #: it gates only when the run's machine had >= PROCESS_FANOUT_MIN_CPUS.
 PROCESS_FANOUT_SPEEDUP_FLOOR = 1.5
@@ -117,10 +117,9 @@ def extract_metrics(doc: dict) -> dict[str, dict[str, float]]:
             if value is not None:
                 metrics["speedup_cold_s4"] = float(value)
             out[unit] = metrics
-        process = doc.get("process_mode")
-        if process:
+        for process in doc.get("process_mode") or []:
             metrics = {}
-            for key in ("speedup_cold_s4", "cold_speedup_vs_threads_s4"):
+            for key in ("speedup_cold_s4", "cold_speedup_vs_serial_s4"):
                 value = process.get(key)
                 if value is not None:
                     metrics[key] = float(value)
@@ -260,26 +259,26 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                 ))
             process_unit = f"shards/process/{headline}"
             process_value = cur_metrics.get(process_unit, {}).get(
-                "cold_speedup_vs_threads_s4"
+                "cold_speedup_vs_serial_s4"
             )
             if process_value is not None:
                 if doc_cpus(current) >= PROCESS_FANOUT_MIN_CPUS:
                     checks.append(_check(
-                        process_unit, "cold_speedup_vs_threads_s4",
+                        process_unit, "cold_speedup_vs_serial_s4",
                         "floor", PROCESS_FANOUT_SPEEDUP_FLOOR,
                         base_metrics.get(process_unit, {}).get(
-                            "cold_speedup_vs_threads_s4"
+                            "cold_speedup_vs_serial_s4"
                         ),
                         process_value,
                     ))
                 else:
                     checks.append({
                         "unit": process_unit,
-                        "metric": "cold_speedup_vs_threads_s4",
+                        "metric": "cold_speedup_vs_serial_s4",
                         "rule": "skipped-cpus",
                         "baseline": base_metrics.get(
                             process_unit, {}
-                        ).get("cold_speedup_vs_threads_s4"),
+                        ).get("cold_speedup_vs_serial_s4"),
                         "current": process_value,
                         "ok": True,
                     })

@@ -23,8 +23,7 @@ span tuples with raw ``time.perf_counter`` stamps; Chrome-event dicts
 This module is also the one carrier of trace identity (DESIGN.md §9): a
 single ContextVar holds the :class:`TraceContext` (trace id + optional
 per-request :class:`SpanCollector`).  :class:`trace_scope` starts a
-trace; a thread hop takes :func:`capture` at submit time and enters
-:class:`resume` on the other side.
+trace and everything it calls runs on the same thread, inside it.
 
 :class:`PhaseRecorder` bridges the tracer and per-query cost anatomy:
 algorithms create one per query (via :func:`recorder`, a no-op
@@ -115,9 +114,9 @@ class TraceContext:
     active; spans, store records, exemplars and structured logs join on
     ``trace_id``.  The serving layer attaches a :class:`SpanCollector`
     so one request's spans are captured even while global tracing is
-    off.  ``ThreadPoolExecutor`` does not propagate contextvars, so a
-    thread hop takes :func:`capture` at submit time and enters
-    :class:`resume` in the worker.
+    off.  The query path has no thread hop left; the process fan-out
+    carries the picklable ``ObsContext`` instead, and :func:`capture` /
+    :class:`resume` remain for callers that start threads of their own.
     """
 
     __slots__ = ("trace_id", "collector")
@@ -170,8 +169,8 @@ class resume:
     """Re-enter a captured context (None is fine) for the enclosed block.
 
     A ``__slots__`` class rather than a generator context manager: this
-    sits on the per-query path and inside fan-out worker closures,
-    where the generator protocol's overhead is measurable.
+    sits on the per-query path, where the generator protocol's overhead
+    is measurable.
     """
 
     __slots__ = ("_ctx", "_token")
@@ -497,8 +496,8 @@ def clear() -> int:
 def chrome_trace() -> dict:
     """The buffered events as a Chrome trace-event JSON object.
 
-    Adds ``thread_name`` metadata events so Perfetto labels the executor
-    worker tracks (and the shard-worker process tracks).
+    Adds ``thread_name`` metadata events so Perfetto labels the caller
+    threads' tracks (and the shard-worker process tracks).
     """
     with _lock:
         spans = list(_events)

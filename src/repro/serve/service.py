@@ -22,7 +22,7 @@ A request passes through three gates, in a deliberate order:
 3. **Backpressure** — reject with 429/``Retry-After`` when the executor
    queue is past its depth bound, or when the sliding-window p95 of
    queue wait has breached the committed SLO latency target
-   (``SLO.json``): once waiting for a worker alone eats the latency
+   (``SLO.json``): once waiting for a slot alone eats the latency
    budget, admitting more work can only create SLO-violating answers.
 
 Admitted queries run via :meth:`QueryExecutor.execute_one`, which
@@ -336,15 +336,15 @@ class QueryService:
         return False, ""
 
     def _backpressure_retry_after(self) -> float:
-        """A drain-time estimate: queued work / observed service rate."""
-        with self._lock:
-            waits = len(self._queue_waits)
-        # Half the SLO target per queued query is a deliberately rough
-        # but monotone signal: deeper queue -> longer Retry-After.
+        """A drain-time estimate, clamped to [0.05, 5] seconds."""
+        # Half the SLO target per waiter and slot is a deliberately
+        # rough but monotone signal: more waiters -> longer Retry-After.
         depth = max(1, self.executor.queue_depth)
-        workers = max(1, getattr(self.executor, "max_workers", 1))
-        estimate = depth * (self.config.latency_slo_s / 2.0) / workers
-        return max(0.05, min(5.0, estimate)) if waits or depth else 0.05
+        estimate = (
+            depth * (self.config.latency_slo_s / 2.0)
+            / self.executor.max_workers
+        )
+        return max(0.05, min(5.0, estimate))
 
     # ------------------------------------------------------------------
     # request path
@@ -547,7 +547,7 @@ class QueryService:
             "executor": {
                 "queue_depth": self.executor.queue_depth,
                 "running": self.executor.running_count,
-                "max_workers": getattr(self.executor, "max_workers", None),
+                "max_workers": self.executor.max_workers,
                 "max_queue_depth": self.config.max_queue_depth,
                 "queue_wait_p95_s": round(self.queue_wait_p95(), 6),
                 "latency_slo_s": self.config.latency_slo_s,

@@ -1,8 +1,8 @@
 """Process-parallel shard execution over shared-memory page storage.
 
-The thread-mode fan-out in :mod:`repro.shard.sharded_processor` is
-GIL-bound: per-shard STPS work is pure Python, so threads interleave on
-one core.  This module runs shard queries on *physical* cores:
+The serial fan-out in :mod:`repro.shard.sharded_processor` runs shards
+one after another on one core (the per-shard work is pure Python, so
+threads would only interleave there).  This module uses more cores:
 
 1. **freeze** — each shard's built indexes are frozen into
    :class:`~repro.storage.shm.SharedMemoryPageFile` segments
@@ -24,7 +24,7 @@ one core.  This module runs shard queries on *physical* cores:
    metrics-registry delta (:func:`repro.obs.metrics.diff_state`) and
    the span tuples and query records its span collector gathered, so
    the parent's registry, plans, and trace store reconcile exactly as
-   in thread mode.
+   in serial mode.
 
 Cold-cache semantics: ``ShardedQueryProcessor.clear_buffers`` cannot
 reach worker-process caches directly, so it bumps a per-processor
@@ -299,7 +299,7 @@ def unpickle_error(error_payload: dict, shard_id: int) -> Exception:
     """Rehydrate a worker failure into the exception to raise.
 
     A pickled :class:`ReproError` is re-raised as itself (mirroring the
-    thread-mode contract); anything else is wrapped in a
+    serial-mode contract); anything else is wrapped in a
     :class:`ShardError` carrying the shard id and original rendering.
     """
     pickled = error_payload.get("pickled")

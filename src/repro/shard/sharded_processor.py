@@ -1,4 +1,4 @@
-"""Sharded parallel query engine: partition, fan out, merge.
+"""Sharded query engine: partition, fan out, merge.
 
 A :class:`ShardedQueryProcessor` owns one
 :class:`~repro.core.processor.QueryProcessor` per spatial shard (built
@@ -8,10 +8,11 @@ answers exactly the same queries as an unsharded processor:
 1. **bound** — each shard advertises a per-query upper bound
    ``Σ_i max ŝ_i(shard)`` computed from its feature-tree roots (one node
    read per set, no traversal);
-2. **fan out** — shards run in descending bound order on a worker pool
-   (``shard.fanout`` span), each executing the ordinary per-shard
-   algorithm with the *merged k-th score so far* as a floor, so later
-   shards terminate as soon as they fall out of contention;
+2. **fan out** — shards run in descending bound order (``shard.fanout``
+   span; one after another on the caller's thread, or on worker
+   processes), each executing the ordinary per-shard algorithm with the
+   *merged k-th score so far* as a floor, so later shards terminate as
+   soon as they fall out of contention;
 3. **prune** — a shard whose bound is strictly below the merged k-th
    score is skipped entirely (``repro_shard_queries{outcome="pruned"}``);
 4. **merge** — per-shard top-k heaps are merged with the library-wide
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from threading import Lock
 
 import heapq
@@ -59,10 +60,11 @@ from repro.shard.process_runner import (
 )
 from repro.storage.shm import SharedMemoryPageFile
 
-#: Fan-out execution modes: GIL-sharing threads (default, zero setup
-#: cost) or worker processes over shared-memory page storage (true
-#: multi-core parallelism for the pure-Python per-shard work).
-FANOUT_MODES = ("threads", "processes")
+#: Fan-out execution modes: a loop on the caller's thread (default, no
+#: setup cost, every shard sees the floor left by all earlier ones) or
+#: worker processes over shared-memory page storage (multi-core
+#: parallelism for the pure-Python per-shard work).
+FANOUT_MODES = ("serial", "processes")
 
 #: Metric families owned by this module — the scope of
 #: :meth:`ShardedQueryProcessor.reset_stats`'s registry reset.
@@ -99,36 +101,69 @@ def shard_fanout_seconds_metric() -> "_metrics.MetricFamily":
     )
 
 
-class _GlobalTopK:
-    """Thread-safe running k-th-best score across completed shards.
+class _Fanout:
+    """One query's cross-shard state: floor, verdicts, shard results.
 
-    ``floor()`` returns the merged k-th best score once at least ``k``
-    items have been offered (``-inf`` before that) — a valid lower bound
-    on the final global k-th score because offered items are a subset of
-    all candidates.
+    The floor is the merged k-th best score once at least ``k`` items
+    have come back (``-inf`` before that), never below the caller's
+    external floor — a valid lower bound on the final global k-th score
+    because the items seen are a subset of all candidates.
     """
 
-    __slots__ = ("_k", "_heap", "_lock")
+    __slots__ = (
+        "_k", "_heap", "_external", "_algorithm", "_outcomes", "_verdicts",
+        "results",
+    )
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k, external_floor, algorithm, verdicts) -> None:
         self._k = k
         self._heap: list[float] = []  # min-heap of the best k scores
-        self._lock = Lock()
+        self._external = external_floor
+        self._algorithm = algorithm
+        # One registry resolution per query, not per shard.
+        self._outcomes = shard_queries_metric()
+        self._verdicts = verdicts
+        self.results: list[QueryResult] = []
 
-    def offer(self, scores) -> None:
-        with self._lock:
-            heap = self._heap
-            for score in scores:
-                if len(heap) < self._k:
-                    heapq.heappush(heap, score)
-                elif score > heap[0]:
-                    heapq.heapreplace(heap, score)
+    def admit(self, shard_id: int, bound: float) -> float | None:
+        """The floor to run the shard under; None once recorded as pruned.
 
-    def floor(self) -> float:
-        with self._lock:
-            if len(self._heap) < self._k:
-                return -math.inf
-            return self._heap[0]
+        Pruned means no object in the shard can reach the merged top-k.
+        Ties are not pruned: ``bound == floor`` still executes, so oid
+        tie-breaks see every candidate.
+        """
+        floor = self._external
+        if len(self._heap) == self._k and self._heap[0] > floor:
+            floor = self._heap[0]
+        if math.isfinite(floor) and bound < floor:
+            self._record(ShardDiag(shard_id, "pruned", bound, floor))
+            return None
+        return floor
+
+    def _record(self, verdict: ShardDiag) -> None:
+        self._outcomes.labels(
+            algorithm=self._algorithm, outcome=verdict.verdict
+        ).inc()
+        self._verdicts.append(verdict)
+
+    def failed(self, shard_id, bound, floor, elapsed_s, error: str) -> None:
+        self._record(ShardDiag(
+            shard_id, "failed", bound, floor, elapsed_s=elapsed_s, error=error
+        ))
+
+    def executed(self, shard_id, bound, floor, elapsed_s, result) -> None:
+        """Keep the result; the shard's scores raise the floor."""
+        self._record(ShardDiag(
+            shard_id, "executed", bound, floor, elapsed_s=elapsed_s,
+            stats=result.stats,
+        ))
+        self.results.append(result)
+        heap = self._heap
+        for item in result.items:
+            if len(heap) < self._k:
+                heapq.heappush(heap, item.score)
+            elif item.score > heap[0]:
+                heapq.heapreplace(heap, item.score)
 
 
 class _Shard:
@@ -184,14 +219,15 @@ class ShardedQueryProcessor:
     (``query``/``query_many``/``trees``/``clear_buffers``/``reset_stats``),
     so batch routing reuses the executor machinery unchanged.
 
-    ``fanout`` selects the worker substrate: ``"threads"`` (default)
-    shares the GIL, so per-shard CPU work serializes; ``"processes"``
-    runs shards on a :class:`~repro.shard.process_runner.ProcessShardRunner`
+    ``fanout`` selects where shards run: ``"serial"`` (default) visits
+    them one after another on the caller's thread; ``"processes"`` runs
+    them on a :class:`~repro.shard.process_runner.ProcessShardRunner`
     pool attached to shared-memory page storage — same results, same
-    metrics/EXPLAIN/flight behavior, true multi-core scaling.  Build
-    with ``fanout="processes"`` (the indexes must be frozen into shared
-    memory at build time); ``start_method`` picks the multiprocessing
-    start method (``None`` = platform default).
+    metrics/EXPLAIN/flight behavior, multi-core scaling.  Build with
+    ``fanout="processes"`` (the indexes must be frozen into shared
+    memory at build time).  ``max_workers`` (pool size, default
+    ``min(shards, cpus)``) and ``start_method`` (multiprocessing start
+    method, ``None`` = platform default) apply to process mode only.
     """
 
     def __init__(
@@ -199,7 +235,7 @@ class ShardedQueryProcessor:
         shards: Sequence[_Shard],
         radius: float,
         max_workers: int | None = None,
-        fanout: str = "threads",
+        fanout: str = "serial",
         start_method: str | None = None,
         manifests: Sequence[ShardManifest] | None = None,
     ) -> None:
@@ -221,7 +257,6 @@ class ShardedQueryProcessor:
         self.fanout = fanout
         self.start_method = start_method
         self._manifests = list(manifests) if manifests is not None else None
-        self._pool: ThreadPoolExecutor | None = None
         self._process_runner: ProcessShardRunner | None = None
         self._pool_lock = Lock()
         self._closed = False
@@ -246,7 +281,7 @@ class ShardedQueryProcessor:
         buffer_pages: int = 256,
         build_method: str = "bulk",
         max_workers: int | None = None,
-        fanout: str = "threads",
+        fanout: str = "serial",
         start_method: str | None = None,
     ) -> "ShardedQueryProcessor":
         """Partition the datasets and build one processor per shard."""
@@ -278,7 +313,7 @@ class ShardedQueryProcessor:
         buffer_pages: int = 256,
         build_method: str = "bulk",
         max_workers: int | None = None,
-        fanout: str = "threads",
+        fanout: str = "serial",
         start_method: str | None = None,
     ) -> "ShardedQueryProcessor":
         """Build from pre-partitioned specs (e.g. loaded from disk).
@@ -339,7 +374,7 @@ class ShardedQueryProcessor:
 
     @property
     def manifests(self) -> "list[ShardManifest] | None":
-        """Process-mode shard manifests (``None`` in thread mode)."""
+        """Process-mode shard manifests (``None`` in serial mode)."""
         return None if self._manifests is None else list(self._manifests)
 
     def replace_manifest(self, idx: int, manifest: ShardManifest) -> None:
@@ -353,7 +388,7 @@ class ShardedQueryProcessor:
         """
         if self._manifests is None:
             raise ShardError(
-                -1, "no manifests to replace (thread-mode processor)"
+                -1, "no manifests to replace (serial-mode processor)"
             )
         if not 0 <= idx < len(self._manifests):
             raise ShardError(-1, f"shard index {idx} out of range")
@@ -380,20 +415,20 @@ class ShardedQueryProcessor:
         }
 
     def close(self) -> None:
-        """Shut the fan-out pool down; subsequent queries raise.
+        """Subsequent queries raise.
 
         In process mode this also terminates the worker pool and
         unlinks the shared-memory segments (the parent owns them), so
         nothing is left behind in ``/dev/shm``.
         """
+        self._teardown(wait=True)
+
+    def _teardown(self, wait: bool) -> None:
         self._closed = True
         with self._pool_lock:
-            pool, self._pool = self._pool, None
             runner, self._process_runner = self._process_runner, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if runner is not None:
-            runner.close(wait=True)
+            runner.close(wait=wait)
         # Unlink owned shared-memory segments last: workers detach when
         # their processes exit above.
         for shard in self.shards:
@@ -406,15 +441,7 @@ class ShardedQueryProcessor:
         # blocks on worker exit during interpreter teardown.
         try:
             if not self._closed:
-                self._closed = True
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)
-                if self._process_runner is not None:
-                    self._process_runner.close(wait=False)
-                for shard in self.shards:
-                    for tree in shard.processor.trees():
-                        if isinstance(tree.pagefile, SharedMemoryPageFile):
-                            tree.pagefile.close()
+                self._teardown(wait=False)
         except Exception:  # pragma: no cover - interpreter shutdown
             pass
 
@@ -487,7 +514,7 @@ class ShardedQueryProcessor:
         if query.k == 0:
             # Nothing to fan out for: k=0's empty answer is exact and
             # tie-complete regardless of shard layout or fanout mode
-            # (and _GlobalTopK(0) has no meaningful floor).
+            # (and a 0-item heap has no meaningful floor).
             stats = stats or QueryStats()
             stats.trace_id = (
                 _tracing.current_trace_id() or _tracing.new_trace_id()
@@ -500,9 +527,10 @@ class ShardedQueryProcessor:
         trace_id = ctx.trace_id
         rec = _tracing.recorder()
         stats = stats or QueryStats()
-        merger = _GlobalTopK(query.k)
-        results: list[QueryResult] = []
-
+        fan = _Fanout(query.k, floor, algorithm, stats.shards)
+        run = self._run_serial
+        if self.fanout == "processes":
+            run = self._run_processes
         try:
             with _tracing.resume(ctx), rec.span(
                 "shard.fanout", shards=self.shard_count
@@ -512,49 +540,30 @@ class ShardedQueryProcessor:
                      enumerate(self.shards)),
                     key=lambda pair: (-pair[0], pair[1]),
                 )
-                if self.fanout == "processes":
-                    results = self._run_processes(
-                        ordered, query, algorithm, pulling, floor, merger,
-                        stats, trace_id,
-                    )
-                else:
-                    run = self._make_runner(
-                        query, algorithm, pulling, floor, merger, stats, ctx,
-                    )
-                    workers = self._effective_workers()
-                    if workers <= 1 or self.shard_count == 1:
-                        outcomes = [
-                            run(bound, idx) for bound, idx in ordered
-                        ]
-                    else:
-                        pool = self._ensure_pool(workers)
-                        futures = [
-                            pool.submit(run, bound, idx)
-                            for bound, idx in ordered
-                        ]
-                        outcomes = [f.result() for f in futures]
-                    results = [r for r in outcomes if r is not None]
+                run(
+                    ordered, query, algorithm, pulling, fan,
+                    stats.detail is not None,
+                )
         except Exception as exc:
             if _requests.enabled:
                 _flight.record_error(
                     query, f"sharded/{algorithm}", pulling, trace_id,
-                    time.perf_counter() - t0, exc,
+                    time.perf_counter() - t0, exc, stats=stats,
                 )
             raise
-        fanout_s = time.perf_counter() - t0
         shard_fanout_seconds_metric().labels(algorithm=algorithm).observe(
-            fanout_s
+            time.perf_counter() - t0
         )
 
         with rec.span("shard.merge"):
             candidates = [
                 (item.score, item.oid, item.x, item.y)
-                for result in results
+                for result in fan.results
                 for item in result.items
             ]
             items = rank_items(candidates, query.k)
 
-        # Verdicts land in completion order; fold them in by shard id.
+        # Verdicts land in decision order; fold them in by shard id.
         stats.shards.sort(key=lambda verdict: verdict.shard_id)
         for verdict in list(stats.shards):
             if verdict.stats is not None:
@@ -598,22 +607,21 @@ class ShardedQueryProcessor:
         queries,
         algorithm: str = "stps",
         pulling: str = PULL_PRIORITIZED,
-        max_workers: int = 4,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> list[QueryResult]:
         """Batch execution through the shared executor machinery.
 
-        Each entry runs :meth:`query` (shard fan-out included) on a
-        :class:`~repro.core.executor.QueryExecutor` pool; the executor's
-        dedup/failure handling applies unchanged — with
-        ``on_error="return"``, a failing query (e.g. a
-        :class:`~repro.errors.ShardError` from one shard) yields ``None``
-        at its position without touching the rest of the batch.
+        Each entry runs :meth:`query` (shard fan-out included) through a
+        :class:`~repro.core.executor.QueryExecutor`, whose dedup/failure
+        handling applies unchanged — with ``on_error="return"``, a
+        failing query (e.g. a :class:`~repro.errors.ShardError` from one
+        shard) yields ``None`` at its position without touching the rest
+        of the batch.
         """
         from repro.core.executor import QueryExecutor
 
-        with QueryExecutor(self, max_workers=max_workers) as executor:
+        with QueryExecutor(self) as executor:
             return executor.query_many(
                 queries,
                 algorithm=algorithm,
@@ -647,35 +655,24 @@ class ShardedQueryProcessor:
                 "larger radius"
             )
 
-    def _make_runner(
-        self, query, algorithm, pulling, external_floor, merger, stats, ctx,
-    ):
-        # One registry resolution per query, shared by every shard runner
-        # (the handle itself is thread-safe).
-        outcomes = shard_queries_metric()
-        verdicts = stats.shards  # list.append is atomic across pool threads
-        explain = stats.detail is not None
+    def _run_serial(
+        self, ordered, query, algorithm, pulling, fan, explain,
+    ) -> None:
+        """Serial fan-out: shards one after another, best bound first.
 
-        def run(bound: float, idx: int):
+        Each shard runs under the floor left by *all* earlier shards.  A
+        failing shard ends the fan-out: later shards get no verdict.
+        """
+        for bound, idx in ordered:
             shard = self.shards[idx]
             shard_id = shard.spec.shard_id
-            floor = max(merger.floor(), external_floor)
-            if math.isfinite(floor) and bound < floor:
-                # No object in this shard can reach the merged top-k
-                # (ties at the floor are NOT pruned: bound == floor
-                # still executes so oid tie-breaks see every candidate).
-                outcomes.labels(algorithm=algorithm, outcome="pruned").inc()
-                verdicts.append(ShardDiag(shard_id, "pruned", bound, floor))
-                return None
-            rec = _tracing.recorder()
+            floor = fan.admit(shard_id, bound)
+            if floor is None:
+                continue
             shard_t0 = time.perf_counter()
-            # Pool threads don't inherit the caller's contextvars —
-            # resume the fan-out's trace context so the per-shard query
-            # and its spans, logs, query records carry the parent trace
-            # id (and reach the request's collector, when serving).
             try:
-                with _tracing.resume(ctx), rec.span(
-                    "shard.query", shard=shard_id, bound=bound
+                with _tracing.span(
+                    "shard.query", cat="phase", shard=shard_id, bound=bound
                 ):
                     result = shard.processor.query(
                         query,
@@ -687,32 +684,21 @@ class ShardedQueryProcessor:
                         ),
                     )
             except Exception as exc:  # noqa: BLE001 — wrapped with context
-                outcomes.labels(algorithm=algorithm, outcome="failed").inc()
-                verdicts.append(ShardDiag(
-                    shard_id, "failed", bound, floor,
-                    elapsed_s=time.perf_counter() - shard_t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
+                text = f"{type(exc).__name__}: {exc}"
+                fan.failed(
+                    shard_id, bound, floor, time.perf_counter() - shard_t0,
+                    text,
+                )
                 if isinstance(exc, ReproError):
                     raise
-                raise ShardError(
-                    shard_id, f"{type(exc).__name__}: {exc}"
-                ) from exc
-            merger.offer(item.score for item in result.items)
-            outcomes.labels(algorithm=algorithm, outcome="executed").inc()
-            verdicts.append(ShardDiag(
-                shard_id, "executed", bound, floor,
-                elapsed_s=time.perf_counter() - shard_t0,
-                stats=result.stats,
-            ))
-            return result
-
-        return run
+                raise ShardError(shard_id, text) from exc
+            fan.executed(
+                shard_id, bound, floor, time.perf_counter() - shard_t0, result
+            )
 
     def _run_processes(
-        self, ordered, query, algorithm, pulling, external_floor, merger,
-        stats, trace_id,
-    ) -> list[QueryResult]:
+        self, ordered, query, algorithm, pulling, fan, explain,
+    ) -> None:
         """Process-mode fan-out: throttled dispatch over the worker pool.
 
         Shards are dispatched in descending bound order with at most
@@ -722,15 +708,12 @@ class ShardedQueryProcessor:
         payloads are folded back in completion order: metrics deltas
         into the (possibly scoped) parent registry, spans and query
         records into the dispatching trace context, verdicts (with the
-        worker's stats) into ``stats`` — the observable behavior matches
-        thread mode exactly.
+        worker's stats) into ``fan`` — the observable behavior matches
+        serial mode exactly.
         """
-        outcomes_metric = shard_queries_metric()
-        verdicts = stats.shards
-        obs = ObsContext.capture(trace_id)
+        obs = ObsContext.capture(_tracing.current_trace_id())
         runner = self._ensure_process_runner()
-        workers = max(1, min(self._effective_workers(), len(ordered)))
-        results: list[QueryResult] = []
+        workers = min(runner.max_workers, len(ordered))
         pending = list(ordered)  # (bound, idx), bound descending
         in_flight: dict = {}
         failure: Exception | None = None
@@ -739,19 +722,12 @@ class ShardedQueryProcessor:
             while pending:
                 bound, idx = pending.pop(0)
                 shard_id = self.shards[idx].spec.shard_id
-                floor = max(merger.floor(), external_floor)
-                if math.isfinite(floor) and bound < floor:
-                    # Same tie semantics as thread mode: bound == floor
-                    # still executes.
-                    outcomes_metric.labels(
-                        algorithm=algorithm, outcome="pruned"
-                    ).inc()
-                    verdicts.append(ShardDiag(shard_id, "pruned", bound, floor))
+                floor = fan.admit(shard_id, bound)
+                if floor is None:
                     continue
                 future = runner.submit(
                     shard_id, self._epoch, query, algorithm, pulling,
-                    floor, obs, stats.detail is not None,
-                    manifest=self._manifests[idx],
+                    floor, obs, explain, manifest=self._manifests[idx],
                 )
                 in_flight[future] = (bound, shard_id, floor)
                 return True
@@ -775,28 +751,17 @@ class ShardedQueryProcessor:
                 )
                 error = payload["error"]
                 if error is not None:
-                    outcomes_metric.labels(
-                        algorithm=algorithm, outcome="failed"
-                    ).inc()
-                    verdicts.append(ShardDiag(
-                        shard_id, "failed", bound, floor,
-                        elapsed_s=payload["elapsed_s"],
-                        error=f"{error['type']}: {error['message']}",
-                    ))
+                    fan.failed(
+                        shard_id, bound, floor, payload["elapsed_s"],
+                        f"{error['type']}: {error['message']}",
+                    )
                     if failure is None:
                         failure = unpickle_error(error, shard_id)
                     continue
-                result = payload["result"]
-                merger.offer(item.score for item in result.items)
-                outcomes_metric.labels(
-                    algorithm=algorithm, outcome="executed"
-                ).inc()
-                verdicts.append(ShardDiag(
-                    shard_id, "executed", bound, floor,
-                    elapsed_s=payload["elapsed_s"],
-                    stats=result.stats,
-                ))
-                results.append(result)
+                fan.executed(
+                    shard_id, bound, floor, payload["elapsed_s"],
+                    payload["result"],
+                )
             if failure is None:
                 while len(in_flight) < workers and dispatch_next():
                     pass
@@ -804,31 +769,18 @@ class ShardedQueryProcessor:
             # their metrics/query records land, then raise.
         if failure is not None:
             raise failure
-        return results
-
-    def _effective_workers(self) -> int:
-        if self.max_workers is not None:
-            return max(1, self.max_workers)
-        return max(1, min(self.shard_count, os.cpu_count() or 1))
-
-    def _ensure_pool(self, workers: int) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise ShardError(-1, "sharded processor is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
-                )
-            return self._pool
 
     def _ensure_process_runner(self) -> ProcessShardRunner:
         with self._pool_lock:
             if self._closed:
                 raise ShardError(-1, "sharded processor is closed")
             if self._process_runner is None:
+                workers = self.max_workers
+                if workers is None:
+                    workers = min(self.shard_count, os.cpu_count() or 1)
                 self._process_runner = ProcessShardRunner(
                     self._manifests,
-                    max_workers=self._effective_workers(),
+                    max_workers=max(1, workers),
                     start_method=self.start_method,
                 )
             return self._process_runner

@@ -2,7 +2,7 @@
 
 ``PreferenceQuery`` historically required ``k >= 1`` and the engines
 assumed a non-empty top-k heap (``collected[k - 1]``,
-``_GlobalTopK.floor``), so a ``k=0`` request — a natural "give me
+the fan-out's merged floor), so a ``k=0`` request — a natural "give me
 nothing, but validate everything" probe from the serving layer — either
 raised or underflowed.  The contract pinned here: ``k=0`` returns an
 empty, (vacuously) tie-complete result through every engine in every
@@ -98,7 +98,7 @@ class TestSingleNodeKZero:
 
 
 class TestShardedKZero:
-    @pytest.mark.parametrize("fanout", ["threads", "processes"])
+    @pytest.mark.parametrize("fanout", ["serial", "processes"])
     def test_k_zero_returns_empty(self, world, fanout):
         with ShardedQueryProcessor.build(
             *world, shards=2, radius=BUILD_RADIUS, fanout=fanout
@@ -134,7 +134,7 @@ class TestEmptyDatasets:
         result = processor.query(query(5, variant), algorithm=algorithm)
         assert result.items == []
 
-    @pytest.mark.parametrize("fanout", ["threads", "processes"])
+    @pytest.mark.parametrize("fanout", ["serial", "processes"])
     def test_no_objects_sharded(self, empty_world, fanout):
         with ShardedQueryProcessor.build(
             *empty_world, shards=2, radius=BUILD_RADIUS, fanout=fanout

@@ -1,9 +1,11 @@
-"""Tests for the concurrent batch-query executor (repro.core.executor)."""
+"""Tests for the batch-query executor (repro.core.executor)."""
 
 from __future__ import annotations
 
 import random
 import sys
+import threading
+import time
 
 import pytest
 
@@ -44,6 +46,18 @@ class TestQueryManyParity:
         assert len(concurrent) == len(serial)
         for a, b in zip(serial, concurrent):
             assert_same_result(a, b)
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("algorithm", ["stps", "stds"])
+    def test_items_equal_the_bare_loop(self, srt_processor, algorithm, dedup):
+        queries = make_queries(4, seed=87)
+        queries += queries[:2]  # duplicates, so dedup has work to do
+        loop = [srt_processor.query(q, algorithm=algorithm) for q in queries]
+        with QueryExecutor(srt_processor) as executor:
+            batch = executor.query_many(
+                queries, algorithm=algorithm, dedup=dedup
+            )
+        assert [r.items for r in batch] == [r.items for r in loop]
 
     def test_results_in_input_order(self, srt_processor):
         queries = make_queries(8, seed=82)
@@ -134,14 +148,29 @@ class TestSharedLeafRuns:
                     serial = [
                         reference.query(q, algorithm=algorithm) for q in queries
                     ]
-                    concurrent = executor.query_many(
-                        queries, algorithm=algorithm, dedup=False
-                    )
-                    for a, b in zip(serial, concurrent):
-                        assert_same_result(a, b)
+                    # The executor owns no threads: two callers each
+                    # run the whole batch, side by side.
+                    batches: list = [None, None]
+
+                    def work(slot):
+                        batches[slot] = executor.query_many(
+                            queries, algorithm=algorithm, dedup=False
+                        )
+
+                    threads = [
+                        threading.Thread(target=work, args=(slot,))
+                        for slot in range(2)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+                    for concurrent in batches:
+                        for a, b in zip(serial, concurrent):
+                            assert_same_result(a, b)
         finally:
             sys.setswitchinterval(interval)
-        # One memoised run per leaf and (mask, λ): the 18 queries per
+        # One memoised run per leaf and (mask, λ): the 2 x 18 queries per
         # algorithm shared them rather than keeping a run each.
         for tree, masks in zip(shared.feature_trees, zip(*pairs)):
             keys = {(mask, 0.5) for mask in masks}
@@ -156,7 +185,7 @@ class TestProcessorConvenience:
     def test_query_many_wrapper(self, srt_processor):
         queries = make_queries(4, seed=85)
         serial = [srt_processor.query(q) for q in queries]
-        concurrent = srt_processor.query_many(queries, max_workers=3)
+        concurrent = srt_processor.query_many(queries)
         for a, b in zip(serial, concurrent):
             assert_same_result(a, b)
 
@@ -194,6 +223,112 @@ class TestLifecycle:
         executor = QueryExecutor(srt_processor, max_workers=1)
         executor.close()
         executor.close()  # must not raise
+
+
+class _BlockingProcessor:
+    """Processor double: a query holds its slot until handed a permit."""
+
+    def __init__(self):
+        self.permits = threading.Semaphore(0)
+        self._lock = threading.Lock()
+        self.inside = 0
+        self.max_inside = 0
+
+    def query(self, query, **kwargs):
+        with self._lock:
+            self.inside += 1
+            self.max_inside = max(self.max_inside, self.inside)
+        try:
+            assert self.permits.acquire(timeout=10)
+        finally:
+            with self._lock:
+                self.inside -= 1
+        return query
+
+
+def _wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.002)
+    return predicate()
+
+
+class TestSlotGate:
+    """``max_workers`` bounds concurrent executions of calling threads."""
+
+    @staticmethod
+    def _four_callers(executor):
+        samples: list[tuple[float, float]] = []
+
+        def call():
+            _, wait_s, latency_s = executor.execute_one(make_queries(1, 1)[0])
+            samples.append((wait_s, latency_s))
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        return threads, samples
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_gate_admits_max_workers_and_counts_the_rest(self, slots):
+        processor = _BlockingProcessor()
+        executor = QueryExecutor(processor, max_workers=slots)
+        threads, samples = self._four_callers(executor)
+        assert _wait_until(
+            lambda: executor.running_count == slots
+            and executor.queue_depth == 4 - slots
+        )
+        assert processor.inside == slots
+        held_s = 0.05  # every waiter is known to be blocked this long
+        time.sleep(held_s)
+        for _ in threads:
+            processor.permits.release()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert processor.max_inside == slots  # never overlapped past it
+        assert executor.queue_depth == executor.running_count == 0
+        waits = sorted(wait_s for wait_s, _ in samples)
+        assert len(waits) == 4
+        assert all(wait_s >= held_s for wait_s in waits[slots:])
+        assert all(latency_s >= 0.0 for _, latency_s in samples)
+
+    def test_failing_query_returns_its_counts(self):
+        class Failing:
+            def query(self, query, **kwargs):
+                raise RuntimeError("boom")
+
+        executor = QueryExecutor(Failing(), max_workers=1)
+        with pytest.raises(RuntimeError):
+            executor.execute_one(make_queries(1, 1)[0])
+        assert executor.query_many(
+            make_queries(2, 2), on_error="return"
+        ) == [None, None]
+        assert executor.queue_depth == executor.running_count == 0
+
+    def test_close_racing_callers_leaves_no_depth(self, srt_processor):
+        executor = QueryExecutor(srt_processor, max_workers=2)
+        query = make_queries(1, seed=99)[0]
+        refused = []
+
+        def hammer():
+            try:
+                while True:
+                    executor.execute_one(query)
+            except QueryError:
+                refused.append(True)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)
+        executor.close()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(refused) == 4
+        assert executor.queue_depth == executor.running_count == 0
 
 
 class TestBatchReport:
@@ -247,16 +382,14 @@ class TestLatencyAccounting:
         queries = make_queries(8, seed=96)
         with QueryExecutor(srt_processor, max_workers=4) as executor:
             report = executor.run(queries, dedup=False)
-        pct = report.latency_percentiles()
-        assert pct["p50"] <= pct["p95"] <= pct["p99"]
-        assert min(report.latencies_s) <= pct["p50"]
-        assert pct["p99"] <= max(report.latencies_s)
-        assert report.latency_p50_s == pct["p50"]
-        assert report.latency_p95_s == pct["p95"]
-        assert report.latency_p99_s == pct["p99"]
-        qpct = report.queue_wait_percentiles()
-        assert qpct["p50"] <= qpct["p95"] <= qpct["p99"]
-        assert report.queue_wait_p95_s == qpct["p95"]
+        assert (
+            min(report.latencies_s)
+            <= report.latency_p50_s
+            <= report.latency_p95_s
+            <= report.latency_p99_s
+            <= max(report.latencies_s)
+        )
+        assert report.queue_wait_p95_s in report.queue_waits_s
 
     def test_empty_batch_has_nan_percentiles(self, srt_processor):
         # NaN, not 0.0: "no data" must not read as "instant" in
@@ -268,7 +401,7 @@ class TestLatencyAccounting:
             report = executor.run([])
         assert report.latencies_s == []
         assert math.isnan(report.latency_p99_s)
-        assert math.isnan(report.queue_wait_p50_s)
+        assert math.isnan(report.queue_wait_p95_s)
 
     def test_aggregate_phase_times(self, srt_processor):
         from repro.obs import tracing

@@ -1,11 +1,8 @@
-"""Regression tests: a worker exception must never wedge a batch.
+"""Regression tests: a failing query must never cost a batch its rest.
 
-Before ``on_error`` existed, ``query_many`` resolved futures in order and
-re-raised the first exception immediately, abandoning every later future
-(the pool kept running them, their outcomes lost).  These tests pin the
-repaired contract: all futures settle first, failures come back as
-structured :class:`~repro.core.executor.QueryFailure` records (or one
-deferred re-raise), and the executor stays usable afterwards.
+The contract: every query runs, failures come back as structured
+:class:`~repro.core.executor.QueryFailure` records (or one deferred
+re-raise), and the executor stays usable afterwards.
 """
 
 from __future__ import annotations
@@ -135,7 +132,7 @@ class TestOnErrorReturn:
 
 class TestOnErrorRaise:
     def test_raise_waits_for_whole_batch(self, processor):
-        """The default mode re-raises, but only after every future ran."""
+        """The default mode re-raises, but only after every query ran."""
         ran: list[int] = []
 
         class Recording(_FlakyProcessor):
@@ -153,8 +150,29 @@ class TestOnErrorRaise:
         with QueryExecutor(flaky, max_workers=1) as executor:
             with pytest.raises(RuntimeError, match="simulated"):
                 executor.query_many(queries)
-        # Single worker, poison first: later queries still executed.
+        # Poison first: later queries still executed.
         assert len(ran) == 2
+
+    def test_raises_the_first_failure_by_input_order(self, processor):
+        class Numbered(_FlakyProcessor):
+            calls = 0
+
+            def query(self, query, **kwargs):
+                Numbered.calls += 1
+                if query.radius == POISON_RADIUS:
+                    raise RuntimeError(f"failure k={query.k}")
+                return super().query(query, **kwargs)
+
+        queries = [
+            _query(seed=17),
+            PreferenceQuery(7, POISON_RADIUS, 0.5, (0b111, 0b101)),
+            PreferenceQuery(8, POISON_RADIUS, 0.5, (0b111, 0b101)),
+            _query(seed=18),
+        ]
+        with QueryExecutor(Numbered(processor)) as executor:
+            with pytest.raises(RuntimeError, match="failure k=7"):
+                executor.query_many(queries)
+        assert Numbered.calls == 4
 
     def test_executor_usable_after_failure(self, processor):
         flaky = _FlakyProcessor(processor)
@@ -183,15 +201,9 @@ class TestAllFailuresPercentiles:
             report = executor.run(queries, on_error="return")
         assert all(r is None for r in report.results)
         assert len(report.failures) == 3
-        latency = report.latency_percentiles()
-        queue_wait = report.queue_wait_percentiles()
-        assert set(latency) == set(queue_wait) == {"p50", "p95", "p99"}
-        assert all(math.isnan(v) for v in latency.values())
-        assert all(math.isnan(v) for v in queue_wait.values())
         for prop in (
             report.latency_p50_s, report.latency_p95_s,
-            report.latency_p99_s, report.queue_wait_p50_s,
-            report.queue_wait_p95_s, report.queue_wait_p99_s,
+            report.latency_p99_s, report.queue_wait_p95_s,
         ):
             assert math.isnan(prop)
         # Derived aggregates stay well-defined numbers.
@@ -199,5 +211,5 @@ class TestAllFailuresPercentiles:
 
     def test_empty_report_percentiles_are_nan(self):
         report = BatchReport()
-        assert math.isnan(report.latency_percentiles()["p50"])
-        assert math.isnan(report.queue_wait_percentiles()["p99"])
+        assert math.isnan(report.latency_p50_s)
+        assert math.isnan(report.queue_wait_p95_s)

@@ -191,11 +191,11 @@ class TestProcessFanoutReconciliation:
             s.shard_id for s in thread_report.plan.shards
         ]
 
-    def test_thread_and_process_fanout_merge_to_equal_stats(self, corpus):
+    def test_serial_and_process_fanout_merge_to_equal_stats(self, corpus):
         """One merge, two substrates: the same 3-shard query run shard
         by shard yields the same merged counts and plan counters whether
-        the shards' stats came from pool threads or crossed a process
-        boundary inside the result."""
+        the shards' stats were counted on the caller's thread or crossed
+        a process boundary inside the result."""
         objects, feature_sets = corpus
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
         io_fields = {
@@ -219,14 +219,14 @@ class TestProcessFanoutReconciliation:
             return scalars, sets, verdicts
 
         reports = {}
-        for fanout in ("threads", "processes"):
+        for fanout in ("serial", "processes"):
             with ShardedQueryProcessor.build(
                 objects, feature_sets, shards=3, radius=0.08,
                 fanout=fanout, max_workers=1,
             ) as proc:
                 reports[fanout] = proc.explain(query)
-        threads, processes = reports["threads"], reports["processes"]
-        assert counts(threads.result.stats) == counts(processes.result.stats)
-        assert threads.result.stats.pull_rounds > 0
-        assert threads.plan.counters() == processes.plan.counters()
-        assert threads.result.items == processes.result.items
+        serial, processes = reports["serial"], reports["processes"]
+        assert counts(serial.result.stats) == counts(processes.result.stats)
+        assert serial.result.stats.pull_rounds > 0
+        assert serial.plan.counters() == processes.plan.counters()
+        assert serial.result.items == processes.result.items

@@ -21,7 +21,6 @@ TINY = [
     "--sets", "2",
     "--queries", "3",
     "--repeats", "2",
-    "--workers", "2",
     "--vocab", "16",
 ]
 

@@ -1,9 +1,10 @@
-"""One trace context across every hop, one store record at the end.
+"""One trace context through every layer, one store record at the end.
 
-Each thread or process hop in the engine takes ``tracing.capture()`` at
-submit time and enters ``tracing.resume(ctx)`` on the other side.  This
-file enters a query under one trace context *with a collector* through
-each hop in turn and checks the same three things: exactly one trace
+The executor and the serial shard fan-out run on the caller's thread, so
+the trace context is simply still active; the process fan-out is the one
+hop left, carried by ``ObsContext`` and the result payload.  This file
+enters a query under one trace context *with a collector* through each
+in turn and checks the same three things: exactly one trace
 store record comes out, its span tree contains that hop's spans, and the
 same trace id is served by both views, ``/traces.json`` and
 ``/flight.json``.
@@ -81,9 +82,9 @@ def _executor_hop(corpus):
     return lambda span: span["name"] == "executor.query"
 
 
-def _shard_threads_hop(corpus):
+def _shard_serial_hop(corpus):
     with ShardedQueryProcessor.build(
-        *corpus, shards=2, radius=0.1, max_workers=2
+        *corpus, shards=2, radius=0.1
     ) as sharded:
         _serve(sharded)
     return lambda span: span["name"] == "shard.query"
@@ -104,7 +105,7 @@ def _shard_processes_hop(corpus):
 
 @pytest.mark.parametrize("hop", [
     _executor_hop,
-    _shard_threads_hop,
+    _shard_serial_hop,
     _shard_processes_hop,
 ])
 def test_hop_keeps_one_trace_one_record(corpus, hop):

@@ -178,6 +178,16 @@ class TestBackpressureGate:
         assert "queue depth" in decision.reason
         assert service.rejected_backpressure == 1
 
+    def test_retry_after_is_monotone_in_waiters(self):
+        executor = FakeExecutor(depth=8)
+        service = make_service(executor, max_queue_depth=8, latency_slo_s=0.5)
+        hints = []
+        for depth in (8, 9, 16, 40, 400):
+            executor.depth = depth
+            hints.append(service.handle("t", QUERY).retry_after_s)
+        assert hints == sorted(hints)
+        assert hints[0] < hints[2] < hints[-1] == 5.0  # grows, then clamps
+
     def test_queue_wait_p95_over_slo_rejects(self):
         # Executed queries report a queue wait far over the 100ms SLO
         # target; once the sliding window holds the breach, admission

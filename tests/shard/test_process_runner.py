@@ -10,7 +10,6 @@ shared-memory segments.
 import gc
 import os
 import threading
-import time
 
 import pytest
 
@@ -184,11 +183,12 @@ class TestProcessModeBehavior:
 class TestConstruction:
     def test_unknown_fanout_rejected(self, corpus):
         objects, feature_sets = corpus
-        with pytest.raises(ShardError, match="fanout"):
-            ShardedQueryProcessor.build(
-                objects, feature_sets, shards=2, radius=0.1,
-                fanout="fibers",
-            )
+        for mode in ("fibers", "threads"):  # "threads" was a mode once
+            with pytest.raises(ShardError, match="fanout"):
+                ShardedQueryProcessor.build(
+                    objects, feature_sets, shards=2, radius=0.1,
+                    fanout=mode,
+                )
 
     def test_process_fanout_requires_manifests(self):
         with pytest.raises(ShardError, match="manifests"):
@@ -203,52 +203,39 @@ class TestConstruction:
             ProcessShardRunner([], max_workers=1, start_method="teleport")
 
 
-def _threads_with_prefix(prefix):
-    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
-
-
-def _wait_no_threads(prefix, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if not _threads_with_prefix(prefix):
-            return True
-        time.sleep(0.02)
-    return False
-
-
 class TestThreadLifecycle:
-    @pytest.fixture(scope="class")
-    def built(self, corpus):
-        objects, feature_sets = corpus
-        return QueryProcessor.build(objects, feature_sets)
+    """Neither the executor nor a serial-mode fan-out starts a thread;
+    the process pool is the one thing left to shut."""
 
-    def test_executor_context_exit_leaves_no_threads(self, built, queries):
+    def test_executor_context_exit_leaves_no_threads(self, corpus, queries):
+        objects, feature_sets = corpus
+        built = QueryProcessor.build(objects, feature_sets)
+        before = threading.active_count()
         with QueryExecutor(built, max_workers=3) as executor:
             executor.query_many(queries[:2])
-            assert _threads_with_prefix("repro-query")
-        assert _wait_no_threads("repro-query")
-
-    def test_executor_del_shuts_pool(self, built, queries):
-        executor = QueryExecutor(built, max_workers=2)
-        executor.query_many(queries[:1])
-        del executor
-        gc.collect()
-        assert _wait_no_threads("repro-query")
+            assert threading.active_count() == before
+        assert threading.active_count() == before
 
     def test_sharded_context_exit_leaves_no_threads(self, corpus, queries):
         objects, feature_sets = corpus
+        before = threading.active_count()
         with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=3, radius=0.1, max_workers=3
+            objects, feature_sets, shards=3, radius=0.1
         ) as sharded:
+            assert sharded.fanout == "serial"
             sharded.query(queries[0])
-        assert _wait_no_threads("repro-shard")
+            assert threading.active_count() == before
+        assert threading.active_count() == before
 
     def test_sharded_del_shuts_pool(self, corpus, queries):
         objects, feature_sets = corpus
+        before = _shm_entries()
         sharded = ShardedQueryProcessor.build(
-            objects, feature_sets, shards=3, radius=0.1, max_workers=3
+            objects, feature_sets, shards=2, radius=0.1, fanout="processes"
         )
         sharded.query(queries[0])
+        runner = sharded._process_runner
         del sharded
         gc.collect()
-        assert _wait_no_threads("repro-shard")
+        assert runner._closed
+        assert _shm_entries() == before

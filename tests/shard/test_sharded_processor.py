@@ -93,7 +93,7 @@ class TestEquivalence:
         with ShardedQueryProcessor.build(
             objects, feature_sets, shards=4, radius=0.08
         ) as sharded:
-            batch = sharded.query_many(queries, max_workers=2)
+            batch = sharded.query_many(queries)
         assert len(batch) == len(queries)
         for q, result in zip(queries, batch):
             assert _items(result) == _items(base.query(q))
@@ -203,15 +203,15 @@ class TestFailureIsolation:
     """A poisoned shard fails its query with context — nothing wedges."""
 
     @staticmethod
-    def _poison(sharded, exc):
-        shard = sharded.shards[0]
-        original = shard.processor.query
-
+    def _poison_shard(shard, exc):
         def bad_query(*args, **kwargs):
             raise exc
 
         shard.processor.query = bad_query
-        return original
+
+    @classmethod
+    def _poison(cls, sharded, exc):
+        cls._poison_shard(sharded.shards[0], exc)
 
     def test_shard_crash_wrapped_with_shard_id(self, datasets):
         objects, feature_sets = datasets
@@ -233,6 +233,63 @@ class TestFailureIsolation:
             with pytest.raises(QueryError, match="bad k"):
                 sharded.query(_query())
 
+    @pytest.mark.parametrize("fanout", ["serial", "processes"])
+    def test_failing_shard_ends_the_fanout(self, datasets, fanout):
+        """Nothing runs, counts or appends after the failing shard: the
+        verdicts, the outcome counters and the error record agree."""
+        from repro.core.results import QueryStats
+        from repro.obs import flight, requests
+        from repro.shard.sharded_processor import shard_queries_metric
+
+        objects, feature_sets = datasets
+        q = _query(k=100)  # more than a shard returns: nothing is pruned
+        requests.clear()
+        requests.configure(enabled_=True, slow_threshold_s=0.0)
+        try:
+            with obs_metrics.scoped_registry(), ShardedQueryProcessor.build(
+                objects, feature_sets, shards=4, radius=0.08,
+                fanout=fanout, max_workers=1,
+            ) as sharded:
+                order = sorted(
+                    sharded.shards, key=lambda s: (-s.bound(q), s.spec.shard_id)
+                )
+                first, victim = (s.spec.shard_id for s in order[:2])
+                if fanout == "serial":
+                    self._poison_shard(order[1], RuntimeError("page torn"))
+                else:
+                    # A shard id no worker knows, sent without its
+                    # manifest: the failure comes back through the
+                    # result channel.
+                    runner = sharded._ensure_process_runner()
+                    submit = runner.submit
+                    runner.submit = lambda shard_id, *args, manifest: (
+                        submit(999, *args) if shard_id == victim
+                        else submit(shard_id, *args, manifest=manifest)
+                    )
+                stats = QueryStats()
+                with pytest.raises(ShardError):
+                    sharded.query(q, stats=stats)
+                family = shard_queries_metric()
+                counted = sum(child.value for _, child in family.series())
+            assert [(v.shard_id, v.verdict) for v in stats.shards] == [
+                (first, "executed"), (victim, "failed"),
+            ]
+            assert counted == len(stats.shards)
+            (record,) = [
+                r for r in flight.records()
+                if r.error is not None and r.algorithm == "sharded/stps"
+            ]
+            assert {
+                key: n for key, n in record.counters.items()
+                if key.startswith("shards[")
+            } == {"shards[executed]": 1, "shards[failed]": 1}
+        finally:
+            requests.configure(
+                enabled_=False,
+                slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S,
+            )
+            requests.clear()
+
     def test_batch_records_failure_and_carries_on(self, datasets, base):
         """One bad query in a batch -> None + QueryFailure, rest exact."""
         objects, feature_sets = datasets
@@ -242,9 +299,7 @@ class TestFailureIsolation:
         with ShardedQueryProcessor.build(
             objects, feature_sets, shards=3, radius=0.08
         ) as sharded:
-            results = sharded.query_many(
-                queries, max_workers=2, on_error="return"
-            )
+            results = sharded.query_many(queries, on_error="return")
             assert results[1] is None
             for i in (0, 2, 3):
                 assert _items(results[i]) == _items(
@@ -252,7 +307,7 @@ class TestFailureIsolation:
                 )
             # Default mode still raises, after the batch settles.
             with pytest.raises(ReproError):
-                sharded.query_many(queries, max_workers=2)
+                sharded.query_many(queries)
 
     def test_processor_usable_after_failure(self, datasets, base):
         objects, feature_sets = datasets

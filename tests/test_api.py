@@ -75,4 +75,18 @@ class TestPublicApi:
         ):
             taken = closed & set(inspect.signature(func).parameters)
             assert not taken, (func.__qualname__, taken)
+        # A one-shot batch has no second caller to gate, and the private
+        # channel between run() and query_many() is gone.
+        for func in (
+            QueryProcessor.query_many, ShardedQueryProcessor.query_many,
+        ):
+            assert "max_workers" not in inspect.signature(func).parameters
+        assert not [
+            name for name in inspect.signature(
+                QueryExecutor.query_many
+            ).parameters if name.startswith("_")
+        ]
+        from repro.shard.sharded_processor import FANOUT_MODES
+
+        assert FANOUT_MODES == ("serial", "processes")
         assert not [name for name in dir(leafdata) if "vectorized" in name]

@@ -38,9 +38,8 @@ from pathlib import Path
 from repro.core.processor import QueryProcessor
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.data.workload import WorkloadSpec, make_workload
-from repro.obs import metrics, profiler, requests
-from repro.obs.resources import ResourceSampler
-from repro.obs.timeseries import TimeSeriesRing
+from repro.obs import metrics, profiler, requests, resources
+from repro.obs.timeseries import Sampler, TimeSeriesRing
 
 LIGHT_BUDGET_PCT = 5.0
 
@@ -79,8 +78,9 @@ class _Mode:
             return self
         metrics.set_exemplars(True)
         ring = TimeSeriesRing(capacity=600)
-        self._sampler = ResourceSampler(
-            ring, interval_s=self.sample_interval_s
+        self._sampler = Sampler(
+            ring, interval_s=self.sample_interval_s,
+            pre_sample=(resources.collect,),
         )
         self._sampler.start()
         if self.name == "full":

@@ -102,8 +102,8 @@ class QueryFailure:
     every duplicate position shares this failure).  ``error`` is the
     original exception object, ``message`` its rendered text.
     ``trace_id`` is the id the failed execution ran under — grep it in
-    the Chrome trace, the flight-recorder dump, and the structured logs
-    to see everything the query did before dying.  ``shard_id`` is
+    the Chrome trace and the flight-recorder dump to see everything the
+    query did before dying.  ``shard_id`` is
     filled from :class:`~repro.errors.ShardError` when the failure came
     out of the sharded fan-out.
     """
@@ -118,18 +118,6 @@ class QueryFailure:
     def shard_id(self) -> int | None:
         """Failing shard for sharded-engine errors, else None."""
         return getattr(self.error, "shard_id", None)
-
-    def describe(self) -> dict:
-        """JSON-friendly summary for logs and batch reports."""
-        out = {
-            "index": self.index,
-            "error": type(self.error).__name__,
-            "message": self.message,
-            "trace_id": self.trace_id,
-        }
-        if self.shard_id is not None:
-            out["shard_id"] = self.shard_id
-        return out
 
 
 @dataclass(slots=True)

@@ -79,7 +79,7 @@ class QueryStats:
     detail: PlanDetail | None = None
     #: Per-query trace id minted by the processor (see
     #: :mod:`repro.obs.tracing`): the join key across Chrome-trace spans,
-    #: flight-recorder records, and structured logs.  Empty until the
+    #: flight-recorder records and exemplars.  Empty until the
     #: processor stamps it.
     trace_id: str = ""
     #: Per-phase wall seconds (span name -> total), populated when

@@ -10,8 +10,9 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   by default) recording per-query phase timelines and exporting Chrome
   trace-event JSON loadable in Perfetto; also the one carrier of trace
   identity across thread and process hops (``capture`` / ``resume``);
-* :mod:`repro.obs.export` — Prometheus text exposition, JSON snapshots,
-  and an optional stdlib ``http.server`` scrape endpoint;
+* :mod:`repro.obs.export` — Prometheus / OpenMetrics text exposition,
+  JSON snapshots, and the stdlib ``http.server`` endpoint whose
+  lifecycle :class:`repro.serve.http.ServeServer` inherits;
 * :mod:`repro.obs.explain` — EXPLAIN/ANALYZE query plans: per-set node
   accesses vs. prunes, combination accept/reject decisions, threshold
   trajectories, per-shard fan-out verdicts
@@ -19,8 +20,6 @@ vs. CPU time, combinations examined, feature objects pulled (Section
 * :mod:`repro.obs.flight` — the flight recorder: per-query records
   (arguments, phases, counters, plan summary) kept in the trace store
   below and read back as a view over it, dumpable to JSONL;
-* :mod:`repro.obs.slog` — structured JSON logging that stamps the
-  current trace id on every record;
 * :mod:`repro.obs.regress` — the perf-regression sentinel comparing
   bench results against committed baselines (and recording SLO burn
   rates into the bench history);
@@ -31,8 +30,9 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   error-budget accounting and multi-window burn-rate alerts evaluated
   against the ring (committed definitions live in ``SLO.json``);
 * :mod:`repro.obs.resources` — process-resource gauges (RSS, fds,
-  ``/dev/shm`` segments, cache/buffer occupancy, executor queue depth)
-  sampled into the same ring;
+  ``/dev/shm`` segments, cache/buffer occupancy, executor queue depth);
+  ``Sampler(ring, pre_sample=(resources.collect,))`` puts them in the
+  same ring;
 * :mod:`repro.obs.profiler` — a continuous ``sys._current_frames``
   sampling profiler whose ring is retroactively captured (keyed by
   trace id) whenever the trace store admits a slow request; emits
@@ -43,8 +43,8 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   endpoint);
 * ``python -m repro.obs`` — run a synthetic workload and emit a metrics
   snapshot plus a trace file (``--telemetry`` adds the full
-  operational layer); subcommands ``explain``, ``regress``, ``watch``,
-  ``trace`` and ``slo`` (see :mod:`repro.obs.cli`).
+  operational layer); subcommands ``explain``, ``regress`` and
+  ``trace`` (see :mod:`repro.obs.cli`).
 
 Quick start::
 
@@ -72,7 +72,6 @@ from repro.obs import (
     requests,
     resources,
     slo,
-    slog,
     timeseries,
     tracing,
 )
@@ -91,7 +90,6 @@ from repro.obs.requests import (
     parse_traceparent,
     render_trace_tree,
 )
-from repro.obs.resources import ResourceSampler
 from repro.obs.slo import (
     AvailabilitySLO,
     BurnRateAlert,
@@ -134,7 +132,6 @@ __all__ = [
     "MetricsServer",
     "PhaseRecorder",
     "QueryPlan",
-    "ResourceSampler",
     "Sampler",
     "SamplingProfiler",
     "SpanCollector",
@@ -164,7 +161,6 @@ __all__ = [
     "scoped_registry",
     "set_enabled",
     "slo",
-    "slog",
     "snapshot",
     "span",
     "timeseries",

@@ -14,22 +14,18 @@ artifacts:
   ``obs_metrics.json``) including p50/p95/p99 summaries.
 
 ``--smoke`` shrinks everything to a seconds-scale run for CI.
-``--serve PORT`` additionally exposes a live ``/metrics`` scrape
-endpoint until interrupted.  ``--no-trace`` runs metrics-only (useful
-for overhead measurements).
 
 Run::
 
     PYTHONPATH=src python -m repro.obs --smoke --out-dir obs_out
 
 ``--telemetry`` turns on the full operational layer for the run: a
-:class:`~repro.obs.timeseries.TimeSeriesRing` fed by the resource
-sampler, exemplars on latency histograms, the continuous profiler with
-flight-recorder-triggered captures, and four extra artifacts
-(``timeseries.json``, ``dashboard.html``, ``flamegraph.txt``,
-``slo_verdict.json``).  With ``--serve`` the endpoint also exposes
-``/dashboard``, ``/timeseries.json``, ``/openmetrics``,
-``/flight.json`` and ``/flamegraph.txt``.
+:class:`~repro.obs.timeseries.TimeSeriesRing` sampled with the
+resource gauges, exemplars on latency histograms, the continuous
+profiler with flight-recorder-triggered captures, and five extra
+artifacts (``obs_metrics.om``, ``timeseries.json``, ``dashboard.html``,
+``flamegraph.txt``, and ``slo_verdict.json`` for the built-in SLOs).
+The live ``/dashboard`` is ``python -m repro.serve``'s.
 
 Subcommands ride alongside the workload runner:
 
@@ -37,15 +33,9 @@ Subcommands ride alongside the workload runner:
   synthetic dataset and print the plan (table or ``--json``);
 * ``python -m repro.obs regress`` — the perf-regression sentinel (see
   :mod:`repro.obs.regress`);
-* ``python -m repro.obs watch`` — live terminal view polling a running
-  server's ``/timeseries.json``;
-* ``python -m repro.obs trace [<id>]`` — list the tail-sampled request
-  trace store (in-process, ``--url`` against a running server's
-  ``/traces.json``, or a ``--file`` JSONL dump) or print one trace's
-  span tree;
-* ``python -m repro.obs slo`` — run a workload and evaluate committed
-  SLO definitions against it; exits non-zero on an exhausted error
-  budget (or a firing burn-rate alert with ``--fail-on any``).
+* ``python -m repro.obs trace [<id>] (--url URL | --file DUMP)`` — list
+  the tail-sampled request traces of a running server's
+  ``/traces.json`` or of a JSONL dump, or print one trace's span tree.
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ import logging
 import time
 from pathlib import Path
 
-from repro.obs import export, flight, metrics, tracing
+from repro.obs import export, flight, metrics, resources, tracing
 from repro.obs import requests as requests_mod
 
 logger = logging.getLogger(__name__)
@@ -96,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algorithms", nargs="+",
                         default=list(DEFAULT_ALGORITHMS),
                         choices=["stps", "stds", "iss"])
-    parser.add_argument("--no-trace", action="store_true",
-                        help="skip tracing (metrics snapshot only)")
-    parser.add_argument("--verbose-trace", action="store_true",
-                        help="also record per-event cache-activity instants")
-    parser.add_argument("--serve", type=int, default=None, metavar="PORT",
-                        help="serve /metrics on PORT until interrupted")
     parser.add_argument("--flight-out", type=Path, default=None,
                         metavar="PATH",
                         help="record every query in the flight recorder "
@@ -112,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "profiler + SLO verdict; writes "
                              "timeseries.json, dashboard.html, "
                              "flamegraph.txt, slo_verdict.json")
-    parser.add_argument("--slo-file", type=Path, default=None,
-                        help="SLO definitions JSON for --telemetry "
-                             "(default: built-in SLOs)")
-    parser.add_argument("--sample-interval", type=float, default=0.25,
-                        help="telemetry ring sampling interval in seconds")
-    parser.add_argument("--log-level", default=None,
-                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-                        help="configure stdlib logging to stderr")
     return parser
 
 
@@ -190,124 +166,23 @@ def run_explain(args) -> int:
     return 0
 
 
-def build_watch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs watch",
-        description="Live terminal view of a running telemetry endpoint.",
-    )
-    parser.add_argument("--url", required=True,
-                        help="base URL of a MetricsServer started with a "
-                             "time-series ring, e.g. http://127.0.0.1:9100")
-    parser.add_argument("--interval", type=float, default=2.0,
-                        help="seconds between polls")
-    parser.add_argument("--iterations", type=int, default=0,
-                        help="stop after N polls (0 = until interrupted)")
-    return parser
-
-
-def render_watch(payload: dict) -> str:
-    """Render one ``/timeseries.json`` payload as a terminal snapshot.
-
-    Pure function (no I/O) so tests can assert on the layout directly.
-    """
-    lines = [
-        f"repro telemetry — {payload.get('slots', 0)}/"
-        f"{payload.get('capacity', 0)} slots, "
-        f"{payload.get('samples_taken', 0)} samples",
-        "",
-        f"  {'window':>8}  {'span':>7}  {'qps':>8}  "
-        f"{'p50 ms':>8}  {'p95 ms':>8}  {'p99 ms':>8}",
-    ]
-    windows = payload.get("windows", {})
-    for key in sorted(windows, key=int):
-        win = windows[key]
-        rate = (win.get("rates") or {}).get("repro_queries_total")
-        hist = (win.get("hist") or {}).get("repro_query_seconds") or {}
-
-        def _ms(value):
-            return f"{value * 1e3:8.2f}" if value is not None else f"{'-':>8}"
-
-        rate_s = f"{rate:8.1f}" if rate is not None else f"{'-':>8}"
-        lines.append(
-            f"  {key + 's':>8}  {win.get('span_s', 0.0):6.1f}s  {rate_s}  "
-            f"{_ms(hist.get('p50'))}  {_ms(hist.get('p95'))}  "
-            f"{_ms(hist.get('p99'))}"
-        )
-    timeline = payload.get("timeline") or []
-    gauges = (timeline[-1].get("gauges") if timeline else None) or {}
-    if gauges:
-        lines.append("")
-        lines.append("  resources:")
-        for name in sorted(gauges):
-            value = gauges[name]
-            short = name.removeprefix("repro_resource_")
-            if name.endswith("_bytes") and value is not None:
-                shown = f"{value / (1 << 20):.1f} MiB"
-            elif value is None:
-                shown = "-"
-            else:
-                shown = f"{value:.0f}"
-            lines.append(f"    {short:<24} {shown}")
-    verdicts = (payload.get("slo") or {}).get("slos") or []
-    if verdicts:
-        lines.append("")
-        lines.append("  SLOs:")
-        for verdict in verdicts:
-            budget = verdict["error_budget"]
-            state = (
-                "FIRING" if verdict["firing"]
-                else "EXHAUSTED" if budget["exhausted"]
-                else "ok"
-            )
-            lines.append(
-                f"    {verdict['slo']:<28} {state:<10} "
-                f"budget {budget['consumed_fraction']:6.1%} used "
-                f"({budget['consumed']:.0f}/{budget['total']:.1f})"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def run_watch(args) -> int:
-    """Poll ``<url>/timeseries.json`` and redraw a terminal snapshot."""
-    import sys
-    import urllib.error
-    import urllib.request
-
-    url = args.url.rstrip("/") + "/timeseries.json"
-    shown = 0
-    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
-    try:
-        while True:
-            try:
-                with urllib.request.urlopen(url, timeout=5) as resp:
-                    payload = json.load(resp)
-            except (urllib.error.URLError, OSError) as exc:
-                print(f"watch: cannot reach {url}: {exc}", file=sys.stderr)
-                return 1
-            print(clear + render_watch(payload), end="", flush=True)
-            shown += 1
-            if args.iterations and shown >= args.iterations:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
 def build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs trace",
-        description="Inspect stored request traces: list the tail-"
-                    "sampled store, or print one trace's span tree.",
+        description="Inspect stored request traces: list a server's "
+                    "tail-sampled store or a dump, or print one trace's "
+                    "span tree.",
     )
     parser.add_argument("trace_id", nargs="?", default=None,
                         help="trace id to print (16- or 32-hex; omit to "
                              "list stored traces)")
-    parser.add_argument("--url", default=None,
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--url",
                         help="base URL of a running server exposing "
                              "/traces.json, e.g. http://127.0.0.1:8080")
-    parser.add_argument("--file", type=Path, default=None,
-                        help="read traces from a JSONL dump instead of "
-                             "a server (repro.obs.requests.dump_jsonl)")
+    source.add_argument("--file", type=Path,
+                        help="JSONL dump written by "
+                             "repro.obs.requests.dump_jsonl")
     parser.add_argument("--tenant", default=None,
                         help="only traces of this tenant")
     parser.add_argument("--min-ms", type=float, default=None,
@@ -318,8 +193,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def _fetch_traces(args) -> list[dict]:
-    """Stored traces from --url, --file, or the in-process store."""
-
+    """Stored traces from --url or --file."""
     if args.url is not None:
         import urllib.parse
         import urllib.request
@@ -336,11 +210,6 @@ def _fetch_traces(args) -> list[dict]:
             url += "?" + urllib.parse.urlencode(params)
         with urllib.request.urlopen(url, timeout=5) as resp:
             return json.load(resp).get("traces", [])
-    if args.file is None:
-        return requests_mod.query_traces(
-            trace_id=args.trace_id, tenant=args.tenant,
-            min_ms=args.min_ms, limit=10_000,
-        )
     traces = [
         json.loads(line)
         for line in args.file.read_text().splitlines()
@@ -371,7 +240,6 @@ def run_trace(args) -> int:
     import sys
     import urllib.error
 
-
     try:
         traces = _fetch_traces(args)
     except (urllib.error.URLError, OSError) as exc:
@@ -389,7 +257,7 @@ def run_trace(args) -> int:
             print(requests_mod.render_trace_tree(trace), end="")
         return 0
     if not traces:
-        print("trace: store is empty (is repro.obs.requests enabled?)")
+        print("trace: no stored traces")
         return 0
     print(f"  {'trace_id':<32}  {'tenant':<12}  {'outcome':<12}  "
           f"{'status':>6}  {'ms':>9}  kept")
@@ -402,77 +270,6 @@ def run_trace(args) -> int:
             f"{trace.get('duration_s', 0.0) * 1e3:>9.2f}  "
             f"{trace.get('keep_reason', '?')}"
         )
-    return 0
-
-
-def build_slo_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs slo",
-        description="Run a workload and evaluate SLO definitions "
-                    "against it; non-zero exit on exhausted budget.",
-    )
-    parser.add_argument("--smoke", action="store_true", help="seconds-scale run")
-    parser.add_argument("--slo-file", type=Path, default=None,
-                        help="SLO definitions JSON (default: built-in SLOs; "
-                             "the repo commits SLO.json)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the machine-readable verdict JSON here")
-    parser.add_argument("--fail-on", default="exhausted",
-                        choices=["exhausted", "firing", "any"],
-                        help="what makes the exit status non-zero")
-    parser.add_argument("--objects", type=int, default=8000)
-    parser.add_argument("--features", type=int, default=4000)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--vocab", type=int, default=64)
-    parser.add_argument("--queries", type=int, default=12)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--radius", type=float, default=0.02)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--algorithms", nargs="+",
-                        default=list(DEFAULT_ALGORITHMS),
-                        choices=["stps", "stds", "iss"])
-    parser.add_argument("--sample-interval", type=float, default=0.25,
-                        help="ring sampling interval in seconds")
-    return parser
-
-
-def _load_slos(path):
-    from repro.obs.slo import default_slos, load_slos
-
-    return load_slos(path) if path is not None else default_slos()
-
-
-def run_slo(args) -> int:
-    """Run the workload, evaluate SLOs over the run's ring, verdict out."""
-    import sys
-
-    from repro.obs.slo import evaluate_slos
-    from repro.obs.resources import ResourceSampler
-    from repro.obs.timeseries import TimeSeriesRing
-
-    if args.smoke:
-        _apply_smoke(args)
-    slos = _load_slos(args.slo_file)
-    ring = TimeSeriesRing()
-    with ResourceSampler(ring, interval_s=args.sample_interval):
-        run_workload(args)
-    verdict = evaluate_slos(slos, ring)
-    print(json.dumps(verdict, indent=2))
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(verdict, indent=2) + "\n")
-    failed = {
-        "exhausted": verdict["exhausted"],
-        "firing": verdict["firing"],
-        "any": verdict["exhausted"] or verdict["firing"],
-    }[args.fail_on]
-    if failed:
-        print(
-            f"SLO verdict: FAILED (--fail-on {args.fail_on})",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -551,10 +348,9 @@ def run_workload(args) -> dict:
             t0 = time.perf_counter()
             report = executor.run(batch, algorithm=algorithm)
             wall = time.perf_counter() - t0
-            phase_totals: dict[str, float] = {}
-            for result in report.results:
-                for phase, seconds in result.stats.phase_times.items():
-                    phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
+            # Deduplicated batches share one result per distinct query:
+            # sum each execution once, not once per repeat.
+            phase_totals = report.aggregate_phase_times()
             summary["algorithms"][algorithm] = {
                 "queries": report.queries,
                 "wall_s": round(wall, 4),
@@ -590,18 +386,9 @@ def main(argv=None) -> int:
         from repro.obs import regress
 
         return regress.main(argv[1:])
-    if argv and argv[0] == "watch":
-        return run_watch(build_watch_parser().parse_args(argv[1:]))
     if argv and argv[0] == "trace":
         return run_trace(build_trace_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "slo":
-        return run_slo(build_slo_parser().parse_args(argv[1:]))
     args = build_parser().parse_args(argv)
-    if args.log_level:
-        logging.basicConfig(
-            level=getattr(logging, args.log_level),
-            format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        )
     if args.smoke:
         _apply_smoke(args)
 
@@ -611,23 +398,21 @@ def main(argv=None) -> int:
     metrics_out = args.metrics_out or out_dir / "obs_metrics.prom"
     json_out = args.json_out or out_dir / "obs_metrics.json"
 
-    ring = sampler = slos = None
+    sampler = None
     if args.telemetry:
         from repro.obs import profiler as profiler_mod
-        from repro.obs.resources import ResourceSampler
-        from repro.obs.timeseries import TimeSeriesRing
+        from repro.obs.timeseries import Sampler, TimeSeriesRing
 
-        slos = _load_slos(args.slo_file)
         ring = TimeSeriesRing()
-        sampler = ResourceSampler(ring, interval_s=args.sample_interval)
+        sampler = Sampler(
+            ring, interval_s=0.25, pre_sample=(resources.collect,)
+        )
         metrics.set_exemplars(True)
         profiler_mod.install()
         sampler.start()
 
     tracing.clear()
-    previous = tracing.set_enabled(
-        not args.no_trace, verbose_events=args.verbose_trace
-    )
+    previous = tracing.set_enabled(True)
     keep_queries = args.telemetry or args.flight_out is not None
     if keep_queries:
         # --flight-out, and the exemplar -> query record -> profiler
@@ -649,9 +434,9 @@ def main(argv=None) -> int:
     export.write_json(json_out)
     print(f"wrote {metrics_out} and {json_out}")
     if args.telemetry:
-        from repro.obs import profiler as profiler_mod
-        from repro.obs.slo import evaluate_slos
+        from repro.obs.slo import default_slos, evaluate_slos
 
+        slos = default_slos()
         om_out = out_dir / "obs_metrics.om"
         om_out.write_text(export.render_openmetrics())
         ts_out = out_dir / "timeseries.json"
@@ -681,15 +466,14 @@ def main(argv=None) -> int:
         print(
             f"wrote {args.flight_out} ({len(flight.records())} flight records)"
         )
-    if not args.no_trace:
-        tracing.write_chrome_trace(trace_out)
-        n_events = len(tracing.events())
-        dropped = tracing.dropped_events()
-        print(
-            f"wrote {trace_out} ({n_events} events"
-            + (f", {dropped} dropped" if dropped else "")
-            + ") — open in Perfetto / chrome://tracing"
-        )
+    tracing.write_chrome_trace(trace_out)
+    n_events = len(tracing.events())
+    dropped = tracing.dropped_events()
+    print(
+        f"wrote {trace_out} ({n_events} events"
+        + (f", {dropped} dropped" if dropped else "")
+        + ") — open in Perfetto / chrome://tracing"
+    )
     for algorithm, row in summary["algorithms"].items():
         print(
             f"  {algorithm:>4}: {row['queries']} queries in {row['wall_s']}s "
@@ -701,30 +485,7 @@ def main(argv=None) -> int:
         )
         for phase, seconds in row["phase_times_s"].items():
             print(f"        {phase:<32} {seconds:.4f}s")
-
-    if args.serve is not None:
-        server = export.MetricsServer(
-            port=args.serve, ring=ring, slos=slos
-        ).start()
-        print(
-            f"serving metrics on http://127.0.0.1:{server.port}/metrics "
-            + ("(and /dashboard, /timeseries.json) " if ring is not None else "")
-            + "(Ctrl-C to stop)"
-        )
-        if sampler is not None:
-            sampler.start()  # keep the ring moving while serving
-        try:
-            while True:
-                time.sleep(1.0)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if sampler is not None:
-                sampler.stop()
-            server.close()
     if args.telemetry:
-        from repro.obs import profiler as profiler_mod
-
         profiler_mod.uninstall()
         _store_off()
     return 0

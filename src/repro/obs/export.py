@@ -7,26 +7,19 @@ out of the process:
   (version 0.0.4): ``# HELP`` / ``# TYPE`` headers, one sample line per
   series, histograms as cumulative ``_bucket{le=...}`` series plus
   ``_sum`` / ``_count``;
-* :func:`render_openmetrics` — the same samples in OpenMetrics syntax
-  with **exemplars**: histogram bucket lines carry
-  ``# {trace_id="..."} value ts`` suffixes when exemplar capture was on
-  (:func:`repro.obs.metrics.set_exemplars`), so a p99 bucket deep-links
-  to the flight-recorder entry / profiler capture with that trace id.
-  Kept separate from :func:`render_prometheus` so strict 0.0.4
-  consumers never see exemplar suffixes;
+* :func:`render_openmetrics` — the same walk in OpenMetrics syntax plus
+  **exemplars**: ``# {trace_id="..."} value ts`` on the bucket line an
+  exemplar landed in (when :func:`repro.obs.metrics.set_exemplars` was
+  on) and a closing ``# EOF``, so strict 0.0.4 consumers of
+  :func:`render_prometheus` never see either;
 * :func:`snapshot` / :func:`write_json` — a JSON document with the same
-  information plus the p50/p95/p99 summaries and exemplars, convenient
-  for benchmark artifacts and tests;
-* :class:`MetricsServer` — an optional scrape endpoint on stdlib
-  ``http.server`` (no third-party dependency).  Paths: ``/metrics``
-  (text exposition), ``/openmetrics`` (exemplars), ``/metrics.json``,
-  ``/healthz``, and — when the server is given a time-series ring —
-  ``/timeseries.json`` (windowed rates/quantiles + SLO verdicts) and
-  ``/dashboard`` (a self-contained HTML page polling it); plus
-  ``/flight.json`` (query records in the trace store) and ``/flamegraph.txt``
-  (collapsed stacks from the installed profiler).  The server runs on a
-  daemon thread; pass ``port=0`` to bind an ephemeral port (see
-  ``server.port``).
+  information plus the p50/p95/p99 summaries and exemplars;
+* :class:`MetricsServer` — a stdlib ``http.server`` endpoint on a daemon
+  thread (``port=0`` binds an ephemeral port, see ``server.port``):
+  ``/metrics``, ``/openmetrics``, ``/metrics.json``, ``/healthz``,
+  ``/flight.json``, ``/traces.json``, ``/flamegraph.txt`` and, given a
+  time-series ring, ``/timeseries.json`` and ``/dashboard``.
+  :class:`repro.serve.http.ServeServer` subclasses it.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ CONTENT_TYPE_OPENMETRICS = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
-#: Default series surfaced by ``/timeseries.json`` and the dashboard.
+#: The series ``/timeseries.json`` and the dashboard surface.
 DEFAULT_TIMELINE = {
     "counters": (
         "repro_queries_total",
@@ -100,47 +93,15 @@ def _label_str(labelnames, labelvalues, extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def render_prometheus(registry: MetricsRegistry | None = None) -> str:
-    """Render a registry in the Prometheus text exposition format."""
-    if registry is None:
-        registry = _metrics.registry()
-    lines: list[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-        lines.append(f"# TYPE {family.name} {family.type_name}")
-        for labelvalues, child in family.series():
-            labels = _label_str(family.labelnames, labelvalues)
-            if isinstance(child, (Counter, Gauge)):
-                lines.append(
-                    f"{family.name}{labels} {_format_value(child.value)}"
-                )
-            elif isinstance(child, Histogram):
-                cumulative = child.cumulative_counts()
-                bounds = [*child.buckets, math.inf]
-                for bound, count in zip(bounds, cumulative):
-                    le = _label_str(
-                        family.labelnames,
-                        labelvalues,
-                        extra=f'le="{_format_value(bound)}"',
-                    )
-                    lines.append(f"{family.name}_bucket{le} {count}")
-                lines.append(
-                    f"{family.name}_sum{labels} {_format_value(child.sum)}"
-                )
-                lines.append(f"{family.name}_count{labels} {child.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
+def _exposition_lines(
+    registry: MetricsRegistry | None, exemplars: bool
+) -> list[str]:
+    """Header and sample lines of every family, in registry order.
 
-
-def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
-    """Render a registry in OpenMetrics syntax, exemplars included.
-
-    Sample lines match :func:`render_prometheus`; the differences are
-    the trailing ``# EOF`` marker and ``# {trace_id="..."} value ts``
-    exemplar suffixes on histogram bucket lines.  An exemplar is
-    attached to the *cumulative* bucket line of the bucket its
-    observation actually landed in, per the OpenMetrics exposition
-    rules.
+    With ``exemplars`` a histogram bucket line gains the OpenMetrics
+    ``# {trace_id="..."} value ts`` suffix of the exemplar whose
+    observation landed in that bucket (attached to its *cumulative*
+    line, per the OpenMetrics exposition rules).
     """
     if registry is None:
         registry = _metrics.registry()
@@ -156,10 +117,11 @@ def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
                     f"{family.name}{labels} {_format_value(child.value)}"
                 )
             elif isinstance(child, Histogram):
-                exemplars = {
-                    idx: (value, trace_id, ts)
+                suffixes = {
+                    idx: f' # {{trace_id="{_escape_label_value(trace_id)}"}}'
+                         f" {_format_value(value)} {ts:.3f}"
                     for idx, value, trace_id, ts in child.exemplars()
-                }
+                } if exemplars else {}
                 cumulative = child.cumulative_counts()
                 bounds = [*child.buckets, math.inf]
                 for i, (bound, count) in enumerate(zip(bounds, cumulative)):
@@ -168,21 +130,31 @@ def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
                         labelvalues,
                         extra=f'le="{_format_value(bound)}"',
                     )
-                    line = f"{family.name}_bucket{le} {count}"
-                    ex = exemplars.get(i)
-                    if ex is not None:
-                        value, trace_id, ts = ex
-                        line += (
-                            f' # {{trace_id="{_escape_label_value(trace_id)}"}}'
-                            f" {_format_value(value)} {ts:.3f}"
-                        )
-                    lines.append(line)
+                    lines.append(
+                        f"{family.name}_bucket{le} {count}"
+                        + suffixes.get(i, "")
+                    )
                 lines.append(
                     f"{family.name}_sum{labels} {_format_value(child.sum)}"
                 )
                 lines.append(f"{family.name}_count{labels} {child.count}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def render_prometheus(registry: MetricsRegistry | None = None) -> str:
+    """Render a registry in the Prometheus text exposition format."""
+    lines = _exposition_lines(registry, exemplars=False)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def render_openmetrics(registry: MetricsRegistry | None = None) -> str:
+    """Render a registry in OpenMetrics syntax, exemplars included.
+
+    Sample lines match :func:`render_prometheus`; the differences are
+    the exemplar suffixes and the trailing ``# EOF`` marker.
+    """
+    lines = _exposition_lines(registry, exemplars=True)
+    return "\n".join([*lines, "# EOF"]) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -240,36 +212,32 @@ def write_json(path, registry: MetricsRegistry | None = None) -> Path:
 # ----------------------------------------------------------------------
 # time-series payload + dashboard
 # ----------------------------------------------------------------------
-def timeseries_payload(
-    ring,
-    slos=None,
-    timeline_spec: dict | None = None,
-    max_slots: int = 300,
-) -> dict:
+def timeseries_payload(ring, slos=None) -> dict:
     """The ``/timeseries.json`` document: timeline + windows + verdicts.
 
     ``ring`` is a :class:`~repro.obs.timeseries.TimeSeriesRing`;
     ``slos`` an optional list of :class:`~repro.obs.slo.SLO` objects
-    whose verdicts are embedded under ``"slo"``.
+    whose verdicts are embedded under ``"slo"``.  The series shown are
+    :data:`DEFAULT_TIMELINE`'s, over the newest 300 slots.
     """
-    spec = timeline_spec or DEFAULT_TIMELINE
+    spec = DEFAULT_TIMELINE
     payload: dict = {
         "samples_taken": ring.samples_taken,
         "slots": len(ring),
         "capacity": ring.capacity,
         "timeline": ring.timeline(
-            counter_names=spec.get("counters", ()),
-            hist_names=spec.get("histograms", ()),
-            gauge_names=spec.get("gauges", ()),
-            max_slots=max_slots,
+            counter_names=spec["counters"],
+            hist_names=spec["histograms"],
+            gauge_names=spec["gauges"],
+            max_slots=300,
         ),
         "windows": {},
     }
     for window_s in (10.0, 60.0, 300.0):
         win: dict = {"span_s": ring.window_span(window_s)}
-        for name in spec.get("counters", ()):
+        for name in spec["counters"]:
             win.setdefault("rates", {})[name] = ring.rate(name, window_s)
-        for name in spec.get("histograms", ()):
+        for name in spec["histograms"]:
             win.setdefault("hist", {})[name] = {
                 "count": ring.window_count(name, window_s),
                 "p50": ring.window_quantile(name, 0.5, window_s),
@@ -487,7 +455,6 @@ class _Handler(BaseHTTPRequestHandler):
     registry: MetricsRegistry  # set by MetricsServer
     ring = None                # TimeSeriesRing | None
     slos = None                # list[SLO] | None
-    timeline_spec = None       # dict | None
 
     #: Socket read timeout.  A half-open client (connected, never sends
     #: a complete request line) would otherwise pin its handler thread
@@ -514,9 +481,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = (json.dumps(snapshot(self.registry)) + "\n").encode()
             content_type = "application/json"
         elif path == "/timeseries.json" and self.ring is not None:
-            payload = timeseries_payload(
-                self.ring, slos=self.slos, timeline_spec=self.timeline_spec
-            )
+            payload = timeseries_payload(self.ring, slos=self.slos)
             body = (json.dumps(payload) + "\n").encode()
             content_type = "application/json"
         elif path == "/dashboard" and self.ring is not None:
@@ -585,7 +550,13 @@ class MetricsServer:
         print(f"scrape http://127.0.0.1:{server.port}/metrics")
         ...
         server.close()
+
+    :class:`repro.serve.http.ServeServer` is this lifecycle with a
+    query-serving :attr:`handler`.
     """
+
+    #: Request handler class; :meth:`start` binds :meth:`_bindings` to it.
+    handler = _Handler
 
     def __init__(
         self,
@@ -594,13 +565,11 @@ class MetricsServer:
         port: int = 0,
         ring=None,
         slos=None,
-        timeline_spec: dict | None = None,
     ) -> None:
         self.registry = registry if registry is not None else _metrics.registry()
         self.host = host
         self.ring = ring
         self.slos = slos
-        self.timeline_spec = timeline_spec
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -612,30 +581,28 @@ class MetricsServer:
             return self._requested_port
         return self._httpd.server_address[1]
 
+    def _bindings(self) -> dict:
+        """Class attributes the bound handler reads."""
+        return {"registry": self.registry, "ring": self.ring, "slos": self.slos}
+
     def start(self) -> "MetricsServer":
         if self._httpd is not None:
             return self
-        handler = type(
-            "BoundHandler",
-            (_Handler,),
-            {
-                "registry": self.registry,
-                "ring": self.ring,
-                "slos": self.slos,
-                "timeline_spec": self.timeline_spec,
-            },
-        )
+        handler = type("Bound" + self.handler.__name__, (self.handler,),
+                       self._bindings())
         self._httpd = ThreadingHTTPServer(
             (self.host, self._requested_port), handler
         )
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            name="repro-metrics",
+            name="repro-http",
             daemon=True,
         )
         self._thread.start()
-        logger.info("metrics endpoint listening on %s:%d", self.host, self.port)
+        logger.info(
+            "%s listening on %s:%d", type(self).__name__, self.host, self.port
+        )
         return self
 
     def close(self) -> None:
@@ -657,7 +624,7 @@ class MetricsServer:
             thread.join(timeout=5)
             if thread.is_alive():  # pragma: no cover - defensive
                 logger.warning(
-                    "metrics endpoint thread still alive after close()"
+                    "%s thread still alive after close()", type(self).__name__
                 )
 
     def __enter__(self) -> "MetricsServer":

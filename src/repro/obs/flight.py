@@ -5,7 +5,7 @@ budget or raised, not aggregate histograms.  Each executed query is
 described by a :class:`QueryRecord` — query arguments, latency, phase
 totals, one ``counters`` digest of its ``QueryStats`` (what an EXPLAIN
 plan is a view of, so every record says what its query did), the trace
-id (join key against spans and structured logs), and the error +
+id (join key against spans and exemplars), and the error +
 ``shard_id`` for failures surfacing through the batch executor or the
 sharded fan-out.
 

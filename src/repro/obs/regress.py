@@ -330,8 +330,7 @@ def slo_history_fields(verdict: dict) -> dict:
     """Compress an ``evaluate_slos`` verdict into history-record fields.
 
     Burn rates ride along in ``BENCH_history.jsonl`` so error-budget
-    trends are greppable next to the perf trends (never gated on here —
-    ``python -m repro.obs slo`` is the gate).
+    trends are greppable next to the perf trends (recorded, never gated).
     """
     slos: dict[str, dict] = {}
     for v in verdict.get("slos", []):

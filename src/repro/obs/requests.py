@@ -2,8 +2,8 @@
 
 * :func:`parse_traceparent` / :func:`format_traceparent` — W3C Trace
   Context interop.  A client-supplied ``traceparent`` header donates its
-  128-bit trace id, which then joins spans, query records, histogram
-  exemplars and structured logs exactly like an internally minted id
+  128-bit trace id, which then joins spans, query records and histogram
+  exemplars exactly like an internally minted id
   (trace ids are opaque hex strings everywhere in the stack); the
   response carries a fresh ``traceparent`` naming the same trace.
 * :class:`RequestTrace` + the module-level **trace store** — the one

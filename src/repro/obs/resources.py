@@ -33,7 +33,6 @@ import os
 import threading
 
 from repro.obs import metrics as _metrics
-from repro.obs.timeseries import Sampler, TimeSeriesRing
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -148,27 +147,3 @@ _HELP = {
     "repro_resource_serve_tenants":
         "Tenants with live quota buckets, all services.",
 }
-
-
-class ResourceSampler(Sampler):
-    """A time-series :class:`Sampler` with :func:`collect` pre-wired.
-
-    ::
-
-        ring = TimeSeriesRing()
-        with ResourceSampler(ring, interval_s=1.0):
-            ...   # every slot now carries repro_resource_* gauges
-    """
-
-    def __init__(
-        self, ring: TimeSeriesRing, interval_s: float = 1.0,
-        pre_sample=(),
-        registry: "_metrics.MetricsRegistry | None" = None,
-    ) -> None:
-        # Pin the target registry (default: the ring's, falling back to
-        # the process default) so gauges land where the ring samples.
-        target = registry if registry is not None else ring._registry
-        super().__init__(
-            ring, interval_s=interval_s,
-            pre_sample=(lambda: collect(target), *pre_sample),
-        )

@@ -4,8 +4,8 @@ An SLO states an *objective* — "99.5% of queries answer within 100 ms
 over the accounting window".  This module evaluates such objectives
 against a :class:`~repro.obs.timeseries.TimeSeriesRing` and produces the
 same machine-readable verdict shape the perf sentinel
-(:mod:`repro.obs.regress`) emits, so CI, ``python -m repro.obs slo``,
-and the future serving layer share one gate.
+(:mod:`repro.obs.regress`) emits; ``python -m repro.obs --telemetry``
+writes it as ``slo_verdict.json``.
 
 Two SLO kinds cover the workloads the engine runs today:
 

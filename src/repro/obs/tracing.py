@@ -111,7 +111,7 @@ class TraceContext:
     """What a hop must carry to stay inside a trace: id + collector.
 
     ``QueryProcessor.query`` mints one per query unless one is already
-    active; spans, store records, exemplars and structured logs join on
+    active; spans, store records and exemplars join on
     ``trace_id``.  The serving layer attaches a :class:`SpanCollector`
     so one request's spans are captured even while global tracing is
     off.  The query path has no thread hop left; the process fan-out

@@ -12,13 +12,12 @@ service (ROADMAP: "online serving").  Layers, bottom-up:
   dispatch (:class:`QueryService`, :class:`ServeConfig`): quota gate,
   cache gate, SLO-driven backpressure gate, then
   :meth:`QueryExecutor.execute_one`;
-* :mod:`repro.serve.http` — the stdlib HTTP front end
-  (:class:`ServeServer`): ``/query`` + ``/stats/serve`` mounted
-  alongside every :class:`~repro.obs.export.MetricsServer` route.
+* :mod:`repro.serve.http` — :class:`ServeServer`, a
+  :class:`~repro.obs.export.MetricsServer` that adds ``/query`` +
+  ``/stats/serve`` to every observability route.
 
-``python -m repro.serve`` boots a demo server over a synthetic world —
-see the README "Serving queries" quickstart; DESIGN.md §15 documents
-the admission-control and cache-keying protocol.
+``python -m repro.serve`` boots a demo server (live ``/dashboard``
+included) — README "Serving queries"; DESIGN.md §15 has the protocol.
 """
 
 from repro.serve.cache import ResultCache, query_signature

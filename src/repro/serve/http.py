@@ -7,11 +7,12 @@ single port, no third-party dependency:
   serving path: admission control + execution via the shared
   :class:`QueryService`.  429 responses carry ``Retry-After``.
 * ``GET /stats/serve`` — live admission/cache/quota state.
-* Everything :class:`repro.obs.export.MetricsServer` serves —
-  ``/metrics``, ``/openmetrics``, ``/metrics.json``, ``/healthz``,
-  ``/timeseries.json``, ``/dashboard``, ``/flight.json``,
-  ``/flamegraph.txt`` — by inheriting its handler, so the scrape
-  endpoint and the query endpoint share one listener.
+* Everything :class:`repro.obs.export.MetricsServer` serves (``/metrics``,
+  ``/openmetrics``, ``/metrics.json``, ``/healthz``, ``/flight.json``,
+  ``/traces.json``, ``/flamegraph.txt``; ``/timeseries.json`` and
+  ``/dashboard`` given a ring): :class:`ServeServer` is a
+  ``MetricsServer`` and its handler a subclass of the metrics handler,
+  so both share one listener and one lifecycle.
 
 Request shape (POST body or GET query string)::
 
@@ -31,14 +32,11 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
-from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.query import PreferenceQuery, Variant
 from repro.errors import QueryError, ReproError
 from repro.obs import export as _export
-from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.serve.service import QueryService
 
@@ -230,13 +228,12 @@ class _ServeHandler(_export._Handler):
         logger.debug("serve endpoint: " + fmt, *args)
 
 
-class ServeServer:
+class ServeServer(_export.MetricsServer):
     """The online query service: one port, query + observability.
 
-    Mirrors :class:`~repro.obs.export.MetricsServer`'s lifecycle (daemon
-    serve thread, ephemeral ``port=0`` binding, prompt :meth:`close`)
-    and adds the ``/query`` + ``/stats/serve`` routes bound to a
-    :class:`QueryService`.
+    A :class:`~repro.obs.export.MetricsServer` whose handler also binds
+    a :class:`QueryService` for the ``/query`` + ``/stats/serve``
+    routes; :meth:`close` closes the service after the listener.
 
     Usage::
 
@@ -247,6 +244,8 @@ class ServeServer:
         server.close()
     """
 
+    handler = _ServeHandler
+
     def __init__(
         self,
         service: QueryService,
@@ -255,79 +254,17 @@ class ServeServer:
         registry=None,
         ring=None,
         slos=None,
-        timeline_spec: dict | None = None,
     ) -> None:
+        super().__init__(registry, host, port, ring, slos)
         self.service = service
-        self.host = host
-        self.registry = (
-            registry if registry is not None else _metrics.registry()
-        )
-        self.ring = ring
-        self.slos = slos
-        self.timeline_spec = timeline_spec
-        self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
 
-    @property
-    def port(self) -> int:
-        """The bound port (after :meth:`start`)."""
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    def start(self) -> "ServeServer":
-        if self._httpd is not None:
-            return self
-        handler = type(
-            "BoundServeHandler",
-            (_ServeHandler,),
-            {
-                "service": self.service,
-                "registry": self.registry,
-                "ring": self.ring,
-                "slos": self.slos,
-                "timeline_spec": self.timeline_spec,
-            },
-        )
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), handler
-        )
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve",
-            daemon=True,
-        )
-        self._thread.start()
-        logger.info(
-            "query service listening on %s:%d", self.host, self.port
-        )
-        return self
+    def _bindings(self) -> dict:
+        return {**super()._bindings(), "service": self.service}
 
     def close(self) -> None:
-        """Stop listening and detach the service's live hooks.
+        """Stop listening, then detach the service's live hooks.
 
-        Same promptness contract as :meth:`MetricsServer.close`: the
-        listening socket shuts before the join, daemonic handler threads
-        drain via their socket timeout, and the shared executor is left
-        running (its owner closes it).
+        The shared executor is left running (its owner closes it).
         """
-        httpd, self._httpd = self._httpd, None
-        thread, self._thread = self._thread, None
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5)
-            if thread.is_alive():  # pragma: no cover - defensive
-                logger.warning(
-                    "serve endpoint thread still alive after close()"
-                )
+        super().close()
         self.service.close()
-
-    def __enter__(self) -> "ServeServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -12,8 +12,8 @@ import json
 
 import pytest
 
-from repro.obs import metrics, tracing
-from repro.obs.cli import build_parser, main
+from repro.obs import metrics, requests, tracing
+from repro.obs.cli import build_parser, main, run_workload
 
 TINY = [
     "--objects", "400",
@@ -90,14 +90,18 @@ class TestEndToEnd:
         assert not tracing.enabled
 
 
-class TestNoTrace:
-    def test_metrics_only_run(self, tmp_path):
-        rc = main(["--out-dir", str(tmp_path), "--no-trace", *TINY])
-        assert rc == 0
-        assert not (tmp_path / "obs_trace.json").exists()  # no trace written
-        assert tracing.events() == []  # and no spans recorded
-        text = (tmp_path / "obs_metrics.prom").read_text()
-        assert "repro_query_seconds_bucket{" in text  # metrics still on
+class TestPhaseTimes:
+    def test_phase_sum_within_batch_wall_across_repeats(self):
+        """Each repeat of a deduplicated batch shares one result; summing
+        ``report.results`` counted its phases once per repeat and printed
+        more phase time than the batch took."""
+        args = build_parser().parse_args([*TINY, "--repeats", "3"])
+        with tracing.enabled_tracing():
+            summary = run_workload(args)
+        for algorithm, row in summary["algorithms"].items():
+            phases = row["phase_times_s"]
+            assert phases, algorithm
+            assert sum(phases.values()) <= row["wall_s"], (algorithm, row)
 
 
 class TestInstrumentationNeutrality:
@@ -141,8 +145,7 @@ class TestTelemetryMode:
         out = tmp_path_factory.mktemp("telemetry")
         code = main(
             TINY + [
-                "--telemetry", "--no-trace", "--algorithms", "stps",
-                "--sample-interval", "0.05", "--out-dir", str(out),
+                "--telemetry", "--algorithms", "stps", "--out-dir", str(out),
             ]
         )
         assert code == 0
@@ -191,101 +194,144 @@ class TestTelemetryMode:
         assert profiler.get() is None
 
 
-class TestWatchRender:
-    def test_renders_windows_gauges_and_slos(self):
-        from repro.obs.cli import render_watch
 
-        payload = {
-            "slots": 5, "capacity": 600, "samples_taken": 5,
-            "windows": {
-                "60": {
-                    "span_s": 4.0,
-                    "rates": {"repro_queries_total": 12.5},
-                    "hist": {"repro_query_seconds": {
-                        "count": 50, "p50": 0.004, "p95": 0.02, "p99": 0.08,
-                    }},
-                },
-            },
-            "timeline": [{
-                "ts": 0.0, "dt": 1.0,
-                "gauges": {
-                    "repro_resource_rss_bytes": 64 << 20,
-                    "repro_resource_threads": 7,
-                },
-            }],
-            "slo": {"slos": [{
-                "slo": "query_latency_p95_100ms",
-                "firing": False,
-                "error_budget": {
-                    "consumed": 1, "total": 2.5,
-                    "consumed_fraction": 0.4, "exhausted": False,
-                },
-            }]},
-        }
-        text = render_watch(payload)
-        assert "repro telemetry — 5/600 slots" in text
-        assert "12.5" in text      # qps
-        assert "20.00" in text     # p95 in ms
-        assert "rss_bytes" in text and "64.0 MiB" in text
-        assert "query_latency_p95_100ms" in text and "ok" in text
-        assert "40.0% used" in text
-
-    def test_handles_empty_payload(self):
-        from repro.obs.cli import render_watch
-
-        text = render_watch({})
-        assert "repro telemetry" in text
-
-    def test_watch_against_live_server(self):
-        from repro.obs.cli import main as cli_main
-        from repro.obs.export import MetricsServer
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.timeseries import TimeSeriesRing
-
-        reg = MetricsRegistry()
-        ring = TimeSeriesRing(registry=reg)
-        ring.sample()
-        with MetricsServer(reg, port=0, ring=ring) as server:
-            code = cli_main([
-                "watch", "--url", f"http://127.0.0.1:{server.port}",
-                "--iterations", "1", "--interval", "0.01",
-            ])
-        assert code == 0
-
-    def test_watch_unreachable_exits_nonzero(self, capsys):
-        from repro.obs.cli import main as cli_main
-
-        code = cli_main([
-            "watch", "--url", "http://127.0.0.1:9", "--iterations", "1",
-        ])
-        assert code == 1
+@pytest.fixture()
+def trace_store():
+    """The request-trace store on, keeping every request, then reset."""
+    requests.clear()
+    requests.configure(enabled_=True, slow_threshold_s=0.0)
+    yield
+    requests.configure(
+        enabled_=False, slow_threshold_s=requests.DEFAULT_SLOW_THRESHOLD_S
+    )
+    requests.clear()
 
 
-class TestSloSubcommand:
-    def test_healthy_run_exits_zero(self, tmp_path):
-        out = tmp_path / "verdict.json"
-        code = main([
-            "slo", "--smoke", "--queries", "3", "--repeats", "1",
-            "--objects", "400", "--features", "200", "--vocab", "16",
-            "--algorithms", "stps", "--out", str(out),
-        ])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["slos"]
+class TestTraceSubcommand:
+    @pytest.fixture()
+    def serve_url(self, srt_processor, trace_store):
+        from repro.core.executor import QueryExecutor
+        from repro.serve.http import ServeServer
+        from repro.serve.service import QueryService, ServeConfig
 
-    def test_exhausted_budget_exits_nonzero(self, tmp_path):
-        # An impossible latency SLO (nothing finishes in 100 ns) must
-        # trip the gate.
-        slo_file = tmp_path / "slo.json"
-        slo_file.write_text(json.dumps({"slos": [{
-            "name": "impossible", "kind": "latency", "objective": 0.99,
-            "metric": "repro_query_seconds", "threshold_s": 1e-7,
-            "window_s": 300.0,
-            "alerts": [],
-        }]}))
-        code = main([
-            "slo", "--smoke", "--queries", "3", "--repeats", "1",
-            "--objects", "400", "--features", "200", "--vocab", "16",
-            "--algorithms", "stps", "--slo-file", str(slo_file),
-        ])
-        assert code == 1
+        with QueryExecutor(srt_processor, max_workers=1) as executor:
+            service = QueryService(executor, ServeConfig())
+            with ServeServer(service, port=0) as server:
+                yield f"http://127.0.0.1:{server.port}"
+
+    def test_url_renders_the_kept_request_span_tree(self, serve_url, capsys):
+        import urllib.request
+
+        body = {"tenant": "acme", "k": 3, "radius": 0.21, "lam": 0.5,
+                "masks": [0xFF, 0xFF]}
+        req = urllib.request.Request(
+            serve_url + "/query", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=5) as resp:
+            trace_id = json.load(resp)["trace_id"]
+        capsys.readouterr()
+        assert main(["trace", trace_id, "--url", serve_url]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"trace {trace_id}  tenant=acme  outcome=ok")
+        for span in ("serve.request", "serve.execute", "executor.query"):
+            assert f"- {span}  " in out, out
+
+    def test_unknown_id_exits_1(self, serve_url, capsys):
+        assert main(["trace", "f" * 32, "--url", serve_url]) == 1
+        assert "no stored trace" in capsys.readouterr().err
+
+    def test_file_filters_by_tenant_and_latency(
+        self, trace_store, tmp_path, capsys
+    ):
+        a, b, c = "a" * 32, "b" * 32, "c" * 32
+        for trace_id, tenant, duration_s in (
+            (a, "acme", 0.002), (b, "acme", 0.250), (c, "other", 0.300),
+        ):
+            requests.record(trace_id, tenant, "ok", 200, duration_s)
+        dump = requests.dump_jsonl(tmp_path / "traces.jsonl")
+        requests.clear()  # the dump, not the store, is the source
+
+        def listed(*flags):
+            capsys.readouterr()
+            assert main(["trace", "--file", str(dump), "--json", *flags]) == 0
+            return sorted(t["trace_id"] for t in json.loads(
+                capsys.readouterr().out
+            ))
+
+        assert listed() == [a, b, c]
+        assert listed("--tenant", "acme") == [a, b]
+        assert listed("--min-ms", "100") == [b, c]
+        assert listed("--tenant", "acme", "--min-ms", "100") == [b]
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "a" * 32],
+        ["trace", "--url", "http://127.0.0.1:9", "--file", "x.jsonl"],
+    ], ids=["no-source", "both-sources"])
+    def test_exactly_one_source_or_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--url" in capsys.readouterr().err
+
+
+def _json_counters(doc: dict) -> dict[str, float]:
+    """``QueryPlan.counters()`` rebuilt from a ``--json`` plan document."""
+    out = {
+        "repro_combinations_total": float(
+            doc.get("combinations", {}).get("released", 0)
+        ),
+        "repro_objects_scored_total": float(doc["objects_scored"]),
+    }
+    for diag in doc["feature_sets"]:
+        out[f"repro_features_pulled_total[{diag['set_id']}]"] = float(
+            diag["features_pulled"]
+        )
+    for verdict, count in doc.get("shard_outcomes", {}).items():
+        out[f"repro_shard_queries[{verdict}]"] = float(count)
+    return out
+
+
+class TestExplainSubcommand:
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_json_plan_matches_processor_explain(self, shards, capsys):
+        from repro.core.processor import QueryProcessor
+        from repro.data.synthetic import (
+            synthetic_feature_sets,
+            synthetic_objects,
+        )
+        from repro.data.workload import WorkloadSpec, make_workload
+        from repro.shard import ShardedQueryProcessor
+
+        assert main([
+            "explain", "--json", "--shards", str(shards), "--objects", "400",
+            "--features", "200", "--vocab", "16", "--k", "5",
+            "--radius", "0.1",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        # The same world and query, built as ``run_explain`` builds them.
+        objects = synthetic_objects(400, seed=42)
+        feature_sets = synthetic_feature_sets(2, 200, 16, seed=43)
+        query = make_workload(
+            feature_sets, WorkloadSpec(n_queries=1, k=5, radius=0.1, seed=49)
+        )[0]
+        if shards:
+            with ShardedQueryProcessor.build(
+                objects, feature_sets, shards=shards, radius=0.1,
+                replication="halo",
+            ) as sharded:
+                plan = sharded.explain(query).plan
+        else:
+            plan = QueryProcessor.build(objects, feature_sets).explain(
+                query
+            ).plan
+
+        assert doc["schema_version"] == plan.schema_version
+        assert doc["algorithm"] == plan.algorithm
+        assert _json_counters(doc) == plan.counters()
+        assert plan.counters()["repro_combinations_total"] > 0
+        assert doc["feature_sets"] == [d.to_dict() for d in plan.feature_sets]
+        assert doc.get("shard_outcomes") == (
+            plan.shard_outcomes() if shards else None
+        )

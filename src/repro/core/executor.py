@@ -48,25 +48,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_WORKERS = 4
 
-#: Time a caller spends waiting at the slot gate before its query starts.
-QUEUE_WAIT_SECONDS = _metrics.registry().histogram(
-    "repro_executor_queue_wait_seconds",
-    "Time between asking and execution start.",
-    ("algorithm",),
-)
-#: Whole-batch wall time per ``QueryExecutor.run`` call.
-BATCH_SECONDS = _metrics.registry().histogram(
-    "repro_executor_batch_seconds",
-    "Wall time of one batch run.",
-    ("algorithm",),
-)
-#: Failed executions, labeled by algorithm and exception class name.
-EXECUTOR_FAILURES = _metrics.registry().counter(
-    "repro_executor_failures_total",
-    "Queries that raised inside the executor.",
-    ("algorithm", "error"),
-)
-
 ON_ERROR_MODES = ("raise", "return")
 
 #: All live executors (weak refs); the resource sampler
@@ -256,7 +237,11 @@ class QueryExecutor:
             finally:
                 self._queued -= 1
         started = time.perf_counter()
-        QUEUE_WAIT_SECONDS.labels(algorithm=algorithm).observe(started - asked)
+        _metrics.registry().histogram(
+            "repro_executor_queue_wait_seconds",
+            "Time between asking and execution start.",
+            ("algorithm",),
+        ).labels(algorithm=algorithm).observe(started - asked)
         try:
             with _tracing.span(
                 "executor.query", cat="executor", algorithm=algorithm
@@ -265,9 +250,11 @@ class QueryExecutor:
                     query, algorithm=algorithm, pulling=pulling
                 )
         except Exception as exc:
-            EXECUTOR_FAILURES.labels(
-                algorithm=algorithm, error=type(exc).__name__
-            ).inc()
+            _metrics.registry().counter(
+                "repro_executor_failures_total",
+                "Queries that raised inside the executor.",
+                ("algorithm", "error"),
+            ).labels(algorithm=algorithm, error=type(exc).__name__).inc()
             raise
         finally:
             with self._gate:
@@ -407,7 +394,11 @@ class QueryExecutor:
         t0 = time.perf_counter()
         report = self._batch(queries, algorithm, pulling, dedup, on_error)
         report.wall_s = time.perf_counter() - t0
-        BATCH_SECONDS.labels(algorithm=algorithm).observe(report.wall_s)
+        _metrics.registry().histogram(
+            "repro_executor_batch_seconds",
+            "Wall time of one batch run.",
+            ("algorithm",),
+        ).labels(algorithm=algorithm).observe(report.wall_s)
         for tree, snap in zip(trees, before):
             delta = tree.pagefile.stats.delta_since(snap)
             report.node_cache_hits += delta.node_cache_hits

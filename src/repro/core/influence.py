@@ -29,7 +29,6 @@ from repro.core.combinations import (
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.errors import QueryError
-from repro.core.stps import record_features_pulled
 from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
@@ -141,7 +140,6 @@ def stps_influence(
 
     stats.objects_scored = len(best)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps_influence", stats)
     candidates = [
         (score, oid, x, y) for oid, (score, x, y) in best.items()
     ]

@@ -27,7 +27,6 @@ from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.core.voronoi import DATA_SPACE, clip_voronoi_cell
 from repro.errors import QueryError
-from repro.core.stps import record_features_pulled
 from repro.geometry.polygon import ConvexPolygon
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
@@ -142,7 +141,6 @@ def stps_nearest(
 
     stats.objects_scored = len(collected)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps_nearest", stats)
     result = QueryResult(rank_items(collected, query.k), stats)
     tracker.finish(stats)
     return result

@@ -50,28 +50,6 @@ ALGORITHM_ISS = "iss"
 
 INDEX_CLASSES = {"srt": SRTIndex, "ir2": IR2Tree, "irtree": IRTree}
 
-_QUERY_LABELS = ("algorithm", "variant", "pulling")
-#: Query latency histogram (log buckets) — one series per
-#: algorithm/variant/pulling combination.  Always on: one observe per
-#: query, independent of the tracing flag.
-QUERY_SECONDS = _metrics.registry().histogram(
-    "repro_query_seconds", "End-to-end query latency.", _QUERY_LABELS
-)
-QUERIES_TOTAL = _metrics.registry().counter(
-    "repro_queries_total", "Queries executed.", _QUERY_LABELS
-)
-COMBINATIONS_TOTAL = _metrics.registry().counter(
-    "repro_combinations_total",
-    "Valid combinations released (Algorithm 4).",
-    _QUERY_LABELS,
-)
-OBJECTS_SCORED_TOTAL = _metrics.registry().counter(
-    "repro_objects_scored_total",
-    "Data objects scored or retrieved.",
-    _QUERY_LABELS,
-)
-
-
 class QueryProcessor:
     """Runs preference queries over a fixed set of indexes."""
 
@@ -156,68 +134,76 @@ class QueryProcessor:
         it may be omitted; items at or above it are always exact.  The
         default (``-inf``) disables the cut.  ISS ignores the hint.
 
-        Every call observes the latency histogram
-        ``repro_query_seconds{algorithm,variant,pulling}`` in the default
-        metrics registry and, when tracing is on (see
-        :mod:`repro.obs.tracing`), wraps the execution in a
+        Every call, failed ones too, is recorded once in the default
+        metrics registry, derived from ``stats``
+        (:func:`repro.obs.explain.record_query`).  When tracing is on
+        (see :mod:`repro.obs.tracing`) the execution runs in a
         ``query.<algorithm>`` span; ``result.stats.phase_times`` then
         carries the per-phase breakdown.
 
         Each call runs under a *trace id* (a fresh one, or the ambient
-        id when called inside an active trace scope — the sharded
-        fan-out relies on this) stamped onto ``result.stats.trace_id``,
-        every trace span, any flight-recorder entry, and structured
-        logs, so all diagnostics for one query join on one key.
+        id when called inside an active trace scope) stamped onto
+        ``result.stats.trace_id``, every trace span, any flight-recorder
+        entry and the latency exemplar, so all diagnostics for one query
+        join on one key.
 
         ``stats`` is the accumulator the engine counts into and returns
         as ``result.stats`` (a fresh :class:`QueryStats` when None);
         :meth:`explain` hands in one whose ``detail`` also keeps the τ
         trajectory, the chunk list and the pruned-bound summaries.
         """
+        stats = stats or QueryStats()
         t0 = time.perf_counter()
         ctx = _tracing.capture() or _tracing.TraceContext(
             _tracing.new_trace_id()
         )
-        trace_id = ctx.trace_id
         with _tracing.resume(ctx):
+            try:
+                return self.execute(query, algorithm, pulling, floor, stats)
+            finally:
+                _explain.record_query(
+                    stats, algorithm, query.variant.value, pulling,
+                    time.perf_counter() - t0,
+                )
+
+    def execute(
+        self,
+        query: PreferenceQuery,
+        algorithm: str,
+        pulling: str,
+        floor: float,
+        stats: QueryStats,
+    ) -> QueryResult:
+        """:meth:`query` without the registry record, under the ambient trace.
+
+        The ``query.<algorithm>`` span, the dispatch, the trace-id stamp
+        and the flight record.  This is one shard's part of a sharded
+        query, whose registry record is the whole query's.
+        """
+        t0 = time.perf_counter()
+        trace_id = _tracing.current_trace_id()
+        try:
             with _tracing.span(
                 f"query.{algorithm}",
                 variant=query.variant.value,
                 k=query.k,
                 c=query.c,
             ):
-                try:
-                    result = self._dispatch(
-                        query, algorithm, pulling, floor, stats
-                    )
-                except Exception as exc:
-                    if _requests.enabled:
-                        _flight.record_error(
-                            query, algorithm, pulling, trace_id,
-                            time.perf_counter() - t0, exc,
-                        )
-                    raise
-            # Still inside the trace scope: the histogram observation
-            # must see the query's trace id so exemplars can attach.
-            elapsed = time.perf_counter() - t0
-            labels = {
-                "algorithm": algorithm,
-                "variant": query.variant.value,
-                "pulling": pulling,
-            }
-            QUERY_SECONDS.labels(**labels).observe(elapsed)
-        QUERIES_TOTAL.labels(**labels).inc()
-        if result.stats.combinations:
-            COMBINATIONS_TOTAL.labels(**labels).inc(result.stats.combinations)
-        if result.stats.objects_scored:
-            OBJECTS_SCORED_TOTAL.labels(**labels).inc(
-                result.stats.objects_scored
-            )
+                result = self._dispatch(
+                    query, algorithm, pulling, floor, stats
+                )
+        except Exception as exc:
+            if _requests.enabled:
+                _flight.record_error(
+                    query, algorithm, pulling, trace_id,
+                    time.perf_counter() - t0, exc,
+                )
+            raise
         result.stats.trace_id = trace_id
         if _requests.enabled:
             _flight.maybe_record(
-                query, algorithm, pulling, trace_id, elapsed,
-                stats=result.stats,
+                query, algorithm, pulling, trace_id,
+                time.perf_counter() - t0, stats=result.stats,
             )
         return result
 
@@ -252,8 +238,8 @@ class QueryProcessor:
         query: PreferenceQuery,
         algorithm: str,
         pulling: str,
-        floor: float = float("-inf"),
-        stats: QueryStats | None = None,
+        floor: float,
+        stats: QueryStats,
     ) -> QueryResult:
         """Route to the algorithm/variant implementation (uninstrumented)."""
         if algorithm not in (ALGORITHM_STPS, ALGORITHM_STDS, ALGORITHM_ISS):
@@ -265,7 +251,7 @@ class QueryProcessor:
             # k=0 asks for nothing: the empty result is exact and
             # (vacuously) tie-complete for every engine.  Short-circuit
             # here so no engine has to reason about an empty top-k heap.
-            return QueryResult([], stats or QueryStats())
+            return QueryResult([], stats)
         if algorithm == ALGORITHM_STDS:
             return stds(
                 self.object_tree,

@@ -7,9 +7,9 @@ Voronoi-cell cost for the NN variant).
 
 :class:`QueryStats` is the *one* object the engine counts into — node
 visits, prunes, pulls, rejected combinations, dropped objects, shard
-verdicts, always.  The metrics registry, the flight recorder and the
-EXPLAIN plan (:meth:`repro.obs.explain.QueryPlan.from_stats`) all read
-it, so they cannot disagree about what the query did.
+verdicts, always.  The EXPLAIN plan, the metrics registry and the flight
+recorder are views of it (:mod:`repro.obs.explain`), so they cannot
+disagree about what the query did.
 """
 
 from __future__ import annotations

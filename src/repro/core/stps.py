@@ -20,26 +20,7 @@ from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
-from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-
-#: Feature objects pulled from the per-set sorted streams (the paper's
-#: "features pulled" cost metric, Section 8.1), labeled by feature set.
-FEATURES_PULLED = _metrics.registry().counter(
-    "repro_features_pulled_total",
-    "Feature objects pulled from the sorted streams.",
-    ("algorithm", "feature_set"),
-)
-
-
-def record_features_pulled(algorithm: str, stats: QueryStats) -> None:
-    """Fold the query's per-set pull counts into :data:`FEATURES_PULLED`."""
-    for diag in stats.feature_sets:
-        if diag.features_pulled:
-            FEATURES_PULLED.labels(
-                algorithm=algorithm, feature_set=str(diag.set_id)
-            ).inc(diag.features_pulled)
-
 
 def stps(
     object_tree: ObjectRTree,
@@ -119,7 +100,6 @@ def stps(
 
     stats.objects_scored = len(collected)
     stats.phase_times = rec.totals()
-    record_features_pulled("stps", stats)
     result = QueryResult(rank_items(collected, query.k), stats)
     tracker.finish(stats)
     return result

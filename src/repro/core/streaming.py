@@ -150,11 +150,7 @@ def _zero_tail(object_tree, seen):
 # continuous monitoring over a live dataset
 # ----------------------------------------------------------------------
 def monitor_refreshes_metric() -> "_metrics.MetricFamily":
-    """Monitor refreshes that actually re-ran the standing query.
-
-    Lazily resolved against the current default registry (same pattern
-    as :func:`repro.shard.sharded_processor.shard_queries_metric`).
-    """
+    """Monitor refreshes that actually re-ran the standing query."""
     return _metrics.registry().counter(
         "repro_live_monitor_refreshes_total",
         "Standing-query re-executions by a TopKMonitor.",

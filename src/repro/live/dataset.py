@@ -65,12 +65,7 @@ LIVE_METRIC_FAMILIES = (
 
 
 def live_mutations_metric() -> "_metrics.MetricFamily":
-    """Mutations applied, by target (``object``/``feature``) and op.
-
-    Lazily resolved against the current default registry (see
-    :func:`repro.shard.sharded_processor.shard_queries_metric` for the
-    rationale): test-scoped registries must see live-update counters.
-    """
+    """Mutations applied, by target (``object``/``feature``) and op."""
     return _metrics.registry().counter(
         "repro_live_mutations_total",
         "Live-dataset mutations applied.",

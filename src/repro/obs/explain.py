@@ -3,26 +3,25 @@
 The paper's algorithms live or die on pruning effectiveness — STDS's
 early-termination threshold ``τ̂(p)`` (Section 5, Algorithms 1-2), STPS's
 valid-combination assembly under Lemma 1 and the prioritized pulling
-strategy (Section 6, Algorithms 3-4).  The metrics registry reports *how
-long* phases took; this module reports *why*: per-feature-set node
-accesses vs. prunes with the ``ŝ(e)`` bound values, combinations
-assembled vs. rejected by Lemma 1, the threshold trajectory per pulling
-round, and — for the sharded engine — per-shard fan-out verdicts.
+strategy (Section 6, Algorithms 3-4).  This module reports *why* a query
+cost what it did: per-feature-set node accesses vs. prunes with the
+``ŝ(e)`` bound values, combinations assembled vs. rejected by Lemma 1,
+the threshold trajectory per pulling round, and — for the sharded
+engine — per-shard fan-out verdicts.
 
-The plan is a *view* of the query's one accumulator,
-:class:`repro.core.results.QueryStats`: the engine counts every event
-into it, always, and :meth:`QueryPlan.from_stats` arranges those counts
-into sections after the query returns.  This module defines the records
-the accumulator is made of (:class:`FeatureSetDiag`, :class:`ShardDiag`)
-and the :class:`PlanDetail` it carries only when a plan was asked for —
-the three series that grow with query length (τ trajectory, chunk list,
-pruned-bound summaries).  Plan counts reconcile *exactly* with the
-metrics-registry counter deltas (``repro_combinations_total``,
-``repro_features_pulled_total``, ``repro_objects_scored_total``,
-``repro_shard_queries``) because both read the same ``QueryStats``
-fields — ``tests/differential/test_plan_reconciliation.py`` checks every
-engine variant.  Render with :meth:`QueryPlan.to_dict` / ``to_json`` or
-the human-readable :meth:`QueryPlan.render`.
+Both the plan and the metrics registry are *views* of the query's one
+accumulator, :class:`repro.core.results.QueryStats`: the engine counts
+every event into it, always.  :meth:`QueryPlan.from_stats` arranges
+those counts into sections, and :func:`record_query` derives the six
+per-query registry families from them, once per query the caller asked
+for.  Both read one mapping (:func:`_increments`), so
+``plan.counters()`` equals what the query added to the registry.  This
+module also defines the records the accumulator is made of
+(:class:`FeatureSetDiag`, :class:`ShardDiag`) and the
+:class:`PlanDetail` it carries only when a plan was asked for — the
+three series that grow with query length (τ trajectory, chunk list,
+pruned-bound summaries).  Render with :meth:`QueryPlan.to_dict` /
+``to_json`` or the human-readable :meth:`QueryPlan.render`.
 
 Typical use::
 
@@ -41,6 +40,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+
+from repro.obs import metrics as _metrics
 
 #: Version of the plan JSON schema (bump on breaking field changes).
 PLAN_SCHEMA_VERSION = 1
@@ -373,21 +374,18 @@ class QueryPlan:
         return out
 
     def counters(self) -> dict[str, float]:
-        """The flat counter view the metrics registry must agree with.
+        """What :func:`record_query` added to each per-query counter.
 
-        Keys mirror the registered families so the differential tests can
-        assert ``plan.counters() == registry counter deltas`` exactly.
+        Keyed ``family`` or ``family[selector]`` (the feature set, the
+        shard verdict), read off the same mapping the registry is fed by.
         """
-        out: dict[str, float] = {
-            "repro_combinations_total": float(self.combinations_released),
-            "repro_objects_scored_total": float(self.objects_scored),
-        }
-        for diag in self.feature_sets:
-            out[f"repro_features_pulled_total[{diag.set_id}]"] = float(
-                diag.features_pulled
-            )
-        for verdict, count in self.shard_outcomes().items():
-            out[f"repro_shard_queries[{verdict}]"] = float(count)
+        out: dict[str, float] = {}
+        for name, selector, amount in _increments(
+            self.combinations_released, self.objects_scored,
+            self.feature_sets, self.shards,
+        ):
+            key = name if selector is None else f"{name}[{selector}]"
+            out[key] = out.get(key, 0.0) + amount
         return out
 
     def to_dict(self) -> dict:
@@ -524,33 +522,88 @@ class QueryPlan:
         return "\n".join(lines)
 
 
+# ----------------------------------------------------------------------
+# the registry view
+# ----------------------------------------------------------------------
+#: The labels of a query's families: the processor's three.
+_QUERY_LABELS = ("algorithm", "variant", "pulling")
+
+#: Per-query counters: family -> (help, label names).  A selector (see
+#: :func:`_increments`) fills the last label; the query's own labels, in
+#: order, fill the ones before it.
+_COUNTERS = {
+    "repro_combinations_total": (
+        "Valid combinations released (Algorithm 4).", _QUERY_LABELS
+    ),
+    "repro_objects_scored_total": (
+        "Data objects scored or retrieved.", _QUERY_LABELS
+    ),
+    "repro_features_pulled_total": (
+        "Feature objects pulled from the sorted streams.",
+        (*_QUERY_LABELS, "feature_set"),
+    ),
+    "repro_shard_queries": (
+        "Per-shard query executions by outcome.", ("algorithm", "outcome")
+    ),
+}
+
+
+def _increments(combinations, objects_scored, feature_sets, shards):
+    """``(family, selector, amount)`` for everything one query counted."""
+    yield "repro_combinations_total", None, combinations
+    yield "repro_objects_scored_total", None, objects_scored
+    for diag in feature_sets:
+        yield (
+            "repro_features_pulled_total", str(diag.set_id),
+            diag.features_pulled,
+        )
+    for shard in shards:
+        yield "repro_shard_queries", shard.verdict, 1
+
+
+def counter_family(name: str) -> "_metrics.MetricFamily":
+    """Per-query counter ``name`` in the current default registry."""
+    help_text, labelnames = _COUNTERS[name]
+    return _metrics.registry().counter(name, help_text, labelnames)
+
+
+def record_query(
+    stats, algorithm: str, variant: str, pulling: str, elapsed_s: float
+) -> None:
+    """Derive one finished query's registry updates from its ``QueryStats``.
+
+    The only writer of the six per-query families: ``repro_query_seconds``,
+    ``repro_queries_total`` and every nonzero :func:`_increments` entry.
+    ``QueryProcessor.query`` and ``ShardedQueryProcessor.query`` (over
+    the merged stats) call it once per query, on success and on failure,
+    inside the query's trace scope so the latency observation carries
+    its exemplar.
+    """
+    reg = _metrics.registry()
+    values = (algorithm, variant, pulling)
+    labels = dict(zip(_QUERY_LABELS, values))
+    reg.histogram(
+        "repro_query_seconds", "End-to-end query latency.", _QUERY_LABELS
+    ).labels(**labels).observe(elapsed_s)
+    reg.counter(
+        "repro_queries_total", "Queries executed.", _QUERY_LABELS
+    ).labels(**labels).inc()
+    for name, selector, amount in _increments(
+        stats.combinations, stats.objects_scored, stats.feature_sets,
+        stats.shards,
+    ):
+        if not amount:
+            continue
+        family = counter_family(name)
+        key = values
+        if selector is not None:
+            key = (*values[: len(family.labelnames) - 1], selector)
+        family.labels(**dict(zip(family.labelnames, key))).inc(amount)
+
+
 @dataclass(slots=True)
 class ExplainReport:
     """What ``QueryProcessor.explain`` returns: plan + ordinary result."""
 
     plan: QueryPlan
     result: object  # QueryResult (untyped to avoid an import cycle)
-
-
-# ----------------------------------------------------------------------
-# reconciliation helpers (used by the differential tests and the CLI)
-# ----------------------------------------------------------------------
-def counter_snapshot(registry) -> dict[tuple[str, tuple[str, ...]], float]:
-    """Flat ``{(family, label values): value}`` view of all counters."""
-    out: dict[tuple[str, tuple[str, ...]], float] = {}
-    for family in registry.families():
-        if family.type_name != "counter":
-            continue
-        for labelvalues, child in family.series():
-            out[(family.name, labelvalues)] = child.value
-    return out
-
-
-def counter_deltas(before: dict, after: dict) -> dict:
-    """Per-series deltas between two :func:`counter_snapshot` maps."""
-    deltas: dict[tuple[str, tuple[str, ...]], float] = {}
-    for key, value in after.items():
-        delta = value - before.get(key, 0.0)
-        if delta:
-            deltas[key] = delta
-    return deltas

@@ -45,7 +45,7 @@ CONTENT_TYPE_OPENMETRICS = (
 )
 
 #: The series ``/timeseries.json`` and the dashboard surface.
-DEFAULT_TIMELINE = {
+_DEFAULT_TIMELINE = {
     "counters": (
         "repro_queries_total",
         "repro_executor_failures_total",
@@ -218,9 +218,9 @@ def timeseries_payload(ring, slos=None) -> dict:
     ``ring`` is a :class:`~repro.obs.timeseries.TimeSeriesRing`;
     ``slos`` an optional list of :class:`~repro.obs.slo.SLO` objects
     whose verdicts are embedded under ``"slo"``.  The series shown are
-    :data:`DEFAULT_TIMELINE`'s, over the newest 300 slots.
+    ``_DEFAULT_TIMELINE``'s, over the newest 300 slots.
     """
-    spec = DEFAULT_TIMELINE
+    spec = _DEFAULT_TIMELINE
     payload: dict = {
         "samples_taken": ring.samples_taken,
         "slots": len(ring),

@@ -24,14 +24,14 @@ first use) the child series for one label combination.  Families with no
 labels proxy operations straight to their single child, so
 ``registry.counter("x").inc()`` works.
 
-All mutation goes through per-family locks, so the executor's worker
-threads may update shared series concurrently; registration goes through
-the registry lock and is idempotent (re-declaring a family with the same
-type and labels returns the existing one, mismatches raise
+All mutation goes through per-family locks, so concurrent callers may
+update shared series; registration is idempotent (re-declaring a family
+with the same type and labels returns the existing one, mismatches raise
 :class:`~repro.errors.ReproError`).
 
-A process-wide default registry is available via :func:`registry`; the
-instrumentation in ``repro.core`` records there.  ``registry().reset()``
+A process-wide default registry is available via :func:`registry`; a
+finished query's families are derived from its ``QueryStats`` there by
+:func:`repro.obs.explain.record_query`.  ``registry().reset()``
 zeroes every series while keeping the registrations (used by
 ``QueryProcessor.reset_stats`` and the tests).
 """
@@ -297,35 +297,6 @@ class Histogram:
         self._count = 0
         self._exemplars = None
 
-    def _merge(self, counts: Sequence[int], sum_: float, count: int) -> None:
-        """Fold another histogram's (same-bucket) state into this one.
-
-        Used by :func:`merge_state` to replay observations recorded in a
-        worker process; both sides must share the bucket layout.
-        """
-        if len(counts) != len(self._counts):
-            raise ReproError(
-                f"histogram merge bucket mismatch: {len(counts)} vs "
-                f"{len(self._counts)}"
-            )
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._sum += sum_
-            self._count += count
-
-    def _merge_exemplars(self, exemplars: Sequence[tuple]) -> None:
-        """Adopt worker-captured exemplars (newest timestamp wins)."""
-        with self._lock:
-            for idx, value, trace_id, ts in exemplars:
-                if not 0 <= idx < len(self._counts):
-                    continue
-                if self._exemplars is None:
-                    self._exemplars = [None] * len(self._counts)
-                current = self._exemplars[idx]
-                if current is None or ts >= current[2]:
-                    self._exemplars[idx] = (value, trace_id, ts)
-
 
 _TYPE_NAMES = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 
@@ -436,24 +407,26 @@ class MetricsRegistry:
         child_type: type,
         **child_kwargs,
     ) -> MetricFamily:
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                if (
-                    existing.child_type is not child_type
-                    or existing.labelnames != tuple(labelnames)
-                ):
-                    raise ReproError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.type_name} with labels "
-                        f"{existing.labelnames}"
+        # Callers look families up at record time, so a registered one
+        # costs a dict lookup; the lock guards creation only.
+        family = self._families.get(name)
+        if family is None:
+            with self._lock:
+                family = self._families.get(name)
+                if family is None:
+                    family = self._families[name] = MetricFamily(
+                        name, help_text, labelnames, child_type,
+                        **child_kwargs,
                     )
-                return existing
-            family = MetricFamily(
-                name, help_text, labelnames, child_type, **child_kwargs
+        if (
+            family.child_type is not child_type
+            or family.labelnames != tuple(labelnames)
+        ):
+            raise ReproError(
+                f"metric {name!r} already registered as "
+                f"{family.type_name} with labels {family.labelnames}"
             )
-            self._families[name] = family
-            return family
+        return family
 
     def counter(
         self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
@@ -540,11 +513,8 @@ def registry() -> MetricsRegistry:
 def set_registry(new: MetricsRegistry) -> MetricsRegistry:
     """Swap the default registry; returns the previous one.
 
-    Only call sites that resolve ``registry()`` *lazily* (the shard
-    layer, the exporters, new instrumentation) follow the swap — module
-    handles bound at import time (e.g. ``repro.core.processor``'s
-    counters) keep writing to the registry that was current when their
-    module was imported.  Intended for test-scoped registries; see
+    Every family is looked up in ``registry()`` when it is recorded, so
+    the swap captures everything recorded until it is undone; see
     :class:`scoped_registry`.
     """
     global _DEFAULT_REGISTRY
@@ -579,122 +549,3 @@ class scoped_registry:
         assert self._previous is not None
         set_registry(self._previous)
         return False
-
-
-# ----------------------------------------------------------------------
-# cross-process state transfer
-# ----------------------------------------------------------------------
-# The process-mode shard fan-out (repro.shard.process_runner) runs each
-# per-shard query in a worker process whose registry the parent cannot
-# see.  The worker snapshots its registry around the query, diffs the two
-# snapshots, and ships the *delta* back over the result channel; the
-# parent replays it into its own (current default) registry, so counter
-# deltas and EXPLAIN plans reconcile exactly as in serial mode.  Only
-# counters and histograms travel — gauges are point-in-time values of
-# the process that set them and would be meaningless merged.
-
-def snapshot_state(reg: MetricsRegistry | None = None) -> dict:
-    """A picklable snapshot of every counter/histogram series."""
-    reg = reg if reg is not None else registry()
-    counters = []
-    histograms = []
-    for family in reg.families():
-        if family.type_name == "counter":
-            counters.append((
-                family.name,
-                family.help,
-                family.labelnames,
-                [(lv, child.value) for lv, child in family.series()],
-            ))
-        elif family.type_name == "histogram":
-            histograms.append((
-                family.name,
-                family.help,
-                family.labelnames,
-                family._child_kwargs["buckets"],
-                [
-                    (
-                        lv,
-                        (
-                            child.bucket_counts(),
-                            child.sum,
-                            child.count,
-                            child.exemplars(),
-                        ),
-                    )
-                    for lv, child in family.series()
-                ],
-            ))
-    return {"counters": counters, "histograms": histograms}
-
-
-def diff_state(before: dict, after: dict) -> dict:
-    """The per-series delta between two :func:`snapshot_state` results.
-
-    Series absent from ``before`` contribute their full ``after`` value;
-    zero-delta series are dropped, so a typical per-query delta is tiny.
-    """
-    before_counters = {
-        (name, lv): value
-        for name, _, _, series in before["counters"]
-        for lv, value in series
-    }
-    counters = []
-    for name, help_text, labelnames, series in after["counters"]:
-        deltas = []
-        for lv, value in series:
-            delta = value - before_counters.get((name, lv), 0.0)
-            if delta:
-                deltas.append((lv, delta))
-        if deltas:
-            counters.append((name, help_text, labelnames, deltas))
-    before_hist = {
-        (name, lv): state
-        for name, _, _, _, series in before["histograms"]
-        for lv, state in series
-    }
-    histograms = []
-    for name, help_text, labelnames, buckets, series in after["histograms"]:
-        deltas = []
-        for lv, state in series:
-            counts, sum_, count = state[0], state[1], state[2]
-            exemplars = list(state[3]) if len(state) > 3 else []
-            prev = before_hist.get((name, lv))
-            if prev is not None:
-                prev_counts, prev_sum, prev_count = prev[0], prev[1], prev[2]
-                prev_ex = {
-                    (e[0], e[1], e[2], e[3]) for e in
-                    (prev[3] if len(prev) > 3 else [])
-                }
-                counts = [c - p for c, p in zip(counts, prev_counts)]
-                sum_ = sum_ - prev_sum
-                count = count - prev_count
-                exemplars = [
-                    e for e in exemplars if tuple(e) not in prev_ex
-                ]
-            if count:
-                deltas.append((lv, (counts, sum_, count, exemplars)))
-        if deltas:
-            histograms.append((name, help_text, labelnames, buckets, deltas))
-    return {"counters": counters, "histograms": histograms}
-
-
-def merge_state(delta: dict, reg: MetricsRegistry | None = None) -> None:
-    """Replay a :func:`diff_state` delta into ``reg`` (default registry).
-
-    Families and series are registered on demand with the help text,
-    label names, and bucket layout carried in the delta, so merging into
-    a fresh (e.g. test-scoped) registry just works.
-    """
-    reg = reg if reg is not None else registry()
-    for name, help_text, labelnames, series in delta["counters"]:
-        family = reg.counter(name, help_text, labelnames)
-        for lv, value in series:
-            family.labels(**dict(zip(labelnames, lv))).inc(value)
-    for name, help_text, labelnames, buckets, series in delta["histograms"]:
-        family = reg.histogram(name, help_text, labelnames, buckets=buckets)
-        for lv, state in series:
-            child = family.labels(**dict(zip(labelnames, lv)))
-            child._merge(state[0], state[1], state[2])
-            if len(state) > 3 and state[3]:
-                child._merge_exemplars(state[3])

@@ -53,6 +53,9 @@ DEFAULT_UNIFORM_EVERY = 20
 #: request dominate the store.
 MAX_SPANS_PER_TRACE = 512
 
+#: Traces one :func:`query_traces` answer holds at most.
+_QUERY_TRACES_LIMIT = 100
+
 #: Module flag, read once per request / query.  Mutate only via
 #: :func:`configure`.
 enabled = False
@@ -73,11 +76,9 @@ _counts = {
 }
 _kept_by_reason: dict[str, int] = {}
 
-#: Admission hooks: callables invoked (outside the store lock) with each
-#: newly kept :class:`RequestTrace`.  The continuous profiler registers
-#: here so admitting a slow request triggers a retroactive stack capture
-#: keyed by its trace id.  Hook exceptions are swallowed — the store
-#: must never raise into the query path.
+#: Admission hooks, called (outside the store lock, exceptions swallowed)
+#: with each newly kept :class:`RequestTrace`: the continuous profiler's
+#: retroactive stack capture, keyed by trace id, is one.
 _hooks: list = []
 
 
@@ -456,11 +457,10 @@ def query_traces(
     trace_id: str | None = None,
     tenant: str | None = None,
     min_ms: float | None = None,
-    limit: int = 100,
 ) -> list[dict]:
     """Stored traces matching every given filter, newest first."""
     found = _matching(trace_id, tenant, min_ms)
-    return [trace.to_dict() for trace in itertools.islice(found, limit)]
+    return [t.to_dict() for t in itertools.islice(found, _QUERY_TRACES_LIMIT)]
 
 
 def stats() -> dict:

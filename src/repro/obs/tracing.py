@@ -2,7 +2,7 @@
 
 Records per-query phase timelines — STPS feature pulls / combination
 assembly / threshold updates, STDS chunk scans, ISS search, R-tree node
-expansion, cache activity — as *spans* and exports them in the Chrome
+expansion — as *spans* and exports them in the Chrome
 trace-event JSON format (load the file in Perfetto / ``chrome://tracing``
 to see the timeline, one track per thread).
 
@@ -12,8 +12,6 @@ paths pay one branch and one call when tracing is off (the tier-1
 overhead budget is <2%; see ``tests/obs/test_tracing.py``).  Hot loops
 can do even better by checking :data:`enabled` (or
 ``recorder.active``) once per iteration and skipping the call entirely.
-``set_enabled(True, verbose_events=True)`` additionally records
-per-event instants at cache decision points (very large traces).
 
 The event buffer is process-wide, thread-safe, and capped at
 :data:`MAX_EVENTS` (overflow is counted, not stored).  It holds compact
@@ -49,9 +47,6 @@ MAX_EVENTS = 1_000_000
 #: Module flag, read on hot paths.  Mutate only via :func:`set_enabled`.
 enabled = False
 
-#: Verbose mode: also record per-event cache-activity instants.
-verbose = False
-
 _lock = threading.Lock()
 _events: list[tuple] = []
 _dropped = 0
@@ -67,7 +62,7 @@ _EPOCH = time.perf_counter()
 # ----------------------------------------------------------------------
 #: A span is this 7-tuple everywhere — global buffer, collector, worker
 #: result channel: ``(name, cat, t0, t1, args, trace_id, tid)`` with raw
-#: ``perf_counter`` stamps (``t1`` is None for an instant) and ``tid``
+#: ``perf_counter`` stamps and ``tid``
 #: either a local thread id or ``(pid, tid)`` for a span adopted from
 #: another process.  Chrome-event dicts exist only on the read side
 #: (:func:`events`, :func:`chrome_trace`, :meth:`SpanCollector.snapshot`).
@@ -138,15 +133,17 @@ _ctx_var: contextvars.ContextVar[TraceContext | None] = (
 _collecting = 0
 
 
-def _forget_collectors() -> None:
-    # A fork taken mid-request (the shard pool starts workers lazily)
-    # must not leave the child's spans armed for good.
-    global _collecting
+def _disarm_after_fork() -> None:
+    # A fork taken mid-request or mid-trace (the shard pool starts
+    # workers lazily) must not leave the child's spans armed for good:
+    # a shard worker records only into the collector it is handed.
+    global _collecting, enabled
     _collecting = 0
+    enabled = False
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_collectors)
+    os.register_at_fork(after_in_child=_disarm_after_fork)
 
 
 def new_trace_id() -> str:
@@ -222,34 +219,22 @@ class trace_scope(resume):
 # ----------------------------------------------------------------------
 # enable / disable
 # ----------------------------------------------------------------------
-def set_enabled(on: bool, verbose_events: bool | None = None) -> bool:
-    """Turn tracing on/off; returns the previous enabled flag.
-
-    ``verbose_events`` (when given) sets the verbose flag too; disabling
-    tracing always clears it.
-    """
-    global enabled, verbose
+def set_enabled(on: bool) -> bool:
+    """Turn tracing on/off; returns the previous enabled flag."""
+    global enabled
     previous = enabled
     enabled = bool(on)
-    if not enabled:
-        verbose = False
-    elif verbose_events is not None:
-        verbose = bool(verbose_events)
     return previous
 
 
 class enabled_tracing:
     """Context manager enabling tracing for a block (tests, CLI)."""
 
-    def __init__(self, verbose_events: bool = False) -> None:
-        self._verbose = verbose_events
-
     def __enter__(self) -> None:
-        self._previous = (enabled, verbose)
-        set_enabled(True, verbose_events=self._verbose)
+        self._previous = set_enabled(True)
 
     def __exit__(self, *exc) -> bool:
-        set_enabled(*self._previous)
+        set_enabled(self._previous)
         return False
 
 
@@ -259,7 +244,7 @@ class enabled_tracing:
 def add_complete(
     name: str,
     t0: float,
-    t1: float | None,
+    t1: float,
     cat: str = "query",
     args: dict | None = None,
 ) -> None:
@@ -287,12 +272,6 @@ def add_complete(
         if tid not in _thread_names:
             _thread_names[tid] = threading.current_thread().name
         _events.append(span)
-
-
-def instant(name: str, cat: str = "event", **args) -> None:
-    """Record an instant event (no-op while tracing is off)."""
-    if enabled:
-        add_complete(name, time.perf_counter(), None, cat, args or None)
 
 
 class _NullSpan:
@@ -422,15 +401,11 @@ def _chrome_events(spans: list[tuple]) -> list[dict]:
         pid = own_pid
         if type(tid) is tuple:  # adopted from another process
             pid, tid = tid
-        event = {"name": name, "cat": cat, "ts": (t0 - _EPOCH) * 1e6}
-        if t1 is None:
-            event["ph"] = "i"
-            event["s"] = "t"  # thread-scoped
-        else:
-            event["ph"] = "X"
-            event["dur"] = max(0.0, (t1 - t0) * 1e6)
-        event["pid"] = pid
-        event["tid"] = tid
+        event = {
+            "name": name, "cat": cat, "ts": (t0 - _EPOCH) * 1e6,
+            "ph": "X", "dur": max(0.0, (t1 - t0) * 1e6),
+            "pid": pid, "tid": tid,
+        }
         if trace_id is not None:
             args = dict(args) if args else {}
             args.setdefault("trace_id", trace_id)

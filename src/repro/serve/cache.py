@@ -52,12 +52,7 @@ DELTA_LOG = 1024
 
 def cache_outcomes_metric() -> "_metrics.MetricFamily":
     """Cache lookups by outcome: hit / miss / stale, and ``revalidated``
-    for the hits that replayed deltas; fills and evictions.
-
-    Lazily resolved against the current default registry (the pattern
-    established by :func:`repro.live.dataset.live_mutations_metric`) so
-    test-scoped registries see serving-cache traffic.
-    """
+    for the hits that replayed deltas; fills and evictions."""
     return _metrics.registry().counter(
         "repro_serve_cache_total",
         "Serving result-cache events.",

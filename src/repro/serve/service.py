@@ -101,7 +101,7 @@ SERVE_METRIC_FAMILIES = (
 
 
 def requests_metric() -> "_metrics.MetricFamily":
-    """Per-tenant requests by outcome; lazily bound to the registry."""
+    """Per-tenant requests by outcome."""
     return _metrics.registry().counter(
         "repro_serve_requests_total",
         "Serving requests by tenant and outcome.",

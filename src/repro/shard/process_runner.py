@@ -17,14 +17,12 @@ threads would only interleave there).  This module uses more cores:
    one lightweight :class:`~repro.core.processor.QueryProcessor` per
    shard for reuse across queries (its node caches are worker-local,
    so hot queries stay hot per worker);
-4. **observe** — the worker runs the query under the parent's
-   :class:`ObsContext`, then ships back the
-   :class:`~repro.core.results.QueryResult` (its ``stats`` are what
-   the parent merges and builds the shard's sub-plan from) plus a
-   metrics-registry delta (:func:`repro.obs.metrics.diff_state`) and
-   the span tuples and query records its span collector gathered, so
-   the parent's registry, plans, and trace store reconcile exactly as
-   in serial mode.
+4. **observe** — the worker runs its part of the query under the
+   parent's :class:`ObsContext` and records nothing in its own
+   registry.  It ships back the :class:`~repro.core.results.QueryResult`
+   (whose ``stats`` the parent merges, builds the shard's sub-plan from
+   and records once for the whole query) and the span tuples and query
+   records its span collector gathered.
 
 Cold-cache semantics: ``ShardedQueryProcessor.clear_buffers`` cannot
 reach worker-process caches directly, so it bumps a per-processor
@@ -48,7 +46,6 @@ from repro.core.results import QueryStats
 from repro.errors import ReproError, ShardError
 from repro.index.reopen import open_tree
 from repro.obs import explain as _explain
-from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
 from repro.storage.shm import SharedMemoryPageFile
@@ -90,11 +87,8 @@ class ObsContext:
     trace_id: str
     #: Spans are wanted: tracing is on or a request collector is live.
     spans: bool
-    #: Cache-activity instants are wanted too.
-    verbose: bool
     #: The trace store is on: build engine-level query records.
     records: bool
-    exemplars: bool
 
     @classmethod
     def capture(cls, trace_id: str) -> "ObsContext":
@@ -103,9 +97,7 @@ class ObsContext:
             trace_id=trace_id,
             spans=_tracing.enabled
             or (ctx is not None and ctx.collector is not None),
-            verbose=_tracing.verbose,
             records=_requests.enabled,
-            exemplars=_metrics.exemplars_enabled,
         )
 
 
@@ -219,30 +211,21 @@ def _run_shard_query(
     """Execute one shard query in a worker process; returns plain data.
 
     Never raises: failures come back as an error payload (with the
-    pickled exception when transferable) so the metrics delta and any
-    query records survive the failure, exactly as they would in-process.
+    pickled exception when transferable) so the verdict and any query
+    records survive the failure, exactly as they would in-process.
 
     The query runs under a worker-local span collector, so its spans and
     query records travel back in the payload (span tuples carry raw
     monotonic-clock stamps, valid in the parent as they are) for
     :func:`repro.obs.tracing.ingest` / :func:`repro.obs.flight.ingest`;
-    retention is decided in the parent.  The worker's own store stays
-    empty and its own tracer is switched on only for the cache instants
-    guarded by ``tracing.verbose``.  ``obs.exemplars`` mirrors the
-    parent's exemplar flag so worker histogram observations carry trace
-    ids too (they travel inside the metrics delta).  ``explain`` makes
-    the result's stats carry the plan detail (they cross the hop as
-    part of the result).
+    retention is decided in the parent and the worker's own store stays
+    empty.  ``explain`` makes the result's stats carry the plan detail
+    (they cross the hop as part of the result).
     """
     _requests.configure(enabled_=obs.records)
-    _tracing.set_enabled(obs.verbose, verbose_events=obs.verbose)
-    if obs.verbose:
-        _tracing.clear()  # the collector's copy is the one that travels
-    _metrics.set_exemplars(obs.exemplars)
     gathered = (
         _tracing.SpanCollector() if obs.spans or obs.records else None
     )
-    before = _metrics.snapshot_state()
     t0 = time.perf_counter()
     error_payload = None
     result = None
@@ -256,14 +239,9 @@ def _run_shard_query(
             processor.clear_buffers()
             _WORKER["epochs"][shard_id] = epoch
         with _tracing.trace_scope(obs.trace_id, gathered):
-            result = processor.query(
-                query,
-                algorithm=algorithm,
-                pulling=pulling,
-                floor=floor,
-                stats=QueryStats(
-                    detail=_explain.PlanDetail() if explain else None
-                ),
+            result = processor.execute(
+                query, algorithm, pulling, floor,
+                QueryStats(detail=_explain.PlanDetail() if explain else None),
             )
     except Exception as exc:  # noqa: BLE001 — transferred to the parent
         try:
@@ -282,7 +260,6 @@ def _run_shard_query(
         "elapsed_s": elapsed_s,
         "result": result,
         "error": error_payload,
-        "metrics": _metrics.diff_state(before, _metrics.snapshot_state()),
         "records": gathered.records if gathered is not None else (),
         "spans": list(gathered.spans) if obs.spans else (),
         "pid": os.getpid(),

@@ -68,37 +68,16 @@ FANOUT_MODES = ("serial", "processes")
 
 #: Metric families owned by this module — the scope of
 #: :meth:`ShardedQueryProcessor.reset_stats`'s registry reset.
-SHARD_METRIC_FAMILIES = (
-    "repro_shard_queries",
-    "repro_shard_fanout_seconds",
-)
+SHARD_METRIC_FAMILIES = ("repro_shard_queries",)
 
 
 def shard_queries_metric() -> "_metrics.MetricFamily":
     """Per-shard execution outcomes (``executed``/``pruned``/``failed``).
 
-    Resolved against the *current* default registry on every call —
-    deliberately not bound at import time, so a test-scoped registry
-    (:class:`repro.obs.metrics.scoped_registry`) sees shard metrics.
-    Callers on the query path resolve once per query, not per shard.
+    Resolved against the *current* default registry on every call, like
+    every family :func:`repro.obs.explain.record_query` records into.
     """
-    return _metrics.registry().counter(
-        "repro_shard_queries",
-        "Per-shard query executions by outcome.",
-        ("algorithm", "outcome"),
-    )
-
-
-def shard_fanout_seconds_metric() -> "_metrics.MetricFamily":
-    """Wall time of the whole fan-out (bounds + dispatch + gather).
-
-    Lazily resolved; see :func:`shard_queries_metric`.
-    """
-    return _metrics.registry().histogram(
-        "repro_shard_fanout_seconds",
-        "Fan-out wall time of one sharded query.",
-        ("algorithm",),
-    )
+    return _explain.counter_family("repro_shard_queries")
 
 
 class _Fanout:
@@ -110,18 +89,12 @@ class _Fanout:
     because the items seen are a subset of all candidates.
     """
 
-    __slots__ = (
-        "_k", "_heap", "_external", "_algorithm", "_outcomes", "_verdicts",
-        "results",
-    )
+    __slots__ = ("_k", "_heap", "_external", "_verdicts", "results")
 
-    def __init__(self, k, external_floor, algorithm, verdicts) -> None:
+    def __init__(self, k, external_floor, verdicts) -> None:
         self._k = k
         self._heap: list[float] = []  # min-heap of the best k scores
         self._external = external_floor
-        self._algorithm = algorithm
-        # One registry resolution per query, not per shard.
-        self._outcomes = shard_queries_metric()
         self._verdicts = verdicts
         self.results: list[QueryResult] = []
 
@@ -136,24 +109,18 @@ class _Fanout:
         if len(self._heap) == self._k and self._heap[0] > floor:
             floor = self._heap[0]
         if math.isfinite(floor) and bound < floor:
-            self._record(ShardDiag(shard_id, "pruned", bound, floor))
+            self._verdicts.append(ShardDiag(shard_id, "pruned", bound, floor))
             return None
         return floor
 
-    def _record(self, verdict: ShardDiag) -> None:
-        self._outcomes.labels(
-            algorithm=self._algorithm, outcome=verdict.verdict
-        ).inc()
-        self._verdicts.append(verdict)
-
     def failed(self, shard_id, bound, floor, elapsed_s, error: str) -> None:
-        self._record(ShardDiag(
+        self._verdicts.append(ShardDiag(
             shard_id, "failed", bound, floor, elapsed_s=elapsed_s, error=error
         ))
 
     def executed(self, shard_id, bound, floor, elapsed_s, result) -> None:
         """Keep the result; the shard's scores raise the floor."""
-        self._record(ShardDiag(
+        self._verdicts.append(ShardDiag(
             shard_id, "executed", bound, floor, elapsed_s=elapsed_s,
             stats=result.stats,
         ))
@@ -507,34 +474,47 @@ class ShardedQueryProcessor:
         behind another merger.  ``stats`` is the accumulator to count
         into (a fresh one when None): every shard's verdict with its
         bound and floor, and the executed shards' own stats merged in.
+        The registry records the whole query once, from those stats,
+        failed ones too; the shards' parts record nothing.
         """
         if self._closed:
             raise ShardError(-1, "sharded processor is closed")
-        self._check_supported(query)
-        if query.k == 0:
-            # Nothing to fan out for: k=0's empty answer is exact and
-            # tie-complete regardless of shard layout or fanout mode
-            # (and a 0-item heap has no meaningful floor).
-            stats = stats or QueryStats()
-            stats.trace_id = (
-                _tracing.current_trace_id() or _tracing.new_trace_id()
-            )
-            return QueryResult([], stats)
+        stats = stats or QueryStats()
         t0 = time.perf_counter()
         ctx = _tracing.capture() or _tracing.TraceContext(
             _tracing.new_trace_id()
         )
-        trace_id = ctx.trace_id
+        with _tracing.resume(ctx):
+            try:
+                return self._fan_out(
+                    query, algorithm, pulling, floor, stats, t0
+                )
+            finally:
+                # The query's one registry record: over the merged stats,
+                # or over the verdicts reached before a failure.
+                _explain.record_query(
+                    stats, algorithm, query.variant.value, pulling,
+                    time.perf_counter() - t0,
+                )
+
+    def _fan_out(
+        self, query, algorithm, pulling, floor, stats, t0,
+    ) -> QueryResult:
+        """Bound, fan out and merge, under the query's trace."""
+        self._check_supported(query)
+        trace_id = stats.trace_id = _tracing.current_trace_id()
+        if query.k == 0:
+            # Nothing to fan out for: k=0's empty answer is exact and
+            # tie-complete regardless of shard layout or fanout mode
+            # (and a 0-item heap has no meaningful floor).
+            return QueryResult([], stats)
         rec = _tracing.recorder()
-        stats = stats or QueryStats()
-        fan = _Fanout(query.k, floor, algorithm, stats.shards)
+        fan = _Fanout(query.k, floor, stats.shards)
         run = self._run_serial
         if self.fanout == "processes":
             run = self._run_processes
         try:
-            with _tracing.resume(ctx), rec.span(
-                "shard.fanout", shards=self.shard_count
-            ):
+            with rec.span("shard.fanout", shards=self.shard_count):
                 ordered = sorted(
                     ((shard.bound(query), i) for i, shard in
                      enumerate(self.shards)),
@@ -551,9 +531,6 @@ class ShardedQueryProcessor:
                     time.perf_counter() - t0, exc, stats=stats,
                 )
             raise
-        shard_fanout_seconds_metric().labels(algorithm=algorithm).observe(
-            time.perf_counter() - t0
-        )
 
         with rec.span("shard.merge"):
             candidates = [
@@ -569,7 +546,6 @@ class ShardedQueryProcessor:
             if verdict.stats is not None:
                 stats.merge(verdict.stats)
         stats.wall_s = time.perf_counter() - t0
-        stats.trace_id = trace_id
         for phase, seconds in rec.totals().items():
             stats.phase_times[phase] = (
                 stats.phase_times.get(phase, 0.0) + seconds
@@ -674,12 +650,9 @@ class ShardedQueryProcessor:
                 with _tracing.span(
                     "shard.query", cat="phase", shard=shard_id, bound=bound
                 ):
-                    result = shard.processor.query(
-                        query,
-                        algorithm=algorithm,
-                        pulling=pulling,
-                        floor=floor,
-                        stats=QueryStats(
+                    result = shard.processor.execute(
+                        query, algorithm, pulling, floor,
+                        QueryStats(
                             detail=_explain.PlanDetail() if explain else None
                         ),
                     )
@@ -705,8 +678,7 @@ class ShardedQueryProcessor:
         ``workers`` in flight; each dispatch re-reads the merged floor,
         so shards falling out of contention while earlier ones run are
         pruned without ever crossing the process boundary.  Completed
-        payloads are folded back in completion order: metrics deltas
-        into the (possibly scoped) parent registry, spans and query
+        payloads are folded back in completion order: spans and query
         records into the dispatching trace context, verdicts (with the
         worker's stats) into ``fan`` — the observable behavior matches
         serial mode exactly.
@@ -742,8 +714,7 @@ class ShardedQueryProcessor:
                 bound, shard_id, floor = in_flight.pop(future)
                 payload = future.result()
                 # Fold observability back in even for failed shards —
-                # the worker did the work; the registry must show it.
-                _metrics.merge_state(payload["metrics"])
+                # the worker did the work; the trace must show it.
                 _flight.ingest(payload["records"], shard_id=shard_id)
                 _tracing.ingest(
                     payload["spans"], payload["pid"],
@@ -766,7 +737,7 @@ class ShardedQueryProcessor:
                 while len(in_flight) < workers and dispatch_next():
                     pass
             # On failure: stop dispatching, drain what is in flight so
-            # their metrics/query records land, then raise.
+            # their verdicts and query records land, then raise.
         if failure is not None:
             raise failure
 

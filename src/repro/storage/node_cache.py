@@ -35,7 +35,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
-from repro.obs import tracing as _tracing
 
 logger = logging.getLogger(__name__)
 
@@ -88,17 +87,11 @@ class NodeCache:
                 self.misses += 1
                 if self.stats is not None:
                     self.stats.record_node_cache_miss()
-                if _tracing.verbose:  # pragma: no branch - flag check
-                    _tracing.instant(
-                        "node_cache.miss", cat="cache", page_id=page_id
-                    )
                 return None
             self._cache.move_to_end(page_id)
             self.hits += 1
             if self.stats is not None:
                 self.stats.record_node_cache_hit()
-            if _tracing.verbose:
-                _tracing.instant("node_cache.hit", cat="cache", page_id=page_id)
             return node
 
     def put(self, node: "Node") -> None:

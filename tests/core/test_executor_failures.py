@@ -12,16 +12,14 @@ import random
 
 import pytest
 
-from repro.core.executor import (
-    EXECUTOR_FAILURES,
-    BatchReport,
-    QueryExecutor,
-    QueryFailure,
-)
+from repro.core.executor import BatchReport, QueryExecutor, QueryFailure
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.errors import QueryError
 from repro.model.dataset import FeatureDataset, ObjectDataset
+from repro.obs import metrics
+from repro.obs.slo import default_slos
+from repro.obs.timeseries import TimeSeriesRing
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import make_data_objects, make_feature_objects
 
@@ -118,15 +116,50 @@ class TestOnErrorReturn:
 
     def test_failures_counted_in_metrics(self, processor):
         flaky = _FlakyProcessor(processor)
-        series = EXECUTOR_FAILURES.labels(
+        with metrics.scoped_registry() as reg:
+            with QueryExecutor(flaky, max_workers=2) as executor:
+                executor.query_many(
+                    [_query(seed=10, radius=POISON_RADIUS)], on_error="return"
+                )
+        series = reg.get("repro_executor_failures_total").labels(
             algorithm="stps", error="RuntimeError"
         )
-        before = series.value
-        with QueryExecutor(flaky, max_workers=2) as executor:
-            executor.query_many(
-                [_query(seed=10, radius=POISON_RADIUS)], on_error="return"
-            )
-        assert series.value == before + 1
+        assert series.value == 1
+
+
+class TestFailedQueriesCounted:
+    """A query that raises inside the engine is still a query."""
+
+    @pytest.fixture()
+    def broken(self, processor, monkeypatch):
+        def dispatch(*args, **kwargs):
+            raise RuntimeError("simulated engine fault")
+
+        monkeypatch.setattr(processor, "_dispatch", dispatch)
+        return processor
+
+    def _fail_batch(self, processor, n: int) -> None:
+        queries = [_query(seed=40 + i) for i in range(n)]
+        with QueryExecutor(processor) as executor:
+            report = executor.run(queries, on_error="return", dedup=False)
+        assert len(report.failures) == n
+
+    def test_failed_queries_move_queries_total(self, broken):
+        with metrics.scoped_registry() as reg:
+            self._fail_batch(broken, 20)
+        family = reg.get("repro_queries_total")
+        assert sum(child.value for _, child in family.series()) == 20
+
+    def test_query_availability_sees_the_failures(self, broken):
+        with metrics.scoped_registry() as reg:
+            ring = TimeSeriesRing(registry=reg, capacity=8)
+            ring.sample()
+            self._fail_batch(broken, 20)
+            ring.sample()
+        (slo,) = [s for s in default_slos() if s.name == "query_availability"]
+        verdict = slo.evaluate(ring)
+        assert verdict["bad"] == verdict["total"] == 20
+        assert verdict["ok"] is False
 
 
 class TestOnErrorRaise:

@@ -1,16 +1,20 @@
 """Differential check: EXPLAIN plans reconcile with metric counters.
 
-The QueryPlan is a view of the query's ``QueryStats``; the Prometheus
-counters are incremented from the same stats after the query returns.
-If the two ever disagree, one of them is lying about what the query did.
-For every algorithm/variant/pulling combination (and the sharded
-engine), this module runs ``explain`` and asserts
+The QueryPlan and the registry's per-query families are two views of
+the query's ``QueryStats``, derived once per query the caller asked
+for.  If the two ever disagree, one of them is lying about what the
+query did.  For every algorithm/variant/pulling combination (and the
+sharded engine in both fan-out modes), this module runs ``explain``
+under a fresh registry and asserts
 
-* ``plan.counters()`` equals the registry counter deltas caused by that
-  one query, family by family (label-selected where the plan key names
-  a feature set or a shard verdict), and
+* the registry holds exactly ``plan.counters()``, family by family
+  (label-selected where the plan key names a feature set or a shard
+  verdict), every series under the query's own labels, and
 * the explained result is item-identical to a plain ``query`` run —
   diagnostics must never perturb answers.
+
+A sharded query is one query to the registry: it moves
+``repro_queries_total`` once, whatever its fan-out or ``k``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.obs import metrics as _metrics
-from repro.obs.explain import counter_deltas, counter_snapshot
 from repro.shard import ShardedQueryProcessor
+from repro.shard.sharded_processor import FANOUT_MODES
 
 #: plan.counters() key grammar: ``family`` or ``family[selector]``.
 _KEY_RE = re.compile(r"^(?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*)(\[(?P<sel>[^\]]+)\])?$")
@@ -51,33 +55,42 @@ def processor(corpus):
     return QueryProcessor.build(objects, feature_sets)
 
 
-def _summed_delta(deltas, family: str, selector: str | None) -> float:
-    """Sum a family's deltas, filtered to the plan key's selector."""
-    fam = _metrics.registry().get(family)
-    sel_pos = None
-    if selector is not None:
-        assert fam is not None, f"plan names unregistered family {family}"
-        sel_pos = fam.labelnames.index(_SELECTOR_LABEL[family])
-    total = 0.0
-    for (name, labelvalues), value in deltas.items():
-        if name != family:
+def _registry_view(reg, labels: dict) -> dict[str, float]:
+    """A fresh registry's per-query counters in ``plan.counters()`` form.
+
+    Every series must carry the query's own labels; the selector label
+    (feature set, shard verdict) becomes the key's ``[...]`` part.
+    """
+    out: dict[str, float] = {}
+    for family in reg.families():
+        if family.type_name != "counter":
             continue
-        if sel_pos is not None and labelvalues[sel_pos] != selector:
+        if family.name == "repro_queries_total":
             continue
-        total += value
-    return total
+        for labelvalues, child in family.series():
+            bound = dict(zip(family.labelnames, labelvalues))
+            selector = bound.pop(_SELECTOR_LABEL.get(family.name), None)
+            assert bound == {name: labels[name] for name in bound}, (
+                f"{family.name}{labelvalues} is not under {labels}"
+            )
+            key = family.name
+            if selector is not None:
+                key = f"{family.name}[{selector}]"
+            assert _KEY_RE.match(key), f"malformed counter key {key!r}"
+            out[key] = out.get(key, 0.0) + child.value
+    return out
 
 
-def _assert_plan_matches_deltas(plan, deltas) -> None:
-    counters = plan.counters()
-    assert counters, "plan produced no counters"
-    for key, expected in counters.items():
-        m = _KEY_RE.match(key)
-        assert m, f"malformed plan counter key {key!r}"
-        got = _summed_delta(deltas, m.group("family"), m.group("sel"))
-        assert got == pytest.approx(expected), (
-            f"{key}: plan says {expected}, registry moved by {got}"
-        )
+def _assert_registry_is_plan_view(reg, plan, labels: dict) -> None:
+    expected = {key: value for key, value in plan.counters().items() if value}
+    assert expected, "plan produced no counters"
+    assert _registry_view(reg, labels) == expected
+
+
+def _labels(algorithm, variant, pulling) -> dict:
+    return {
+        "algorithm": algorithm, "variant": variant.value, "pulling": pulling,
+    }
 
 
 CONFIGS = [
@@ -96,10 +109,13 @@ class TestUnshardedReconciliation:
         self, processor, algorithm, variant, pulling
     ):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101), variant)
-        before = counter_snapshot(_metrics.registry())
-        report = processor.explain(query, algorithm=algorithm, pulling=pulling)
-        deltas = counter_deltas(before, counter_snapshot(_metrics.registry()))
-        _assert_plan_matches_deltas(report.plan, deltas)
+        with _metrics.scoped_registry() as reg:
+            report = processor.explain(
+                query, algorithm=algorithm, pulling=pulling
+            )
+        _assert_registry_is_plan_view(
+            reg, report.plan, _labels(algorithm, variant, pulling)
+        )
 
     @pytest.mark.parametrize(("algorithm", "variant", "pulling"), CONFIGS)
     def test_explain_result_identical_to_plain_query(
@@ -125,11 +141,12 @@ class TestShardedReconciliation:
         self, sharded, pulling
     ):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
-        before = counter_snapshot(_metrics.registry())
-        report = sharded.explain(query, pulling=pulling)
-        deltas = counter_deltas(before, counter_snapshot(_metrics.registry()))
+        with _metrics.scoped_registry() as reg:
+            report = sharded.explain(query, pulling=pulling)
         plan = report.plan
-        _assert_plan_matches_deltas(plan, deltas)
+        _assert_registry_is_plan_view(
+            reg, plan, _labels("stps", Variant.RANGE, pulling)
+        )
         # Shard verdicts account for every shard exactly once.
         assert len(plan.shards) == len(sharded.shards)
         assert [s.shard_id for s in plan.shards] == [0, 1, 2]
@@ -146,9 +163,9 @@ class TestShardedReconciliation:
 
 
 class TestProcessFanoutReconciliation:
-    """Process-mode fan-out: worker metric deltas and sub-plans must be
-    forwarded over the result channel such that plan/registry
-    reconciliation is exact — same invariant as in-process execution."""
+    """Process-mode fan-out: worker stats and sub-plans cross the result
+    channel, and the parent derives the registry from the merged stats —
+    the same invariant as in-process execution."""
 
     @pytest.fixture(scope="class")
     def sharded(self, corpus):
@@ -164,11 +181,12 @@ class TestProcessFanoutReconciliation:
         self, sharded, pulling
     ):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
-        before = counter_snapshot(_metrics.registry())
-        report = sharded.explain(query, pulling=pulling)
-        deltas = counter_deltas(before, counter_snapshot(_metrics.registry()))
+        with _metrics.scoped_registry() as reg:
+            report = sharded.explain(query, pulling=pulling)
         plan = report.plan
-        _assert_plan_matches_deltas(plan, deltas)
+        _assert_registry_is_plan_view(
+            reg, plan, _labels("stps", Variant.RANGE, pulling)
+        )
         assert len(plan.shards) == len(sharded.shards)
         # Executed shards carry their worker-produced sub-plan.
         executed = [s for s in plan.shards if s.verdict == "executed"]
@@ -230,3 +248,35 @@ class TestProcessFanoutReconciliation:
         assert serial.result.stats.pull_rounds > 0
         assert serial.plan.counters() == processes.plan.counters()
         assert serial.result.items == processes.result.items
+
+
+class TestCountedOnce:
+    """One sharded query is one query to the registry."""
+
+    @pytest.fixture(scope="class", params=FANOUT_MODES)
+    def sharded(self, request, corpus):
+        objects, feature_sets = corpus
+        with ShardedQueryProcessor.build(
+            objects, feature_sets, shards=3, radius=0.08,
+            fanout=request.param,
+        ) as proc:
+            yield proc
+
+    @pytest.mark.parametrize("k", [5, 0])
+    def test_sharded_query_is_counted_once(self, sharded, k):
+        query = PreferenceQuery(k, 0.06, 0.5, (0b1011, 0b1101))
+        with _metrics.scoped_registry() as reg:
+            sharded.query(query)
+        ((_, total),) = reg.get("repro_queries_total").series()
+        ((_, seconds),) = reg.get("repro_query_seconds").series()
+        assert total.value == 1
+        assert seconds.count == 1
+
+    def test_latency_exemplar_is_the_whole_query(self, sharded):
+        query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
+        with _metrics.enabled_exemplars(), _metrics.scoped_registry() as reg:
+            result = sharded.query(query)
+        ((_, seconds),) = reg.get("repro_query_seconds").series()
+        ((_, value, trace_id, _),) = seconds.exemplars()
+        assert trace_id == result.stats.trace_id
+        assert value >= result.stats.wall_s

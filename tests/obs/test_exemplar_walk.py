@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core.processor import QUERY_SECONDS, QueryProcessor
+from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.obs import flight, metrics, profiler, requests
@@ -48,7 +48,7 @@ def processor() -> QueryProcessor:
 
 
 def _exemplar_for(trace_id: str):
-    for _, child in QUERY_SECONDS.series():
+    for _, child in metrics.registry().get("repro_query_seconds").series():
         for bucket_index, value, tid, ts in child.exemplars():
             if tid == trace_id:
                 return bucket_index, value, child

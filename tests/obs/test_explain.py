@@ -19,10 +19,7 @@ from repro.obs.explain import (
     PlanDetail,
     QueryPlan,
     ShardDiag,
-    counter_deltas,
-    counter_snapshot,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardedQueryProcessor
 
 QUERY = PreferenceQuery(5, 0.05, 0.5, (0b1, 0b1))
@@ -332,19 +329,3 @@ class TestExplainEndToEnd:
         assert plan.trace_id == report.result.stats.trace_id != ""
         assert (plan.k, plan.c, plan.radius) == (0, 2, 0.05)
 
-
-class TestCounterSnapshot:
-    def test_snapshot_and_deltas(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c_total", "c", ("lbl",))
-        reg.gauge("g").set(5)  # gauges excluded from counter snapshots
-        c.labels(lbl="a").inc(2)
-        before = counter_snapshot(reg)
-        c.labels(lbl="a").inc(3)
-        c.labels(lbl="b").inc(1)
-        deltas = counter_deltas(before, counter_snapshot(reg))
-        assert deltas == {
-            ("c_total", ("a",)): 3.0,
-            ("c_total", ("b",)): 1.0,
-        }
-        assert ("g", ()) not in before

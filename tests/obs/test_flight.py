@@ -194,7 +194,7 @@ class TestShardedIntegration:
             # Sabotage every shard so whichever runs first raises a
             # wrapped ShardError (run order follows the root bounds).
             for shard in sharded.shards:
-                shard.processor.query = _boom
+                shard.processor.execute = _boom
             with pytest.raises(ShardError):
                 sharded.query(_query())
         records = flight.records()

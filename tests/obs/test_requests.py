@@ -175,7 +175,7 @@ class TestTailSampling:
                 )
         stats = rq.stats()
         assert stats["bytes"] <= stats["max_bytes"]
-        stored = {t["trace_id"] for t in rq.query_traces(limit=10_000)}
+        stored = {t.trace_id for t in rq.entries()}
         assert set(interesting) <= stored
         assert stats["evicted_interesting"] == 0
 

@@ -34,10 +34,6 @@ class TestDisabledByDefault:
         assert rec.totals() == {}
         assert tracing.events() == []
 
-    def test_instant_noop(self):
-        tracing.instant("cache.hit", page_id=3)
-        assert tracing.events() == []
-
     def test_disabled_overhead_smoke(self):
         """A disabled span() call stays cheap (loose upper bound)."""
         n = 100_000
@@ -84,9 +80,12 @@ class TestCollectorScope:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_fork_child_starts_with_no_live_collector(self):
-        # The shard pool forks its workers lazily, i.e. mid-request.
+        # The shard pool forks its workers lazily, i.e. mid-request and
+        # mid-trace: the child starts with tracing off, too.
         read_end, write_end = os.pipe()
-        with tracing.trace_scope("t3", tracing.SpanCollector()):
+        with tracing.enabled_tracing(), tracing.trace_scope(
+            "t3", tracing.SpanCollector()
+        ):
             pid = os.fork()
             if pid == 0:
                 armed = tracing.span("x") is not tracing.NULL_SPAN
@@ -109,20 +108,6 @@ class TestEnabledSpans:
         assert event["ts"] >= 0
         assert event["args"] == {"variant": "range", "k": 5}
         assert "pid" in event and "tid" in event
-
-    def test_instant_event(self):
-        tracing.set_enabled(True, verbose_events=True)
-        assert tracing.verbose is True
-        tracing.instant("node_cache.hit", cat="cache", page_id=7)
-        (event,) = tracing.events()
-        assert event["ph"] == "i"
-        assert event["s"] == "t"
-        assert event["args"] == {"page_id": 7}
-
-    def test_disable_clears_verbose(self):
-        tracing.set_enabled(True, verbose_events=True)
-        tracing.set_enabled(False)
-        assert tracing.verbose is False
 
     def test_set_enabled_returns_previous(self):
         assert tracing.set_enabled(True) is False

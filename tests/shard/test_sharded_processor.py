@@ -207,7 +207,7 @@ class TestFailureIsolation:
         def bad_query(*args, **kwargs):
             raise exc
 
-        shard.processor.query = bad_query
+        shard.processor.execute = bad_query
 
     @classmethod
     def _poison(cls, sharded, exc):

@@ -9,7 +9,6 @@ from repro.core.combinations import (
 )
 from repro.core.executor import BatchReport, QueryExecutor
 from repro.core.influence import stps_influence
-from repro.core.nearest import stps_nearest
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, ResultItem
@@ -20,7 +19,7 @@ from repro.core.stds import (
     compute_scores_batch,
     stds,
 )
-from repro.core.stps import stps
+from repro.core.stps import stps, stps_nearest
 from repro.core.stream import FeatureStream, StreamedFeature, virtual_feature
 from repro.core.voronoi import clip_voronoi_cell, nearest_relevant, voronoi_cell
 

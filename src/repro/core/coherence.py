@@ -1,10 +1,11 @@
-"""Which mutations can change a known top-k (result-cache coherence).
+"""Which mutations can change a known top-k (standing-answer coherence).
 
-A cached answer is the top-k of one world; :func:`answer_survives`
-decides whether it is still the top-k after a sequence of live-dataset
-deltas ``(target, op, set_id, old, new)`` (what a
-:meth:`~repro.live.LiveBase.add_mutation_listener` listener receives),
-without re-running the query.  Each delta is judged on its own against
+A cached or monitored answer is the top-k of one world;
+:func:`answer_survives` decides whether it is still the top-k after a
+sequence of live-dataset deltas ``(target, op, set_id, old, new)``
+(entries of the dataset's mutation log, replayed by
+:meth:`repro.live.LiveBase.revalidate`), without re-running the
+query.  Each delta is judged on its own against
 the answer — the rules bound what *any* object can gain or lose from
 it, so harmless deltas compose in any order.  Any doubt is "no".  With
 ``s_k`` the last reported score and "full" meaning ``len(items) == k``:

@@ -24,11 +24,10 @@ from collections.abc import Sequence
 
 from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.influence import stps_influence
-from repro.core.nearest import stps_nearest
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats
 from repro.core.stds import stds
-from repro.core.stps import stps
+from repro.core.stps import stps, stps_nearest, stps_stream
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.ir2 import IR2Tree
@@ -319,11 +318,9 @@ class QueryProcessor:
         """Yield results in rank order, lazily (range / NN variants).
 
         Unlike :meth:`query`, iteration is unbounded by ``k``: keep
-        consuming for "next page" semantics.  See
-        :mod:`repro.core.streaming`.
+        consuming for "next page" semantics.  The ranks, ties included,
+        are :meth:`query`'s (:func:`repro.core.stps.stps_stream`).
         """
-        from repro.core.streaming import stps_stream
-
         return stps_stream(self.object_tree, self.feature_trees, query, pulling)
 
     def clear_buffers(self) -> dict[str, int]:

@@ -24,10 +24,16 @@ brute-force shadow or a rebuilt-from-scratch index is always one
 :meth:`~LiveBase.objects_snapshot` / :meth:`~LiveBase.feature_snapshots`
 call away.
 
+Every mutation bumps :attr:`~LiveBase.version` and records its delta in
+the dataset's one mutation log, the last :data:`DELTA_LOG` of them.
+:meth:`~LiveBase.revalidate` replays that log against a known answer
+(:func:`repro.core.coherence.answer_survives`); the serving cache and
+:class:`~repro.live.TopKMonitor` both keep their answers current by it.
+
 Concurrency model: one writer.  Mutations take an internal lock against
 each other, but a mutation concurrent with a query may expose the query
 to a half-updated tree — serialize externally (e.g. behind the
-executor) when mixing.
+executor) when mixing.  Reading the log takes no lock.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.core.coherence import answer_survives
 from repro.core.processor import QueryProcessor
 from repro.core.stds import score_object
 from repro.errors import DatasetError
@@ -55,6 +62,10 @@ MUTATION_OPS = (
     "insert_object",
     "delete_object",
 )
+
+#: Mutation deltas kept for replay.  An answer last proven more
+#: mutations ago than this cannot be revalidated and is stale.
+DELTA_LOG = 1024
 
 #: Metric families owned by the live-update layer (reset scope).
 LIVE_METRIC_FAMILIES = (
@@ -148,7 +159,9 @@ class LiveBase:
         self._labels = [fs.label for fs in feature_sets]
         #: Monotone mutation counter; bumped once per applied mutation.
         self.version = 0
-        self._mutation_listeners: list = []
+        #: Ring of ``(version, delta)``: slot ``v % DELTA_LOG`` holds
+        #: mutation ``v`` until mutation ``v + DELTA_LOG`` overwrites it.
+        self._log: list[tuple[int, tuple] | None] = [None] * DELTA_LOG
 
     # ------------------------------------------------------------------
     # index write hooks (subclass responsibility)
@@ -306,41 +319,60 @@ class LiveBase:
                 f"unknown mutation op {op!r}; choose from {MUTATION_OPS}"
             )
 
-    def add_mutation_listener(self, fn) -> None:
-        """Register ``fn(target, op, set_id, old, new)``, called with the
-        delta of every applied mutation.
-
-        ``target`` is ``"feature"`` or ``"object"``, ``op`` the verb
-        (``insert`` / ``delete`` / ``move`` / ``rescore``), ``set_id``
-        the feature set (None for objects), and ``old`` / ``new`` the
-        :class:`FeatureObject` / :class:`DataObject` before and after
-        (None on insert / delete respectively).
-
-        Listeners run under the mutation lock, *after* the index write
-        and mirror update committed — a listener that maintains a
-        derived structure (e.g. the serving layer's result cache, see
-        :mod:`repro.serve.cache`) therefore never observes a
-        half-applied world.  Keep listeners cheap: they sit on the
-        mutation path.
-        """
-        with self._lock:
-            self._mutation_listeners.append(fn)
-
-    def remove_mutation_listener(self, fn) -> None:
-        """Unregister a listener previously added (missing ones are a no-op)."""
-        with self._lock:
-            try:
-                self._mutation_listeners.remove(fn)
-            except ValueError:
-                pass
-
     def _bump(
         self, target: str, op: str, set_id: int | None, old, new
     ) -> None:
-        self.version += 1
+        # Runs under the mutation lock, after the index write and mirror
+        # update committed.  The delta is logged before the version that
+        # names it is published: a reader never sees a version whose
+        # delta is missing.
+        version = self.version + 1
+        self._log[version % DELTA_LOG] = (
+            version, (target, op, set_id, old, new)
+        )
+        self.version = version
         live_mutations_metric().labels(target=target, op=op).inc()
-        for fn in tuple(self._mutation_listeners):
-            fn(target, op, set_id, old, new)
+
+    def deltas(self, since: int) -> list[tuple] | None:
+        """The deltas of mutations ``since + 1 .. version``, oldest first,
+        or None when some of them already fell off the log.
+
+        A delta is ``(target, op, set_id, old, new)``: ``target`` is
+        ``"feature"`` or ``"object"``, ``op`` the verb (``insert`` /
+        ``delete`` / ``move`` / ``rescore``), ``set_id`` the feature set
+        (None for objects), and ``old`` / ``new`` the
+        :class:`FeatureObject` / :class:`DataObject` before and after
+        (None on insert / delete respectively).
+        """
+        version = self.version
+        if not 0 <= version - since <= DELTA_LOG:
+            return None
+        log = self._log
+        out = []
+        for v in range(since + 1, version + 1):
+            entry = log[v % DELTA_LOG]
+            if entry[0] != v:
+                return None  # overwritten by a newer mutation meanwhile
+            out.append(entry[1])
+        return out
+
+    def revalidate(self, query, items, since: int) -> int | None:
+        """The version ``items`` is now proven the answer to ``query`` at,
+        given it was at version ``since``; None when a delta since may
+        have changed it or is no longer in the log.
+
+        Replays :meth:`deltas` through
+        :func:`repro.core.coherence.answer_survives` (rules R1-R5) with
+        this dataset's :meth:`object_score`.  Reading the log takes no
+        lock, so only an inserted object (R5 scores it on the trees)
+        can make a replay wait behind a tree write.
+        """
+        deltas = self.deltas(since)
+        if deltas is None or not answer_survives(
+            query, items, deltas, self.object_score
+        ):
+            return None
+        return since + len(deltas)
 
     def object_score(
         self, query, point: tuple[float, float]

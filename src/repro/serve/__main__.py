@@ -6,9 +6,7 @@ The README's "Serving queries" quickstart::
 
 builds a synthetic dataset, mounts :class:`~repro.serve.http.ServeServer`
 (query endpoint + metrics/dashboard on one port) and prints a few
-ready-to-paste example requests.  ``--live`` wraps the processor's
-dataset in a :class:`~repro.live.LiveDataset` so live mutations
-(via the Python API) invalidate the serving cache.
+ready-to-paste example requests.
 
 Ctrl-C stops the server.
 """

@@ -262,7 +262,7 @@ class ServeServer(_export.MetricsServer):
         return {**super()._bindings(), "service": self.service}
 
     def close(self) -> None:
-        """Stop listening, then detach the service's live hooks.
+        """Stop listening, then close the service.
 
         The shared executor is left running (its owner closes it).
         """

@@ -280,9 +280,7 @@ class QueryService:
             default=self.config.default_quota,
             overrides=self.config.quota_overrides,
         )
-        self.cache = ResultCache(max_entries=self.config.cache_entries)
-        if live is not None:
-            self.cache.attach_live(live)
+        self.cache = ResultCache(self.config.cache_entries, live)
         self._lock = threading.Lock()
         #: ``(monotonic stamp, queue wait)`` pairs; bounded by count
         #: *and* expired by age (``queue_wait_horizon_s``) so the gate
@@ -561,6 +559,5 @@ class QueryService:
         }
 
     def close(self) -> None:
-        """Detach live-mutation listeners (the executor is shared: the
-        owner closes it)."""
-        self.cache.detach()
+        """Nothing to release: the executor is shared (its owner closes
+        it) and the cache registers nothing on the live dataset."""

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.bruteforce import brute_force
-from repro.core.nearest import stps_nearest
+from repro.core.stps import stps_nearest
 from repro.core.query import PreferenceQuery, Variant
 from repro.errors import QueryError
 from tests.conftest import random_mask

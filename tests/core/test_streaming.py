@@ -5,9 +5,13 @@ import itertools
 import pytest
 
 from repro.core.bruteforce import brute_force
+from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
-from repro.core.streaming import stps_stream
+from repro.core.stps import stps_stream
 from repro.errors import QueryError
+from repro.model.dataset import FeatureDataset, ObjectDataset
+from repro.model.objects import DataObject, FeatureObject
+from repro.text.vocabulary import Vocabulary
 
 
 def _q(variant=Variant.RANGE, k=5, radius=0.08):
@@ -20,6 +24,10 @@ def _q(variant=Variant.RANGE, k=5, radius=0.08):
     )
 
 
+def _ranked(items):
+    return [(i.oid, round(i.score, 9)) for i in items]
+
+
 class TestStreaming:
     @pytest.mark.parametrize("variant", [Variant.RANGE, Variant.NEAREST])
     def test_prefix_matches_query(self, srt_processor, variant):
@@ -28,9 +36,37 @@ class TestStreaming:
             itertools.islice(srt_processor.stream(query), query.k)
         )
         batch = srt_processor.query(query)
-        assert [round(i.score, 9) for i in streamed] == [
-            round(i.score, 9) for i in batch.items
+        assert _ranked(streamed) == _ranked(batch.items)
+
+    @pytest.mark.parametrize("variant", [Variant.RANGE, Variant.NEAREST])
+    def test_ties_stream_in_query_order(self, variant):
+        """Two sets with two equal-score features each, at (0.8, 0.8) and
+        (0.2, 0.2): every combination ties, so retrieval order is not
+        rank order — the stream releases a score level by ascending oid
+        once the next combination scores lower, as ``query()`` ranks."""
+        vocab = Vocabulary(["kw"])
+        sets = [
+            FeatureDataset(
+                [
+                    FeatureObject(10 * i, 0.8, 0.8, 0.5, frozenset({0})),
+                    FeatureObject(10 * i + 1, 0.2, 0.2, 0.5, frozenset({0})),
+                ],
+                vocab,
+                f"set{i}",
+            )
+            for i in range(2)
         ]
+        objects = ObjectDataset(
+            [DataObject(1, 0.8, 0.8), DataObject(2, 0.2, 0.2),
+             DataObject(3, 0.5, 0.5)]
+        )
+        processor = QueryProcessor.build(objects, sets)
+        query = PreferenceQuery(2, 0.1, 0.5, (1, 1), variant)
+        expected = _ranked(processor.query(query).items)
+        assert [oid for oid, _ in expected] == [1, 2]
+        streamed = list(processor.stream(query))
+        assert _ranked(streamed[:2]) == expected
+        assert sorted(i.oid for i in streamed) == [1, 2, 3]
 
     @pytest.mark.parametrize("variant", [Variant.RANGE, Variant.NEAREST])
     def test_full_stream_matches_brute_force(

@@ -149,13 +149,14 @@ def test_sharded_processes_refreeze_oracle():
         # Prime the worker pool on the original segments so the refreeze
         # path exercises manifest *replacement*, not first attachment.
         live.query(_queries(seed=7)[0])
-        deltas = []
-        live.add_mutation_listener(lambda *delta: deltas.append(delta))
+        since = live.version
         stream = MutationStream(live, seed=107)
         total = _drive(live, stream, FULL_BATTERY)
         assert total >= 200
         assert live.refreezes > 0
-        # One delta per mutation, thawed and refrozen shards included.
+        # One logged delta per mutation, thawed and refrozen shards
+        # included.
+        deltas = live.deltas(since)
         assert len(deltas) == total
         assert {d[:2] for d in deltas} == {
             ("feature", "insert"), ("feature", "delete"), ("feature", "move"),

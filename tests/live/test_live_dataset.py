@@ -1,5 +1,5 @@
 """Unit tests for the live-update layer (:mod:`repro.live`) and the
-standing-query monitor (:class:`repro.core.streaming.TopKMonitor`).
+standing-query monitor (:class:`repro.live.TopKMonitor`).
 
 The oracle and stateful suites prove end-to-end correctness; this file
 pins the surface: validation errors, declarative mutation dispatch,
@@ -9,26 +9,26 @@ monitor's delta reporting.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.query import PreferenceQuery, Variant
-from repro.core.streaming import (
-    TopKDelta,
-    TopKMonitor,
-    monitor_changes_metric,
-    monitor_refreshes_metric,
-)
 from repro.errors import DatasetError, ShardError
 from repro.live import (
+    DELTA_LOG,
     LIVE_METRIC_FAMILIES,
     MUTATION_OPS,
     LiveDataset,
     LiveShardedDataset,
     Mutation,
+    TopKDelta,
+    TopKMonitor,
     feature_entry,
     object_entry,
 )
 from repro.live.dataset import live_mutations_metric
+from repro.live.monitor import monitor_changes_metric, monitor_refreshes_metric
 from repro.live.sharded import live_relocations_metric
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs.metrics import registry
@@ -175,10 +175,10 @@ class TestMutations:
             Mutation("delete_object", oid=oid),
         ]
         assert {e.op for e in events} == set(MUTATION_OPS)
-        deltas = []
-        live.add_mutation_listener(lambda *delta: deltas.append(delta))
+        since = live.version
         for event in events:
             live.apply(event)
+        deltas = live.deltas(since)
         assert [d[:3] for d in deltas] == [
             ("feature", "insert", 0), ("feature", "move", 0),
             ("feature", "rescore", 0), ("feature", "delete", 0),
@@ -297,15 +297,51 @@ class TestTopKMonitor:
     def test_drain_applies_then_refreshes_once(self, live):
         registry().reset(MONITOR_METRIC_FAMILIES)
         monitor = TopKMonitor(live, QUERY)
-        oid = live.object_ids()[0]
         delta = monitor.drain(
             [
                 Mutation("insert_object", obj=DataObject(940, 0.5, 0.5)),
-                Mutation("delete_object", oid=oid),
+                Mutation("delete_object", oid=monitor.results[0].oid),
             ]
         )
         assert delta.version == live.version
         assert monitor_refreshes_metric().value == 2  # baseline + one
+
+    def test_a_write_that_cannot_change_the_answer_runs_nothing(self, live):
+        registry().reset(MONITOR_METRIC_FAMILIES)
+        monitor = TopKMonitor(live, QUERY)
+        before = monitor.results
+        reported = {item.oid for item in before}
+        live.delete_object(
+            next(oid for oid in live.object_ids() if oid not in reported)
+        )  # R4: an unreported object leaving
+        delta = monitor.refresh()
+        assert not delta.changed and delta.version == live.version
+        assert monitor.version == live.version
+        assert monitor.results is before
+        assert monitor_refreshes_metric().value == 1  # baseline only
+        assert monitor.refresh(force=True).version == live.version
+        assert monitor_refreshes_metric().value == 2
+
+    def test_an_answer_older_than_the_log_is_re_run(self, live):
+        registry().reset(MONITOR_METRIC_FAMILIES)
+        monitor = TopKMonitor(live, QUERY)
+        everyone = live.query(dataclasses.replace(QUERY, k=live.n_objects))
+        last = everyone.items[-1]  # scores below the k-th: R5 passes it
+        assert last.score < monitor.results[-1].score
+        obj = live.get_object(last.oid)
+
+        def churn(pairs: int) -> None:
+            for _ in range(pairs):
+                live.delete_object(obj.oid)
+                live.insert_object(obj)
+
+        churn(1)
+        assert not monitor.refresh().changed
+        assert monitor_refreshes_metric().value == 1  # replayed: R4, R5
+        churn(DELTA_LOG // 2 + 1)  # one write more than the log holds
+        delta = monitor.refresh()
+        assert not delta.changed and delta.version == live.version
+        assert monitor_refreshes_metric().value == 2
 
     def test_delta_changed_property(self):
         assert not TopKDelta(0).changed
@@ -361,8 +397,7 @@ class TestShardedRouting:
     def test_boundary_crossing_move_counts_a_relocation(self):
         with self.small_sharded() as live:
             registry().reset(LIVE_METRIC_FAMILIES)
-            deltas = []
-            live.add_mutation_listener(lambda *delta: deltas.append(delta))
+            since = live.version
             # Corner-to-corner move: the halo set must change on a 2x2
             # partition with r=0.25.
             feature = FeatureObject(952, 0.02, 0.02, 0.9, frozenset({1}))
@@ -371,7 +406,7 @@ class TestShardedRouting:
             moved = live.move_feature(0, 952, 0.98, 0.98)
             assert live.relocations == before + 1
             assert live_relocations_metric().value == 1
-            # The listener gets the same delta as on a single node — the
+            # The log holds the same delta as on a single node — the
             # objects before and after, whatever the shards did — for
             # the re-halo move and for each of the other five ops.
             rescored = live.rescore_feature(0, 952, 0.2)
@@ -380,7 +415,7 @@ class TestShardedRouting:
             live.insert_object(obj)
             live.delete_object(953)
             assert (moved.x, moved.y, moved.score) == (0.98, 0.98, 0.9)
-            assert deltas == [
+            assert live.deltas(since) == [
                 ("feature", "insert", 0, None, feature),
                 ("feature", "move", 0, feature, moved),
                 ("feature", "rescore", 0, moved, rescored),

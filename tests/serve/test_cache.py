@@ -1,5 +1,5 @@
-"""Result-cache tests: LRU/epoch mechanics, the live-coherence
-differential — a mutation that changes a cached query's answer must
+"""Result-cache tests: LRU/epoch mechanics over a live dataset's version,
+the live-coherence differential — a mutation that changes a cached query's answer must
 never be served stale (verified against brute force at 1e-9) — and one
 hand-built kill test per rule of ``repro.core.coherence``: a world in
 which serving the entry without that rule's guard is a wrong top-k.
@@ -7,21 +7,24 @@ which serving the entry without that rule's guard is a wrong top-k.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro.core.bruteforce import brute_force
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery, Variant
-from repro.core.results import QueryResult, ResultItem
+from repro.core.results import QueryResult
 from repro.errors import ReproError
-from repro.live import LiveDataset
+from repro.live import DELTA_LOG, LiveDataset
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs import metrics as _metrics
-from repro.serve.cache import DELTA_LOG, ResultCache, query_signature
+from repro.serve.cache import ResultCache, query_signature
 from repro.serve.service import QueryService, ServeConfig
 from repro.text.vocabulary import Vocabulary
 
@@ -98,44 +101,65 @@ class TestLRU:
         assert len(cache) == 0
 
 
+def small_live() -> LiveDataset:
+    objects, feature_sets = live_world(n_objects=40, n_features=30, seed=9)
+    return LiveDataset.build(
+        objects, feature_sets, page_size=512, buffer_pages=32
+    )
+
+
+_fresh_fids = itertools.count(999_100)
+
+
+def bump(live) -> None:
+    """One write: the dataset's version, and so the cache epoch, moves."""
+    live.insert_feature(
+        0, FeatureObject(next(_fresh_fids), 0.5, 0.5, 0.9, frozenset({1}))
+    )
+
+
 class TestEpochs:
-    def test_bump_invalidates_everything_lazily(self):
-        cache = ResultCache()
+    """An entry filled without its query cannot be replayed: any write
+    behind its stamp makes it stale."""
+
+    @pytest.fixture()
+    def cache(self) -> ResultCache:
+        return ResultCache(live=small_live())
+
+    def test_bump_invalidates_everything_lazily(self, cache):
         cache.put(("a",), _result(1))
         cache.put(("b",), _result(2))
-        cache.bump()
+        bump(cache.live)
         assert cache.get(("a",)) is None
         assert cache.get(("b",)) is None
         assert cache.stale == 2
         assert len(cache) == 0  # stale entries dropped on lookup
 
-    def test_refill_after_bump_serves_again(self):
-        cache = ResultCache()
+    def test_refill_after_bump_serves_again(self, cache):
         cache.put(("a",), _result(1))
-        cache.bump()
+        bump(cache.live)
         cache.put(("a",), _result(2))
         assert cache.get(("a",)).stats.wall_s == 2
 
-    def test_fill_computed_before_a_bump_is_dropped(self):
+    def test_fill_computed_before_a_bump_is_dropped(self, cache):
         # A mutation lands between the miss and the fill: the answer was
         # computed on the pre-mutation world and must not be stamped
         # with the post-mutation epoch.
-        cache = ResultCache()
         assert cache.get(("k",)) is None
         epoch = cache.epoch
-        cache.bump()
+        bump(cache.live)
+        assert cache.epoch == cache.live.version == epoch + 1
         assert cache.put(("k",), _result(1), epoch) is False
         assert cache.get(("k",)) is None and len(cache) == 0
         # The same fill at an unmoved epoch is kept.
         assert cache.put(("k",), _result(2), cache.epoch) is True
         assert cache.get(("k",)).stats.wall_s == 2
 
-    def test_metrics_count_events(self):
+    def test_metrics_count_events(self, cache):
         with _metrics.scoped_registry() as reg:
-            cache = ResultCache()
             cache.put(("a",), _result(1))
             cache.get(("a",))
-            cache.bump()
+            bump(cache.live)
             cache.get(("a",))
             family = reg.get("repro_serve_cache_total")
             counts = {lv[0]: c.value for lv, c in family.series()}
@@ -145,47 +169,27 @@ class TestEpochs:
 class TestLiveCoherence:
     @pytest.fixture()
     def live(self) -> LiveDataset:
-        objects, feature_sets = live_world(
-            n_objects=40, n_features=30, seed=9
-        )
-        return LiveDataset.build(
-            objects, feature_sets, page_size=512, buffer_pages=32
-        )
+        return small_live()
 
     def test_mutation_bumps_attached_cache(self, live):
-        cache = ResultCache()
-        cache.attach_live(live)
+        cache = ResultCache(live=live)
         cache.put(("k",), _result(1))
         live.insert_feature(
             0, FeatureObject(999_001, 0.5, 0.5, 0.9, frozenset({1}))
         )
         assert cache.get(("k",)) is None  # stale, not served
-        cache.detach()
-        live.insert_feature(
-            0, FeatureObject(999_002, 0.6, 0.6, 0.9, frozenset({2}))
-        )
-        cache.put(("k2",), _result(2))
-        assert cache.get(("k2",)) is not None  # detached: no more bumps
 
-    def test_attaching_a_second_dataset_detaches_the_first(self):
-        class Live:
-            def __init__(self):
-                self.listeners = []
-
-            def add_mutation_listener(self, fn):
-                self.listeners.append(fn)
-
-            def remove_mutation_listener(self, fn):
-                self.listeners.remove(fn)
-
-        first, second = Live(), Live()
-        cache = ResultCache()
-        cache.attach_live(first)
-        cache.attach_live(second)
-        assert not first.listeners and len(second.listeners) == 1
-        cache.detach()
-        cache.detach()  # idempotent
-        assert not second.listeners
+    def test_a_dropped_service_frees_its_cache(self, live):
+        # The dataset holds no reference to a cache fronting it: a
+        # service dropped without close() takes its cache with it.
+        with QueryExecutor(live.processor, max_workers=1) as executor:
+            service = QueryService(executor, ServeConfig(), live=live)
+            service.handle("t", QUERY)
+            cache = weakref.ref(service.cache)
+            del service
+            gc.collect()
+            assert cache() is None
+            bump(live)  # and the dataset carries on without it
 
     def test_served_answers_track_mutations_vs_brute_force(self, live):
         """The coherence differential the satellite demands.
@@ -280,8 +284,7 @@ class HandBuilt:
         )
         self.query = PreferenceQuery(k, 0.1, 0.0, (1, 1))
         self.key = query_signature(self.query, "stps", "prioritized")
-        self.cache = ResultCache()
-        self.cache.attach_live(self.live)
+        self.cache = ResultCache(live=self.live)
         self.filled = self.live.query(self.query, algorithm="stps")
         self.cache.put(self.key, self.filled, self.cache.epoch, self.query)
 
@@ -470,44 +473,29 @@ class TestCoherenceRules:
         assert w.cache.get(w.key) is None  # one delta fell off the log
         assert w.ranked() == w.ranked(w.filled)  # doubt, not a change
 
-    def test_an_unscoped_bump_is_not_replayed_around(self):
-        w = HandBuilt()
-        w.live.rescore_feature(0, 91, 0.5)
-        w.assert_survives()
-        # The log holds two harmless deltas and the entry is two epochs
-        # behind — but one of those epochs was the bump.
-        w.cache.bump()
-        w.live.delete_feature(0, 91)
-        assert w.cache.get(w.key) is None
-
 
 def test_racing_lookups_fills_and_writes_keep_the_books():
-    """Threads replay deltas outside the cache lock while the others keep
-    appending them, re-stamping and refilling: every lookup is still
-    counted exactly once, nothing but the filled result is ever served,
-    and a write that kills the answer is never replayed around."""
-
-    class Live:
-        def add_mutation_listener(self, fn):
-            self.fire = fn
-
-        def remove_mutation_listener(self, fn):
-            pass
-
-    live = Live()
-    mutation_lock = threading.Lock()  # LiveBase: one writer at a time
-    cache = ResultCache()
-    cache.attach_live(live)
-    query = PreferenceQuery(1, 0.1, 0.5, (1, 1))
-    filled = QueryResult([ResultItem(1, 1.5, 0.5, 0.5)])
-    harmless = FeatureObject(7, 0.5, 0.5, 1.0, frozenset({5}))
+    """Threads replay the dataset's log outside the cache lock while the
+    others keep writing to it, re-stamping and refilling: every lookup
+    is still counted exactly once, nothing but the filled result is
+    ever served, and a write that kills the answer is never replayed
+    around."""
+    w = HandBuilt(k=1)
+    live, cache, query, filled = w.live, w.cache, w.query, w.filled
+    fids = itertools.count(1000)
     wrong = []
 
     def work() -> None:
         for i in range(2000):
             if i % 3 == 0:
-                with mutation_lock:
-                    live.fire("feature", "insert", 0, None, harmless)
+                # Harmless by R1: keyword 5 is not the query's.
+                fid = next(fids)
+                live.insert_feature(
+                    0,
+                    FeatureObject(
+                        fid, fid % 97 / 97, fid % 89 / 89, 1.0, frozenset({5})
+                    ),
+                )
             got = cache.get(("k",))
             if got is None:
                 cache.put(("k",), filled, cache.epoch, query)
@@ -529,6 +517,5 @@ def test_racing_lookups_fills_and_writes_keep_the_books():
     assert cache.hits + cache.misses + cache.stale == 4 * 2000
     assert cache.revalidated > 1000 and cache.epoch == 4 * 667
     cache.put(("k",), filled, cache.epoch, query)
-    with mutation_lock:
-        live.fire("object", "delete", None, DataObject(1, 0.5, 0.5), None)
+    live.delete_object(filled.items[0].oid)
     assert cache.get(("k",)) is None

@@ -16,15 +16,12 @@ from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.errors import QueryError, ReproError
-from repro.model.objects import FeatureObject
 from repro.obs import metrics as _metrics
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import QueryService, ServeConfig
 
 QUERY = PreferenceQuery(3, 0.1, 0.5, (0b111, 0b101))
 OTHER = PreferenceQuery(4, 0.1, 0.5, (0b111, 0b101))
-#: A feature sharing no keyword with QUERY's first set.
-IRRELEVANT = FeatureObject(1, 0.5, 0.5, 0.9, frozenset({5}))
 
 
 class FakeExecutor:
@@ -122,23 +119,21 @@ class TestCacheGate:
         assert second.result.items[0].oid == first.result.items[0].oid
 
     def test_mutation_during_a_miss_is_not_cached_as_fresh(self):
-        # The live dataset's listener fires while the executor is still
-        # computing the miss: that answer may predate the write, so the
-        # next request must execute again instead of hitting it.
+        # The live dataset moves while the executor is still computing
+        # the miss: that answer may predate the write, so the next
+        # request must execute again instead of hitting it.
         class Live:
-            def add_mutation_listener(self, fn):
-                self.fire = fn
+            version = 0
 
-            def remove_mutation_listener(self, fn):
-                pass
+            def revalidate(self, query, items, since):
+                return self.version  # every write harmless, were it replayed
 
         class MutatingExecutor(FakeExecutor):
             def execute_one(self, *args, **kwargs):
                 out = super().execute_one(*args, **kwargs)
                 if self.calls == 1:
-                    # Harmless by R1 (no keyword of QUERY) — were it
-                    # replayed; a fill that overlapped it is dropped.
-                    live.fire("feature", "insert", 0, None, IRRELEVANT)
+                    # A fill that overlapped a write is dropped.
+                    live.version += 1
                 return out
 
         live = Live()

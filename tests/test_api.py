@@ -90,3 +90,15 @@ class TestPublicApi:
 
         assert FANOUT_MODES == ("serial", "processes")
         assert not [name for name in dir(leafdata) if "vectorized" in name]
+
+    def test_standing_answers_replay_the_datasets_own_log(self):
+        """One mutation log, owned by the dataset: the monitor lives with
+        it, and nothing subscribes to a dataset's writes."""
+        import repro.live as live
+        from repro.serve.cache import ResultCache
+
+        assert {"TopKMonitor", "TopKDelta"} <= set(live.__all__)
+        assert not hasattr(live.LiveBase, "add_mutation_listener")
+        assert not hasattr(live.LiveBase, "remove_mutation_listener")
+        assert not hasattr(ResultCache, "bump")
+        assert not hasattr(ResultCache, "attach_live")

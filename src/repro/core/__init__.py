@@ -12,16 +12,15 @@ from repro.core.influence import stps_influence
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, ResultItem
-from repro.core.stds import (
-    compute_score,
-    compute_score_influence,
-    compute_score_nearest,
-    compute_scores_batch,
-    stds,
-)
+from repro.core.stds import compute_score, compute_scores_batch, stds
 from repro.core.stps import stps, stps_nearest
-from repro.core.stream import FeatureStream, StreamedFeature, virtual_feature
-from repro.core.voronoi import clip_voronoi_cell, nearest_relevant, voronoi_cell
+from repro.core.stream import (
+    FeatureStream,
+    StreamedFeature,
+    probe,
+    virtual_feature,
+)
+from repro.core.voronoi import clip_voronoi_cell, voronoi_cell
 
 __all__ = [
     "PULL_PRIORITIZED",
@@ -42,11 +41,9 @@ __all__ = [
     "clip_voronoi_cell",
     "component_score",
     "compute_score",
-    "compute_score_influence",
-    "compute_score_nearest",
     "compute_scores_batch",
-    "nearest_relevant",
     "object_score",
+    "probe",
     "stds",
     "stps",
     "stps_influence",

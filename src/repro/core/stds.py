@@ -8,16 +8,18 @@ remaining feature sets once an object can no longer reach the top-k.
 Algorithm 2 (``compute_score``): best-first traversal of the feature
 index ordered by ``ŝ(e)``; prune entries out of range or textually
 irrelevant; the first feature object popped within range is the answer —
-the sorted access plus the upper-bound property make that maximal.
-
-The paper's evaluation uses the *batched* improvement (end of Section 5):
-one traversal per feature set serves a whole set of pending objects; an
-entry is expanded when at least one pending object is in range, and a
-popped feature resolves every pending object in its range.  We batch in
-chunks so Algorithm 1's threshold pruning still kicks in between chunks.
-
+the sorted access plus the upper-bound property make that maximal.  The
 Section 7 adaptations (influence / nearest-neighbor) re-prioritize the
-same traversal and drop the range predicate, exactly as described.
+same traversal and drop the range predicate, exactly as described; all
+three are the one walk :func:`repro.core.stream.probe`, which
+``compute_score`` takes the first feature of.
+
+The paper's evaluation uses the *batched* improvement (end of Section 5)
+for the range variant: one traversal per feature set serves a whole set
+of pending objects; an entry is expanded when at least one pending object
+is in range, and a popped feature resolves every pending object in its
+range.  We batch in chunks so Algorithm 1's threshold pruning still kicks
+in between chunks.
 
 Performance notes (not part of the paper's algorithms):
 
@@ -46,9 +48,10 @@ import numpy as np
 from repro.core.grid import SpatialGrid
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
+from repro.core.stream import probe
 from repro.errors import QueryError
+from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureTree
-from repro.index.nodes import FeatureLeafEntry
 from repro.index.object_rtree import ObjectRTree
 from repro.obs.explain import FeatureSetDiag
 from repro.obs import tracing as _tracing
@@ -65,167 +68,37 @@ def compute_score(
     tree: FeatureTree,
     query: PreferenceQuery,
     mask: int,
-    point: tuple[float, float],
+    target: tuple[float, float] | Rect,
     stats: FeatureSetDiag | None = None,
 ) -> float:
-    """``τ_i(p)`` for one object and one feature set (range variant).
+    """``τ_i(p)`` for one object and one feature set, under the query's
+    variant: the first feature :func:`~repro.core.stream.probe` yields,
+    or 0.0 when no relevant feature qualifies.  An influence query also
+    takes a rectangle, for which it bounds ``τ_i`` at every point inside.
 
-    ``stats`` (also in the two variants below) is the set's record in the
-    query's accumulator: the traversal's heap pops and node visits."""
-    stats = stats or FeatureSetDiag(0)
+    ``stats`` is the set's record in the query's accumulator: the
+    traversal's heap pops and node visits."""
     scorer = tree.make_scorer(mask, query.lam)
-    radius = query.radius
-    r2 = radius * radius
-    px, py = point
-    # (-bound, push counter, item): an internal entry to expand, or None
-    # for a leaf feature (only its score matters here).
-    heap: list[tuple[float, int, object]] = []
-    counter = 0
-
-    def push_node(node) -> None:
-        nonlocal counter
-        if node.is_leaf:
-            # The run is sorted, so the first of its rows within range is
-            # the leaf's best valid entry; any other is dominated and only
-            # the score matters, so it alone reaches the heap.
-            run = tree.leaf_run(node, scorer)
-            rows = run.rows
-            dx = run.xs[rows] - px
-            dy = run.ys[rows] - py
-            valid = dx * dx + dy * dy <= r2
-            if valid.any():
-                counter += 1
-                heapq.heappush(
-                    heap, (run.neg_scores[int(valid.argmax())], counter, None)
-                )
-        else:
-            for e in node.entries:
-                bound = scorer.relevant_bound(e)
-                if bound is not None and e.rect.mindist(point) <= radius:
-                    counter += 1
-                    heapq.heappush(heap, (-bound, counter, e))
-
-    if tree.root_id is None or tree.count == 0:
-        return 0.0
-    push_node(tree.read_node(tree.root_id))
-    while heap:
-        neg_bound, _, entry = heapq.heappop(heap)
-        stats.heap_pops += 1
-        if entry is None:
-            return -neg_bound
-        node = tree.read_node(entry.child)
-        stats.nodes_visited += 1
-        push_node(node)
+    for _, value, _, _, _ in probe(
+        tree, scorer, target, query.variant, query.radius, stats
+    ):
+        return value
     return 0.0
-
-
-def compute_score_influence(
-    tree: FeatureTree,
-    query: PreferenceQuery,
-    mask: int,
-    point: tuple[float, float],
-    stats: FeatureSetDiag | None = None,
-) -> float:
-    """Influence ``τ_i(p)`` (Definition 6): no range cut-off, the
-    priority of each entry is its influence bound ``ŝ(e)·2^(-mindist/r)``."""
-    stats = stats or FeatureSetDiag(0)
-    scorer = tree.make_scorer(mask, query.lam)
-    radius = query.radius
-    heap: list[tuple[float, int, object]] = []
-    counter = 0
-
-    def push(entries, is_leaf: bool) -> None:
-        nonlocal counter
-        for e in entries:
-            if not scorer.relevant(e):
-                continue
-            if is_leaf:
-                score = scorer.leaf_score(e) * 2.0 ** (
-                    -_dist(point, (e.x, e.y)) / radius
-                )
-            else:
-                score = scorer.node_bound(e) * 2.0 ** (
-                    -e.rect.mindist(point) / radius
-                )
-            counter += 1
-            heapq.heappush(heap, (-score, counter, e))
-
-    if tree.root_id is None or tree.count == 0:
-        return 0.0
-    root = tree.read_node(tree.root_id)
-    push(root.entries, root.is_leaf)
-    while heap:
-        neg_bound, _, entry = heapq.heappop(heap)
-        stats.heap_pops += 1
-        if isinstance(entry, FeatureLeafEntry):
-            return -neg_bound
-        node = tree.read_node(entry.child)
-        stats.nodes_visited += 1
-        push(node.entries, node.is_leaf)
-    return 0.0
-
-
-def compute_score_nearest(
-    tree: FeatureTree,
-    query: PreferenceQuery,
-    mask: int,
-    point: tuple[float, float],
-    stats: FeatureSetDiag | None = None,
-) -> float:
-    """Nearest-neighbor ``τ_i(p)`` (Definition 7): the score of the
-    closest *relevant* feature — best-first by minimum distance with the
-    ``sim > 0`` pruning retained."""
-    stats = stats or FeatureSetDiag(0)
-    scorer = tree.make_scorer(mask, query.lam)
-    heap: list[tuple[float, int, object]] = []
-    counter = 0
-
-    def push(entries, is_leaf: bool) -> None:
-        nonlocal counter
-        for e in entries:
-            if not scorer.relevant(e):
-                continue
-            d = (
-                _dist(point, (e.x, e.y))
-                if is_leaf
-                else e.rect.mindist(point)
-            )
-            counter += 1
-            heapq.heappush(heap, (d, counter, e))
-
-    if tree.root_id is None or tree.count == 0:
-        return 0.0
-    root = tree.read_node(tree.root_id)
-    push(root.entries, root.is_leaf)
-    while heap:
-        _, _, entry = heapq.heappop(heap)
-        stats.heap_pops += 1
-        if isinstance(entry, FeatureLeafEntry):
-            return scorer.leaf_score(entry)
-        node = tree.read_node(entry.child)
-        stats.nodes_visited += 1
-        push(node.entries, node.is_leaf)
-    return 0.0
-
-
-#: The per-object ``τ_i(p)`` of each score variant.
-SCORE_FNS = {
-    Variant.RANGE: compute_score,
-    Variant.INFLUENCE: compute_score_influence,
-    Variant.NEAREST: compute_score_nearest,
-}
 
 
 def score_object(
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
-    point: tuple[float, float],
+    target: tuple[float, float] | Rect,
 ) -> float:
-    """``τ(p) = Σ_i τ_i(p)`` of one location, under the query's variant."""
-    score_fn = SCORE_FNS[query.variant]
+    """``τ(p) = Σ_i τ_i(p)`` of one location, under the query's variant
+    (or, as :func:`compute_score`, its bound over a rectangle)."""
     return sum(
-        score_fn(tree, query, mask, point)
-        for tree, mask in zip(feature_trees, query.keyword_masks)
+        (
+            compute_score(tree, query, mask, target)
+            for tree, mask in zip(feature_trees, query.keyword_masks)
+        ),
+        0.0,
     )
 
 
@@ -566,7 +439,6 @@ def _stds_per_object(
 ) -> list[tuple[float, int, float, float]]:
     stats = stats or QueryStats()
     sets = [stats.feature_set(i) for i in range(query.c)]
-    score_fn = SCORE_FNS[query.variant]
     threshold = floor
     top: list[tuple[float, int]] = []
     candidates: list[tuple[float, int, float, float]] = []
@@ -581,7 +453,9 @@ def _stds_per_object(
                 stats.early_terminations += 1
                 stats.objects_dropped += 1
                 break
-            total += score_fn(tree, query, query.keyword_masks[i], (x, y), sets[i])
+            total += compute_score(
+                tree, query, query.keyword_masks[i], (x, y), sets[i]
+            )
         else:
             candidates.append((total, oid, x, y))
             if len(top) < query.k:
@@ -593,7 +467,3 @@ def _stds_per_object(
     # The per-object scan is a single logical chunk.
     stats.chunk_scanned(0, len(objects), threshold)
     return candidates
-
-
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])

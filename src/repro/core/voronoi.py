@@ -7,7 +7,8 @@ to the relevant subset of ``F_i`` (see DESIGN.md on the relevance
 reading of Definition 7).  Cells are built incrementally:
 
 1. retrieve competing relevant features in increasing distance from the
-   site via a best-first traversal of the feature index;
+   site: :func:`repro.core.stream.probe` under the nearest-neighbour
+   priority, the walk STDS scores an NN object with;
 2. clip the running convex region by the perpendicular bisector of
    (site, competitor);
 3. stop once the next competitor is farther than twice the site's
@@ -22,57 +23,14 @@ free: an empty running region aborts the remaining cells.
 
 from __future__ import annotations
 
-import heapq
-import math
-from collections.abc import Iterator
-
+from repro.core.query import Variant
+from repro.core.stream import probe
 from repro.geometry.halfplane import EPS, bisector_halfplane
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureScorer, FeatureTree
-from repro.index.nodes import FeatureLeafEntry
 
 DATA_SPACE = Rect((0.0, 0.0), (1.0, 1.0))
-
-
-def nearest_relevant(
-    tree: FeatureTree,
-    scorer: FeatureScorer,
-    site: tuple[float, float],
-) -> Iterator[tuple[float, FeatureLeafEntry]]:
-    """Relevant features by increasing distance from ``site``.
-
-    Best-first traversal ordered by MINDIST with ``sim = 0`` subtrees
-    pruned — the same adaptation the paper applies to Algorithm 2 for the
-    NN variant.
-    """
-    if tree.root_id is None or tree.count == 0:
-        return
-    heap: list[tuple[float, int, object]] = []
-    counter = 0
-
-    def push(entries, is_leaf: bool) -> None:
-        nonlocal counter
-        for e in entries:
-            if not scorer.relevant(e):
-                continue
-            d = (
-                math.hypot(e.x - site[0], e.y - site[1])
-                if is_leaf
-                else e.rect.mindist(site)
-            )
-            counter += 1
-            heapq.heappush(heap, (d, counter, e))
-
-    root = tree.read_node(tree.root_id)
-    push(root.entries, root.is_leaf)
-    while heap:
-        d, _, entry = heapq.heappop(heap)
-        if isinstance(entry, FeatureLeafEntry):
-            yield d, entry
-        else:
-            node = tree.read_node(entry.child)
-            push(node.entries, node.is_leaf)
 
 
 def clip_voronoi_cell(
@@ -90,22 +48,19 @@ def clip_voronoi_cell(
     """
     if region.is_empty:
         return region
-    for d, competitor in nearest_relevant(tree, scorer, site):
-        if competitor.fid == site_fid:
+    # The radius plays no part in the nearest-neighbour priority.
+    for d, _, fid, x, y in probe(tree, scorer, site, Variant.NEAREST, 0.0):
+        if fid == site_fid:
             continue
         if region.is_empty:
             break
         if d > 2.0 * region.max_distance_from(site):
             break
-        dx = competitor.x - site[0]
-        dy = competitor.y - site[1]
-        if abs(dx) < EPS and abs(dy) < EPS:
+        if abs(x - site[0]) < EPS and abs(y - site[1]) < EPS:
             # Coincident competitor: the bisector is undefined and the
             # tie is broken in the site's favour (stable by feature id).
             continue
-        region = region.clip(
-            bisector_halfplane(site, (competitor.x, competitor.y))
-        )
+        region = region.clip(bisector_halfplane(site, (x, y)))
     return region
 
 

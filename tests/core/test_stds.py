@@ -6,13 +6,7 @@ import pytest
 
 from repro.core.bruteforce import brute_force, component_score
 from repro.core.query import PreferenceQuery, Variant
-from repro.core.stds import (
-    compute_score,
-    compute_score_influence,
-    compute_score_nearest,
-    compute_scores_batch,
-    stds,
-)
+from repro.core.stds import compute_score, compute_scores_batch, stds
 from repro.core.processor import QueryProcessor
 from repro.errors import QueryError
 from repro.model.dataset import FeatureDataset, ObjectDataset
@@ -29,27 +23,20 @@ class TestComputeScore:
     """Algorithm 2 against the per-definition oracle, per variant."""
 
     @pytest.mark.parametrize(
-        "variant,fn",
-        [
-            (Variant.RANGE, compute_score),
-            (Variant.INFLUENCE, compute_score_influence),
-            (Variant.NEAREST, compute_score_nearest),
-        ],
+        "variant", [Variant.RANGE, Variant.INFLUENCE, Variant.NEAREST]
     )
-    def test_matches_definition(
-        self, srt_processor, feature_sets, variant, fn
-    ):
+    def test_matches_definition(self, srt_processor, feature_sets, variant):
         rng = random.Random(17)
         tree = srt_processor.feature_trees[0]
         for _ in range(8):
             mask = random_mask(rng)
             point = (rng.random(), rng.random())
             query = _q((mask, mask), variant=variant)
-            got = fn(tree, query, mask, point)
+            got = compute_score(tree, query, mask, point)
             want = component_score(
                 point[0], point[1], feature_sets[0], mask, query
             )
-            assert got == pytest.approx(want, abs=1e-9)
+            assert got == want
 
     def test_empty_tree_scores_zero(self, feature_sets):
         from repro.index.srt import SRTIndex
@@ -58,10 +45,9 @@ class TestComputeScore:
         empty = SRTIndex.build(
             FeatureDataset([], feature_sets[0].vocabulary, "e")
         )
-        query = _q((1, 1))
-        assert compute_score(empty, query, 1, (0.5, 0.5)) == 0.0
-        assert compute_score_influence(empty, query, 1, (0.5, 0.5)) == 0.0
-        assert compute_score_nearest(empty, query, 1, (0.5, 0.5)) == 0.0
+        for variant in Variant:
+            query = _q((1, 1), variant=variant)
+            assert compute_score(empty, query, 1, (0.5, 0.5)) == 0.0
 
 
 class TestBatch:

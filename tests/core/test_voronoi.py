@@ -5,12 +5,9 @@ import random
 
 import pytest
 
-from repro.core.voronoi import (
-    DATA_SPACE,
-    clip_voronoi_cell,
-    nearest_relevant,
-    voronoi_cell,
-)
+from repro.core.query import Variant
+from repro.core.stream import probe
+from repro.core.voronoi import DATA_SPACE, clip_voronoi_cell, voronoi_cell
 from repro.geometry.polygon import ConvexPolygon
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
@@ -28,35 +25,16 @@ def world():
 
 
 class TestNearestRelevant:
-    def test_increasing_distance_order(self, world):
-        dataset, tree = world
-        scorer = tree.make_scorer(0b111, 0.5)
-        site = (0.5, 0.5)
-        dists = [d for d, _ in nearest_relevant(tree, scorer, site)]
-        assert dists == sorted(dists)
-
-    def test_only_relevant_yielded(self, world):
-        dataset, tree = world
-        mask = 1 << 7
-        scorer = tree.make_scorer(mask, 0.5)
-        for _, entry in nearest_relevant(tree, scorer, (0.3, 0.3)):
-            assert entry.mask & mask
-
-    def test_completeness(self, world):
-        dataset, tree = world
-        mask = 0b11
-        scorer = tree.make_scorer(mask, 0.5)
-        got = sorted(e.fid for _, e in nearest_relevant(tree, scorer, (0, 0)))
-        want = sorted(
-            f.fid for f in dataset if f.keyword_mask() & mask
-        )
-        assert got == want
+    """The competitor stream is :func:`repro.core.stream.probe` by
+    distance; ``tests/core/test_probe.py`` holds its order and
+    completeness."""
 
     def test_empty_tree(self, world):
         dataset, _ = world
         empty = SRTIndex.build(FeatureDataset([], dataset.vocabulary, "e"))
         scorer = empty.make_scorer(1, 0.5)
-        assert list(nearest_relevant(empty, scorer, (0.5, 0.5))) == []
+        got = probe(empty, scorer, (0.5, 0.5), Variant.NEAREST, 0.0)
+        assert list(got) == []
 
 
 class TestVoronoiCell:

@@ -14,6 +14,7 @@ from repro.core.bruteforce import brute_force
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.model.dataset import FeatureDataset, ObjectDataset
+from repro.model.objects import DataObject, FeatureObject
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import (
     VOCAB_SIZE,
@@ -134,6 +135,41 @@ class TestDegenerateWorlds:
             for algorithm in ("stds", "stps"):
                 got = processor.query(query, algorithm=algorithm).scores
                 assert got == want
+
+    @pytest.mark.parametrize(
+        "reverse", [False, True], ids=["low_first", "high_first"]
+    )
+    def test_nearest_distance_tie_goes_to_the_higher_score(self, reverse):
+        """Object 1 is equidistant from two relevant features; Definition
+        7's tie rule (the brute force's, and STPS's) takes the better one,
+        whichever was inserted first."""
+        vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))
+        features = [
+            FeatureObject(0, 0.4, 0.5, 0.2, frozenset({0})),
+            FeatureObject(1, 0.6, 0.5, 0.9, frozenset({0})),
+        ]
+        if reverse:
+            features.reverse()
+        objects = ObjectDataset(
+            [DataObject(1, 0.5, 0.5), DataObject(2, 0.1, 0.1)]
+        )
+        feature_sets = [FeatureDataset(features, vocab, "F")]
+        query = PreferenceQuery(
+            k=2, radius=0.2, lam=0.0, keyword_masks=(1,),
+            variant=Variant.NEAREST,
+        )
+        want = brute_force(objects, feature_sets, query).items
+        want = [(i.oid, i.score) for i in want]
+        assert want == [(1, 0.9), (2, 0.2)]
+        for index in ("srt", "ir2"):
+            processor = QueryProcessor.build(
+                objects, feature_sets, index=index
+            )
+            for algorithm in ("stds", "stps"):
+                got = processor.query(query, algorithm=algorithm)
+                assert [(i.oid, i.score) for i in got.items] == want, (
+                    index, algorithm
+                )
 
     def test_empty_object_dataset(self):
         vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))

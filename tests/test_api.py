@@ -91,6 +91,29 @@ class TestPublicApi:
         assert FANOUT_MODES == ("serial", "processes")
         assert not [name for name in dir(leafdata) if "vectorized" in name]
 
+    def test_one_best_first_probe(self):
+        """Algorithm 2 under every variant, the Voronoi competitor stream
+        and ISS's bound are one walk, ``probe``; ``compute_score`` is its
+        first yield and the per-variant copies are gone."""
+        import repro.core as core
+        import repro.core.influence_search as iss
+        import repro.core.stds as stds
+        import repro.core.voronoi as voronoi
+
+        assert {"compute_score", "probe"} <= set(core.__all__)
+        assert not {
+            "compute_score_influence", "compute_score_nearest",
+            "nearest_relevant",
+        } & set(core.__all__)
+        for module, names in (
+            (stds, ("compute_score_influence", "compute_score_nearest",
+                    "SCORE_FNS", "_dist")),
+            (voronoi, ("nearest_relevant",)),
+            (iss, ("_set_influence_bound",)),
+        ):
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+
     def test_standing_answers_replay_the_datasets_own_log(self):
         """One mutation log, owned by the dataset: the monitor lives with
         it, and nothing subscribes to a dataset's writes."""

@@ -8,12 +8,11 @@ from repro.core.combinations import (
     CombinationIterator,
 )
 from repro.core.executor import BatchReport, QueryExecutor
-from repro.core.influence import stps_influence
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.core.stds import compute_score, compute_scores_batch, stds
-from repro.core.stps import stps, stps_nearest
+from repro.core.stps import stps
 from repro.core.stream import (
     FeatureStream,
     StreamedFeature,
@@ -46,8 +45,6 @@ __all__ = [
     "probe",
     "stds",
     "stps",
-    "stps_influence",
-    "stps_nearest",
     "virtual_feature",
     "voronoi_cell",
 ]

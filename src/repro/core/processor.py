@@ -23,11 +23,10 @@ import time
 from collections.abc import Sequence
 
 from repro.core.combinations import PULL_PRIORITIZED
-from repro.core.influence import stps_influence
-from repro.core.query import PreferenceQuery, Variant
+from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats
 from repro.core.stds import stds
-from repro.core.stps import stps, stps_nearest, stps_stream
+from repro.core.stps import stps, stps_stream
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.ir2 import IR2Tree
@@ -265,19 +264,9 @@ class QueryProcessor:
             return influence_search(
                 self.object_tree, self.feature_trees, query, stats=stats
             )
-        if query.variant is Variant.RANGE:
-            return stps(
-                self.object_tree, self.feature_trees, query, pulling,
-                floor=floor, stats=stats,
-            )
-        if query.variant is Variant.INFLUENCE:
-            return stps_influence(
-                self.object_tree, self.feature_trees, query, pulling,
-                floor=floor, stats=stats,
-            )
-        return stps_nearest(
-            self.object_tree, self.feature_trees, query, pulling, floor=floor,
-            stats=stats,
+        return stps(
+            self.object_tree, self.feature_trees, query, pulling,
+            floor=floor, stats=stats,
         )
 
     def query_many(

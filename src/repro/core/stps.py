@@ -1,16 +1,27 @@
-"""Spatio-Textual Preference Search (STPS) — range and nearest-neighbour
-scores (Sections 6 and 7.2).
+"""Spatio-Textual Preference Search (STPS) — Sections 6 and 7.
 
 Algorithm 3: repeatedly take the next best valid combination of feature
 objects (Algorithm 4, see :mod:`repro.core.combinations`) and fetch the
-data objects it retrieves from the object R-tree.  Objects retrieved for
-the first time have a spatio-textual preference score exactly equal to
-the combination's score — so results come out in rank order, and the
-top-k stops as soon as ``k`` objects have been produced, without ever
-scoring the rest of the dataset.
+data objects it retrieves from the object R-tree.  ``s(C)`` bounds the
+score of every object this and every later combination retrieves, so the
+top-k stops as soon as ``k`` objects are known and the next combination
+scores below the k-th of them, without ever scoring the rest of the
+dataset.  The three score variants share that loop; Section 7 changes
+only ``getDataObjects`` (and drops the ``2r`` rule from
+``nextCombination`` for the two variants without a range predicate):
 
 * **Range** (Definition 2, Section 6.4): a combination retrieves the
-  objects within distance ``r`` of *all* its real members.
+  objects within distance ``r`` of *all* its real members.  Objects
+  retrieved for the first time score exactly ``s(C)``, so results come
+  out in rank order.
+* **Influence** (Definition 6, Algorithm 5): exponential distance decay
+  makes ``s(C)`` an upper bound only (attained at distance 0 from every
+  member), so a combination retrieves its top-k objects by a best-first
+  search on the object R-tree with the members' combined influence score,
+  floored at the current k-th score; an object retrieved by several
+  combinations keeps its best score.  A distance-aware bound
+  (:func:`_combo_influence_bound_cached`) skips most combinations without
+  touching the tree.
 * **Nearest neighbour** (Definition 7): each feature set contributes the
   score of the object's nearest relevant feature, so a combination
   retrieves the objects whose per-set nearest relevant neighbour is
@@ -28,6 +39,8 @@ incremental delivery: "the remaining data objects p have a score
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from collections.abc import Iterator, Sequence
 
@@ -102,10 +115,69 @@ class _VoronoiRegions:
         return region
 
 
+def _combo_influence_bound_cached(
+    features, radius: float, distances: dict
+) -> float:
+    """Max influence score any point can collect from the real members
+    of a combination (``features``, virtual ones ignored).
+
+    For each anchor member ``i`` and any point ``p`` at distance ``u``
+    from it, ``dist(p, t_j) >= max(0, d_ij - u)``, so the combination's
+    influence score is bounded by
+
+        g_i(u) = s_i 2^{-u/r} + Σ_j s_j 2^{-max(0, d_ij - u)/r}.
+
+    On each interval between breakpoints ``u ∈ {0, d_ij...}`` the function
+    is convex, so its maximum over ``u`` is attained at a breakpoint; the
+    overall bound is the minimum over anchors.  Far-apart members thus
+    bound to ~max(s_i) instead of Σ s_i.
+
+    ``distances`` is the query's cache of member distances: combinations
+    share members heavily, so each (slot_i, fid_i, slot_j, fid_j) pair is
+    computed once.
+    """
+    real = [(i, f) for i, f in enumerate(features) if not f.is_virtual]
+    if len(real) == 1:
+        return real[0][1].score
+    cache_get = distances.get
+    hypot = math.hypot
+    best = math.inf
+    for i, fi in real:
+        fi_score = fi.score
+        dists = []
+        scores = []
+        for j, fj in real:
+            if j == i:
+                continue
+            key = (i, fi.fid, j, fj.fid)
+            d = cache_get(key)
+            if d is None:
+                d = hypot(fi.x - fj.x, fi.y - fj.y)
+                distances[key] = d
+            dists.append(d)
+            scores.append(fj.score)
+        g_max = 0.0
+        for u in (0.0, *dists):
+            g = fi_score * 2.0 ** (-u / radius)
+            for d, sj in zip(dists, scores):
+                diff = d - u
+                if diff > 0.0:
+                    g += sj * 2.0 ** (-diff / radius)
+                else:
+                    g += sj
+            if g > g_max:
+                g_max = g
+        if g_max < best:
+            best = g_max
+        if best <= 0.0:
+            break
+    return best
+
+
 class _Search:
     """One query's combination loop state: Algorithm 4's iterator and
-    the retrieval step of Algorithm 3, shared by the top-k and the
-    stream."""
+    the retrieval step of Algorithm 3 under the query's score variant,
+    shared by the top-k and the stream."""
 
     def __init__(
         self, object_tree, feature_trees, query, pulling, stats, rec
@@ -113,23 +185,38 @@ class _Search:
         self.tracker = StatsTracker(
             [object_tree.pagefile] + [t.pagefile for t in feature_trees]
         )
-        nearest = query.variant is Variant.NEAREST
+        variant = query.variant
         self.iterator = CombinationIterator(
-            feature_trees, query, enforce_2r=not nearest, pulling=pulling,
-            recorder=rec, stats=stats,
+            feature_trees, query, enforce_2r=variant is Variant.RANGE,
+            pulling=pulling, recorder=rec, stats=stats,
         )
         self.regions = (
             _VoronoiRegions(feature_trees, query, stats, self.tracker, rec)
-            if nearest else None
+            if variant is Variant.NEAREST else None
         )
+        self.influence = variant is Variant.INFLUENCE
         self.object_tree = object_tree
+        self.k = query.k
         self.radius = query.radius
+        self.stats = stats
         self.rec = rec
         self.seen: set[int] = set()
+        # Influence: member distances, shared by every combination's bound.
+        self.distances: dict[tuple[int, int, int, int], float] = {}
 
-    def retrieve(self, combo) -> list:
-        """The objects ``combo`` retrieves that no earlier one did, by
-        ascending oid; each now has its exact score ``s(C)``."""
+    def retrieve(
+        self, combo, kth: float = -math.inf
+    ) -> list[tuple[float, int, float, float]]:
+        """``(score, oid, x, y)`` of the objects ``combo`` retrieves.
+
+        Range and NN: the objects no earlier combination retrieved, by
+        ascending oid, each at its exact score ``s(C)``.  Influence: the
+        combination's top-k objects at or above ``kth`` (the caller's
+        current k-th score; ``-inf`` until it knows k objects), scored
+        from its members — none when its bound cannot reach ``kth``.
+        """
+        if self.influence:
+            return self._best_first(combo, kth)
         if self.regions is None:
             entries = self.object_tree.within_all(combo.anchors, self.radius)
         else:
@@ -142,9 +229,46 @@ class _Search:
             batch = sorted(
                 (e for e in entries if e.oid not in seen), key=lambda e: e.oid
             )
+        score = combo.score
+        rows = []
         for e in batch:
             seen.add(e.oid)
-        return batch
+            rows.append((score, e.oid, e.x, e.y))
+        return rows
+
+    def _best_first(self, combo, kth: float):
+        radius = self.radius
+        if kth > -math.inf and (
+            _combo_influence_bound_cached(combo.features, radius, self.distances)
+            < kth
+        ):
+            self.stats.retrievals_skipped += 1
+            return []
+        members = [
+            (f.x, f.y, f.score) for f in combo.features if not f.is_virtual
+        ]
+
+        def node_bound(rect) -> float:
+            return sum(
+                s * 2.0 ** (-rect.mindist((x, y)) / radius)
+                for x, y, s in members
+            )
+
+        def point_score(px: float, py: float) -> float:
+            return sum(
+                s * 2.0 ** (-math.hypot(px - x, py - y) / radius)
+                for x, y, s in members
+            )
+
+        with self.rec.span("stps.get_data_objects"):
+            # best_first keeps scores strictly above its floor; back the
+            # k-th score off by one ulp so exact ties are retained.
+            found = self.object_tree.best_first(
+                node_bound, point_score, limit=self.k,
+                floor=math.nextafter(kth, -math.inf), ties=True,
+            )
+        self.seen.update(e.oid for _, e in found)
+        return [(score, e.oid, e.x, e.y) for score, e in found]
 
     def zero_tail(self) -> list[tuple[int, float, float]]:
         """The all-virtual combination: every object not yet retrieved
@@ -156,48 +280,6 @@ class _Search:
             )
 
 
-def _top_k(object_tree, feature_trees, query, pulling, floor, stats):
-    stats = stats or QueryStats()
-    rec = _tracing.recorder()
-    search = _Search(object_tree, feature_trees, query, pulling, stats, rec)
-    iterator = search.iterator
-    collected: list[tuple[float, int, float, float]] = []
-
-    while True:
-        combo = iterator.next()
-        if combo is None:
-            break
-        if combo.score < floor:
-            # Scores are non-increasing: nothing below the external floor
-            # can reach the caller's merged top-k (ties at the floor are
-            # still processed).
-            break
-        # Tie-complete cutoff: once k objects are known, keep draining
-        # combinations that *tie* the k-th score so rank_items can apply
-        # the canonical (score desc, oid asc) tie-break over the full tie
-        # set — stopping at len == k would keep an arbitrary
-        # retrieval-order subset of the tied objects instead.
-        if (
-            len(collected) >= query.k
-            and combo.score < collected[query.k - 1][0]
-        ):
-            break
-        if combo.is_all_virtual:
-            # Score-0 tail: take the lowest ids (up to k — enough to
-            # cover every slot even when the whole result ties at zero).
-            for oid, x, y in search.zero_tail()[: query.k]:
-                collected.append((0.0, oid, x, y))
-            break
-        for e in search.retrieve(combo):
-            collected.append((combo.score, e.oid, e.x, e.y))
-
-    stats.objects_scored = len(collected)
-    stats.phase_times = rec.totals()
-    result = QueryResult(rank_items(collected, query.k), stats)
-    search.tracker.finish(stats)
-    return result
-
-
 def stps(
     object_tree: ObjectRTree,
     feature_trees: Sequence[FeatureTree],
@@ -206,37 +288,56 @@ def stps(
     floor: float = float("-inf"),
     stats: QueryStats | None = None,
 ) -> QueryResult:
-    """Run STPS for the range score variant (Definition 2).
+    """Run STPS for ``query.variant`` (range, influence or NN).
 
     ``floor`` is an externally known lower bound on the global k-th best
-    score (the sharded engine's cross-shard threshold).  Combinations
-    stream in descending score order, so the loop stops as soon as the
-    next combination scores *strictly* below ``floor`` — objects at or
-    above the floor are always reported exactly; objects strictly below
-    it may be omitted.  ``stats`` is the accumulator to count into (a
-    fresh one when None).
+    score (the sharded engine's cross-shard threshold).  ``s(C)`` bounds
+    the objects of this and every later combination, so the loop stops as
+    soon as the next combination scores *strictly* below ``floor`` —
+    objects at or above the floor are always reported exactly; objects
+    strictly below it may be omitted.  ``stats`` is the accumulator to
+    count into (a fresh one when None).
     """
-    if query.variant is not Variant.RANGE:
-        raise QueryError(
-            f"stps() handles the range variant; got {query.variant}. "
-            "Use stps_influence() / stps_nearest() or the QueryProcessor."
-        )
-    return _top_k(object_tree, feature_trees, query, pulling, floor, stats)
+    stats = stats or QueryStats()
+    rec = _tracing.recorder()
+    search = _Search(object_tree, feature_trees, query, pulling, stats, rec)
+    k = query.k
+    # oid -> (score, oid, x, y) at the object's best score so far: range
+    # and NN retrieve an object once, influence keeps its maximum.
+    best: dict[int, tuple[float, int, float, float]] = {}
+    # The k-th best score once k objects are known.  It moves only when a
+    # retrieval lifts a score above it, so it is recomputed then, not per
+    # combination (range and NN: once, when the k-th object arrives).
+    kth = -math.inf
 
+    while True:
+        combo = search.iterator.next()
+        # Strict comparisons: an object can attain s(C), and objects that
+        # tie the floor or the k-th score must stay so rank_items can
+        # apply the canonical (score desc, oid asc) tie-break over the
+        # full tie set.
+        if combo is None or combo.score < floor or combo.score < kth:
+            break
+        if combo.is_all_virtual:
+            # Score-0 tail: take the lowest ids (up to k — enough to
+            # cover every slot even when the whole result ties at zero).
+            for oid, x, y in search.zero_tail()[:k]:
+                best[oid] = (0.0, oid, x, y)
+            break
+        lifted = False
+        for row in search.retrieve(combo, kth):
+            held = best.get(row[1])
+            if held is None or row[0] > held[0]:
+                best[row[1]] = row
+                lifted = lifted or row[0] > kth
+        if lifted and len(best) >= k:
+            kth = heapq.nlargest(k, [row[0] for row in best.values()])[-1]
 
-def stps_nearest(
-    object_tree: ObjectRTree,
-    feature_trees: Sequence[FeatureTree],
-    query: PreferenceQuery,
-    pulling: str = PULL_PRIORITIZED,
-    floor: float = float("-inf"),
-    stats: QueryStats | None = None,
-) -> QueryResult:
-    """Run STPS for the nearest-neighbour score variant (Definition 7);
-    ``floor`` and ``stats`` as in :func:`stps`."""
-    if query.variant is not Variant.NEAREST:
-        raise QueryError(f"stps_nearest() got variant {query.variant}")
-    return _top_k(object_tree, feature_trees, query, pulling, floor, stats)
+    stats.objects_scored = len(best)
+    stats.phase_times = rec.totals()
+    result = QueryResult(rank_items(best.values(), k), stats)
+    search.tracker.finish(stats)
+    return result
 
 
 def stps_stream(
@@ -278,6 +379,6 @@ def stps_stream(
         if combo.is_all_virtual:
             level.extend(search.zero_tail())
             break
-        level.extend((e.oid, e.x, e.y) for e in search.retrieve(combo))
+        level.extend(row[1:] for row in search.retrieve(combo))
     level.sort()
     yield from (ResultItem(oid, score, x, y) for oid, x, y in level)

@@ -97,18 +97,6 @@ class FeatureScorer:
             return (1.0 - self.lam) * entry.max_score + self.lam * sim
         return None
 
-    def bound(self, entry) -> float:
-        """``ŝ(e)`` for internal entries, exact ``s(t)`` for leaf entries."""
-        if isinstance(entry, FeatureLeafEntry):
-            return self.leaf_score(entry)
-        return self.node_bound(entry)
-
-    def relevant(self, entry) -> bool:
-        """Relevance test for either entry kind."""
-        if isinstance(entry, FeatureLeafEntry):
-            return self.leaf_relevant(entry)
-        return self.node_relevant(entry)
-
     # ------------------------------------------------------------------
     # a scored leaf (see repro.index.leafdata.LeafRun)
     # ------------------------------------------------------------------

@@ -49,6 +49,22 @@ DEFAULT_TENANT = "anonymous"
 MAX_BODY_BYTES = 1 << 20
 
 
+def _integer(name: str, value) -> int:
+    # int() would truncate 2.7 to 2 and read true as 1.
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise QueryError(f"{name!r} takes integers, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    # float() would read true as 1.0.
+    if isinstance(value, bool):
+        raise QueryError(f"{name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str, str]:
     """(tenant, query, algorithm, pulling) from a request's parameters.
 
@@ -64,13 +80,9 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
     algorithm = str(params.get("algorithm", "stps"))
     pulling = str(params.get("pulling", "prioritized"))
     try:
-        k = params["k"]
-        # int() would truncate 2.7 to 2 and read true as 1.
-        if isinstance(k, bool) or (isinstance(k, float) and not k.is_integer()):
-            raise QueryError(f"'k' must be an integer, got {k!r}")
-        k = int(k)
-        radius = float(params["radius"])
-        lam = float(params["lam"])
+        k = _integer("k", params["k"])
+        radius = _real("radius", params["radius"])
+        lam = _real("lam", params["lam"])
     except KeyError as exc:
         raise QueryError(f"missing required field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -81,7 +93,7 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
     if not isinstance(masks, (list, tuple)) or not masks:
         raise QueryError("'masks' must be a non-empty list of bit masks")
     try:
-        mask_tuple = tuple(int(m) for m in masks)
+        mask_tuple = tuple(_integer("masks", m) for m in masks)
     except (TypeError, ValueError) as exc:
         raise QueryError(f"malformed mask: {exc}") from exc
     variant_name = str(params.get("variant", "range"))

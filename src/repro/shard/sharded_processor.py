@@ -42,6 +42,7 @@ from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, rank_items
+from repro.core.stream import FeatureStream
 from repro.errors import QueryError, ReproError, ShardError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
@@ -150,23 +151,17 @@ class _Shard:
         contribution under *every* variant (range/nearest use it
         directly; influence multiplies by ``2^{-d/r} <= 1``), and
         ``τ(p) = Σ_i τ_i(p)`` — so no object in this shard can beat the
-        sum of the per-set root maxima.  One cached node read per set.
+        sum of the per-set root maxima: each set's sorted stream, opened
+        on its root (one cached node read), bounds its next feature by
+        exactly that maximum.
         """
-        total = 0.0
-        for tree, mask in zip(
-            self.processor.feature_trees, query.keyword_masks
-        ):
-            if tree.root_id is None or tree.count == 0:
-                continue
-            scorer = tree.make_scorer(mask, query.lam)
-            best = 0.0
-            for entry in tree.root_node().entries:
-                if scorer.relevant(entry):
-                    value = scorer.bound(entry)
-                    if value > best:
-                        best = value
-            total += best
-        return total
+        return sum(
+            FeatureStream(tree, mask, query.lam, emit_virtual=False).next_bound
+            or 0.0
+            for tree, mask in zip(
+                self.processor.feature_trees, query.keyword_masks
+            )
+        )
 
 
 class ShardedQueryProcessor:

@@ -9,7 +9,7 @@ from repro.core.combinations import (
     PULL_ROUND_ROBIN,
     CombinationIterator,
 )
-from repro.core.query import PreferenceQuery
+from repro.core.query import PreferenceQuery, Variant
 from repro.core.stps import stps
 from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
@@ -208,3 +208,37 @@ class TestPinnedWork:
             for diag in stats.feature_sets:
                 visited[diag.set_id] += diag.nodes_visited
         assert (pulled, visited, released, rejected) == self.PINNED[c, pulling]
+
+    #: (variant, c) -> (combinations released, retrievals skipped by the
+    #: influence bound, objects scored, Voronoi cells computed, cell cache
+    #: hits, empty cell intersections) over the first two of the queries
+    #: above at radius 0.5; recorded when the influence variant still ran
+    #: its own loop (commit 9a407fe).
+    PINNED_VARIANTS = {
+        (Variant.INFLUENCE, 2): (211, 194, 36, 0, 0, 0),
+        (Variant.INFLUENCE, 3): (9876, 9825, 59, 0, 0, 0),
+        (Variant.NEAREST, 2): (153, 0, 12, 78, 224, 145),
+        (Variant.NEAREST, 3): (17389, 0, 11, 347, 35028, 17372),
+    }
+
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("variant", [Variant.INFLUENCE, Variant.NEAREST])
+    def test_variant_work_equals_parent_commit(self, world, c, variant):
+        objects, trees = world
+        rng = random.Random(5)
+        totals = [0] * 6
+        for _ in range(2):
+            query = PreferenceQuery(
+                k=5, radius=0.5, lam=0.5,
+                keyword_masks=tuple(random_mask(rng) for _ in range(c)),
+                variant=variant,
+            )
+            stats = stps(objects, trees[:c], query).stats
+            work = (
+                stats.combinations, stats.retrievals_skipped,
+                stats.objects_scored, stats.voronoi_cells_computed,
+                stats.voronoi_cell_cache_hits,
+                stats.voronoi_empty_intersections,
+            )
+            totals = [a + b for a, b in zip(totals, work)]
+        assert tuple(totals) == self.PINNED_VARIANTS[variant, c]

@@ -6,9 +6,8 @@ import pytest
 
 from repro.core.bruteforce import brute_force
 from repro.core.combinations import PULL_ROUND_ROBIN
-from repro.core.query import PreferenceQuery, Variant
+from repro.core.query import PreferenceQuery
 from repro.core.stps import stps
-from repro.errors import QueryError
 from tests.conftest import random_mask
 
 
@@ -107,11 +106,6 @@ class TestBehaviour:
         result = stps(srt_processor.object_tree, srt_processor.feature_trees, query)
         assert result.stats.combinations >= 1
         assert result.stats.features_pulled >= 1
-
-    def test_wrong_variant_rejected(self, srt_processor):
-        query = _q((1, 1)).with_variant(Variant.INFLUENCE)
-        with pytest.raises(QueryError):
-            stps(srt_processor.object_tree, srt_processor.feature_trees, query)
 
     def test_early_termination_touches_few_objects(self, srt_processor, objects):
         """STPS must not score the whole dataset for small k."""

@@ -149,9 +149,13 @@ def reference_stream(tree, mask, lam):
     heap, out, pushed = [], [], itertools.count()
 
     def push(node):
+        relevant, bound = (
+            (scorer.leaf_relevant, scorer.leaf_score) if node.is_leaf
+            else (scorer.node_relevant, scorer.node_bound)
+        )
         for entry in node.entries:
-            if scorer.relevant(entry):
-                heapq.heappush(heap, (-scorer.bound(entry), next(pushed), entry))
+            if relevant(entry):
+                heapq.heappush(heap, (-bound(entry), next(pushed), entry))
 
     if tree.count:
         push(tree.read_node(tree.root_id))

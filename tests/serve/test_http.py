@@ -98,6 +98,26 @@ class TestParseRequest:
         with pytest.raises(QueryError):
             parse_request(broken)
 
+    @pytest.mark.parametrize("field", [
+        {"masks": [2.7, 1]},       # not mask 2
+        {"masks": [True, 1]},      # not mask 1
+        {"masks": [float("inf")]},
+        {"radius": True},          # not radius 1.0
+        {"lam": True},             # not lam 1.0
+        {"lam": False},            # not lam 0.0
+    ], ids=["masks=2.7", "masks=true", "masks=inf", "radius=true",
+            "lam=true", "lam=false"])
+    def test_json_bools_and_fractional_masks_are_not_coerced(self, field):
+        """``int()`` / ``float()`` would serve these as other queries."""
+        from repro.errors import QueryError
+
+        with pytest.raises(QueryError):
+            parse_request(body_for(QUERY, **field))
+
+    def test_integral_float_masks_are_masks(self):
+        _, query, _, _ = parse_request(body_for(QUERY, masks=[255.0, 255]))
+        assert query == QUERY
+
 
 class TestQueryEndpoint:
     def test_post_then_cached_get(self, served, srt_processor):
@@ -125,15 +145,20 @@ class TestQueryEndpoint:
 
     @pytest.mark.parametrize("algorithm", ["stps", "stds"])
     @pytest.mark.parametrize(
-        "field", [{"radius": "nan"}, {"radius": "inf"}, {"k": 2.7}],
-        ids=["radius=nan", "radius=inf", "k=2.7"],
+        "field", [
+            {"radius": "nan"}, {"radius": "inf"}, {"k": 2.7},
+            {"masks": [2.7, True]}, {"radius": True, "lam": True},
+        ],
+        ids=["radius=nan", "radius=inf", "k=2.7", "masks=2.7,true",
+             "radius,lam=true"],
     )
     def test_unanswerable_numbers_are_400_for_every_engine(
         self, served, algorithm, field
     ):
         """These used to depend on the engine: ``radius=nan`` was a 500
         through STPS, ``radius=inf`` a 500 through STDS and a 200 through
-        STPS; a JSON ``k`` of 2.7 was served as ``k=2``."""
+        STPS; a JSON ``k`` of 2.7 was served as ``k=2``, masks
+        ``[2.7, true]`` as ``(2, 1)`` and ``true`` radius / lam as 1.0."""
         _, base = served
         payload = body_for(QUERY, tenant="t3", algorithm=algorithm, **field)
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -114,6 +114,25 @@ class TestPublicApi:
             for name in names:
                 assert not hasattr(module, name), (module.__name__, name)
 
+    def test_one_stps_engine_for_every_variant(self):
+        """``stps`` reads ``query.variant``; the per-variant entry points
+        and the influence module are gone, and so is the scorer's
+        either-kind dispatch."""
+        import importlib.util
+
+        import repro.core as core
+        import repro.core.stps as stps
+        from repro.index.feature_tree import FeatureScorer
+
+        gone = {"stps_influence", "stps_nearest"}
+        assert not gone & set(core.__all__)
+        for module in (core, stps):
+            for name in gone:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert importlib.util.find_spec("repro.core.influence") is None
+        assert not hasattr(FeatureScorer, "bound")
+        assert not hasattr(FeatureScorer, "relevant")
+
     def test_standing_answers_replay_the_datasets_own_log(self):
         """One mutation log, owned by the dataset: the monitor lives with
         it, and nothing subscribes to a dataset's writes."""

@@ -68,13 +68,21 @@ class _VoronoiRegions:
     combinations — the query-time analogue of the precomputation the
     paper suggests for static data."""
 
-    def __init__(self, feature_trees, query, stats, tracker, rec) -> None:
+    def __init__(
+        self, object_tree, feature_trees, query, stats, tracker, rec
+    ) -> None:
         self.feature_trees = feature_trees
         self.scorers = [
             tree.make_scorer(mask, query.lam)
             for tree, mask in zip(feature_trees, query.keyword_masks)
         ]
-        self.unit_region = ConvexPolygon.from_rect(DATA_SPACE)
+        # Cells are clipped to a space holding every data object: objects
+        # may lie anywhere, so the unit square grows to the object tree's
+        # root MBR as it stands for this query (live inserts included).
+        space = DATA_SPACE
+        if object_tree.count:
+            space = space.union(object_tree.root_node().mbr())
+        self.space = ConvexPolygon.from_rect(space)
         self.cells: list[dict[int, ConvexPolygon]] = [
             {} for _ in feature_trees
         ]
@@ -87,7 +95,7 @@ class _VoronoiRegions:
         snapshot = self.tracker.io_snapshot()
         t0 = time.perf_counter()
         with self.rec.span("stps.voronoi_cells"):
-            region = self.unit_region
+            region = self.space
             for i, feature in enumerate(combo.features):
                 if feature.is_virtual:
                     continue
@@ -98,7 +106,7 @@ class _VoronoiRegions:
                         self.scorers[i],
                         (feature.x, feature.y),
                         feature.fid,
-                        self.unit_region,
+                        self.space,
                     )
                     self.cells[i][feature.fid] = cell
                     stats.voronoi_cells_computed += 1
@@ -191,7 +199,9 @@ class _Search:
             pulling=pulling, recorder=rec, stats=stats,
         )
         self.regions = (
-            _VoronoiRegions(feature_trees, query, stats, self.tracker, rec)
+            _VoronoiRegions(
+                object_tree, feature_trees, query, stats, self.tracker, rec
+            )
             if variant is Variant.NEAREST else None
         )
         self.influence = variant is Variant.INFLUENCE

@@ -8,17 +8,24 @@ Hilbert curve* (AIP Conf. Proc. 707, 2004) for arbitrary dimension count
   terms), where the curve degenerates to a Gray-code ordering of the
   keyword hypercube — consecutive Hilbert values differ in exactly one
   keyword, which is the locality property the SRT-index exploits;
-* the 4-d bulk-loading key of the SRT-index (``n = 4``, ``b = 16``) over
-  the mapped space ``(x, y, score, H(keywords))``.
+* the bulk-loading keys: the SRT-index's 4-d key over the mapped space
+  ``(x, y, score, H(keywords))`` and the 2-d spatial key of the object
+  tree, the IR²-tree and the IR-tree.
 
-Values are plain Python ints, so ``n * b`` can exceed machine-word width
-(needed for 256-keyword vocabularies → 256-bit Hilbert values).
+:meth:`HilbertCurve.encode` / :meth:`HilbertCurve.decode` take and
+return plain Python ints, so ``n * b`` can exceed machine-word width
+(needed for 256-keyword vocabularies → 256-bit Hilbert values); they are
+the reference.  The bulk loads call :meth:`HilbertCurve.encode_unit`
+instead: the same algorithm over whole ``uint64`` columns of unit-cube
+points (``n * b <= 64``), one call per tree build.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import GeometryError
 
@@ -148,26 +155,68 @@ class HilbertCurve:
         return x
 
 
-def hilbert_key_2d(x: float, y: float, bits: int = 16) -> int:
-    """Hilbert key of a point in the unit square (bulk-load sort key)."""
-    return _unit_key(HilbertCurve(2, bits), (x, y))
+    # ------------------------------------------------------------------
+    # bulk-load keys
+    # ------------------------------------------------------------------
+    def encode_unit(self, columns) -> np.ndarray:
+        """Hilbert keys of points in ``[0, 1]**dims``, as ``uint64``.
 
+        ``columns`` holds ``dims`` equal-length float columns (or is a
+        ``(dims, n)`` array).  Each coordinate is quantized to
+        ``int(c * 2**bits)`` and clamped to ``[0, 2**bits - 1]``, then the
+        points go through :meth:`encode`'s algorithm run over whole
+        columns — each ``if x[i] & q`` branch becomes a masked XOR — so
+        key ``j`` equals ``encode`` of point ``j``.  Needs
+        ``dims * bits <= 64``.
+        """
+        if self.dims * self.bits > 64:
+            raise GeometryError(
+                f"{self.dims} x {self.bits} bits do not fit a 64-bit key"
+            )
+        if len(columns) != self.dims:
+            raise GeometryError(
+                f"expected {self.dims} columns, got {len(columns)}"
+            )
+        side = float(self.side)
+        x = []
+        for column in columns:
+            c = np.asarray(column, dtype=np.float64)
+            if not np.isfinite(c).all():
+                raise GeometryError("coordinates must be finite")
+            with np.errstate(over="ignore"):
+                scaled = np.trunc(c * side)
+            # Clamped as floats first: 2**64 - 1 has no float64.
+            over = scaled >= side
+            q = np.where(over, 0.0, np.maximum(scaled, 0.0)).astype(np.uint64)
+            q[over] = self.side - 1
+            x.append(q)
 
-def hilbert_key_4d(
-    x: float, y: float, score: float, text_key: float, bits: int = 8
-) -> int:
-    """Hilbert key of a mapped SRT point ``(x, y, s, H(W))`` in [0,1]^4."""
-    return _unit_key(HilbertCurve(4, bits), (x, y, score, text_key))
+        # Inverse undo of the excess work (Skilling's first loop).
+        q = 1 << (self.bits - 1)
+        while q > 1:
+            p = np.uint64(q - 1)
+            for i in range(self.dims):
+                hit = (x[i] & np.uint64(q)) != 0
+                t = np.where(hit, np.uint64(0), (x[0] ^ x[i]) & p)
+                x[0] ^= np.where(hit, p, t)
+                x[i] ^= t
+            q >>= 1
 
+        # Gray encode.
+        for i in range(1, self.dims):
+            x[i] ^= x[i - 1]
+        t = np.zeros_like(x[-1])
+        q = 1 << (self.bits - 1)
+        while q > 1:
+            t ^= np.where(x[-1] & np.uint64(q), np.uint64(q - 1), np.uint64(0))
+            q >>= 1
+        for i in range(self.dims):
+            x[i] ^= t
 
-def _unit_key(curve: HilbertCurve, unit_coords: Sequence[float]) -> int:
-    side = curve.side
-    quantized = []
-    for c in unit_coords:
-        q = int(c * side)
-        if q < 0:
-            q = 0
-        elif q >= side:
-            q = side - 1
-        quantized.append(q)
-    return curve.encode(quantized)
+        # Pack MSB-first, as :meth:`_interleave` does.
+        h = np.zeros_like(t)
+        one = np.uint64(1)
+        for bit in range(self.bits - 1, -1, -1):
+            for i in range(self.dims):
+                h = (h << one) | ((x[i] >> np.uint64(bit)) & one)
+        return h

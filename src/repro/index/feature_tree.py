@@ -173,8 +173,9 @@ class FeatureTree(RTreeBase):
         """Summary contribution of a single feature's keyword mask."""
 
     @abstractmethod
-    def bulk_sort_key(self, entry: FeatureLeafEntry) -> int:
-        """Total order used for bulk loading."""
+    def bulk_sort_keys(self, entries: list[FeatureLeafEntry]) -> np.ndarray:
+        """One sort key per entry; bulk loading packs them in stable key
+        order."""
 
     @abstractmethod
     def make_scorer(self, query_mask: int, lam: float) -> FeatureScorer:
@@ -204,8 +205,8 @@ class FeatureTree(RTreeBase):
             for f in dataset
         ]
         if method == "bulk":
-            entries.sort(key=tree.bulk_sort_key)
-            tree.bulk_load(entries, fill)
+            order = np.argsort(tree.bulk_sort_keys(entries), kind="stable")
+            tree.bulk_load([entries[i] for i in order.tolist()], fill)
         elif method == "insert":
             for entry in entries:
                 tree.insert(entry)

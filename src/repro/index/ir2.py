@@ -15,15 +15,15 @@ more entries on it.
 
 from __future__ import annotations
 
-from repro.hilbert.curve import hilbert_key_2d
+import numpy as np
+
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureLeafEntry
+from repro.index.rtree_base import spatial_sort_keys
 from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 from repro.text.signature import SignatureScheme
 from repro.text.similarity import mask_to_ids
-
-IR2_KEY_BITS = 16
 
 
 class IR2Tree(FeatureTree):
@@ -45,9 +45,9 @@ class IR2Tree(FeatureTree):
     def leaf_summary(self, mask: int) -> int:
         return self.scheme.from_mask(mask)
 
-    def bulk_sort_key(self, entry: FeatureLeafEntry) -> int:
-        """Spatial Hilbert key only — the IR²-tree ignores score & text."""
-        return hilbert_key_2d(entry.x, entry.y, IR2_KEY_BITS)
+    def bulk_sort_keys(self, entries: list[FeatureLeafEntry]) -> np.ndarray:
+        """Spatial Hilbert keys only — the IR²-tree ignores score & text."""
+        return spatial_sort_keys(entries)
 
     def make_scorer(self, query_mask: int, lam: float) -> FeatureScorer:
         query_ids = tuple(mask_to_ids(query_mask))

@@ -19,12 +19,12 @@ The ``ablation_index`` experiment measures all three side by side.
 
 from __future__ import annotations
 
-from repro.hilbert.curve import hilbert_key_2d
+import numpy as np
+
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureLeafEntry
+from repro.index.rtree_base import spatial_sort_keys
 from repro.text.similarity import overlap_ratio
-
-IRT_KEY_BITS = 16
 
 
 class IRTree(FeatureTree):
@@ -37,9 +37,9 @@ class IRTree(FeatureTree):
     def leaf_summary(self, mask: int) -> int:
         return mask
 
-    def bulk_sort_key(self, entry: FeatureLeafEntry) -> int:
-        """Spatial Hilbert key only, exactly like the IR²-tree."""
-        return hilbert_key_2d(entry.x, entry.y, IRT_KEY_BITS)
+    def bulk_sort_keys(self, entries: list[FeatureLeafEntry]) -> np.ndarray:
+        """Spatial Hilbert keys only, exactly like the IR²-tree."""
+        return spatial_sort_keys(entries)
 
     def make_scorer(self, query_mask: int, lam: float) -> FeatureScorer:
         def sim_upper(summary: int) -> float:

@@ -17,19 +17,22 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.hilbert.curve import hilbert_key_2d
 from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import Node, ObjectLeafEntry, ObjectNodeCodec
-from repro.index.rtree_base import DEFAULT_FILL, RTreeBase
+from repro.index.rtree_base import DEFAULT_FILL, RTreeBase, spatial_sort_keys
 from repro.model.objects import DataObject
 from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
 
 
 class ObjectRTree(RTreeBase):
-    """R-tree over data objects (points in the unit square)."""
+    """R-tree over data objects (points at any finite location; the
+    Hilbert bulk-load key clamps coordinates to the unit square, which
+    changes packing quality outside it, never what a search finds)."""
 
     def __init__(
         self,
@@ -74,8 +77,8 @@ class ObjectRTree(RTreeBase):
         tree = cls(pagefile, buffer_pages)
         entries = [ObjectLeafEntry(o.oid, o.x, o.y) for o in objects]
         if method == "hilbert":
-            entries.sort(key=lambda e: hilbert_key_2d(e.x, e.y))
-            tree.bulk_load(entries, fill)
+            order = np.argsort(spatial_sort_keys(entries), kind="stable")
+            tree.bulk_load([entries[i] for i in order.tolist()], fill)
         elif method == "str":
             tree.bulk_load(_str_order(entries, tree.leaf_fanout, fill), fill)
         elif method == "insert":

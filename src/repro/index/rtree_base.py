@@ -17,7 +17,7 @@ they share:
 
 Subclasses provide the codec, how to derive an internal (parent) entry
 from a child node — which is where the SRT/IR² aggregates are maintained —
-and the bulk-load sort key.
+and the bulk-load sort keys.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import IndexError_, StorageError
+from repro.hilbert.curve import HilbertCurve
 from repro.obs import tracing as _tracing
 from repro.geometry.rect import Rect
 from repro.storage.node_cache import DEFAULT_BUFFER_PAGES, NodeCache
@@ -39,6 +42,15 @@ from repro.index.nodes import LEAF_LAYOUT, LEAF_LEVEL, Node
 DEFAULT_FILL = 0.9
 MIN_FILL_RATIO = 0.4
 META_PAGE_ID = 0
+#: Bits per axis of the 2-d spatial bulk-load key.
+SPATIAL_KEY_BITS = 16
+
+
+def spatial_sort_keys(entries: Sequence) -> np.ndarray:
+    """2-d Hilbert keys of the entries' ``(x, y)`` in the unit square —
+    the spatial bulk-load order (object tree, IR²-tree, IR-tree)."""
+    xy = np.array([(e.x, e.y) for e in entries], dtype=np.float64)
+    return HilbertCurve(2, SPATIAL_KEY_BITS).encode_unit(xy.reshape(-1, 2).T)
 
 
 class RTreeBase(ABC):

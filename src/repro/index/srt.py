@@ -18,8 +18,10 @@ bijective image of that Hilbert value — and expose the Hilbert form via
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geometry.rect import Rect
-from repro.hilbert.curve import hilbert_key_4d
+from repro.hilbert.curve import HilbertCurve
 from repro.hilbert.keywords import KeywordHilbert
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureInternalEntry, FeatureLeafEntry
@@ -49,10 +51,19 @@ class SRTIndex(FeatureTree):
     def leaf_summary(self, mask: int) -> int:
         return mask
 
-    def bulk_sort_key(self, entry: FeatureLeafEntry) -> int:
-        """Hilbert key of the mapped point ``(x, y, s, H(W))``."""
-        text_unit = self._kh.to_unit(self._kh.encode(entry.mask))
-        return hilbert_key_4d(entry.x, entry.y, entry.score, text_unit, SRT_KEY_BITS)
+    def bulk_sort_keys(self, entries: list[FeatureLeafEntry]) -> np.ndarray:
+        """Hilbert keys of the mapped points ``(x, y, s, H(W))``.
+
+        ``H(W)`` is computed per entry on Python ints, so it stays exact
+        for vocabularies wider than a machine word; only its unit-interval
+        image enters the key.
+        """
+        kh = self._kh
+        points = np.array(
+            [(e.x, e.y, e.score, kh.to_unit(kh.encode(e.mask))) for e in entries],
+            dtype=np.float64,
+        )
+        return HilbertCurve(4, SRT_KEY_BITS).encode_unit(points.reshape(-1, 4).T)
 
     def make_scorer(self, query_mask: int, lam: float) -> FeatureScorer:
         def sim_upper(summary: int) -> float:

@@ -1,11 +1,14 @@
 """Tests for the generic n-dimensional Hilbert curve."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.hilbert.curve import HilbertCurve, hilbert_key_2d, hilbert_key_4d
+from repro.hilbert.curve import HilbertCurve
 
 
 class TestSmallCurves:
@@ -91,22 +94,91 @@ class TestLargeCurves:
         assert list(curve.decode(curve.encode(coords))) == coords
 
 
+def unit_keys(dims, bits, *points):
+    """``encode_unit`` keys of ``points`` as Python ints."""
+    columns = np.array(points, dtype=np.float64).reshape(-1, dims).T
+    return HilbertCurve(dims, bits).encode_unit(columns).tolist()
+
+
 class TestUnitKeys:
     def test_2d_key_locality(self):
         """Nearby points mostly share key prefixes (coarse check)."""
-        a = hilbert_key_2d(0.1, 0.1)
-        b = hilbert_key_2d(0.1 + 1e-6, 0.1)
-        c = hilbert_key_2d(0.9, 0.9)
+        a, b, c = unit_keys(2, 16, (0.1, 0.1), (0.1 + 1e-6, 0.1), (0.9, 0.9))
         assert abs(a - b) < abs(a - c)
 
     def test_clamping(self):
-        assert hilbert_key_2d(-0.5, 1.5) == hilbert_key_2d(0.0, 1.0 - 1e-12)
+        low, high = unit_keys(2, 16, (-0.5, 1.5), (0.0, 1.0 - 1e-12))
+        assert low == high
 
     def test_4d_key_range(self):
-        key = hilbert_key_4d(0.5, 0.5, 0.5, 0.5, bits=8)
+        (key,) = unit_keys(4, 8, (0.5, 0.5, 0.5, 0.5))
         assert 0 <= key < 1 << 32
 
     def test_4d_distinct_dimensions_matter(self):
-        base = hilbert_key_4d(0.5, 0.5, 0.5, 0.5)
-        assert hilbert_key_4d(0.5, 0.5, 0.9, 0.5) != base
-        assert hilbert_key_4d(0.5, 0.5, 0.5, 0.9) != base
+        base, score, text = unit_keys(
+            4, 8, (0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.9, 0.5),
+            (0.5, 0.5, 0.5, 0.9),
+        )
+        assert score != base
+        assert text != base
+
+
+#: (dims, bits) with dims * bits <= 64: the build's 2 x 16 and 4 x 8, the
+#: full-width 4 x 16, 1 x 64 and 64 x 1, and odd shapes between.
+SHAPES = [(2, 16), (4, 8), (4, 16), (1, 64), (64, 1), (3, 21), (2, 32), (5, 7)]
+
+#: Coordinates the quantization must get right: both ends of the unit
+#: interval, the last float below 1, and values that clamp.
+EDGES = [0.0, 1.0, math.nextafter(1.0, 0.0), -0.0, -1e-300, -0.5, 1.5, 3.0]
+
+
+def quantized(c: float, bits: int) -> int:
+    """The scalar quantization: ``int(c * 2**bits)`` clamped to the side."""
+    side = 1 << bits
+    return min(max(int(c * side), 0), side - 1)
+
+
+class TestEncodeUnit:
+    @given(
+        st.sampled_from(SHAPES).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape),
+                st.lists(
+                    st.lists(
+                        st.one_of(
+                            st.sampled_from(EDGES),
+                            st.floats(-2.0, 2.0, allow_nan=False),
+                            st.floats(0.0, 1.0),
+                        ),
+                        min_size=shape[0],
+                        max_size=shape[0],
+                    ),
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_equals_scalar_encode(self, case):
+        (dims, bits), points = case
+        curve = HilbertCurve(dims, bits)
+        want = [curve.encode([quantized(c, bits) for c in p]) for p in points]
+        assert unit_keys(dims, bits, *points) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            unit_keys(2, 16, (0.5, 0.5), (0.5, bad))
+
+    @pytest.mark.parametrize("dims,bits", [(2, 33), (4, 17), (65, 1)])
+    def test_wider_than_64_bits_rejected(self, dims, bits):
+        with pytest.raises(GeometryError):
+            HilbertCurve(dims, bits).encode_unit(np.zeros((dims, 1)))
+
+    def test_wrong_column_count(self):
+        with pytest.raises(GeometryError):
+            HilbertCurve(2, 16).encode_unit(np.zeros((3, 1)))
+
+    def test_no_points(self):
+        keys = HilbertCurve(4, 8).encode_unit(np.zeros((4, 0)))
+        assert keys.dtype == np.uint64 and keys.shape == (0,)

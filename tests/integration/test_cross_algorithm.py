@@ -171,6 +171,47 @@ class TestDegenerateWorlds:
                     index, algorithm
                 )
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_objects_outside_the_unit_square(self, variant):
+        """Objects may lie anywhere, so the NN variant's Voronoi cells
+        must cover every object, not just the unit square."""
+        vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))
+        objects = ObjectDataset(
+            [
+                DataObject(1, 0.5, 0.5),
+                DataObject(2, 1.5, 0.5),
+                DataObject(3, 0.2, -0.3),
+            ]
+        )
+        feature_sets = [
+            FeatureDataset(
+                [
+                    FeatureObject(10, 1.4, 0.5, 0.9, frozenset({0})),
+                    FeatureObject(11, 0.3, 0.3, 0.2, frozenset({0})),
+                ],
+                vocab,
+                "F",
+            )
+        ]
+        query = PreferenceQuery(
+            k=3, radius=0.3, lam=0.5, keyword_masks=(1,), variant=variant
+        )
+        want = brute_force(objects, feature_sets, query).items
+        if variant is Variant.NEAREST:
+            assert [i.oid for i in want] == [2, 1, 3]
+            assert [i.score for i in want] == pytest.approx([0.95, 0.6, 0.6])
+        for index in ("srt", "ir2"):
+            processor = QueryProcessor.build(
+                objects, feature_sets, index=index
+            )
+            for algorithm in ("stds", "stps"):
+                got = processor.query(query, algorithm=algorithm).items
+                context = (index, algorithm)
+                assert [i.oid for i in got] == [i.oid for i in want], context
+                assert_scores_equal(
+                    [i.score for i in got], [i.score for i in want], context
+                )
+
     def test_empty_object_dataset(self):
         vocab = Vocabulary(f"kw{i}" for i in range(VOCAB_SIZE))
         objects = ObjectDataset([])

@@ -133,6 +133,27 @@ class TestPublicApi:
         assert not hasattr(FeatureScorer, "bound")
         assert not hasattr(FeatureScorer, "relevant")
 
+    def test_one_vector_pass_per_bulk_load(self):
+        """Bulk loads take every sort key from one
+        ``HilbertCurve.encode_unit`` call; the per-entry key functions and
+        hooks are gone."""
+        import repro.hilbert as hilbert
+        import repro.hilbert.curve as curve
+        from repro.index.feature_tree import FeatureTree
+        from repro.index.ir2 import IR2Tree
+        from repro.index.irtree import IRTree
+        from repro.index.srt import SRTIndex
+
+        assert hasattr(curve.HilbertCurve, "encode_unit")
+        gone = {"hilbert_key_2d", "hilbert_key_4d", "_unit_key"}
+        assert not gone & set(hilbert.__all__)
+        for module in (hilbert, curve):
+            for name in gone:
+                assert not hasattr(module, name), (module.__name__, name)
+        for cls in (FeatureTree, SRTIndex, IR2Tree, IRTree):
+            assert not hasattr(cls, "bulk_sort_key"), cls.__name__
+            assert hasattr(cls, "bulk_sort_keys"), cls.__name__
+
     def test_standing_answers_replay_the_datasets_own_log(self):
         """One mutation log, owned by the dataset: the monitor lives with
         it, and nothing subscribes to a dataset's writes."""

@@ -10,8 +10,9 @@ keep-alive connections.  Three phases:
   query-key skew), plus a small unique-key tail share so the window
   keeps executing fresh queries instead of degenerating into a pure
   cache replay.  Reports sustained QPS, p50/p99, cache hit rate,
-  admission rejections, and ``p99_slo_headroom`` = SLO latency target /
-  observed p99 (>= 1 means p99 is inside the committed target).
+  admission rejections, and ``p99_slo_headroom`` = latency target
+  (``ServeConfig.latency_slo_s``) / observed p99 (>= 1 means p99 is
+  inside the target).
 
 Before the timed window every distinct stds/iss key is replayed once
 (untimed warm-up).  Those engines are the known-expensive slice — iss
@@ -484,10 +485,7 @@ def bench(args) -> dict:
     tenants = [f"tenant-{i:02d}" for i in range(args.tenants)]
     tenant_weights = zipf_weights(len(tenants), args.zipf_s)
 
-    config = (
-        ServeConfig.from_slo_file(args.slo)
-        if Path(args.slo).exists() else ServeConfig()
-    )
+    config = ServeConfig()
     latency_target_s = config.latency_slo_s
 
     executor = QueryExecutor(processor, max_workers=args.workers)
@@ -638,7 +636,6 @@ def main(argv=None) -> int:
         "--trace-ab-requests", type=int, default=50,
         help="requests per side per round in the tracing-overhead phase",
     )
-    parser.add_argument("--slo", type=Path, default=Path("SLO.json"))
     args = parser.parse_args(argv)
     if args.smoke:
         args.objects = min(args.objects, 4000)

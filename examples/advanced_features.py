@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Advanced features tour: streaming results, index ablation, ISS.
+"""Advanced features tour: streaming results, ISS.
 
 Demonstrates the extensions this reproduction adds on top of the paper
 (see DESIGN.md, Section 7):
 
 1. **incremental streaming** — page through results without re-running
    the query;
-2. **three-way index ablation** — SRT vs IR-tree vs IR² isolates what
-   makes the SRT-index fast (clustering vs summary fidelity);
-3. **ISS** — the combination-free influence algorithm vs the paper's
+2. **ISS** — the combination-free influence algorithm vs the paper's
    Algorithm 5 as the number of feature sets grows.
 
 Run:  python examples/advanced_features.py
@@ -43,24 +41,9 @@ def main() -> None:
     print("   streaming: second page", [(i.oid, round(i.score, 3)) for i in second_page])
 
     # ------------------------------------------------------------------
-    # 2. index ablation: same query on three indexes
+    # 2. ISS vs STPS for the influence variant at c = 3
     # ------------------------------------------------------------------
-    print("\n2. index ablation (same query, logical page accesses):")
-    for index in ("srt", "irtree", "ir2"):
-        p = QueryProcessor.build(objects, feature_sets[:2], index=index)
-        p.query(query)  # warm
-        p.reset_stats()
-        result = p.query(query)
-        accesses = result.stats.io_reads + result.stats.buffer_hits
-        print(
-            f"   {index:7s}: {accesses:5d} page accesses, "
-            f"{result.stats.features_pulled:4d} features pulled"
-        )
-
-    # ------------------------------------------------------------------
-    # 3. ISS vs STPS for the influence variant at c = 3
-    # ------------------------------------------------------------------
-    print("\n3. influence algorithms at c=3 (exact, same answers):")
+    print("\n2. influence algorithms at c=3 (exact, same answers):")
     processor3 = QueryProcessor.build(objects, feature_sets)
     q3 = PreferenceQuery.from_terms(
         k=5,

@@ -448,31 +448,6 @@ def _ablation_build(ctx: BenchContext) -> ExperimentResult:
     return result
 
 
-def _ablation_index(ctx: BenchContext) -> ExperimentResult:
-    """Three-way index comparison isolating the SRT-index's ingredients.
-
-    SRT = 4-d clustering + exact summaries; IR-tree = spatial clustering
-    + exact summaries; IR² = spatial clustering + signatures.  The gap
-    SRT→IR-tree is the clustering contribution, IR-tree→IR² the summary
-    contribution.
-    """
-    xs = list(ctx.cfg.cardinality_sweep)
-    result = ExperimentResult(
-        "ablation_index",
-        "STPS on SRT vs IR-tree vs IR² (synthetic, range score)",
-        "Section 4 (index design)",
-        "|F_i|",
-        xs,
-    )
-    for n in xs:
-        feature_sets = ctx.feature_sets(n=n)
-        queries = ctx.workload(feature_sets)
-        for index in ("srt", "irtree", "ir2"):
-            processor = ctx.synthetic_processor(index, n_feat=n)
-            result.add(f"STPS/{index.upper()}", measure(processor, queries))
-    return result
-
-
 def _ablation_influence_algo(ctx: BenchContext) -> ExperimentResult:
     """Paper's STPS (Alg. 5) vs the combination-free ISS extension.
 
@@ -505,15 +480,6 @@ def _ablation_influence_algo(ctx: BenchContext) -> ExperimentResult:
     return result
 
 
-_register(
-    Experiment(
-        "ablation_index",
-        "Index three-way ablation",
-        "Section 4",
-        _ablation_index,
-    ),
-    group="ablations",
-)
 _register(
     Experiment(
         "ablation_influence_algo",

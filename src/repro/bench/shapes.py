@@ -153,17 +153,6 @@ def validate(result: ExperimentResult) -> list[ShapeCheck]:
         )
     if eid.startswith(("fig13", "fig14")):
         checks.append(_check_voronoi_material(result))
-    if eid == "ablation_index":
-        srt = _mean_total(_series(result, "SRT"))
-        irt = _mean_total(_series(result, "IRTREE"))
-        checks.append(
-            ShapeCheck(
-                eid,
-                "SRT (4-d clustering) <= IR-tree (spatial clustering)",
-                srt <= irt * (1.0 + NOISE),
-                f"SRT {srt:.1f}ms vs IR-tree {irt:.1f}ms",
-            )
-        )
     return checks
 
 

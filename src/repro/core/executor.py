@@ -33,7 +33,6 @@ import logging
 import math
 import threading
 import time
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,16 +48,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_WORKERS = 4
 
 ON_ERROR_MODES = ("raise", "return")
-
-#: All live executors (weak refs); the resource sampler
-#: (:mod:`repro.obs.resources`) sums their queue depth and in-flight
-#: counts into backpressure gauges.
-_live_executors: "weakref.WeakSet[QueryExecutor]" = weakref.WeakSet()
-
-
-def live_executors() -> list["QueryExecutor"]:
-    """Live QueryExecutor instances (weakly tracked)."""
-    return [e for e in _live_executors if not e._closed]
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -184,12 +173,10 @@ class QueryExecutor:
         self._closed = False
         # The slot gate, a counted semaphore whose two counts can be
         # read: callers waiting for a slot and queries executing.  The
-        # resource sampler exports both; the waiting count is the
-        # serving layer's admission-control signal.
+        # waiting count is the serving layer's admission-control signal.
         self._gate = threading.Condition()
         self._queued = 0
         self._running = 0
-        _live_executors.add(self)
 
     @property
     def queue_depth(self) -> int:

@@ -30,7 +30,6 @@ from repro.core.stps import stps, stps_stream
 from repro.errors import QueryError
 from repro.index.feature_tree import FeatureTree
 from repro.index.ir2 import IR2Tree
-from repro.index.irtree import IRTree
 from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset, ObjectDataset
@@ -46,7 +45,8 @@ ALGORITHM_STPS = "stps"
 ALGORITHM_STDS = "stds"
 ALGORITHM_ISS = "iss"
 
-INDEX_CLASSES = {"srt": SRTIndex, "ir2": IR2Tree, "irtree": IRTree}
+INDEX_CLASSES = {"srt": SRTIndex, "ir2": IR2Tree}
+
 
 class QueryProcessor:
     """Runs preference queries over a fixed set of indexes."""
@@ -74,9 +74,8 @@ class QueryProcessor:
         """Build all indexes from raw datasets.
 
         ``index`` selects the feature index: ``"srt"`` (the paper's
-        SRT-index, default), ``"ir2"`` (the modified IR²-tree baseline)
-        or ``"irtree"`` (IR-tree-style extension baseline: spatial
-        clustering with exact summaries).
+        SRT-index, default) or ``"ir2"`` (the modified IR²-tree
+        baseline).
         """
         if index not in INDEX_CLASSES:
             raise QueryError(

@@ -10,7 +10,7 @@ Hilbert curve* (AIP Conf. Proc. 707, 2004) for arbitrary dimension count
   keyword, which is the locality property the SRT-index exploits;
 * the bulk-loading keys: the SRT-index's 4-d key over the mapped space
   ``(x, y, score, H(keywords))`` and the 2-d spatial key of the object
-  tree, the IR²-tree and the IR-tree.
+  tree and the IR²-tree.
 
 :meth:`HilbertCurve.encode` / :meth:`HilbertCurve.decode` take and
 return plain Python ints, so ``n * b`` can exceed machine-word width

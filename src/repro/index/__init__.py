@@ -2,7 +2,6 @@
 
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.ir2 import IR2Tree
-from repro.index.irtree import IRTree
 from repro.index.nodes import (
     FeatureInternalEntry,
     FeatureLeafEntry,
@@ -20,7 +19,6 @@ __all__ = [
     "FeatureScorer",
     "FeatureTree",
     "IR2Tree",
-    "IRTree",
     "Node",
     "ObjectInternalEntry",
     "ObjectLeafEntry",

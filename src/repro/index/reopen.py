@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.errors import IndexError_, StorageError
 from repro.index.ir2 import IR2Tree
-from repro.index.irtree import IRTree
 from repro.index.object_rtree import ObjectRTree
 from repro.index.rtree_base import META_PAGE_ID, RTreeBase
 from repro.index.srt import SRTIndex
@@ -29,7 +28,6 @@ TREE_KINDS = {
     "object": ObjectRTree,
     "srt": SRTIndex,
     "ir2": IR2Tree,
-    "irtree": IRTree,
 }
 
 
@@ -59,8 +57,8 @@ def open_tree(
             buffer_pages,
             SignatureScheme(meta["signature_bits"], meta["bits_per_term"]),
         )
-    else:  # "srt" / "irtree"
-        tree = TREE_KINDS[kind](meta["vocab_size"], pagefile, buffer_pages)
+    else:  # "srt"
+        tree = SRTIndex(meta["vocab_size"], pagefile, buffer_pages)
     tree.root_id = meta["root"]
     tree.height = meta["height"]
     tree.count = meta["count"]

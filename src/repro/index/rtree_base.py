@@ -48,7 +48,7 @@ SPATIAL_KEY_BITS = 16
 
 def spatial_sort_keys(entries: Sequence) -> np.ndarray:
     """2-d Hilbert keys of the entries' ``(x, y)`` in the unit square —
-    the spatial bulk-load order (object tree, IR²-tree, IR-tree)."""
+    the spatial bulk-load order (object tree, IR²-tree)."""
     xy = np.array([(e.x, e.y) for e in entries], dtype=np.float64)
     return HilbertCurve(2, SPATIAL_KEY_BITS).encode_unit(xy.reshape(-1, 2).T)
 

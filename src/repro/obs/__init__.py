@@ -21,29 +21,13 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   (arguments, phases, counters, plan summary) kept in the trace store
   below and read back as a view over it, dumpable to JSONL;
 * :mod:`repro.obs.regress` — the perf-regression sentinel comparing
-  bench results against committed baselines (and recording SLO burn
-  rates into the bench history);
-* :mod:`repro.obs.timeseries` — a delta-encoded ring of periodic
-  registry snapshots: windowed rates and p50/p95/p99 over the last
-  N seconds, fed by a background :class:`~repro.obs.timeseries.Sampler`;
-* :mod:`repro.obs.slo` — declarative latency/availability SLOs with
-  error-budget accounting and multi-window burn-rate alerts evaluated
-  against the ring (committed definitions live in ``SLO.json``);
-* :mod:`repro.obs.resources` — process-resource gauges (RSS, fds,
-  ``/dev/shm`` segments, cache/buffer occupancy, executor queue depth);
-  ``Sampler(ring, pre_sample=(resources.collect,))`` puts them in the
-  same ring;
-* :mod:`repro.obs.profiler` — a continuous ``sys._current_frames``
-  sampling profiler whose ring is retroactively captured (keyed by
-  trace id) whenever the trace store admits a slow request; emits
-  flamegraph.pl collapsed-stack output;
+  bench results against committed baselines;
 * :mod:`repro.obs.requests` — W3C ``traceparent`` interop plus the one
   byte-bounded, tail-sampled store of finished requests with their
   admission-waterfall span trees (``/traces.json`` on the serving
   endpoint);
 * ``python -m repro.obs`` — run a synthetic workload and emit a metrics
-  snapshot plus a trace file (``--telemetry`` adds the full
-  operational layer); subcommands ``explain``, ``regress`` and
+  snapshot plus a trace file; subcommands ``explain``, ``regress`` and
   ``trace`` (see :mod:`repro.obs.cli`).
 
 Quick start::
@@ -68,11 +52,7 @@ from repro.obs import (
     export,
     flight,
     metrics,
-    profiler,
     requests,
-    resources,
-    slo,
-    timeseries,
     tracing,
 )
 from repro.obs.explain import ExplainReport, QueryPlan
@@ -81,24 +61,13 @@ from repro.obs.export import (
     render_openmetrics,
     render_prometheus,
     snapshot,
-    timeseries_payload,
     write_json,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.requests import (
     format_traceparent,
     parse_traceparent,
     render_trace_tree,
 )
-from repro.obs.slo import (
-    AvailabilitySLO,
-    BurnRateAlert,
-    LatencySLO,
-    default_slos,
-    evaluate_slos,
-    load_slos,
-)
-from repro.obs.timeseries import Sampler, TimeSeriesRing
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -123,23 +92,14 @@ from repro.obs.tracing import (
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
-    "AvailabilitySLO",
-    "BurnRateAlert",
     "DEFAULT_LATENCY_BUCKETS",
     "ExplainReport",
-    "LatencySLO",
     "MetricsRegistry",
     "MetricsServer",
     "PhaseRecorder",
     "QueryPlan",
-    "Sampler",
-    "SamplingProfiler",
     "SpanCollector",
-    "TimeSeriesRing",
     "chrome_trace",
-    "default_slos",
-    "evaluate_slos",
-    "load_slos",
     "current_trace_id",
     "enabled_tracing",
     "explain",
@@ -150,21 +110,16 @@ __all__ = [
     "metrics",
     "new_trace_id",
     "parse_traceparent",
-    "profiler",
     "recorder",
     "registry",
     "render_openmetrics",
     "render_prometheus",
     "render_trace_tree",
     "requests",
-    "resources",
     "scoped_registry",
     "set_enabled",
-    "slo",
     "snapshot",
     "span",
-    "timeseries",
-    "timeseries_payload",
     "trace_scope",
     "tracing",
     "write_chrome_trace",

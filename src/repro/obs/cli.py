@@ -19,14 +19,6 @@ Run::
 
     PYTHONPATH=src python -m repro.obs --smoke --out-dir obs_out
 
-``--telemetry`` turns on the full operational layer for the run: a
-:class:`~repro.obs.timeseries.TimeSeriesRing` sampled with the
-resource gauges, exemplars on latency histograms, the continuous
-profiler with flight-recorder-triggered captures, and five extra
-artifacts (``obs_metrics.om``, ``timeseries.json``, ``dashboard.html``,
-``flamegraph.txt``, and ``slo_verdict.json`` for the built-in SLOs).
-The live ``/dashboard`` is ``python -m repro.serve``'s.
-
 Subcommands ride alongside the workload runner:
 
 * ``python -m repro.obs explain`` — EXPLAIN/ANALYZE one query against a
@@ -46,7 +38,7 @@ import logging
 import time
 from pathlib import Path
 
-from repro.obs import export, flight, metrics, resources, tracing
+from repro.obs import export, flight, metrics, tracing
 from repro.obs import requests as requests_mod
 
 logger = logging.getLogger(__name__)
@@ -90,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="record every query in the flight recorder "
                              "(latency threshold 0) and dump JSONL here")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="full operational layer: time-series ring + "
-                             "resource sampler + exemplars + triggered "
-                             "profiler + SLO verdict; writes "
-                             "timeseries.json, dashboard.html, "
-                             "flamegraph.txt, slo_verdict.json")
     return parser
 
 
@@ -398,69 +384,23 @@ def main(argv=None) -> int:
     metrics_out = args.metrics_out or out_dir / "obs_metrics.prom"
     json_out = args.json_out or out_dir / "obs_metrics.json"
 
-    sampler = None
-    if args.telemetry:
-        from repro.obs import profiler as profiler_mod
-        from repro.obs.timeseries import Sampler, TimeSeriesRing
-
-        ring = TimeSeriesRing()
-        sampler = Sampler(
-            ring, interval_s=0.25, pre_sample=(resources.collect,)
-        )
-        metrics.set_exemplars(True)
-        profiler_mod.install()
-        sampler.start()
-
     tracing.clear()
     previous = tracing.set_enabled(True)
-    keep_queries = args.telemetry or args.flight_out is not None
+    keep_queries = args.flight_out is not None
     if keep_queries:
-        # --flight-out, and the exemplar -> query record -> profiler
-        # capture join of telemetry mode, want every query kept.
+        # --flight-out wants every query kept.
         requests_mod.clear()
         requests_mod.configure(enabled_=True, slow_threshold_s=0.0)
     try:
         summary = run_workload(args)
     finally:
         tracing.set_enabled(previous)
-        if sampler is not None:
-            sampler.stop()
-        if args.telemetry:
-            metrics.set_exemplars(False)
-        if keep_queries and not args.telemetry:
+        if keep_queries:
             _store_off()
 
     metrics_out.write_text(export.render_prometheus())
     export.write_json(json_out)
     print(f"wrote {metrics_out} and {json_out}")
-    if args.telemetry:
-        from repro.obs.slo import default_slos, evaluate_slos
-
-        slos = default_slos()
-        om_out = out_dir / "obs_metrics.om"
-        om_out.write_text(export.render_openmetrics())
-        ts_out = out_dir / "timeseries.json"
-        ts_out.write_text(
-            json.dumps(export.timeseries_payload(ring, slos=slos)) + "\n"
-        )
-        dash_out = out_dir / "dashboard.html"
-        dash_out.write_text(export.DASHBOARD_HTML)
-        verdict = evaluate_slos(slos, ring)
-        slo_out = out_dir / "slo_verdict.json"
-        slo_out.write_text(json.dumps(verdict, indent=2) + "\n")
-        prof = profiler_mod.get()
-        flame_out = out_dir / "flamegraph.txt"
-        if prof is not None:
-            prof.write_collapsed(flame_out)
-        print(
-            f"wrote {om_out}, {ts_out}, {dash_out}, {slo_out}, {flame_out}"
-        )
-        state = (
-            "FIRING" if verdict["firing"]
-            else "budget exhausted" if verdict["exhausted"]
-            else "ok"
-        )
-        print(f"SLO verdict: {state} ({len(verdict['slos'])} SLOs)")
     if args.flight_out is not None:
         flight.dump_jsonl(args.flight_out)
         print(
@@ -485,9 +425,6 @@ def main(argv=None) -> int:
         )
         for phase, seconds in row["phase_times_s"].items():
             print(f"        {phase:<32} {seconds:.4f}s")
-    if args.telemetry:
-        profiler_mod.uninstall()
-        _store_off()
     return 0
 
 

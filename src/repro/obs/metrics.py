@@ -54,8 +54,8 @@ logger = logging.getLogger(__name__)
 #: observation made inside an active trace scope stamps its bucket with
 #: an *exemplar* — ``(value, trace_id, unix_ts)`` — so a p99 bucket
 #: resolves to a concrete query (join the trace id against the flight
-#: recorder, Chrome-trace spans, and profiler captures).  Mutate only
-#: via :func:`set_exemplars`.
+#: recorder and Chrome-trace spans).  Mutate only via
+#: :func:`set_exemplars`.
 exemplars_enabled = False
 
 
@@ -93,36 +93,6 @@ def log_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
     if count < 1:
         raise ReproError(f"bucket count must be >= 1, got {count}")
     return tuple(start * factor**i for i in range(count))
-
-
-def quantile_from_counts(
-    buckets: Sequence[float], counts: Sequence[int], q: float
-) -> float:
-    """Interpolated q-quantile from per-bucket (non-cumulative) counts.
-
-    The shared reconstruction rule behind :meth:`Histogram.quantile` and
-    the windowed percentiles in :mod:`repro.obs.timeseries` (which apply
-    it to bucket-count *deltas* between two snapshots).  Semantics match
-    Prometheus' ``histogram_quantile``; see :meth:`Histogram.quantile`
-    for the edge cases.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ReproError(f"quantile must be in (0, 1], got {q}")
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= rank:
-            if i >= len(buckets):  # +Inf bucket
-                return buckets[-1] if buckets else math.inf
-            upper = buckets[i]
-            lower = buckets[i - 1] if i > 0 else 0.0
-            inside = rank - (seen - c)
-            return lower + (upper - lower) * (inside / c)
-    return buckets[-1] if buckets else math.inf
 
 
 def _validate_name(name: str) -> None:
@@ -261,7 +231,24 @@ class Histogram:
           but their magnitude is unrepresentable.  Size buckets so the
           expected range is covered (see ``DEFAULT_LATENCY_BUCKETS``).
         """
-        return quantile_from_counts(self.buckets, self.bucket_counts(), q)
+        if not 0.0 < q <= 1.0:
+            raise ReproError(f"quantile must be in (0, 1], got {q}")
+        buckets, counts = self.buckets, self.bucket_counts()
+        total = sum(counts)
+        if total == 0:
+            return 0.0
+        rank = q * total
+        seen = 0
+        for i, c in enumerate(counts):
+            seen += c
+            if seen >= rank:
+                if i >= len(buckets):  # +Inf bucket
+                    return buckets[-1] if buckets else math.inf
+                upper = buckets[i]
+                lower = buckets[i - 1] if i > 0 else 0.0
+                inside = rank - (seen - c)
+                return lower + (upper - lower) * (inside / c)
+        return buckets[-1] if buckets else math.inf
 
     @property
     def p50(self) -> float:

@@ -326,45 +326,11 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def slo_history_fields(verdict: dict) -> dict:
-    """Compress an ``evaluate_slos`` verdict into history-record fields.
-
-    Burn rates ride along in ``BENCH_history.jsonl`` so error-budget
-    trends are greppable next to the perf trends (recorded, never gated).
-    """
-    slos: dict[str, dict] = {}
-    for v in verdict.get("slos", []):
-        slos[v["slo"]] = {
-            "objective": v.get("objective"),
-            "budget_consumed_fraction": (
-                v.get("error_budget", {}).get("consumed_fraction")
-            ),
-            "exhausted": v.get("error_budget", {}).get("exhausted"),
-            "firing": v.get("firing"),
-            "burn_rates": {
-                a["name"]: {
-                    "long": a.get("long_burn_rate"),
-                    "short": a.get("short_burn_rate"),
-                    "firing": a.get("firing"),
-                }
-                for a in v.get("alerts", [])
-            },
-        }
-    return {
-        "ok": verdict.get("ok"),
-        "firing": verdict.get("firing"),
-        "exhausted": verdict.get("exhausted"),
-        "slos": slos,
-    }
-
-
 def history_record(
-    pairs: list[dict],
-    timestamp: str | None = None,
-    slo: dict | None = None,
+    pairs: list[dict], timestamp: str | None = None
 ) -> dict:
     """One append-only JSONL line summarizing a sentinel run."""
-    record = {
+    return {
         "schema_version": SENTINEL_SCHEMA_VERSION,
         "timestamp": timestamp or time.strftime(
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
@@ -384,9 +350,6 @@ def history_record(
             for p in pairs
         ],
     }
-    if slo is not None:
-        record["slo"] = slo
-    return record
 
 
 def append_history(path: str | Path, record: dict) -> None:
@@ -402,14 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--pair", nargs=2, action="append", default=None,
         metavar=("BASELINE", "CURRENT"),
-        help="baseline and current bench JSON documents (repeatable; "
-             "optional when --slo-verdict is given)",
-    )
-    parser.add_argument(
-        "--slo-verdict", default=None, metavar="PATH",
-        help="an evaluate_slos verdict JSON (e.g. slo_verdict.json from "
-             "a --telemetry run); its burn-rate fields are merged into "
-             "the history record (recorded, never gated)",
+        help="baseline and current bench JSON documents (repeatable)",
     )
     parser.add_argument(
         "--history", default=None, metavar="PATH",
@@ -425,17 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.pair and not args.slo_verdict:
-        parser.error("need at least one --pair (or --slo-verdict)")
-    slo_fields = None
-    if args.slo_verdict:
-        try:
-            slo_fields = slo_history_fields(load_doc(args.slo_verdict))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"sentinel: cannot read SLO verdict: {exc}")
-            return 1
+    if not args.pair:
+        parser.error("need at least one --pair")
     pairs: list[dict] = []
-    for baseline_path, current_path in args.pair or []:
+    for baseline_path, current_path in args.pair:
         try:
             baseline = load_doc(baseline_path)
             current = load_doc(current_path)
@@ -453,14 +402,12 @@ def main(argv: list[str] | None = None) -> int:
         "ok": ok,
         "pairs": pairs,
     }
-    if slo_fields is not None:
-        doc["slo"] = slo_fields
     if args.verdict:
         with open(args.verdict, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     if args.history:
-        append_history(args.history, history_record(pairs, slo=slo_fields))
+        append_history(args.history, history_record(pairs))
 
     for pair in pairs:
         status = "OK  " if pair["ok"] else "FAIL"
@@ -485,20 +432,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         if pair.get("error"):
             print(f"    error: {pair['error']}")
-    if slo_fields is not None:
-        for name, row in slo_fields["slos"].items():
-            state = (
-                "FIRING" if row["firing"]
-                else "EXHAUSTED" if row["exhausted"]
-                else "ok"
-            )
-            fraction = row["budget_consumed_fraction"]
-            print(
-                f"    slo {name}: {state} "
-                f"(budget {fraction:.1%} consumed)"
-                if fraction is not None
-                else f"    slo {name}: {state}"
-            )
     print(f"sentinel: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -43,7 +43,8 @@ from pathlib import Path
 DEFAULT_MAX_BYTES = 2 * 1024 * 1024
 
 #: Requests at or over this duration are kept as "slow" (tail sampling).
-#: Matches the committed serving latency SLO threshold (``SLO.json``).
+#: Matches the backpressure gate's default latency target
+#: (``ServeConfig.latency_slo_s``).
 DEFAULT_SLOW_THRESHOLD_S = 0.1
 
 #: Keep one in this many boring requests as the uniform sample.
@@ -75,26 +76,6 @@ _counts = {
     "seen": 0, "dropped": 0, "evicted_uniform": 0, "evicted_interesting": 0,
 }
 _kept_by_reason: dict[str, int] = {}
-
-#: Admission hooks, called (outside the store lock, exceptions swallowed)
-#: with each newly kept :class:`RequestTrace`: the continuous profiler's
-#: retroactive stack capture, keyed by trace id, is one.
-_hooks: list = []
-
-
-def add_hook(hook) -> None:
-    """Register an admission hook (idempotent)."""
-    if hook not in _hooks:
-        _hooks.append(hook)
-
-
-def remove_hook(hook) -> bool:
-    """Unregister an admission hook; True when it was registered."""
-    if hook not in _hooks:
-        return False
-    _hooks.remove(hook)
-    return True
-
 
 # ----------------------------------------------------------------------
 # W3C Trace Context (traceparent)
@@ -419,11 +400,6 @@ def record(
         _bytes += trace.approx_bytes
         _kept_by_reason[keep] = _kept_by_reason.get(keep, 0) + 1
         _evict()
-    for hook in list(_hooks):
-        try:
-            hook(trace)
-        except Exception:  # noqa: BLE001 — never raise into the query path
-            pass
     return True
 
 

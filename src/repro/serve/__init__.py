@@ -16,8 +16,8 @@ service (ROADMAP: "online serving").  Layers, bottom-up:
   :class:`~repro.obs.export.MetricsServer` that adds ``/query`` +
   ``/stats/serve`` to every observability route.
 
-``python -m repro.serve`` boots a demo server (live ``/dashboard``
-included) — README "Serving queries"; DESIGN.md §15 has the protocol.
+``python -m repro.serve`` boots a demo server — README "Serving
+queries"; DESIGN.md §15 has the protocol.
 """
 
 from repro.serve.cache import ResultCache, query_signature

@@ -5,7 +5,7 @@ The README's "Serving queries" quickstart::
     PYTHONPATH=src python -m repro.serve --port 8080
 
 builds a synthetic dataset, mounts :class:`~repro.serve.http.ServeServer`
-(query endpoint + metrics/dashboard on one port) and prints a few
+(query endpoint + metrics and traces on one port) and prints a few
 ready-to-paste example requests.
 
 Ctrl-C stops the server.
@@ -17,16 +17,12 @@ import argparse
 import json
 import logging
 import time
-from pathlib import Path
 
 from repro.core.executor import QueryExecutor
 from repro.core.processor import QueryProcessor
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.data.workload import WorkloadSpec, make_workload
 from repro.obs import requests as _requests
-from repro.obs import resources as _resources
-from repro.obs import slo as _slo
-from repro.obs.timeseries import Sampler, TimeSeriesRing
 from repro.serve.http import ServeServer
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import QueryService, ServeConfig
@@ -51,10 +47,6 @@ def main(argv=None) -> int:
         help="default per-tenant burst (defaults to 2x rate)",
     )
     parser.add_argument(
-        "--slo", type=Path, default=Path("SLO.json"),
-        help="SLO document committing the latency target",
-    )
-    parser.add_argument(
         "--no-request-traces", action="store_true",
         help="disable the tail-sampled request trace store",
     )
@@ -77,25 +69,10 @@ def main(argv=None) -> int:
         default_quota = QuotaSpec(rate=args.quota_rate, burst=burst)
     else:
         default_quota = QuotaSpec()
-    if args.slo.exists():
-        config = ServeConfig.from_slo_file(
-            args.slo, default_quota=default_quota
-        )
-        slos = _slo.load_slos(args.slo)
-    else:
-        config = ServeConfig(default_quota=default_quota)
-        slos = _slo.default_slos()
-
-    ring = TimeSeriesRing()
-    sampler = Sampler(
-        ring, interval_s=1.0, pre_sample=(_resources.collect,)
-    ).start()
 
     executor = QueryExecutor(processor, max_workers=args.workers)
-    service = QueryService(executor, config)
-    server = ServeServer(
-        service, host=args.host, port=args.port, ring=ring, slos=slos
-    ).start()
+    service = QueryService(executor, ServeConfig(default_quota=default_quota))
+    server = ServeServer(service, host=args.host, port=args.port).start()
 
     # One data-shaped example request, so the quickstart is paste-ready.
     example = make_workload(
@@ -112,7 +89,6 @@ def main(argv=None) -> int:
     print(f"  GET  {base}/stats/serve  (admission/cache/quota state)")
     if not args.no_request_traces:
         print(f"  GET  {base}/traces.json  (tail-sampled request traces)")
-    print(f"  GET  {base}/dashboard    (live telemetry)")
     print(f"  GET  {base}/metrics      (Prometheus scrape)")
     try:
         while True:
@@ -121,7 +97,6 @@ def main(argv=None) -> int:
         print("shutting down")
     finally:
         server.close()
-        sampler.stop()
         executor.close()
     return 0
 

@@ -185,20 +185,6 @@ class ResultCache:
         total = self.hits + self.misses + self.stale
         return self.hits / total if total else 0.0
 
-    def estimated_bytes(self) -> int:
-        """Rough retained size of the cached results.
-
-        Per entry: the key tuple + OrderedDict slot + its query (~300 B)
-        and the result items (~88 B each: a ResultItem holds four
-        floats/ints plus object headers).  Good enough for a
-        capacity-planning gauge; not an accounting figure.
-        """
-        with self._lock:
-            items = sum(
-                len(result.items) for _, _, result in self._entries.values()
-            )
-            return 300 * len(self._entries) + 88 * items
-
     def describe(self) -> dict:
         with self._lock:
             return {

@@ -9,8 +9,7 @@ single port, no third-party dependency:
 * ``GET /stats/serve`` — live admission/cache/quota state.
 * Everything :class:`repro.obs.export.MetricsServer` serves (``/metrics``,
   ``/openmetrics``, ``/metrics.json``, ``/healthz``, ``/flight.json``,
-  ``/traces.json``, ``/flamegraph.txt``; ``/timeseries.json`` and
-  ``/dashboard`` given a ring): :class:`ServeServer` is a
+  ``/traces.json``): :class:`ServeServer` is a
   ``MetricsServer`` and its handler a subclass of the metrics handler,
   so both share one listener and one lifecycle.
 
@@ -264,10 +263,8 @@ class ServeServer(_export.MetricsServer):
         host: str = "127.0.0.1",
         port: int = 0,
         registry=None,
-        ring=None,
-        slos=None,
     ) -> None:
-        super().__init__(registry, host, port, ring, slos)
+        super().__init__(registry, host, port)
         self.service = service
 
     def _bindings(self) -> dict:

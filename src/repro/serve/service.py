@@ -21,9 +21,10 @@ A request passes through three gates, in a deliberate order:
    p99 flat while the executor is saturated.
 3. **Backpressure** — reject with 429/``Retry-After`` when the executor
    queue is past its depth bound, or when the sliding-window p95 of
-   queue wait has breached the committed SLO latency target
-   (``SLO.json``): once waiting for a slot alone eats the latency
-   budget, admitting more work can only create SLO-violating answers.
+   queue wait has breached the latency target
+   (``ServeConfig.latency_slo_s``): once waiting for a slot alone eats
+   the latency budget, admitting more work can only create
+   SLO-violating answers.
 
 Admitted queries run via :meth:`QueryExecutor.execute_one`, which
 reports the (queue_wait, latency) sample that feeds the backpressure
@@ -48,10 +49,8 @@ import logging
 import math
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.combinations import PULL_PRIORITIZED, PULL_ROUND_ROBIN
 from repro.core.processor import ALGORITHM_ISS, ALGORITHM_STDS, ALGORITHM_STPS
@@ -61,7 +60,6 @@ from repro.errors import ReproError
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
-from repro.obs import slo as _slo
 from repro.obs import tracing as _tracing
 from repro.serve.cache import ResultCache, query_signature
 from repro.serve.quota import QuotaSpec, TenantQuotas
@@ -78,7 +76,7 @@ DEFAULT_MAX_QUEUE_DEPTH = 64
 DEFAULT_QUEUE_WAIT_WINDOW = 256
 DEFAULT_QUEUE_WAIT_HORIZON_S = 10.0
 
-#: Fallback latency target when no SLO document is available.
+#: Latency target of the backpressure gate.
 DEFAULT_LATENCY_SLO_S = 0.1
 
 #: Distinct tenants that get their own metric label before new ones
@@ -143,8 +141,7 @@ class ServeConfig:
     default_quota: QuotaSpec = field(default_factory=QuotaSpec)
     quota_overrides: dict[str, QuotaSpec] = field(default_factory=dict)
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
-    #: Committed latency target the backpressure gate enforces; load it
-    #: from the repo's ``SLO.json`` with :meth:`from_slo_file`.
+    #: Latency target the backpressure gate enforces.
     latency_slo_s: float = DEFAULT_LATENCY_SLO_S
     queue_wait_window: int = DEFAULT_QUEUE_WAIT_WINDOW
     #: Queue-wait samples older than this stop counting toward the
@@ -183,30 +180,6 @@ class ServeConfig:
                 f"tenant_label_limit must be >= 1, got "
                 f"{self.tenant_label_limit}"
             )
-
-    @classmethod
-    def from_slo_file(cls, path: str | Path, **kwargs) -> "ServeConfig":
-        """Config whose latency target is the committed SLO threshold.
-
-        Prefers the serving-path latency SLO (metric
-        ``repro_serve_request_seconds``); falls back to any latency SLO
-        in the document, then to :data:`DEFAULT_LATENCY_SLO_S`.
-        """
-        threshold = DEFAULT_LATENCY_SLO_S
-        latency_slos = [
-            s for s in _slo.load_slos(path)
-            if isinstance(s, _slo.LatencySLO)
-        ]
-        for candidate in latency_slos:
-            if candidate.metric == "repro_serve_request_seconds":
-                threshold = candidate.threshold_s
-                break
-        else:
-            if latency_slos:
-                threshold = latency_slos[0].threshold_s
-        kwargs.setdefault("latency_slo_s", threshold)
-        return cls(**kwargs)
-
 
 @dataclass(slots=True)
 class ServeDecision:
@@ -255,16 +228,6 @@ class _TenantLabelLimiter:
             return len(self._seen)
 
 
-#: Live services, for the resource sampler's serve gauges (weakly held:
-#: the sampler must never keep a closed service alive).
-_live_services: "weakref.WeakSet[QueryService]" = weakref.WeakSet()
-
-
-def live_services() -> list["QueryService"]:
-    """Currently live service instances (a snapshot)."""
-    return list(_live_services)
-
-
 class QueryService:
     """Multi-tenant admission control around a shared executor."""
 
@@ -296,7 +259,6 @@ class QueryService:
         self.errors = 0
         self.rejected_quota = 0
         self.rejected_backpressure = 0
-        _live_services.add(self)
 
     # ------------------------------------------------------------------
     # admission gates

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -42,18 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.index.nodes import Node
     from repro.storage.stats import IOStats
 
-#: All live caches (weak refs), for the resource sampler's occupancy
-#: gauges (:mod:`repro.obs.resources`).  WeakSet mutation is internally
-#: locked and dead entries vanish on GC, so no lifecycle hooks needed.
-_live_caches: "weakref.WeakSet[NodeCache]" = weakref.WeakSet()
-
 #: Default cache capacity in nodes (= pages) per tree.
 DEFAULT_BUFFER_PAGES = 256
-
-
-def live_caches() -> list["NodeCache"]:
-    """Live NodeCache instances (weakly tracked)."""
-    return list(_live_caches)
 
 
 class NodeCache:
@@ -74,7 +63,6 @@ class NodeCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        _live_caches.add(self)
 
     # ------------------------------------------------------------------
     # core operations
@@ -151,16 +139,6 @@ class NodeCache:
         """Hits / (hits + misses); 0.0 before any access."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def estimated_bytes(self) -> int:
-        """Page payload bytes held by cached nodes.
-
-        A floor: entry objects and score memos derived from a payload
-        are not counted, and asking a leaf for them would build them.
-        """
-        with self._lock:
-            nodes = list(self._cache.values())
-        return sum(len(n.payload) for n in nodes if n.payload is not None)
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -54,22 +54,6 @@ HEADER_BYTES = 64
 
 _attach_lock = threading.Lock()
 
-#: Live mappings held by this process, keyed per page-file instance
-#: (the same segment may be mapped twice in one process — owner plus an
-#: in-process attacher): id -> (name, bytes, is_owner).  Maintained by
-#: ``SharedMemoryPageFile.__init__``/``close`` so the resource sampler
-#: (:mod:`repro.obs.resources`) can report how much of ``/dev/shm`` this
-#: process holds (owner) or maps (attacher) without walking the
-#: filesystem.
-_live_segments: dict[int, tuple[str, int, bool]] = {}
-_live_lock = threading.Lock()
-
-
-def live_segments() -> list[tuple[str, int, bool]]:
-    """Snapshot of live mappings: ``(name, bytes, is_owner)`` per mapping."""
-    with _live_lock:
-        return list(_live_segments.values())
-
 
 @contextlib.contextmanager
 def _untracked_attach():
@@ -105,8 +89,6 @@ class SharedMemoryPageFile(PageFile):
         self._page_count = page_count
         self._owner = owner
         self._closed = False
-        with _live_lock:
-            _live_segments[id(self)] = (shm.name, shm.size, owner)
 
     # ------------------------------------------------------------------
     # construction
@@ -210,8 +192,6 @@ class SharedMemoryPageFile(PageFile):
         if self._closed:
             return
         self._closed = True
-        with _live_lock:
-            _live_segments.pop(id(self), None)
         self._shm.close()
         if self._owner:
             try:

@@ -18,8 +18,6 @@ from repro.core.query import PreferenceQuery
 from repro.errors import QueryError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import metrics
-from repro.obs.slo import default_slos
-from repro.obs.timeseries import TimeSeriesRing
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import make_data_objects, make_feature_objects
 
@@ -149,17 +147,6 @@ class TestFailedQueriesCounted:
             self._fail_batch(broken, 20)
         family = reg.get("repro_queries_total")
         assert sum(child.value for _, child in family.series()) == 20
-
-    def test_query_availability_sees_the_failures(self, broken):
-        with metrics.scoped_registry() as reg:
-            ring = TimeSeriesRing(registry=reg, capacity=8)
-            ring.sample()
-            self._fail_batch(broken, 20)
-            ring.sample()
-        (slo,) = [s for s in default_slos() if s.name == "query_availability"]
-        verdict = slo.evaluate(ring)
-        assert verdict["bad"] == verdict["total"] == 20
-        assert verdict["ok"] is False
 
 
 class TestOnErrorRaise:

@@ -158,7 +158,7 @@ class TestEncodeUnit:
             )
         )
     )
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=100, deadline=None)
     def test_equals_scalar_encode(self, case):
         (dims, bits), points = case
         curve = HilbertCurve(dims, bits)

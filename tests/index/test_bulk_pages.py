@@ -15,7 +15,6 @@ import pytest
 
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.index.ir2 import IR2Tree
-from repro.index.irtree import IRTree
 from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
 
@@ -27,10 +26,8 @@ OBJECT_PAGES = {
 FEATURE_PAGES = {
     (SRTIndex, 64): "4aff213cc09f4040df3cce873b69b7fb2acb91f5f36a502308f979d5ce8cbc63",
     (IR2Tree, 64): "59704fa815879dfce6206cc2f72913e1321d52e867713eddb3b36121b9ee0f33",
-    (IRTree, 64): "7805a4b1f2d7ca206188f9967356538fef9808c675cd1c8f1cd111a9647bab7a",
     (SRTIndex, 256): "922aa4c7d44a6ca30d191142f6e45e521550fe16fcfd84d4bf66becc1ed835f7",
     (IR2Tree, 256): "828e29732f285f73dc749c5bfbf1ecfb787f1c59c3ba005e125d50790da6be28",
-    (IRTree, 256): "b0fb078c406fa2863fadf4f50f9f84065b5fa08e9a9a268101e30038d140867c",
 }
 
 

@@ -139,62 +139,6 @@ class TestInstrumentationNeutrality:
             assert "stds.chunk_scan" in phases
 
 
-class TestTelemetryMode:
-    @pytest.fixture(scope="class")
-    def artifacts_dir(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("telemetry")
-        code = main(
-            TINY + [
-                "--telemetry", "--algorithms", "stps", "--out-dir", str(out),
-            ]
-        )
-        assert code == 0
-        return out
-
-    def test_writes_telemetry_artifacts(self, artifacts_dir):
-        for name in (
-            "timeseries.json", "dashboard.html", "slo_verdict.json",
-            "flamegraph.txt", "obs_metrics.om",
-        ):
-            assert (artifacts_dir / name).exists(), name
-
-    def test_timeseries_has_query_activity(self, artifacts_dir):
-        doc = json.loads((artifacts_dir / "timeseries.json").read_text())
-        assert doc["slots"] >= 2
-        deltas = [
-            s["rates"].get("repro_queries_total", 0.0) * s["dt"]
-            for s in doc["timeline"] if s.get("rates")
-        ]
-        assert sum(deltas) > 0  # the workload's queries landed in slots
-
-    def test_slo_verdict_budget_math_consistent(self, artifacts_dir):
-        doc = json.loads((artifacts_dir / "slo_verdict.json").read_text())
-        assert {"slos", "firing", "exhausted", "ok"} <= set(doc)
-        for verdict in doc["slos"]:
-            budget = verdict["error_budget"]
-            assert verdict["total"] == verdict["good"] + verdict["bad"]
-            assert budget["total"] == pytest.approx(
-                (1 - verdict["objective"]) * verdict["total"]
-            )
-            assert budget["consumed"] == verdict["bad"]
-            assert budget["exhausted"] == (
-                budget["consumed"] > budget["total"]
-            )
-
-    def test_openmetrics_artifact_wellformed(self, artifacts_dir):
-        text = (artifacts_dir / "obs_metrics.om").read_text()
-        assert text.endswith("# EOF\n")
-        assert "repro_query_seconds_bucket" in text
-
-    def test_exemplars_and_profiler_off_after_run(self, artifacts_dir):
-        from repro.obs import profiler
-        from repro.obs.metrics import exemplars_enabled
-
-        assert not exemplars_enabled
-        assert profiler.get() is None
-
-
-
 @pytest.fixture()
 def trace_store():
     """The request-trace store on, keeping every request, then reset."""

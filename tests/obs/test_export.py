@@ -275,6 +275,37 @@ class TestMetricsServer:
         finally:
             export_mod._Handler.timeout = original
 
+    def test_openmetrics_endpoint(self, reg):
+        from repro.obs.export import CONTENT_TYPE_OPENMETRICS
+
+        with MetricsServer(reg, port=0) as server:
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{server.port}/openmetrics", timeout=5
+            ) as resp:
+                assert resp.headers["Content-Type"] == CONTENT_TYPE_OPENMETRICS
+                assert resp.read().decode().endswith("# EOF\n")
+
+    def test_flight_json(self, reg):
+        with MetricsServer(reg, port=0) as server:
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{server.port}/flight.json", timeout=5
+            ) as resp:
+                doc = json.load(resp)
+        assert "stats" in doc and "records" in doc
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_traces_min_ms_must_be_finite(self, reg, value):
+        """``nan`` compares false against every duration, so it would
+        silently turn the latency filter off."""
+        with MetricsServer(reg, port=0) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{server.port}/traces.json"
+                    f"?min_ms={value}",
+                    timeout=5,
+                )
+        assert excinfo.value.code == 400
+
 
 class TestOpenMetrics:
     @pytest.fixture()
@@ -322,84 +353,3 @@ class TestOpenMetrics:
         ex = series["exemplars"][0]
         assert ex["trace_id"] == "tr-om-1"
         assert ex["value"] == 0.05
-
-
-class TestTimeseriesEndpoints:
-    @pytest.fixture()
-    def served(self, reg):
-        from repro.obs.slo import default_slos
-        from repro.obs.timeseries import TimeSeriesRing
-
-        ring = TimeSeriesRing(registry=reg, capacity=32)
-        ring.sample()
-        reg.counter(
-            "repro_queries_total", labelnames=("algorithm",)
-        ).labels(algorithm="stps").inc(5)
-        ring.sample()
-        with MetricsServer(
-            reg, port=0, ring=ring, slos=default_slos()
-        ) as server:
-            yield f"http://127.0.0.1:{server.port}"
-
-    def test_timeseries_json(self, served):
-        with urllib.request.urlopen(
-            f"{served}/timeseries.json", timeout=5
-        ) as resp:
-            doc = json.load(resp)
-        assert doc["slots"] == 2
-        assert doc["timeline"]
-        assert set(doc["windows"]) == {"10", "60", "300"}
-        assert doc["windows"]["60"]["rates"]["repro_queries_total"] >= 0
-        from repro.obs.slo import default_slos
-
-        assert {v["slo"] for v in doc["slo"]["slos"]} == {
-            s.name for s in default_slos()
-        }
-
-    def test_dashboard_serves_html(self, served):
-        with urllib.request.urlopen(f"{served}/dashboard", timeout=5) as resp:
-            assert resp.headers["Content-Type"].startswith("text/html")
-            body = resp.read().decode()
-        assert "timeseries.json" in body  # polls its sibling endpoint
-        assert "<canvas" in body
-
-    def test_openmetrics_endpoint(self, served):
-        from repro.obs.export import CONTENT_TYPE_OPENMETRICS
-
-        with urllib.request.urlopen(
-            f"{served}/openmetrics", timeout=5
-        ) as resp:
-            assert resp.headers["Content-Type"] == CONTENT_TYPE_OPENMETRICS
-            assert resp.read().decode().endswith("# EOF\n")
-
-    def test_flight_json(self, served):
-        with urllib.request.urlopen(f"{served}/flight.json", timeout=5) as resp:
-            doc = json.load(resp)
-        assert "stats" in doc and "records" in doc
-
-    def test_flamegraph_404_when_not_installed(self, served):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{served}/flamegraph.txt", timeout=5)
-        assert excinfo.value.code == 404
-
-    def test_timeseries_404_without_ring(self, reg):
-        with MetricsServer(reg, port=0) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/timeseries.json",
-                    timeout=5,
-                )
-            assert excinfo.value.code == 404
-
-
-class TestTimeseriesPayload:
-    def test_payload_shape_without_slos(self, reg):
-        from repro.obs.export import timeseries_payload
-        from repro.obs.timeseries import TimeSeriesRing
-
-        ring = TimeSeriesRing(registry=reg, capacity=8)
-        ring.sample()
-        payload = timeseries_payload(ring)
-        assert payload["capacity"] == 8
-        assert "slo" not in payload
-        assert json.dumps(payload)  # must stay JSON-serializable

@@ -188,6 +188,10 @@ class TestCli:
         assert regress.main(["--pair", base, base,
                              "--pair", base, cur]) == 1
 
+    def test_pair_is_required(self):
+        with pytest.raises(SystemExit):
+            regress.main(["--history", "nope.jsonl"])
+
 
 @pytest.mark.skipif(
     not (REPO_ROOT / "BENCH_shards.json").exists(),
@@ -201,97 +205,3 @@ class TestCommittedBaselines:
             "--pair", shards, shards,
             "--pair", serve, serve,
         ]) == 0
-
-
-class TestSloVerdictRideAlong:
-    def _verdict_doc(self, exhausted=False) -> dict:
-        return {
-            "slos": [{
-                "slo": "query_latency_p95_100ms",
-                "kind": "latency",
-                "objective": 0.95,
-                "total": 100, "good": 98, "bad": 2,
-                "error_budget": {
-                    "total": 5.0, "consumed": 2,
-                    "remaining": 3.0, "consumed_fraction": 0.4,
-                    "exhausted": exhausted,
-                },
-                "alerts": [{
-                    "name": "fast_burn",
-                    "long_window_s": 60.0, "short_window_s": 15.0,
-                    "factor": 14.4,
-                    "long_burn_rate": 0.4, "short_burn_rate": 0.2,
-                    "firing": False,
-                }],
-                "firing": False,
-            }],
-            "firing": False,
-            "exhausted": exhausted,
-            "ok": not exhausted,
-        }
-
-    def test_slo_history_fields_shape(self):
-        from repro.obs.regress import slo_history_fields
-
-        fields = slo_history_fields(self._verdict_doc())
-        row = fields["slos"]["query_latency_p95_100ms"]
-        assert row["budget_consumed_fraction"] == 0.4
-        assert row["burn_rates"]["fast_burn"]["long"] == 0.4
-        assert not fields["exhausted"]
-
-    def test_slo_verdict_lands_in_history(self, tmp_path, capsys):
-        from repro.obs.regress import main as regress_main
-
-        verdict_path = tmp_path / "slo_verdict.json"
-        verdict_path.write_text(json.dumps(self._verdict_doc()))
-        history = tmp_path / "history.jsonl"
-        code = regress_main([
-            "--slo-verdict", str(verdict_path),
-            "--history", str(history),
-        ])
-        assert code == 0  # burn rates are recorded, never gated here
-        record = json.loads(history.read_text().splitlines()[-1])
-        assert "query_latency_p95_100ms" in record["slo"]["slos"]
-        out = capsys.readouterr().out
-        assert "slo query_latency_p95_100ms: ok" in out
-
-    def test_exhausted_budget_recorded_but_not_gated(self, tmp_path):
-        from repro.obs.regress import main as regress_main
-
-        verdict_path = tmp_path / "slo_verdict.json"
-        verdict_path.write_text(json.dumps(self._verdict_doc(exhausted=True)))
-        history = tmp_path / "history.jsonl"
-        code = regress_main([
-            "--slo-verdict", str(verdict_path),
-            "--history", str(history),
-        ])
-        assert code == 0
-        record = json.loads(history.read_text().splitlines()[-1])
-        assert record["slo"]["exhausted"] is True
-
-    def test_pairs_still_required_without_slo_verdict(self, capsys):
-        from repro.obs.regress import main as regress_main
-
-        with pytest.raises(SystemExit):
-            regress_main(["--history", "nope.jsonl"])
-
-    def test_slo_fields_merge_into_pair_verdict(self, tmp_path):
-        from repro.obs.regress import main as regress_main
-
-        doc = copy.deepcopy(SHARDS_DOC)
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(doc))
-        cur.write_text(json.dumps(doc))
-        verdict_path = tmp_path / "slo_verdict.json"
-        verdict_path.write_text(json.dumps(self._verdict_doc()))
-        out = tmp_path / "verdict_out.json"
-        code = regress_main([
-            "--pair", str(base), str(cur),
-            "--slo-verdict", str(verdict_path),
-            "--verdict", str(out),
-        ])
-        assert code == 0
-        merged = json.loads(out.read_text())
-        assert merged["ok"]
-        assert "query_latency_p95_100ms" in merged["slo"]["slos"]

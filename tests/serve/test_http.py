@@ -25,7 +25,6 @@ from repro.obs.export import (
     MetricsServer,
 )
 from repro.obs.metrics import MetricsRegistry, enabled_exemplars
-from repro.obs.timeseries import TimeSeriesRing
 from repro.serve.http import ServeServer, parse_request
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import QueryService, ServeConfig
@@ -251,18 +250,14 @@ class TestObsRoutes:
         _, base = served
         assert get(base + path)[0] == 200
 
-    @pytest.mark.parametrize("path", ["/timeseries.json", "/dashboard"])
-    def test_ring_routes_404_without_a_ring_200_with_one(
-        self, served, service, path
-    ):
+    @pytest.mark.parametrize(
+        "path", ["/timeseries.json", "/dashboard", "/flamegraph.txt"]
+    )
+    def test_console_routes_are_404(self, served, path):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(base + path)
         assert excinfo.value.code == 404
-        ring = TimeSeriesRing(registry=MetricsRegistry())
-        ring.sample()
-        with ServeServer(service, port=0, ring=ring) as server:
-            assert get(f"http://127.0.0.1:{server.port}{path}")[0] == 200
 
     def test_exposition_bytes_unchanged(self, service, monkeypatch):
         """Both text formats come out of one registry walk; these are the

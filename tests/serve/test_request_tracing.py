@@ -5,8 +5,7 @@ The acceptance test for the tracing tentpole: one client-supplied W3C
 tail-sampled trace store's span tree, the flight recorder and a
 histogram exemplar — all joined on the same id.  Plus
 the per-tenant observability pieces that ride along: label-cardinality
-capping, serve gauges, resource-sampler serve gauges, and the
-``/traces.json`` endpoint.
+capping, serve gauges, and the ``/traces.json`` endpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
-from repro.obs import resources as _resources
 from repro.serve.http import ServeServer
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import (
@@ -316,14 +314,3 @@ class TestServeGauges:
         )
         assert gauges["repro_serve_tenant_table_size"] == 2.0
         assert gauges["repro_serve_shed_requests"] == 1.0
-
-    def test_resource_sampler_sums_serve_state(self):
-        with _metrics.scoped_registry() as reg:
-            service = QueryService(_StubExecutor(), ServeConfig())
-            assert service.handle("t", QUERY).status == 200
-            values = _resources.collect(reg)
-        assert values["repro_resource_serve_cache_entries"] >= len(
-            service.cache
-        )
-        assert values["repro_resource_serve_cache_bytes"] > 0
-        assert values["repro_resource_serve_tenants"] >= 1

@@ -288,32 +288,6 @@ class TestMetricsAndDescribe:
         assert doc["cache"]["entries"] == 1
 
 
-class TestSLOConfig:
-    def test_from_slo_file_prefers_serve_latency_slo(self, tmp_path):
-        doc = {"slos": [
-            {"name": "q", "kind": "latency", "objective": 0.95,
-             "metric": "repro_query_seconds", "threshold_s": 0.2},
-            {"name": "s", "kind": "latency", "objective": 0.95,
-             "metric": "repro_serve_request_seconds", "threshold_s": 0.05},
-        ]}
-        path = tmp_path / "SLO.json"
-        path.write_text(json.dumps(doc))
-        assert ServeConfig.from_slo_file(path).latency_slo_s == 0.05
-
-    def test_from_slo_file_falls_back_to_any_latency_slo(self, tmp_path):
-        doc = {"slos": [
-            {"name": "q", "kind": "latency", "objective": 0.95,
-             "metric": "repro_query_seconds", "threshold_s": 0.2},
-        ]}
-        path = tmp_path / "SLO.json"
-        path.write_text(json.dumps(doc))
-        assert ServeConfig.from_slo_file(path).latency_slo_s == 0.2
-
-    def test_committed_slo_document_loads(self):
-        config = ServeConfig.from_slo_file("SLO.json")
-        assert config.latency_slo_s > 0
-
-
 class TestRealExecutorIntegration:
     def test_served_answer_matches_direct_query(self, srt_processor):
         query = PreferenceQuery(5, 0.25, 0.5, (0xFF, 0xFF))

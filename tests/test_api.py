@@ -1,6 +1,84 @@
 """Public API surface tests."""
 
+import re
+from pathlib import Path
+
+import pytest
+
 import repro
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED = ("src", "benchmarks", "examples")
+ALL_FILES = tuple(f"{root}/**/*" for root in SHIPPED)
+PY_FILES = tuple(f"{root}/**/*.py" for root in SHIPPED)
+
+#: ``(pattern, globs, excluded file names)``: names a change took out,
+#: searched for in the files under ``globs`` so none grows back
+#: unnoticed.
+REMOVED = {
+    "second_collector": (r"collector=", ALL_FILES, ()),
+    "thread_pool": (r"ThreadPoolExecutor", ("src/**/*.py",), ()),
+    "per_query_state_merge": (
+        r"merge_state|diff_state|snapshot_state|record_features_pulled"
+        r"|counter_snapshot|verbose_events|fanout_seconds",
+        PY_FILES, (),
+    ),
+    "mutation_listeners": (
+        r"add_mutation_listener|attach_live|core\.streaming|_on_mutation",
+        PY_FILES, (),
+    ),
+    "per_variant_scores": (
+        r"compute_score_(influence|nearest)|nearest_relevant"
+        r"|_set_influence_bound|SCORE_FNS",
+        ALL_FILES, (),
+    ),
+    "per_entry_scoring_in_core": (
+        r"\.(relevant|leaf_score|node_bound)\(",
+        ("src/repro/core/**/*.py",), ("coherence.py",),
+    ),
+    "per_variant_stps": (
+        r"stps_influence|stps_nearest|core\.influence\b"
+        r"|_combo_influence_bound\b",
+        ALL_FILES, (),
+    ),
+    "scalar_bulk_keys": (
+        r"hilbert_key_2d|hilbert_key_4d|_unit_key|bulk_sort_key\b",
+        ALL_FILES, (),
+    ),
+    "second_log_or_sampler": (
+        r"slog|ResourceSampler|timeline_spec",
+        PY_FILES, (),
+    ),
+    "operations_console": (
+        r"repro\.obs\.(slo|timeseries|profiler|resources)"
+        r"|import (slo|timeseries|profiler|resources)\b"
+        r"|^\s+(slo|timeseries|profiler|resources),$"
+        r"|from_slo_file|timeseries_payload|DASHBOARD_HTML"
+        r"|live_(executors|caches|services|segments)|estimated_bytes"
+        r"|(add|remove)_hook|--telemetry|--slo",
+        ALL_FILES, (),
+    ),
+    "ir_tree": (r"irtree|IRTree|ablation_index", ALL_FILES, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED))
+def test_removed_names_stay_removed(case):
+    pattern, globs, excluded = REMOVED[case]
+    regex = re.compile(pattern, re.MULTILINE)
+    hits = []
+    for glob in globs:
+        for path in sorted(REPO.glob(glob)):
+            if not path.is_file() or path.name in excluded:
+                continue
+            data = path.read_bytes()
+            if b"\0" in data:  # binary
+                continue
+            text = data.decode("utf-8", errors="replace")
+            for match in regex.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                hits.append(f"{path.relative_to(REPO)}:{line}")
+    assert not hits, hits
 
 
 class TestPublicApi:
@@ -141,7 +219,6 @@ class TestPublicApi:
         import repro.hilbert.curve as curve
         from repro.index.feature_tree import FeatureTree
         from repro.index.ir2 import IR2Tree
-        from repro.index.irtree import IRTree
         from repro.index.srt import SRTIndex
 
         assert hasattr(curve.HilbertCurve, "encode_unit")
@@ -150,7 +227,7 @@ class TestPublicApi:
         for module in (hilbert, curve):
             for name in gone:
                 assert not hasattr(module, name), (module.__name__, name)
-        for cls in (FeatureTree, SRTIndex, IR2Tree, IRTree):
+        for cls in (FeatureTree, SRTIndex, IR2Tree):
             assert not hasattr(cls, "bulk_sort_key"), cls.__name__
             assert hasattr(cls, "bulk_sort_keys"), cls.__name__
 

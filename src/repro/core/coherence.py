@@ -4,7 +4,7 @@ A cached or monitored answer is the top-k of one world;
 :func:`answer_survives` decides whether it is still the top-k after a
 sequence of live-dataset deltas ``(target, op, set_id, old, new)``
 (entries of the dataset's mutation log, replayed by
-:meth:`repro.live.LiveBase.revalidate`), without re-running the
+:meth:`repro.live.LiveDataset.revalidate`), without re-running the
 query.  Each delta is judged on its own against
 the answer — the rules bound what *any* object can gain or lose from
 it, so harmless deltas compose in any order.  Any doubt is "no".  With
@@ -114,8 +114,9 @@ def answer_survives(
 
     ``items`` is the ranked answer over the world before the deltas;
     ``object_score(query, point)`` returns the exact ``τ(p)`` of a
-    point over the *current* feature sets, or None when it cannot say
-    (:meth:`repro.live.LiveBase.object_score`).  True is a proof (rules
-    R1-R5 in the module docstring); False only means "re-run it".
+    point over the *current* feature sets
+    (:meth:`repro.live.LiveDataset.object_score`), or None when it
+    cannot say.  True is a proof (rules R1-R5 in the module
+    docstring); False only means "re-run it".
     """
     return all(_harmless(query, items, d, object_score) for d in deltas)

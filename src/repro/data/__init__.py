@@ -2,7 +2,6 @@
 
 from repro.data.io import load_features, load_objects, save_features, save_objects
 from repro.data.realworld import RealWorldData, cuisine_vocabulary, real_world
-from repro.data.sharded import load_shards, save_shards
 from repro.data.synthetic import (
     cluster_count_for,
     data_keyword_distribution,
@@ -21,13 +20,11 @@ __all__ = [
     "data_keyword_distribution",
     "load_features",
     "load_objects",
-    "load_shards",
     "make_vocabulary",
     "make_workload",
     "real_world",
     "save_features",
     "save_objects",
-    "save_shards",
     "synthetic_feature_sets",
     "synthetic_features",
     "synthetic_objects",

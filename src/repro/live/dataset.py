@@ -21,12 +21,12 @@ incremental-vs-rebuilt differential oracle and a stateful model checker.
 
 Mutations also maintain an id-keyed mirror of the datasets, so a
 brute-force shadow or a rebuilt-from-scratch index is always one
-:meth:`~LiveBase.objects_snapshot` / :meth:`~LiveBase.feature_snapshots`
+:meth:`~LiveDataset.objects_snapshot` / :meth:`~LiveDataset.feature_snapshots`
 call away.
 
-Every mutation bumps :attr:`~LiveBase.version` and records its delta in
+Every mutation bumps :attr:`~LiveDataset.version` and records its delta in
 the dataset's one mutation log, the last :data:`DELTA_LOG` of them.
-:meth:`~LiveBase.revalidate` replays that log against a known answer
+:meth:`~LiveDataset.revalidate` replays that log against a known answer
 (:func:`repro.core.coherence.answer_survives`); the serving cache and
 :class:`~repro.live.TopKMonitor` both keep their answers current by it.
 
@@ -53,7 +53,7 @@ from repro.model.objects import DataObject, FeatureObject
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 
-#: Mutation kinds accepted by :meth:`LiveBase.apply`.
+#: Mutation kinds accepted by :meth:`LiveDataset.apply`.
 MUTATION_OPS = (
     "insert_feature",
     "delete_feature",
@@ -68,11 +68,7 @@ MUTATION_OPS = (
 DELTA_LOG = 1024
 
 #: Metric families owned by the live-update layer (reset scope).
-LIVE_METRIC_FAMILIES = (
-    "repro_live_mutations_total",
-    "repro_live_relocations_total",
-    "repro_live_refreezes_total",
-)
+LIVE_METRIC_FAMILIES = ("repro_live_mutations_total",)
 
 
 def live_mutations_metric() -> "_metrics.MetricFamily":
@@ -84,24 +80,6 @@ def live_mutations_metric() -> "_metrics.MetricFamily":
     )
 
 
-def live_relocations_metric() -> "_metrics.MetricFamily":
-    """Features whose shard replica set changed on a move (re-halo)."""
-    return _metrics.registry().counter(
-        "repro_live_relocations_total",
-        "Feature moves that re-replicated across shard halos.",
-        (),
-    )
-
-
-def live_refreezes_metric() -> "_metrics.MetricFamily":
-    """Shard refreezes shipped to process-mode workers."""
-    return _metrics.registry().counter(
-        "repro_live_refreezes_total",
-        "Mutated shards refrozen into fresh shared-memory segments.",
-        (),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Mutation:
     """One declarative mutation event (the feature-stream record).
@@ -110,7 +88,7 @@ class Mutation:
     op-specific (``feature``/``set_id`` for feature inserts, ``fid`` for
     feature deletes, ``fid``/``x``/``y`` for moves, ``fid``/``score``
     for rescores, ``obj`` for object inserts, ``oid`` for object
-    deletes).  :meth:`LiveBase.apply` dispatches it.
+    deletes).  :meth:`LiveDataset.apply` dispatches it.
     """
 
     op: str
@@ -137,19 +115,35 @@ def object_entry(obj: DataObject) -> ObjectLeafEntry:
     return ObjectLeafEntry(obj.oid, obj.x, obj.y)
 
 
-class LiveBase:
-    """Shared mirror bookkeeping + mutation dispatch for live datasets.
+class LiveDataset:
+    """A :class:`QueryProcessor` under live mutation.
 
-    Subclasses implement the ``_index_*`` hooks, which write the actual
-    trees; this base owns validation, the dataset mirrors, the mutation
-    counter metrics, and snapshot construction.
+    Build it from raw datasets::
+
+        live = LiveDataset.build(objects, feature_sets)
+        live.insert_feature(0, FeatureObject(97, 0.2, 0.3, 0.9, {1, 4}))
+        live.move_feature(0, 97, 0.7, 0.7)
+        result = live.query(query)        # sees the mutations
+
+    ``live.processor`` is an ordinary processor over the same trees, so
+    every algorithm, the executor, EXPLAIN, and the observability stack
+    work unchanged on a mutated index.  Besides the trees the dataset
+    owns the id-keyed mirrors, validation, the mutation log and the
+    mutation counter metrics.
     """
 
-    def _init_mirrors(
+    def __init__(
         self,
+        processor: QueryProcessor,
         objects: ObjectDataset,
         feature_sets: Sequence[FeatureDataset],
     ) -> None:
+        if len(feature_sets) != len(processor.feature_trees):
+            raise DatasetError(
+                f"{len(feature_sets)} feature sets given, processor has "
+                f"{len(processor.feature_trees)} feature trees"
+            )
+        self.processor = processor
         self._lock = threading.RLock()
         self._objects: dict[int, DataObject] = {o.oid: o for o in objects}
         self._features: list[dict[int, FeatureObject]] = [
@@ -163,27 +157,16 @@ class LiveBase:
         #: mutation ``v`` until mutation ``v + DELTA_LOG`` overwrites it.
         self._log: list[tuple[int, tuple] | None] = [None] * DELTA_LOG
 
-    # ------------------------------------------------------------------
-    # index write hooks (subclass responsibility)
-    # ------------------------------------------------------------------
-    def _index_insert_feature(self, set_id: int, f: FeatureObject) -> None:
-        raise NotImplementedError
-
-    def _index_delete_feature(self, set_id: int, f: FeatureObject) -> None:
-        raise NotImplementedError
-
-    def _index_replace_feature(
-        self, set_id: int, old: FeatureObject, new: FeatureObject
-    ) -> None:
-        """Default move/rescore: delete the old entry, insert the new."""
-        self._index_delete_feature(set_id, old)
-        self._index_insert_feature(set_id, new)
-
-    def _index_insert_object(self, o: DataObject) -> None:
-        raise NotImplementedError
-
-    def _index_delete_object(self, o: DataObject) -> None:
-        raise NotImplementedError
+    @classmethod
+    def build(
+        cls,
+        objects: ObjectDataset,
+        feature_sets: Sequence[FeatureDataset],
+        **kwargs,
+    ) -> "LiveDataset":
+        """Build the indexes and wrap them (kwargs → ``QueryProcessor.build``)."""
+        processor = QueryProcessor.build(objects, feature_sets, **kwargs)
+        return cls(processor, objects, feature_sets)
 
     # ------------------------------------------------------------------
     # validation
@@ -217,6 +200,23 @@ class LiveBase:
             ) from None
 
     # ------------------------------------------------------------------
+    # index writes
+    # ------------------------------------------------------------------
+    def _delete_feature_entry(self, set_id: int, f: FeatureObject) -> None:
+        if not self.processor.feature_trees[set_id].delete(feature_entry(f)):
+            raise DatasetError(
+                f"feature {f.fid} present in the mirror but missing from "
+                f"index {set_id} — index/mirror divergence"
+            )
+
+    def _replace_feature(
+        self, set_id: int, old: FeatureObject, new: FeatureObject
+    ) -> None:
+        """Move/rescore: delete the old entry, insert the new."""
+        self._delete_feature_entry(set_id, old)
+        self.processor.feature_trees[set_id].insert(feature_entry(new))
+
+    # ------------------------------------------------------------------
     # mutation API
     # ------------------------------------------------------------------
     def insert_feature(self, set_id: int, feature: FeatureObject) -> None:
@@ -226,7 +226,9 @@ class LiveBase:
         ):
             self._check_set(set_id)
             self._check_new_feature(set_id, feature)
-            self._index_insert_feature(set_id, feature)
+            self.processor.feature_trees[set_id].insert(
+                feature_entry(feature)
+            )
             self._features[set_id][feature.fid] = feature
             self._bump("feature", "insert", set_id, None, feature)
 
@@ -237,7 +239,7 @@ class LiveBase:
         ):
             self._check_set(set_id)
             old = self._existing_feature(set_id, fid)
-            self._index_delete_feature(set_id, old)
+            self._delete_feature_entry(set_id, old)
             del self._features[set_id][fid]
             self._bump("feature", "delete", set_id, old, None)
             return old
@@ -252,7 +254,7 @@ class LiveBase:
             self._check_set(set_id)
             old = self._existing_feature(set_id, fid)
             new = dataclasses.replace(old, x=x, y=y)
-            self._index_replace_feature(set_id, old, new)
+            self._replace_feature(set_id, old, new)
             self._features[set_id][fid] = new
             self._bump("feature", "move", set_id, old, new)
             return new
@@ -267,7 +269,7 @@ class LiveBase:
             self._check_set(set_id)
             old = self._existing_feature(set_id, fid)
             new = dataclasses.replace(old, score=score)
-            self._index_replace_feature(set_id, old, new)
+            self._replace_feature(set_id, old, new)
             self._features[set_id][fid] = new
             self._bump("feature", "rescore", set_id, old, new)
             return new
@@ -279,7 +281,7 @@ class LiveBase:
         ):
             if obj.oid in self._objects:
                 raise DatasetError(f"object id {obj.oid} already present")
-            self._index_insert_object(obj)
+            self.processor.object_tree.insert(object_entry(obj))
             self._objects[obj.oid] = obj
             self._bump("object", "insert", None, None, obj)
 
@@ -292,7 +294,11 @@ class LiveBase:
                 old = self._objects[oid]
             except KeyError:
                 raise DatasetError(f"unknown data object id {oid}") from None
-            self._index_delete_object(old)
+            if not self.processor.object_tree.delete(object_entry(old)):
+                raise DatasetError(
+                    f"object {oid} present in the mirror but missing from "
+                    "the object tree — index/mirror divergence"
+                )
             del self._objects[oid]
             self._bump("object", "delete", None, old, None)
             return old
@@ -374,12 +380,12 @@ class LiveBase:
             return None
         return since + len(deltas)
 
-    def object_score(
-        self, query, point: tuple[float, float]
-    ) -> float | None:
-        """Exact ``τ(p)`` of a location over the current feature sets,
-        or None when this dataset cannot tell without a full query."""
-        return None
+    def object_score(self, query, point: tuple[float, float]) -> float:
+        """Exact ``τ(p)`` of a location over the current feature sets:
+        per-object Algorithm 2 over the live feature trees, taken under
+        the mutation lock so it never reads a half-written tree."""
+        with self._lock:
+            return score_object(self.processor.feature_trees, query, point)
 
     # ------------------------------------------------------------------
     # snapshots (rebuild / brute-force oracle input)
@@ -431,81 +437,9 @@ class LiveBase:
                 for i, mirror in enumerate(self._features)
             ]
 
-
-class LiveDataset(LiveBase):
-    """A single-node :class:`QueryProcessor` under live mutation.
-
-    Build it from raw datasets::
-
-        live = LiveDataset.build(objects, feature_sets)
-        live.insert_feature(0, FeatureObject(97, 0.2, 0.3, 0.9, {1, 4}))
-        live.move_feature(0, 97, 0.7, 0.7)
-        result = live.query(query)        # sees the mutations
-
-    ``live.processor`` is an ordinary processor over the same trees, so
-    every algorithm, the executor, EXPLAIN, and the observability stack
-    work unchanged on a mutated index.
-    """
-
-    def __init__(
-        self,
-        processor: QueryProcessor,
-        objects: ObjectDataset,
-        feature_sets: Sequence[FeatureDataset],
-    ) -> None:
-        if len(feature_sets) != len(processor.feature_trees):
-            raise DatasetError(
-                f"{len(feature_sets)} feature sets given, processor has "
-                f"{len(processor.feature_trees)} feature trees"
-            )
-        self.processor = processor
-        self._init_mirrors(objects, feature_sets)
-
-    @classmethod
-    def build(
-        cls,
-        objects: ObjectDataset,
-        feature_sets: Sequence[FeatureDataset],
-        **kwargs,
-    ) -> "LiveDataset":
-        """Build the indexes and wrap them (kwargs → ``QueryProcessor.build``)."""
-        processor = QueryProcessor.build(objects, feature_sets, **kwargs)
-        return cls(processor, objects, feature_sets)
-
-    # ------------------------------------------------------------------
-    # index write hooks
-    # ------------------------------------------------------------------
-    def _index_insert_feature(self, set_id: int, f: FeatureObject) -> None:
-        self.processor.feature_trees[set_id].insert(feature_entry(f))
-
-    def _index_delete_feature(self, set_id: int, f: FeatureObject) -> None:
-        if not self.processor.feature_trees[set_id].delete(feature_entry(f)):
-            raise DatasetError(
-                f"feature {f.fid} present in the mirror but missing from "
-                f"index {set_id} — index/mirror divergence"
-            )
-
-    def _index_insert_object(self, o: DataObject) -> None:
-        self.processor.object_tree.insert(object_entry(o))
-
-    def _index_delete_object(self, o: DataObject) -> None:
-        if not self.processor.object_tree.delete(object_entry(o)):
-            raise DatasetError(
-                f"object {o.oid} present in the mirror but missing from "
-                "the object tree — index/mirror divergence"
-            )
-
     # ------------------------------------------------------------------
     # query passthrough
     # ------------------------------------------------------------------
-    def object_score(
-        self, query, point: tuple[float, float]
-    ) -> float | None:
-        """Per-object Algorithm 2 over the live feature trees, taken
-        under the mutation lock so it never reads a half-written tree."""
-        with self._lock:
-            return score_object(self.processor.feature_trees, query, point)
-
     def query(self, query, **kwargs):
         """Execute a query against the live indexes (see QueryProcessor)."""
         return self.processor.query(query, **kwargs)

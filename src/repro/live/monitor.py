@@ -60,8 +60,7 @@ class TopKDelta:
 class TopKMonitor:
     """A standing top-k query kept current over a mutating live dataset.
 
-    ``live`` is a :class:`~repro.live.LiveDataset` or
-    :class:`~repro.live.LiveShardedDataset`::
+    ``live`` is a :class:`~repro.live.LiveDataset`::
 
         monitor = TopKMonitor(live, query)          # runs the baseline
         live.move_feature(0, fid, x, y)
@@ -71,7 +70,7 @@ class TopKMonitor:
     Construction runs the baseline query (its items are *not* reported
     as entries — deltas describe changes after the monitor started).
     :meth:`refresh` first replays the mutations since the last one
-    (:meth:`~repro.live.LiveBase.revalidate`); when none of them can
+    (:meth:`~repro.live.LiveDataset.revalidate`); when none of them can
     change the answer it only advances :attr:`version`, so polling an
     idle dataset — or one whose writes miss the query — runs nothing.
     :meth:`drain` folds a batch of :class:`~repro.live.Mutation` events

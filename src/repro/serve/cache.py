@@ -13,10 +13,10 @@ tenant's traffic past its bucket).
 Coherence contract: an entry is served only while it is provably the
 answer over the current world.  Every entry carries its query and the
 *epoch* it was last validated at: the fronted live dataset's
-:attr:`~repro.live.LiveBase.version` (0, and never moving, with no
+:attr:`~repro.live.LiveDataset.version` (0, and never moving, with no
 dataset).  :meth:`ResultCache.get` serves an entry stamped with the
 current epoch as is; one that is behind asks the dataset to replay the
-mutations since its stamp (:meth:`repro.live.LiveBase.revalidate`,
+mutations since its stamp (:meth:`repro.live.LiveDataset.revalidate`,
 rules R1-R5 of :mod:`repro.core.coherence`) and is re-stamped and served
 if every one is harmless, else dropped as stale.  Any doubt is stale: an
 entry older than the dataset's log, one filled without its query.  A
@@ -71,8 +71,8 @@ def query_signature(
 class ResultCache:
     """Bounded LRU of immutable :class:`QueryResult`\\ s, each with the
     epoch it was last validated at and the query it answers.  ``live``
-    is the :class:`~repro.live.LiveBase` dataset the results come from,
-    or None when nothing mutates them."""
+    is the :class:`~repro.live.LiveDataset` the results come from, or
+    None when nothing mutates them."""
 
     def __init__(self, max_entries: int = 4096, live=None) -> None:
         if max_entries < 1:

@@ -41,9 +41,9 @@ class QuotaSpec:
     burst: float = math.inf  # bucket capacity
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ReproError(f"quota rate must be > 0, got {self.rate}")
-        if self.burst < 1:
+        if not self.burst >= 1:
             raise ReproError(f"quota burst must be >= 1, got {self.burst}")
 
     @property

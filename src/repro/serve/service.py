@@ -162,7 +162,7 @@ class ServeConfig:
             raise ReproError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.latency_slo_s <= 0:
+        if not self.latency_slo_s > 0:
             raise ReproError(
                 f"latency_slo_s must be > 0, got {self.latency_slo_s}"
             )
@@ -170,7 +170,7 @@ class ServeConfig:
             raise ReproError(
                 f"queue_wait_window must be >= 1, got {self.queue_wait_window}"
             )
-        if self.queue_wait_horizon_s <= 0:
+        if not self.queue_wait_horizon_s > 0:
             raise ReproError(
                 f"queue_wait_horizon_s must be > 0, got "
                 f"{self.queue_wait_horizon_s}"

@@ -28,7 +28,10 @@ Two layouts:
   counts even for heavily skewed data.
 
 Both are deterministic functions of the input datasets, so rebuilding a
-partition always yields identical shards.
+partition always yields identical shards.  A partition is read-only once
+built: nothing routes later inserts or moves into it, so changing the
+data means partitioning again (live updates are single-node,
+:class:`~repro.live.LiveDataset`).
 """
 
 from __future__ import annotations
@@ -255,49 +258,6 @@ def kd_split(
     lr, lb = kd_split(left_members, left_box, left_shards)
     rr, rb = kd_split(right_members, right_box, shards - left_shards)
     return lr + rr, lb + rb
-
-
-# ----------------------------------------------------------------------
-# update routing (live mutations)
-# ----------------------------------------------------------------------
-def owning_shard_index(specs: Sequence[ShardSpec], point: tuple) -> int:
-    """List index of the shard that owns a data object at ``point``.
-
-    The owner is the spec whose assignment region contains the point;
-    a point on a shared boundary goes to the *highest-index* containing
-    shard, mirroring the build-time rules (grid: boundary point to the
-    higher-index cell; kd: ``>= cut`` to the upper half).  A point
-    outside every region (possible after ``drop_empty`` or for inserts
-    beyond the original domain) falls back to the nearest region, same
-    tie-break — live range queries then need the halo to cover it, which
-    :class:`~repro.live.LiveShardedDataset` checks at insert time.
-    """
-    if not specs:
-        raise ShardError(-1, "no shard specs to route into")
-    best = 0
-    best_dist = math.inf
-    for i, spec in enumerate(specs):
-        dist = spec.bbox.mindist(point)
-        if dist < best_dist or (dist == best_dist and i > best):
-            best, best_dist = i, dist
-    return best
-
-
-def halo_shard_indices(
-    specs: Sequence[ShardSpec], point: tuple
-) -> tuple[int, ...]:
-    """List indices of every shard whose r-halo covers ``point``.
-
-    The live replica set of a feature at ``point``: exactly the shards
-    :func:`_halo_features` would have replicated it into at build time
-    (``bbox.mindist(point) <= radius``; ``inf`` radius keeps all shards).
-    """
-    return tuple(
-        i
-        for i, spec in enumerate(specs)
-        if math.isinf(spec.radius)
-        or spec.bbox.mindist(point) <= spec.radius
-    )
 
 
 # ----------------------------------------------------------------------

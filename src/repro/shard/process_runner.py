@@ -12,11 +12,13 @@ threads would only interleave there).  This module uses more cores:
 2. **manifest** — a :class:`ShardManifest` carries only segment names,
    page geometry, and the shard's :meth:`~repro.shard.partitioner.ShardSpec.geometry`
    across the process boundary — no datasets, no pickled trees;
-3. **attach** — each worker process lazily attaches the segments,
-   reopens the trees (:func:`repro.index.reopen.open_tree`), and caches
-   one lightweight :class:`~repro.core.processor.QueryProcessor` per
-   shard for reuse across queries (its node caches are worker-local,
-   so hot queries stay hot per worker);
+3. **attach** — each worker process lazily attaches the segments named
+   by the manifests it was initialized with (they never change: the
+   frozen pages are read-only for the processor's lifetime), reopens
+   the trees (:func:`repro.index.reopen.open_tree`), and caches one
+   lightweight :class:`~repro.core.processor.QueryProcessor` per shard
+   for reuse across queries (its node caches are worker-local, so hot
+   queries stay hot per worker);
 4. **observe** — the worker runs its part of the query under the
    parent's :class:`ObsContext` and records nothing in its own
    registry.  It ships back the :class:`~repro.core.results.QueryResult`
@@ -139,8 +141,9 @@ def freeze_shard(
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: Per-worker-process state: manifests by shard id, cached processors,
-#: and the last cache epoch each shard was cleared at.
+#: Per-worker-process state: manifests by shard id (fixed by
+#: :func:`_worker_init`), cached processors, and the last cache epoch
+#: each shard was cleared at.
 _WORKER: dict = {"manifests": {}, "processors": {}, "epochs": {}}
 
 
@@ -148,34 +151,6 @@ def _worker_init(manifests: list[ShardManifest]) -> None:
     _WORKER["manifests"] = {m.shard_id: m for m in manifests}
     _WORKER["processors"] = {}
     _WORKER["epochs"] = {}
-
-
-def _refresh_manifest(
-    shard_id: int, manifest: "ShardManifest | None"
-) -> None:
-    """Adopt a replacement manifest for a shard (live refreeze).
-
-    Live mutations (:mod:`repro.live`) refreeze a mutated shard into
-    *new* shared-memory segments and ship the new manifest with every
-    subsequent task.  A worker holding the previous manifest unmaps its
-    cached attachment so the old (already-unlinked) segments can be
-    reclaimed, then reopens lazily from the new one.  Manifests are
-    frozen dataclasses, so equality compares segment names — a no-op for
-    every task of an unchanged shard.
-    """
-    if manifest is None:
-        return
-    if _WORKER["manifests"].get(shard_id) == manifest:
-        return
-    stale = _WORKER["processors"].pop(shard_id, None)
-    if stale is not None:
-        for tree in stale.trees():
-            try:
-                tree.pagefile.close()
-            except Exception:  # pragma: no cover - unmap best-effort
-                pass
-    _WORKER["manifests"][shard_id] = manifest
-    _WORKER["epochs"].pop(shard_id, None)
 
 
 def _worker_processor(shard_id: int) -> QueryProcessor:
@@ -206,7 +181,6 @@ def _run_shard_query(
     floor: float,
     obs: ObsContext,
     explain: bool,
-    manifest: "ShardManifest | None" = None,
 ) -> dict:
     """Execute one shard query in a worker process; returns plain data.
 
@@ -233,7 +207,6 @@ def _run_shard_query(
         # Everything — attach included — stays inside the try: a raise
         # escaping this function would have to pickle through the pool's
         # result queue instead of the controlled payload below.
-        _refresh_manifest(shard_id, manifest)
         processor = _worker_processor(shard_id)
         if _WORKER["epochs"].get(shard_id, -1) < epoch:
             processor.clear_buffers()
@@ -338,15 +311,8 @@ class ProcessShardRunner:
         floor: float,
         obs: ObsContext,
         explain: bool,
-        manifest: ShardManifest | None = None,
     ) -> Future:
-        """Dispatch one shard query; resolves to a worker payload dict.
-
-        ``manifest`` (optional) travels with the task so a worker whose
-        cached attachment predates a live refreeze re-attaches to the
-        replacement segments before executing (see
-        :func:`_refresh_manifest`).
-        """
+        """Dispatch one shard query; resolves to a worker payload dict."""
         if self._closed:
             raise ShardError(-1, "process runner is closed")
         return self._pool.submit(
@@ -359,7 +325,6 @@ class ProcessShardRunner:
             floor,
             obs,
             explain,
-            manifest=manifest,
         )
 
     def close(self, wait: bool = True) -> None:

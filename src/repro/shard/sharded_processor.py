@@ -218,7 +218,9 @@ class ShardedQueryProcessor:
         self.max_workers = max_workers
         self.fanout = fanout
         self.start_method = start_method
-        self._manifests = list(manifests) if manifests is not None else None
+        self._manifests = (
+            tuple(manifests) if manifests is not None else None
+        )
         self._process_runner: ProcessShardRunner | None = None
         self._pool_lock = Lock()
         self._closed = False
@@ -246,7 +248,17 @@ class ShardedQueryProcessor:
         fanout: str = "serial",
         start_method: str | None = None,
     ) -> "ShardedQueryProcessor":
-        """Partition the datasets and build one processor per shard."""
+        """Partition the datasets and build one processor per shard.
+
+        With ``fanout="processes"`` each shard's freshly built indexes
+        are frozen into shared-memory segments
+        (:func:`~repro.shard.process_runner.freeze_shard`): the parent's
+        own per-shard processors are reopened over the frozen pages (it
+        owns the segments and unlinks them on :meth:`close`), and the
+        manifests let worker processes attach the same pages read-only —
+        one physical copy, zero pickling of trees.  Nothing writes the
+        frozen pages afterwards: the partition is read-only.
+        """
         specs = partition(
             objects,
             feature_sets,
@@ -255,41 +267,6 @@ class ShardedQueryProcessor:
             method=method,
             replication=replication,
         )
-        return cls.from_specs(
-            specs,
-            index=index,
-            page_size=page_size,
-            buffer_pages=buffer_pages,
-            build_method=build_method,
-            max_workers=max_workers,
-            fanout=fanout,
-            start_method=start_method,
-        )
-
-    @classmethod
-    def from_specs(
-        cls,
-        specs: Sequence[ShardSpec],
-        index: str = "srt",
-        page_size: int = 4096,
-        buffer_pages: int = 256,
-        build_method: str = "bulk",
-        max_workers: int | None = None,
-        fanout: str = "serial",
-        start_method: str | None = None,
-    ) -> "ShardedQueryProcessor":
-        """Build from pre-partitioned specs (e.g. loaded from disk).
-
-        With ``fanout="processes"`` each shard's freshly built indexes
-        are frozen into shared-memory segments
-        (:func:`~repro.shard.process_runner.freeze_shard`): the parent's
-        own per-shard processors are reopened over the frozen pages (it
-        owns the segments and unlinks them on :meth:`close`), and the
-        returned manifests let worker processes attach the same pages
-        read-only — one physical copy, zero pickling of trees.
-        """
-        if not specs:
-            raise ShardError(-1, "no shard specs given")
         built = [
             _Shard(
                 spec,
@@ -333,38 +310,6 @@ class ShardedQueryProcessor:
     @property
     def specs(self) -> list[ShardSpec]:
         return [s.spec for s in self.shards]
-
-    @property
-    def manifests(self) -> "list[ShardManifest] | None":
-        """Process-mode shard manifests (``None`` in serial mode)."""
-        return None if self._manifests is None else list(self._manifests)
-
-    def replace_manifest(self, idx: int, manifest: ShardManifest) -> None:
-        """Swap shard ``idx``'s manifest after a live refreeze.
-
-        The live-update layer (:mod:`repro.live`) freezes a mutated
-        shard into fresh shared-memory segments and installs the new
-        manifest here; every subsequent process-mode task for the shard
-        carries it, so workers re-attach before executing.  The caller
-        owns the old segments' teardown.
-        """
-        if self._manifests is None:
-            raise ShardError(
-                -1, "no manifests to replace (serial-mode processor)"
-            )
-        if not 0 <= idx < len(self._manifests):
-            raise ShardError(-1, f"shard index {idx} out of range")
-        self._manifests[idx] = manifest
-
-    def bump_epoch(self) -> None:
-        """Advance the cache epoch without touching parent-side caches.
-
-        Used after live mutations: parent-side caches were invalidated
-        write-through, but worker processes may still hold decoded nodes
-        from before the mutation — the bumped epoch makes them clear on
-        their next task for any shard.
-        """
-        self._epoch += 1
 
     def describe(self) -> dict:
         """JSON-friendly partition summary."""
@@ -694,7 +639,7 @@ class ShardedQueryProcessor:
                     continue
                 future = runner.submit(
                     shard_id, self._epoch, query, algorithm, pulling,
-                    floor, obs, explain, manifest=self._manifests[idx],
+                    floor, obs, explain,
                 )
                 in_flight[future] = (bound, shard_id, floor)
                 return True

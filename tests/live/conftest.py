@@ -55,13 +55,10 @@ class MutationStream:
     """Deterministic mixed-mutation generator over a live dataset.
 
     Each :meth:`step` draws one of the six mutation ops (weighted toward
-    moves, the op that exercises re-halo) and applies it through the
-    live API.  New positions are sampled inside the *original object
-    bounding box*, so object inserts stay inside some shard's assignment
-    region and halo-mode engines accept every generated stream.  A
-    quarter of the moves mirror the feature to the opposite corner of
-    the domain — guaranteed shard-boundary crossings on any multi-shard
-    partition.
+    moves) and applies it through the live API.  New positions are
+    sampled inside the *original object bounding box*.  A quarter of the
+    moves mirror the feature to the opposite corner of the domain, so
+    some moves travel across the whole world.
 
     ``counts`` tallies applied ops; ``self.rng`` is private to the
     stream, so two streams with equal seeds over equal worlds generate
@@ -76,7 +73,6 @@ class MutationStream:
         self.live = live
         self.rng = random.Random(seed)
         self.counts: dict[str, int] = {}
-        self.mirrored_moves = 0
         self._next_fid = 5_000_000
         self._next_oid = 5_000_000
         self._n_sets = len(live.feature_snapshots())
@@ -135,7 +131,6 @@ class MutationStream:
             if self.rng.random() < 0.25:
                 old = live.get_feature(set_id, fid)
                 x, y = self._mirror(old.x, old.y)
-                self.mirrored_moves += 1
             else:
                 x, y = self._point()
             live.move_feature(set_id, fid, x, y)

@@ -2,28 +2,22 @@
 
 An engine mutated in place must answer *identically* — ids and scores at
 1e-9 — to an index rebuilt from scratch over the mutated datasets, for
-every algorithm/variant combination the engine supports.  Each test
+every algorithm/variant combination the engine supports.  The test
 drives ≥200 mixed mutations through :class:`tests.live.conftest.MutationStream`
-(insert/delete/move/rescore features, insert/delete objects, with
-mirrored moves that cross shard boundaries) and compares at periodic
-checkpoints, so a divergence is caught near the mutation that caused it.
-
-Covered engines: single-node :class:`LiveDataset` (with a brute-force
-belt on top of the rebuild), sharded thread fan-out in both replication
-modes, and sharded process fan-out (shared-memory refreeze path; marked
-``slow`` for the worker-pool spin-up).
+(insert/delete/move/rescore features, insert/delete objects) into a
+:class:`LiveDataset` and compares at periodic checkpoints against the
+rebuild and a brute-force belt on top of it, so a divergence is caught
+near the mutation that caused it.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.bruteforce import brute_force
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
-from repro.live import LiveDataset, LiveShardedDataset
+from repro.live import LiveDataset
 
 from tests.conftest import random_mask
 from tests.live.conftest import LIVE_VOCAB_SIZE, MutationStream, live_world
@@ -41,8 +35,6 @@ FULL_BATTERY = (
     ("iss", Variant.INFLUENCE),
     ("stps", Variant.NEAREST),
 )
-#: Halo-replicated shards only serve the range variant (by design).
-RANGE_BATTERY = (("stps", Variant.RANGE), ("stds", Variant.RANGE))
 
 BUILD_KWARGS = {"page_size": 1024, "buffer_pages": 64}
 
@@ -111,54 +103,3 @@ def test_single_node_matches_rebuild_and_brute_force():
         "insert_feature", "delete_feature", "move_feature",
         "rescore_feature", "insert_object", "delete_object",
     }
-
-
-def test_sharded_threads_halo_with_boundary_crossings():
-    objects, feature_sets = live_world()
-    with LiveShardedDataset.build(
-        objects, feature_sets, shards=4, radius=0.25, **BUILD_KWARGS
-    ) as live:
-        stream = MutationStream(live, seed=101)
-        total = _drive(live, stream, RANGE_BATTERY)
-        assert total >= 200
-        # Mirrored moves must have re-halo'd features across the 2x2
-        # grid — the boundary-crossing coverage the oracle exists for.
-        assert stream.mirrored_moves > 0
-        assert live.relocations > 0
-
-
-def test_sharded_threads_full_replication_all_variants():
-    objects, feature_sets = live_world()
-    with LiveShardedDataset.build(
-        objects, feature_sets, shards=4, radius=0.25,
-        replication="full", **BUILD_KWARGS
-    ) as live:
-        stream = MutationStream(live, seed=103)
-        total = _drive(live, stream, FULL_BATTERY)
-        assert total >= 200
-
-
-@pytest.mark.slow
-def test_sharded_processes_refreeze_oracle():
-    """Process fan-out: thaw → mutate → refreeze → workers re-attach."""
-    objects, feature_sets = live_world()
-    with LiveShardedDataset.build(
-        objects, feature_sets, shards=2, radius=0.25,
-        replication="full", fanout="processes", **BUILD_KWARGS
-    ) as live:
-        # Prime the worker pool on the original segments so the refreeze
-        # path exercises manifest *replacement*, not first attachment.
-        live.query(_queries(seed=7)[0])
-        since = live.version
-        stream = MutationStream(live, seed=107)
-        total = _drive(live, stream, FULL_BATTERY)
-        assert total >= 200
-        assert live.refreezes > 0
-        # One logged delta per mutation, thawed and refrozen shards
-        # included.
-        deltas = live.deltas(since)
-        assert len(deltas) == total
-        assert {d[:2] for d in deltas} == {
-            ("feature", "insert"), ("feature", "delete"), ("feature", "move"),
-            ("feature", "rescore"), ("object", "insert"), ("object", "delete"),
-        }

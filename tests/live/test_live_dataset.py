@@ -3,8 +3,7 @@ standing-query monitor (:class:`repro.live.TopKMonitor`).
 
 The oracle and stateful suites prove end-to-end correctness; this file
 pins the surface: validation errors, declarative mutation dispatch,
-mirror/snapshot semantics, metrics, shard routing restrictions, and the
-monitor's delta reporting.
+mirror/snapshot semantics, metrics, and the monitor's delta reporting.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ import dataclasses
 import pytest
 
 from repro.core.query import PreferenceQuery, Variant
-from repro.errors import DatasetError, ShardError
+from repro.errors import DatasetError
 from repro.live import (
     DELTA_LOG,
     LIVE_METRIC_FAMILIES,
     MUTATION_OPS,
     LiveDataset,
-    LiveShardedDataset,
     Mutation,
     TopKDelta,
     TopKMonitor,
@@ -29,7 +27,6 @@ from repro.live import (
 )
 from repro.live.dataset import live_mutations_metric
 from repro.live.monitor import monitor_changes_metric, monitor_refreshes_metric
-from repro.live.sharded import live_relocations_metric
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs.metrics import registry
 
@@ -347,97 +344,3 @@ class TestTopKMonitor:
         assert not TopKDelta(0).changed
         item = object()  # changed only inspects truthiness
         assert TopKDelta(1, entered=(item,)).changed
-
-
-# ----------------------------------------------------------------------
-# sharded routing restrictions (thread mode; process mode has its own
-# oracle test)
-# ----------------------------------------------------------------------
-class TestShardedRouting:
-    def small_sharded(self, **kwargs) -> LiveShardedDataset:
-        objects, feature_sets = live_world(
-            n_objects=40, n_features=30, seed=7
-        )
-        kwargs.setdefault("shards", 4)
-        kwargs.setdefault("radius", 0.25)
-        kwargs.setdefault("page_size", 512)
-        kwargs.setdefault("buffer_pages", 32)
-        return LiveShardedDataset.build(objects, feature_sets, **kwargs)
-
-    def test_ctor_rejects_feature_set_count_mismatch(self):
-        with self.small_sharded() as live:
-            sets = live.feature_snapshots()
-            with pytest.raises(DatasetError, match="feature trees"):
-                LiveShardedDataset(
-                    live.processor, live.objects_snapshot(), sets[:1]
-                )
-
-    def test_halo_mode_rejects_objects_outside_every_region(self):
-        with self.small_sharded() as live:
-            n = live.n_objects
-            with pytest.raises(ShardError, match="outside every shard"):
-                live.insert_object(DataObject(950, 5.0, 5.0))
-            # The failed mutation left no trace in the mirror.
-            assert live.n_objects == n
-            assert 950 not in live.object_ids()
-            live.check_consistency()
-
-    def test_full_replication_accepts_objects_anywhere(self):
-        with self.small_sharded(replication="full") as live:
-            live.insert_object(DataObject(951, 5.0, 5.0))
-            assert 951 in live.object_ids()
-            live.check_consistency()
-
-    def test_thread_mode_flush_is_a_noop(self):
-        with self.small_sharded() as live:
-            live.rescore_feature(0, live.feature_ids(0)[0], 0.5)
-            assert live.flush() == 0
-            assert live.refreezes == 0
-
-    def test_boundary_crossing_move_counts_a_relocation(self):
-        with self.small_sharded() as live:
-            registry().reset(LIVE_METRIC_FAMILIES)
-            since = live.version
-            # Corner-to-corner move: the halo set must change on a 2x2
-            # partition with r=0.25.
-            feature = FeatureObject(952, 0.02, 0.02, 0.9, frozenset({1}))
-            live.insert_feature(0, feature)
-            before = live.relocations
-            moved = live.move_feature(0, 952, 0.98, 0.98)
-            assert live.relocations == before + 1
-            assert live_relocations_metric().value == 1
-            # The log holds the same delta as on a single node — the
-            # objects before and after, whatever the shards did — for
-            # the re-halo move and for each of the other five ops.
-            rescored = live.rescore_feature(0, 952, 0.2)
-            live.delete_feature(0, 952)
-            obj = DataObject(953, 0.5, 0.5)
-            live.insert_object(obj)
-            live.delete_object(953)
-            assert (moved.x, moved.y, moved.score) == (0.98, 0.98, 0.9)
-            assert live.deltas(since) == [
-                ("feature", "insert", 0, None, feature),
-                ("feature", "move", 0, feature, moved),
-                ("feature", "rescore", 0, moved, rescored),
-                ("feature", "delete", 0, rescored, None),
-                ("object", "insert", None, None, obj),
-                ("object", "delete", None, obj, None),
-            ]
-            assert live.object_score(QUERY, (0.5, 0.5)) is None
-            live.check_consistency()
-
-    def test_membership_divergence_is_reported(self):
-        with self.small_sharded() as live:
-            fid = live.feature_ids(0)[0]
-            feature = live.get_feature(0, fid)
-            shard_idx = next(iter(live._feature_shards[0][fid]))
-            tree = live.processor.shards[shard_idx].processor.feature_trees[0]
-            assert tree.delete(feature_entry(feature))
-            with pytest.raises(DatasetError, match="divergence"):
-                live.delete_feature(0, fid)
-
-    def test_check_consistency_catches_unrouted_object(self):
-        with self.small_sharded() as live:
-            live._object_shard.pop(live.object_ids()[0])
-            with pytest.raises(DatasetError, match="objects routed"):
-                live.check_consistency()

@@ -6,6 +6,7 @@ Time is injected, so refill is driven deterministically by a fake clock.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,13 @@ class TestQuotaSpec:
             QuotaSpec(rate=-1)
         with pytest.raises(ReproError, match="burst"):
             QuotaSpec(rate=1, burst=0.5)
+        # NaN fails every comparison, so each check must be a positive
+        # test for NaN to be rejected.
+        with pytest.raises(ReproError, match="rate"):
+            QuotaSpec(rate=math.nan)
+        with pytest.raises(ReproError, match="burst"):
+            QuotaSpec(rate=1, burst=math.nan)
+        assert QuotaSpec(rate=math.inf, burst=math.inf).unlimited
 
 
 class TestTokenBucket:

@@ -8,6 +8,7 @@ real executor to pin the end-to-end dispatch.
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -77,6 +78,10 @@ class TestValidation:
             ServeConfig(latency_slo_s=0)
         with pytest.raises(ReproError):
             ServeConfig(queue_wait_window=0)
+        with pytest.raises(ReproError, match="latency_slo_s"):
+            ServeConfig(latency_slo_s=math.nan)
+        with pytest.raises(ReproError, match="queue_wait_horizon_s"):
+            ServeConfig(queue_wait_horizon_s=math.nan)
 
 
 class TestQuotaGate:

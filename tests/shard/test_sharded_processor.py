@@ -12,7 +12,7 @@ from repro.core.query import PreferenceQuery, Variant
 from repro.errors import QueryError, ReproError, ShardError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import metrics as obs_metrics
-from repro.shard import ShardedQueryProcessor, partition
+from repro.shard import ShardedQueryProcessor
 from repro.text.vocabulary import Vocabulary
 from tests.conftest import make_data_objects, make_feature_objects
 
@@ -257,14 +257,12 @@ class TestFailureIsolation:
                 if fanout == "serial":
                     self._poison_shard(order[1], RuntimeError("page torn"))
                 else:
-                    # A shard id no worker knows, sent without its
-                    # manifest: the failure comes back through the
-                    # result channel.
+                    # A shard id no worker has a manifest for: the
+                    # failure comes back through the result channel.
                     runner = sharded._ensure_process_runner()
                     submit = runner.submit
-                    runner.submit = lambda shard_id, *args, manifest: (
-                        submit(999, *args) if shard_id == victim
-                        else submit(shard_id, *args, manifest=manifest)
+                    runner.submit = lambda shard_id, *args: submit(
+                        999 if shard_id == victim else shard_id, *args
                     )
                 stats = QueryStats()
                 with pytest.raises(ShardError):
@@ -341,17 +339,6 @@ class TestLifecycle:
             sharded.query(_query())
             dropped = sharded.clear_buffers()
             assert dropped["nodes"] > 0
-
-    def test_from_specs_roundtrip(self, datasets, base, tmp_path):
-        from repro.data import load_shards, save_shards
-
-        objects, feature_sets = datasets
-        specs = partition(objects, feature_sets, 4, 0.08, method="kd")
-        save_shards(specs, str(tmp_path / "part"))
-        loaded = load_shards(str(tmp_path / "part"))
-        with ShardedQueryProcessor.from_specs(loaded) as sharded:
-            q = _query(seed=9)
-            assert _items(sharded.query(q)) == _items(base.query(q))
 
     def test_full_replication_serves_all_variants(self, datasets, base):
         objects, feature_sets = datasets

@@ -59,6 +59,14 @@ REMOVED = {
         ALL_FILES, (),
     ),
     "ir_tree": (r"irtree|IRTree|ablation_index", ALL_FILES, ()),
+    "live_sharding": (
+        r"LiveShardedDataset|live\.sharded|LiveBase|replace_manifest"
+        r"|bump_epoch|_refresh_manifest|owning_shard_index"
+        r"|halo_shard_indices|live_(relocations|refreezes)_metric"
+        r"|repro_live_(relocations|refreezes)_total|save_shards"
+        r"|load_shards|from_specs|_thaw_pagefile",
+        ALL_FILES, (),
+    ),
 }
 
 
@@ -238,7 +246,7 @@ class TestPublicApi:
         from repro.serve.cache import ResultCache
 
         assert {"TopKMonitor", "TopKDelta"} <= set(live.__all__)
-        assert not hasattr(live.LiveBase, "add_mutation_listener")
-        assert not hasattr(live.LiveBase, "remove_mutation_listener")
+        assert not hasattr(live.LiveDataset, "add_mutation_listener")
+        assert not hasattr(live.LiveDataset, "remove_mutation_listener")
         assert not hasattr(ResultCache, "bump")
         assert not hasattr(ResultCache, "attach_live")

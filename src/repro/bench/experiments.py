@@ -13,7 +13,7 @@ Every panel of the paper's evaluation maps to a registered experiment
 Series labels follow the paper: the SRT-index vs the modified IR²-tree,
 under STDS or STPS, for the range / influence / nearest-neighbor score
 variants.  Additional ``ablation_*`` experiments cover the design choices
-DESIGN.md calls out (pulling strategy, buffer size, build method).
+DESIGN.md calls out (buffer size, build method, influence algorithm).
 """
 
 from __future__ import annotations
@@ -343,56 +343,6 @@ _make_query_param(
 # ----------------------------------------------------------------------
 # Ablations (extensions; DESIGN.md Section 7)
 # ----------------------------------------------------------------------
-def _ablation_pulling(ctx: BenchContext) -> ExperimentResult:
-    """Prioritized pulling (Definition 5) vs round-robin."""
-    from repro.core.combinations import PULL_PRIORITIZED, PULL_ROUND_ROBIN
-    from repro.core.stps import stps as run_stps
-
-    xs = list(ctx.cfg.c_sweep)
-    result = ExperimentResult(
-        "ablation_pulling",
-        "STPS pulling strategy: prioritized vs round-robin (synthetic)",
-        "Section 6.3 (pulling strategy)",
-        "number of feature sets c",
-        xs,
-    )
-    import time
-
-    for c in xs:
-        feature_sets = ctx.feature_sets(c=c)
-        queries = ctx.workload(feature_sets, n_queries=ctx.cfg.queries_per_point)
-        processor = ctx.synthetic_processor("srt", c=c)
-        for pulling, label in (
-            (PULL_PRIORITIZED, "STPS/prioritized"),
-            (PULL_ROUND_ROBIN, "STPS/round-robin"),
-        ):
-            total_ms = io_ms = reads = pulls = combos = 0.0
-            for query in queries:
-                processor.clear_buffers()
-                t0 = time.perf_counter()
-                res = run_stps(
-                    processor.object_tree,
-                    processor.feature_trees,
-                    query,
-                    pulling=pulling,
-                )
-                total_ms += (time.perf_counter() - t0) * 1e3
-                total_ms += res.stats.io_time_s * 1e3
-                io_ms += res.stats.io_time_s * 1e3
-                reads += res.stats.io_reads
-                pulls += res.stats.features_pulled
-                combos += res.stats.combinations
-            n = len(queries)
-            result.add(
-                label,
-                Measurement(
-                    n, total_ms / n, (total_ms - io_ms) / n, io_ms / n,
-                    reads / n, 0.0, combos / n, 0.0, pulls / n,
-                ),
-            )
-    return result
-
-
 def _ablation_buffer(ctx: BenchContext) -> ExperimentResult:
     """Effect of the LRU buffer-pool size on physical I/O."""
     sizes = [16, 64, 256, 1024]
@@ -486,15 +436,6 @@ _register(
         "Influence algorithm ablation",
         "Section 7.1",
         _ablation_influence_algo,
-    ),
-    group="ablations",
-)
-_register(
-    Experiment(
-        "ablation_pulling",
-        "Pulling-strategy ablation",
-        "Section 6.3",
-        _ablation_pulling,
     ),
     group="ablations",
 )

@@ -1,12 +1,7 @@
 """Core algorithms: STDS, STPS and the score variants."""
 
 from repro.core.bruteforce import brute_force, component_score, object_score
-from repro.core.combinations import (
-    PULL_PRIORITIZED,
-    PULL_ROUND_ROBIN,
-    Combination,
-    CombinationIterator,
-)
+from repro.core.combinations import Combination, CombinationIterator
 from repro.core.executor import BatchReport, QueryExecutor
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
@@ -22,8 +17,6 @@ from repro.core.stream import (
 from repro.core.voronoi import clip_voronoi_cell, voronoi_cell
 
 __all__ = [
-    "PULL_PRIORITIZED",
-    "PULL_ROUND_ROBIN",
     "BatchReport",
     "Combination",
     "CombinationIterator",

@@ -2,21 +2,21 @@
 
 Yields combinations ``C = (t_1, ..., t_c)``, one feature (or the virtual
 ``∅``) per feature set, in non-increasing combined score ``s(C) = Σ s(t_i)``,
-pulling features from the per-set sorted streams only as needed:
+drawing features from the per-set sorted streams only as needed:
 
 * **thresholding scheme** — a combination is released only once its score
   reaches ``τ = max_j (max_1 + ... + min_j + ... + max_c)``, the best
   score any not-yet-formed combination could achieve (``max_l`` = best
   score in set ``l``, ``min_j`` = best score still obtainable from set
   ``j``'s stream);
-* **pulling strategy** — either the paper's *prioritized* strategy
-  (Definition 5: pull from the set responsible for the current threshold)
-  or plain round-robin (the paper's "simple alternative", kept as an
-  ablation);
+* **pulling strategy** — the paper's *prioritized* strategy
+  (Definition 5): pull from the set responsible for the current
+  threshold, the one :meth:`CombinationIterator._threshold` names;
 * **validity** — for the range variant, combinations whose real members
   are pairwise farther than ``2r`` apart are discarded (Definition 4 /
-  Lemma 1); the influence and NN variants disable that filter
-  (``enforce_2r=False``), as Section 7 prescribes.
+  Lemma 1); the influence and NN variants have no range predicate and
+  so no such filter, as Section 7 prescribes — the iterator reads which
+  rule applies from ``query.variant``.
 
 Combinations are assembled by a rank join driven by each pull: a feature
 ``t`` arriving in set ``i`` is, by construction, the last-pulled member of
@@ -46,7 +46,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.query import PreferenceQuery
+from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryStats
 from repro.core.stream import FeatureStream, StreamedFeature
 from repro.errors import QueryError
@@ -55,9 +55,6 @@ from repro.obs.explain import MAX_TRAJECTORY
 from repro.obs import tracing as _tracing
 
 _EPS = 1e-12
-
-PULL_PRIORITIZED = "prioritized"
-PULL_ROUND_ROBIN = "round_robin"
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +83,6 @@ class CombinationIterator:
         self,
         feature_trees: Sequence[FeatureTree],
         query: PreferenceQuery,
-        enforce_2r: bool = True,
-        pulling: str = PULL_PRIORITIZED,
         recorder=None,
         stats: QueryStats | None = None,
     ) -> None:
@@ -96,11 +91,9 @@ class CombinationIterator:
                 f"query addresses {query.c} feature sets, got "
                 f"{len(feature_trees)} trees"
             )
-        if pulling not in (PULL_PRIORITIZED, PULL_ROUND_ROBIN):
-            raise QueryError(f"unknown pulling strategy {pulling!r}")
         self.query = query
-        self.enforce_2r = enforce_2r
-        self.pulling = pulling
+        # The 2r rule (Lemma 1) holds for the range variant only.
+        self.within_2r = within_2r = query.variant is Variant.RANGE
         # Phase recorder (repro.obs.tracing): times the feature pulls,
         # threshold updates and combination assembly separately so a
         # query's `phase_times` mirrors the anatomy of Algorithm 4.
@@ -133,9 +126,8 @@ class CombinationIterator:
         # sub-lattice exactly once without a visited set.
         self._heap: list[tuple] = []
         self._counter = 0
-        self._rr_next = 0
         self._diameter = 2.0 * query.radius
-        if enforce_2r:
+        if within_2r:
             # ``_near[j][cell]``: set j's pulled features that may lie
             # within ``2r`` of a point of ``cell``, in pull order.  A
             # feature is filed under every cell its ``reach``-interval
@@ -183,18 +175,14 @@ class CombinationIterator:
                 continue
             if source is None:
                 return None  # τ = -inf released everything formable
-            pull_from = (
-                source if self.pulling == PULL_PRIORITIZED
-                else self._round_robin()
-            )
-            stream = self.streams[pull_from]
+            stream = self.streams[source]
             stream.stats.pull_rounds += 1
             if detail is not None and len(detail.trajectory) < MAX_TRAJECTORY:
                 detail.trajectory.append((
-                    stats.pull_rounds, pull_from, threshold,
+                    stats.pull_rounds, source, threshold,
                     stream.next_bound or 0.0,
                 ))
-            self._pull(pull_from)
+            self._pull(source)
 
     # ------------------------------------------------------------------
     # thresholding scheme and pulling strategy
@@ -219,17 +207,6 @@ class CombinationIterator:
                 source = j
         return best, source
 
-    def _round_robin(self) -> int:
-        """The next non-exhausted stream in cyclic order (the ablation).
-
-        Only called while some stream can still deliver.
-        """
-        while True:
-            j = self._rr_next % self.c
-            self._rr_next += 1
-            if self.streams[j].next_bound is not None:
-                return j
-
     # ------------------------------------------------------------------
     # join on pull
     # ------------------------------------------------------------------
@@ -251,7 +228,7 @@ class CombinationIterator:
         pulled = self.pulled[i]
         if not pulled:
             self.set_max[i] = feature.score
-        if self.enforce_2r and not feature.is_virtual:
+        if self.within_2r and not feature.is_virtual:
             near = self._near[i]
             inv = self._inv
             reach = self._reach
@@ -284,7 +261,7 @@ class CombinationIterator:
         for j in range(start, self.c):
             if partners[j] is not None:
                 continue  # the arriving feature's own set
-            if not self.enforce_2r:
+            if not self.within_2r:
                 partners[j] = self.pulled[j]
             elif not anchor.is_virtual:
                 partners[j] = self._neighbours(j, anchor)
@@ -342,7 +319,7 @@ class CombinationIterator:
         return Combination(features, -neg)
 
     def _valid(self, combo: Combination) -> bool:
-        if not self.enforce_2r:
+        if not self.within_2r:
             return True
         diameter = self._diameter
         real = [f for f in combo.features if not f.is_virtual]

@@ -36,7 +36,6 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult
 from repro.errors import QueryError
@@ -205,7 +204,7 @@ class QueryExecutor:
     # execution
     # ------------------------------------------------------------------
     def _execute(
-        self, query: PreferenceQuery, algorithm: str, pulling: str
+        self, query: PreferenceQuery, algorithm: str
     ) -> tuple[QueryResult, float, float]:
         """One query, here, once a slot is free.
 
@@ -233,9 +232,7 @@ class QueryExecutor:
             with _tracing.span(
                 "executor.query", cat="executor", algorithm=algorithm
             ):
-                result = self.processor.query(
-                    query, algorithm=algorithm, pulling=pulling
-                )
+                result = self.processor.query(query, algorithm=algorithm)
         except Exception as exc:
             _metrics.registry().counter(
                 "repro_executor_failures_total",
@@ -253,7 +250,6 @@ class QueryExecutor:
         self,
         queries: Sequence[PreferenceQuery],
         algorithm: str,
-        pulling: str,
         dedup: bool,
         on_error: str,
     ) -> BatchReport:
@@ -278,7 +274,7 @@ class QueryExecutor:
             try:
                 with _tracing.resume(ctx):
                     result, wait_s, latency_s = self._execute(
-                        query, algorithm, pulling
+                        query, algorithm
                     )
                 report.queue_waits_s.append(wait_s)
                 report.latencies_s.append(latency_s)
@@ -307,7 +303,6 @@ class QueryExecutor:
         self,
         queries: Sequence[PreferenceQuery],
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> list[QueryResult | None]:
@@ -339,15 +334,12 @@ class QueryExecutor:
         Failures also increment
         ``repro_executor_failures_total{algorithm,error}``.
         """
-        return self._batch(
-            queries, algorithm, pulling, dedup, on_error
-        ).results
+        return self._batch(queries, algorithm, dedup, on_error).results
 
     def execute_one(
         self,
         query: PreferenceQuery,
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
     ) -> tuple[QueryResult, float, float]:
         """Run one query; ``(result, queue_wait_s, latency_s)``.
 
@@ -359,13 +351,12 @@ class QueryExecutor:
         """
         if self._closed:
             raise QueryError("executor is closed")
-        return self._execute(query, algorithm, pulling)
+        return self._execute(query, algorithm)
 
     def run(
         self,
         queries: Sequence[PreferenceQuery],
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> BatchReport:
@@ -379,7 +370,7 @@ class QueryExecutor:
         trees = list(self.processor.trees())
         before = [t.pagefile.stats.snapshot() for t in trees]
         t0 = time.perf_counter()
-        report = self._batch(queries, algorithm, pulling, dedup, on_error)
+        report = self._batch(queries, algorithm, dedup, on_error)
         report.wall_s = time.perf_counter() - t0
         _metrics.registry().histogram(
             "repro_executor_batch_seconds",

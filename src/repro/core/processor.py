@@ -22,7 +22,6 @@ import logging
 import time
 from collections.abc import Sequence
 
-from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats
 from repro.core.stds import stds
@@ -114,7 +113,6 @@ class QueryProcessor:
         self,
         query: PreferenceQuery,
         algorithm: str = ALGORITHM_STPS,
-        pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
         stats: QueryStats | None = None,
     ) -> QueryResult:
@@ -156,10 +154,10 @@ class QueryProcessor:
         )
         with _tracing.resume(ctx):
             try:
-                return self.execute(query, algorithm, pulling, floor, stats)
+                return self.execute(query, algorithm, floor, stats)
             finally:
                 _explain.record_query(
-                    stats, algorithm, query.variant.value, pulling,
+                    stats, algorithm, query.variant.value,
                     time.perf_counter() - t0,
                 )
 
@@ -167,7 +165,6 @@ class QueryProcessor:
         self,
         query: PreferenceQuery,
         algorithm: str,
-        pulling: str,
         floor: float,
         stats: QueryStats,
     ) -> QueryResult:
@@ -186,20 +183,18 @@ class QueryProcessor:
                 k=query.k,
                 c=query.c,
             ):
-                result = self._dispatch(
-                    query, algorithm, pulling, floor, stats
-                )
+                result = self._dispatch(query, algorithm, floor, stats)
         except Exception as exc:
             if _requests.enabled:
                 _flight.record_error(
-                    query, algorithm, pulling, trace_id,
+                    query, algorithm, trace_id,
                     time.perf_counter() - t0, exc,
                 )
             raise
         result.stats.trace_id = trace_id
         if _requests.enabled:
             _flight.maybe_record(
-                query, algorithm, pulling, trace_id,
+                query, algorithm, trace_id,
                 time.perf_counter() - t0, stats=result.stats,
             )
         return result
@@ -208,7 +203,6 @@ class QueryProcessor:
         self,
         query: PreferenceQuery,
         algorithm: str = ALGORITHM_STPS,
-        pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
     ) -> "_explain.ExplainReport":
         """EXPLAIN ANALYZE: execute the query and return plan + result.
@@ -222,19 +216,16 @@ class QueryProcessor:
         Render with ``report.plan.render()`` or ``report.plan.to_json()``.
         """
         result = self.query(
-            query, algorithm=algorithm, pulling=pulling, floor=floor,
+            query, algorithm=algorithm, floor=floor,
             stats=QueryStats(detail=_explain.PlanDetail()),
         )
-        plan = _explain.QueryPlan.from_stats(
-            query, algorithm, pulling, result.stats
-        )
+        plan = _explain.QueryPlan.from_stats(query, algorithm, result.stats)
         return _explain.ExplainReport(plan=plan, result=result)
 
     def _dispatch(
         self,
         query: PreferenceQuery,
         algorithm: str,
-        pulling: str,
         floor: float,
         stats: QueryStats,
     ) -> QueryResult:
@@ -264,7 +255,7 @@ class QueryProcessor:
                 self.object_tree, self.feature_trees, query, stats=stats
             )
         return stps(
-            self.object_tree, self.feature_trees, query, pulling,
+            self.object_tree, self.feature_trees, query,
             floor=floor, stats=stats,
         )
 
@@ -272,7 +263,6 @@ class QueryProcessor:
         self,
         queries,
         algorithm: str = ALGORITHM_STPS,
-        pulling: str = PULL_PRIORITIZED,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> list[QueryResult]:
@@ -293,23 +283,18 @@ class QueryProcessor:
             return executor.query_many(
                 queries,
                 algorithm=algorithm,
-                pulling=pulling,
                 dedup=dedup,
                 on_error=on_error,
             )
 
-    def stream(
-        self,
-        query: PreferenceQuery,
-        pulling: str = PULL_PRIORITIZED,
-    ):
+    def stream(self, query: PreferenceQuery):
         """Yield results in rank order, lazily (range / NN variants).
 
         Unlike :meth:`query`, iteration is unbounded by ``k``: keep
         consuming for "next page" semantics.  The ranks, ties included,
         are :meth:`query`'s (:func:`repro.core.stps.stps_stream`).
         """
-        return stps_stream(self.object_tree, self.feature_trees, query, pulling)
+        return stps_stream(self.object_tree, self.feature_trees, query)
 
     def clear_buffers(self) -> dict[str, int]:
         """Drop all cached nodes (cold-cache runs).

@@ -44,7 +44,7 @@ import math
 import time
 from collections.abc import Iterator, Sequence
 
-from repro.core.combinations import PULL_PRIORITIZED, CombinationIterator
+from repro.core.combinations import CombinationIterator
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import (
     QueryResult,
@@ -188,15 +188,14 @@ class _Search:
     shared by the top-k and the stream."""
 
     def __init__(
-        self, object_tree, feature_trees, query, pulling, stats, rec
+        self, object_tree, feature_trees, query, stats, rec
     ) -> None:
         self.tracker = StatsTracker(
             [object_tree.pagefile] + [t.pagefile for t in feature_trees]
         )
         variant = query.variant
         self.iterator = CombinationIterator(
-            feature_trees, query, enforce_2r=variant is Variant.RANGE,
-            pulling=pulling, recorder=rec, stats=stats,
+            feature_trees, query, recorder=rec, stats=stats
         )
         self.regions = (
             _VoronoiRegions(
@@ -294,7 +293,6 @@ def stps(
     object_tree: ObjectRTree,
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
-    pulling: str = PULL_PRIORITIZED,
     floor: float = float("-inf"),
     stats: QueryStats | None = None,
 ) -> QueryResult:
@@ -310,7 +308,7 @@ def stps(
     """
     stats = stats or QueryStats()
     rec = _tracing.recorder()
-    search = _Search(object_tree, feature_trees, query, pulling, stats, rec)
+    search = _Search(object_tree, feature_trees, query, stats, rec)
     k = query.k
     # oid -> (score, oid, x, y) at the object's best score so far: range
     # and NN retrieve an object once, influence keeps its maximum.
@@ -354,7 +352,6 @@ def stps_stream(
     object_tree: ObjectRTree,
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
-    pulling: str = PULL_PRIORITIZED,
 ) -> Iterator[ResultItem]:
     """Yield every data object in rank order, lazily; ignores ``query.k``.
 
@@ -372,7 +369,7 @@ def stps_stream(
             "use QueryProcessor.query() instead"
         )
     search = _Search(
-        object_tree, feature_trees, query, pulling, QueryStats(),
+        object_tree, feature_trees, query, QueryStats(),
         _tracing.NULL_RECORDER,
     )
     level: list[tuple[int, float, float]] = []

@@ -9,7 +9,7 @@ artifacts:
   see the per-query phase timeline;
 * a Prometheus text-exposition snapshot (``--metrics-out``, default
   ``obs_metrics.prom``) with the query latency histograms labeled by
-  algorithm / variant / pulling strategy;
+  algorithm / variant;
 * a JSON metrics snapshot (``--json-out``, default
   ``obs_metrics.json``) including p50/p95/p99 summaries.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import time
 from pathlib import Path
 
@@ -92,8 +93,6 @@ def build_explain_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--algorithm", default="stps",
                         choices=["stps", "stds", "iss"])
-    parser.add_argument("--pulling", default="prioritized",
-                        choices=["prioritized", "round_robin"])
     parser.add_argument("--variant", default="range",
                         choices=["range", "influence", "nearest"])
     parser.add_argument("--k", type=int, default=10)
@@ -140,16 +139,26 @@ def run_explain(args) -> int:
             replication="halo" if variant is Variant.RANGE else "full",
         )
         with processor:
-            report = processor.explain(
-                query, algorithm=args.algorithm, pulling=args.pulling
-            )
+            report = processor.explain(query, algorithm=args.algorithm)
     else:
         processor = QueryProcessor.build(objects, feature_sets)
-        report = processor.explain(
-            query, algorithm=args.algorithm, pulling=args.pulling
-        )
+        report = processor.explain(query, algorithm=args.algorithm)
     print(report.plan.to_json() if args.json else report.plan.render())
     return 0
+
+
+def _finite_ms(text: str) -> float:
+    """``--min-ms``: a finite number, as ``/traces.json?min_ms=`` takes
+    (nan compares false against every duration and turns the filter off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}"
+        )
+    return value
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
@@ -171,7 +180,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
                              "repro.obs.requests.dump_jsonl")
     parser.add_argument("--tenant", default=None,
                         help="only traces of this tenant")
-    parser.add_argument("--min-ms", type=float, default=None,
+    parser.add_argument("--min-ms", type=_finite_ms, default=None,
                         help="only traces at least this slow")
     parser.add_argument("--json", action="store_true",
                         help="print raw JSON instead of rendered output")

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field, fields, replace
 from repro.obs import metrics as _metrics
 
 #: Version of the plan JSON schema (bump on breaking field changes).
-PLAN_SCHEMA_VERSION = 1
+#: 2 dropped the key that named the pulling strategy (STPS has one).
+PLAN_SCHEMA_VERSION = 2
 
 #: Caps keeping a plan small no matter how pathological the query is.
 MAX_TRAJECTORY = 512
@@ -275,7 +276,6 @@ class QueryPlan:
     trace_id: str = ""
     algorithm: str = ""
     variant: str = ""
-    pulling: str = ""
     k: int = 0
     radius: float = 0.0
     lam: float = 0.0
@@ -295,7 +295,7 @@ class QueryPlan:
     phase_times: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_stats(cls, query, algorithm: str, pulling: str, stats) -> "QueryPlan":
+    def from_stats(cls, query, algorithm: str, stats) -> "QueryPlan":
         """The plan of one executed query, read off its ``QueryStats``.
 
         A section is present when its engine counted anything; an
@@ -306,7 +306,6 @@ class QueryPlan:
             trace_id=stats.trace_id,
             algorithm=algorithm,
             variant=query.variant.value,
-            pulling=pulling,
             k=query.k,
             radius=query.radius,
             lam=query.lam,
@@ -348,7 +347,7 @@ class QueryPlan:
             shard if shard.stats is None else replace(
                 shard,
                 plan=cls.from_stats(
-                    query, shard_algorithm, pulling, shard.stats
+                    query, shard_algorithm, shard.stats
                 ).to_dict(),
             )
             for shard in stats.shards
@@ -394,7 +393,6 @@ class QueryPlan:
             "trace_id": self.trace_id,
             "algorithm": self.algorithm,
             "variant": self.variant,
-            "pulling": self.pulling,
             "k": self.k,
             "radius": self.radius,
             "lam": self.lam,
@@ -424,9 +422,8 @@ class QueryPlan:
     def render(self) -> str:
         """Human-readable plan: aligned tables, one section per stage."""
         lines = [
-            f"QUERY PLAN  [{self.algorithm}/{self.variant}"
-            + (f"/{self.pulling}" if self.pulling else "")
-            + f"]  trace_id={self.trace_id or '-'}",
+            f"QUERY PLAN  [{self.algorithm}/{self.variant}]  "
+            f"trace_id={self.trace_id or '-'}",
             f"  k={self.k}  r={self.radius}  lambda={self.lam}  "
             f"c={self.c}  elapsed={self.elapsed_s * 1e3:.2f}ms  "
             f"objects_scored={self.objects_scored}",
@@ -525,8 +522,8 @@ class QueryPlan:
 # ----------------------------------------------------------------------
 # the registry view
 # ----------------------------------------------------------------------
-#: The labels of a query's families: the processor's three.
-_QUERY_LABELS = ("algorithm", "variant", "pulling")
+#: The labels of a query's families: the processor's two.
+_QUERY_LABELS = ("algorithm", "variant")
 
 #: Per-query counters: family -> (help, label names).  A selector (see
 #: :func:`_increments`) fills the last label; the query's own labels, in
@@ -568,7 +565,7 @@ def counter_family(name: str) -> "_metrics.MetricFamily":
 
 
 def record_query(
-    stats, algorithm: str, variant: str, pulling: str, elapsed_s: float
+    stats, algorithm: str, variant: str, elapsed_s: float
 ) -> None:
     """Derive one finished query's registry updates from its ``QueryStats``.
 
@@ -580,7 +577,7 @@ def record_query(
     its exemplar.
     """
     reg = _metrics.registry()
-    values = (algorithm, variant, pulling)
+    values = (algorithm, variant)
     labels = dict(zip(_QUERY_LABELS, values))
     reg.histogram(
         "repro_query_seconds", "End-to-end query latency.", _QUERY_LABELS

@@ -45,7 +45,6 @@ class QueryRecord:
     ts: float
     algorithm: str
     variant: str
-    pulling: str
     #: Query arguments: k, radius, lam, keyword masks, variant.
     query: dict
     latency_s: float
@@ -122,13 +121,12 @@ def _admit(record: QueryRecord) -> bool:
         status=0,
         duration_s=record.latency_s,
         algorithm=record.algorithm,
-        pulling=record.pulling,
         query=record.query,
         records=(record,),
     )
 
 
-def _offer(query, algorithm, pulling, trace_id, latency_s, **fields) -> bool:
+def _offer(query, algorithm, trace_id, latency_s, **fields) -> bool:
     if not _requests.enabled:
         return False  # before building anything
     return _admit(
@@ -137,7 +135,6 @@ def _offer(query, algorithm, pulling, trace_id, latency_s, **fields) -> bool:
             ts=time.time(),
             algorithm=algorithm,
             variant=query.variant.value,
-            pulling=pulling,
             query=query_args(query),
             latency_s=latency_s,
             **fields,
@@ -146,19 +143,19 @@ def _offer(query, algorithm, pulling, trace_id, latency_s, **fields) -> bool:
 
 
 def maybe_record(
-    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    query, algorithm: str, trace_id: str, latency_s: float,
     stats=None,
 ) -> bool:
     """Offer a *successful* query; the store's keep policy decides."""
     return _offer(
-        query, algorithm, pulling, trace_id, latency_s,
+        query, algorithm, trace_id, latency_s,
         phase_times=dict(stats.phase_times) if stats is not None else {},
         counters=_counters(stats) if stats is not None else {},
     )
 
 
 def record_error(
-    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    query, algorithm: str, trace_id: str, latency_s: float,
     error: BaseException, shard_id: int | None = None, stats=None,
 ) -> bool:
     """Offer a failed query (errors are always kept); ``stats`` is what
@@ -166,7 +163,7 @@ def record_error(
     if shard_id is None:
         shard_id = getattr(error, "shard_id", None)
     return _offer(
-        query, algorithm, pulling, trace_id, latency_s,
+        query, algorithm, trace_id, latency_s,
         error={"type": type(error).__name__, "message": str(error)},
         shard_id=shard_id,
         counters=_counters(stats) if stats is not None else {},
@@ -174,7 +171,7 @@ def record_error(
 
 
 def record_rejection(
-    query, algorithm: str, pulling: str, trace_id: str, latency_s: float,
+    query, algorithm: str, trace_id: str, latency_s: float,
     tenant: str | None = None, decision: str | None = None,
 ) -> bool:
     """Offer a serve-layer admission rejection (quota / backpressure).
@@ -185,7 +182,7 @@ def record_rejection(
     stored once, with the 429's trace.
     """
     return _offer(
-        query, algorithm, pulling, trace_id, latency_s,
+        query, algorithm, trace_id, latency_s,
         tenant=tenant, decision=decision,
     )
 

@@ -168,7 +168,6 @@ class RequestTrace:
     status: int
     duration_s: float
     algorithm: str = ""
-    pulling: str = ""
     #: Query arguments (None for requests rejected before parsing).
     query: dict | None = None
     #: Chrome-trace-shaped span events collected for this request.
@@ -198,8 +197,6 @@ class RequestTrace:
         }
         if self.algorithm:
             out["algorithm"] = self.algorithm
-        if self.pulling:
-            out["pulling"] = self.pulling
         if self.query is not None:
             out["query"] = self.query
         if self.reason:
@@ -312,7 +309,7 @@ def _estimate_bytes(trace: RequestTrace) -> int:
     size = (
         _TRACE_BASE_BYTES
         + len(trace.trace_id) + len(trace.tenant) + len(trace.outcome)
-        + len(trace.algorithm) + len(trace.pulling) + len(trace.reason)
+        + len(trace.algorithm) + len(trace.reason)
     )
     if trace.query:
         size += 32 + 16 * len(trace.query)
@@ -351,7 +348,6 @@ def record(
     status: int,
     duration_s: float,
     algorithm: str = "",
-    pulling: str = "",
     query=None,
     spans=None,
     reason: str = "",
@@ -387,7 +383,6 @@ def record(
             status=status,
             duration_s=duration_s,
             algorithm=algorithm,
-            pulling=pulling,
             query=dict(query) if query else None,
             spans=_trim_spans(spans) if spans else [],
             records=list(records),

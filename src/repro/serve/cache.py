@@ -2,7 +2,7 @@
 with a live dataset by replaying its mutation deltas.
 
 Serving millions of users means heavy query-*key* skew: the same few
-(query, algorithm, pulling) combinations arrive over and over from many
+(query, algorithm) pairs arrive over and over from many
 different tenants.  The cache key is deliberately **tenant-agnostic** —
 a :class:`~repro.core.query.PreferenceQuery` is a frozen value type, so
 two tenants asking the same question share one cached answer (query
@@ -49,9 +49,7 @@ def cache_outcomes_metric() -> "_metrics.MetricFamily":
     )
 
 
-def query_signature(
-    query: PreferenceQuery, algorithm: str, pulling: str
-) -> tuple:
+def query_signature(query: PreferenceQuery, algorithm: str) -> tuple:
     """The canonical, tenant-agnostic identity of one serving request.
 
     Everything that can change the *answer* is in the key; the tenant
@@ -59,7 +57,6 @@ def query_signature(
     """
     return (
         algorithm,
-        pulling,
         query.k,
         query.radius,
         query.lam,

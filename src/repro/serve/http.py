@@ -15,9 +15,8 @@ single port, no third-party dependency:
 
 Request shape (POST body or GET query string)::
 
-    {"tenant": "acme", "algorithm": "stps", "pulling": "prioritized",
-     "k": 5, "radius": 0.1, "lam": 0.5, "masks": [3, 1],
-     "variant": "range"}
+    {"tenant": "acme", "algorithm": "stps", "k": 5, "radius": 0.1,
+     "lam": 0.5, "masks": [3, 1], "variant": "range"}
 
 ``masks`` holds one keyword bit mask per feature set (the canonical
 :class:`~repro.core.query.PreferenceQuery` form; resolve keyword strings
@@ -64,8 +63,8 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str, str]:
-    """(tenant, query, algorithm, pulling) from a request's parameters.
+def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str]:
+    """(tenant, query, algorithm) from a request's parameters.
 
     ``params`` is a flat dict (JSON body or flattened query string);
     raises :class:`QueryError` on anything malformed — the HTTP layer
@@ -77,7 +76,6 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
         headers.get("X-Tenant") if headers else None
     ) or DEFAULT_TENANT)
     algorithm = str(params.get("algorithm", "stps"))
-    pulling = str(params.get("pulling", "prioritized"))
     try:
         k = _integer("k", params["k"])
         radius = _real("radius", params["radius"])
@@ -104,7 +102,7 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
             f"{[v.value for v in Variant]}"
         ) from exc
     query = PreferenceQuery(k, radius, lam, mask_tuple, variant)
-    return tenant, query, algorithm, pulling
+    return tenant, query, algorithm
 
 
 def _decision_body(decision) -> dict:
@@ -188,16 +186,16 @@ class _ServeHandler(_export._Handler):
             return
         try:
             params = json.loads(self.rfile.read(length) or b"{}")
-        except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        # RecursionError: a deeply nested body (JSONDecodeError and bad
+        # UTF-8 are ValueErrors).
+        except (ValueError, RecursionError) as exc:
             self._send_json(400, {"status": 400, "error": f"bad body: {exc}"})
             return
         self._serve_query(params)
 
     def _serve_query(self, params: dict) -> None:
         try:
-            tenant, query, algorithm, pulling = parse_request(
-                params, self.headers
-            )
+            tenant, query, algorithm = parse_request(params, self.headers)
         except (QueryError, ReproError) as exc:
             self._send_json(400, {"status": 400, "error": str(exc)})
             return
@@ -206,7 +204,7 @@ class _ServeHandler(_export._Handler):
         # hex) falls back to a service-minted id per the W3C spec.
         parsed = _requests.parse_traceparent(self.headers.get("traceparent"))
         decision = self.service.handle(
-            tenant, query, algorithm=algorithm, pulling=pulling,
+            tenant, query, algorithm=algorithm,
             trace_id=parsed[0] if parsed else None,
         )
         # The response names the request's trace in W3C form whatever

@@ -52,7 +52,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.combinations import PULL_PRIORITIZED, PULL_ROUND_ROBIN
 from repro.core.processor import ALGORITHM_ISS, ALGORITHM_STDS, ALGORITHM_STPS
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult
@@ -67,7 +66,6 @@ from repro.serve.quota import QuotaSpec, TenantQuotas
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = (ALGORITHM_STPS, ALGORITHM_STDS, ALGORITHM_ISS)
-PULLING_STRATEGIES = (PULL_PRIORITIZED, PULL_ROUND_ROBIN)
 
 #: Default bound on queries queued behind the executor's workers.
 DEFAULT_MAX_QUEUE_DEPTH = 64
@@ -314,7 +312,6 @@ class QueryService:
         tenant: str,
         query: PreferenceQuery,
         algorithm: str = ALGORITHM_STPS,
-        pulling: str = PULL_PRIORITIZED,
         trace_id: str | None = None,
     ) -> ServeDecision:
         """Admit + execute one request; never raises for request faults.
@@ -330,7 +327,7 @@ class QueryService:
         t0 = time.perf_counter()
         with _tracing.trace_scope(trace_id, collector):
             with _tracing.span("serve.request", cat="serve", tenant=tenant):
-                decision = self._admit(tenant, query, algorithm, pulling)
+                decision = self._admit(tenant, query, algorithm)
             decision.trace_id = trace_id
             # Metrics + log inside the scope: the exemplar capture and
             # the log record's trace_id field both read the ContextVar.
@@ -339,7 +336,7 @@ class QueryService:
                 # Inside the scope too: the rejection's query record
                 # joins this request's collector, so it is stored once.
                 _flight.record_rejection(
-                    query, f"serve/{algorithm}", pulling, trace_id,
+                    query, f"serve/{algorithm}", trace_id,
                     time.perf_counter() - t0,
                     tenant=tenant, decision=decision.outcome,
                 )
@@ -354,7 +351,6 @@ class QueryService:
                 status=decision.status,
                 duration_s=time.perf_counter() - t0,
                 algorithm=algorithm,
-                pulling=pulling,
                 query=lambda: _flight.query_args(query),
                 spans=collector.snapshot,
                 reason=decision.reason,
@@ -367,7 +363,6 @@ class QueryService:
         tenant: str,
         query: PreferenceQuery,
         algorithm: str,
-        pulling: str,
     ) -> ServeDecision:
         """The admission waterfall; every gate is a traced span."""
         if algorithm not in ALGORITHMS:
@@ -375,12 +370,6 @@ class QueryService:
                 status=400, outcome="bad_request",
                 reason=f"unknown algorithm {algorithm!r}; "
                        f"choose from {list(ALGORITHMS)}",
-            )
-        if pulling not in PULLING_STRATEGIES:
-            return ServeDecision(
-                status=400, outcome="bad_request",
-                reason=f"unknown pulling {pulling!r}; "
-                       f"choose from {list(PULLING_STRATEGIES)}",
             )
 
         # Gate 1: tenant quota.
@@ -401,7 +390,7 @@ class QueryService:
         hit = None
         if self.config.cache_enabled:
             with _tracing.span("serve.cache", cat="serve"):
-                key = query_signature(query, algorithm, pulling)
+                key = query_signature(query, algorithm)
                 hit = self.cache.get(key)
             if hit is not None:
                 self.served += 1
@@ -430,7 +419,7 @@ class QueryService:
                 "serve.execute", cat="serve", algorithm=algorithm
             ):
                 result, queue_wait_s, latency_s = self.executor.execute_one(
-                    query, algorithm=algorithm, pulling=pulling
+                    query, algorithm=algorithm
                 )
         except ReproError as exc:
             self.errors += 1

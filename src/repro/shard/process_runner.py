@@ -177,7 +177,6 @@ def _run_shard_query(
     epoch: int,
     query,
     algorithm: str,
-    pulling: str,
     floor: float,
     obs: ObsContext,
     explain: bool,
@@ -213,7 +212,7 @@ def _run_shard_query(
             _WORKER["epochs"][shard_id] = epoch
         with _tracing.trace_scope(obs.trace_id, gathered):
             result = processor.execute(
-                query, algorithm, pulling, floor,
+                query, algorithm, floor,
                 QueryStats(detail=_explain.PlanDetail() if explain else None),
             )
     except Exception as exc:  # noqa: BLE001 — transferred to the parent
@@ -307,7 +306,6 @@ class ProcessShardRunner:
         epoch: int,
         query,
         algorithm: str,
-        pulling: str,
         floor: float,
         obs: ObsContext,
         explain: bool,
@@ -321,7 +319,6 @@ class ProcessShardRunner:
             epoch,
             query,
             algorithm,
-            pulling,
             floor,
             obs,
             explain,

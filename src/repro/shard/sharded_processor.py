@@ -38,7 +38,6 @@ from threading import Lock
 import heapq
 import os
 
-from repro.core.combinations import PULL_PRIORITIZED
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, rank_items
@@ -403,7 +402,6 @@ class ShardedQueryProcessor:
         self,
         query: PreferenceQuery,
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
         stats: QueryStats | None = None,
     ) -> QueryResult:
@@ -426,19 +424,17 @@ class ShardedQueryProcessor:
         )
         with _tracing.resume(ctx):
             try:
-                return self._fan_out(
-                    query, algorithm, pulling, floor, stats, t0
-                )
+                return self._fan_out(query, algorithm, floor, stats, t0)
             finally:
                 # The query's one registry record: over the merged stats,
                 # or over the verdicts reached before a failure.
                 _explain.record_query(
-                    stats, algorithm, query.variant.value, pulling,
+                    stats, algorithm, query.variant.value,
                     time.perf_counter() - t0,
                 )
 
     def _fan_out(
-        self, query, algorithm, pulling, floor, stats, t0,
+        self, query, algorithm, floor, stats, t0,
     ) -> QueryResult:
         """Bound, fan out and merge, under the query's trace."""
         self._check_supported(query)
@@ -461,13 +457,13 @@ class ShardedQueryProcessor:
                     key=lambda pair: (-pair[0], pair[1]),
                 )
                 run(
-                    ordered, query, algorithm, pulling, fan,
+                    ordered, query, algorithm, fan,
                     stats.detail is not None,
                 )
         except Exception as exc:
             if _requests.enabled:
                 _flight.record_error(
-                    query, f"sharded/{algorithm}", pulling, trace_id,
+                    query, f"sharded/{algorithm}", trace_id,
                     time.perf_counter() - t0, exc, stats=stats,
                 )
             raise
@@ -492,7 +488,7 @@ class ShardedQueryProcessor:
             )
         if _requests.enabled:
             _flight.maybe_record(
-                query, f"sharded/{algorithm}", pulling, trace_id,
+                query, f"sharded/{algorithm}", trace_id,
                 stats.wall_s, stats=stats,
             )
         return QueryResult(items, stats)
@@ -501,7 +497,6 @@ class ShardedQueryProcessor:
         self,
         query: PreferenceQuery,
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
         floor: float = float("-inf"),
     ) -> "_explain.ExplainReport":
         """Run the query with diagnostics on; return plan + result.
@@ -510,11 +505,11 @@ class ShardedQueryProcessor:
         floor at decision time; executed shards embed their own sub-plan.
         """
         result = self.query(
-            query, algorithm=algorithm, pulling=pulling, floor=floor,
+            query, algorithm=algorithm, floor=floor,
             stats=QueryStats(detail=_explain.PlanDetail()),
         )
         plan = _explain.QueryPlan.from_stats(
-            query, f"sharded/{algorithm}", pulling, result.stats
+            query, f"sharded/{algorithm}", result.stats
         )
         return _explain.ExplainReport(plan=plan, result=result)
 
@@ -522,7 +517,6 @@ class ShardedQueryProcessor:
         self,
         queries,
         algorithm: str = "stps",
-        pulling: str = PULL_PRIORITIZED,
         dedup: bool = True,
         on_error: str = "raise",
     ) -> list[QueryResult]:
@@ -541,7 +535,6 @@ class ShardedQueryProcessor:
             return executor.query_many(
                 queries,
                 algorithm=algorithm,
-                pulling=pulling,
                 dedup=dedup,
                 on_error=on_error,
             )
@@ -572,7 +565,7 @@ class ShardedQueryProcessor:
             )
 
     def _run_serial(
-        self, ordered, query, algorithm, pulling, fan, explain,
+        self, ordered, query, algorithm, fan, explain,
     ) -> None:
         """Serial fan-out: shards one after another, best bound first.
 
@@ -591,7 +584,7 @@ class ShardedQueryProcessor:
                     "shard.query", cat="phase", shard=shard_id, bound=bound
                 ):
                     result = shard.processor.execute(
-                        query, algorithm, pulling, floor,
+                        query, algorithm, floor,
                         QueryStats(
                             detail=_explain.PlanDetail() if explain else None
                         ),
@@ -610,7 +603,7 @@ class ShardedQueryProcessor:
             )
 
     def _run_processes(
-        self, ordered, query, algorithm, pulling, fan, explain,
+        self, ordered, query, algorithm, fan, explain,
     ) -> None:
         """Process-mode fan-out: throttled dispatch over the worker pool.
 
@@ -638,8 +631,8 @@ class ShardedQueryProcessor:
                 if floor is None:
                     continue
                 future = runner.submit(
-                    shard_id, self._epoch, query, algorithm, pulling,
-                    floor, obs, explain,
+                    shard_id, self._epoch, query, algorithm, floor, obs,
+                    explain,
                 )
                 in_flight[future] = (bound, shard_id, floor)
                 return True

@@ -16,7 +16,7 @@ EXPECTED_PANELS = {
     "fig12a", "fig12b", "fig12c", "fig12d",
     "fig13a", "fig13b",
     "fig14a", "fig14b",
-    "ablation_pulling", "ablation_buffer", "ablation_build",
+    "ablation_buffer", "ablation_build",
 }
 
 

@@ -6,13 +6,9 @@ import random
 
 import pytest
 
-from repro.core.combinations import (
-    PULL_PRIORITIZED,
-    PULL_ROUND_ROBIN,
-    CombinationIterator,
-)
+from repro.core.combinations import CombinationIterator
 from repro.core.processor import QueryProcessor
-from repro.core.query import PreferenceQuery
+from repro.core.query import PreferenceQuery, Variant
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.data.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
@@ -71,13 +67,15 @@ def brute_combinations(sets, masks, radius, enforce_2r, lam=0.5):
 class TestFullEnumeration:
     @pytest.mark.parametrize("enforce_2r", [True, False])
     def test_matches_brute_force_order(self, small_world, enforce_2r):
+        """The range variant joins under the 2r rule, influence without."""
         sets, trees = small_world
         rng = random.Random(3)
         masks = (random_mask(rng, 2), random_mask(rng, 2))
         query = PreferenceQuery(
-            k=5, radius=0.15, lam=0.5, keyword_masks=masks
+            k=5, radius=0.15, lam=0.5, keyword_masks=masks,
+            variant=Variant.RANGE if enforce_2r else Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query, enforce_2r=enforce_2r)
+        iterator = CombinationIterator(trees, query)
         got = []
         while True:
             combo = iterator.next()
@@ -104,9 +102,10 @@ class TestFullEnumeration:
     def test_no_duplicate_combinations(self, small_world):
         _, trees = small_world
         query = PreferenceQuery(
-            k=5, radius=0.2, lam=0.5, keyword_masks=(0b11, 0b1100)
+            k=5, radius=0.2, lam=0.5, keyword_masks=(0b11, 0b1100),
+            variant=Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query, enforce_2r=False)
+        iterator = CombinationIterator(trees, query)
         seen = set()
         while True:
             combo = iterator.next()
@@ -124,7 +123,7 @@ class TestValidity:
         query = PreferenceQuery(
             k=5, radius=radius, lam=0.5, keyword_masks=(0b111, 0b111)
         )
-        iterator = CombinationIterator(trees, query, enforce_2r=True)
+        iterator = CombinationIterator(trees, query)
         while True:
             combo = iterator.next()
             if combo is None:
@@ -136,9 +135,10 @@ class TestValidity:
     def test_all_virtual_appears_last(self, small_world):
         _, trees = small_world
         query = PreferenceQuery(
-            k=5, radius=0.3, lam=0.5, keyword_masks=(0b1, 0b1)
+            k=5, radius=0.3, lam=0.5, keyword_masks=(0b1, 0b1),
+            variant=Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query, enforce_2r=False)
+        iterator = CombinationIterator(trees, query)
         combos = []
         while True:
             c = iterator.next()
@@ -147,43 +147,6 @@ class TestValidity:
             combos.append(c)
         assert combos[-1].is_all_virtual
         assert combos[-1].score == 0.0
-
-
-class TestPullingStrategies:
-    @pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
-    def test_same_output_any_strategy(self, small_world, pulling):
-        sets, trees = small_world
-        masks = (0b1010, 0b0101)
-        query = PreferenceQuery(k=5, radius=0.1, lam=0.5, keyword_masks=masks)
-        iterator = CombinationIterator(trees, query, pulling=pulling)
-        got = []
-        while True:
-            combo = iterator.next()
-            if combo is None:
-                break
-            got.append(round(combo.score, 9))
-        assert got == brute_combinations(sets, masks, 0.1, True)
-
-    def test_prioritized_pulls_no_more_than_round_robin(self, small_world):
-        """Definition 5's point: pull where the threshold lives."""
-        _, trees = small_world
-        query = PreferenceQuery(
-            k=5, radius=0.1, lam=0.5, keyword_masks=(0b110011, 0b1100)
-        )
-        pulls = {}
-        for strategy in (PULL_PRIORITIZED, PULL_ROUND_ROBIN):
-            iterator = CombinationIterator(trees, query, pulling=strategy)
-            for _ in range(5):
-                if iterator.next() is None:
-                    break
-            pulls[strategy] = iterator.stats.features_pulled
-        assert pulls[PULL_PRIORITIZED] <= pulls[PULL_ROUND_ROBIN] + 2
-
-    def test_unknown_strategy_rejected(self, small_world):
-        _, trees = small_world
-        query = PreferenceQuery(k=5, radius=0.1, lam=0.5, keyword_masks=(1, 1))
-        with pytest.raises(QueryError):
-            CombinationIterator(trees, query, pulling="bogus")
 
 
 class TestValidation:
@@ -199,8 +162,11 @@ class TestValidation:
         extra = FeatureDataset(make_feature_objects(40, seed=63), vocab, "C")
         trees3 = [SRTIndex.build(fs) for fs in [*sets, extra]]
         masks = (0b11, 0b110, 0b1010)
-        query = PreferenceQuery(k=3, radius=0.2, lam=0.5, keyword_masks=masks)
-        iterator = CombinationIterator(trees3, query, enforce_2r=False)
+        query = PreferenceQuery(
+            k=3, radius=0.2, lam=0.5, keyword_masks=masks,
+            variant=Variant.INFLUENCE,
+        )
+        iterator = CombinationIterator(trees3, query)
         got = []
         while True:
             combo = iterator.next()

@@ -16,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.combinations import (
-    PULL_PRIORITIZED,
-    PULL_ROUND_ROBIN,
-    CombinationIterator,
-)
-from repro.core.query import PreferenceQuery
+from repro.core.combinations import CombinationIterator
+from repro.core.query import PreferenceQuery, Variant
 from repro.core.stream import VIRTUAL_FID
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
@@ -65,7 +61,8 @@ def brute_force(sets, diameter, enforce_2r):
     return out
 
 
-def check_against_brute_force(rows, radius, enforce_2r, pulling):
+def check_against_brute_force(rows, radius, enforce_2r):
+    """The range variant joins under the 2r rule, influence without."""
     sets = [
         [
             FeatureObject(fid, x, y, score, frozenset({0}))
@@ -75,11 +72,10 @@ def check_against_brute_force(rows, radius, enforce_2r, pulling):
     ]
     trees = [SRTIndex.build(FeatureDataset(fs, VOCAB, "p")) for fs in sets]
     query = PreferenceQuery(
-        k=1, radius=radius, lam=0.0, keyword_masks=(1,) * len(sets)
+        k=1, radius=radius, lam=0.0, keyword_masks=(1,) * len(sets),
+        variant=Variant.RANGE if enforce_2r else Variant.INFLUENCE,
     )
-    iterator = CombinationIterator(
-        trees, query, enforce_2r=enforce_2r, pulling=pulling
-    )
+    iterator = CombinationIterator(trees, query)
     got = []
     while (combo := iterator.next()) is not None:
         got.append((tuple(f.fid for f in combo.features), combo.score))
@@ -95,13 +91,9 @@ def check_against_brute_force(rows, radius, enforce_2r, pulling):
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(
-    rows=world,
-    enforce_2r=st.booleans(),
-    pulling=st.sampled_from([PULL_PRIORITIZED, PULL_ROUND_ROBIN]),
-)
-def test_sequence_equals_brute_force(rows, enforce_2r, pulling):
-    check_against_brute_force(rows, RADIUS, enforce_2r, pulling)
+@given(rows=world, enforce_2r=st.booleans())
+def test_sequence_equals_brute_force(rows, enforce_2r):
+    check_against_brute_force(rows, RADIUS, enforce_2r)
 
 
 # A fixed world with a pair at distance exactly 2r across a cell border,
@@ -120,7 +112,6 @@ EDGE_WORLD = [
     "radius",
     [5e-324, 1e-300, 1e-6, 0.01, RADIUS, 0.5, 2.0, 1e308],
 )
-@pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
-def test_radius_extremes(radius, pulling):
-    check_against_brute_force(EDGE_WORLD, radius, True, pulling)
-    check_against_brute_force(EDGE_WORLD[:2], radius, True, pulling)
+def test_radius_extremes(radius):
+    check_against_brute_force(EDGE_WORLD, radius, True)
+    check_against_brute_force(EDGE_WORLD[:2], radius, True)

@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.core.combinations import (
-    PULL_PRIORITIZED,
-    PULL_ROUND_ROBIN,
-    CombinationIterator,
-)
+from repro.core.combinations import CombinationIterator
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stps import stps
 from repro.index.object_rtree import ObjectRTree
@@ -36,8 +32,11 @@ def make_tree(scores, x0=0.1):
     return SRTIndex.build(FeatureDataset(features, VOCAB, "wb"))
 
 
-def query(radius=1.0):
-    return PreferenceQuery(k=3, radius=radius, lam=0.0, keyword_masks=(1, 1))
+def query(radius=1.0, variant=Variant.INFLUENCE):
+    """Influence by default: every pair joins, no 2r rule."""
+    return PreferenceQuery(
+        k=3, radius=radius, lam=0.0, keyword_masks=(1, 1), variant=variant
+    )
 
 
 def drain(iterator):
@@ -54,7 +53,7 @@ class TestJoinOnPull:
         """A feature that arrives after its partners were pulled still
         forms a combination with each of them, exactly once."""
         trees = [make_tree([0.9, 0.8, 0.7]), make_tree([0.9, 0.5])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         combos = drain(iterator)
         scores = [round(combo.score, 6) for combo in combos]
         # Full product (incl. one virtual per set): (3+1) x (2+1) = 12.
@@ -75,7 +74,7 @@ class TestJoinOnPull:
         left = make_tree([0.9, 0.8, 0.7], x0=0.1)
         right = make_tree([0.2], x0=0.3)
         iterator = CombinationIterator(
-            [left, right], query(radius=0.095), enforce_2r=True
+            [left, right], query(radius=0.095, variant=Variant.RANGE)
         )
         keys = {
             tuple(f.fid for f in combo.features) for combo in drain(iterator)
@@ -89,7 +88,7 @@ class TestJoinOnPull:
         still deliver: every combination holding ``∅_j`` is released
         after set j's last real feature was pulled."""
         trees = [make_tree([0.9, 0.8, 0.7]), make_tree([0.6, 0.1])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         while True:
             combo = iterator.next()
             if combo is None:
@@ -102,21 +101,21 @@ class TestJoinOnPull:
     def test_virtual_closes_each_set(self):
         """Nothing ranks below a set's virtual feature."""
         trees = [make_tree([0.9]), make_tree([0.8])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         combos = drain(iterator)
         assert len(combos) == 4  # (1+virtual) x (1+virtual)
         assert combos[-1].is_all_virtual
 
     def test_set_max_tightened_on_first_pull(self):
         trees = [make_tree([0.6, 0.5]), make_tree([0.4])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         # After construction each stream was pulled once: set_max exact.
         assert iterator.set_max[0] == pytest.approx(0.6)
         assert iterator.set_max[1] == pytest.approx(0.4)
 
     def test_threshold_drops_as_streams_drain(self):
         trees = [make_tree([0.9, 0.1]), make_tree([0.8, 0.2])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         first, source = iterator._threshold()
         while iterator.next() is not None:
             pass
@@ -126,7 +125,7 @@ class TestJoinOnPull:
 
     def test_features_pulled_counter(self):
         trees = [make_tree([0.9, 0.8]), make_tree([0.7])]
-        iterator = CombinationIterator(trees, query(), enforce_2r=False)
+        iterator = CombinationIterator(trees, query())
         while iterator.next() is not None:
             pass
         assert iterator.stats.features_pulled == 3  # virtuals not counted
@@ -137,7 +136,7 @@ class TestValidityFilter:
         left = make_tree([0.9], x0=0.1)
         right = make_tree([0.8], x0=0.9)
         iterator = CombinationIterator(
-            [left, right], query(radius=0.05), enforce_2r=True
+            [left, right], query(radius=0.05, variant=Variant.RANGE)
         )
         combos = []
         while True:
@@ -165,13 +164,11 @@ class TestPinnedWork:
     other features, opens other nodes or forms other tuples moves them.
     """
 
-    #: (c, pulling) -> (features pulled, nodes visited per set,
+    #: c -> (features pulled, nodes visited per set,
     #: combinations released, combinations rejected by the 2r rule).
     PINNED = {
-        (2, PULL_PRIORITIZED): (226, [236, 233], 21, 0),
-        (2, PULL_ROUND_ROBIN): (306, [252, 245], 21, 0),
-        (3, PULL_PRIORITIZED): (1160, [299, 303, 323], 68, 40),
-        (3, PULL_ROUND_ROBIN): (1321, [309, 322, 328], 68, 39),
+        2: (226, [236, 233], 21, 0),
+        3: (1160, [299, 303, 323], 68, 40),
     }
 
     @pytest.fixture(scope="class")
@@ -190,8 +187,7 @@ class TestPinnedWork:
         return objects, trees
 
     @pytest.mark.parametrize("c", [2, 3])
-    @pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
-    def test_counts_equal_parent_commit(self, world, c, pulling):
+    def test_counts_equal_parent_commit(self, world, c):
         objects, trees = world
         rng = random.Random(5)
         pulled, released, rejected = 0, 0, 0
@@ -201,13 +197,13 @@ class TestPinnedWork:
                 k=5, radius=0.06, lam=0.5,
                 keyword_masks=tuple(random_mask(rng) for _ in range(c)),
             )
-            stats = stps(objects, trees[:c], query, pulling=pulling).stats
+            stats = stps(objects, trees[:c], query).stats
             pulled += stats.features_pulled
             released += stats.combinations
             rejected += stats.rejected_2r
             for diag in stats.feature_sets:
                 visited[diag.set_id] += diag.nodes_visited
-        assert (pulled, visited, released, rejected) == self.PINNED[c, pulling]
+        assert (pulled, visited, released, rejected) == self.PINNED[c]
 
     #: (variant, c) -> (combinations released, retrievals skipped by the
     #: influence bound, objects scored, Voronoi cells computed, cell cache

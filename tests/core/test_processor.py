@@ -121,7 +121,7 @@ class TestBufferControl:
         before = metrics.registry().counter(
             "repro_queries_total",
             "Queries executed.",
-            ("algorithm", "variant", "pulling"),
+            ("algorithm", "variant"),
         )
         total = sum(m.value for _, m in before.series())
         assert total > 0

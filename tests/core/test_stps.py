@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.bruteforce import brute_force
-from repro.core.combinations import PULL_ROUND_ROBIN
 from repro.core.query import PreferenceQuery
 from repro.core.stps import stps
 from tests.conftest import random_mask
@@ -27,17 +26,6 @@ class TestCorrectness:
             got = stps(processor.object_tree, processor.feature_trees, query)
             want = brute_force(objects, feature_sets, query)
             assert got.scores == pytest.approx(want.scores, abs=1e-9)
-
-    def test_round_robin_same_answers(self, srt_processor, objects, feature_sets):
-        query = _q((0b1100, 0b0011))
-        got = stps(
-            srt_processor.object_tree,
-            srt_processor.feature_trees,
-            query,
-            pulling=PULL_ROUND_ROBIN,
-        )
-        want = brute_force(objects, feature_sets, query)
-        assert got.scores == pytest.approx(want.scores, abs=1e-9)
 
     def test_tiny_radius_zero_scores(self, srt_processor, objects, feature_sets):
         """Radius so small that every score is 0: the virtual path."""

@@ -3,7 +3,7 @@
 The QueryPlan and the registry's per-query families are two views of
 the query's ``QueryStats``, derived once per query the caller asked
 for.  If the two ever disagree, one of them is lying about what the
-query did.  For every algorithm/variant/pulling combination (and the
+query did.  For every algorithm/variant combination (and the
 sharded engine in both fan-out modes), this module runs ``explain``
 under a fresh registry and asserts
 
@@ -24,7 +24,6 @@ import re
 
 import pytest
 
-from repro.core.combinations import PULL_PRIORITIZED, PULL_ROUND_ROBIN
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
@@ -87,43 +86,38 @@ def _assert_registry_is_plan_view(reg, plan, labels: dict) -> None:
     assert _registry_view(reg, labels) == expected
 
 
-def _labels(algorithm, variant, pulling) -> dict:
-    return {
-        "algorithm": algorithm, "variant": variant.value, "pulling": pulling,
-    }
+def _labels(algorithm, variant) -> dict:
+    return {"algorithm": algorithm, "variant": variant.value}
 
 
 CONFIGS = [
-    pytest.param("stps", Variant.RANGE, PULL_PRIORITIZED, id="stps-range-prioritized"),
-    pytest.param("stps", Variant.RANGE, PULL_ROUND_ROBIN, id="stps-range-roundrobin"),
-    pytest.param("stds", Variant.RANGE, PULL_PRIORITIZED, id="stds-range"),
-    pytest.param("stps", Variant.INFLUENCE, PULL_PRIORITIZED, id="stps-influence"),
-    pytest.param("iss", Variant.INFLUENCE, PULL_PRIORITIZED, id="iss-influence"),
-    pytest.param("stps", Variant.NEAREST, PULL_PRIORITIZED, id="stps-nearest"),
+    pytest.param("stps", Variant.RANGE, id="stps-range-prioritized"),
+    pytest.param("stds", Variant.RANGE, id="stds-range"),
+    pytest.param("stps", Variant.INFLUENCE, id="stps-influence"),
+    pytest.param("iss", Variant.INFLUENCE, id="iss-influence"),
+    pytest.param("stps", Variant.NEAREST, id="stps-nearest"),
 ]
 
 
 class TestUnshardedReconciliation:
-    @pytest.mark.parametrize(("algorithm", "variant", "pulling"), CONFIGS)
+    @pytest.mark.parametrize(("algorithm", "variant"), CONFIGS)
     def test_plan_counters_match_registry_deltas(
-        self, processor, algorithm, variant, pulling
+        self, processor, algorithm, variant
     ):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101), variant)
         with _metrics.scoped_registry() as reg:
-            report = processor.explain(
-                query, algorithm=algorithm, pulling=pulling
-            )
+            report = processor.explain(query, algorithm=algorithm)
         _assert_registry_is_plan_view(
-            reg, report.plan, _labels(algorithm, variant, pulling)
+            reg, report.plan, _labels(algorithm, variant)
         )
 
-    @pytest.mark.parametrize(("algorithm", "variant", "pulling"), CONFIGS)
+    @pytest.mark.parametrize(("algorithm", "variant"), CONFIGS)
     def test_explain_result_identical_to_plain_query(
-        self, processor, algorithm, variant, pulling
+        self, processor, algorithm, variant
     ):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101), variant)
-        plain = processor.query(query, algorithm=algorithm, pulling=pulling)
-        report = processor.explain(query, algorithm=algorithm, pulling=pulling)
+        plain = processor.query(query, algorithm=algorithm)
+        report = processor.explain(query, algorithm=algorithm)
         assert report.result.items == plain.items
 
 
@@ -136,16 +130,13 @@ class TestShardedReconciliation:
         ) as proc:
             yield proc
 
-    @pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
-    def test_sharded_plan_counters_match_registry_deltas(
-        self, sharded, pulling
-    ):
+    def test_sharded_plan_counters_match_registry_deltas(self, sharded):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
         with _metrics.scoped_registry() as reg:
-            report = sharded.explain(query, pulling=pulling)
+            report = sharded.explain(query)
         plan = report.plan
         _assert_registry_is_plan_view(
-            reg, plan, _labels("stps", Variant.RANGE, pulling)
+            reg, plan, _labels("stps", Variant.RANGE)
         )
         # Shard verdicts account for every shard exactly once.
         assert len(plan.shards) == len(sharded.shards)
@@ -176,16 +167,13 @@ class TestProcessFanoutReconciliation:
         ) as proc:
             yield proc
 
-    @pytest.mark.parametrize("pulling", [PULL_PRIORITIZED, PULL_ROUND_ROBIN])
-    def test_process_plan_counters_match_registry_deltas(
-        self, sharded, pulling
-    ):
+    def test_process_plan_counters_match_registry_deltas(self, sharded):
         query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
         with _metrics.scoped_registry() as reg:
-            report = sharded.explain(query, pulling=pulling)
+            report = sharded.explain(query)
         plan = report.plan
         _assert_registry_is_plan_view(
-            reg, plan, _labels("stps", Variant.RANGE, pulling)
+            reg, plan, _labels("stps", Variant.RANGE)
         )
         assert len(plan.shards) == len(sharded.shards)
         # Executed shards carry their worker-produced sub-plan.

@@ -208,6 +208,21 @@ class TestTraceSubcommand:
         assert listed("--min-ms", "100") == [b, c]
         assert listed("--tenant", "acme", "--min-ms", "100") == [b]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_ms_is_a_usage_error(
+        self, value, tmp_path, capsys
+    ):
+        """As ``/traces.json?min_ms=`` refuses them: nan used to turn the
+        ``--file`` filter off and inf to list nothing."""
+        dump = tmp_path / "traces.jsonl"
+        dump.write_text(json.dumps({"trace_id": "a" * 32}) + "\n")
+        for source in (["--file", str(dump)],
+                       ["--url", "http://127.0.0.1:9"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["trace", *source, f"--min-ms={value}"])
+            assert excinfo.value.code == 2
+            assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["trace", "a" * 32],
         ["trace", "--url", "http://127.0.0.1:9", "--file", "x.jsonl"],

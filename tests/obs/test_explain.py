@@ -26,7 +26,7 @@ QUERY = PreferenceQuery(5, 0.05, 0.5, (0b1, 0b1))
 
 
 def _plan(stats: QueryStats, algorithm: str = "stps") -> QueryPlan:
-    return QueryPlan.from_stats(QUERY, algorithm, "prioritized", stats)
+    return QueryPlan.from_stats(QUERY, algorithm, stats)
 
 
 class TestBoundSummary:
@@ -90,7 +90,7 @@ class TestCollector:
         feature_sets = synthetic_feature_sets(2, 400, 4, seed=8)
         processor = QueryProcessor.build(objects, feature_sets)
         query = PreferenceQuery(60, 1e-4, 0.5, (0b1111, 0b1111))
-        report = processor.explain(query, pulling="round_robin")
+        report = processor.explain(query)
         cd = report.plan.combinations
         assert cd.pull_rounds > MAX_TRAJECTORY
         assert cd.pull_rounds == sum(
@@ -154,7 +154,7 @@ class TestCollector:
             objects_scored=17, combinations=4, trace_id="abc123", wall_s=0.01
         )
         query = PreferenceQuery(5, 0.05, 0.5, (0b1,))
-        plan = QueryPlan.from_stats(query, "stps", "prioritized", stats)
+        plan = QueryPlan.from_stats(query, "stps", stats)
         assert plan.objects_scored == 17
         assert plan.combinations.released == 4
         assert plan.trace_id == "abc123"

@@ -42,13 +42,13 @@ def _query(k: int = 5) -> PreferenceQuery:
 class TestRecorderBasics:
     def test_disabled_by_default(self):
         assert requests.enabled is False
-        assert not flight.maybe_record(_query(), "stps", "p", "t1", 1.0)
+        assert not flight.maybe_record(_query(), "stps", "t1", 1.0)
         assert flight.records() == []
 
     def test_latency_threshold(self):
         requests.configure(enabled_=True, slow_threshold_s=0.1)
-        assert not flight.maybe_record(_query(), "stps", "p", "t1", 0.05)
-        assert flight.maybe_record(_query(), "stps", "p", "t2", 0.15)
+        assert not flight.maybe_record(_query(), "stps", "t1", 0.05)
+        assert flight.maybe_record(_query(), "stps", "t2", 0.15)
         records = flight.records()
         assert len(records) == 1
         assert records[0].trace_id == "t2"
@@ -58,7 +58,7 @@ class TestRecorderBasics:
     def test_errors_bypass_threshold(self):
         requests.configure(enabled_=True, slow_threshold_s=10.0)
         err = QueryError("bad query")
-        assert flight.record_error(_query(), "stps", "p", "t3", 0.001, err)
+        assert flight.record_error(_query(), "stps", "t3", 0.001, err)
         record = flight.records()[0]
         assert record.error == {"type": "QueryError", "message": "bad query"}
         assert record.shard_id is None
@@ -66,20 +66,20 @@ class TestRecorderBasics:
     def test_shard_id_from_shard_error(self):
         requests.configure(enabled_=True)
         err = ShardError(3, "shard blew up")
-        flight.record_error(_query(), "stps", "p", "t4", 0.001, err)
+        flight.record_error(_query(), "stps", "t4", 0.001, err)
         assert flight.records()[0].shard_id == 3
 
     def test_explicit_shard_id_wins(self):
         requests.configure(enabled_=True)
         flight.record_error(
-            _query(), "stps", "p", "t5", 0.001, QueryError("x"), shard_id=7
+            _query(), "stps", "t5", 0.001, QueryError("x"), shard_id=7
         )
         assert flight.records()[0].shard_id == 7
 
     def test_records_are_a_view_over_the_store(self):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(3):
-            flight.maybe_record(_query(), "stps", "p", f"t{i}", 0.01)
+            flight.maybe_record(_query(), "stps", f"t{i}", 0.01)
         assert [r.trace_id for r in flight.records()] == ["t0", "t1", "t2"]
         # One store entry per bare engine query, carrying its record.
         entries = requests.entries()
@@ -96,15 +96,15 @@ class TestRecorderBasics:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         collector = tracing.SpanCollector()
         with tracing.trace_scope("req1", collector):
-            assert flight.maybe_record(_query(), "stps", "p", "req1", 0.01)
+            assert flight.maybe_record(_query(), "stps", "req1", 0.01)
         # The request's owner decides: nothing stored until it does.
         assert flight.records() == []
         assert [r.trace_id for r in collector.records] == ["req1"]
 
     def test_dump_jsonl(self, tmp_path):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
-        flight.maybe_record(_query(), "stps", "p", "aa", 0.01)
-        flight.record_error(_query(), "stds", "p", "bb", 0.02, ShardError(1, "x"))
+        flight.maybe_record(_query(), "stps", "aa", 0.01)
+        flight.record_error(_query(), "stds", "bb", 0.02, ShardError(1, "x"))
         path = flight.dump_jsonl(tmp_path / "flight.jsonl")
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == 2
@@ -115,7 +115,7 @@ class TestRecorderBasics:
 
     def test_clearing_the_store_clears_the_view(self):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
-        flight.maybe_record(_query(), "stps", "p", "t", 0.01)
+        flight.maybe_record(_query(), "stps", "t", 0.01)
         assert requests.clear() == 1
         assert flight.records() == []
         assert flight.stats()["buffered"] == 0
@@ -248,7 +248,7 @@ class TestDumpRotation:
     def _fill(self, n: int) -> None:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(n):
-            flight.maybe_record(_query(), "stps", "p", f"t{i}", 0.5)
+            flight.maybe_record(_query(), "stps", f"t{i}", 0.5)
 
     def test_rotation(self, tmp_path):
         self._fill(4)

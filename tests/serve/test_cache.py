@@ -41,16 +41,15 @@ def _result(marker: float) -> QueryResult:
 
 class TestSignature:
     def test_tenant_never_enters_the_key(self):
-        # The signature is a pure function of (query, algorithm, pulling):
+        # The signature is a pure function of (query, algorithm):
         # two tenants sharing a query share a cache entry by construction.
-        a = query_signature(QUERY, "stps", "prioritized")
-        b = query_signature(QUERY, "stps", "prioritized")
+        a = query_signature(QUERY, "stps")
+        b = query_signature(QUERY, "stps")
         assert a == b
 
     def test_answer_changing_fields_split_the_key(self):
-        base = query_signature(QUERY, "stps", "prioritized")
-        assert query_signature(QUERY, "stds", "prioritized") != base
-        assert query_signature(QUERY, "stps", "round_robin") != base
+        base = query_signature(QUERY, "stps")
+        assert query_signature(QUERY, "stds") != base
         for changed in (
             PreferenceQuery(4, 0.35, 0.5, (0xFFFF, 0xFFFF)),
             PreferenceQuery(3, 0.36, 0.5, (0xFFFF, 0xFFFF)),
@@ -60,13 +59,13 @@ class TestSignature:
                 3, 0.35, 0.5, (0xFFFF, 0xFFFF), Variant.INFLUENCE
             ),
         ):
-            assert query_signature(changed, "stps", "prioritized") != base
+            assert query_signature(changed, "stps") != base
 
 
 class TestLRU:
     def test_miss_then_hit(self):
         cache = ResultCache()
-        key = query_signature(QUERY, "stps", "prioritized")
+        key = query_signature(QUERY, "stps")
         assert cache.get(key) is None
         cache.put(key, _result(1.0))
         assert cache.get(key).stats.wall_s == 1.0
@@ -283,7 +282,7 @@ class HandBuilt:
             objects, sets, page_size=512, buffer_pages=16
         )
         self.query = PreferenceQuery(k, 0.1, 0.0, (1, 1))
-        self.key = query_signature(self.query, "stps", "prioritized")
+        self.key = query_signature(self.query, "stps")
         self.cache = ResultCache(live=self.live)
         self.filled = self.live.query(self.query, algorithm="stps")
         self.cache.put(self.key, self.filled, self.cache.epoch, self.query)

@@ -63,16 +63,17 @@ def served(srt_processor):
 
 class TestParseRequest:
     def test_round_trip(self):
-        tenant, query, algorithm, pulling = parse_request(
+        # An unknown field, such as "pulling", is ignored.
+        tenant, query, algorithm = parse_request(
             body_for(QUERY, tenant="acme", algorithm="stds",
                      pulling="round_robin", variant="range")
         )
         assert tenant == "acme"
         assert query == QUERY
-        assert (algorithm, pulling) == ("stds", "round_robin")
+        assert algorithm == "stds"
 
     def test_masks_accept_comma_separated_string(self):
-        _, query, _, _ = parse_request(
+        _, query, _ = parse_request(
             {"k": "5", "radius": "0.25", "lam": "0.5", "masks": "255,255"}
         )
         assert query == QUERY
@@ -114,7 +115,7 @@ class TestParseRequest:
             parse_request(body_for(QUERY, **field))
 
     def test_integral_float_masks_are_masks(self):
-        _, query, _, _ = parse_request(body_for(QUERY, masks=[255.0, 255]))
+        _, query, _ = parse_request(body_for(QUERY, masks=[255.0, 255]))
         assert query == QUERY
 
 
@@ -199,6 +200,20 @@ class TestQueryEndpoint:
         assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
         # Answered at once, not after the handler's socket timeout.
         assert time.perf_counter() - t0 < 2.0
+
+    def test_deeply_nested_body_is_400(self, served):
+        """Far below the size cap, but past the JSON decoder's recursion
+        limit: a RecursionError, not a ValueError, which used to close
+        the connection without any response."""
+        _, base = served
+        req = urllib.request.Request(
+            base + "/query", data=b"[" * 100_000,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(req)
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value)["error"].startswith("bad body")
 
     def test_unknown_post_path_is_404(self, served):
         _, base = served

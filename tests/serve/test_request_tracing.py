@@ -243,7 +243,7 @@ class _StubExecutor:
     queue_depth = 0
     running_count = 0
 
-    def execute_one(self, query, algorithm="stps", pulling="prioritized"):
+    def execute_one(self, query, algorithm="stps"):
         result = QueryResult([ResultItem(1, 0.5, 0.1, 0.2)], QueryStats())
         return result, 0.0, 0.001
 

@@ -44,7 +44,7 @@ class FakeExecutor:
     def running_count(self) -> int:
         return 0
 
-    def execute_one(self, query, algorithm="stps", pulling="prioritized"):
+    def execute_one(self, query, algorithm="stps"):
         self.calls += 1
         if self.raises is not None:
             raise self.raises
@@ -65,11 +65,6 @@ class TestValidation:
         decision = make_service().handle("t", QUERY, algorithm="nope")
         assert decision.status == 400
         assert "algorithm" in decision.reason
-
-    def test_unknown_pulling_is_400(self):
-        decision = make_service().handle("t", QUERY, pulling="nope")
-        assert decision.status == 400
-        assert "pulling" in decision.reason
 
     def test_config_validation(self):
         with pytest.raises(ReproError):

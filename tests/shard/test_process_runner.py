@@ -155,13 +155,11 @@ class TestProcessModeBehavior:
         # Submit for a shard id no worker knows: the failure crosses the
         # process boundary as an error payload and rehydrates into the
         # original ReproError subclass.
-        from repro.core.combinations import PULL_PRIORITIZED
         from repro.shard.process_runner import ObsContext, unpickle_error
 
         runner = sharded._ensure_process_runner()
         future = runner.submit(
-            999, sharded._epoch, queries[0], "stps", PULL_PRIORITIZED,
-            float("-inf"),
+            999, sharded._epoch, queries[0], "stps", float("-inf"),
             ObsContext.capture("trace-err-test"), False,
         )
         payload = future.result()

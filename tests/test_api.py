@@ -67,6 +67,14 @@ REMOVED = {
         r"|load_shards|from_specs|_thaw_pagefile",
         ALL_FILES, (),
     ),
+    # Prose about "pulling rounds" and "the prioritized pulling
+    # strategy" stays; a pulling option or label does not.
+    "pulling_strategy": (
+        r"PULL_(PRIORITIZED|ROUND_ROBIN)|PULLING_STRATEGIES|round.robin"
+        r"|ablation_pulling|enforce_2r"
+        r"|(?<!prioritized )\bpulling\b(?! (round|strateg))",
+        ALL_FILES, (),
+    ),
 }
 
 

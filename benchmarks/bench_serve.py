@@ -6,7 +6,7 @@ skewed multi-tenant traffic against ``/query`` with ``http.client``
 keep-alive connections.  Three phases:
 
 * **load** — every tenant, query keys drawn zipf(s) from a mixed
-  stps/stds/iss pool (the serving-cache's design assumption: heavy
+  stps/stds pool (the serving-cache's design assumption: heavy
   query-key skew), plus a small unique-key tail share so the window
   keeps executing fresh queries instead of degenerating into a pure
   cache replay.  Reports sustained QPS, p50/p99, cache hit rate,
@@ -14,11 +14,11 @@ keep-alive connections.  Three phases:
   (``ServeConfig.latency_slo_s``) / observed p99 (>= 1 means p99 is
   inside the target).
 
-Before the timed window every distinct stds/iss key is replayed once
-(untimed warm-up).  Those engines are the known-expensive slice — iss
-influence scoring touches nearly every object, seconds per query — and
-in steady-state serving their repeat-heavy keys live in the result
-cache; the warm-up excludes their one-time cold-start from the
+Before the timed window every distinct stds key is replayed once
+(untimed warm-up).  That engine is the known-expensive slice — its
+influence queries score every object, seconds per query — and
+in steady-state serving its repeat-heavy keys live in the result
+cache; the warm-up excludes their one-time cold start from the
 measurement, the same way any steady-state load bench excludes start-up
 transients.  The cheap stps keys stay cold, so the window still pays
 real execution costs for both the head (first touch per stps key) and
@@ -106,7 +106,7 @@ def zipf_weights(n: int, s: float) -> list[float]:
 
 
 def build_query_pool(feature_sets, args) -> list[dict]:
-    """Mixed-engine pool entries: stps/stds range + iss influence.
+    """Mixed-engine pool entries: stps/stds range + stds influence.
 
     Each entry carries both the HTTP request ``body`` and the
     :class:`PreferenceQuery` it encodes (for direct warm-up through the
@@ -121,16 +121,16 @@ def build_query_pool(feature_sets, args) -> list[dict]:
     queries = make_workload(feature_sets, spec)
     pool = []
     for i, query in enumerate(queries):
-        # 50% stps / 40% stds / 10% iss — the iss slice re-targets the
-        # influence variant (the only one that engine serves) and stays
-        # small because each cold influence query costs seconds.
+        # 50% stps / 40% stds range / 10% stds influence — the influence
+        # slice stays small because each cold influence query costs
+        # seconds.
         slot = i % 10
         if slot < 5:
             algorithm, variant = "stps", Variant.RANGE
         elif slot < 9:
             algorithm, variant = "stds", Variant.RANGE
         else:
-            algorithm, variant = "iss", Variant.INFLUENCE
+            algorithm, variant = "stds", Variant.INFLUENCE
         query = query.with_variant(variant)
         pool.append({
             "algorithm": algorithm,
@@ -148,13 +148,13 @@ def build_query_pool(feature_sets, args) -> list[dict]:
 
 
 def warm_expensive_keys(service, pool, workers: int) -> float:
-    """Replay every distinct stds/iss key once through the service.
+    """Replay every distinct stds key once through the service.
 
     Returns the wall time spent; runs before the timed window so the
     measured phases see the expensive engines' steady-state (cached)
     behavior rather than their one-time cold start.
     """
-    entries = [e for e in pool if e["algorithm"] in ("stds", "iss")]
+    entries = [e for e in pool if e["algorithm"] == "stds"]
     t0 = time.perf_counter()
     lock = threading.Lock()
     cursor = iter(entries)

@@ -398,47 +398,6 @@ def _ablation_build(ctx: BenchContext) -> ExperimentResult:
     return result
 
 
-def _ablation_influence_algo(ctx: BenchContext) -> ExperimentResult:
-    """Paper's STPS (Alg. 5) vs the combination-free ISS extension.
-
-    STPS enumerates every combination above the k-th score (cost grows
-    with the product of per-set candidate counts); ISS searches the
-    object tree directly (cost linear in c).  The crossover sits around
-    c = 3.
-    """
-    xs = [c for c in ctx.cfg.c_sweep if c <= 3]
-    result = ExperimentResult(
-        "ablation_influence_algo",
-        "Influence score: STPS (Alg. 5) vs ISS extension (synthetic)",
-        "Section 7.1 + DESIGN.md extensions",
-        "number of feature sets c",
-        xs,
-    )
-    for c in xs:
-        feature_sets = ctx.feature_sets(c=c)
-        queries = ctx.workload(
-            feature_sets,
-            variant=Variant.INFLUENCE,
-            n_queries=ctx.cfg.nn_queries_per_point,
-        )
-        processor = ctx.synthetic_processor("srt", c=c)
-        for algorithm in ("stps", "iss"):
-            result.add(
-                f"{algorithm.upper()}/SRT",
-                measure(processor, queries, algorithm),
-            )
-    return result
-
-
-_register(
-    Experiment(
-        "ablation_influence_algo",
-        "Influence algorithm ablation",
-        "Section 7.1",
-        _ablation_influence_algo,
-    ),
-    group="ablations",
-)
 _register(
     Experiment(
         "ablation_buffer",

@@ -12,41 +12,33 @@ drawing features from the per-set sorted streams only as needed:
 * **pulling strategy** — the paper's *prioritized* strategy
   (Definition 5): pull from the set responsible for the current
   threshold, the one :meth:`CombinationIterator._threshold` names;
-* **validity** — for the range variant, combinations whose real members
-  are pairwise farther than ``2r`` apart are discarded (Definition 4 /
-  Lemma 1); the influence and NN variants have no range predicate and
-  so no such filter, as Section 7 prescribes — the iterator reads which
-  rule applies from ``query.variant``.
+* **validity** — the query's variant object decides each popped tuple:
+  for the range variant, real members pairwise within ``2r``
+  (Definition 4 / Lemma 1); the influence and NN variants have no range
+  predicate and so no such filter, as Section 7 prescribes.
 
 Combinations are assembled by a rank join driven by each pull: a feature
 ``t`` arriving in set ``i`` is, by construction, the last-pulled member of
 every combination it forms with the features pulled before it, so those
-combinations — and only those — are seeded when it arrives.  For the
-range variant the partners come from a hash grid over each other set's
-pulled features (only features within ``2r`` of ``t`` can share a valid
-combination with it, Lemma 1); without the ``2r`` rule every pulled
-feature of the other sets is a partner.  Each arrival pushes one small
-sub-lattice ``{t} × N_j(t) × …`` of score-sorted partner lists (seed
-``(0,...,0)``; a popped tuple pushes its single-increment successors),
-so every combination is produced exactly once, in the non-increasing
-score order of the paper's eager ``validCombinations``.
-
-The grid is built miss-first, because nearly every arrival has no
-partner: a pulled feature is filed, on insert, under every cell within
-``2r`` of it (cells are ``4r`` wide, so at most four), and an arrival
-looks up the one cell it lies in.  A feature far from everything costs
-that one hash lookup and no heap entry.
+combinations — and only those — are seeded when it arrives.  The variant
+object names its partners in each other set: for the range variant those
+within ``2r`` of it, from a miss-first hash grid; otherwise every pulled
+feature.  Each arrival pushes small sub-lattices ``{t} × N_j(t) × …`` of
+score-sorted partner lists (seed ``(0,...,0)``; a popped tuple pushes
+its single-increment successors), so every combination is produced
+exactly once, in the non-increasing score order of the paper's eager
+``validCombinations``.  The variant objects live in
+:mod:`repro.core.stps`, which picks one per query.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.query import PreferenceQuery, Variant
+from repro.core.query import PreferenceQuery
 from repro.core.results import QueryStats
 from repro.core.stream import FeatureStream, StreamedFeature
 from repro.errors import QueryError
@@ -77,12 +69,16 @@ class Combination:
 
 
 class CombinationIterator:
-    """Iterator over combinations in non-increasing score order."""
+    """Iterator over combinations in non-increasing score order, joined
+    by ``variant``'s rule: ``variant.partners(pulled, i, arrival)`` gives
+    the non-empty partner lists of each sub-lattice an arrival in set
+    ``i`` heads, and ``variant.valid(combo)`` decides a popped tuple."""
 
     def __init__(
         self,
         feature_trees: Sequence[FeatureTree],
         query: PreferenceQuery,
+        variant,
         recorder=None,
         stats: QueryStats | None = None,
     ) -> None:
@@ -91,9 +87,7 @@ class CombinationIterator:
                 f"query addresses {query.c} feature sets, got "
                 f"{len(feature_trees)} trees"
             )
-        self.query = query
-        # The 2r rule (Lemma 1) holds for the range variant only.
-        self.within_2r = within_2r = query.variant is Variant.RANGE
+        self.variant = variant
         # Phase recorder (repro.obs.tracing): times the feature pulls,
         # threshold updates and combination assembly separately so a
         # query's `phase_times` mirrors the anatomy of Algorithm 4.
@@ -126,22 +120,6 @@ class CombinationIterator:
         # sub-lattice exactly once without a visited set.
         self._heap: list[tuple] = []
         self._counter = 0
-        self._diameter = 2.0 * query.radius
-        if within_2r:
-            # ``_near[j][cell]``: set j's pulled features that may lie
-            # within ``2r`` of a point of ``cell``, in pull order.  A
-            # feature is filed under every cell its ``reach``-interval
-            # touches on each axis, where ``reach`` is a hair more than
-            # ``2r`` — clamped so that neither a vanishing radius (as in
-            # the STDS grid) nor an unbounded one can overflow the cell
-            # arithmetic.  ``floor(v * inv)`` is monotone in ``v`` also
-            # after rounding, so the cell of any point within ``reach``
-            # of the feature on both axes is among them: the grid never
-            # hides a partner from the exact ``hypot`` predicate, which
-            # alone decides validity.
-            self._reach = min(max(self._diameter, 1e-6), 1e150) * (1.0 + 1e-9)
-            self._inv = 0.5 / self._reach
-            self._near: list[dict] = [{} for _ in range(self.c)]
         # Seed: one pull per set guarantees every list is non-empty (a
         # stream always yields at least the virtual feature).
         for i in range(self.c):
@@ -167,7 +145,7 @@ class CombinationIterator:
             if heap and -heap[0][0] >= threshold - _EPS:
                 with rec.span("stps.combination_assembly"):
                     combo = self._pop()
-                    valid = self._valid(combo)
+                    valid = self.variant.valid(combo)
                 if valid:
                     stats.combinations += 1
                     return combo
@@ -228,78 +206,12 @@ class CombinationIterator:
         pulled = self.pulled[i]
         if not pulled:
             self.set_max[i] = feature.score
-        if self.within_2r and not feature.is_virtual:
-            near = self._near[i]
-            inv = self._inv
-            reach = self._reach
-            floor = math.floor
-            x, y = feature.x, feature.y
-            cy0 = floor((y - reach) * inv)
-            cy1 = floor((y + reach) * inv) + 1
-            for cx in range(floor((x - reach) * inv), floor((x + reach) * inv) + 1):
-                for cy in range(cy0, cy1):
-                    cell = near.get((cx, cy))
-                    if cell is None:
-                        near[cx, cy] = [feature]
-                    else:
-                        cell.append(feature)
         pulled.append(feature)
-        partners: list = [None] * self.c
-        partners[i] = (feature,)
-        self._seed(partners, feature, 0)
-
-    def _seed(
-        self, partners: list, anchor: StreamedFeature, start: int
-    ) -> None:
-        """Fill ``partners[start:]`` and push the sub-lattice's best tuple.
-
-        ``partners`` holds the arriving feature in its own set; every
-        other set contributes the already-pulled features that can join
-        it, best first — under the 2r rule, those around ``anchor``, the
-        tuple's fixed member (``∅`` while it has no real one).
-        """
-        for j in range(start, self.c):
-            if partners[j] is not None:
-                continue  # the arriving feature's own set
-            if not self.within_2r:
-                partners[j] = self.pulled[j]
-            elif not anchor.is_virtual:
-                partners[j] = self._neighbours(j, anchor)
-            else:
-                # No real member yet, so nothing to probe around: every
-                # pulled feature of set j heads its own sub-lattice — a
-                # real one as the anchor, ∅ passing the search on.
-                for feature in self.pulled[j]:
-                    branch = partners.copy()
-                    branch[j] = (feature,)
-                    self._seed(branch, feature, j + 1)
-                return
-            if not partners[j]:
-                return  # set j has delivered nothing yet (construction)
-        # ``pulled[j]`` keeps growing; the limit freezes the view at the
-        # features that preceded this arrival (later ones seed their own).
-        limits = tuple(len(p) for p in partners)
-        self._push(partners, limits, (0,) * self.c, 0)
-
-    def _neighbours(self, j: int, anchor: StreamedFeature) -> list:
-        """Set ``j``'s pulled features within ``2r`` of ``anchor``, best
-        first, followed by its ``∅`` once the stream has delivered it."""
-        pulled = self.pulled[j]
-        x, y = anchor.x, anchor.y
-        inv = self._inv
-        near = self._near[j].get((math.floor(x * inv), math.floor(y * inv)))
-        if near is None:
-            out = []
-        else:
-            diameter = self._diameter
-            hypot = math.hypot
-            # Filed in pull order = non-increasing score.
-            out = [
-                f for f in near if not hypot(x - f.x, y - f.y) > diameter
-            ]
-        if pulled and pulled[-1].is_virtual:
-            out.append(pulled[-1])
-        return out
+        for partners in self.variant.partners(self.pulled, i, feature):
+            # ``pulled[j]`` keeps growing; the limit freezes the view at
+            # the features that preceded this arrival (later ones seed
+            # their own).
+            self._push(partners, tuple(len(p) for p in partners), (0,) * self.c, 0)
 
     def _push(self, partners, limits, idx: tuple[int, ...], dim: int) -> None:
         score = sum(partners[j][idx[j]].score for j in range(self.c))
@@ -317,13 +229,3 @@ class CombinationIterator:
                 self._push(partners, limits, successor, j)
         features = tuple(partners[j][idx[j]] for j in range(self.c))
         return Combination(features, -neg)
-
-    def _valid(self, combo: Combination) -> bool:
-        if not self.within_2r:
-            return True
-        diameter = self._diameter
-        real = [f for f in combo.features if not f.is_virtual]
-        for a, b in itertools.combinations(real, 2):
-            if math.hypot(a.x - b.x, a.y - b.y) > diameter:
-                return False
-        return True

@@ -42,7 +42,6 @@ logger = logging.getLogger(__name__)
 
 ALGORITHM_STPS = "stps"
 ALGORITHM_STDS = "stds"
-ALGORITHM_ISS = "iss"
 
 INDEX_CLASSES = {"srt": SRTIndex, "ir2": IR2Tree}
 
@@ -118,16 +117,14 @@ class QueryProcessor:
     ) -> QueryResult:
         """Execute a query with the chosen algorithm.
 
-        ``algorithm`` is ``"stps"`` (default), ``"stds"``, or ``"iss"``
-        (Influence Score Search, the combination-free extension algorithm
-        for the influence variant); the score variant comes from the
-        query itself.
+        ``algorithm`` is ``"stps"`` (default) or ``"stds"``; the score
+        variant comes from the query itself.
 
         ``floor`` is an externally known lower bound on the caller's
         merged k-th best score (the sharded engine's cross-shard
         threshold; see :mod:`repro.shard`).  Items scoring strictly below
         it may be omitted; items at or above it are always exact.  The
-        default (``-inf``) disables the cut.  ISS ignores the hint.
+        default (``-inf``) disables the cut.
 
         Every call, failed ones too, is recorded once in the default
         metrics registry, derived from ``stats``
@@ -230,10 +227,9 @@ class QueryProcessor:
         stats: QueryStats,
     ) -> QueryResult:
         """Route to the algorithm/variant implementation (uninstrumented)."""
-        if algorithm not in (ALGORITHM_STPS, ALGORITHM_STDS, ALGORITHM_ISS):
+        if algorithm not in (ALGORITHM_STPS, ALGORITHM_STDS):
             raise QueryError(
-                f"unknown algorithm {algorithm!r}; choose 'stps', 'stds' "
-                "or 'iss'"
+                f"unknown algorithm {algorithm!r}; choose 'stps' or 'stds'"
             )
         if query.k == 0:
             # k=0 asks for nothing: the empty result is exact and
@@ -247,12 +243,6 @@ class QueryProcessor:
                 query,
                 floor=floor,
                 stats=stats,
-            )
-        if algorithm == ALGORITHM_ISS:
-            from repro.core.influence_search import influence_search
-
-            return influence_search(
-                self.object_tree, self.feature_trees, query, stats=stats
             )
         return stps(
             self.object_tree, self.feature_trees, query,

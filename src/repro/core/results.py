@@ -68,9 +68,6 @@ class QueryStats:
     voronoi_cells_computed: int = 0
     voronoi_cell_cache_hits: int = 0
     voronoi_empty_intersections: int = 0
-    #: ISS bound probes, of object points / of object-tree nodes.
-    iss_probes_point: int = 0
-    iss_probes_node: int = 0
     #: Per-feature-set counters, by ``set_id`` (see :meth:`feature_set`).
     feature_sets: list[FeatureSetDiag] = field(default_factory=list)
     #: Sharded engine: one verdict per shard, by ``shard_id``.
@@ -144,7 +141,7 @@ class QueryStats:
     @property
     def heap_pops(self) -> int:
         """Heap pops of the STDS traversals (Algorithm 2 and its per-object
-        variants); 0 for STPS and ISS, which do not count theirs."""
+        variants); 0 for STPS, which does not count its own."""
         return sum(d.heap_pops for d in self.feature_sets)
 
     @property

@@ -50,7 +50,6 @@ from repro.core.query import PreferenceQuery, Variant
 from repro.core.results import QueryResult, QueryStats, StatsTracker, rank_items
 from repro.core.stream import probe
 from repro.errors import QueryError
-from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureTree
 from repro.index.object_rtree import ObjectRTree
 from repro.obs.explain import FeatureSetDiag
@@ -68,13 +67,12 @@ def compute_score(
     tree: FeatureTree,
     query: PreferenceQuery,
     mask: int,
-    target: tuple[float, float] | Rect,
+    target: tuple[float, float],
     stats: FeatureSetDiag | None = None,
 ) -> float:
     """``τ_i(p)`` for one object and one feature set, under the query's
     variant: the first feature :func:`~repro.core.stream.probe` yields,
-    or 0.0 when no relevant feature qualifies.  An influence query also
-    takes a rectangle, for which it bounds ``τ_i`` at every point inside.
+    or 0.0 when no relevant feature qualifies.
 
     ``stats`` is the set's record in the query's accumulator: the
     traversal's heap pops and node visits."""
@@ -89,10 +87,9 @@ def compute_score(
 def score_object(
     feature_trees: Sequence[FeatureTree],
     query: PreferenceQuery,
-    target: tuple[float, float] | Rect,
+    target: tuple[float, float],
 ) -> float:
-    """``τ(p) = Σ_i τ_i(p)`` of one location, under the query's variant
-    (or, as :func:`compute_score`, its bound over a rectangle)."""
+    """``τ(p) = Σ_i τ_i(p)`` of one location, under the query's variant."""
     return sum(
         (
             compute_score(tree, query, mask, target)

@@ -9,9 +9,8 @@ the node bound ``ŝ(e)``, yielding feature objects in non-increasing
 form combinations in which a feature set contributes nothing.
 
 :func:`probe` is the walk seen from one location (Algorithm 2 and its
-Section 7 variants): its first yield is ``τ_i(p)``, its output by
-distance is the Voronoi competitor stream, and its first influence
-yield for a rectangle bounds ISS's object-tree nodes.
+Section 7 variants): its first yield is ``τ_i(p)``, and its output by
+distance is the Voronoi competitor stream.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from repro.core.query import Variant
-from repro.geometry.rect import Rect
 from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.obs.explain import FeatureSetDiag
 
@@ -170,7 +168,7 @@ class FeatureStream:
 def probe(
     tree: FeatureTree,
     scorer: FeatureScorer,
-    target: tuple[float, float] | Rect,
+    target: tuple[float, float],
     variant: Variant,
     radius: float,
     stats: FeatureSetDiag | None = None,
@@ -180,8 +178,7 @@ def probe(
     Algorithm 2's walk under the priority of ``variant`` (Section 7
     changes only the priority), smallest key first: range ``-s(t)``
     within ``radius`` of the point; influence ``-s(t)·2^(-d/r)``
-    (``ŝ(e)`` and ``mindist`` for a subtree; ``target`` may be a
-    :class:`Rect`, whose keys bound every point inside); NN ``d``, where
+    (``ŝ(e)`` and ``mindist`` for a subtree); NN ``d``, where
     a subtree tying a feature's distance opens first and equidistant
     features come out best score first.  Other ties go first queued, a
     leaf's in row order.  Yields ``(key, value, fid, x, y)``, ``value``
@@ -203,16 +200,11 @@ def probe(
     stats = stats or FeatureSetDiag(0)
     nearest = variant is Variant.NEAREST
     in_range = variant is Variant.RANGE
-    boxed = isinstance(target, Rect)
-    (tlx, tly), (thx, thy) = (
-        (target.low, target.high) if boxed else (target, target)
-    )
+    tx, ty = target
 
     def gap(lx: float, ly: float, hx: float, hy: float) -> float:
         # ``math.hypot`` of the per-axis gaps between target and a box.
-        return math.hypot(
-            max(lx - thx, 0.0, tlx - hx), max(ly - thy, 0.0, tly - hy)
-        )
+        return math.hypot(max(lx - tx, 0.0, tx - hx), max(ly - ty, 0.0, ty - hy))
 
     # (key, sub, tie, item, pos, run): an internal entry to expand
     # (``pos`` -1), or an opened leaf's ordered (key, sub, row, value)
@@ -246,8 +238,8 @@ def probe(
         rows = run.rows
         if in_range:
             # The run is in key order already: keep the rows in range.
-            dx = run.xs[rows] - tlx
-            dy = run.ys[rows] - tly
+            dx = run.xs[rows] - tx
+            dy = run.ys[rows] - ty
             taken = (dx * dx + dy * dy <= radius * radius).nonzero()[0]
             feats = [
                 (neg_scores[i], 0.0, rows.item(i), -neg_scores[i])
@@ -259,7 +251,7 @@ def probe(
                 neg_scores, rows.tolist(),
                 run.xs[rows].tolist(), run.ys[rows].tolist(),
             ):
-                d = gap(x, y, x, y) if boxed else math.hypot(x - tlx, y - tly)
+                d = math.hypot(x - tx, y - ty)
                 if nearest:
                     feats.append((d, neg_s, row, -neg_s))
                 else:

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--algorithms", nargs="+",
                         default=list(DEFAULT_ALGORITHMS),
-                        choices=["stps", "stds", "iss"])
+                        choices=["stps", "stds"])
     parser.add_argument("--flight-out", type=Path, default=None,
                         metavar="PATH",
                         help="record every query in the flight recorder "
@@ -92,7 +92,7 @@ def build_explain_parser() -> argparse.ArgumentParser:
         description="EXPLAIN/ANALYZE one query on a synthetic dataset.",
     )
     parser.add_argument("--algorithm", default="stps",
-                        choices=["stps", "stds", "iss"])
+                        choices=["stps", "stds"])
     parser.add_argument("--variant", default="range",
                         choices=["range", "influence", "nearest"])
     parser.add_argument("--k", type=int, default=10)
@@ -126,8 +126,6 @@ def run_explain(args) -> int:
     )
     query = make_workload(feature_sets, spec)[0]
     variant = Variant(args.variant)
-    if args.algorithm == "iss":
-        variant = Variant.INFLUENCE
     query = query.with_variant(variant)
 
     if args.shards > 0:
@@ -308,7 +306,6 @@ def run_workload(args) -> dict:
     # Imports are local so ``--help`` never pays the numpy/index cost.
     from repro.core.executor import QueryExecutor
     from repro.core.processor import QueryProcessor
-    from repro.core.query import Variant
     from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
     from repro.data.workload import WorkloadSpec, make_workload
 
@@ -337,11 +334,8 @@ def run_workload(args) -> dict:
     summary: dict = {"algorithms": {}}
     with QueryExecutor(processor) as executor:
         for algorithm in args.algorithms:
-            batch = workload
-            if algorithm == "iss":
-                batch = [q.with_variant(Variant.INFLUENCE) for q in workload]
             t0 = time.perf_counter()
-            report = executor.run(batch, algorithm=algorithm)
+            report = executor.run(workload, algorithm=algorithm)
             wall = time.perf_counter() - t0
             # Deduplicated batches share one result per distinct query:
             # sum each execution once, not once per repeat.

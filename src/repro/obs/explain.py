@@ -288,8 +288,6 @@ class QueryPlan:
     stds: STDSDiag | None = None
     #: NN variant only: Voronoi-cell accounting.
     voronoi: dict | None = None
-    #: ISS only: bound-probe accounting.
-    iss: dict | None = None
     shards: list[ShardDiag] = field(default_factory=list)
     #: Phase wall-times copied from the result stats (tracing on only).
     phase_times: dict[str, float] = field(default_factory=dict)
@@ -337,11 +335,6 @@ class QueryPlan:
             "empty_intersections": stats.voronoi_empty_intersections,
         }
         plan.voronoi = voronoi if any(voronoi.values()) else None
-        iss = {
-            "bound_probes_point": stats.iss_probes_point,
-            "bound_probes_node": stats.iss_probes_node,
-        }
-        plan.iss = iss if any(iss.values()) else None
         shard_algorithm = algorithm.removeprefix("sharded/")
         plan.shards = [
             shard if shard.stats is None else replace(
@@ -407,8 +400,6 @@ class QueryPlan:
             out["stds"] = self.stds.to_dict()
         if self.voronoi is not None:
             out["voronoi"] = dict(self.voronoi)
-        if self.iss is not None:
-            out["iss"] = dict(self.iss)
         if self.shards:
             out["shards"] = [s.to_dict() for s in self.shards]
             out["shard_outcomes"] = self.shard_outcomes()
@@ -487,13 +478,6 @@ class QueryPlan:
                 f"cells_computed={v.get('cells_computed', 0)}"
                 f"  cache_hits={v.get('cell_cache_hits', 0)}"
                 f"  empty_intersections={v.get('empty_intersections', 0)}"
-            )
-        if self.iss is not None:
-            p = self.iss
-            lines.append(
-                "  iss (extension): "
-                f"point_probes={p.get('bound_probes_point', 0)}"
-                f"  node_probes={p.get('bound_probes_node', 0)}"
             )
         if self.shards:
             lines.append(

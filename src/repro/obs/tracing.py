@@ -1,8 +1,8 @@
 """Near-zero-overhead span tracer with Chrome trace-event export.
 
 Records per-query phase timelines — STPS feature pulls / combination
-assembly / threshold updates, STDS chunk scans, ISS search, R-tree node
-expansion — as *spans* and exports them in the Chrome
+assembly / threshold updates, STDS chunk scans, R-tree node expansion —
+as *spans* and exports them in the Chrome
 trace-event JSON format (load the file in Perfetto / ``chrome://tracing``
 to see the timeline, one track per thread).
 

@@ -52,7 +52,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.processor import ALGORITHM_ISS, ALGORITHM_STDS, ALGORITHM_STPS
+from repro.core.processor import ALGORITHM_STDS, ALGORITHM_STPS
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult
 from repro.errors import ReproError
@@ -65,7 +65,7 @@ from repro.serve.quota import QuotaSpec, TenantQuotas
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = (ALGORITHM_STPS, ALGORITHM_STDS, ALGORITHM_ISS)
+ALGORITHMS = (ALGORITHM_STPS, ALGORITHM_STDS)
 
 #: Default bound on queries queued behind the executor's workers.
 DEFAULT_MAX_QUEUE_DEPTH = 64

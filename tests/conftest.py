@@ -18,9 +18,13 @@ import sys
 
 import pytest
 
+from repro.core.combinations import CombinationIterator
 from repro.core.processor import QueryProcessor
+from repro.core.results import QueryStats
+from repro.core.stps import _VARIANTS
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import DataObject, FeatureObject
+from repro.obs.tracing import NULL_RECORDER
 from repro.text.vocabulary import Vocabulary
 
 VOCAB_SIZE = 32
@@ -123,6 +127,16 @@ def random_mask(rng: random.Random, terms: int = 3) -> int:
     for t in rng.sample(range(VOCAB_SIZE), terms):
         mask |= 1 << t
     return mask
+
+
+def combination_iterator(trees, query) -> CombinationIterator:
+    """Algorithm 4's iterator joining by ``query.variant``'s object, as
+    STPS builds it.  The join reads no object tree, so none is given."""
+    stats = QueryStats()
+    variant = _VARIANTS[query.variant](
+        None, trees, query, stats, None, NULL_RECORDER
+    )
+    return CombinationIterator(trees, query, variant, stats=stats)
 
 
 @pytest.fixture(scope="session")

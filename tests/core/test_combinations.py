@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.combinations import CombinationIterator
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
@@ -16,7 +15,12 @@ from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
 from repro.text.similarity import jaccard
 from repro.text.vocabulary import Vocabulary
-from tests.conftest import VOCAB_SIZE, make_feature_objects, random_mask
+from tests.conftest import (
+    VOCAB_SIZE,
+    combination_iterator,
+    make_feature_objects,
+    random_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +79,7 @@ class TestFullEnumeration:
             k=5, radius=0.15, lam=0.5, keyword_masks=masks,
             variant=Variant.RANGE if enforce_2r else Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query)
+        iterator = combination_iterator(trees, query)
         got = []
         while True:
             combo = iterator.next()
@@ -90,7 +94,7 @@ class TestFullEnumeration:
         query = PreferenceQuery(
             k=5, radius=0.1, lam=0.5, keyword_masks=(0b111, 0b1110)
         )
-        iterator = CombinationIterator(trees, query)
+        iterator = combination_iterator(trees, query)
         prev = math.inf
         while True:
             combo = iterator.next()
@@ -105,7 +109,7 @@ class TestFullEnumeration:
             k=5, radius=0.2, lam=0.5, keyword_masks=(0b11, 0b1100),
             variant=Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query)
+        iterator = combination_iterator(trees, query)
         seen = set()
         while True:
             combo = iterator.next()
@@ -123,7 +127,7 @@ class TestValidity:
         query = PreferenceQuery(
             k=5, radius=radius, lam=0.5, keyword_masks=(0b111, 0b111)
         )
-        iterator = CombinationIterator(trees, query)
+        iterator = combination_iterator(trees, query)
         while True:
             combo = iterator.next()
             if combo is None:
@@ -138,7 +142,7 @@ class TestValidity:
             k=5, radius=0.3, lam=0.5, keyword_masks=(0b1, 0b1),
             variant=Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees, query)
+        iterator = combination_iterator(trees, query)
         combos = []
         while True:
             c = iterator.next()
@@ -154,7 +158,7 @@ class TestValidation:
         _, trees = small_world
         query = PreferenceQuery(k=5, radius=0.1, lam=0.5, keyword_masks=(1,))
         with pytest.raises(QueryError):
-            CombinationIterator(trees, query)
+            combination_iterator(trees, query)
 
     def test_three_sets(self, small_world):
         sets, _ = small_world
@@ -166,7 +170,7 @@ class TestValidation:
             k=3, radius=0.2, lam=0.5, keyword_masks=masks,
             variant=Variant.INFLUENCE,
         )
-        iterator = CombinationIterator(trees3, query)
+        iterator = combination_iterator(trees3, query)
         got = []
         while True:
             combo = iterator.next()

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.combinations import CombinationIterator
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stream import VIRTUAL_FID
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
 from repro.model.objects import FeatureObject
 from repro.text.vocabulary import Vocabulary
+from tests.conftest import combination_iterator
 
 VOCAB = Vocabulary(["a"])
 RADIUS = 1 / 16
@@ -75,7 +75,7 @@ def check_against_brute_force(rows, radius, enforce_2r):
         k=1, radius=radius, lam=0.0, keyword_masks=(1,) * len(sets),
         variant=Variant.RANGE if enforce_2r else Variant.INFLUENCE,
     )
-    iterator = CombinationIterator(trees, query)
+    iterator = combination_iterator(trees, query)
     got = []
     while (combo := iterator.next()) is not None:
         got.append((tuple(f.fid for f in combo.features), combo.score))

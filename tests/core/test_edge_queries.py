@@ -48,13 +48,12 @@ def query(k: int, variant: Variant = Variant.RANGE) -> PreferenceQuery:
     return PreferenceQuery(k, QUERY_RADIUS, 0.5, ALL_MASKS, variant)
 
 
-#: (algorithm, variant) pairs every engine test sweeps — ISS serves
-#: only the influence variant (Section 7), STPS all three.
+#: (algorithm, variant) pairs every engine test sweeps: both engines
+#: serve all three variants (Section 7).
 ENGINES = [
-    ("stps", Variant.RANGE),
-    ("stps", Variant.NEAREST),
-    ("stds", Variant.RANGE),
-    ("iss", Variant.INFLUENCE),
+    (algorithm, variant)
+    for algorithm in ("stps", "stds")
+    for variant in Variant
 ]
 
 

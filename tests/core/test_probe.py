@@ -1,12 +1,11 @@
 """The one best-first probe against a sort.
 
 :func:`repro.core.stream.probe` is Algorithm 2 under each variant's
-priority, the Voronoi competitor stream and ISS's node bound.  Drained,
-it must yield every relevant feature exactly once with its per-definition
-key and value, in the order a sort by key gives (NN: distance, then best
-score first), a leaf's ties in row order.  Its first yield must be
-``component_score`` bit for bit, and for a rectangle its first influence
-value must bound the score of every point inside.
+priority and the Voronoi competitor stream.  Drained, it must yield
+every relevant feature exactly once with its per-definition key and
+value, in the order a sort by key gives (NN: distance, then best score
+first), a leaf's ties in row order.  Its first yield must be
+``component_score`` bit for bit.
 
 Worlds sit where ties and mask widths bite: 256-byte pages, coordinates
 on a 1/8 lattice with small jitter around it, scores in eighths, and
@@ -23,7 +22,6 @@ from repro.core.bruteforce import component_score
 from repro.core.processor import INDEX_CLASSES
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stream import probe
-from repro.geometry.rect import Rect
 from repro.model.dataset import FeatureDataset
 from repro.model.objects import FeatureObject
 from repro.obs.explain import FeatureSetDiag
@@ -43,7 +41,6 @@ coordinate = st.one_of(
         st.floats(-0.02, 0.02, allow_nan=False),
     ),
 )
-unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
@@ -103,14 +100,8 @@ def expected(dataset, mask, lam, variant, radius, target):
         if not f.keyword_mask() & mask:
             continue
         s = (1.0 - lam) * f.score + lam * jaccard(f.keyword_mask(), mask)
-        if isinstance(target, Rect):  # influence only
-            (lx, ly), (hx, hy) = target.low, target.high
-            d = math.hypot(
-                max(lx - f.x, 0.0, f.x - hx), max(ly - f.y, 0.0, f.y - hy)
-            )
-        else:
-            dx, dy = f.x - target[0], f.y - target[1]
-            d = math.hypot(dx, dy)
+        dx, dy = f.x - target[0], f.y - target[1]
+        d = math.hypot(dx, dy)
         if variant is Variant.RANGE:
             if dx * dx + dy * dy <= radius * radius:
                 out[f.fid] = (-s, s)
@@ -146,18 +137,16 @@ def check_sorted(got, want, variant, positions) -> None:
     lam=st.sampled_from([0.0, 0.5, 1.0]),
     radius=st.sampled_from([1e-6, 0.1, 0.5]),
     point=st.tuples(coordinate, coordinate),
-    corner=st.tuples(coordinate, coordinate),
-    inside=st.lists(st.tuples(unit, unit), min_size=1, max_size=4),
 )
 @example(
     world=tie_world(True), index="srt", lam=0.0, radius=0.1,
-    point=(0.5, 0.5), corner=(0.5, 0.5), inside=[(0.0, 0.0)],
+    point=(0.5, 0.5),
 )
 @example(
     world=tie_world(False), index="srt", lam=0.0, radius=0.1,
-    point=(0.5, 0.5), corner=(0.5, 0.5), inside=[(0.0, 0.0)],
+    point=(0.5, 0.5),
 )
-def test_probe_is_a_sort(world, index, lam, radius, point, corner, inside):
+def test_probe_is_a_sort(world, index, lam, radius, point):
     dataset, mask = world
     tree = INDEX_CLASSES[index].build(
         dataset, pagefile=MemoryPageFile(PAGE_SIZE)
@@ -180,23 +169,3 @@ def test_probe_is_a_sort(world, index, lam, radius, point, corner, inside):
         first = got[0][1] if got else 0.0
         assert first == component_score(*point, dataset, mask, query)
 
-    # ISS: a rectangle's first influence value bounds every point inside.
-    rect = Rect(
-        (min(point[0], corner[0]), min(point[1], corner[1])),
-        (max(point[0], corner[0]), max(point[1], corner[1])),
-    )
-    got = list(probe(tree, scorer, rect, Variant.INFLUENCE, radius))
-    check_sorted(
-        got, expected(dataset, mask, lam, Variant.INFLUENCE, radius, rect),
-        Variant.INFLUENCE, positions,
-    )
-    bound = got[0][1] if got else 0.0
-    query = PreferenceQuery(
-        k=1, radius=radius, lam=lam, keyword_masks=(mask,),
-        variant=Variant.INFLUENCE,
-    )
-    (lx, ly), (hx, hy) = rect.low, rect.high
-    for fx, fy in inside:
-        x = min(hx, lx + fx * (hx - lx))
-        y = min(hy, ly + fy * (hy - ly))
-        assert component_score(x, y, dataset, mask, query) <= bound

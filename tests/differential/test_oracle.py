@@ -1,7 +1,7 @@
 """Differential harness: every engine against the brute-force oracle.
 
 For a seeded grid of datasets and query shapes, the index-backed
-algorithms (STPS, STDS, ISS) must return *exactly* the oracle's answer —
+algorithms (STPS, STDS) must return *exactly* the oracle's answer —
 same object ids in the same order, scores within ``1e-9`` — under the
 library-wide deterministic tie-break (score desc, oid asc).  The grid
 yields 216 generated cases per score variant (2 datasets × 3 λ × 2 radii
@@ -110,7 +110,7 @@ GRID = [
 
 @pytest.mark.parametrize(("seed", "lam", "radius", "k"), GRID)
 class TestOracleGrid:
-    """STPS == STDS == ISS == brute force, ids and scores."""
+    """STPS == STDS == brute force, ids and scores."""
 
     def test_range(self, corpus, seed, lam, radius, k):
         objects, feature_sets, processor = corpus[seed]
@@ -132,12 +132,6 @@ class TestOracleGrid:
             oracle = _items(brute_force(objects, feature_sets, query))
             _assert_matches(
                 oracle, _items(processor.query(query)), "stps", query
-            )
-            _assert_matches(
-                oracle,
-                _items(processor.query(query, algorithm="iss")),
-                "iss",
-                query,
             )
 
     def test_nearest(self, corpus, seed, lam, radius, k):
@@ -202,13 +196,6 @@ class TestCorners:
                 oracle,
                 _items(processor.query(query, algorithm="stds")),
                 "stds",
-                query,
-            )
-        if variant is Variant.INFLUENCE:
-            _assert_matches(
-                oracle,
-                _items(processor.query(query, algorithm="iss")),
-                "iss",
                 query,
             )
 

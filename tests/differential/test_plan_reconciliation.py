@@ -94,7 +94,6 @@ CONFIGS = [
     pytest.param("stps", Variant.RANGE, id="stps-range-prioritized"),
     pytest.param("stds", Variant.RANGE, id="stds-range"),
     pytest.param("stps", Variant.INFLUENCE, id="stps-influence"),
-    pytest.param("iss", Variant.INFLUENCE, id="iss-influence"),
     pytest.param("stps", Variant.NEAREST, id="stps-nearest"),
 ]
 

@@ -59,7 +59,7 @@ class TestExamples:
     @pytest.mark.slow
     def test_advanced_features(self):
         out = run_example("advanced_features.py")
-        assert "identical top-k" in out
+        assert "streaming: second page" in out
 
     def test_trace_query(self, tmp_path):
         import json

@@ -32,7 +32,6 @@ FULL_BATTERY = (
     ("stps", Variant.RANGE),
     ("stds", Variant.RANGE),
     ("stps", Variant.INFLUENCE),
-    ("iss", Variant.INFLUENCE),
     ("stps", Variant.NEAREST),
 )
 

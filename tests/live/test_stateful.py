@@ -156,7 +156,7 @@ class LiveModelMachine(RuleBasedStateMachine):
         query = PreferenceQuery(k, radius, lam, masks, variant)
         algorithms = {
             Variant.RANGE: ("stps", "stds"),
-            Variant.INFLUENCE: ("stps", "iss"),
+            Variant.INFLUENCE: ("stps", "stds"),
             Variant.NEAREST: ("stps", "stps"),
         }[variant]
         got = self.live.query(query, algorithm=algorithms[algorithm]).items

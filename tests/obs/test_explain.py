@@ -186,7 +186,6 @@ class TestPlanRendering:
         stats = QueryStats(
             combinations=1,
             voronoi_cells_computed=1,
-            iss_probes_point=1,
             trace_id="deadbeef",
             detail=PlanDetail(trajectory=[(1, 0, 0.8, 0.7)]),
         )
@@ -228,7 +227,6 @@ class TestPlanRendering:
         assert "combinations" in text
         assert "stds scan" in text
         assert "voronoi" in text
-        assert "iss" in text
         assert "shard fan-out" in text
 
 
@@ -263,17 +261,15 @@ class TestExplainEndToEnd:
         assert report.plan.stds.chunk_count >= 1
         assert report.plan.objects_scored > 0
 
-    def test_explain_influence_and_iss(self, processor):
+    def test_explain_influence(self, processor):
         q = PreferenceQuery(
             5, 0.05, 0.5, (0b111, 0b1110), variant=Variant.INFLUENCE
         )
         stps_report = processor.explain(q, algorithm="stps")
         assert stps_report.plan.combinations is not None
-        iss_report = processor.explain(q, algorithm="iss")
-        assert iss_report.plan.iss is not None
-        assert iss_report.plan.iss["bound_probes_point"] > 0
+        stds_report = processor.explain(q, algorithm="stds")
         assert [(i.oid, i.score) for i in stps_report.result.items] == [
-            (i.oid, i.score) for i in iss_report.result.items
+            (i.oid, i.score) for i in stds_report.result.items
         ]
 
     def test_explain_nearest_records_voronoi(self, processor):
@@ -296,20 +292,17 @@ class TestExplainEndToEnd:
         )
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    @pytest.mark.parametrize("algorithm", ["stps", "stds", "iss"])
+    @pytest.mark.parametrize("algorithm", ["stps", "stds"])
     def test_stats_and_plan_agree_on_node_visits(
         self, processor, algorithm, variant
     ):
         """One count per event: what ``stats.nodes_expanded`` says is
         what the plan's per-set ``nodes_visited`` add up to."""
-        if algorithm == "iss" and variant is not Variant.INFLUENCE:
-            pytest.skip("ISS answers the influence variant only")
         q = PreferenceQuery(5, 0.05, 0.5, (0b111, 0b1110), variant=variant)
         report = processor.explain(q, algorithm=algorithm)
         visited = sum(d.nodes_visited for d in report.plan.feature_sets)
         assert report.result.stats.nodes_expanded == visited
-        if algorithm != "iss":  # ISS probes do not count their visits
-            assert visited > 0
+        assert visited > 0
         plain = processor.query(q, algorithm=algorithm).stats
         assert plain.nodes_expanded == visited  # explain changes no count
         assert plain.heap_pops == sum(d.heap_pops for d in plain.feature_sets)

@@ -62,9 +62,11 @@ def make_service(executor=None, **config_kwargs) -> QueryService:
 
 class TestValidation:
     def test_unknown_algorithm_is_400(self):
-        decision = make_service().handle("t", QUERY, algorithm="nope")
-        assert decision.status == 400
-        assert "algorithm" in decision.reason
+        # "iss" names a deleted engine: it is as unknown as any other.
+        for algorithm in ("nope", "iss"):
+            decision = make_service().handle("t", QUERY, algorithm=algorithm)
+            assert decision.status == 400
+            assert "algorithm" in decision.reason
 
     def test_config_validation(self):
         with pytest.raises(ReproError):

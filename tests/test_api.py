@@ -59,6 +59,13 @@ REMOVED = {
         ALL_FILES, (),
     ),
     "ir_tree": (r"irtree|IRTree|ablation_index", ALL_FILES, ()),
+    # STPS asks the query's variant object; only the one lookup in
+    # core/stps.py names a variant.
+    "variant_branches": (
+        r"within_2r|self\.influence|is (not )?Variant\.",
+        ("src/repro/core/stps.py", "src/repro/core/combinations.py"), (),
+    ),
+    "iss": (r'ALGORITHM_ISS|influence_search|iss_probes|"iss"', ALL_FILES, ()),
     "live_sharding": (
         r"LiveShardedDataset|live\.sharded|LiveBase|replace_manifest"
         r"|bump_epoch|_refresh_manifest|owning_shard_index"
@@ -186,11 +193,10 @@ class TestPublicApi:
         assert not [name for name in dir(leafdata) if "vectorized" in name]
 
     def test_one_best_first_probe(self):
-        """Algorithm 2 under every variant, the Voronoi competitor stream
-        and ISS's bound are one walk, ``probe``; ``compute_score`` is its
-        first yield and the per-variant copies are gone."""
+        """Algorithm 2 under every variant and the Voronoi competitor
+        stream are one walk, ``probe``; ``compute_score`` is its first
+        yield and the per-variant copies are gone."""
         import repro.core as core
-        import repro.core.influence_search as iss
         import repro.core.stds as stds
         import repro.core.voronoi as voronoi
 
@@ -203,7 +209,6 @@ class TestPublicApi:
             (stds, ("compute_score_influence", "compute_score_nearest",
                     "SCORE_FNS", "_dist")),
             (voronoi, ("nearest_relevant",)),
-            (iss, ("_set_influence_bound",)),
         ):
             for name in names:
                 assert not hasattr(module, name), (module.__name__, name)

@@ -71,7 +71,7 @@ class QueryFailure:
     every duplicate position shares this failure).  ``error`` is the
     original exception object, ``message`` its rendered text.
     ``trace_id`` is the id the failed execution ran under — grep it in
-    the Chrome trace and the flight-recorder dump to see everything the
+    the Chrome trace and the ``/flight.json`` records to see everything the
     query did before dying.  ``shard_id`` is
     filled from :class:`~repro.errors.ShardError` when the failure came
     out of the sharded fan-out.

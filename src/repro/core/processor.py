@@ -33,7 +33,6 @@ from repro.index.object_rtree import ObjectRTree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
@@ -135,7 +134,7 @@ class QueryProcessor:
 
         Each call runs under a *trace id* (a fresh one, or the ambient
         id when called inside an active trace scope) stamped onto
-        ``result.stats.trace_id``, every trace span, any flight-recorder
+        ``result.stats.trace_id``, every trace span, any trace-store
         entry and the latency exemplar, so all diagnostics for one query
         join on one key.
 
@@ -168,7 +167,7 @@ class QueryProcessor:
         """:meth:`query` without the registry record, under the ambient trace.
 
         The ``query.<algorithm>`` span, the dispatch, the trace-id stamp
-        and the flight record.  This is one shard's part of a sharded
+        and the trace-store entry.  This is one shard's part of a sharded
         query, whose registry record is the whole query's.
         """
         t0 = time.perf_counter()
@@ -183,16 +182,16 @@ class QueryProcessor:
                 result = self._dispatch(query, algorithm, floor, stats)
         except Exception as exc:
             if _requests.enabled:
-                _flight.record_error(
-                    query, algorithm, trace_id,
-                    time.perf_counter() - t0, exc,
+                _requests.record(
+                    trace_id, duration_s=time.perf_counter() - t0,
+                    algorithm=algorithm, query=query, error=exc,
                 )
             raise
         result.stats.trace_id = trace_id
         if _requests.enabled:
-            _flight.maybe_record(
-                query, algorithm, trace_id,
-                time.perf_counter() - t0, stats=result.stats,
+            _requests.record(
+                trace_id, duration_s=time.perf_counter() - t0,
+                algorithm=algorithm, query=query, stats=result.stats,
             )
         return result
 

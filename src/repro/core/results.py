@@ -7,9 +7,9 @@ Voronoi-cell cost for the NN variant).
 
 :class:`QueryStats` is the *one* object the engine counts into — node
 visits, prunes, pulls, rejected combinations, dropped objects, shard
-verdicts, always.  The EXPLAIN plan, the metrics registry and the flight
-recorder are views of it (:mod:`repro.obs.explain`), so they cannot
-disagree about what the query did.
+verdicts, always.  The EXPLAIN plan, the metrics registry and the trace
+store's per-query counters are views of it (:mod:`repro.obs.explain`),
+so they cannot disagree about what the query did.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class QueryStats:
     detail: PlanDetail | None = None
     #: Per-query trace id minted by the processor (see
     #: :mod:`repro.obs.tracing`): the join key across Chrome-trace spans,
-    #: flight-recorder records and exemplars.  Empty until the
+    #: trace-store entries and exemplars.  Empty until the
     #: processor stamps it.
     trace_id: str = ""
     #: Per-phase wall seconds (span name -> total), populated when

@@ -17,15 +17,15 @@ vs. CPU time, combinations examined, feature objects pulled (Section
   accesses vs. prunes, combination accept/reject decisions, threshold
   trajectories, per-shard fan-out verdicts
   (``QueryProcessor.explain(...)``);
-* :mod:`repro.obs.flight` — the flight recorder: per-query records
-  (arguments, phases, counters, plan summary) kept in the trace store
-  below and read back as a view over it, dumpable to JSONL;
 * :mod:`repro.obs.regress` — the perf-regression sentinel comparing
   bench results against committed baselines;
 * :mod:`repro.obs.requests` — W3C ``traceparent`` interop plus the one
-  byte-bounded, tail-sampled store of finished requests with their
-  admission-waterfall span trees (``/traces.json`` on the serving
-  endpoint);
+  byte-bounded, tail-sampled store of finished work: one entry class
+  for a served request (with its admission-waterfall span tree) and for
+  an engine query (arguments, latency, phases, counters, error), one
+  writer, and two views of it — ``/traces.json`` per entry and
+  ``/flight.json`` (``requests.flight_records()``, dumpable to JSONL)
+  per query;
 * ``python -m repro.obs`` — run a synthetic workload and emit a metrics
   snapshot plus a trace file; subcommands ``explain``, ``regress`` and
   ``trace`` (see :mod:`repro.obs.cli`).
@@ -50,7 +50,6 @@ import logging
 from repro.obs import (
     explain,
     export,
-    flight,
     metrics,
     requests,
     tracing,
@@ -104,7 +103,6 @@ __all__ = [
     "enabled_tracing",
     "explain",
     "export",
-    "flight",
     "format_traceparent",
     "log_buckets",
     "metrics",

@@ -39,7 +39,7 @@ import math
 import time
 from pathlib import Path
 
-from repro.obs import export, flight, metrics, tracing
+from repro.obs import export, metrics, tracing
 from repro.obs import requests as requests_mod
 
 logger = logging.getLogger(__name__)
@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["stps", "stds"])
     parser.add_argument("--flight-out", type=Path, default=None,
                         metavar="PATH",
-                        help="record every query in the flight recorder "
-                             "(latency threshold 0) and dump JSONL here")
+                        help="keep every query in the trace store "
+                             "(latency threshold 0) and dump one JSONL "
+                             "record per query here")
     return parser
 
 
@@ -405,10 +406,9 @@ def main(argv=None) -> int:
     export.write_json(json_out)
     print(f"wrote {metrics_out} and {json_out}")
     if args.flight_out is not None:
-        flight.dump_jsonl(args.flight_out)
-        print(
-            f"wrote {args.flight_out} ({len(flight.records())} flight records)"
-        )
+        records = requests_mod.flight_records()
+        requests_mod.dump_jsonl(args.flight_out, docs=records)
+        print(f"wrote {args.flight_out} ({len(records)} flight records)")
     tracing.write_chrome_trace(trace_out)
     n_events = len(tracing.events())
     dropped = tracing.dropped_events()

@@ -31,7 +31,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
 
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -222,11 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = (json.dumps(snapshot(self.registry)) + "\n").encode()
             content_type = "application/json"
         elif path == "/flight.json":
-            payload = {
-                "stats": _flight.stats(),
-                "records": [r.to_dict() for r in _flight.records()],
-            }
-            body = (json.dumps(payload) + "\n").encode()
+            body = (json.dumps(_requests.flight_payload()) + "\n").encode()
             content_type = "application/json"
         elif path == "/traces.json":
             query = parse_qs(

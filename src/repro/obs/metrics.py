@@ -53,8 +53,8 @@ logger = logging.getLogger(__name__)
 #: Module flag, read on the histogram hot path.  When on, each
 #: observation made inside an active trace scope stamps its bucket with
 #: an *exemplar* — ``(value, trace_id, unix_ts)`` — so a p99 bucket
-#: resolves to a concrete query (join the trace id against the flight
-#: recorder and Chrome-trace spans).  Mutate only via
+#: resolves to a concrete query (join the trace id against the trace
+#: store and Chrome-trace spans).  Mutate only via
 #: :func:`set_exemplars`.
 exemplars_enabled = False
 

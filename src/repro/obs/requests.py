@@ -8,10 +8,15 @@
   response carries a fresh ``traceparent`` naming the same trace.
 * :class:`RequestTrace` + the module-level **trace store** — the one
   bounded buffer of finished work (DESIGN.md §9).  An entry is a served
-  request (429s and cache hits included) or a bare engine query, with
-  the span tree its :class:`~repro.obs.tracing.SpanCollector` gathered
-  *and* the :class:`~repro.obs.flight.QueryRecord` of every query it
-  ran — :mod:`repro.obs.flight` is a view over this store.
+  request (429s and cache hits included, with the span tree its
+  :class:`~repro.obs.tracing.SpanCollector` gathered) or a bare engine
+  query (``status`` 0); the queries an entry ran sit on its ``records``
+  as entries of the same class.
+* :func:`record` is the one writer of finished work, and :func:`ingest`
+  its twin for entries built in a shard worker process.
+* :func:`flight_records` flattens the store into one record per query:
+  the view behind ``/flight.json``, ``python -m repro.obs --flight-out``
+  and ``dump_jsonl(path, docs=flight_records())``.
 * **Tail-based sampling** — the one keep/drop decision, taken when the
   request *finishes*: errors (4xx/5xx), shed requests (429) and
   requests slower than the SLO threshold are always kept; the boring
@@ -38,6 +43,8 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.obs import tracing as _tracing
 
 #: Default byte budget for buffered traces (estimated JSON size).
 DEFAULT_MAX_BYTES = 2 * 1024 * 1024
@@ -154,17 +161,17 @@ def format_traceparent(
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class RequestTrace:
-    """One finished request (or bare engine query) with its span tree."""
+    """One finished piece of work: a served request or an engine query."""
 
     trace_id: str
-    #: Unix timestamp of request completion.
+    #: Unix timestamp of completion.
     ts: float
     #: Empty for engine queries that did not arrive through serving.
     tenant: str
     #: Terminal outcome: ok / cached / quota / backpressure /
     #: bad_request / error.
     outcome: str
-    #: HTTP-shaped status; 0 for engine queries outside the serve layer.
+    #: HTTP-shaped status; 0 for an engine query.
     status: int
     duration_s: float
     algorithm: str = ""
@@ -172,13 +179,21 @@ class RequestTrace:
     query: dict | None = None
     #: Chrome-trace-shaped span events collected for this request.
     spans: list = field(default_factory=list)
-    #: Engine-level :class:`~repro.obs.flight.QueryRecord` entries of
-    #: the queries run under this trace (the flight-recorder view).
+    #: Entries of the queries run under this one: a request's, or a
+    #: bare sharded query's per-shard parts.
     records: list = field(default_factory=list)
     #: Why tail sampling kept this trace: error / shed / slow / uniform.
     keep_reason: str = ""
     #: Rejection/error detail, when any.
     reason: str = ""
+    #: Per-phase wall seconds (empty unless spans were armed).
+    phase_times: dict = field(default_factory=dict)
+    #: Digest of the query's ``QueryStats`` (see :func:`_counters`).
+    counters: dict = field(default_factory=dict)
+    #: ``{"type": ..., "message": ...}`` of a failed query, else None.
+    error: dict | None = None
+    #: Shard that ran or failed the query, when attributable.
+    shard_id: int | None = None
     #: Estimated serialized size (store accounting).
     approx_bytes: int = 0
     #: Admission order across both eviction classes.
@@ -201,9 +216,69 @@ class RequestTrace:
             out["query"] = self.query
         if self.reason:
             out["reason"] = self.reason
-        if self.records:
-            out["records"] = [r.to_dict() for r in self.records]
+        records = [query.as_record() for query in self.queries()]
+        if records:
+            out["records"] = records
         return out
+
+    def queries(self) -> list["RequestTrace"]:
+        """The queries this entry holds: its ``records``, then itself
+        when it is an engine query."""
+        return self.records + [self] if self.status == 0 else self.records
+
+    def as_record(self) -> dict:
+        """This entry as one flat query record (the flight view)."""
+        out = {
+            "trace_id": self.trace_id,
+            "ts": self.ts,
+            "algorithm": self.algorithm,
+            "variant": self.query["variant"],
+            "query": self.query,
+            "latency_s": self.duration_s,
+            "phase_times": self.phase_times,
+            "counters": self.counters,
+        }
+        if self.error is not None:
+            out["error"] = self.error
+        if self.shard_id is not None:
+            out["shard_id"] = self.shard_id
+        if self.tenant:
+            out["tenant"] = self.tenant
+        if self.status == 429:
+            out["decision"] = self.outcome  # the gate that shed it
+        return out
+
+
+def query_args(query) -> dict:
+    """The query-shape dict stored with every entry."""
+    return {
+        "k": query.k,
+        "radius": query.radius,
+        "lam": query.lam,
+        "keyword_masks": list(query.keyword_masks),
+        "variant": query.variant.value,
+    }
+
+
+#: The scalar ``QueryStats`` counters an entry snapshots.
+_COUNTERS = (
+    "combinations", "features_pulled", "objects_scored", "io_reads",
+    "buffer_hits", "node_cache_hits", "node_cache_misses", "heap_pops",
+    "nodes_expanded", "rejected_2r", "pull_rounds", "objects_dropped",
+)
+
+
+def _counters(stats) -> dict:
+    """Flat numeric digest (as the byte estimate assumes): the scalar
+    counters, per-set visits and prunes, shard outcomes."""
+    out = {name: getattr(stats, name) for name in _COUNTERS}
+    for diag in stats.feature_sets:
+        out[f"nodes_visited[{diag.set_id}]"] = diag.nodes_visited
+        out[f"nodes_pruned[{diag.set_id}]"] = diag.nodes_pruned
+    for shard in stats.shards:
+        key = f"shards[{shard.verdict}]"
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def configure(
@@ -291,9 +366,9 @@ def _trim_spans(spans) -> list:
     return out
 
 
-#: Rough serialized overhead of one trimmed span / one engine record /
+#: Rough serialized overhead of one trimmed span / one query record /
 #: one whole trace (braces, keys, numeric fields) for the byte-budget
-#: accounting.
+#: accounting; text of unbounded length is counted on top.
 _SPAN_BASE_BYTES = 96
 _RECORD_BASE_BYTES = 256
 _TRACE_BASE_BYTES = 200
@@ -319,11 +394,13 @@ def _estimate_bytes(trace: RequestTrace) -> int:
         if args:
             for key, value in args.items():
                 size += len(key) + len(str(value)) + 8
-    for record in trace.records:
+    for query in trace.queries():
         size += _RECORD_BASE_BYTES + 24 * (
-            len(record.query) + len(record.phase_times)
-            + len(record.counters)
+            len(query.query or ()) + len(query.phase_times)
+            + len(query.counters)
         )
+        if query.error is not None:
+            size += len(query.error["message"])
     return size
 
 
@@ -343,59 +420,93 @@ def _evict() -> None:
 
 def record(
     trace_id: str,
-    tenant: str,
-    outcome: str,
-    status: int,
-    duration_s: float,
+    tenant: str = "",
+    outcome: str = "",
+    status: int = 0,
+    duration_s: float = 0.0,
     algorithm: str = "",
     query=None,
     spans=None,
     reason: str = "",
     records=(),
+    stats=None,
+    error: BaseException | None = None,
 ) -> bool:
-    """Admit one finished request; returns whether it was kept.
+    """The one writer of finished work; returns whether it was kept.
 
-    The tail-sampling decision happens here — after the outcome is
-    known.  ``query`` and ``spans`` may be zero-argument callables,
-    resolved only when the request is kept — callers on the serving
-    hot path use this to defer materializing span/query dicts for the
-    dropped majority.  ``records`` are the engine-level query records
-    run under this trace.  Never raises into the serving path.
+    An engine query is written with ``status`` 0, its ``stats`` and, when
+    it failed, the ``error`` (``outcome`` then defaults to "error", and
+    ``shard_id`` comes from the exception); a served request with its
+    HTTP-shaped status, its span events (a list, or a zero-argument
+    callable) and the ``records`` of the queries it ran.
+
+    Inside a live :class:`~repro.obs.tracing.SpanCollector` the entry
+    joins it and the collector's owner decides retention later (True is
+    returned).  Otherwise the tail-sampling decision is taken here, and
+    ``query`` / ``stats`` / ``spans`` are turned into dicts only for an
+    entry that is kept.  Never raises into the serving path.
     """
-    global _bytes
     if not enabled:
         return False
+    entry = RequestTrace(
+        trace_id, time.time(), tenant,
+        outcome or ("error" if error is not None else "ok"),
+        status, duration_s, algorithm, reason=reason, records=list(records),
+    )
+    if error is not None:
+        entry.error = {"type": type(error).__name__, "message": str(error)}
+        entry.shard_id = getattr(error, "shard_id", None)
+    return _file(entry, query, stats, spans)
+
+
+def ingest(records, shard_id: int | None = None) -> None:
+    """The writer's twin for entries built in a shard worker process.
+
+    Stamps ``shard_id`` on those carrying none (so a slow per-shard
+    query is attributable) and files each exactly as if :func:`record`
+    had written it here.
+    """
+    for entry in records:
+        if entry.shard_id is None:
+            entry.shard_id = shard_id
+        _file(entry)
+
+
+def _file(entry: RequestTrace, query=None, stats=None, spans=None) -> bool:
+    """Join the live collector, or take the keep decision now."""
+    global _bytes
+    ctx = _tracing.capture()
+    if ctx is not None and ctx.collector is not None:
+        _fill(entry, query, stats, spans)
+        ctx.collector.records.append(entry)
+        return True
     with _lock:
-        keep = _keep_reason(status, outcome, duration_s)
+        keep = _keep_reason(entry.status, entry.outcome, entry.duration_s)
         _counts["seen"] += 1
         if keep is None:
             _counts["dropped"] += 1
             return False
-        if callable(query):
-            query = query()
-        if callable(spans):
-            spans = spans()
-        trace = RequestTrace(
-            trace_id=trace_id,
-            ts=time.time(),
-            tenant=tenant,
-            outcome=outcome,
-            status=status,
-            duration_s=duration_s,
-            algorithm=algorithm,
-            query=dict(query) if query else None,
-            spans=_trim_spans(spans) if spans else [],
-            records=list(records),
-            keep_reason=keep,
-            reason=reason,
-            seq=_counts["seen"],
-        )
-        trace.approx_bytes = _estimate_bytes(trace)
-        (_uniform if keep == "uniform" else _interesting).append(trace)
-        _bytes += trace.approx_bytes
+        _fill(entry, query, stats, spans)
+        entry.keep_reason = keep
+        entry.seq = _counts["seen"]
+        entry.approx_bytes = _estimate_bytes(entry)
+        (_uniform if keep == "uniform" else _interesting).append(entry)
+        _bytes += entry.approx_bytes
         _kept_by_reason[keep] = _kept_by_reason.get(keep, 0) + 1
         _evict()
     return True
+
+
+def _fill(entry: RequestTrace, query, stats, spans) -> None:
+    if query is not None:
+        entry.query = query_args(query)
+    if stats is not None:
+        entry.phase_times = dict(stats.phase_times)
+        entry.counters = _counters(stats)
+    if callable(spans):
+        spans = spans()
+    if spans:
+        entry.spans = _trim_spans(spans)
 
 
 def entries() -> list[RequestTrace]:
@@ -453,6 +564,21 @@ def stats() -> dict:
 def payload(**filters) -> dict:
     """The ``/traces.json`` document (filters as :func:`query_traces`)."""
     return {"stats": stats(), "traces": query_traces(**filters)}
+
+
+def flight_records() -> list[dict]:
+    """Every stored query as one flat record, oldest first."""
+    return [q.as_record() for entry in entries() for q in entry.queries()]
+
+
+def flight_payload() -> dict:
+    """The ``/flight.json`` document: :func:`flight_records` plus the
+    store's bookkeeping, with ``buffered`` counting records."""
+    records = flight_records()
+    store = stats()
+    store["buffered"] = len(records)
+    store["latency_threshold_s"] = store["slow_threshold_s"]
+    return {"stats": store, "records": records}
 
 
 def _rotate(path: Path, backups: int) -> None:

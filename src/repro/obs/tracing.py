@@ -73,16 +73,19 @@ MAX_COLLECTOR_SPANS = 2048
 
 
 class SpanCollector:
-    """Everything one traced request produces: spans + engine records.
+    """Everything one traced request produces: spans + query entries.
 
     ``spans`` is a bounded ring keeping the *newest* spans: a span is
     emitted when it closes, so the enclosing request / gate / executor
     spans arrive last — evicting the oldest sheds early micro leaf
     phases while the tree's trunk survives a span storm.  ``records``
-    holds the engine-level :class:`~repro.obs.flight.QueryRecord` of
-    every query run under this trace; whoever owns the collector hands
-    both to the trace store when the request finishes.  Appends lean on
-    the GIL instead of a lock (once per span on the serving hot path).
+    holds the trace-store entry
+    (:class:`~repro.obs.requests.RequestTrace`) of every query run under
+    this trace; whoever owns the collector hands both to the trace store
+    when the request finishes, as one entry.  A bare sharded query
+    borrows one (via :class:`resume`, so spans stay unarmed) only to
+    gather its shards' entries.  Appends lean on the GIL instead of a
+    lock (once per span on the serving hot path).
     """
 
     __slots__ = ("spans", "records")
@@ -313,6 +316,11 @@ class _Span:
             self._recorder.add(self.name, t1 - self._t0)
         add_complete(self.name, self._t0, t1, self.cat, self.args)
         return False
+
+
+def armed() -> bool:
+    """Whether spans record here: tracing is on or a collector is live."""
+    return bool(enabled or _collecting)
 
 
 def span(name: str, cat: str = "query", **args):

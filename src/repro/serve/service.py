@@ -56,7 +56,6 @@ from repro.core.processor import ALGORITHM_STDS, ALGORITHM_STPS
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult
 from repro.errors import ReproError
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
@@ -333,25 +332,21 @@ class QueryService:
             # the log record's trace_id field both read the ContextVar.
             self._finish(t0, tenant, decision)
             if decision.status == 429 and collector is not None:
-                # Inside the scope too: the rejection's query record
-                # joins this request's collector, so it is stored once.
-                _flight.record_rejection(
-                    query, f"serve/{algorithm}", trace_id,
-                    time.perf_counter() - t0,
-                    tenant=tenant, decision=decision.outcome,
+                # Inside the scope too: the rejection's record joins
+                # this request's collector, so it is stored once.
+                _requests.record(
+                    trace_id, tenant, decision.outcome, status=429,
+                    duration_s=time.perf_counter() - t0,
+                    algorithm=f"serve/{algorithm}", query=query,
                 )
         if collector is not None:
             # Lazy query/spans: most requests are dropped by the tail
             # sampler, so the span dicts and the query-shape dict are
             # only built for the kept few.
             _requests.record(
-                trace_id=trace_id,
-                tenant=tenant,
-                outcome=decision.outcome,
-                status=decision.status,
+                trace_id, tenant, decision.outcome, decision.status,
                 duration_s=time.perf_counter() - t0,
-                algorithm=algorithm,
-                query=lambda: _flight.query_args(query),
+                algorithm=algorithm, query=query,
                 spans=collector.snapshot,
                 reason=decision.reason,
                 records=collector.records,

@@ -23,8 +23,8 @@ threads would only interleave there).  This module uses more cores:
    parent's :class:`ObsContext` and records nothing in its own
    registry.  It ships back the :class:`~repro.core.results.QueryResult`
    (whose ``stats`` the parent merges, builds the shard's sub-plan from
-   and records once for the whole query) and the span tuples and query
-   records its span collector gathered.
+   and records once for the whole query) and the span tuples and
+   trace-store entries its span collector gathered.
 
 Cold-cache semantics: ``ShardedQueryProcessor.clear_buffers`` cannot
 reach worker-process caches directly, so it bumps a per-processor
@@ -87,18 +87,17 @@ class ObsContext:
     """
 
     trace_id: str
-    #: Spans are wanted: tracing is on or a request collector is live.
+    #: Spans are wanted: they would be recorded here (tracing is on or
+    #: a request collector is live).
     spans: bool
-    #: The trace store is on: build engine-level query records.
+    #: The trace store is on: build the trace-store entries.
     records: bool
 
     @classmethod
     def capture(cls, trace_id: str) -> "ObsContext":
-        ctx = _tracing.capture()
         return cls(
             trace_id=trace_id,
-            spans=_tracing.enabled
-            or (ctx is not None and ctx.collector is not None),
+            spans=_tracing.armed(),
             records=_requests.enabled,
         )
 
@@ -188,9 +187,9 @@ def _run_shard_query(
     records survive the failure, exactly as they would in-process.
 
     The query runs under a worker-local span collector, so its spans and
-    query records travel back in the payload (span tuples carry raw
-    monotonic-clock stamps, valid in the parent as they are) for
-    :func:`repro.obs.tracing.ingest` / :func:`repro.obs.flight.ingest`;
+    trace-store entries travel back in the payload (span tuples carry
+    raw monotonic-clock stamps, valid in the parent as they are) for
+    :func:`repro.obs.tracing.ingest` / :func:`repro.obs.requests.ingest`;
     retention is decided in the parent and the worker's own store stays
     empty.  ``explain`` makes the result's stats carry the plan detail
     (they cross the hop as part of the result).

@@ -46,7 +46,6 @@ from repro.errors import QueryError, ReproError, ShardError
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.obs import explain as _explain
 from repro.obs.explain import ShardDiag
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
@@ -184,7 +183,7 @@ class ShardedQueryProcessor:
     them one after another on the caller's thread; ``"processes"`` runs
     them on a :class:`~repro.shard.process_runner.ProcessShardRunner`
     pool attached to shared-memory page storage — same results, same
-    metrics/EXPLAIN/flight behavior, multi-core scaling.  Build with
+    metrics/EXPLAIN/trace-store behavior, multi-core scaling.  Build with
     ``fanout="processes"`` (the indexes must be frozen into shared
     memory at build time).  ``max_workers`` (pool size, default
     ``min(shards, cpus)``) and ``start_method`` (multiprocessing start
@@ -449,8 +448,17 @@ class ShardedQueryProcessor:
         run = self._run_serial
         if self.fanout == "processes":
             run = self._run_processes
+        ctx = _tracing.capture()
+        parts = ()
+        if _requests.enabled and ctx.collector is None:
+            # A bare query: its shards' entries gather here and ride on
+            # its own.  Borrowed, not a trace_scope: spans stay unarmed.
+            ctx = _tracing.TraceContext(trace_id, _tracing.SpanCollector())
+            parts = ctx.collector.records
         try:
-            with rec.span("shard.fanout", shards=self.shard_count):
+            with _tracing.resume(ctx), rec.span(
+                "shard.fanout", shards=self.shard_count
+            ):
                 ordered = sorted(
                     ((shard.bound(query), i) for i, shard in
                      enumerate(self.shards)),
@@ -462,9 +470,10 @@ class ShardedQueryProcessor:
                 )
         except Exception as exc:
             if _requests.enabled:
-                _flight.record_error(
-                    query, f"sharded/{algorithm}", trace_id,
-                    time.perf_counter() - t0, exc, stats=stats,
+                _requests.record(
+                    trace_id, duration_s=time.perf_counter() - t0,
+                    algorithm=f"sharded/{algorithm}", query=query,
+                    records=parts, stats=stats, error=exc,
                 )
             raise
 
@@ -487,9 +496,10 @@ class ShardedQueryProcessor:
                 stats.phase_times.get(phase, 0.0) + seconds
             )
         if _requests.enabled:
-            _flight.maybe_record(
-                query, f"sharded/{algorithm}", trace_id,
-                stats.wall_s, stats=stats,
+            _requests.record(
+                trace_id, duration_s=stats.wall_s,
+                algorithm=f"sharded/{algorithm}", query=query,
+                records=parts, stats=stats,
             )
         return QueryResult(items, stats)
 
@@ -648,7 +658,7 @@ class ShardedQueryProcessor:
                 payload = future.result()
                 # Fold observability back in even for failed shards —
                 # the worker did the work; the trace must show it.
-                _flight.ingest(payload["records"], shard_id=shard_id)
+                _requests.ingest(payload["records"], shard_id=shard_id)
                 _tracing.ingest(
                     payload["spans"], payload["pid"],
                     payload["thread_names"],

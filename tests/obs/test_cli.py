@@ -45,7 +45,10 @@ class TestParser:
 class TestEndToEnd:
     @pytest.fixture()
     def artifacts(self, tmp_path):
-        rc = main(["--out-dir", str(tmp_path), *TINY])
+        rc = main([
+            "--out-dir", str(tmp_path), *TINY,
+            "--flight-out", str(tmp_path / "flight.jsonl"),
+        ])
         assert rc == 0
         return tmp_path
 
@@ -88,6 +91,22 @@ class TestEndToEnd:
 
     def test_tracing_disabled_after_run(self, artifacts):
         assert not tracing.enabled
+        assert not requests.enabled
+
+    def test_flight_out_has_one_line_per_executed_query(self, artifacts):
+        """The executor dedups the repeats: 3 distinct queries under
+        each of 2 algorithms execute 6 times, however often answered."""
+        lines = (artifacts / "flight.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(records) == 3 * 2
+        assert sorted(r["algorithm"] for r in records) == (
+            ["stds"] * 3 + ["stps"] * 3
+        )
+        for record in records:
+            assert record["trace_id"]
+            assert record["counters"]["nodes_expanded"] > 0
+            assert record["latency_s"] > 0
+        assert len({r["trace_id"] for r in records}) == 6
 
 
 class TestPhaseTimes:

@@ -16,7 +16,7 @@ from repro.core.executor import QueryExecutor
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
-from repro.obs import flight, requests
+from repro.obs import requests
 from repro.obs.export import MetricsServer
 from repro.obs.metrics import MetricsRegistry
 
@@ -125,15 +125,15 @@ class TestFlightUnderLoad:
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many(queries, dedup=False)
         assert len(results) == 30
-        stats = flight.stats()
+        flight = requests.flight_payload()
+        stats, records = flight["stats"], flight["records"]
         assert stats["seen"] == stats["kept"] == 30
         assert stats["bytes"] <= stats["max_bytes"]
-        records = flight.records()
         assert 0 < len(records) < 30
         assert stats["buffered"] == len(records)
         assert len(records) + stats["evicted_interesting"] == 30
         # The store keeps the newest: timestamps are non-decreasing.
-        ts = [r.ts for r in records]
+        ts = [r["ts"] for r in records]
         assert ts == sorted(ts)
 
     def test_trace_ids_unique_per_execution(self, processor):
@@ -141,7 +141,7 @@ class TestFlightUnderLoad:
         queries = _queries(12)
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many(queries, dedup=False)
-        record_ids = [r.trace_id for r in flight.records()]
+        record_ids = [r["trace_id"] for r in requests.flight_records()]
         assert len(record_ids) == 12
         assert len(set(record_ids)) == 12
         # Every result's trace id has a matching flight record.
@@ -153,4 +153,5 @@ class TestFlightUnderLoad:
         with QueryExecutor(processor, max_workers=4) as executor:
             results = executor.query_many([query] * 6, dedup=True)
         assert len(results) == 6
-        assert len(flight.records()) == 1  # one execution, one record
+        # One execution, one record.
+        assert len(requests.flight_records()) == 1

@@ -1,7 +1,7 @@
 """End-to-end exemplar walk: one trace id joins bucket, record and export.
 
 A slow query's latency lands in a histogram bucket *with its trace id
-attached* (exemplar); that same id resolves to a flight-recorder entry
+attached* (exemplar); that same id resolves to a trace-store record
 (what the query was) and shows up on the OpenMetrics bucket line.  This
 test walks the whole chain through a real query.
 """
@@ -13,13 +13,13 @@ import pytest
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
-from repro.obs import flight, metrics, requests
+from repro.obs import metrics, requests
 from repro.obs.export import render_openmetrics
 
 
 @pytest.fixture()
 def telemetry():
-    """Exemplars + record-everything flight, then reset."""
+    """Exemplars + a keep-everything trace store, then reset."""
     metrics.set_exemplars(True)
     requests.clear()
     requests.configure(enabled_=True, slow_threshold_s=0.0)
@@ -66,12 +66,13 @@ class TestExemplarWalk:
         low = child.buckets[bucket_index - 1] if bucket_index else 0.0
         assert low < value <= bounds[bucket_index]
 
-        # 2. The same id resolves to a flight-recorder entry.
+        # 2. The same id resolves to a flight record.
         record = next(
-            (r for r in flight.records() if r.trace_id == trace_id), None
+            (r for r in requests.flight_records()
+             if r["trace_id"] == trace_id), None
         )
         assert record is not None
-        assert record.latency_s == pytest.approx(value, rel=0.5)
+        assert record["latency_s"] == pytest.approx(value, rel=0.5)
 
         # 3. The exemplar is externally visible in OpenMetrics form.
         assert f'trace_id="{trace_id}"' in render_openmetrics()

@@ -1,5 +1,6 @@
-"""Tests for repro.obs.flight: query records as a view over the trace
-store (:mod:`repro.obs.requests` owns retention)."""
+"""Tests for the flight view: one flat record per query stored in the
+trace store (``requests.flight_records()``, ``/flight.json``,
+``python -m repro.obs --flight-out``)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.errors import QueryError, ShardError
-from repro.obs import flight, requests, tracing
+from repro.obs import requests, tracing
 
 
 def _reset_store(uniform_every: int) -> None:
@@ -39,56 +40,74 @@ def _query(k: int = 5) -> PreferenceQuery:
     return PreferenceQuery(k, 0.05, 0.5, (0b111, 0b1110))
 
 
+def _write(
+    trace_id: str, duration_s: float, algorithm: str = "stps", **fields
+) -> bool:
+    """Write one bare engine query, as the processor does."""
+    return requests.record(
+        trace_id, duration_s=duration_s, algorithm=algorithm,
+        query=_query(), **fields,
+    )
+
+
+def _records() -> list[dict]:
+    return requests.flight_records()
+
+
 class TestRecorderBasics:
     def test_disabled_by_default(self):
         assert requests.enabled is False
-        assert not flight.maybe_record(_query(), "stps", "t1", 1.0)
-        assert flight.records() == []
+        assert not _write("t1", 1.0)
+        assert _records() == []
 
     def test_latency_threshold(self):
         requests.configure(enabled_=True, slow_threshold_s=0.1)
-        assert not flight.maybe_record(_query(), "stps", "t1", 0.05)
-        assert flight.maybe_record(_query(), "stps", "t2", 0.15)
-        records = flight.records()
+        assert not _write("t1", 0.05)
+        assert _write("t2", 0.15)
+        records = _records()
         assert len(records) == 1
-        assert records[0].trace_id == "t2"
-        assert records[0].latency_s == 0.15
-        assert records[0].query["k"] == 5
+        assert records[0]["trace_id"] == "t2"
+        assert records[0]["latency_s"] == 0.15
+        assert records[0]["query"]["k"] == 5
 
     def test_errors_bypass_threshold(self):
         requests.configure(enabled_=True, slow_threshold_s=10.0)
-        err = QueryError("bad query")
-        assert flight.record_error(_query(), "stps", "t3", 0.001, err)
-        record = flight.records()[0]
-        assert record.error == {"type": "QueryError", "message": "bad query"}
-        assert record.shard_id is None
+        assert _write("t3", 0.001, error=QueryError("bad query"))
+        record = _records()[0]
+        assert record["error"] == {
+            "type": "QueryError", "message": "bad query",
+        }
+        assert "shard_id" not in record
 
     def test_shard_id_from_shard_error(self):
         requests.configure(enabled_=True)
-        err = ShardError(3, "shard blew up")
-        flight.record_error(_query(), "stps", "t4", 0.001, err)
-        assert flight.records()[0].shard_id == 3
+        _write("t4", 0.001, error=ShardError(3, "shard blew up"))
+        assert _records()[0]["shard_id"] == 3
 
     def test_explicit_shard_id_wins(self):
+        """An entry that crossed the process hop keeps its own shard id;
+        the parent's stamp only fills one in."""
         requests.configure(enabled_=True)
-        flight.record_error(
-            _query(), "stps", "t5", 0.001, QueryError("x"), shard_id=7
-        )
-        assert flight.records()[0].shard_id == 7
+        collector = tracing.SpanCollector()
+        with tracing.trace_scope("t5", collector):
+            _write("t5", 0.001, error=ShardError(7, "x"))
+            _write("t5", 0.001, error=QueryError("y"))
+        requests.ingest(collector.records, shard_id=2)
+        assert [r["shard_id"] for r in _records()] == [7, 2]
 
     def test_records_are_a_view_over_the_store(self):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(3):
-            flight.maybe_record(_query(), "stps", f"t{i}", 0.01)
-        assert [r.trace_id for r in flight.records()] == ["t0", "t1", "t2"]
-        # One store entry per bare engine query, carrying its record.
+            _write(f"t{i}", 0.01)
+        assert [r["trace_id"] for r in _records()] == ["t0", "t1", "t2"]
+        # One store entry per bare engine query, which is its record.
         entries = requests.entries()
         assert [e.trace_id for e in entries] == ["t0", "t1", "t2"]
-        assert all(e.records == [r] for e, r in zip(
-            entries, flight.records()
-        ))
+        assert [e.queries() for e in entries] == [[e] for e in entries]
+        assert [e.as_record() for e in entries] == _records()
         assert entries[0].outcome == "ok" and entries[0].tenant == ""
-        stats = flight.stats()
+        assert entries[0].status == 0 and entries[0].records == []
+        stats = requests.flight_payload()["stats"]
         assert stats["buffered"] == 3
         assert stats["latency_threshold_s"] == 0.0
 
@@ -96,16 +115,18 @@ class TestRecorderBasics:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         collector = tracing.SpanCollector()
         with tracing.trace_scope("req1", collector):
-            assert flight.maybe_record(_query(), "stps", "req1", 0.01)
+            assert _write("req1", 0.01)
         # The request's owner decides: nothing stored until it does.
-        assert flight.records() == []
+        assert _records() == []
         assert [r.trace_id for r in collector.records] == ["req1"]
 
     def test_dump_jsonl(self, tmp_path):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
-        flight.maybe_record(_query(), "stps", "aa", 0.01)
-        flight.record_error(_query(), "stds", "bb", 0.02, ShardError(1, "x"))
-        path = flight.dump_jsonl(tmp_path / "flight.jsonl")
+        _write("aa", 0.01)
+        _write("bb", 0.02, algorithm="stds", error=ShardError(1, "x"))
+        path = requests.dump_jsonl(
+            tmp_path / "flight.jsonl", docs=_records()
+        )
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["trace_id"] == "aa"
@@ -115,10 +136,10 @@ class TestRecorderBasics:
 
     def test_clearing_the_store_clears_the_view(self):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
-        flight.maybe_record(_query(), "stps", "t", 0.01)
+        _write("t", 0.01)
         assert requests.clear() == 1
-        assert flight.records() == []
-        assert flight.stats()["buffered"] == 0
+        assert _records() == []
+        assert requests.flight_payload()["stats"]["buffered"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +153,12 @@ class TestProcessorIntegration:
     def test_slow_query_recorded_with_trace_id(self, processor):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         result = processor.query(_query())
-        records = flight.records()
+        records = _records()
         assert len(records) == 1
         record = records[0]
-        assert record.trace_id == result.stats.trace_id
-        assert record.algorithm == "stps"
-        assert record.counters["objects_scored"] == (
+        assert record["trace_id"] == result.stats.trace_id
+        assert record["algorithm"] == "stps"
+        assert record["counters"]["objects_scored"] == (
             result.stats.objects_scored
         )
 
@@ -147,9 +168,9 @@ class TestProcessorIntegration:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         processor.query(_query())
         plan = processor.explain(_query()).plan
-        plain, explained = flight.records()[-2:]
-        assert plain.counters == explained.counters
-        counters = plain.counters
+        plain, explained = _records()[-2:]
+        assert plain["counters"] == explained["counters"]
+        counters = plain["counters"]
         assert counters["objects_scored"] == plan.objects_scored
         assert counters["pull_rounds"] == plan.combinations.pull_rounds > 0
         assert counters["rejected_2r"] == plan.combinations.rejected_2r
@@ -164,21 +185,21 @@ class TestProcessorIntegration:
         assert counters["nodes_expanded"] == sum(
             d.nodes_visited for d in plan.feature_sets
         )
-        assert "plan_summary" not in plain.to_dict()
+        assert "plan_summary" not in plain
 
     def test_failed_query_recorded(self, processor):
         requests.configure(enabled_=True, slow_threshold_s=10.0)
         bad = PreferenceQuery(5, 0.05, 0.5, (0b1,))  # c=1 vs 2 trees
         with pytest.raises(QueryError):
             processor.query(bad)
-        records = flight.records()
+        records = _records()
         assert len(records) == 1  # threshold skipped for errors
-        assert records[0].error["type"] == "QueryError"
-        assert records[0].trace_id
+        assert records[0]["error"]["type"] == "QueryError"
+        assert records[0]["trace_id"]
 
     def test_disabled_records_nothing(self, processor):
         processor.query(_query())
-        assert flight.records() == []
+        assert _records() == []
 
 
 class TestShardedIntegration:
@@ -197,15 +218,15 @@ class TestShardedIntegration:
                 shard.processor.execute = _boom
             with pytest.raises(ShardError):
                 sharded.query(_query())
-        records = flight.records()
+        records = _records()
         # The sharded fan-out records the wrapped ShardError with the
         # failing shard's id (the per-shard processor was bypassed, so
         # only the fan-out layer records).
-        shard_errors = [r for r in records if r.error is not None]
+        shard_errors = [r for r in records if "error" in r]
         assert shard_errors
-        assert shard_errors[-1].error["type"] == "ShardError"
-        assert shard_errors[-1].shard_id in (0, 1)
-        assert shard_errors[-1].algorithm == "sharded/stps"
+        assert shard_errors[-1]["error"]["type"] == "ShardError"
+        assert shard_errors[-1]["shard_id"] in (0, 1)
+        assert shard_errors[-1]["algorithm"] == "sharded/stps"
 
     def test_slow_sharded_query_recorded(self):
         from repro.shard import ShardedQueryProcessor
@@ -218,25 +239,29 @@ class TestShardedIntegration:
         ) as sharded:
             result = sharded.query(_query())
         fanout = [
-            r for r in flight.records() if r.algorithm == "sharded/stps"
+            r for r in _records() if r["algorithm"] == "sharded/stps"
         ]
         assert len(fanout) == 1
-        assert fanout[0].trace_id == result.stats.trace_id
+        assert fanout[0]["trace_id"] == result.stats.trace_id
         # The fan-out's digest is the merged one, verdicts included.
         verdicts = {
-            key: n for key, n in fanout[0].counters.items()
+            key: n for key, n in fanout[0]["counters"].items()
             if key.startswith("shards[")
         }
         assert sum(verdicts.values()) == 2
-        assert fanout[0].counters["pull_rounds"] == result.stats.pull_rounds
+        assert fanout[0]["counters"]["pull_rounds"] == (
+            result.stats.pull_rounds
+        )
         # Per-shard executions (inside the fan-out's trace scope) were
-        # recorded too, under the same trace id.
+        # recorded too, under the same trace id, on the query's entry.
+        (entry,) = requests.entries()
         per_shard = [
-            r for r in flight.records() if r.algorithm == "stps"
+            r for r in _records() if r["algorithm"] == "stps"
         ]
         assert per_shard
+        assert len(entry.records) == len(per_shard)
         assert all(
-            r.trace_id == result.stats.trace_id for r in per_shard
+            r["trace_id"] == result.stats.trace_id for r in per_shard
         )
 
 
@@ -248,35 +273,35 @@ class TestDumpRotation:
     def _fill(self, n: int) -> None:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(n):
-            flight.maybe_record(_query(), "stps", f"t{i}", 0.5)
+            _write(f"t{i}", 0.5)
 
     def test_rotation(self, tmp_path):
         self._fill(4)
         path = tmp_path / "flight.jsonl"
         # First dump: no existing file, no rotation.
-        flight.dump_jsonl(path, max_bytes=1 << 16)
+        requests.dump_jsonl(path, docs=_records(), max_bytes=1 << 16)
         assert not (tmp_path / "flight.jsonl.1").exists()
         first = path.read_text()
         # Second dump rotates the first one out instead of clobbering.
-        flight.dump_jsonl(path, max_bytes=1 << 16)
+        requests.dump_jsonl(path, docs=_records(), max_bytes=1 << 16)
         assert (tmp_path / "flight.jsonl.1").read_text() == first
         # Third dump shifts .1 -> .2.
-        flight.dump_jsonl(path, max_bytes=1 << 16)
+        requests.dump_jsonl(path, docs=_records(), max_bytes=1 << 16)
         assert (tmp_path / "flight.jsonl.2").read_text() == first
 
     def test_backups_bounded(self, tmp_path):
         self._fill(2)
         path = tmp_path / "flight.jsonl"
         for _ in range(6):
-            flight.dump_jsonl(path, max_bytes=1 << 16, backups=2)
+            requests.dump_jsonl(path, docs=_records(), max_bytes=1 << 16, backups=2)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["flight.jsonl", "flight.jsonl.1", "flight.jsonl.2"]
 
     def test_oversized_dump_keeps_newest_records(self, tmp_path):
         self._fill(50)
         path = tmp_path / "flight.jsonl"
-        one_line = len(json.dumps(flight.records()[0].to_dict())) + 1
-        flight.dump_jsonl(path, max_bytes=one_line * 3 + 10)
+        one_line = len(json.dumps(_records()[0])) + 1
+        requests.dump_jsonl(path, docs=_records(), max_bytes=one_line * 3 + 10)
         lines = path.read_text().splitlines()
         assert 0 < len(lines) <= 4
         # Newest survive (eviction order matches the store's).
@@ -286,23 +311,21 @@ class TestDumpRotation:
     def test_append_mode_rotates_at_cap(self, tmp_path):
         self._fill(5)
         path = tmp_path / "flight.jsonl"
-        one_dump = sum(
-            len(json.dumps(r.to_dict())) + 1 for r in flight.records()
-        )
+        one_dump = sum(len(json.dumps(r)) + 1 for r in _records())
         cap = int(one_dump * 2.5)
-        flight.dump_jsonl(path, append=True, max_bytes=cap)
-        flight.dump_jsonl(path, append=True, max_bytes=cap)
+        requests.dump_jsonl(path, docs=_records(), append=True, max_bytes=cap)
+        requests.dump_jsonl(path, docs=_records(), append=True, max_bytes=cap)
         assert path.stat().st_size <= cap
         # Third append would exceed the cap: current file rotates away
         # and the dump starts fresh.
-        flight.dump_jsonl(path, append=True, max_bytes=cap)
+        requests.dump_jsonl(path, docs=_records(), append=True, max_bytes=cap)
         assert (tmp_path / "flight.jsonl.1").exists()
         assert path.stat().st_size <= cap
 
     def test_unbounded_dump_unchanged(self, tmp_path):
         self._fill(3)
         path = tmp_path / "flight.jsonl"
-        flight.dump_jsonl(path)
-        flight.dump_jsonl(path)  # plain overwrite, no rotation
+        requests.dump_jsonl(path, docs=_records())
+        requests.dump_jsonl(path, docs=_records())  # plain overwrite, no rotation
         assert not (tmp_path / "flight.jsonl.1").exists()
         assert len(path.read_text().splitlines()) == 3

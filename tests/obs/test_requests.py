@@ -231,6 +231,38 @@ class TestTailSampling:
         assert len(trace["spans"]) == rq.MAX_SPANS_PER_TRACE
 
 
+    def test_byte_budget_counts_error_text(self):
+        """A failed query's message is charged to its entry: 20 errors of
+        5 000 characters under a 20 000-byte budget stay near it."""
+        from repro.core.processor import QueryProcessor
+        from repro.core.query import PreferenceQuery
+        from repro.data.synthetic import (
+            synthetic_feature_sets, synthetic_objects,
+        )
+        from repro.errors import QueryError
+
+        processor = QueryProcessor.build(
+            synthetic_objects(60, seed=5),
+            synthetic_feature_sets(2, 40, 16, seed=6),
+        )
+
+        def fail(*args):
+            raise QueryError("x" * 5000)
+
+        processor._dispatch = fail
+        rq.configure(enabled_=True, max_bytes=20_000)
+        for _ in range(20):
+            with pytest.raises(QueryError):
+                processor.query(PreferenceQuery(3, 0.1, 0.5, (1, 1)))
+        kept = rq.entries()
+        assert kept
+        for entry in kept:
+            (record,) = entry.to_dict()["records"]
+            assert entry.approx_bytes >= len(record["error"]["message"])
+        dumped = sum(len(json.dumps(entry.to_dict())) for entry in kept)
+        assert dumped <= 2 * 20_000
+
+
 class TestQueryAndDump:
     def test_filters_compose(self):
         rq.configure(enabled_=True, uniform_every=0)

@@ -2,7 +2,7 @@
 
 The acceptance test for the tracing tentpole: one client-supplied W3C
 ``traceparent`` id must be observable in the HTTP response header, the
-tail-sampled trace store's span tree, the flight recorder and a
+tail-sampled trace store's span tree, the flight view and a
 histogram exemplar — all joined on the same id.  Plus
 the per-tenant observability pieces that ride along: label-cardinality
 capping, serve gauges, and the ``/traces.json`` endpoint.
@@ -19,7 +19,6 @@ import pytest
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats, ResultItem
-from repro.obs import flight as _flight
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.serve.http import ServeServer
@@ -116,8 +115,8 @@ class TestOneTraceIdEverywhere:
             "serve.backpressure", "serve.execute", "executor.query",
         } <= names
 
-        # 3. The flight recorder admitted the engine query under the id.
-        flight_ids = {r.trace_id for r in _flight.records()}
+        # 3. The flight view lists the engine query under the id.
+        flight_ids = {r["trace_id"] for r in _requests.flight_records()}
         assert CLIENT_TRACE_ID in flight_ids
 
         # 4. A latency-histogram exemplar resolves to the same request.
@@ -141,7 +140,7 @@ class TestOneTraceIdEverywhere:
         trace = _requests.get(doc["trace_id"])
         assert trace is not None and trace.keep_reason == "slow"
         (record,) = trace.records
-        counters = record.to_dict()["counters"]
+        counters = record.counters
         assert counters["pull_rounds"] > 0
         assert counters["rejected_2r"] >= 0
         assert counters["objects_dropped"] == 0
@@ -202,11 +201,12 @@ class TestRejectionTracing:
 
         # The flight record names the tenant and the gate that shed it.
         rejection = next(
-            r for r in _flight.records() if r.trace_id == trace_id
+            r for r in _requests.flight_records()
+            if r["trace_id"] == trace_id
         )
-        assert rejection.tenant == "throttled"
-        assert rejection.decision == "quota"
-        assert rejection.error is None
+        assert rejection["tenant"] == "throttled"
+        assert rejection["decision"] == "quota"
+        assert "error" not in rejection
 
 
 class TestTracesEndpoint:

@@ -18,7 +18,7 @@ from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.errors import QueryError, ShardError
-from repro.obs import flight, requests
+from repro.obs import requests
 from repro.shard import ShardedQueryProcessor
 
 START_METHODS = ["fork", "spawn"]
@@ -129,13 +129,13 @@ class TestProcessModeBehavior:
         requests.clear()
         try:
             result = sharded.query(queries[0])
-            records = flight.records()
-            shard_records = [r for r in records if r.shard_id is not None]
+            records = requests.flight_records()
+            shard_records = [r for r in records if "shard_id" in r]
             assert shard_records, "worker records did not reach the parent"
             shard_ids = {s.spec.shard_id for s in sharded.shards}
-            assert {r.shard_id for r in shard_records} <= shard_ids
+            assert {r["shard_id"] for r in shard_records} <= shard_ids
             assert all(
-                r.trace_id == result.stats.trace_id for r in records
+                r["trace_id"] == result.stats.trace_id for r in records
             )
         finally:
             requests.configure(

@@ -238,7 +238,7 @@ class TestFailureIsolation:
         """Nothing runs, counts or appends after the failing shard: the
         verdicts, the outcome counters and the error record agree."""
         from repro.core.results import QueryStats
-        from repro.obs import flight, requests
+        from repro.obs import requests
         from repro.shard.sharded_processor import shard_queries_metric
 
         objects, feature_sets = datasets
@@ -274,11 +274,11 @@ class TestFailureIsolation:
             ]
             assert counted == len(stats.shards)
             (record,) = [
-                r for r in flight.records()
-                if r.error is not None and r.algorithm == "sharded/stps"
+                r for r in requests.flight_records()
+                if "error" in r and r["algorithm"] == "sharded/stps"
             ]
             assert {
-                key: n for key, n in record.counters.items()
+                key: n for key, n in record["counters"].items()
                 if key.startswith("shards[")
             } == {"shards[executed]": 1, "shards[failed]": 1}
         finally:

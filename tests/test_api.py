@@ -66,6 +66,14 @@ REMOVED = {
         ("src/repro/core/stps.py", "src/repro/core/combinations.py"), (),
     ),
     "iss": (r'ALGORITHM_ISS|influence_search|iss_probes|"iss"', ALL_FILES, ()),
+    # One class of finished work (``requests.RequestTrace``) and one
+    # writer; ``/flight.json`` and ``--flight-out`` are views of it.
+    "second_record": (
+        r"QueryRecord|maybe_record|record_error|record_rejection"
+        r"|repro\.obs\.flight|import flight\b|flight as _flight"
+        r"|\b_?flight\.[a-z_]+\(",
+        ALL_FILES, (),
+    ),
     "live_sharding": (
         r"LiveShardedDataset|live\.sharded|LiveBase|replace_manifest"
         r"|bump_epoch|_refresh_manifest|owning_shard_index"

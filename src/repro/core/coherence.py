@@ -17,12 +17,14 @@ it, so harmless deltas compose in any order.  Any doubt is "no".  With
   scores of objects within ``r`` of it: harmless unless one of them is
   reported (a non-member that loses score cannot enter).
 * **R3** (Defs. 1, 2, range) — adding a relevant feature raises only
-  objects within ``r`` of it, to at most ``s(t) + (c - 1)`` since
-  ``s ≤ 1`` bounds every other set: harmless when the answer is full,
-  no reported object is that near and the bound is below ``s_k``.  A
-  move or rescore is R2 on ``old`` plus R3 on ``new``.  Influence and
-  nearest-neighbour scores have no cut-off radius, so a relevant side
-  there is never harmless.
+  objects within ``r`` of it: harmless when the answer is full and no
+  object within ``r`` of it is reported or reaches ``s_k``.  A ceiling
+  ``s(t) + (c - 1)`` below ``s_k`` (``s ≤ 1`` bounds every other set)
+  proves it without looking; otherwise those objects are scored exactly
+  on the current trees by the batched fold of Algorithm 1
+  (:func:`repro.core.stds.range_reaches`).  A move or rescore is R2 on
+  ``old`` plus R3 on ``new``.  Influence and nearest-neighbour scores
+  have no cut-off radius, so a relevant side there is never harmless.
 * **R4** — deleting an object that is not reported changes nothing.
 * **R5** (Algorithm 2) — an inserted object is harmless iff the answer
   is full and its exact score is below ``s_k``.
@@ -30,6 +32,18 @@ it, so harmless deltas compose in any order.  Any doubt is "no".  With
 "Below" is strict by ``stds._DROP_EPS``, the scan's own tie guard, so
 an object that would tie the k-th score (and could win the ``oid``
 tie-break) always counts as a change.
+
+R3 and R5 score on the trees as they are *after* the whole replay, and
+that is what makes them compose.  A reported object keeps its score:
+R2 and R3 refuse any relevant side within ``r`` of it.  In the range
+variant a non-member's score rises only through a relevant feature
+arriving within ``r`` of it; after the last such arrival in the replay
+its score can only fall or stay, and that arrival's R3 check saw its
+exact score at or after that version — below ``s_k``.  A non-member no
+arrival reached scores at most what it did before, and a newcomer is
+R5's.  The caller must make "the trees" mean the replay's last version:
+:meth:`repro.live.LiveDataset.revalidate` scores under the mutation lock
+and calls it doubt if a write landed since it read the log.
 """
 
 from __future__ import annotations
@@ -43,8 +57,9 @@ from repro.index.feature_tree import FeatureScorer
 from repro.index.nodes import FeatureLeafEntry
 from repro.model.objects import FeatureObject
 
-#: Relative slack on ``r²`` that makes :func:`_reported_within` at least
-#: as inclusive as any engine's ``dx² + dy² ≤ r²``.
+#: Relative slack on ``r²`` (on ``r`` in
+#: :meth:`repro.live.LiveDataset.reaches`) that makes R2's and R3's
+#: "within ``r``" at least as inclusive as any engine's ``dx² + dy² ≤ r²``.
 _RANGE_SLACK = 1.0 + 1e-9
 
 
@@ -74,6 +89,7 @@ def _harmless(
     items: Sequence[ResultItem],
     delta: tuple,
     object_score: Callable | None,
+    reaches: Callable | None,
 ) -> bool:
     target, _op, set_id, old, new = delta
     full = bool(items) and len(items) == query.k
@@ -99,8 +115,12 @@ def _harmless(
     if come is not None:  # R3
         if not full or _reported_within(items, new, query.radius):
             return False
-        ceiling = scorer.leaf_score(come) + (query.c - 1)
-        return ceiling < items[-1].score - _DROP_EPS
+        floor = items[-1].score - _DROP_EPS
+        if scorer.leaf_score(come) + (query.c - 1) < floor:
+            return True
+        if reaches is None:
+            return False
+        return reaches(query, (new.x, new.y), floor) is False
     return True
 
 
@@ -109,6 +129,7 @@ def answer_survives(
     items: Sequence[ResultItem],
     deltas: Iterable[tuple],
     object_score: Callable | None = None,
+    reaches: Callable | None = None,
 ) -> bool:
     """Is ``items`` still the answer to ``query`` after ``deltas``?
 
@@ -116,7 +137,12 @@ def answer_survives(
     ``object_score(query, point)`` returns the exact ``τ(p)`` of a
     point over the *current* feature sets
     (:meth:`repro.live.LiveDataset.object_score`), or None when it
-    cannot say.  True is a proof (rules R1-R5 in the module
-    docstring); False only means "re-run it".
+    cannot say; ``reaches(query, point, floor)`` says whether some
+    object within ``r`` of ``point`` now scores at least ``floor``
+    (:meth:`repro.live.LiveDataset.reaches`), None when it cannot say.
+    True is a proof (rules R1-R5 in the module docstring); False only
+    means "re-run it".
     """
-    return all(_harmless(query, items, d, object_score) for d in deltas)
+    return all(
+        _harmless(query, items, d, object_score, reaches) for d in deltas
+    )

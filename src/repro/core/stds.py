@@ -410,6 +410,22 @@ def _stds_range_batched(
     return _prune_candidates(candidates, top, query.k)
 
 
+def range_reaches(
+    feature_trees: Sequence[FeatureTree],
+    query: PreferenceQuery,
+    objects: list[tuple[int, float, float]],
+    floor: float,
+) -> bool:
+    """Does some of ``objects`` (``(oid, x, y)``) have a range score
+    ``τ(p) ≥ floor``?  Algorithm 1's batched fold with ``floor`` as its
+    threshold: an object that can reach it is scored exactly, one the
+    ``τ̂`` drop discards keeps a partial score below it."""
+    candidates = _stds_range_batched(
+        feature_trees, query, objects, DEFAULT_BATCH_SIZE, floor=floor
+    )
+    return any(score >= floor for score, _, _, _ in candidates)
+
+
 def _prune_candidates(
     candidates: list[tuple[float, int, float, float]],
     top: list[tuple[float, int]],

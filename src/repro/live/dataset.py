@@ -43,9 +43,9 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.coherence import answer_survives
+from repro.core.coherence import _RANGE_SLACK, answer_survives
 from repro.core.processor import QueryProcessor
-from repro.core.stds import score_object
+from repro.core.stds import range_reaches, score_object
 from repro.errors import DatasetError
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.model.dataset import FeatureDataset, ObjectDataset
@@ -369,16 +369,29 @@ class LiveDataset:
 
         Replays :meth:`deltas` through
         :func:`repro.core.coherence.answer_survives` (rules R1-R5) with
-        this dataset's :meth:`object_score`.  Reading the log takes no
-        lock, so only an inserted object (R5 scores it on the trees)
-        can make a replay wait behind a tree write.
+        this dataset's :meth:`object_score` and :meth:`reaches`.  Reading
+        the log takes no lock, so only a rule that scores on the trees
+        (R3 past its ceiling, R5) can make a replay wait behind a tree
+        write; one that finds a write landed since the log was read is
+        doubt, for the trees are no longer those of the version proven.
         """
         deltas = self.deltas(since)
-        if deltas is None or not answer_survives(
-            query, items, deltas, self.object_score
+        if deltas is None:
+            return None
+        version = since + len(deltas)
+
+        def at_version(score):
+            def scored(*args):
+                with self._lock:
+                    return score(*args) if self.version == version else None
+            return scored
+
+        if not answer_survives(
+            query, items, deltas,
+            at_version(self.object_score), at_version(self.reaches),
         ):
             return None
-        return since + len(deltas)
+        return version
 
     def object_score(self, query, point: tuple[float, float]) -> float:
         """Exact ``τ(p)`` of a location over the current feature sets:
@@ -386,6 +399,19 @@ class LiveDataset:
         the mutation lock so it never reads a half-written tree."""
         with self._lock:
             return score_object(self.processor.feature_trees, query, point)
+
+    def reaches(self, query, point: tuple[float, float], floor: float) -> bool:
+        """Does some data object within ``r`` of ``point`` have a range
+        score of at least ``floor`` over the current feature sets?  The
+        batched Algorithm 1 over those objects, under the mutation lock."""
+        with self._lock:
+            near = self.processor.object_tree.range_search(
+                point, query.radius * _RANGE_SLACK
+            )
+            return range_reaches(
+                self.processor.feature_trees, query,
+                [(e.oid, e.x, e.y) for e in near], floor,
+            )
 
     # ------------------------------------------------------------------
     # snapshots (rebuild / brute-force oracle input)

@@ -111,7 +111,7 @@ class ResultCache:
                 self.hits += 1
                 outcomes.labels(event="hit").inc()
                 return result
-        # Replayed outside the lock: R5 runs Algorithm 2 on the trees.
+        # Replayed outside the lock: R3 and R5 score on the trees.
         proven = None
         if query is not None:
             proven = self.live.revalidate(query, result.items, stamp)

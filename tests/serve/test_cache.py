@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import sys
 import threading
 import weakref
@@ -28,7 +29,7 @@ from repro.serve.cache import ResultCache, query_signature
 from repro.serve.service import QueryService, ServeConfig
 from repro.text.vocabulary import Vocabulary
 
-from tests.live.conftest import live_world
+from tests.live.conftest import MutationStream, live_world
 
 QUERY = PreferenceQuery(3, 0.35, 0.5, (0xFFFF, 0xFFFF), Variant.RANGE)
 
@@ -368,12 +369,33 @@ class TestCoherenceRules:
         w.live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 0.55, K0))
         w.assert_survives()
 
-    def test_r3_the_ceiling_counts_every_other_set_as_one(self):
+    def test_r3_a_strong_insert_with_nobody_in_range_survives(self):
         w = HandBuilt()
-        # 0.6 + 1 is not below 1.6: no one is within r of it, but the
-        # rule does not look, so this is doubt — and doubt is stale.
-        w.live.insert_feature(0, FeatureObject(93, 0.5, 0.9, 0.6, K0))
+        # 1.0 + (c - 1) is not below 1.6, so the rule looks: no object
+        # is within r of (0.5, 0.9), and nobody gains.
+        w.live.insert_feature(0, FeatureObject(93, 0.5, 0.9, 1.0, K0))
+        w.assert_survives()
+
+    def test_r3_a_strong_insert_beside_a_non_member_below_the_kth(self):
+        w = HandBuilt()
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 0.8, K0))
+        w.assert_survives()  # C: 1.2 -> 0.8 + 0.7 = 1.5 < 1.6
+
+    def test_r3_an_insert_that_makes_a_non_member_tie_the_kth(self):
+        w = HandBuilt()
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 0.9, K0))
+        # C: 0.9 + 0.7 = 1.6 ties B, who keeps its place on oid — but
+        # a tie always counts as a change: doubt, not a wrong answer.
         assert w.cache.get(w.key) is None
+        assert w.ranked() == w.ranked(w.filled)
+
+    def test_r3_scores_over_a_feature_an_earlier_delta_added(self):
+        w = HandBuilt()
+        # E gains 0.7, then 0.95: each insert alone leaves it below B,
+        # and the second is scored over the trees with the first in.
+        w.live.insert_feature(1, FeatureObject(94, 0.8, 0.21, 0.7, K0))
+        w.live.insert_feature(0, FeatureObject(93, 0.8, 0.19, 0.95, K0))
+        w.assert_killed()  # E: 0 -> 1.65 > 1.6
 
     def test_move_with_a_harmless_old_side_and_a_harmful_new_side(self):
         w = HandBuilt()
@@ -434,6 +456,22 @@ class TestCoherenceRules:
         )  # weak enough for R3; lifts C and the newcomer to 1.25
         w.assert_survives()
 
+    def test_r5_is_doubt_when_a_write_lands_before_it_scores(self):
+        w = HandBuilt()
+        w.live.insert_object(DataObject(6, 0.2, 0.2))  # 1.8 at v1: enters
+        read_log = w.live.deltas
+
+        def read_then_write(since):
+            deltas = read_log(since)
+            w.live.delete_feature(0, 10)  # A and 6 fall to 0.9 at v2
+            return deltas
+
+        w.live.deltas = read_then_write
+        # Scoring 6 at v2 says 0.9 < 1.6; proving the answer at v1 on
+        # that would serve A and B, wrong at v1 and at v2 alike.
+        assert w.cache.get(w.key) is None
+        assert w.live.version == 2
+
     def test_r5_is_unknown_without_a_scorer(self):
         w = HandBuilt()
         w.live.object_score = lambda query, point: None  # as on shards
@@ -473,12 +511,52 @@ class TestCoherenceRules:
         assert w.ranked() == w.ranked(w.filled)  # doubt, not a change
 
 
+class TestPinnedReplay:
+    """The replay's reach, pinned to the count on a seeded stream of the
+    ledger's ``live_mixed`` shape: one op in five a write (the six-op
+    mix of :class:`~tests.live.conftest.MutationStream`), the rest reads
+    of eight fixed range keys through the cache.  Counts, not times:
+    they are the same on every machine."""
+
+    def test_stale_and_revalidated_lookups(self):
+        objects, feature_sets = live_world(
+            n_objects=150, n_features=150, seed=5
+        )
+        live = LiveDataset.build(
+            objects, feature_sets, page_size=512, buffer_pages=32
+        )
+        cache = ResultCache(live=live)
+        keys = [
+            PreferenceQuery(5, 0.1, 0.5, (0b11 << i, 0b11 << (i + 7)))
+            for i in range(8)
+        ]
+        stream = MutationStream(live, seed=11)
+        rng = random.Random(13)
+        for _ in range(200):
+            write = rng.randrange(5)
+            for slot in range(5):
+                if slot == write:
+                    stream.step()
+                    continue
+                query = keys[rng.randrange(len(keys))]
+                key = query_signature(query, "stps")
+                if cache.get(key) is None:
+                    epoch = cache.epoch
+                    result = live.query(query, algorithm="stps")
+                    cache.put(key, result, epoch, query)
+        # With R3 on its ceiling alone (a relevant arrival passes only
+        # when s(t) + (c - 1) < s_k), the same stream gives
+        # (stale, revalidated) = (164, 469).
+        assert (cache.stale, cache.revalidated) == (60, 573)
+
+
 def test_racing_lookups_fills_and_writes_keep_the_books():
     """Threads replay the dataset's log outside the cache lock while the
     others keep writing to it, re-stamping and refilling: every lookup
     is still counted exactly once, nothing but the filled result is
     ever served, and a write that kills the answer is never replayed
-    around."""
+    around.  Half the writes are harmless by R1, half only by R3's
+    scoring on the trees, which races the other threads' writes."""
     w = HandBuilt(k=1)
     live, cache, query, filled = w.live, w.cache, w.query, w.filled
     fids = itertools.count(1000)
@@ -486,7 +564,7 @@ def test_racing_lookups_fills_and_writes_keep_the_books():
 
     def work() -> None:
         for i in range(2000):
-            if i % 3 == 0:
+            if i % 6 == 0:
                 # Harmless by R1: keyword 5 is not the query's.
                 fid = next(fids)
                 live.insert_feature(
@@ -494,6 +572,12 @@ def test_racing_lookups_fills_and_writes_keep_the_books():
                     FeatureObject(
                         fid, fid % 97 / 97, fid % 89 / 89, 1.0, frozenset({5})
                     ),
+                )
+            elif i % 6 == 3:
+                # 0.9 + (c - 1) is not below A's 1.8, and no object is
+                # within r of (0.35, 0.65): harmless once R3 has looked.
+                live.insert_feature(
+                    0, FeatureObject(next(fids), 0.35, 0.65, 0.9, K0)
                 )
             got = cache.get(("k",))
             if got is None:

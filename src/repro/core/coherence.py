@@ -20,14 +20,21 @@ it, so harmless deltas compose in any order.  Any doubt is "no".  With
   objects within ``r`` of it: harmless when the answer is full and no
   object within ``r`` of it is reported or reaches ``s_k``.  A ceiling
   ``s(t) + (c - 1)`` below ``s_k`` (``s ≤ 1`` bounds every other set)
-  proves it without looking; otherwise those objects are scored exactly
-  on the current trees by the batched fold of Algorithm 1
-  (:func:`repro.core.stds.range_reaches`).  A move or rescore is R2 on
-  ``old`` plus R3 on ``new``.  Influence and nearest-neighbour scores
-  have no cut-off radius, so a relevant side there is never harmless.
+  proves it without looking; otherwise the scorer is asked whether one
+  of those objects reaches ``s_k`` on the current trees.  A move or
+  rescore is R2 on ``old`` plus R3 on ``new``.  Influence and
+  nearest-neighbour scores have no cut-off radius, so a relevant side
+  there is never harmless.
 * **R4** — deleting an object that is not reported changes nothing.
 * **R5** (Algorithm 2) — an inserted object is harmless iff the answer
-  is full and its exact score is below ``s_k``.
+  is full and the scorer says its location does not reach ``s_k``.
+
+Both scored rules ask one floor question — does a score reach ``s_k``?
+— not for the score itself, so the scorer
+(:meth:`repro.live.LiveDataset.reaches`) runs Algorithm 1's fold with
+``s_k`` as its threshold (:func:`repro.core.stds.reaches`): batched in
+the range variant, per object in the others, and an object whose
+``τ̂`` falls below the floor is settled without being scored in full.
 
 "Below" is strict by ``stds._DROP_EPS``, the scan's own tie guard, so
 an object that would tie the k-th score (and could win the ``oid``
@@ -38,8 +45,8 @@ that is what makes them compose.  A reported object keeps its score:
 R2 and R3 refuse any relevant side within ``r`` of it.  In the range
 variant a non-member's score rises only through a relevant feature
 arriving within ``r`` of it; after the last such arrival in the replay
-its score can only fall or stay, and that arrival's R3 check saw its
-exact score at or after that version — below ``s_k``.  A non-member no
+its score can only fall or stay, and that arrival's R3 check found it
+below ``s_k`` on trees at or after that version.  A non-member no
 arrival reached scores at most what it did before, and a newcomer is
 R5's.  The caller must make "the trees" mean the replay's last version:
 :meth:`repro.live.LiveDataset.revalidate` scores under the mutation lock
@@ -88,7 +95,6 @@ def _harmless(
     query: PreferenceQuery,
     items: Sequence[ResultItem],
     delta: tuple,
-    object_score: Callable | None,
     reaches: Callable | None,
 ) -> bool:
     target, _op, set_id, old, new = delta
@@ -98,10 +104,10 @@ def _harmless(
             return False  # R4: a reported object left
         if new is None:
             return True
-        if not full or object_score is None:
+        if not full or reaches is None:
             return False
-        score = object_score(query, (new.x, new.y))  # R5
-        return score is not None and score < items[-1].score - _DROP_EPS
+        floor = items[-1].score - _DROP_EPS  # R5
+        return reaches(query, (new.x, new.y), floor, False) is False
     # Leaf-side scoring only: no index bound is asked of this scorer.
     scorer = FeatureScorer(query.keyword_masks[set_id], query.lam, None)
     gone = _relevant_entry(scorer, old)
@@ -120,7 +126,7 @@ def _harmless(
             return True
         if reaches is None:
             return False
-        return reaches(query, (new.x, new.y), floor) is False
+        return reaches(query, (new.x, new.y), floor, True) is False
     return True
 
 
@@ -128,21 +134,16 @@ def answer_survives(
     query: PreferenceQuery,
     items: Sequence[ResultItem],
     deltas: Iterable[tuple],
-    object_score: Callable | None = None,
     reaches: Callable | None = None,
 ) -> bool:
     """Is ``items`` still the answer to ``query`` after ``deltas``?
 
-    ``items`` is the ranked answer over the world before the deltas;
-    ``object_score(query, point)`` returns the exact ``τ(p)`` of a
-    point over the *current* feature sets
-    (:meth:`repro.live.LiveDataset.object_score`), or None when it
-    cannot say; ``reaches(query, point, floor)`` says whether some
-    object within ``r`` of ``point`` now scores at least ``floor``
-    (:meth:`repro.live.LiveDataset.reaches`), None when it cannot say.
-    True is a proof (rules R1-R5 in the module docstring); False only
-    means "re-run it".
+    ``items`` is the ranked answer over the world before the deltas.
+    ``reaches(query, point, floor, nearby)`` is the one scorer, over the
+    *current* feature sets: does the location ``point`` score at least
+    ``floor`` (``nearby`` False, R5), or does some data object within
+    ``r`` of it (``nearby`` True, R3)?  None when it cannot say
+    (:meth:`repro.live.LiveDataset.reaches`).  True is a proof (rules
+    R1-R5 in the module docstring); False only means "re-run it".
     """
-    return all(
-        _harmless(query, items, d, object_score, reaches) for d in deltas
-    )
+    return all(_harmless(query, items, d, reaches) for d in deltas)

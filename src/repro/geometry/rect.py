@@ -133,8 +133,17 @@ class Rect:
         return Rect(low, high)
 
     def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to absorb ``other`` (R-tree choose-subtree)."""
-        return self.union(other).area() - self.area()
+        """Area increase needed to absorb ``other`` (R-tree choose-subtree).
+
+        ``self.union(other).area() - self.area()``, bit for bit, without
+        building the union."""
+        self._check_dim(other.dim)
+        grown = 1.0
+        area = 1.0
+        for slo, shi, olo, ohi in zip(self.low, self.high, other.low, other.high):
+            grown *= max(shi, ohi) - min(slo, olo)
+            area *= shi - slo
+        return grown - area
 
     def intersection_area(self, other: "Rect") -> float:
         """Hyper-volume of the overlap region (0.0 when disjoint)."""

@@ -129,8 +129,18 @@ class ObjectRTree(RTreeBase):
                     ObjectLeafEntry, *(column.tolist() for column in columns)
                 )
             else:
+                # MINDIST² against r², inline: the per-axis gap is one
+                # IEEE subtraction at the box edge, never more than the
+                # leaf test's gap for any point inside, so a node holding
+                # a row the leaf test keeps always passes.
                 for e in node.entries:
-                    if all(e.rect.mindist(a) <= radius for a in anchors):
+                    (lx, ly), (hx, hy) = e.rect.low, e.rect.high
+                    for ax, ay in anchors:
+                        dx = lx - ax if ax < lx else (ax - hx if ax > hx else 0.0)
+                        dy = ly - ay if ay < ly else (ay - hy if ay > hy else 0.0)
+                        if dx * dx + dy * dy > r2:
+                            break
+                    else:
                         stack.append(e.child)
 
     def in_polygon(self, polygon: ConvexPolygon) -> Iterator[ObjectLeafEntry]:

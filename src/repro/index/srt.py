@@ -27,7 +27,6 @@ from repro.index.feature_tree import FeatureScorer, FeatureTree
 from repro.index.nodes import FeatureInternalEntry, FeatureLeafEntry
 from repro.storage.node_cache import DEFAULT_BUFFER_PAGES
 from repro.storage.pagefile import PageFile
-from repro.text.similarity import overlap_ratio
 
 SRT_KEY_BITS = 8
 
@@ -66,8 +65,13 @@ class SRTIndex(FeatureTree):
         return HilbertCurve(4, SRT_KEY_BITS).encode_unit(points.reshape(-1, 4).T)
 
     def make_scorer(self, query_mask: int, lam: float) -> FeatureScorer:
+        # ``overlap_ratio(summary, query_mask)`` with ``|W|`` counted once.
+        n_terms = query_mask.bit_count()
+
         def sim_upper(summary: int) -> float:
-            return overlap_ratio(summary, query_mask)
+            if n_terms == 0:
+                return 0.0
+            return (summary & query_mask).bit_count() / n_terms
 
         return FeatureScorer(query_mask, lam, sim_upper)
 

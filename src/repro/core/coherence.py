@@ -16,25 +16,30 @@ it, so harmless deltas compose in any order.  Any doubt is "no".  With
 * **R2** (Def. 2, range) — removing a relevant feature lowers only the
   scores of objects within ``r`` of it: harmless unless one of them is
   reported (a non-member that loses score cannot enter).
-* **R3** (Defs. 1, 2, range) — adding a relevant feature raises only
-  objects within ``r`` of it: harmless when the answer is full and no
-  object within ``r`` of it is reported or reaches ``s_k``.  A ceiling
-  ``s(t) + (c - 1)`` below ``s_k`` (``s ≤ 1`` bounds every other set)
-  proves it without looking; otherwise the scorer is asked whether one
-  of those objects reaches ``s_k`` on the current trees.  A move or
-  rescore is R2 on ``old`` plus R3 on ``new``.  Influence and
-  nearest-neighbour scores have no cut-off radius, so a relevant side
-  there is never harmless.
+* **R3** (Defs. 1, 2, range) — adding a relevant feature ``t`` to set
+  ``i`` raises only objects within ``r`` of it, and only those with
+  ``τ_i(p) < s(t)``, to exactly ``s(t) + Σ_{j≠i} τ_j(p)``: harmless
+  when the answer is full, no object within ``r`` of ``t`` is
+  reported, and none has ``Σ_{j≠i} τ_j(p)`` reaching ``s_k − s(t)``.
+  A ceiling ``s(t) + (c - 1)`` below ``s_k`` (``s ≤ 1`` bounds every
+  other set) proves it without looking — at ``c = 1`` the ceiling is
+  the whole rule, and an arrival it does not clear is a change even
+  with nobody in range; otherwise the scorer is asked that skip-set
+  question on the current trees, folding the ``c − 1`` sets other than
+  ``i``.  A move or rescore is R2 on ``old`` plus R3 on ``new``.
+  Influence and nearest-neighbour scores have no cut-off radius, so a
+  relevant side there is never harmless.
 * **R4** — deleting an object that is not reported changes nothing.
 * **R5** (Algorithm 2) — an inserted object is harmless iff the answer
   is full and the scorer says its location does not reach ``s_k``.
 
-Both scored rules ask one floor question — does a score reach ``s_k``?
-— not for the score itself, so the scorer
-(:meth:`repro.live.LiveDataset.reaches`) runs Algorithm 1's fold with
-``s_k`` as its threshold (:func:`repro.core.stds.reaches`): batched in
-the range variant, per object in the others, and an object whose
-``τ̂`` falls below the floor is settled without being scored in full.
+Both scored rules ask one floor question — does a score reach ``s_k``
+(R3: ``s_k − s(t)`` over the sets but ``i``)? — not for the score
+itself, so the scorer (:meth:`repro.live.LiveDataset.reaches`) runs
+Algorithm 1's fold with that floor as its threshold
+(:func:`repro.core.stds.reaches`): batched in the range variant, per
+object in the others, and an object whose ``τ̂`` falls below the floor
+is settled without being scored in full.
 
 "Below" is strict by ``stds._DROP_EPS``, the scan's own tie guard, so
 an object that would tie the k-th score (and could win the ``oid``
@@ -42,13 +47,17 @@ tie-break) always counts as a change.
 
 R3 and R5 score on the trees as they are *after* the whole replay, and
 that is what makes them compose.  A reported object keeps its score:
-R2 and R3 refuse any relevant side within ``r`` of it.  In the range
-variant a non-member's score rises only through a relevant feature
-arriving within ``r`` of it; after the last such arrival in the replay
-its score can only fall or stay, and that arrival's R3 check found it
-below ``s_k`` on trees at or after that version.  A non-member no
-arrival reached scores at most what it did before, and a newcomer is
-R5's.  The caller must make "the trees" mean the replay's last version:
+R2 and R3 refuse any relevant side within ``r`` of it.  Take a
+non-member ``p`` in the range variant and its final score, term by
+term.  If some set ``i``'s final term is ``s(t)`` of a feature whose
+last delta in the replay brought it (an insert, or the ``new`` side of
+a move or rescore), that arrival bounds ``p``: its R3 check found
+``s(t) + Σ_{j≠i} τ_j(p)`` — exactly ``p``'s final score, the other
+terms read off the final trees — below ``s_k``.  If no final term is
+such an arrival's, every term comes from a feature ``p`` could already
+score from before the replay, so no term rose and ``p`` scores at most
+what it did.  A newcomer is R5's.  The caller must make "the trees"
+mean the replay's last version:
 :meth:`repro.live.LiveDataset.revalidate` scores under the mutation lock
 and calls it doubt if a write landed since it read the log.
 """
@@ -107,7 +116,7 @@ def _harmless(
         if not full or reaches is None:
             return False
         floor = items[-1].score - _DROP_EPS  # R5
-        return reaches(query, (new.x, new.y), floor, False) is False
+        return reaches(query, (new.x, new.y), floor, None) is False
     # Leaf-side scoring only: no index bound is asked of this scorer.
     scorer = FeatureScorer(query.keyword_masks[set_id], query.lam, None)
     gone = _relevant_entry(scorer, old)
@@ -122,11 +131,12 @@ def _harmless(
         if not full or _reported_within(items, new, query.radius):
             return False
         floor = items[-1].score - _DROP_EPS
-        if scorer.leaf_score(come) + (query.c - 1) < floor:
+        gain = scorer.leaf_score(come)
+        if gain + (query.c - 1) < floor:
             return True
-        if reaches is None:
+        if query.c == 1 or reaches is None:
             return False
-        return reaches(query, (new.x, new.y), floor, True) is False
+        return reaches(query, (new.x, new.y), floor - gain, set_id) is False
     return True
 
 
@@ -139,10 +149,10 @@ def answer_survives(
     """Is ``items`` still the answer to ``query`` after ``deltas``?
 
     ``items`` is the ranked answer over the world before the deltas.
-    ``reaches(query, point, floor, nearby)`` is the one scorer, over the
+    ``reaches(query, point, floor, skip)`` is the one scorer, over the
     *current* feature sets: does the location ``point`` score at least
-    ``floor`` (``nearby`` False, R5), or does some data object within
-    ``r`` of it (``nearby`` True, R3)?  None when it cannot say
+    ``floor`` (``skip`` None, R5), or does some data object within ``r``
+    of it, summed over every set but ``skip`` (R3)?  None when it cannot say
     (:meth:`repro.live.LiveDataset.reaches`).  True is a proof (rules
     R1-R5 in the module docstring); False only means "re-run it".
     """

@@ -31,13 +31,14 @@ Performance notes (not part of the paper's algorithms):
   which it is already final, because its pending set only ever shrinks
   (:func:`compute_scores_batch` says why none of it can change a score
   or an expansion): an entry out of reach of the pending set's bounding
-  box is pruned when its parent opens, an opened leaf is one heap entry
-  re-keyed per feature taken, and the scan ends when every object left
-  is doomed.
+  box is pruned when its parent opens, before its text is scored, an
+  opened leaf is one heap entry re-keyed per feature taken, and the
+  scan ends when every object left is doomed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import logging
 import math
@@ -125,10 +126,14 @@ def compute_scores_batch(
     a score or an expansion:
 
     * an internal entry farther than ``r`` from the pending set's
-      bounding box is pruned when its parent opens.  The pop-time test
-      would reject it too — the box still contains every pending object
-      then — and a rejected entry contributes nothing, so the entries
-      that *are* expanded, and their order, are untouched;
+      bounding box is pruned when its parent opens, and reach is tested
+      before relevance, so its ``ŝ(e)`` is never computed (EXPLAIN's
+      ``pruned_bounds`` asks for it only when requested).  The pop-time
+      test would reject it too — the box still contains every pending
+      object then — and a rejected entry contributes nothing, so the
+      entries that *are* expanded, and their order, are untouched.
+      ``nodes_pruned`` counts every entry out of reach, whatever its
+      text;
     * an opened leaf is one heap entry over its sorted run, re-keyed on
       the next score per feature taken, with one tie-break counter
       reserved per run position: features pop in exactly the order of a
@@ -205,18 +210,21 @@ def compute_scores_batch(
                 counter += len(neg_scores)
             return
         for e in node.entries:
-            bound = scorer.relevant_bound(e)
-            if bound is None:
-                continue
-            # The bound-prune, decided before e is ever queued:
-            # ``grid.out_of_reach(e.rect, radius)``, inline.
+            # The reach-prune, decided before e is ever queued and before
+            # its text is scored: ``grid.out_of_reach(e.rect, radius)``,
+            # inline.
             (lx, ly), (hx, hy) = e.rect.low, e.rect.high
             dx = lx - maxx if lx > maxx else (minx - hx if minx > hx else 0.0)
             dy = ly - maxy if ly > maxy else (miny - hy if miny > hy else 0.0)
             if dx * dx + dy * dy > r2:
                 stats.nodes_pruned += 1
                 if pruned_bounds is not None:
-                    pruned_bounds.add(bound)
+                    bound = scorer.relevant_bound(e)
+                    if bound is not None:
+                        pruned_bounds.add(bound)
+                continue
+            bound = scorer.relevant_bound(e)
+            if bound is None:
                 continue
             counter += 1
             heappush(heap, (-bound, counter, e, -1))
@@ -253,7 +261,7 @@ def compute_scores_batch(
                 stats.nodes_visited += 1
                 open_node(node)
             else:
-                # The bound-prune of the batched expansion rule: the
+                # The reach-prune of the batched expansion rule: the
                 # subtree's ŝ(e) is known (= -neg_bound) but no pending
                 # object is near its rectangle any more.
                 stats.nodes_pruned += 1
@@ -406,12 +414,20 @@ def reaches(
     query: PreferenceQuery,
     objects: list[tuple[int, float, float]],
     floor: float,
+    skip: int | None = None,
 ) -> bool:
     """Does some of ``objects`` (``(oid, x, y)``) score ``τ(p) ≥ floor``
-    under the query's variant?  Algorithm 1's fold with ``floor`` as its
+    under the query's variant — summed over every feature set but
+    ``skip`` when one is given?  Algorithm 1's fold with ``floor`` as its
     threshold — batched for the range variant, per object otherwise: an
     object that can reach it is scored exactly, one the ``τ̂`` drop
     discards has a score below it."""
+    if skip is not None:
+        feature_trees = [t for j, t in enumerate(feature_trees) if j != skip]
+        masks = tuple(
+            m for j, m in enumerate(query.keyword_masks) if j != skip
+        )
+        query = dataclasses.replace(query, keyword_masks=masks)
     if query.variant is Variant.RANGE:
         candidates = _stds_range_batched(
             feature_trees, query, objects, DEFAULT_BATCH_SIZE, floor=floor

@@ -370,12 +370,12 @@ class LiveDataset:
         Replays :meth:`deltas` through
         :func:`repro.core.coherence.answer_survives` (rules R1-R5) with
         this dataset's :meth:`reaches` as the one scorer: R3 and R5 ask
-        it a floor question — does a score reach ``s_k``? — never for a
-        score.  Reading the log takes no lock, so only a rule that asks
-        the trees (R3 past its ceiling, R5) can make a replay wait
-        behind a tree write; one that finds a write landed since the log
-        was read is doubt, for the trees are no longer those of the
-        version proven.
+        it a floor question — does a score (R3: over the sets an arrival
+        did not touch) reach the floor? — never for a score.  Reading the
+        log takes no lock, so only a rule that asks the trees (R3 past
+        its ceiling, R5) can make a replay wait behind a tree write; one
+        that finds a write landed since the log was read is doubt, for
+        the trees are no longer those of the version proven.
         """
         deltas = self.deltas(since)
         if deltas is None:
@@ -392,15 +392,17 @@ class LiveDataset:
         return version
 
     def reaches(
-        self, query, point: tuple[float, float], floor: float, nearby: bool
+        self, query, point: tuple[float, float], floor: float,
+        skip: int | None,
     ) -> bool:
         """Does the location ``point`` score at least ``floor`` over the
-        current feature sets — or, with ``nearby``, does some data object
-        within ``r`` of it?  Algorithm 1's fold with ``floor`` as its
-        threshold (:func:`repro.core.stds.reaches`), under the mutation
-        lock so it never reads a half-written tree."""
+        current feature sets (``skip`` None) — or does some data object
+        within ``r`` of it, summed over every set but ``skip``?
+        Algorithm 1's fold with ``floor`` as its threshold
+        (:func:`repro.core.stds.reaches`), under the mutation lock so it
+        never reads a half-written tree."""
         with self._lock:
-            if nearby:
+            if skip is not None:
                 objects = [
                     (e.oid, e.x, e.y)
                     for e in self.processor.object_tree.range_search(
@@ -410,7 +412,7 @@ class LiveDataset:
             else:
                 objects = [(-1, *point)]  # the location, under no real id
             return stds_reaches(
-                self.processor.feature_trees, query, objects, floor
+                self.processor.feature_trees, query, objects, floor, skip
             )
 
     # ------------------------------------------------------------------

@@ -110,13 +110,15 @@ class FeatureSetDiag:
     set_id: int
     #: Index nodes expanded (read + children pushed) for this set.
     nodes_visited: int = 0
-    #: Internal entries discarded without expansion (text-irrelevant at
-    #: push time, or bound-pruned — see ``pruned_bounds``).
+    #: Internal entries discarded without expansion (the stream:
+    #: text-irrelevant at push time; batched STDS: out of reach of the
+    #: pending objects, whatever their text — see ``pruned_bounds``).
     nodes_pruned: int = 0
     #: Leaf entries discarded (text-irrelevant or out of range).
     entries_pruned: int = 0
-    #: ``ŝ(e)`` of entries pruned *by bound* (batched STDS; text prunes
-    #: carry none).  Plan detail: None unless ``QueryStats.detail`` is set.
+    #: ``ŝ(e)`` of the text-relevant entries batched STDS pruned out of
+    #: reach (text prunes carry none).  Plan detail: None unless
+    #: ``QueryStats.detail`` is set.
     pruned_bounds: BoundSummary | None = None
     #: Feature objects pulled from this set's sorted stream (STPS).
     #: Reconciles with ``repro_features_pulled_total{feature_set=...}``.

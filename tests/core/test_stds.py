@@ -8,8 +8,10 @@ from repro.core.bruteforce import brute_force, component_score
 from repro.core.query import PreferenceQuery, Variant
 from repro.core.stds import compute_score, compute_scores_batch, stds
 from repro.core.processor import QueryProcessor
+from repro.core.results import QueryStats
 from repro.errors import QueryError
 from repro.model.dataset import FeatureDataset, ObjectDataset
+from repro.obs.explain import PlanDetail
 from tests.conftest import make_data_objects, make_feature_objects, random_mask
 
 
@@ -131,14 +133,24 @@ class TestPinnedWork:
     when decided although the old scan ended before reaching them, minus
     the one entry the old scan popped and rejected against an already
     empty grid in the iteration where the new one breaks.
+
+    ``nodes_pruned`` moved once more when reach came to be tested before
+    relevance at push time: it counts every entry out of reach, whatever
+    its text, so the text-irrelevant ones out of reach joined it —
+    [60, 59] → [66, 72] (c = 2), [60, 54, 67] → [66, 68, 73] (c = 3).
+    The entries pruned *with* a bound (``pruned_bounds``, whose ``ŝ(e)``
+    is computed only when a plan asks for it) are still those counts.
     """
 
     MASKS = (0b1011, 0b110100, 0b11000001)
     # c -> (nodes_expanded, per-set node_visited, heap_pops then -> now,
-    #       per-set nodes_pruned then -> now)
+    #       per-set nodes_pruned then -> with a bound -> now)
     PINNED = {
-        2: (167, [102, 65], 530, 436, [60, 56], [60, 59]),
-        3: (288, [102, 92, 94], 970, 820, [60, 54, 64], [60, 54, 67]),
+        2: (167, [102, 65], 530, 436, [60, 56], [60, 59], [66, 72]),
+        3: (
+            288, [102, 92, 94], 970, 820,
+            [60, 54, 64], [60, 54, 67], [66, 68, 73],
+        ),
     }
 
     @pytest.mark.parametrize("c", [2, 3])
@@ -157,14 +169,16 @@ class TestPinnedWork:
         query = _q(self.MASKS[:c], radius=0.05)
         stats = stds(
             processor.object_tree, processor.feature_trees, query,
-            batch_size=64,
+            batch_size=64, stats=QueryStats(detail=PlanDetail()),
         ).stats
-        expanded, visited, pops_then, pops_now, pruned_then, pruned_now = (
-            self.PINNED[c]
-        )
+        (
+            expanded, visited, pops_then, pops_now,
+            pruned_then, pruned_bounded, pruned_now,
+        ) = self.PINNED[c]
         sets = stats.feature_sets
         assert stats.nodes_expanded == expanded == sum(visited)
         assert [fs.nodes_visited for fs in sets] == visited
         assert stats.heap_pops == pops_now == pops_then - {2: 94, 3: 150}[c]
         assert [fs.nodes_pruned for fs in sets] == pruned_now
-        assert sum(pruned_now) == sum(pruned_then) + 4 - 1
+        assert [fs.pruned_bounds.count for fs in sets] == pruned_bounded
+        assert sum(pruned_bounded) == sum(pruned_then) + 4 - 1

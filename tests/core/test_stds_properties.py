@@ -5,8 +5,10 @@ entries pruned against the pending set's bounding box when their parent
 opens, one heap entry per leaf run, a drop cursor that ends the scan when
 every object is doomed.  None of that may change a score: the batch must
 equal the per-object ``compute_score`` on every object the threshold has
-not doomed (a doomed one is left at 0.0), and ``stds`` must equal brute
-force at every ``batch_size``.
+not doomed (a doomed one is left at 0.0), ``stds`` must equal brute
+force at every ``batch_size``, and ``reaches`` — the fold asked one
+floor question, over every set or all but one — must answer as brute
+force does.
 
 Worlds sit where those shortcuts bite: 256-byte pages (fan-out 5-7, so
 40 features make a height-3 tree), coordinates on a 1/8 lattice with
@@ -18,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bruteforce import brute_force
+from repro.core.bruteforce import brute_force, component_score
 from repro.core.processor import INDEX_CLASSES, QueryProcessor
-from repro.core.query import PreferenceQuery
-from repro.core.stds import _DROP_EPS, compute_score, compute_scores_batch, stds
+from repro.core.query import PreferenceQuery, Variant
+from repro.core.stds import (
+    _DROP_EPS, compute_score, compute_scores_batch, reaches, stds,
+)
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import DataObject, FeatureObject
 from repro.storage.pagefile import MemoryPageFile
@@ -152,3 +156,50 @@ def test_stds_equals_brute_force_at_every_batching(
             item.oid for item in want.items
         ], batch_size
         assert got.scores == pytest.approx(want.scores, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "c, skip",
+    [(2, None), (2, 0), (2, 1), (3, None), (3, 0), (3, 1), (3, 2)],
+)
+@settings(profile, max_examples=8)
+@given(
+    sets=st.lists(feature_set, min_size=3, max_size=3),
+    locations=points,
+    variant=st.sampled_from(list(Variant)),
+    radius=st.sampled_from(RADII[1:]),
+    masks=st.lists(mask, min_size=3, max_size=3),
+    rank=st.integers(0, 2),
+    offset=st.sampled_from([-1e-6, 1e-6, -0.25, 0.25]),
+)
+def test_reaches_iff_some_object_sums_to_the_floor(
+    c, skip, sets, locations, variant, radius, masks, rank, offset
+):
+    """``reaches(..., floor, skip)`` is True iff some object's
+    brute-force ``Σ_{j≠skip} τ_j`` is at least ``floor``; floors sit just
+    either side of one of the three best sums, and a quarter off it."""
+    objects = ObjectDataset(
+        [DataObject(i, x, y) for i, (x, y) in enumerate(locations)]
+    )
+    feature_sets = [dataset(rows) for rows in sets[:c]]
+    processor = QueryProcessor.build(
+        objects, feature_sets, page_size=PAGE_SIZE
+    )
+    query = PreferenceQuery(
+        k=1, radius=radius, lam=0.5, keyword_masks=tuple(masks[:c]),
+        variant=variant,
+    )
+    sums = [
+        sum(
+            component_score(o.x, o.y, fs, m, query)
+            for j, (fs, m) in enumerate(zip(feature_sets, query.keyword_masks))
+            if j != skip
+        )
+        for o in objects
+    ]
+    floor = sorted(sums, reverse=True)[rank % len(sums)] + offset
+    got = reaches(
+        processor.feature_trees, query,
+        [(o.oid, o.x, o.y) for o in objects], floor, skip,
+    )
+    assert got is any(total >= floor for total in sums)

@@ -265,13 +265,14 @@ class HandBuilt:
     SCORES = {1: (0.9, 0.9), 2: (0.8, 0.8), 3: (0.5, 0.7)}
 
     def __init__(
-        self, k: int = 2, oids=(1, 2, 3, 4, 5), variant=Variant.RANGE
+        self, k: int = 2, oids=(1, 2, 3, 4, 5), variant=Variant.RANGE,
+        c: int = 2,
     ) -> None:
         objects = ObjectDataset(
             [DataObject(oid, *self.SPOTS[oid]) for oid in oids]
         )
         sets = []
-        for i in range(2):
+        for i in range(c):
             features = [
                 FeatureObject(10 * oid + i, x + 0.01, y, scores[i], K0)
                 for oid, scores in self.SCORES.items()
@@ -286,8 +287,12 @@ class HandBuilt:
         self.live = LiveDataset.build(
             objects, sets, page_size=512, buffer_pages=16
         )
-        self.query = PreferenceQuery(k, 0.1, 0.0, (1, 1), variant)
+        self.query = PreferenceQuery(k, 0.1, 0.0, (1,) * c, variant)
         self.key = query_signature(self.query, "stps")
+        self.refill()
+
+    def refill(self) -> None:
+        """A fresh cache holding the answer over the world as it is now."""
         self.cache = ResultCache(live=self.live)
         self.filled = self.live.query(self.query, algorithm="stps")
         self.cache.put(self.key, self.filled, self.cache.epoch, self.query)
@@ -392,6 +397,58 @@ class TestCoherenceRules:
         # a tie always counts as a change: doubt, not a wrong answer.
         assert w.cache.get(w.key) is None
         assert w.ranked() == w.ranked(w.filled)
+
+    def tie_e_with_b(self) -> HandBuilt:
+        """E (5) at B's 1.6 (0.8 + 0.8), behind B on oid: the answer is
+        still A, B."""
+        w = HandBuilt()
+        w.live.insert_feature(0, FeatureObject(95, 0.81, 0.2, 0.8, K0))
+        w.live.insert_feature(1, FeatureObject(96, 0.81, 0.2, 0.8, K0))
+        w.refill()
+        assert w.ranked() == [(1, 1.8), (2, 1.6)]
+        return w
+
+    def test_r3_an_insert_the_objects_own_set_already_beats_survives(self):
+        w = self.tie_e_with_b()
+        # E's set-0 term is 0.8 > 0.7: E keeps 1.6, still behind B.  Its
+        # other set, 0.8, stays below 1.6 - 0.7; folding both sets would
+        # see E's 1.6 reach s_k and call it a change.
+        w.live.insert_feature(0, FeatureObject(97, 0.8, 0.21, 0.7, K0))
+        w.assert_survives()
+
+    def test_r3_an_insert_whose_other_sets_reach_the_rest_is_stale(self):
+        w = self.tie_e_with_b()
+        # E's set 0 gives 0.8 >= 1.6 - 0.85: E: 0.8 + 0.85 = 1.65 > 1.6.
+        w.live.insert_feature(1, FeatureObject(97, 0.8, 0.21, 0.85, K0))
+        w.assert_killed()
+
+    @pytest.mark.parametrize(
+        "spot, score, outcome",
+        [
+            ((0.8, 0.81), 0.75, "survives"),  # C: 0.5 -> 0.75 < B's 0.8
+            ((0.8, 0.81), 0.85, "killed"),  # C: 0.5 -> 0.85 > B's 0.8
+            # Nobody in range, but at c = 1 the ceiling is the whole
+            # rule: an arrival reaching s_k by itself is doubt.
+            ((0.5, 0.9), 0.85, "doubt"),
+        ],
+    )
+    def test_r3_at_c1_the_ceiling_decides_without_the_scorer(
+        self, spot, score, outcome
+    ):
+        w = HandBuilt(c=1)  # A 0.9, B 0.8, C 0.5
+
+        def no_scorer(*args):
+            raise AssertionError("R3 at c = 1 asked the scorer")
+
+        w.live.reaches = no_scorer
+        w.live.insert_feature(0, FeatureObject(93, *spot, score, K0))
+        if outcome == "survives":
+            w.assert_survives()
+        elif outcome == "killed":
+            w.assert_killed()
+        else:
+            assert w.cache.get(w.key) is None
+            assert w.ranked() == w.ranked(w.filled)
 
     def test_r3_scores_over_a_feature_an_earlier_delta_added(self):
         w = HandBuilt()
@@ -506,7 +563,7 @@ class TestCoherenceRules:
 
     def test_r5_is_unknown_without_a_scorer(self):
         w = HandBuilt()
-        w.live.reaches = lambda query, point, floor, nearby: None  # doubt
+        w.live.reaches = lambda query, point, floor, skip: None  # doubt
         w.live.insert_object(DataObject(0, 0.8, 0.8))
         assert w.cache.get(w.key) is None
 
@@ -578,8 +635,12 @@ class TestPinnedReplay:
                     cache.put(key, result, epoch, query)
         # With R3 on its ceiling alone (a relevant arrival passes only
         # when s(t) + (c - 1) < s_k), the same stream gives
-        # (stale, revalidated) = (164, 469).
-        assert (cache.stale, cache.revalidated) == (60, 573)
+        # (stale, revalidated) = (164, 469); with R3 folding every set
+        # against s_k, not the other sets against s_k - s(t), (60, 573):
+        # one move landed beside two non-members tied with the k-th
+        # score, whose set-0 term (0.889) already beat its s(t) (0.517),
+        # and counted as a change.
+        assert (cache.stale, cache.revalidated) == (59, 574)
 
 
 def test_racing_lookups_fills_and_writes_keep_the_books():

@@ -74,10 +74,13 @@ REMOVED = {
         r"|\b_?flight\.[a-z_]+\(",
         ALL_FILES, (),
     ),
-    # Coherence asks the live dataset one floor question (``reaches``);
+    # Coherence asks the live dataset one floor question,
+    # ``reaches(query, point, floor, skip)``: ``skip`` None is R5's
+    # location, a set id R3's skip-set sum (no ``nearby`` flag);
     # ``core.bruteforce.object_score``, the definition, stays.
     "second_r5_scorer": (
-        r"self\.object_score|live\.object_score|object_score: Callable",
+        r"self\.object_score|live\.object_score|object_score: Callable"
+        r"|nearby: bool|floor, nearby\b",
         ALL_FILES, (),
     ),
     "live_sharding": (

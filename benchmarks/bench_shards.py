@@ -10,10 +10,11 @@ clustered datasets and the same workload, at 1/2/4/8 shards:
 * **warm** — one warm-up pass, then a timed pass inside the same
   session, so buffers stay hot.
 
-The default fan-out visits shards serially on the caller's thread, and
-since STPS assembles combinations by a join on pull its work is linear in the features it pulls: S shards with
-an r-halo then do roughly the single-node work plus S dispatches, so the
-expected cold "speedup" is at or a little below 1.  (Before the join it
+The fan-out visits shards serially on the caller's thread, and since
+STPS assembles combinations by a join on pull its work is linear in the
+features it pulls: S shards with an r-halo then do roughly the
+single-node work plus S dispatches, so the expected cold "speedup" is at
+or a little below 1.  (Before the join it
 was 2-7x on one core, because the product-lattice enumeration was
 super-linear in the features per index — an artefact, not parallelism.)
 What the rows gate is the fan-out's overhead, the shared top-k floor's
@@ -163,13 +164,6 @@ def bench(args) -> dict:
             result["combinations"] = combination_counts(baseline, workload)
         results.append(result)
 
-    process_mode = None
-    if not args.skip_process:
-        process_mode = [
-            bench_process_mode(args, objects, feature_sets, workload, result)
-            for result in results
-        ]
-
     return {
         "benchmark": "shard-scaling",
         "config": {
@@ -183,7 +177,6 @@ def bench(args) -> dict:
             "lam": args.lam,
             "halo_radius": args.halo,
             "method": args.method,
-            "workers": args.workers,
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
         },
@@ -194,77 +187,6 @@ def bench(args) -> dict:
         # ~50x lower and sharding is roughly neutral for it.
         "headline_algorithm": args.algorithms[0],
         "speedup_cold_s4": results[0]["speedup_cold_s4"],
-        # Process fan-out vs serial fan-out, same workload, one entry
-        # per algorithm.  Honest caveat: on a single-CPU runner the
-        # process pass pays dispatch overhead with no cores to spread
-        # across, so speedup_vs_serial < 1 there; the sentinel only
-        # gates it on multi-core machines.
-        "process_mode": process_mode,
-    }
-
-
-def bench_process_mode(
-    args, objects, feature_sets, workload, serial_result
-) -> dict:
-    """Process fan-out over shared-memory pages, one algorithm.
-
-    Runs the exact workload of the serial-mode pass at every shard count
-    and reports speedups both against the unsharded baseline and against
-    the matching serial-mode row (``speedup_vs_serial_*``) — the number
-    that isolates the fan-out substrate from the sharding algorithmics.
-    """
-    algorithm = serial_result["algorithm"]
-    serial_rows = {row["shards"]: row for row in serial_result["shards"]}
-    base_cold = serial_result["baseline_cold_s"]
-    base_warm = serial_result["baseline_warm_s"]
-    rows = []
-    for shards in args.shards:
-        t0 = time.perf_counter()
-        with ShardedQueryProcessor.build(
-            objects,
-            feature_sets,
-            shards=shards,
-            radius=args.halo,
-            method=args.method,
-            max_workers=args.workers,
-            fanout="processes",
-            start_method=args.start_method,
-        ) as sharded:
-            build_s = time.perf_counter() - t0
-            sharded.reset_stats()
-            cold_s = run_cold(sharded, workload, algorithm)
-            warm_s = run_warm(sharded, workload, algorithm)
-            outcomes = shard_outcomes()
-            serial_row = serial_rows.get(sharded.shard_count, {})
-            t_cold = serial_row.get("cold_s", 0.0)
-            t_warm = serial_row.get("warm_s", 0.0)
-            rows.append(
-                {
-                    "shards": sharded.shard_count,
-                    "build_s": round(build_s, 4),
-                    "cold_s": round(cold_s, 4),
-                    "warm_s": round(warm_s, 4),
-                    "speedup_cold": round(cold_s and base_cold / cold_s, 2),
-                    "speedup_warm": round(warm_s and base_warm / warm_s, 2),
-                    "speedup_vs_serial_cold": round(
-                        cold_s and t_cold / cold_s, 2
-                    ),
-                    "speedup_vs_serial_warm": round(
-                        warm_s and t_warm / warm_s, 2
-                    ),
-                    "shard_queries_executed": outcomes.get("executed", 0),
-                    "shard_queries_pruned": outcomes.get("pruned", 0),
-                }
-            )
-    by_count = {row["shards"]: row for row in rows}
-    return {
-        "algorithm": algorithm,
-        "start_method": args.start_method or "default",
-        "rows": rows,
-        "speedup_cold_s4": by_count.get(4, {}).get("speedup_cold", 0.0),
-        "cold_speedup_vs_serial_s4": by_count.get(4, {}).get(
-            "speedup_vs_serial_cold", 0.0
-        ),
     }
 
 
@@ -285,23 +207,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--shards", type=int, nargs="+", default=[1, 2, 4, 8]
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pass workers per query (default: min(shards, cpus))",
-    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--algorithms", nargs="+", default=["stps", "stds"],
         choices=["stps", "stds"],
-    )
-    parser.add_argument(
-        "--skip-process", action="store_true",
-        help="skip the process fan-out pass",
-    )
-    parser.add_argument(
-        "--start-method", default=None,
-        choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method for the process pass",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -330,19 +239,6 @@ def main(argv=None) -> int:
                 f"executed {shard_row['shard_queries_executed']} / "
                 f"pruned {shard_row['shard_queries_pruned']}  "
                 f"build {shard_row['build_s']:.2f}s"
-            )
-    for process_mode in payload.get("process_mode") or []:
-        print(
-            f"  process fan-out ({process_mode['algorithm']}, "
-            f"start={process_mode['start_method']}):"
-        )
-        for row in process_mode["rows"]:
-            print(
-                f"        S{row['shards']}: cold {row['cold_s']:.2f}s "
-                f"({row['speedup_cold']:.2f}x vs baseline, "
-                f"{row['speedup_vs_serial_cold']:.2f}x vs serial)  "
-                f"warm {row['warm_s']:.2f}s "
-                f"({row['speedup_vs_serial_warm']:.2f}x vs serial)"
             )
     return 0
 

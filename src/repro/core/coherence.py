@@ -1,6 +1,6 @@
 """Which mutations can change a known top-k (standing-answer coherence).
 
-A cached or monitored answer is the top-k of one world;
+A cached answer is the top-k of one world;
 :func:`answer_survives` decides whether it is still the top-k after a
 sequence of live-dataset deltas ``(target, op, set_id, old, new)``
 (entries of the dataset's mutation log, replayed by

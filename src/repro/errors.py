@@ -64,9 +64,9 @@ class DatasetError(ReproError):
 
 
 class ShardError(ReproError):
-    """Failure inside the sharded engine (partitioning or shard worker).
+    """Failure inside the sharded engine (partitioning or a shard query).
 
-    Wraps unexpected per-shard worker exceptions with the shard id so a
+    Wraps unexpected per-shard exceptions with the shard id so a
     batch can report *which* shard of *which* query failed; library
     errors (:class:`QueryError` etc.) propagate unwrapped.
     """
@@ -75,10 +75,3 @@ class ShardError(ReproError):
         super().__init__(f"shard {shard_id}: {message}")
         self.shard_id = shard_id
         self.message = message
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (the formatted
-        # string) into the two-argument __init__ and fails; the sharded
-        # engine ships these across process boundaries, so restore from
-        # the original pair instead.
-        return (type(self), (self.shard_id, self.message))

@@ -12,9 +12,8 @@ one, rebuild it.
 
 The dataset keeps one log of its last :data:`DELTA_LOG` mutation
 deltas; :meth:`LiveDataset.revalidate` replays it to prove a known
-top-k still right.  Standing answers rest on it: :class:`TopKMonitor`
-(a continuous top-k over a mutation stream) and the serving layer's
-result cache (:mod:`repro.serve.cache`) re-run a query only when a
+top-k still right.  The serving layer's result cache
+(:mod:`repro.serve.cache`) rests on it: it re-runs a query only when a
 write may have changed its answer.
 """
 
@@ -27,7 +26,6 @@ from repro.live.dataset import (
     feature_entry,
     object_entry,
 )
-from repro.live.monitor import TopKDelta, TopKMonitor
 
 __all__ = [
     "DELTA_LOG",
@@ -35,8 +33,6 @@ __all__ = [
     "MUTATION_OPS",
     "LiveDataset",
     "Mutation",
-    "TopKDelta",
-    "TopKMonitor",
     "feature_entry",
     "object_entry",
 ]

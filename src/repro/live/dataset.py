@@ -27,8 +27,8 @@ call away.
 Every mutation bumps :attr:`~LiveDataset.version` and records its delta in
 the dataset's one mutation log, the last :data:`DELTA_LOG` of them.
 :meth:`~LiveDataset.revalidate` replays that log against a known answer
-(:func:`repro.core.coherence.answer_survives`); the serving cache and
-:class:`~repro.live.TopKMonitor` both keep their answers current by it.
+(:func:`repro.core.coherence.answer_survives`); the serving cache keeps
+its answers current by it.
 
 Concurrency model: one writer.  Mutations take an internal lock against
 each other, but a mutation concurrent with a query may expose the query

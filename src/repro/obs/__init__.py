@@ -9,7 +9,7 @@ vs. CPU time, combinations examined, feature objects pulled (Section
 * :mod:`repro.obs.tracing` — a near-zero-overhead span tracer (disabled
   by default) recording per-query phase timelines and exporting Chrome
   trace-event JSON loadable in Perfetto; also the one carrier of trace
-  identity across thread and process hops (``capture`` / ``resume``);
+  identity across thread hops (``capture`` / ``resume``);
 * :mod:`repro.obs.export` — Prometheus / OpenMetrics text exposition,
   JSON snapshots, and the stdlib ``http.server`` endpoint whose
   lifecycle :class:`repro.serve.http.ServeServer` inherits;

@@ -63,11 +63,6 @@ RATIO_TOLERANCE = 0.55
 #: a speedup floor: STPS work is linear in the features it pulls, so on
 #: one core splitting the space buys nothing and costs the dispatch.
 SHARD_FANOUT_FLOOR = 0.4
-#: Floor mode: minimum process-fanout cold speedup over serial fan-out
-#: at 4 shards.  Only meaningful with real cores to spread across, so
-#: it gates only when the run's machine had >= PROCESS_FANOUT_MIN_CPUS.
-PROCESS_FANOUT_SPEEDUP_FLOOR = 1.5
-PROCESS_FANOUT_MIN_CPUS = 4
 #: Floor mode, serving bench: minimum sustained QPS under zipf load.
 SERVE_QPS_FLOOR = 100.0
 #: Floor mode, serving bench: minimum result-cache hit rate under the
@@ -117,15 +112,6 @@ def extract_metrics(doc: dict) -> dict[str, dict[str, float]]:
             if value is not None:
                 metrics["speedup_cold_s4"] = float(value)
             out[unit] = metrics
-        for process in doc.get("process_mode") or []:
-            metrics = {}
-            for key in ("speedup_cold_s4", "cold_speedup_vs_serial_s4"):
-                value = process.get(key)
-                if value is not None:
-                    metrics[key] = float(value)
-            out[f"shards/process/{process.get('algorithm', 'stps')}"] = (
-                metrics
-            )
     elif bench == "serve-load":
         load = doc.get("load", {})
         metrics = {}
@@ -139,18 +125,6 @@ def extract_metrics(doc: dict) -> dict[str, dict[str, float]]:
                 "victim_isolation": float(quota["victim_isolation"])
             }
     return out
-
-
-def doc_cpus(doc: dict) -> int:
-    """CPU count the document's run saw (0 when unrecorded)."""
-    try:
-        return int(doc.get("config", {}).get("cpus") or 0)
-    except (TypeError, ValueError):
-        return 0
-
-
-def _is_process_unit(unit: str) -> bool:
-    return unit.startswith("shards/process/")
 
 
 def _check(unit, metric, rule, threshold, baseline, current) -> dict:
@@ -205,29 +179,9 @@ def compare_docs(baseline: dict, current: dict) -> dict:
     cur_metrics = extract_metrics(current)
     checks: list[dict] = []
 
-    enough_cpus = (
-        min(doc_cpus(baseline), doc_cpus(current))
-        >= PROCESS_FANOUT_MIN_CPUS
-    )
-
     if matched:
         mode = "matched"
         for unit, metrics in base_metrics.items():
-            if _is_process_unit(unit) and not enough_cpus:
-                # Process fan-out numbers on a <4-CPU box measure
-                # dispatch overhead, not parallelism; recorded in the
-                # doc, never gated.
-                checks.append({
-                    "unit": unit,
-                    "metric": "speedup_cold_s4",
-                    "rule": "skipped-cpus",
-                    "baseline": metrics.get("speedup_cold_s4"),
-                    "current": cur_metrics.get(unit, {}).get(
-                        "speedup_cold_s4"
-                    ),
-                    "ok": True,
-                })
-                continue
             for metric, base_value in metrics.items():
                 cur_value = cur_metrics.get(unit, {}).get(metric)
                 if cur_value is None:
@@ -257,31 +211,6 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                     base_metrics.get(unit, {}).get("speedup_cold_s4"),
                     value,
                 ))
-            process_unit = f"shards/process/{headline}"
-            process_value = cur_metrics.get(process_unit, {}).get(
-                "cold_speedup_vs_serial_s4"
-            )
-            if process_value is not None:
-                if doc_cpus(current) >= PROCESS_FANOUT_MIN_CPUS:
-                    checks.append(_check(
-                        process_unit, "cold_speedup_vs_serial_s4",
-                        "floor", PROCESS_FANOUT_SPEEDUP_FLOOR,
-                        base_metrics.get(process_unit, {}).get(
-                            "cold_speedup_vs_serial_s4"
-                        ),
-                        process_value,
-                    ))
-                else:
-                    checks.append({
-                        "unit": process_unit,
-                        "metric": "cold_speedup_vs_serial_s4",
-                        "rule": "skipped-cpus",
-                        "baseline": base_metrics.get(
-                            process_unit, {}
-                        ).get("cold_speedup_vs_serial_s4"),
-                        "current": process_value,
-                        "ok": True,
-                    })
         elif bench == "serve-load":
             floors = {
                 ("serve/load", "sustained_qps"): SERVE_QPS_FLOOR,

@@ -12,8 +12,7 @@
   :class:`~repro.obs.tracing.SpanCollector` gathered) or a bare engine
   query (``status`` 0); the queries an entry ran sit on its ``records``
   as entries of the same class.
-* :func:`record` is the one writer of finished work, and :func:`ingest`
-  its twin for entries built in a shard worker process.
+* :func:`record` is the one writer of finished work.
 * :func:`flight_records` flattens the store into one record per query:
   the view behind ``/flight.json``, ``python -m repro.obs --flight-out``
   and ``dump_jsonl(path, docs=flight_records())``.
@@ -459,19 +458,6 @@ def record(
     return _file(entry, query, stats, spans)
 
 
-def ingest(records, shard_id: int | None = None) -> None:
-    """The writer's twin for entries built in a shard worker process.
-
-    Stamps ``shard_id`` on those carrying none (so a slow per-shard
-    query is attributable) and files each exactly as if :func:`record`
-    had written it here.
-    """
-    for entry in records:
-        if entry.shard_id is None:
-            entry.shard_id = shard_id
-        _file(entry)
-
-
 def _file(entry: RequestTrace, query=None, stats=None, spans=None) -> bool:
     """Join the live collector, or take the keep decision now."""
     global _bytes
@@ -660,8 +646,6 @@ def _span_children(spans: list) -> list[tuple[dict, int]]:
 
     Spans arrive as Chrome complete events; a span is a child of the
     innermost earlier span whose [ts, ts+dur] interval contains it.
-    Events from other processes were rebased onto the parent timeline
-    at ingest, so containment works across the process boundary too.
     """
     ordered = sorted(
         spans, key=lambda e: (e.get("ts", 0.0), -e.get("dur", 0.0))

@@ -51,20 +51,16 @@ _lock = threading.Lock()
 _events: list[tuple] = []
 _dropped = 0
 _thread_names: dict[int, str] = {}
-#: Thread names adopted from other processes via :func:`ingest`,
-#: keyed ``(pid, tid)`` — worker tids can collide with local ones.
-_foreign_thread_names: dict[tuple[int, int], str] = {}
 _EPOCH = time.perf_counter()
 
 
 # ----------------------------------------------------------------------
 # the trace context (one ContextVar) and per-request collection
 # ----------------------------------------------------------------------
-#: A span is this 7-tuple everywhere — global buffer, collector, worker
-#: result channel: ``(name, cat, t0, t1, args, trace_id, tid)`` with raw
-#: ``perf_counter`` stamps and ``tid``
-#: either a local thread id or ``(pid, tid)`` for a span adopted from
-#: another process.  Chrome-event dicts exist only on the read side
+#: A span is this 7-tuple everywhere — global buffer and collector:
+#: ``(name, cat, t0, t1, args, trace_id, tid)`` with raw
+#: ``perf_counter`` stamps and ``tid`` the recording thread's id.
+#: Chrome-event dicts exist only on the read side
 #: (:func:`events`, :func:`chrome_trace`, :meth:`SpanCollector.snapshot`).
 
 #: Spans one collector buffers at most; beyond it the oldest fall off
@@ -112,8 +108,7 @@ class TraceContext:
     active; spans, store records and exemplars join on
     ``trace_id``.  The serving layer attaches a :class:`SpanCollector`
     so one request's spans are captured even while global tracing is
-    off.  The query path has no thread hop left; the process fan-out
-    carries the picklable ``ObsContext`` instead, and :func:`capture` /
+    off.  The query path has no thread hop left; :func:`capture` /
     :class:`resume` remain for callers that start threads of their own.
     """
 
@@ -134,19 +129,6 @@ _ctx_var: contextvars.ContextVar[TraceContext | None] = (
 #: process-wide.  Lets :func:`span` stay a single flag check when no
 #: request is being collected anywhere (the idle / tracing-off case).
 _collecting = 0
-
-
-def _disarm_after_fork() -> None:
-    # A fork taken mid-request or mid-trace (the shard pool starts
-    # workers lazily) must not leave the child's spans armed for good:
-    # a shard worker records only into the collector it is handed.
-    global _collecting, enabled
-    _collecting = 0
-    enabled = False
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_disarm_after_fork)
 
 
 def new_trace_id() -> str:
@@ -403,12 +385,9 @@ def recorder():
 # export (the read side: span tuples become Chrome trace events here)
 # ----------------------------------------------------------------------
 def _chrome_events(spans: list[tuple]) -> list[dict]:
-    own_pid = os.getpid()
+    pid = os.getpid()
     out = []
     for name, cat, t0, t1, args, trace_id, tid in spans:
-        pid = own_pid
-        if type(tid) is tuple:  # adopted from another process
-            pid, tid = tid
         event = {
             "name": name, "cat": cat, "ts": (t0 - _EPOCH) * 1e6,
             "ph": "X", "dur": max(0.0, (t1 - t0) * 1e6),
@@ -435,35 +414,6 @@ def dropped_events() -> int:
     return _dropped
 
 
-def ingest(spans, pid: int, thread_names: dict | None = None) -> None:
-    """Adopt spans recorded in process ``pid`` into this one.
-
-    The process-mode shard fan-out runs each worker query under a
-    collector and ships its span tuples back over the result channel.
-    Their stamps need no rebasing: ``perf_counter`` is the system-wide
-    monotonic clock, identical in every process under fork *and* spawn.
-    Each span's thread id becomes ``(pid, tid)`` so worker tracks never
-    collide with local ones, and ``thread_names`` (tid -> name) label
-    them in Perfetto.  The spans go to the ingesting context's
-    collector (a served request fanning out to workers) and, while
-    tracing is on, to the global buffer, under the same
-    :data:`MAX_EVENTS` cap as local recording.
-    """
-    global _dropped
-    ctx = _ctx_var.get()
-    adopted = [span[:6] + ((pid, span[6]),) for span in spans]
-    if ctx is not None and ctx.collector is not None:
-        ctx.collector.spans.extend(adopted)
-    if not enabled:
-        return
-    with _lock:
-        room = max(0, MAX_EVENTS - len(_events))
-        _events.extend(adopted[:room])
-        _dropped += max(0, len(adopted) - room)
-        for tid, name in (thread_names or {}).items():
-            _foreign_thread_names[(pid, tid)] = name
-
-
 def clear() -> int:
     """Drop all buffered events; returns how many were dropped."""
     global _dropped
@@ -471,7 +421,6 @@ def clear() -> int:
         n = len(_events)
         _events.clear()
         _thread_names.clear()
-        _foreign_thread_names.clear()
         _dropped = 0
     return n
 
@@ -480,15 +429,14 @@ def chrome_trace() -> dict:
     """The buffered events as a Chrome trace-event JSON object.
 
     Adds ``thread_name`` metadata events so Perfetto labels the caller
-    threads' tracks (and the shard-worker process tracks).
+    threads' tracks.
     """
     with _lock:
         spans = list(_events)
-        pid = os.getpid()
-        names = {(pid, tid): name for tid, name in _thread_names.items()}
-        names.update(_foreign_thread_names)
+        names = dict(_thread_names)
+    pid = os.getpid()
     trace_events = _chrome_events(spans)
-    for (pid, tid), name in sorted(names.items()):
+    for tid, name in sorted(names.items()):
         trace_events.append(
             {
                 "name": "thread_name",

@@ -17,7 +17,7 @@ service (ROADMAP: "online serving").  Layers, bottom-up:
   ``/stats/serve`` to every observability route.
 
 ``python -m repro.serve`` boots a demo server — README "Serving
-queries"; DESIGN.md §15 has the protocol.
+queries"; DESIGN.md §14 has the protocol.
 """
 
 from repro.serve.cache import ResultCache, query_signature

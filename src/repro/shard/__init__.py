@@ -1,4 +1,4 @@
-"""Sharded parallel query engine.
+"""Sharded query engine.
 
 Partitions the object dataset into ``S`` spatial shards with
 halo-replicated feature sets (:mod:`repro.shard.partitioner`) and fans
@@ -17,24 +17,13 @@ from repro.shard.partitioner import (
     kd_split,
     partition,
 )
-from repro.shard.process_runner import (
-    ProcessShardRunner,
-    ShardManifest,
-    TreeManifest,
-    freeze_shard,
-)
-from repro.shard.sharded_processor import FANOUT_MODES, ShardedQueryProcessor
+from repro.shard.sharded_processor import ShardedQueryProcessor
 
 __all__ = [
-    "FANOUT_MODES",
     "PARTITION_METHODS",
     "REPLICATION_MODES",
-    "ProcessShardRunner",
-    "ShardManifest",
     "ShardSpec",
     "ShardedQueryProcessor",
-    "TreeManifest",
-    "freeze_shard",
     "grid_factors",
     "grid_regions",
     "kd_split",

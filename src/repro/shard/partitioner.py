@@ -73,7 +73,7 @@ class ShardSpec:
         return sum(len(fs) for fs in self.feature_sets)
 
     def describe(self) -> dict:
-        """JSON-friendly summary (used by the manifest and benchmarks)."""
+        """JSON-friendly summary (the processor's layout and benchmarks)."""
         return {
             "shard_id": self.shard_id,
             "bbox": [list(self.bbox.low), list(self.bbox.high)],
@@ -81,19 +81,6 @@ class ShardSpec:
             "objects": self.n_objects,
             "features": [len(fs) for fs in self.feature_sets],
         }
-
-    def geometry(self) -> tuple:
-        """Cheap transferable identity: no live datasets, just tuples.
-
-        What crosses a process boundary in place of the spec itself (the
-        datasets stay behind; workers reopen the shard's *indexes* from
-        shared memory — see :mod:`repro.shard.process_runner`).
-        """
-        return (
-            self.shard_id,
-            (tuple(self.bbox.low), tuple(self.bbox.high)),
-            self.radius,
-        )
 
 
 def partition(

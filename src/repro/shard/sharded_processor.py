@@ -9,8 +9,8 @@ answers exactly the same queries as an unsharded processor:
    ``Σ_i max ŝ_i(shard)`` computed from its feature-tree roots (one node
    read per set, no traversal);
 2. **fan out** — shards run in descending bound order (``shard.fanout``
-   span; one after another on the caller's thread, or on worker
-   processes), each executing the ordinary per-shard algorithm with the
+   span; one after another on the caller's thread), each executing the
+   ordinary per-shard algorithm with the
    *merged k-th score so far* as a floor, so later shards terminate as
    soon as they fall out of contention;
 3. **prune** — a shard whose bound is strictly below the merged k-th
@@ -24,19 +24,15 @@ shard from a feature view sufficient for the supported query shape; the
 floor/prune cuts only ever drop items *strictly* below the final global
 k-th score.  Results — ids and scores — are therefore identical to the
 unsharded processor for every supported query, independent of shard
-count, worker count, and pruning outcomes.
+count and pruning outcomes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
-from threading import Lock
-
-import heapq
-import os
 
 from repro.core.processor import QueryProcessor
 from repro.core.query import PreferenceQuery, Variant
@@ -50,20 +46,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
 from repro.obs import tracing as _tracing
 from repro.shard.partitioner import ShardSpec, partition
-from repro.shard.process_runner import (
-    ObsContext,
-    ProcessShardRunner,
-    ShardManifest,
-    freeze_shard,
-    unpickle_error,
-)
-from repro.storage.shm import SharedMemoryPageFile
-
-#: Fan-out execution modes: a loop on the caller's thread (default, no
-#: setup cost, every shard sees the floor left by all earlier ones) or
-#: worker processes over shared-memory page storage (multi-core
-#: parallelism for the pure-Python per-shard work).
-FANOUT_MODES = ("serial", "processes")
 
 #: Metric families owned by this module — the scope of
 #: :meth:`ShardedQueryProcessor.reset_stats`'s registry reset.
@@ -177,54 +159,16 @@ class ShardedQueryProcessor:
     (whose scores have unbounded spatial support).  The processor is
     duck-type compatible with :class:`~repro.core.executor.QueryExecutor`
     (``query``/``query_many``/``trees``/``clear_buffers``/``reset_stats``),
-    so batch routing reuses the executor machinery unchanged.
-
-    ``fanout`` selects where shards run: ``"serial"`` (default) visits
-    them one after another on the caller's thread; ``"processes"`` runs
-    them on a :class:`~repro.shard.process_runner.ProcessShardRunner`
-    pool attached to shared-memory page storage — same results, same
-    metrics/EXPLAIN/trace-store behavior, multi-core scaling.  Build with
-    ``fanout="processes"`` (the indexes must be frozen into shared
-    memory at build time).  ``max_workers`` (pool size, default
-    ``min(shards, cpus)``) and ``start_method`` (multiprocessing start
-    method, ``None`` = platform default) apply to process mode only.
+    so batch routing reuses the executor machinery unchanged.  Shards
+    run one after another on the caller's thread.
     """
 
-    def __init__(
-        self,
-        shards: Sequence[_Shard],
-        radius: float,
-        max_workers: int | None = None,
-        fanout: str = "serial",
-        start_method: str | None = None,
-        manifests: Sequence[ShardManifest] | None = None,
-    ) -> None:
+    def __init__(self, shards: Sequence[_Shard], radius: float) -> None:
         if not shards:
             raise ShardError(-1, "need at least one shard")
-        if fanout not in FANOUT_MODES:
-            raise ShardError(
-                -1, f"unknown fanout {fanout!r}; choose from {FANOUT_MODES}"
-            )
-        if fanout == "processes" and manifests is None:
-            raise ShardError(
-                -1,
-                "fanout='processes' needs shared-memory manifests; build "
-                "via ShardedQueryProcessor.build(..., fanout='processes')",
-            )
         self.shards = list(shards)
         self.radius = radius
-        self.max_workers = max_workers
-        self.fanout = fanout
-        self.start_method = start_method
-        self._manifests = (
-            tuple(manifests) if manifests is not None else None
-        )
-        self._process_runner: ProcessShardRunner | None = None
-        self._pool_lock = Lock()
         self._closed = False
-        #: Cache epoch forwarded with every process-mode task; bumped by
-        #: :meth:`clear_buffers` so worker-side caches go cold too.
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -242,20 +186,11 @@ class ShardedQueryProcessor:
         page_size: int = 4096,
         buffer_pages: int = 256,
         build_method: str = "bulk",
-        max_workers: int | None = None,
-        fanout: str = "serial",
-        start_method: str | None = None,
     ) -> "ShardedQueryProcessor":
         """Partition the datasets and build one processor per shard.
 
-        With ``fanout="processes"`` each shard's freshly built indexes
-        are frozen into shared-memory segments
-        (:func:`~repro.shard.process_runner.freeze_shard`): the parent's
-        own per-shard processors are reopened over the frozen pages (it
-        owns the segments and unlinks them on :meth:`close`), and the
-        manifests let worker processes attach the same pages read-only —
-        one physical copy, zero pickling of trees.  Nothing writes the
-        frozen pages afterwards: the partition is read-only.
+        Nothing writes the shards' indexes afterwards: the partition is
+        read-only.
         """
         specs = partition(
             objects,
@@ -279,24 +214,7 @@ class ShardedQueryProcessor:
             )
             for spec in specs
         ]
-        radius = min(spec.radius for spec in specs)
-        manifests = None
-        if fanout == "processes":
-            manifests = []
-            for shard in built:
-                frozen, manifest = freeze_shard(
-                    shard.spec.geometry(), shard.processor, buffer_pages
-                )
-                shard.processor = frozen
-                manifests.append(manifest)
-        return cls(
-            built,
-            radius,
-            max_workers=max_workers,
-            fanout=fanout,
-            start_method=start_method,
-            manifests=manifests,
-        )
+        return cls(built, min(spec.radius for spec in specs))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -315,40 +233,12 @@ class ShardedQueryProcessor:
             "shards": self.shard_count,
             "radius": None if math.isinf(self.radius) else self.radius,
             "replication": "full" if math.isinf(self.radius) else "halo",
-            "fanout": self.fanout,
             "layout": [s.spec.describe() for s in self.shards],
         }
 
     def close(self) -> None:
-        """Subsequent queries raise.
-
-        In process mode this also terminates the worker pool and
-        unlinks the shared-memory segments (the parent owns them), so
-        nothing is left behind in ``/dev/shm``.
-        """
-        self._teardown(wait=True)
-
-    def _teardown(self, wait: bool) -> None:
+        """Subsequent queries raise."""
         self._closed = True
-        with self._pool_lock:
-            runner, self._process_runner = self._process_runner, None
-        if runner is not None:
-            runner.close(wait=wait)
-        # Unlink owned shared-memory segments last: workers detach when
-        # their processes exit above.
-        for shard in self.shards:
-            for tree in shard.processor.trees():
-                if isinstance(tree.pagefile, SharedMemoryPageFile):
-                    tree.pagefile.close()
-
-    def __del__(self) -> None:
-        # Safety net only — close() is the API.  Never raises, never
-        # blocks on worker exit during interpreter teardown.
-        try:
-            if not self._closed:
-                self._teardown(wait=False)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
 
     def __enter__(self) -> "ShardedQueryProcessor":
         return self
@@ -364,15 +254,7 @@ class ShardedQueryProcessor:
         return out
 
     def clear_buffers(self) -> dict[str, int]:
-        """Drop cached nodes in every shard (cold-cache runs).
-
-        Worker-process caches cannot be reached synchronously, so the
-        cache *epoch* is bumped instead: every process-mode task carries
-        the current epoch and a worker holding a stale one clears that
-        shard's caches before executing.  Cold-run benchmarks therefore
-        stay cold in both fan-out modes.
-        """
-        self._epoch += 1
+        """Drop cached nodes in every shard (cold-cache runs)."""
         return {
             "nodes": sum(
                 shard.processor.clear_buffers()["nodes"] for shard in self.shards
@@ -440,14 +322,11 @@ class ShardedQueryProcessor:
         trace_id = stats.trace_id = _tracing.current_trace_id()
         if query.k == 0:
             # Nothing to fan out for: k=0's empty answer is exact and
-            # tie-complete regardless of shard layout or fanout mode
-            # (and a 0-item heap has no meaningful floor).
+            # tie-complete regardless of shard layout (and a 0-item heap
+            # has no meaningful floor).
             return QueryResult([], stats)
         rec = _tracing.recorder()
         fan = _Fanout(query.k, floor, stats.shards)
-        run = self._run_serial
-        if self.fanout == "processes":
-            run = self._run_processes
         ctx = _tracing.capture()
         parts = ()
         if _requests.enabled and ctx.collector is None:
@@ -464,7 +343,7 @@ class ShardedQueryProcessor:
                      enumerate(self.shards)),
                     key=lambda pair: (-pair[0], pair[1]),
                 )
-                run(
+                self._run_serial(
                     ordered, query, algorithm, fan,
                     stats.detail is not None,
                 )
@@ -611,90 +490,3 @@ class ShardedQueryProcessor:
             fan.executed(
                 shard_id, bound, floor, time.perf_counter() - shard_t0, result
             )
-
-    def _run_processes(
-        self, ordered, query, algorithm, fan, explain,
-    ) -> None:
-        """Process-mode fan-out: throttled dispatch over the worker pool.
-
-        Shards are dispatched in descending bound order with at most
-        ``workers`` in flight; each dispatch re-reads the merged floor,
-        so shards falling out of contention while earlier ones run are
-        pruned without ever crossing the process boundary.  Completed
-        payloads are folded back in completion order: spans and query
-        records into the dispatching trace context, verdicts (with the
-        worker's stats) into ``fan`` — the observable behavior matches
-        serial mode exactly.
-        """
-        obs = ObsContext.capture(_tracing.current_trace_id())
-        runner = self._ensure_process_runner()
-        workers = min(runner.max_workers, len(ordered))
-        pending = list(ordered)  # (bound, idx), bound descending
-        in_flight: dict = {}
-        failure: Exception | None = None
-
-        def dispatch_next() -> bool:
-            while pending:
-                bound, idx = pending.pop(0)
-                shard_id = self.shards[idx].spec.shard_id
-                floor = fan.admit(shard_id, bound)
-                if floor is None:
-                    continue
-                future = runner.submit(
-                    shard_id, self._epoch, query, algorithm, floor, obs,
-                    explain,
-                )
-                in_flight[future] = (bound, shard_id, floor)
-                return True
-            return False
-
-        for _ in range(workers):
-            if not dispatch_next():
-                break
-        while in_flight:
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                bound, shard_id, floor = in_flight.pop(future)
-                payload = future.result()
-                # Fold observability back in even for failed shards —
-                # the worker did the work; the trace must show it.
-                _requests.ingest(payload["records"], shard_id=shard_id)
-                _tracing.ingest(
-                    payload["spans"], payload["pid"],
-                    payload["thread_names"],
-                )
-                error = payload["error"]
-                if error is not None:
-                    fan.failed(
-                        shard_id, bound, floor, payload["elapsed_s"],
-                        f"{error['type']}: {error['message']}",
-                    )
-                    if failure is None:
-                        failure = unpickle_error(error, shard_id)
-                    continue
-                fan.executed(
-                    shard_id, bound, floor, payload["elapsed_s"],
-                    payload["result"],
-                )
-            if failure is None:
-                while len(in_flight) < workers and dispatch_next():
-                    pass
-            # On failure: stop dispatching, drain what is in flight so
-            # their verdicts and query records land, then raise.
-        if failure is not None:
-            raise failure
-
-    def _ensure_process_runner(self) -> ProcessShardRunner:
-        with self._pool_lock:
-            if self._closed:
-                raise ShardError(-1, "sharded processor is closed")
-            if self._process_runner is None:
-                workers = self.max_workers
-                if workers is None:
-                    workers = min(self.shard_count, os.cpu_count() or 1)
-                self._process_runner = ProcessShardRunner(
-                    self._manifests,
-                    max_workers=max(1, workers),
-                    start_method=self.start_method,
-                )
-            return self._process_runner

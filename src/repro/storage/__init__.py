@@ -3,7 +3,6 @@
 from repro.storage.node_cache import DEFAULT_BUFFER_PAGES, NodeCache
 from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 from repro.storage.pagefile import DiskPageFile, MemoryPageFile, PageFile
-from repro.storage.shm import SharedMemoryPageFile
 from repro.storage.stats import DEFAULT_PAGE_READ_COST_S, IOStats
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "NodeCache",
     "Page",
     "PageFile",
-    "SharedMemoryPageFile",
 ]

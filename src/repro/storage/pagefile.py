@@ -15,7 +15,6 @@ are verified on every read path.
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -103,26 +102,17 @@ class DiskPageFile(PageFile):
 
     One file descriptor is opened at construction and reused for the
     whole lifetime; reads go through positioned ``os.pread`` (no shared
-    seek cursor, so concurrent readers never race) or, with
-    ``mmap_reads=True``, through a shared read-only memory map that is
-    grown lazily as the file is extended.  Writes use positioned
-    ``os.pwrite`` under a lock that also guards allocation.
+    seek cursor, so concurrent readers never race).  Writes use
+    positioned ``os.pwrite`` under a lock that also guards allocation.
     """
 
-    def __init__(
-        self,
-        path: str,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        mmap_reads: bool = False,
-    ) -> None:
+    def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         super().__init__(page_size)
         self.path = path
         exists = os.path.exists(path)
         self._fh = open(path, "r+b" if exists else "w+b", buffering=0)
         self._fd = self._fh.fileno()
         self._write_lock = threading.Lock()
-        self._mmap_reads = mmap_reads
-        self._mmap: mmap.mmap | None = None
         if exists:
             size = os.fstat(self._fd).st_size
             if size % page_size:
@@ -151,12 +141,7 @@ class DiskPageFile(PageFile):
         if not 0 <= page_id < self._next_id:
             raise PageNotFoundError(page_id)
         self.stats.record_read()
-        offset = page_id * self.page_size
-        if self._mmap_reads:
-            view = self._view(offset + self.page_size)
-            raw = bytes(view[offset : offset + self.page_size])
-        else:
-            raw = os.pread(self._fd, self.page_size, offset)
+        raw = os.pread(self._fd, self.page_size, page_id * self.page_size)
         return Page.decode(page_id, raw, self.page_size)
 
     def write(self, page: Page) -> None:
@@ -170,21 +155,6 @@ class DiskPageFile(PageFile):
                 page.page_id * self.page_size,
             )
 
-    def _view(self, upto: int) -> mmap.mmap:
-        """The shared read map, re-mapped when the file has grown past it.
-
-        A ``MAP_SHARED`` mapping is coherent with ``pwrite`` through the
-        page cache, so only growth forces a remap.
-        """
-        view = self._mmap
-        if view is None or len(view) < upto:
-            if view is not None:
-                view.close()
-            view = self._mmap = mmap.mmap(
-                self._fd, 0, access=mmap.ACCESS_READ
-            )
-        return view
-
     @property
     def page_count(self) -> int:
         return self._next_id
@@ -194,9 +164,6 @@ class DiskPageFile(PageFile):
         os.fsync(self._fd)
 
     def close(self) -> None:
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
         self._fh.close()
 
     def __enter__(self) -> "DiskPageFile":

@@ -22,6 +22,9 @@ from repro.core.combinations import CombinationIterator
 from repro.core.processor import QueryProcessor
 from repro.core.results import QueryStats
 from repro.core.stps import _VARIANTS
+from repro.index.object_rtree import ObjectRTree
+from repro.index.rtree_base import RTreeBase
+from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset, ObjectDataset
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs.tracing import NULL_RECORDER
@@ -119,6 +122,20 @@ def make_data_objects(n: int, seed: int) -> list[DataObject]:
     """Deterministic random data objects in the unit square."""
     rng = random.Random(seed)
     return [DataObject(i, rng.random(), rng.random()) for i in range(n)]
+
+
+def reopen_tree(pagefile):
+    """The object or SRT tree persisted in ``pagefile``, opened cold from
+    its meta page (root, height and count restored, nothing rebuilt)."""
+    meta = RTreeBase.read_meta(pagefile)
+    if meta["kind"] == "object":
+        tree = ObjectRTree(pagefile)
+    else:
+        tree = SRTIndex(meta["vocab_size"], pagefile)
+    tree.root_id, tree.height, tree.count = (
+        meta["root"], meta["height"], meta["count"]
+    )
+    return tree
 
 
 def random_mask(rng: random.Random, terms: int = 3) -> int:

@@ -97,10 +97,9 @@ class TestSingleNodeKZero:
 
 
 class TestShardedKZero:
-    @pytest.mark.parametrize("fanout", ["serial", "processes"])
-    def test_k_zero_returns_empty(self, world, fanout):
+    def test_k_zero_returns_empty(self, world):
         with ShardedQueryProcessor.build(
-            *world, shards=2, radius=BUILD_RADIUS, fanout=fanout
+            *world, shards=2, radius=BUILD_RADIUS
         ) as sharded:
             result = sharded.query(query(0))
             assert result.items == []
@@ -133,10 +132,9 @@ class TestEmptyDatasets:
         result = processor.query(query(5, variant), algorithm=algorithm)
         assert result.items == []
 
-    @pytest.mark.parametrize("fanout", ["serial", "processes"])
-    def test_no_objects_sharded(self, empty_world, fanout):
+    def test_no_objects_sharded(self, empty_world):
         with ShardedQueryProcessor.build(
-            *empty_world, shards=2, radius=BUILD_RADIUS, fanout=fanout
+            *empty_world, shards=2, radius=BUILD_RADIUS
         ) as sharded:
             assert sharded.query(query(5)).items == []
 

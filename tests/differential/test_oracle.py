@@ -209,47 +209,3 @@ class TestCorners:
             * len(KEYWORD_SEEDS)
             >= 200
         )
-
-
-class TestProcessFanoutOracle:
-    """Process-mode sharded engine against the brute-force oracle.
-
-    One shared worker pool (full replication so every variant is
-    servable) runs a compact slice of the seeded grid; answers must
-    match the oracle at ``SCORE_TOL`` exactly like the in-process
-    engines — the process boundary must not perturb a single score.
-    """
-
-    @pytest.fixture(scope="class")
-    def sharded(self, corpus):
-        from repro.shard import ShardedQueryProcessor
-
-        seed = DATASET_SEEDS[0]
-        objects, feature_sets, _ = corpus[seed]
-        with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=4, radius=max(RADII),
-            replication="full", fanout="processes",
-        ) as proc:
-            yield proc
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize(
-        ("lam", "radius", "k"),
-        [
-            pytest.param(lam, radius, k, id=f"l{lam}-r{radius}-k{k}")
-            for lam in (0.0, 0.5)
-            for radius in RADII
-            for k in (1, 7)
-        ],
-    )
-    def test_matches_oracle(self, corpus, sharded, variant, lam, radius, k):
-        seed = DATASET_SEEDS[0]
-        objects, feature_sets, _ = corpus[seed]
-        for query in _queries(variant, lam, radius, k):
-            oracle = _items(brute_force(objects, feature_sets, query))
-            _assert_matches(
-                oracle,
-                _items(sharded.query(query)),
-                "sharded-processes",
-                query,
-            )

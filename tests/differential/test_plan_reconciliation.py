@@ -4,7 +4,7 @@ The QueryPlan and the registry's per-query families are two views of
 the query's ``QueryStats``, derived once per query the caller asked
 for.  If the two ever disagree, one of them is lying about what the
 query did.  For every algorithm/variant combination (and the
-sharded engine in both fan-out modes), this module runs ``explain``
+sharded engine), this module runs ``explain``
 under a fresh registry and asserts
 
 * the registry holds exactly ``plan.counters()``, family by family
@@ -14,12 +14,11 @@ under a fresh registry and asserts
   diagnostics must never perturb answers.
 
 A sharded query is one query to the registry: it moves
-``repro_queries_total`` once, whatever its fan-out or ``k``.
+``repro_queries_total`` once, whatever its ``k``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -29,7 +28,6 @@ from repro.core.query import PreferenceQuery, Variant
 from repro.data.synthetic import synthetic_feature_sets, synthetic_objects
 from repro.obs import metrics as _metrics
 from repro.shard import ShardedQueryProcessor
-from repro.shard.sharded_processor import FANOUT_MODES
 
 #: plan.counters() key grammar: ``family`` or ``family[selector]``.
 _KEY_RE = re.compile(r"^(?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*)(\[(?P<sel>[^\]]+)\])?$")
@@ -152,100 +150,14 @@ class TestShardedReconciliation:
         ]
 
 
-class TestProcessFanoutReconciliation:
-    """Process-mode fan-out: worker stats and sub-plans cross the result
-    channel, and the parent derives the registry from the merged stats —
-    the same invariant as in-process execution."""
+class TestCountedOnce:
+    """One sharded query is one query to the registry."""
 
     @pytest.fixture(scope="class")
     def sharded(self, corpus):
         objects, feature_sets = corpus
         with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=3, radius=0.08,
-            fanout="processes",
-        ) as proc:
-            yield proc
-
-    def test_process_plan_counters_match_registry_deltas(self, sharded):
-        query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
-        with _metrics.scoped_registry() as reg:
-            report = sharded.explain(query)
-        plan = report.plan
-        _assert_registry_is_plan_view(
-            reg, plan, _labels("stps", Variant.RANGE)
-        )
-        assert len(plan.shards) == len(sharded.shards)
-        # Executed shards carry their worker-produced sub-plan.
-        executed = [s for s in plan.shards if s.verdict == "executed"]
-        assert executed
-        assert all(s.plan is not None for s in executed)
-
-    def test_process_explain_matches_thread_mode(self, sharded, corpus):
-        objects, feature_sets = corpus
-        query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
-        report = sharded.explain(query)
-        with ShardedQueryProcessor.build(
             objects, feature_sets, shards=3, radius=0.08
-        ) as threaded:
-            thread_report = threaded.explain(query)
-        assert [i.oid for i in report.result.items] == [
-            i.oid for i in thread_report.result.items
-        ]
-        # Same per-shard verdict structure, fan-out substrate aside.
-        assert [s.shard_id for s in report.plan.shards] == [
-            s.shard_id for s in thread_report.plan.shards
-        ]
-
-    def test_serial_and_process_fanout_merge_to_equal_stats(self, corpus):
-        """One merge, two substrates: the same 3-shard query run shard
-        by shard yields the same merged counts and plan counters whether
-        the shards' stats were counted on the caller's thread or crossed
-        a process boundary inside the result."""
-        objects, feature_sets = corpus
-        query = PreferenceQuery(5, 0.06, 0.5, (0b1011, 0b1101))
-        io_fields = {
-            "io_reads", "buffer_hits", "node_cache_hits",
-            "node_cache_misses", "voronoi_io_reads",
-        }  # cache state is per process, not per query
-
-        def counts(stats):
-            scalars = {
-                f.name: getattr(stats, f.name)
-                for f in dataclasses.fields(stats)
-                if f.type == "int" and f.name not in io_fields
-            }
-            sets = [
-                (d.to_dict(), d.heap_pops) for d in stats.feature_sets
-            ]
-            verdicts = [
-                (s.shard_id, s.verdict, s.bound, s.floor)
-                for s in stats.shards
-            ]
-            return scalars, sets, verdicts
-
-        reports = {}
-        for fanout in ("serial", "processes"):
-            with ShardedQueryProcessor.build(
-                objects, feature_sets, shards=3, radius=0.08,
-                fanout=fanout, max_workers=1,
-            ) as proc:
-                reports[fanout] = proc.explain(query)
-        serial, processes = reports["serial"], reports["processes"]
-        assert counts(serial.result.stats) == counts(processes.result.stats)
-        assert serial.result.stats.pull_rounds > 0
-        assert serial.plan.counters() == processes.plan.counters()
-        assert serial.result.items == processes.result.items
-
-
-class TestCountedOnce:
-    """One sharded query is one query to the registry."""
-
-    @pytest.fixture(scope="class", params=FANOUT_MODES)
-    def sharded(self, request, corpus):
-        objects, feature_sets = corpus
-        with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=3, radius=0.08,
-            fanout=request.param,
         ) as proc:
             yield proc
 

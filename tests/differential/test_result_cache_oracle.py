@@ -14,12 +14,6 @@ scores from, so one write in four is *aimed* at the answer served last:
 a feature in range of a reported object leaves or loses its score, a
 strong relevant feature appears beside some object, or a new object
 lands on a reported one.
-
-The same run drives one :class:`~repro.live.TopKMonitor` per key off
-the same writes.  After every refresh its results must equal the fresh
-query, and its entered / exited / rescored report must equal the diff
-of consecutive fresh answers; it must also re-run fewer times than the
-dataset moved under it.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ import pytest
 
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery, Variant
-from repro.live import LiveDataset, TopKMonitor
+from repro.live import LiveDataset
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs import metrics as _metrics
 from repro.serve.service import QueryService, ServeConfig
@@ -106,20 +100,6 @@ def _same(got, fresh) -> bool:
     ] == pytest.approx([i.score for i in fresh], abs=SCORE_TOL)
 
 
-def _diff(before, after) -> tuple[list, list, list]:
-    """(entered, exited, rescored) oids between two ranked answers."""
-    old = {i.oid: i.score for i in before}
-    new = {i.oid: i.score for i in after}
-    return (
-        [i.oid for i in after if i.oid not in old],
-        [i.oid for i in before if i.oid not in new],
-        sorted(
-            oid for oid in old.keys() & new.keys()
-            if abs(old[oid] - new[oid]) > SCORE_TOL
-        ),
-    )
-
-
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 @pytest.mark.parametrize("c", (2, 3))
 def test_every_cached_answer_matches_a_fresh_query(c, variant):
@@ -135,19 +115,10 @@ def test_every_cached_answer_matches_a_fresh_query(c, variant):
     keys = _pool(c, variant, rng)
     served = mismatches = 0
     last = None
-    with _metrics.scoped_registry() as registry, QueryExecutor(
+    with _metrics.scoped_registry(), QueryExecutor(
         live.processor, max_workers=1
     ) as executor:
         service = QueryService(executor, ServeConfig(), live=live)
-        monitors = [
-            TopKMonitor(live, query, algorithm=algorithm)
-            for query, algorithm in keys
-        ]
-        answers = [
-            live.processor.query(query, algorithm=OTHER[algorithm]).items
-            for query, algorithm in keys
-        ]
-        moved = 0
         for step in range(steps):
             if rng.random() < 0.3:
                 if last and last[1] and rng.random() < 0.25:
@@ -166,20 +137,7 @@ def test_every_cached_answer_matches_a_fresh_query(c, variant):
             if decision.cached:
                 served += 1
                 mismatches += not _same(decision.result.items, fresh)
-            monitor = monitors[index]
-            moved += monitor.version != live.version
-            delta = monitor.refresh()
-            assert delta.version == monitor.version == live.version
-            assert _same(monitor.results, fresh), (step, query)
-            entered, exited, rescored = _diff(answers[index], fresh)
-            assert [i.oid for i in delta.entered] == entered
-            assert [i.oid for i in delta.exited] == exited
-            assert sorted(b.oid for b, _ in delta.rescored) == rescored
-            answers[index] = fresh
         revalidated = service.cache.revalidated
-        reexecuted = registry.get(
-            "repro_live_monitor_refreshes_total"
-        ).value - len(monitors)
         service.close()
     assert set(stream.counts) == {
         "insert_feature", "delete_feature", "move_feature",
@@ -187,5 +145,3 @@ def test_every_cached_answer_matches_a_fresh_query(c, variant):
     }
     assert mismatches == 0, f"{mismatches} of {served} cached answers wrong"
     assert revalidated > 0
-    assert moved > 0
-    assert reexecuted < moved, f"{reexecuted} re-runs for {moved} moves"

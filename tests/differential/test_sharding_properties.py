@@ -163,46 +163,6 @@ def test_partition_is_exact_cover(world, shards, method):
                     )
 
 
-@given(world=worlds(), shards=st.sampled_from([1, 2, 4]))
-@settings(max_examples=8)
-def test_full_replication_process_fanout_equals_unsharded(world, shards):
-    """All variants in process mode: the fan-out substrate is invisible.
-
-    Fewer examples than the thread-mode run — each example pays a worker
-    pool spin-up — but the same adversarial lattice worlds, so boundary
-    and halo edge cases cross the process channel too.
-    """
-    objects, feature_sets, query = world
-    base = QueryProcessor.build(objects, feature_sets)
-    with ShardedQueryProcessor.build(
-        objects,
-        feature_sets,
-        shards=shards,
-        radius=HALO_RADIUS,
-        replication="full",
-        fanout="processes",
-    ) as sharded:
-        assert _items(sharded.query(query)) == _items(base.query(query))
-
-
-@given(world=worlds(), shards=st.sampled_from([2, 4, 7]))
-@settings(max_examples=8)
-def test_halo_replication_process_fanout_equals_unsharded(world, shards):
-    """Range variant in process mode: r-halo replication stays exact."""
-    objects, feature_sets, query = world
-    query = query.with_variant(Variant.RANGE)
-    base = QueryProcessor.build(objects, feature_sets)
-    with ShardedQueryProcessor.build(
-        objects,
-        feature_sets,
-        shards=shards,
-        radius=HALO_RADIUS,
-        replication="halo",
-        fanout="processes",
-    ) as sharded:
-        assert _items(sharded.query(query)) == _items(base.query(query))
-
-
 @given(world=worlds(), shards=st.sampled_from([2, 4]))
 @settings(max_examples=10)
 def test_boundary_objects_kept_once(world, shards):

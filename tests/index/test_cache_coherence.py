@@ -11,17 +11,14 @@ that condense — then check two ways:
   payload of its page read straight from the page file, its entries must
   equal a fresh decode, and a leaf's arrays must spell the same rows;
 * **behaviourally** — a warm-cache traversal returns exactly what a
-  cold reopen of the same storage returns, and a
-  ``SharedMemoryPageFile`` frozen from it reads the same leaves.
+  cold reopen of the same storage returns, leaf for leaf.
 
 A feature leaf additionally memoises, per ``(mask, λ)``, the sorted run
 a query scored it into (``FeatureScorer.leaf_run``); ``TestLeafRunCoherence``
 checks that the same query repeated after a rescore, move or delete that
 lands in that leaf never streams from the old run.
 
-Parametrized over ``MemoryPageFile``, buffered ``DiskPageFile`` and its
-``mmap_reads=True`` mode, where a stale shared mapping would be an extra
-way to serve old bytes.
+Parametrized over ``MemoryPageFile`` and ``DiskPageFile``.
 """
 
 from __future__ import annotations
@@ -35,25 +32,24 @@ from repro.core.stream import FeatureStream
 from repro.index.leafdata import object_leaf_arrays
 from repro.index.nodes import FeatureLeafEntry, ObjectLeafEntry
 from repro.index.object_rtree import ObjectRTree
-from repro.index.reopen import open_tree
 from repro.index.srt import SRTIndex
 from repro.model.dataset import FeatureDataset
 from repro.storage.pagefile import DiskPageFile, MemoryPageFile
-from repro.storage.shm import SharedMemoryPageFile
 from repro.text.vocabulary import Vocabulary
-from tests.conftest import VOCAB_SIZE, make_data_objects, make_feature_objects
+from tests.conftest import (
+    VOCAB_SIZE,
+    make_data_objects,
+    make_feature_objects,
+    reopen_tree,
+)
 
-STORAGES = ("memory", "disk", "disk-mmap")
+STORAGES = ("memory", "disk")
 
 
 def _pagefile(kind: str, tmp_path, name: str, page_size: int = 256):
     if kind == "memory":
         return MemoryPageFile(page_size=page_size)
-    return DiskPageFile(
-        str(tmp_path / name),
-        page_size=page_size,
-        mmap_reads=(kind == "disk-mmap"),
-    )
+    return DiskPageFile(str(tmp_path / name), page_size=page_size)
 
 
 def _leaf_arrays(tree, node):
@@ -95,16 +91,15 @@ def assert_node_cache_coherent(tree) -> None:
             )
 
 
-def assert_frozen_copy_reads_same_leaves(tree) -> None:
-    """A shared-memory freeze of the storage serves the rewritten leaves."""
+def assert_cold_copy_reads_same_leaves(tree) -> None:
+    """A cold reopen of the storage serves the rewritten leaves."""
     def rows(t) -> list[tuple]:
         out = []
         for leaf in t.iter_leaves():
             out += _array_rows(_leaf_arrays(t, leaf))
         return sorted(out)
 
-    with SharedMemoryPageFile.freeze(tree.pagefile) as shm:
-        assert rows(tree) == rows(open_tree(shm))
+    assert rows(tree) == rows(reopen_tree(tree.pagefile))
 
 
 def _warm(tree) -> None:
@@ -137,7 +132,7 @@ class TestObjectTreeCoherence:
             if step % 15 == 0:
                 assert_node_cache_coherent(tree)
         assert_node_cache_coherent(tree)
-        assert_frozen_copy_reads_same_leaves(tree)
+        assert_cold_copy_reads_same_leaves(tree)
         got = sorted(e.oid for e in tree.range_search((0.5, 0.5), 2.0))
         assert got == sorted(alive)
 
@@ -146,11 +141,7 @@ class TestObjectTreeCoherence:
             pytest.skip("reopen-from-path needs a disk file")
         path = str(tmp_path / "reopen.tree")
         objects = make_data_objects(150, seed=96)
-        tree = ObjectRTree(
-            DiskPageFile(path, page_size=256,
-                         mmap_reads=(storage == "disk-mmap")),
-            buffer_pages=64,
-        )
+        tree = ObjectRTree(DiskPageFile(path, page_size=256), buffer_pages=64)
         for o in objects:
             tree.insert(ObjectLeafEntry(o.oid, o.x, o.y))
         _warm(tree)
@@ -159,10 +150,7 @@ class TestObjectTreeCoherence:
         warm = sorted(e.oid for e in tree.range_search((0.5, 0.5), 2.0))
         tree.pagefile.flush()
 
-        cold = open_tree(
-            DiskPageFile(path, page_size=256,
-                         mmap_reads=(storage == "disk-mmap"))
-        )
+        cold = reopen_tree(DiskPageFile(path, page_size=256))
         assert warm == sorted(
             e.oid for e in cold.range_search((0.5, 0.5), 2.0)
         )
@@ -197,7 +185,7 @@ class TestFeatureTreeCoherence:
             if step % 10 == 0:
                 assert_node_cache_coherent(tree)
         assert_node_cache_coherent(tree)
-        assert_frozen_copy_reads_same_leaves(tree)
+        assert_cold_copy_reads_same_leaves(tree)
         assert sorted(tree.iter_features(), key=lambda e: e.fid) == sorted(
             survivors, key=lambda e: e.fid
         )

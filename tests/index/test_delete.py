@@ -14,7 +14,12 @@ from repro.model.dataset import FeatureDataset
 from repro.storage.page import Page
 from repro.storage.pagefile import MemoryPageFile
 from repro.text.vocabulary import Vocabulary
-from tests.conftest import VOCAB_SIZE, make_data_objects, make_feature_objects
+from tests.conftest import (
+    VOCAB_SIZE,
+    make_data_objects,
+    make_feature_objects,
+    reopen_tree,
+)
 
 
 def entry_of(o):
@@ -104,7 +109,6 @@ class TestReopenAfterDelete:
         after every delete the *persisted* meta must agree with the
         in-memory tree.
         """
-        from repro.index.reopen import open_tree
         from repro.index.rtree_base import RTreeBase
         from repro.storage.pagefile import DiskPageFile
 
@@ -129,7 +133,7 @@ class TestReopenAfterDelete:
         tree.pagefile.flush()
         tree.pagefile.close()
 
-        reopened = open_tree(DiskPageFile(path, page_size=256))
+        reopened = reopen_tree(DiskPageFile(path, page_size=256))
         assert reopened.count == len(alive)
         reopened.validate()
         got = {e.oid for e in reopened.range_search((0.5, 0.5), 2.0)}
@@ -152,7 +156,7 @@ class TestReopenAfterDelete:
         assert meta.pop("layout") == 2
         pagefile.write(Page(0, json.dumps(meta).encode()))
         with pytest.raises(StorageError, match="leaf layout 1; rebuild"):
-            open_tree(pagefile)
+            reopen_tree(pagefile)
         pagefile.close()
 
 

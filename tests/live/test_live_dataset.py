@@ -1,41 +1,29 @@
-"""Unit tests for the live-update layer (:mod:`repro.live`) and the
-standing-query monitor (:class:`repro.live.TopKMonitor`).
+"""Unit tests for the live-update layer (:mod:`repro.live`).
 
 The oracle and stateful suites prove end-to-end correctness; this file
 pins the surface: validation errors, declarative mutation dispatch,
-mirror/snapshot semantics, metrics, and the monitor's delta reporting.
+mirror/snapshot semantics and metrics.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.core.query import PreferenceQuery, Variant
 from repro.errors import DatasetError
 from repro.live import (
-    DELTA_LOG,
     LIVE_METRIC_FAMILIES,
     MUTATION_OPS,
     LiveDataset,
     Mutation,
-    TopKDelta,
-    TopKMonitor,
     feature_entry,
     object_entry,
 )
 from repro.live.dataset import live_mutations_metric
-from repro.live.monitor import monitor_changes_metric, monitor_refreshes_metric
 from repro.model.objects import DataObject, FeatureObject
 from repro.obs.metrics import registry
 
 from tests.live.conftest import live_world
-
-MONITOR_METRIC_FAMILIES = (
-    "repro_live_monitor_refreshes_total",
-    "repro_live_monitor_changes_total",
-)
 
 QUERY = PreferenceQuery(3, 0.35, 0.5, (0xFFFF, 0xFFFF), Variant.RANGE)
 
@@ -237,110 +225,3 @@ class TestMutations:
         assert plan is not None
         dropped = live.clear_buffers()
         assert dropped  # at least one tree had cached state
-
-
-# ----------------------------------------------------------------------
-# standing-query monitor
-# ----------------------------------------------------------------------
-class TestTopKMonitor:
-    def test_baseline_is_not_reported_as_entries(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        assert len(monitor.results) == QUERY.k
-        assert monitor.version == live.version
-        assert monitor_refreshes_metric().value == 1
-        delta = monitor.refresh()
-        assert not delta.changed  # nothing mutated, nothing reported
-
-    def test_idle_refresh_skips_the_query(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        monitor.refresh()
-        monitor.refresh()
-        assert monitor_refreshes_metric().value == 1  # baseline only
-        monitor.refresh(force=True)
-        assert monitor_refreshes_metric().value == 2
-
-    def test_deleting_the_top_object_reports_exit_and_entry(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        top = monitor.results[0]
-        live.delete_object(top.oid)
-        delta = monitor.refresh()
-        assert delta.changed
-        assert top.oid in {item.oid for item in delta.exited}
-        assert len(delta.entered) == len(delta.exited)  # k stays filled
-        assert top.oid not in {item.oid for item in monitor.results}
-        assert delta.version == live.version
-        changes = monitor_changes_metric()
-        assert changes.labels(kind="exited").value >= 1
-        assert changes.labels(kind="entered").value >= 1
-
-    def test_rescoring_reports_rescored_pairs(self, live):
-        wide = PreferenceQuery(
-            live.n_objects, 0.35, 0.5, (0xFFFF, 0xFFFF), Variant.RANGE
-        )
-        monitor = TopKMonitor(live, wide)
-        for fid in live.feature_ids(0):
-            live.rescore_feature(0, fid, 0.0)
-        delta = monitor.refresh()
-        assert delta.changed
-        assert not delta.entered and not delta.exited  # k covers everyone
-        assert delta.rescored
-        for before, after in delta.rescored:
-            assert before.oid == after.oid
-            assert before != after
-
-    def test_drain_applies_then_refreshes_once(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        delta = monitor.drain(
-            [
-                Mutation("insert_object", obj=DataObject(940, 0.5, 0.5)),
-                Mutation("delete_object", oid=monitor.results[0].oid),
-            ]
-        )
-        assert delta.version == live.version
-        assert monitor_refreshes_metric().value == 2  # baseline + one
-
-    def test_a_write_that_cannot_change_the_answer_runs_nothing(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        before = monitor.results
-        reported = {item.oid for item in before}
-        live.delete_object(
-            next(oid for oid in live.object_ids() if oid not in reported)
-        )  # R4: an unreported object leaving
-        delta = monitor.refresh()
-        assert not delta.changed and delta.version == live.version
-        assert monitor.version == live.version
-        assert monitor.results is before
-        assert monitor_refreshes_metric().value == 1  # baseline only
-        assert monitor.refresh(force=True).version == live.version
-        assert monitor_refreshes_metric().value == 2
-
-    def test_an_answer_older_than_the_log_is_re_run(self, live):
-        registry().reset(MONITOR_METRIC_FAMILIES)
-        monitor = TopKMonitor(live, QUERY)
-        everyone = live.query(dataclasses.replace(QUERY, k=live.n_objects))
-        last = everyone.items[-1]  # scores below the k-th: R5 passes it
-        assert last.score < monitor.results[-1].score
-        obj = live.get_object(last.oid)
-
-        def churn(pairs: int) -> None:
-            for _ in range(pairs):
-                live.delete_object(obj.oid)
-                live.insert_object(obj)
-
-        churn(1)
-        assert not monitor.refresh().changed
-        assert monitor_refreshes_metric().value == 1  # replayed: R4, R5
-        churn(DELTA_LOG // 2 + 1)  # one write more than the log holds
-        delta = monitor.refresh()
-        assert not delta.changed and delta.version == live.version
-        assert monitor_refreshes_metric().value == 2
-
-    def test_delta_changed_property(self):
-        assert not TopKDelta(0).changed
-        item = object()  # changed only inspects truthiness
-        assert TopKDelta(1, entered=(item,)).changed

@@ -84,17 +84,6 @@ class TestRecorderBasics:
         _write("t4", 0.001, error=ShardError(3, "shard blew up"))
         assert _records()[0]["shard_id"] == 3
 
-    def test_explicit_shard_id_wins(self):
-        """An entry that crossed the process hop keeps its own shard id;
-        the parent's stamp only fills one in."""
-        requests.configure(enabled_=True)
-        collector = tracing.SpanCollector()
-        with tracing.trace_scope("t5", collector):
-            _write("t5", 0.001, error=ShardError(7, "x"))
-            _write("t5", 0.001, error=QueryError("y"))
-        requests.ingest(collector.records, shard_id=2)
-        assert [r["shard_id"] for r in _records()] == [7, 2]
-
     def test_records_are_a_view_over_the_store(self):
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         for i in range(3):
@@ -210,7 +199,7 @@ class TestShardedIntegration:
         feature_sets = synthetic_feature_sets(2, 150, 32, seed=12)
         requests.configure(enabled_=True, slow_threshold_s=10.0)
         with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=2, radius=0.08, max_workers=1
+            objects, feature_sets, shards=2, radius=0.08
         ) as sharded:
             # Sabotage every shard so whichever runs first raises a
             # wrapped ShardError (run order follows the root bounds).

@@ -1,10 +1,8 @@
 """One trace context through every layer, one store record at the end.
 
-The executor and the serial shard fan-out run on the caller's thread, so
-the trace context is simply still active; the process fan-out is the one
-hop left, carried by ``ObsContext`` and the result payload.  This file
-enters a query under one trace context *with a collector* through each
-in turn and checks the same three things: exactly one trace
+The executor and the shard fan-out run on the caller's thread, so the
+trace context is simply still active.  This file enters a query under
+one trace context *with a collector* through each in turn and checks the same three things: exactly one trace
 store record comes out, its span tree contains that hop's spans, and the
 same trace id is served by both views, ``/traces.json`` and
 ``/flight.json``.  ``test_views_of_finished_work`` then pins both views
@@ -15,7 +13,6 @@ finished work: bare, failing, served, cached, shed and sharded queries.
 from __future__ import annotations
 
 import json
-import os
 import urllib.request
 
 import pytest
@@ -93,23 +90,9 @@ def _shard_serial_hop(corpus):
     return lambda span: span["name"] == "shard.query"
 
 
-def _shard_processes_hop(corpus):
-    with ShardedQueryProcessor.build(
-        *corpus, shards=2, radius=0.1, fanout="processes",
-        start_method="spawn",
-    ) as sharded:
-        _serve(sharded)
-    # A query span recorded in another interpreter: under spawn it can
-    # only have travelled through the result payload.
-    return lambda span: (
-        span["name"] == "query.stps" and span["pid"] != os.getpid()
-    )
-
-
 @pytest.mark.parametrize("hop", [
     _executor_hop,
     _shard_serial_hop,
-    _shard_processes_hop,
 ])
 def test_hop_keeps_one_trace_one_record(corpus, hop):
     is_hop_span = hop(corpus)
@@ -212,20 +195,14 @@ def _quota_429(corpus):
         assert service.handle("t", QUERY, trace_id=TRACE_ID).status == 429
 
 
-def _sharded(fanout):
-    def run(corpus):
-        # Two workers: both shards are dispatched before either returns,
-        # so neither is pruned whatever the box's CPU count.
-        with ShardedQueryProcessor.build(
-            *corpus, shards=2, radius=0.1, fanout=fanout, max_workers=2,
-        ) as sharded, tracing.trace_scope(TRACE_ID):
-            sharded.query(QUERY)
-    return run
+def _sharded(corpus):
+    with ShardedQueryProcessor.build(
+        *corpus, shards=2, radius=0.1
+    ) as sharded, tracing.trace_scope(TRACE_ID):
+        sharded.query(QUERY)
 
 
 STPS = ("stps", "range", None, None, None, None)
-SHARD_0 = (RECORD_KEYS + ["shard_id"], "stps", "range", None, None, None, 0)
-SHARD_1 = (RECORD_KEYS + ["shard_id"], "stps", "range", None, None, None, 1)
 FANOUT = (RECORD_KEYS, "sharded/stps", "range", None, None, None, None)
 
 #: case -> (driver, /traces.json rows or None when not pinned,
@@ -266,14 +243,9 @@ VIEWS = {
           "t", "quota", None, None)],
     ),
     "sharded_serial": (
-        _sharded("serial"),
+        _sharded,
         None,
         [(RECORD_KEYS, *STPS), (RECORD_KEYS, *STPS), FANOUT],
-    ),
-    "sharded_processes": (
-        _sharded("processes"),
-        None,
-        [SHARD_0, SHARD_1, FANOUT],
     ),
 }
 
@@ -287,19 +259,14 @@ def test_views_of_finished_work(corpus, case):
     traces, records = _views(TRACE_ID)
     if want_traces is not None:
         assert [_entry_row(t) for t in traces] == want_traces
-    rows = [_record_row(r) for r in records]
-    if case == "sharded_processes":
-        # Worker payloads land in completion order.
-        rows = sorted(rows[:-1], key=lambda row: row[-1]) + rows[-1:]
-    assert rows == want_records
+    assert [_record_row(r) for r in records] == want_records
 
 
-@pytest.mark.parametrize("fanout", ["serial", "processes"])
-def test_one_bare_sharded_query_is_one_store_entry(corpus, fanout):
+def test_one_bare_sharded_query_is_one_store_entry(corpus):
     """Per-shard records ride on the whole query's entry, so the keep
     verdict is taken once per query, over its whole latency."""
     with ShardedQueryProcessor.build(
-        *corpus, shards=2, radius=0.1, fanout=fanout, max_workers=2,
+        *corpus, shards=2, radius=0.1
     ) as sharded:
         for i in range(5):
             sharded.query(QUERY)

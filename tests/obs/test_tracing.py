@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 
@@ -77,22 +76,6 @@ class TestCollectorScope:
         assert not thread.is_alive()
         assert seen == [None, "t2"]
         assert [span[0] for span in collector.spans] == ["hop"]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_fork_child_starts_with_no_live_collector(self):
-        # The shard pool forks its workers lazily, i.e. mid-request and
-        # mid-trace: the child starts with tracing off, too.
-        read_end, write_end = os.pipe()
-        with tracing.enabled_tracing(), tracing.trace_scope(
-            "t3", tracing.SpanCollector()
-        ):
-            pid = os.fork()
-            if pid == 0:
-                armed = tracing.span("x") is not tracing.NULL_SPAN
-                os.write(write_end, b"1" if armed else b"0")
-                os._exit(0)
-        os.waitpid(pid, 0)
-        assert os.read(read_end, 1) == b"0"
 
 
 class TestEnabledSpans:

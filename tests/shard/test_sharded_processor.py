@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -53,14 +54,10 @@ def _items(result):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_count_never_changes_results(
-        self, datasets, base, workers
-    ):
+    def test_four_shards_match_unsharded(self, datasets, base):
         objects, feature_sets = datasets
         with ShardedQueryProcessor.build(
-            objects, feature_sets, shards=4, radius=0.08,
-            max_workers=workers,
+            objects, feature_sets, shards=4, radius=0.08
         ) as sharded:
             for seed in range(5):
                 q = _query(seed=seed)
@@ -233,8 +230,7 @@ class TestFailureIsolation:
             with pytest.raises(QueryError, match="bad k"):
                 sharded.query(_query())
 
-    @pytest.mark.parametrize("fanout", ["serial", "processes"])
-    def test_failing_shard_ends_the_fanout(self, datasets, fanout):
+    def test_failing_shard_ends_the_fanout(self, datasets):
         """Nothing runs, counts or appends after the failing shard: the
         verdicts, the outcome counters and the error record agree."""
         from repro.core.results import QueryStats
@@ -247,23 +243,13 @@ class TestFailureIsolation:
         requests.configure(enabled_=True, slow_threshold_s=0.0)
         try:
             with obs_metrics.scoped_registry(), ShardedQueryProcessor.build(
-                objects, feature_sets, shards=4, radius=0.08,
-                fanout=fanout, max_workers=1,
+                objects, feature_sets, shards=4, radius=0.08
             ) as sharded:
                 order = sorted(
                     sharded.shards, key=lambda s: (-s.bound(q), s.spec.shard_id)
                 )
                 first, victim = (s.spec.shard_id for s in order[:2])
-                if fanout == "serial":
-                    self._poison_shard(order[1], RuntimeError("page torn"))
-                else:
-                    # A shard id no worker has a manifest for: the
-                    # failure comes back through the result channel.
-                    runner = sharded._ensure_process_runner()
-                    submit = runner.submit
-                    runner.submit = lambda shard_id, *args: submit(
-                        999 if shard_id == victim else shard_id, *args
-                    )
+                self._poison_shard(order[1], RuntimeError("page torn"))
                 stats = QueryStats()
                 with pytest.raises(ShardError):
                     sharded.query(q, stats=stats)
@@ -351,3 +337,26 @@ class TestLifecycle:
             for variant in Variant:
                 q = _query(variant=variant, seed=2)
                 assert _items(sharded.query(q)) == _items(base.query(q))
+
+
+class TestThreadLifecycle:
+    """Neither the executor nor a sharded fan-out starts a thread."""
+
+    def test_executor_context_exit_leaves_no_threads(self, base):
+        from repro.core.executor import QueryExecutor
+
+        before = threading.active_count()
+        with QueryExecutor(base, max_workers=3) as executor:
+            executor.query_many([_query(seed=0), _query(seed=1)])
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_sharded_context_exit_leaves_no_threads(self, datasets):
+        objects, feature_sets = datasets
+        before = threading.active_count()
+        with ShardedQueryProcessor.build(
+            objects, feature_sets, shards=3, radius=0.08
+        ) as sharded:
+            sharded.query(_query())
+            assert threading.active_count() == before
+        assert threading.active_count() == before

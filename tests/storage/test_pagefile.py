@@ -106,13 +106,12 @@ class TestDiskPageFile:
             pf.flush()
             assert os.path.getsize(path) == 4 * 128
 
-    @pytest.mark.parametrize("mmap_reads", [False, True])
-    def test_one_physical_read_per_page_read(self, tmp_path, mmap_reads):
+    def test_one_physical_read_per_page_read(self, tmp_path):
         # Regression: the old implementation re-opened the file on every
         # read; now one descriptor serves the lifetime and each read()
         # costs exactly one positioned read against it.
         path = str(tmp_path / "pages.bin")
-        with DiskPageFile(path, page_size=128, mmap_reads=mmap_reads) as pf:
+        with DiskPageFile(path, page_size=128) as pf:
             pids = [pf.allocate() for _ in range(3)]
             for pid in pids:
                 pf.write(Page(pid, b"payload %d" % pid))
@@ -122,28 +121,13 @@ class TestDiskPageFile:
                 assert pf.stats.reads == i
                 assert pf._fd == fd  # never re-opened
 
-    def test_mmap_view_tracks_growth(self, tmp_path):
-        path = str(tmp_path / "pages.bin")
-        with DiskPageFile(path, page_size=128, mmap_reads=True) as pf:
-            pid0 = pf.allocate()
-            pf.write(Page(pid0, b"first"))
-            assert pf.read(pid0).payload == b"first"
-            # Growing the file past the existing map must remap, and a
-            # write through pwrite must be visible through the map.
-            pid1 = pf.allocate()
-            pf.write(Page(pid1, b"second"))
-            assert pf.read(pid1).payload == b"second"
-            pf.write(Page(pid0, b"updated"))
-            assert pf.read(pid0).payload == b"updated"
-
-    @pytest.mark.parametrize("mmap_reads", [False, True])
-    def test_reopen_existing_with_read_mode(self, tmp_path, mmap_reads):
+    def test_reopen_existing_with_read_mode(self, tmp_path):
         path = str(tmp_path / "pages.bin")
         with DiskPageFile(path, page_size=128) as pf:
             pid = pf.allocate()
             pf.write(Page(pid, b"persisted"))
             pf.flush()
-        with DiskPageFile(path, page_size=128, mmap_reads=mmap_reads) as pf:
+        with DiskPageFile(path, page_size=128) as pf:
             assert pf.read(pid).payload == b"persisted"
 
     def test_concurrent_reads_no_seek_races(self, tmp_path):

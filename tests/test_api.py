@@ -91,6 +91,15 @@ REMOVED = {
         r"|load_shards|from_specs|_thaw_pagefile",
         ALL_FILES, (),
     ),
+    # Shards run on the caller's thread: no worker processes, no
+    # shared-memory pages, no memory-mapped reads, no standing-query
+    # monitor beside the result cache.
+    "process_fanout": (
+        r"ProcessShardRunner|SharedMemoryPageFile|process_runner"
+        r"|freeze_shard|open_tree|fanout=|start_method|FANOUT_MODES"
+        r"|mmap_reads|TopKMonitor|register_at_fork",
+        ALL_FILES, (),
+    ),
     # Prose about "pulling rounds" and "the prioritized pulling
     # strategy" stays; a pulling option or label does not.
     "pulling_strategy": (
@@ -204,9 +213,13 @@ class TestPublicApi:
                 QueryExecutor.query_many
             ).parameters if name.startswith("_")
         ]
-        from repro.shard.sharded_processor import FANOUT_MODES
-
-        assert FANOUT_MODES == ("serial", "processes")
+        # Shards run on the caller's thread; nothing picks a process pool.
+        process_only = {"fanout", "start_method", "max_workers", "manifests"}
+        for func in (
+            ShardedQueryProcessor.__init__, ShardedQueryProcessor.build,
+        ):
+            taken = process_only & set(inspect.signature(func).parameters)
+            assert not taken, (func.__qualname__, taken)
         assert not [name for name in dir(leafdata) if "vectorized" in name]
 
     def test_one_best_first_probe(self):
@@ -270,12 +283,13 @@ class TestPublicApi:
             assert hasattr(cls, "bulk_sort_keys"), cls.__name__
 
     def test_standing_answers_replay_the_datasets_own_log(self):
-        """One mutation log, owned by the dataset: the monitor lives with
-        it, and nothing subscribes to a dataset's writes."""
+        """One mutation log, owned by the dataset: the result cache
+        replays it, and nothing subscribes to a dataset's writes."""
         import repro.live as live
         from repro.serve.cache import ResultCache
 
-        assert {"TopKMonitor", "TopKDelta"} <= set(live.__all__)
+        assert not {"TopKMonitor", "TopKDelta"} & set(live.__all__)
+        assert hasattr(live.LiveDataset, "revalidate")
         assert not hasattr(live.LiveDataset, "add_mutation_listener")
         assert not hasattr(live.LiveDataset, "remove_mutation_listener")
         assert not hasattr(ResultCache, "bump")

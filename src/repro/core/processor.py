@@ -163,12 +163,14 @@ class QueryProcessor:
         algorithm: str,
         floor: float,
         stats: QueryStats,
+        shard_id: int | None = None,
     ) -> QueryResult:
         """:meth:`query` without the registry record, under the ambient trace.
 
         The ``query.<algorithm>`` span, the dispatch, the trace-id stamp
         and the trace-store entry.  This is one shard's part of a sharded
-        query, whose registry record is the whole query's.
+        query, whose registry record is the whole query's; ``shard_id``
+        names that shard on the entry.
         """
         t0 = time.perf_counter()
         trace_id = _tracing.current_trace_id()
@@ -185,6 +187,7 @@ class QueryProcessor:
                 _requests.record(
                     trace_id, duration_s=time.perf_counter() - t0,
                     algorithm=algorithm, query=query, error=exc,
+                    shard_id=shard_id,
                 )
             raise
         result.stats.trace_id = trace_id
@@ -192,6 +195,7 @@ class QueryProcessor:
             _requests.record(
                 trace_id, duration_s=time.perf_counter() - t0,
                 algorithm=algorithm, query=query, stats=result.stats,
+                shard_id=shard_id,
             )
         return result
 

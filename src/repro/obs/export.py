@@ -19,6 +19,13 @@ out of the process:
   ``/metrics``, ``/openmetrics``, ``/metrics.json``, ``/healthz``,
   ``/flight.json`` and ``/traces.json``.
   :class:`repro.serve.http.ServeServer` subclasses it.
+
+Both servers share one request handler, :class:`_Handler`.  It keeps the
+stdlib's listener, connection loop and ``send_error``, but reads the
+request line and headers itself (no ``http.client.parse_headers`` and
+``email`` parser per request) into a case-insensitive :class:`Headers`
+dict, and writes each answered response — status line, ``Server``,
+``Date``, headers and body — in one ``wfile.write`` (:meth:`_Handler._send`).
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
@@ -193,6 +202,33 @@ def write_json(path, registry: MetricsRegistry | None = None) -> Path:
 # ----------------------------------------------------------------------
 # scrape endpoint
 # ----------------------------------------------------------------------
+#: The stdlib's own header limits (``http.client._MAXLINE`` and
+#: ``_MAXHEADERS``): a longer line, or more lines, is answered 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
+
+#: A well-formed version the handler does not speak is answered 505,
+#: anything else in the version slot 400.
+_VERSION = re.compile(r"HTTP/\d+\.\d+")
+
+
+class Headers(dict):
+    """Request headers keyed by lower-cased name; lookups ignore case.
+
+    A repeated header keeps its first value, as ``email.message.get``
+    did; a repeated ``Content-Length`` is refused before it gets here.
+    """
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+    def __getitem__(self, name: str):
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name) -> bool:
+        return super().__contains__(name.lower())
+
+
 class _Handler(BaseHTTPRequestHandler):
     registry: MetricsRegistry  # set by MetricsServer
 
@@ -203,11 +239,129 @@ class _Handler(BaseHTTPRequestHandler):
     #: exits on its own.
     timeout = 5.0
 
-    #: TCP_NODELAY.  Responses go out as (at least) two small writes —
-    #: the header block, then the body — and with Nagle on, the second
-    #: write stalls until the client ACKs the first: a flat ~40 ms
-    #: added to every keep-alive request on Linux (delayed ACK).
+    #: TCP_NODELAY.  :meth:`_send` writes a response at once, but
+    #: ``send_error`` and the ``100 Continue`` interim answer still go
+    #: out as a header write and a body write, and with Nagle on the
+    #: second write stalls until the client ACKs the first: a flat
+    #: ~40 ms on Linux (delayed ACK).
     disable_nagle_algorithm = True
+
+    #: (second, text) of the connection's last ``Date`` header: one
+    #: ``date_time_string`` per second, not per response.
+    _date = (0, "")
+
+    def parse_request(self) -> bool:
+        """Read the request line and headers; False after a refusal.
+
+        Sets ``command``, ``path``, ``request_version``, ``headers``
+        (a :class:`Headers`) and ``close_connection``.  Refusals go
+        through ``send_error``, which closes the connection: 400 for a
+        malformed request line or header line (no colon, an empty name,
+        whitespace before the colon, a leading-whitespace continuation)
+        or a repeated ``Content-Length``; 431 past the stdlib's line and
+        header-count limits; 501 for any ``Transfer-Encoding``, whose
+        body would otherwise be read as the next request; 505 for a
+        version other than HTTP/1.0 and HTTP/1.1.
+        """
+        self.command = None
+        # Not HTTP/0.9: every refusal carries a status line.
+        self.request_version = "HTTP/1.0"
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip(
+            "\r\n"
+        )
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(
+                400, "Bad request syntax (%r)" % self.requestline
+            )
+            return False
+        command, path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            if _VERSION.fullmatch(version):
+                self.send_error(505, "Invalid HTTP version (%s)" % version)
+            else:
+                self.send_error(400, "Bad request version (%r)" % version)
+            return False
+        self.command, self.request_version = command, version
+        # As the stdlib does: '//host/...' would read as a scheme-less
+        # absolute URI to a client following a redirect.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = Headers()
+        for count in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(431, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if count == MAX_HEADERS:
+                self.send_error(431, "Too many headers")
+                return False
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            # strip() catches whitespace before the colon and a line
+            # that starts with whitespace (an obs-fold continuation).
+            if not colon or not name or name.strip() != name:
+                self.send_error(400, "Bad header line")
+                return False
+            name = name.lower()
+            if name == "content-length" and name in headers:
+                self.send_error(400, "Repeated Content-Length")
+                return False
+            headers.setdefault(name, value.strip())
+        self.headers = headers
+        if "transfer-encoding" in headers:
+            self.send_error(501, "Transfer-Encoding is not supported")
+            return False
+
+        # The stdlib's rules: 1.1 keeps the connection unless "close",
+        # 1.0 closes unless "keep-alive", and only a 1.1 server keeps
+        # any.
+        connection = headers.get("connection", "").lower()
+        self.close_connection = not (
+            self.protocol_version >= "HTTP/1.1"
+            and (connection == "keep-alive"
+                 or (version == "HTTP/1.1" and connection != "close"))
+        )
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and version == "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: dict | None = None,
+    ) -> None:
+        """Write one whole response in a single ``wfile.write``.
+
+        The status line, ``Server``, ``Date``, ``Content-Type``,
+        ``Content-Length``, then ``headers``, in the order the stdlib's
+        ``send_response`` / ``send_header`` calls wrote them.
+        """
+        self.log_request(status)
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, self.date_time_string(now))
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self._date[1]}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         path = self.path.split("?", 1)[0]
@@ -251,11 +405,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self.send_error(404, "unknown path")
             return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, content_type, body)
 
     def log_message(self, fmt: str, *args) -> None:
         logger.debug("metrics endpoint: " + fmt, *args)

@@ -92,7 +92,7 @@ _HEX = frozenset("0123456789abcdef")
 def _is_hex(value: str) -> bool:
     # The W3C spec mandates lowercase hex; uppercase is invalid on the
     # wire, so an uppercase header falls back to a fresh internal id.
-    return bool(value) and all(c in _HEX for c in value)
+    return bool(value) and _HEX.issuperset(value)
 
 
 def parse_traceparent(header: str | None) -> tuple[str, str] | None:
@@ -430,12 +430,14 @@ def record(
     records=(),
     stats=None,
     error: BaseException | None = None,
+    shard_id: int | None = None,
 ) -> bool:
     """The one writer of finished work; returns whether it was kept.
 
-    An engine query is written with ``status`` 0, its ``stats`` and, when
-    it failed, the ``error`` (``outcome`` then defaults to "error", and
-    ``shard_id`` comes from the exception); a served request with its
+    An engine query is written with ``status`` 0, its ``stats``, the
+    ``shard_id`` of the shard that ran it, if any, and, when it failed,
+    the ``error`` (``outcome`` then defaults to "error", and an error's
+    own ``shard_id`` wins); a served request with its
     HTTP-shaped status, its span events (a list, or a zero-argument
     callable) and the ``records`` of the queries it ran.
 
@@ -451,10 +453,11 @@ def record(
         trace_id, time.time(), tenant,
         outcome or ("error" if error is not None else "ok"),
         status, duration_s, algorithm, reason=reason, records=list(records),
+        shard_id=shard_id,
     )
     if error is not None:
         entry.error = {"type": type(error).__name__, "message": str(error)}
-        entry.shard_id = getattr(error, "shard_id", None)
+        entry.shard_id = getattr(error, "shard_id", shard_id)
     return _file(entry, query, stats, spans)
 
 

@@ -13,6 +13,11 @@ single port, no third-party dependency:
   ``MetricsServer`` and its handler a subclass of the metrics handler,
   so both share one listener and one lifecycle.
 
+The listener and connection loop are the stdlib's ``http.server``
+(HTTP/1.1 keep-alive); the request line and headers are read by the
+shared handler's own parser, and every answer is one write of status
+line, headers and body (see :mod:`repro.obs.export`).
+
 Request shape (POST body or GET query string)::
 
     {"tenant": "acme", "algorithm": "stps", "k": 5, "radius": 0.1,
@@ -224,14 +229,10 @@ class _ServeHandler(_export._Handler):
     def _send_json(
         self, status: int, payload: dict, headers: dict | None = None
     ) -> None:
-        body = (json.dumps(payload) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status, "application/json",
+            (json.dumps(payload) + "\n").encode(), headers,
+        )
 
     def log_message(self, fmt: str, *args) -> None:
         logger.debug("serve endpoint: " + fmt, *args)

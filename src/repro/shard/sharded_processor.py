@@ -477,6 +477,7 @@ class ShardedQueryProcessor:
                         QueryStats(
                             detail=_explain.PlanDetail() if explain else None
                         ),
+                        shard_id,
                     )
             except Exception as exc:  # noqa: BLE001 — wrapped with context
                 text = f"{type(exc).__name__}: {exc}"

@@ -1,15 +1,19 @@
-"""Tests for repro.obs.export: Prometheus text, JSON, scrape endpoint."""
+"""Tests for repro.obs.export: Prometheus text, JSON, scrape endpoint,
+and the request parser and response writer both servers share."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import re
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.executor import QueryExecutor
 from repro.obs.export import (
     CONTENT_TYPE_PROMETHEUS,
     MetricsServer,
@@ -18,6 +22,8 @@ from repro.obs.export import (
     write_json,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.http import ServeServer, _ServeHandler
+from repro.serve.service import QueryService
 
 #: One sample line: name{labels} value — the grammar Prometheus scrapes.
 SAMPLE_RE = re.compile(
@@ -353,3 +359,146 @@ class TestOpenMetrics:
         ex = series["exemplars"][0]
         assert ex["trace_id"] == "tr-om-1"
         assert ex["value"] == 0.05
+
+
+# ----------------------------------------------------------------------
+# the shared request parser and response writer, on raw sockets
+# ----------------------------------------------------------------------
+_BODY = json.dumps(
+    {"k": 5, "radius": 0.25, "lam": 0.5, "masks": [255, 255]}
+).encode()
+
+
+def _post(*headers: str, body: bytes = _BODY, version: str = "1.1") -> bytes:
+    lines = [f"POST /query HTTP/{version}", "Host: x", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _get(*headers: str, version: str = "1.1") -> bytes:
+    lines = [f"GET /healthz HTTP/{version}", "Host: x", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode()
+
+
+#: Sent after a case's responses: answered only on a kept connection.
+_FOLLOW_UP = _get("Connection: close")
+
+#: case -> (request bytes, statuses answered, connection closed after).
+PARSER_CASES = {
+    "line_too_long": (_get("X-Long: " + "a" * 65536), [431], True),
+    "too_many_headers": (
+        _get(*(f"X-{i}: {i}" for i in range(100))), [431], True,
+    ),
+    "no_colon": (_get("Bogus"), [400], True),
+    "empty_name": (_get(": value"), [400], True),
+    "space_before_colon": (_get("X-Tenant : acme"), [400], True),
+    "obs_fold": (_get("X-Tenant: acme", " folded"), [400], True),
+    "repeated_content_length": (
+        _post(f"Content-Length: {len(_BODY)}",
+              f"Content-Length: {len(_BODY)}"),
+        [400], True,
+    ),
+    # The chunked body must not be read as the next request.
+    "transfer_encoding": (
+        _post("Transfer-Encoding: chunked",
+              body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(_BODY), _BODY)),
+        [501], True,
+    ),
+    "http_2": (_get(version="2.0"), [505], True),
+    "close_on_1_1": (_get("Connection: close"), [200], True),
+    "http_1_0": (_get(version="1.0"), [200], True),
+    "expect_100": (
+        _post(f"Content-Length: {len(_BODY)}", "Expect: 100-continue"),
+        [100, 200, 200], False,
+    ),
+    "names_in_any_case": (
+        _post(f"content-length: {len(_BODY)}", "X-TENANT: any-case"),
+        [200, 200], False,
+    ),
+    "query_keep_alive": (
+        _post(f"Content-Length: {len(_BODY)}"), [200, 200], False,
+    ),
+}
+
+
+def _read_response(reader) -> tuple[int, dict, bytes]:
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
+
+
+class _WriteLog:
+    """A handler's ``wfile`` that records each ``write``."""
+
+    def __init__(self, wfile, writes: list) -> None:
+        self._wfile, self._writes = wfile, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+@pytest.fixture(scope="module")
+def logged_server(srt_processor):
+    """A ServeServer whose handlers log every ``wfile.write``."""
+    writes: list[bytes] = []
+
+    class Handler(_ServeHandler):
+        def setup(self) -> None:
+            super().setup()
+            self.wfile = _WriteLog(self.wfile, writes)
+
+    class Server(ServeServer):
+        handler = Handler
+
+    with QueryExecutor(srt_processor) as executor:
+        service = QueryService(executor)
+        with Server(service, port=0) as server:
+            yield server, service, writes
+
+
+@pytest.mark.parametrize("case", list(PARSER_CASES))
+def test_request_parser(logged_server, monkeypatch, case):
+    """The handler reads requests without the stdlib's email parser,
+    refuses what it cannot frame safely, keeps the stdlib's connection
+    rules, and writes every answered response in one write."""
+
+    def no_email_parser(*args, **kwargs):
+        raise AssertionError("http.client.parse_headers called")
+
+    monkeypatch.setattr(http.client, "parse_headers", no_email_parser)
+    server, service, writes = logged_server
+    raw, want_statuses, want_closed = PARSER_CASES[case]
+    writes.clear()
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=3
+    ) as sock, sock.makefile("rb") as reader:
+        sock.sendall(raw)
+        responses = [_read_response(reader)
+                     for _ in range(len(want_statuses) - (not want_closed))]
+        try:
+            sock.sendall(_FOLLOW_UP)
+            if not want_closed:
+                responses.append(_read_response(reader))
+            rest = reader.read()
+        except ConnectionResetError:
+            rest = b""
+    assert [status for status, _, _ in responses] == want_statuses
+    assert rest == b""
+
+    answered = [(headers, body) for status, headers, body in responses
+                if status == 200]
+    whole = [w for w in writes if w.startswith(b"HTTP/1.1 200 ")]
+    assert len(whole) == len(answered)
+    for write, (headers, body) in zip(whole, answered):
+        assert write.endswith(b"\r\n\r\n" + body)
+        assert {"server", "date", "content-type", "content-length"} <= set(
+            headers
+        )
+    if case == "names_in_any_case":
+        assert "any-case" in service.quotas.describe()["tenants"]

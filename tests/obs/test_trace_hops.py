@@ -245,7 +245,8 @@ VIEWS = {
     "sharded_serial": (
         _sharded,
         None,
-        [(RECORD_KEYS, *STPS), (RECORD_KEYS, *STPS), FANOUT],
+        [(RECORD_KEYS + ["shard_id"], *STPS[:-1], shard_id)
+         for shard_id in (1, 0)] + [FANOUT],
     ),
 }
 

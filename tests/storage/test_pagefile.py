@@ -121,15 +121,6 @@ class TestDiskPageFile:
                 assert pf.stats.reads == i
                 assert pf._fd == fd  # never re-opened
 
-    def test_reopen_existing_with_read_mode(self, tmp_path):
-        path = str(tmp_path / "pages.bin")
-        with DiskPageFile(path, page_size=128) as pf:
-            pid = pf.allocate()
-            pf.write(Page(pid, b"persisted"))
-            pf.flush()
-        with DiskPageFile(path, page_size=128) as pf:
-            assert pf.read(pid).payload == b"persisted"
-
     def test_concurrent_reads_no_seek_races(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 

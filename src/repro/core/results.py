@@ -168,6 +168,10 @@ class QueryResult:
 
     items: list[ResultItem] = field(default_factory=list)
     stats: QueryStats = field(default_factory=QueryStats)
+    #: The JSON of ``items`` and ``stats`` as a served 200 body carries
+    #: them, encoded once on first use by :mod:`repro.serve.http`; every
+    #: later request that serves this result splices it in.
+    wire: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def scores(self) -> list[float]:

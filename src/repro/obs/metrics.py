@@ -305,6 +305,8 @@ class MetricFamily:
         _validate_name(name)
         for label in labelnames:
             _validate_name(label)
+        if len(set(labelnames)) != len(labelnames):
+            raise ReproError(f"metric {name!r} repeats a label: {labelnames}")
         self.name = name
         self.help = help_text
         self.labelnames = tuple(labelnames)
@@ -321,12 +323,17 @@ class MetricFamily:
 
     def labels(self, **labelvalues: str):
         """The child series for one label combination (created on demand)."""
-        if set(labelvalues) != set(self.labelnames):
+        try:
+            key = tuple([str(labelvalues[n]) for n in self.labelnames])
+        except KeyError:
+            key = None
+        # Names are distinct (see __init__), so every name present and
+        # no extra one means the same label set.
+        if key is None or len(labelvalues) != len(key):
             raise ReproError(
                 f"metric {self.name!r} expects labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
         child = self._children.get(key)
         if child is None:
             with self._lock:

@@ -38,7 +38,6 @@ import itertools
 import json
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,7 +150,7 @@ def format_traceparent(
     request that reached us was, by definition, traced here.
     """
     if span_id is None:
-        span_id = uuid.uuid4().hex[:16]
+        span_id = _tracing.new_trace_id()
     return f"00-{w3c_trace_id(trace_id)}-{span_id}-{flags:02x}"
 
 

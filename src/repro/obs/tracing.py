@@ -38,7 +38,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from pathlib import Path
 
 #: Hard cap on buffered events; beyond it events are counted as dropped.
@@ -132,8 +131,14 @@ _collecting = 0
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char trace id."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char id: a trace id, or a W3C span id.
+
+    Never all zero, since W3C Trace Context refuses an all-zero trace or
+    parent id.
+    """
+    while (trace_id := os.urandom(8).hex()) == "0000000000000000":
+        pass
+    return trace_id
 
 
 def capture() -> TraceContext | None:

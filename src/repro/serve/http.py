@@ -16,7 +16,9 @@ single port, no third-party dependency:
 The listener and connection loop are the stdlib's ``http.server``
 (HTTP/1.1 keep-alive); the request line and headers are read by the
 shared handler's own parser, and every answer is one write of status
-line, headers and body (see :mod:`repro.obs.export`).
+line, headers and body (see :mod:`repro.obs.export`).  A 200 body
+splices the result's ``items`` / ``stats`` JSON, encoded once per
+result, between the request's own fields (see :func:`_ok_body`).
 
 Request shape (POST body or GET query string)::
 
@@ -110,25 +112,32 @@ def parse_request(params: dict, headers=None) -> tuple[str, PreferenceQuery, str
     return tenant, query, algorithm
 
 
+def _result_fields(result) -> dict:
+    """The ``items`` and ``stats`` of a 200 body: all of it that is a
+    property of the result rather than of the request."""
+    return {
+        "items": [
+            {"oid": it.oid, "score": it.score, "x": it.x, "y": it.y}
+            for it in result.items
+        ],
+        "stats": {
+            "wall_s": result.stats.wall_s,
+            "io_reads": result.stats.io_reads,
+            "io_time_s": result.stats.io_time_s,
+            "combinations": result.stats.combinations,
+            "trace_id": result.stats.trace_id,
+        },
+    }
+
+
 def _decision_body(decision) -> dict:
     """JSON payload for one ServeDecision."""
     if decision.status == 200:
-        result = decision.result
         return {
             "status": 200,
             "trace_id": decision.trace_id,
             "cached": decision.cached,
-            "items": [
-                {"oid": it.oid, "score": it.score, "x": it.x, "y": it.y}
-                for it in result.items
-            ],
-            "stats": {
-                "wall_s": result.stats.wall_s,
-                "io_reads": result.stats.io_reads,
-                "io_time_s": result.stats.io_time_s,
-                "combinations": result.stats.combinations,
-                "trace_id": result.stats.trace_id,
-            },
+            **_result_fields(decision.result),
             "queue_wait_s": decision.queue_wait_s,
             "latency_s": decision.latency_s,
         }
@@ -140,6 +149,31 @@ def _decision_body(decision) -> dict:
     if decision.status == 429:
         body["retry_after_s"] = decision.retry_after_s
     return body
+
+
+def _ok_body(decision) -> bytes:
+    """``json.dumps(_decision_body(decision)) + "\n"`` of a 200, built
+    around the result's memoised ``items`` / ``stats`` fragment.
+
+    A cached result is shared by every request that hits it and never
+    changes, so its fragment is encoded once (two threads racing on the
+    first encode store the same string); only the request's own fields
+    are encoded here, by ``json`` too, so escapes and float reprs match.
+    """
+    result = decision.result
+    wire = result.wire
+    if wire is None:
+        wire = result.wire = json.dumps(_result_fields(result))[1:-1]
+    head = json.dumps({
+        "status": 200,
+        "trace_id": decision.trace_id,
+        "cached": decision.cached,
+    })
+    tail = json.dumps({
+        "queue_wait_s": decision.queue_wait_s,
+        "latency_s": decision.latency_s,
+    })
+    return f"{head[:-1]}, {wire}, {tail[1:]}\n".encode()
 
 
 class _ServeHandler(_export._Handler):
@@ -224,7 +258,10 @@ class _ServeHandler(_export._Handler):
             headers["Retry-After"] = str(
                 max(1, int(decision.retry_after_s + 0.999))
             )
-        self._send_json(decision.status, _decision_body(decision), headers)
+        if decision.status == 200:
+            self._send(200, "application/json", _ok_body(decision), headers)
+        else:
+            self._send_json(decision.status, _decision_body(decision), headers)
 
     def _send_json(
         self, status: int, payload: dict, headers: dict | None = None

@@ -131,6 +131,20 @@ class TestLabels:
         with pytest.raises(ReproError):
             c.inc()  # labeled family has no sole child
 
+    @pytest.mark.parametrize("given, got", [
+        ({"a": "1", "b": "2", "c": "3"}, "('a', 'b', 'c')"),  # extra
+        ({"b": "2", "c": "3"}, "('b', 'c')"),                 # swapped
+        ({"a": "1"}, "('a',)"),                               # missing
+    ], ids=["extra", "wrong", "missing"])
+    def test_two_label_mismatch_names_both_sides(self, reg, given, got):
+        c = reg.counter("c", labelnames=("a", "b"))
+        with pytest.raises(ReproError) as excinfo:
+            c.labels(**given)
+        assert str(excinfo.value) == (
+            f"metric 'c' expects labels ('a', 'b'), got {got}"
+        )
+        assert c.series() == []
+
     def test_invalid_names_rejected(self, reg):
         with pytest.raises(ReproError):
             reg.counter("9starts_with_digit")
@@ -138,6 +152,8 @@ class TestLabels:
             reg.counter("has space")
         with pytest.raises(ReproError):
             reg.counter("ok", labelnames=("bad-label",))
+        with pytest.raises(ReproError):
+            reg.counter("ok", labelnames=("a", "a"))
 
 
 class TestRegistry:

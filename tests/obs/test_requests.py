@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.obs import requests as rq
+from repro.obs import tracing
 
 VALID = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
@@ -105,6 +106,24 @@ class TestFormatTraceparent:
     def test_client_donated_id_preserved(self):
         tid = "4bf92f3577b34da6a3ce929d0e0e4736"
         assert rq.format_traceparent(tid).split("-")[1] == tid
+
+    def test_minted_ids_round_trip_and_are_distinct(self):
+        seen = set()
+        for _ in range(200):
+            tid = tracing.new_trace_id()
+            assert len(tid) == 16 and rq._is_hex(tid)
+            header = rq.format_traceparent(tid)
+            span_id = header.split("-")[2]
+            assert rq.parse_traceparent(header) == (
+                rq.w3c_trace_id(tid), span_id
+            )
+            seen.update((tid, span_id))
+        assert len(seen) == 400
+
+    def test_minted_ids_are_never_all_zero(self, monkeypatch):
+        draws = iter([bytes(8), bytes(8), b"\x00" * 7 + b"\x01"])
+        monkeypatch.setattr(tracing.os, "urandom", lambda n: next(draws))
+        assert tracing.new_trace_id() == "0000000000000001"
 
     def test_w3c_trace_id_idempotent(self):
         assert rq.w3c_trace_id(rq.w3c_trace_id("abc")) == rq.w3c_trace_id(

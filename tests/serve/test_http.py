@@ -7,6 +7,7 @@ the same listener, as deployed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import socket
@@ -16,8 +17,10 @@ import urllib.request
 
 import pytest
 
+from repro.core.bruteforce import brute_force
 from repro.core.executor import QueryExecutor
 from repro.core.query import PreferenceQuery
+from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.obs import tracing
 from repro.obs.export import (
     CONTENT_TYPE_OPENMETRICS,
@@ -25,9 +28,17 @@ from repro.obs.export import (
     MetricsServer,
 )
 from repro.obs.metrics import MetricsRegistry, enabled_exemplars
-from repro.serve.http import ServeServer, parse_request
+from repro.model.objects import DataObject, FeatureObject
+from repro.serve.http import (
+    ServeServer,
+    _decision_body,
+    _ok_body,
+    parse_request,
+)
 from repro.serve.quota import QuotaSpec
-from repro.serve.service import QueryService, ServeConfig
+from repro.serve.service import QueryService, ServeConfig, ServeDecision
+
+from tests.serve.test_cache import K0, HandBuilt
 
 QUERY = PreferenceQuery(5, 0.25, 0.5, (0xFF, 0xFF))
 
@@ -220,6 +231,167 @@ class TestQueryEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(base + "/nope", {})
         assert excinfo.value.code == 404
+
+
+def raw_post(base: str, payload: dict, headers: dict | None = None):
+    """(status, body bytes) of one POST /query, whatever the status."""
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request(
+            "POST", "/query", json.dumps(payload).encode(),
+            {"Content-Type": "application/json", **(headers or {})},
+        )
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def recorded(service: QueryService, monkeypatch) -> list[ServeDecision]:
+    """Every decision ``service.handle`` returns, in order."""
+    decisions: list[ServeDecision] = []
+    handle = service.handle
+
+    def recording(*args, **kwargs):
+        decisions.append(handle(*args, **kwargs))
+        return decisions[-1]
+
+    monkeypatch.setattr(service, "handle", recording)
+    return decisions
+
+
+def reference_bytes(decision: ServeDecision) -> bytes:
+    """The reference: ``json.dumps`` of the whole payload."""
+    return (json.dumps(_decision_body(decision)) + "\n").encode()
+
+
+@pytest.fixture()
+def recording_server(srt_processor, monkeypatch):
+    with QueryExecutor(srt_processor, max_workers=1) as executor:
+        service = QueryService(
+            executor,
+            ServeConfig(
+                quota_overrides={"throttled": QuotaSpec(rate=1, burst=1)}
+            ),
+        )
+        decisions = recorded(service, monkeypatch)
+        with ServeServer(service, port=0) as server:
+            yield decisions, f"http://127.0.0.1:{server.port}"
+
+
+class TestSplicedBody:
+    """A 200 body is the result's memoised ``items`` / ``stats`` JSON with
+    the request's own fields around it; the bytes must be the ones
+    ``json.dumps`` of the whole payload gives."""
+
+    TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+    def test_every_outcome_is_byte_identical(self, recording_server):
+        decisions, base = recording_server
+        cases = [
+            (body_for(QUERY), {}),                               # miss
+            (body_for(QUERY, tenant="u"), {}),                   # hit
+            (body_for(QUERY, algorithm="nope"), {}),             # 400
+            (body_for(QUERY, tenant="throttled"), {}),           # 200
+            (body_for(QUERY, tenant="throttled"), {}),           # 429
+            (body_for(QUERY, k=3), {"traceparent": self.TRACEPARENT}),
+        ]
+        for payload, headers in cases:
+            status, body = raw_post(base, payload, headers)
+            assert status == decisions[-1].status
+            assert body == reference_bytes(decisions[-1])
+        assert [d.outcome for d in decisions] == [
+            "ok", "cached", "bad_request", "cached", "quota", "ok",
+        ]
+        assert decisions[-1].trace_id == self.TRACEPARENT.split("-")[1]
+
+    def test_two_hits_share_one_memo(self, recording_server):
+        decisions, base = recording_server
+        bodies, memos = [], []
+        for _ in range(3):
+            bodies.append(raw_post(base, body_for(QUERY, k=4))[1])
+            memos.append(decisions[-1].result.wire)
+        miss, first, second = decisions
+        assert first.cached and second.cached
+        assert miss.result is first.result is second.result
+        assert memos[0] is not None
+        assert memos[0] is memos[1] is memos[2]  # encoded by the miss only
+        hit_a, hit_b = (json.loads(b) for b in bodies[1:])
+        assert hit_a.pop("trace_id") != hit_b.pop("trace_id")
+        assert hit_a == hit_b
+        assert bodies[1].replace(
+            first.trace_id.encode(), second.trace_id.encode()
+        ) == bodies[2]
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_request_fields_are_encoded_by_json(self, cached):
+        """Escapes, non-ASCII, NaN and infinities come out as
+        ``json.dumps`` writes them, in the memo and around it."""
+        stats = QueryStats(wall_s=math.nan, io_time_s=1e-300,
+                           trace_id='st"\\ü')
+        result = QueryResult(
+            [ResultItem(7, math.inf, -0.0, 1 / 3)], stats
+        )
+        decision = ServeDecision(
+            status=200, result=result, cached=cached,
+            trace_id='a"b\\c\n\u00e9\u2028', queue_wait_s=math.nan,
+            latency_s=-math.inf,
+        )
+        assert _ok_body(decision) == reference_bytes(decision)
+        assert _ok_body(decision) == reference_bytes(decision)  # memoised
+        empty = ServeDecision(status=200, result=QueryResult(), trace_id="x")
+        assert _ok_body(empty) == reference_bytes(empty)
+
+
+class TestNoBytesOutliveTheirAnswer:
+    """A harmful live write drops the entry, and its memo with it: the
+    next served answer is brute force over the world as it is now."""
+
+    def test_harmful_writes_are_never_served_from_old_bytes(
+        self, monkeypatch
+    ):
+        world = HandBuilt()  # k = 2: A (1) 1.8, B (2) 1.6, C (3) 1.2
+        live, query = world.live, world.query
+
+        def served() -> dict:
+            status, body = raw_post(base, body_for(query))
+            assert status == 200
+            return json.loads(body)
+
+        def assert_brute_force(doc: dict) -> None:
+            expected = brute_force(
+                live.objects_snapshot(), live.feature_snapshots(), query
+            )
+            assert [i["oid"] for i in doc["items"]] == expected.oids
+            assert [i["score"] for i in doc["items"]] == pytest.approx(
+                expected.scores, abs=1e-9
+            )
+
+        with QueryExecutor(live.processor, max_workers=1) as executor:
+            service = QueryService(executor, ServeConfig(), live=live)
+            decisions = recorded(service, monkeypatch)
+            with ServeServer(service, port=0) as server:
+                base = f"http://127.0.0.1:{server.port}"
+                served()
+                before = served()
+                assert before["cached"]
+                assert decisions[-1].result.wire is not None
+                assert [i["oid"] for i in before["items"]] == [1, 2]
+                # R3: a strong feature beside C lifts it to 1.7, over B.
+                live.insert_feature(0, FeatureObject(93, 0.8, 0.81, 1.0, K0))
+                after = served()
+                assert not after["cached"]
+                assert [i["oid"] for i in after["items"]] == [1, 3]
+                assert_brute_force(after)
+                assert served()["cached"]
+                # R5: a newcomer on A's spot scores 1.8, ahead of C.
+                live.insert_object(DataObject(9, 0.2, 0.2))
+                newest = served()
+                assert not newest["cached"]
+                assert [i["oid"] for i in newest["items"]] == [1, 9]
+                assert_brute_force(newest)
+                assert service.cache.stale == 2
 
 
 class TestMountedObservability:

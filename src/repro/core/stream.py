@@ -57,6 +57,11 @@ class FeatureStream:
     heap does O(leaves opened + features pulled) work however many
     relevant features the opened leaves hold.  The emission order is
     that of a heap holding every feature by itself.
+
+    Opening a level-1 node whose leaves are all in the node cache scores
+    them in one pass (``FeatureTree.score_leaves``) into their memos;
+    each leaf is still read, counted and opened when its entry is
+    popped, and finds its run there.
     """
 
     def __init__(
@@ -154,6 +159,7 @@ class FeatureStream:
                 heapq.heappush(heap, (neg_scores[0], self._counter + 1, run, 0))
                 self._counter += len(neg_scores)
             return
+        queued = self._counter
         for entry in node.entries:
             bound = scorer.relevant_bound(entry)
             if bound is not None:
@@ -163,6 +169,10 @@ class FeatureStream:
                 # Text-irrelevant subtree (sim = 0): pruned without
                 # a bound value — ŝ(e) is not computed for it.
                 stats.nodes_pruned += 1
+        if node.level == 1 and self._counter != queued:
+            # Its leaves will be opened one by one; when they are all
+            # cached, score them now in one pass (into their memos).
+            self.tree.score_leaves(node, scorer)
 
 
 def probe(

@@ -32,8 +32,10 @@ from repro.geometry.rect import Rect
 from repro.index.leafdata import (
     SCORE_MEMO_CAP,
     LeafRun,
+    SiblingBlock,
     feature_leaf_arrays,
     pack_mask,
+    sibling_block,
 )
 from repro.index.nodes import (
     FeatureInternalEntry,
@@ -58,11 +60,13 @@ class FeatureScorer:
     descendant feature.
     """
 
-    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper", "_qwords")
+    __slots__ = ("query_mask", "lam", "n_terms", "_sim_upper", "_qwords", "_key")
 
     def __init__(self, query_mask: int, lam: float, sim_upper) -> None:
         self.query_mask = query_mask
         self.lam = lam
+        # What a leaf's memo keys this query's run on.
+        self._key = (query_mask, lam)
         self.n_terms = query_mask.bit_count()
         self._sim_upper = sim_upper
         # The query mask as one row of leaf mask words, packed at the
@@ -103,40 +107,87 @@ class FeatureScorer:
     def leaf_run(self, arrays) -> LeafRun:
         """The leaf's relevant rows as a sorted run, memoised per query.
 
-        Scores the rows that share a keyword with the query and no
-        others, mirroring :meth:`leaf_score` / :meth:`leaf_relevant`
-        operation for operation so the values are bit-identical to
-        theirs: ``|t.W ∩ W|`` comes from a vectorized
-        popcount of the packed masks and ``|t.W ∪ W| = |t.W| + |W| -
-        |t.W ∩ W|`` (exact even when the query mask is wider than the
-        packed entry masks, whose overflow bits can never intersect;
-        never 0 on a relevant row).  This is the one place that keys,
-        fills and caps ``arrays.memo``.
+        The one-leaf call of :meth:`_scored`, the scoring formula
+        :meth:`sibling_runs` shares.  The two are the only writers of
+        ``arrays.memo``, both through :func:`_remember`, which keeps
+        the cap.
         """
-        key = (self.query_mask, self.lam)
+        key = self._key
         memo = arrays.memo
         run = memo.get(key)
         if run is not None:
             return run
-        masks = arrays.masks
+        rows, neg = self._scored(arrays.masks, arrays.mask_pops, arrays.scores)
+        order = neg.argsort(kind="stable")
+        run = LeafRun(
+            neg[order].tolist(), rows[order], arrays.fids, arrays.xs, arrays.ys
+        )
+        _remember(memo, key, run)
+        return run
+
+    def sibling_runs(self, block: SiblingBlock) -> None:
+        """Memoise every leaf of ``block`` in one vectorized pass.
+
+        The runs are those :meth:`leaf_run` would build leaf by leaf —
+        the same formula over the concatenated columns, then one stable
+        sort by (leaf, ``-s(t)``), so ties stay in row order.  A memo
+        that already holds the query's run is left alone.
+        """
+        key = self._key
+        parts = block.parts
+        rows, neg = self._scored(block.masks, block.mask_pops, block.scores)
+        leaf = block.leaf_of[rows]
+        order = np.lexsort((neg, leaf))
+        leaf = leaf[order]
+        local = rows[order] - block.starts[leaf]
+        neg_scores = neg[order].tolist()
+        ends = np.bincount(leaf, minlength=len(parts)).cumsum().tolist()
+        start = 0
+        for arrays, end in zip(parts, ends):
+            if key not in arrays.memo:
+                _remember(arrays.memo, key, LeafRun(
+                    neg_scores[start:end], local[start:end],
+                    arrays.fids, arrays.xs, arrays.ys,
+                ))
+            start = end
+
+    def holds_runs(self, parts: list) -> bool:
+        """Whether every leaf array in ``parts`` has this query's run."""
+        key = self._key
+        return all(key in arrays.memo for arrays in parts)
+
+    def _scored(self, masks, mask_pops, scores):
+        """``(rows, -s(t))`` of the relevant rows of a column block.
+
+        Mirrors :meth:`leaf_score` / :meth:`leaf_relevant` operation for
+        operation so the values are bit-identical to theirs: ``|t.W ∩
+        W|`` comes from a vectorized popcount of the packed masks and
+        ``|t.W ∪ W| = |t.W| + |W| - |t.W ∩ W|`` (exact even when the
+        query mask is wider than the packed entry masks, whose overflow
+        bits can never intersect; never 0 on a relevant row).  Rows are
+        in block order.
+        """
         qwords = self._qwords
         if qwords is None:
             qwords = self._qwords = pack_mask(
                 self.query_mask, masks.shape[1] * masks.itemsize
             ).view(masks.dtype)
-        inter = np.bitwise_count(masks & qwords).sum(axis=1, dtype=np.int64)
+        # ``np.add.reduce`` is ``.sum(axis=1, dtype=int64)`` without the
+        # method's keyword parsing.
+        inter = np.add.reduce(np.bitwise_count(masks & qwords), 1, np.int64)
         rows = inter.nonzero()[0]
         inter = inter[rows]
-        union = arrays.mask_pops[rows] + self.n_terms - inter
-        neg = -((1.0 - self.lam) * arrays.scores[rows] + self.lam * (inter / union))
-        order = neg.argsort(kind="stable")
-        run = LeafRun(
-            neg[order].tolist(), rows[order], arrays.fids, arrays.xs, arrays.ys
+        union = mask_pops[rows] + self.n_terms - inter
+        return rows, -(
+            (1.0 - self.lam) * scores[rows] + self.lam * (inter / union)
         )
-        if len(memo) >= SCORE_MEMO_CAP:
-            memo.clear()
-        memo[key] = run
-        return run
+
+
+def _remember(memo: dict, key: tuple, run: LeafRun) -> None:
+    """Store ``run`` in a leaf's memo, wiping a full memo first."""
+    if len(memo) >= SCORE_MEMO_CAP:
+        memo.clear()
+    memo[key] = run
 
 
 class FeatureTree(RTreeBase):
@@ -242,6 +293,29 @@ class FeatureTree(RTreeBase):
     def leaf_run(self, node: Node, scorer: FeatureScorer) -> LeafRun:
         """A leaf scored by ``scorer``."""
         return scorer.leaf_run(self.leaf_arrays(node))
+
+    def score_leaves(self, node: Node, scorer: FeatureScorer) -> None:
+        """Memoise the runs of a level-1 node's leaves in one pass.
+
+        Only when every child is already in the node cache, checked with
+        :meth:`NodeCache.peek_all` — which counts nothing and leaves the
+        LRU order alone — so the pass reads no page and moves no counter;
+        the leaves are still read and counted one by one when the
+        caller opens them, and find their runs in their memos.
+        """
+        block = node._leaf_arrays
+        if isinstance(block, SiblingBlock) and scorer.holds_runs(block.parts):
+            # A repeated query.  Skipping the pass is always safe, so
+            # this needs no residency check, even if a child has been
+            # read again since the block was built.
+            return
+        children = self._node_cache.peek_all([e.child for e in node.entries])
+        if children is None:
+            return
+        mask_bytes = self._codec.mask_bytes
+        parts = [feature_leaf_arrays(child, mask_bytes) for child in children]
+        if not scorer.holds_runs(parts):
+            scorer.sibling_runs(sibling_block(node, parts))
 
     # ------------------------------------------------------------------
     # convenience

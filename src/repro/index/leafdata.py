@@ -21,9 +21,19 @@ numpy >= 2.0 (``np.bitwise_count``).  A scored feature leaf is a
 mirror the per-entry formulas ``FeatureScorer.leaf_score`` /
 ``leaf_relevant`` operation for operation, so the values are
 bit-identical to them — the tests hold the run to that reference.
+
+A level-1 node (its children are leaves) may cache a
+:class:`SiblingBlock` in the same node slot: its children's columns
+concatenated, so a stream that finds all the children cached scores
+them in one pass (``FeatureTree.score_leaves``) — numpy's per-call
+overhead, not the arithmetic, is what a 91-row leaf costs.  The block
+names the arrays it was built from and is rebuilt when a child's
+differ; ``write_node`` and eviction drop it with the node.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -100,6 +110,29 @@ class FeatureLeafArrays:
         return len(self.xs)
 
 
+class SiblingBlock:
+    """The feature columns of a level-1 node's leaves, back to back.
+
+    ``parts`` are the children's :class:`FeatureLeafArrays` in entry
+    order; ``masks`` / ``mask_pops`` / ``scores`` are their columns
+    concatenated, ``leaf_of`` names each row's part and ``starts`` each
+    part's first row, so ``FeatureScorer.sibling_runs`` scores all the
+    leaves with one set of array operations.  Cached on the level-1
+    node by :func:`sibling_block`.
+    """
+
+    __slots__ = ("parts", "masks", "mask_pops", "scores", "leaf_of", "starts")
+
+    def __init__(self, parts: list) -> None:
+        self.parts = parts
+        sizes = [len(arrays) for arrays in parts]
+        self.masks = np.concatenate([arrays.masks for arrays in parts])
+        self.mask_pops = np.concatenate([arrays.mask_pops for arrays in parts])
+        self.scores = np.concatenate([arrays.scores for arrays in parts])
+        self.leaf_of = np.repeat(np.arange(len(parts)), sizes)
+        self.starts = np.cumsum([0] + sizes[:-1])
+
+
 class ObjectLeafArrays:
     """Columns of an object leaf payload: ids and locations."""
 
@@ -128,3 +161,22 @@ def object_leaf_arrays(node: Node) -> ObjectLeafArrays:
         return cached
     arrays = node._leaf_arrays = ObjectLeafArrays(node.payload)
     return arrays
+
+
+def sibling_block(node: Node, parts: list) -> SiblingBlock:
+    """Cached :class:`SiblingBlock` of a level-1 node over ``parts``.
+
+    Rebuilt unless it was built from exactly these arrays objects: a
+    child rewritten, or evicted and read again, has new arrays, and a
+    rewrite of the level-1 node itself drops the block
+    (``Node.invalidate_arrays``), as does its eviction.
+    """
+    cached = node._leaf_arrays
+    if (
+        isinstance(cached, SiblingBlock)
+        and len(cached.parts) == len(parts)
+        and all(map(operator.is_, cached.parts, parts))
+    ):
+        return cached
+    block = node._leaf_arrays = SiblingBlock(parts)
+    return block

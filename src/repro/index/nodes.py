@@ -117,7 +117,10 @@ class Node:
     ``payload``.  For a leaf the payload is the primary representation:
     ``_leaf_arrays`` caches the :mod:`repro.index.leafdata` views over it
     and :attr:`entries` is materialised from its columns on first access
-    (idempotent, so concurrent readers may race to fill either).  Both
+    (idempotent, so concurrent readers may race to fill either).  On a
+    level-1 feature node ``_leaf_arrays`` holds its children's columns
+    concatenated (``leafdata.SiblingBlock``) once a stream has scored
+    them together.  Both
     views, and :meth:`mbr`, describe the page as last read or written:
     mutate ``entries``, then ``RTreeBase.write_node``, which re-encodes
     the payload and calls :meth:`invalidate_arrays`.
@@ -146,7 +149,8 @@ class Node:
         return self.level == LEAF_LEVEL
 
     def invalidate_arrays(self) -> None:
-        """Drop the cached columnar view (the payload may have changed)."""
+        """Drop the cached columnar view or sibling block (the payload,
+        or the children, may have changed)."""
         self._leaf_arrays = None
 
     def mbr(self) -> Rect:

@@ -521,6 +521,33 @@ def set_registry(new: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
+class per_registry:
+    """``build(registry)`` looked up once per default registry.
+
+    Calling the instance returns what ``build`` made from the current
+    :func:`registry`, built again only after :func:`set_registry` swaps
+    it, so hot paths that record into fixed families skip the by-name
+    lookups.  A ``reset()`` zeroes series in place and keeps the
+    families, so it needs no rebuild; a family dropped with
+    :meth:`MetricsRegistry.unregister` is not noticed.
+    """
+
+    __slots__ = ("_build", "_bound")
+
+    def __init__(self, build) -> None:
+        self._build = build
+        # (registry, what was built from it): swapped as one tuple so
+        # racing callers never pair a registry with another's families.
+        self._bound: tuple = (None, None)
+
+    def __call__(self):
+        reg = _DEFAULT_REGISTRY
+        bound = self._bound
+        if bound[0] is not reg:
+            bound = self._bound = (reg, self._build(reg))
+        return bound[1]
+
+
 class scoped_registry:
     """Context manager swapping in a fresh (or given) default registry.
 

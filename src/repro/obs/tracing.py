@@ -25,7 +25,7 @@ trace and everything it calls runs on the same thread, inside it.
 
 :class:`PhaseRecorder` bridges the tracer and per-query cost anatomy:
 algorithms create one per query (via :func:`recorder`, a no-op
-singleton when nothing is recording), wrap their phases in
+singleton unless tracing is on), wrap their phases in
 ``recorder.span("phase")``, and store ``recorder.totals()`` into
 ``QueryStats.phase_times``.
 """
@@ -377,13 +377,18 @@ NULL_RECORDER = _NullRecorder()
 
 
 def recorder():
-    """A fresh :class:`PhaseRecorder`, or the no-op singleton when off.
+    """A fresh :class:`PhaseRecorder` while tracing is on, else the no-op
+    singleton.
 
-    Live per-request collectors arm recorders too, so served queries
-    carry ``phase_times`` and emit phase spans into their request's
-    collector even while global tracing is off.
+    Only global tracing arms it (``set_enabled``: the ``repro.obs``
+    workload CLI, the layer ledger's phase pass, a traced EXPLAIN).  A
+    live per-request collector does not: an STPS query emits phase
+    spans per pull, ~1 400 of them for a served W2 query (a collector
+    keeps :data:`MAX_COLLECTOR_SPANS`), and timing them made a served
+    query cost 1.5x its plain self.  Served queries keep their
+    request, gate and ``query.*`` spans and an empty ``phase_times``.
     """
-    return PhaseRecorder() if (enabled or _collecting) else NULL_RECORDER
+    return PhaseRecorder() if enabled else NULL_RECORDER
 
 
 # ----------------------------------------------------------------------

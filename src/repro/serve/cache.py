@@ -39,10 +39,12 @@ from repro.obs import metrics as _metrics
 CACHE_METRIC_FAMILIES = ("repro_serve_cache_total",)
 
 
-def cache_outcomes_metric() -> "_metrics.MetricFamily":
+def cache_outcomes_metric(
+    reg: "_metrics.MetricsRegistry",
+) -> "_metrics.MetricFamily":
     """Cache lookups by outcome: hit / miss / stale, and ``revalidated``
     for the hits that replayed deltas; fills and evictions."""
-    return _metrics.registry().counter(
+    return reg.counter(
         "repro_serve_cache_total",
         "Serving result-cache events.",
         ("event",),
@@ -82,6 +84,8 @@ class ResultCache:
         self._entries: OrderedDict[
             tuple, tuple[int, PreferenceQuery | None, QueryResult]
         ] = OrderedDict()
+        # The outcome family, looked up once per metrics registry.
+        self._outcomes = _metrics.per_registry(cache_outcomes_metric)
         self.hits = 0
         self.revalidated = 0
         self.misses = 0
@@ -98,7 +102,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> QueryResult | None:
         """The cached result for ``key``, or None (miss or stale)."""
-        outcomes = cache_outcomes_metric()
+        outcomes = self._outcomes()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -151,15 +155,15 @@ class ResultCache:
         with self._lock:
             current = self.epoch
             if epoch is not None and epoch != current:
-                cache_outcomes_metric().labels(event="fill_stale").inc()
+                self._outcomes().labels(event="fill_stale").inc()
                 return False
             self._entries[key] = (current, query, result)
             self._entries.move_to_end(key)
-            cache_outcomes_metric().labels(event="fill").inc()
+            self._outcomes().labels(event="fill").inc()
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                cache_outcomes_metric().labels(event="evict").inc()
+                self._outcomes().labels(event="evict").inc()
             return True
 
     def clear(self) -> int:

@@ -95,40 +95,53 @@ SERVE_METRIC_FAMILIES = (
 )
 
 
-def requests_metric() -> "_metrics.MetricFamily":
-    """Per-tenant requests by outcome."""
-    return _metrics.registry().counter(
-        "repro_serve_requests_total",
-        "Serving requests by tenant and outcome.",
-        ("tenant", "outcome"),
+class _ServeFamilies:
+    """The serving layer's metric families in one registry.
+
+    Built once per service and metrics registry
+    (``QueryService._families``), not looked up by name on every
+    request; the unlabeled gauges are held as their one series.
+    """
+
+    __slots__ = (
+        "requests", "rejections", "request_seconds", "tenant_seconds",
+        "cache_hit_rate", "tenant_table_size", "shed_requests",
     )
 
-
-def rejections_metric() -> "_metrics.MetricFamily":
-    """Admission rejections by gate (quota / backpressure)."""
-    return _metrics.registry().counter(
-        "repro_serve_rejections_total",
-        "Requests rejected by admission control.",
-        ("reason",),
-    )
-
-
-def request_seconds_metric() -> "_metrics.MetricFamily":
-    """End-to-end serving latency (admission + execution)."""
-    return _metrics.registry().histogram(
-        "repro_serve_request_seconds",
-        "Wall time from admission to response, by outcome.",
-        ("status",),
-    )
-
-
-def tenant_seconds_metric() -> "_metrics.MetricFamily":
-    """End-to-end serving latency by tenant (cardinality-capped)."""
-    return _metrics.registry().histogram(
-        "repro_serve_tenant_seconds",
-        "Wall time from admission to response, by tenant.",
-        ("tenant",),
-    )
+    def __init__(self, reg: "_metrics.MetricsRegistry") -> None:
+        self.requests = reg.counter(
+            "repro_serve_requests_total",
+            "Serving requests by tenant and outcome.",
+            ("tenant", "outcome"),
+        )
+        self.rejections = reg.counter(
+            "repro_serve_rejections_total",
+            "Requests rejected by admission control.",
+            ("reason",),
+        )
+        self.request_seconds = reg.histogram(
+            "repro_serve_request_seconds",
+            "Wall time from admission to response, by outcome.",
+            ("status",),
+        )
+        self.tenant_seconds = reg.histogram(
+            "repro_serve_tenant_seconds",
+            "Wall time from admission to response, by tenant.",
+            ("tenant",),
+        )
+        # Scrape-only state, set on every request.
+        self.cache_hit_rate = reg.gauge(
+            "repro_serve_cache_hit_rate",
+            "Result-cache hit rate since service start.",
+        ).labels()
+        self.tenant_table_size = reg.gauge(
+            "repro_serve_tenant_table_size",
+            "Distinct tenants with live quota buckets.",
+        ).labels()
+        self.shed_requests = reg.gauge(
+            "repro_serve_shed_requests",
+            "Requests shed by admission control since service start.",
+        ).labels()
 
 
 @dataclass(slots=True)
@@ -241,6 +254,7 @@ class QueryService:
             overrides=self.config.quota_overrides,
         )
         self.cache = ResultCache(self.config.cache_entries, live)
+        self._families = _metrics.per_registry(_ServeFamilies)
         self._lock = threading.Lock()
         #: ``(monotonic stamp, queue wait)`` pairs; bounded by count
         #: *and* expired by age (``queue_wait_horizon_s``) so the gate
@@ -372,7 +386,7 @@ class QueryService:
             retry_after = self.quotas.try_acquire(tenant)
         if retry_after > 0.0:
             self.rejected_quota += 1
-            rejections_metric().labels(reason="quota").inc()
+            self._families().rejections.labels(reason="quota").inc()
             return ServeDecision(
                 status=429, outcome="quota",
                 retry_after_s=retry_after,
@@ -398,7 +412,7 @@ class QueryService:
             shed, why = self._backpressured()
         if shed:
             self.rejected_backpressure += 1
-            rejections_metric().labels(reason="backpressure").inc()
+            self._families().rejections.labels(reason="backpressure").inc()
             return ServeDecision(
                 status=429, outcome="backpressure",
                 retry_after_s=self._backpressure_retry_after(),
@@ -442,14 +456,19 @@ class QueryService:
     ) -> ServeDecision:
         elapsed = time.perf_counter() - t0
         label_tenant = self.tenant_labels.resolve(tenant)
-        requests_metric().labels(
+        families = self._families()
+        families.requests.labels(
             tenant=label_tenant, outcome=decision.outcome
         ).inc()
-        request_seconds_metric().labels(
+        families.request_seconds.labels(
             status=str(decision.status)
         ).observe(elapsed)
-        tenant_seconds_metric().labels(tenant=label_tenant).observe(elapsed)
-        self._update_gauges()
+        families.tenant_seconds.labels(tenant=label_tenant).observe(elapsed)
+        families.cache_hit_rate.set(self.cache.hit_rate)
+        families.tenant_table_size.set(float(self.quotas.tenant_count()))
+        families.shed_requests.set(
+            float(self.rejected_quota + self.rejected_backpressure)
+        )
         if logger.isEnabledFor(logging.INFO):
             logger.info(
                 "request tenant=%s outcome=%s status=%d latency_ms=%.2f "
@@ -458,22 +477,6 @@ class QueryService:
                 decision.cached,
             )
         return decision
-
-    def _update_gauges(self) -> None:
-        """Serve-state gauges for Prometheus/OpenMetrics scrapes."""
-        reg = _metrics.registry()
-        reg.gauge(
-            "repro_serve_cache_hit_rate",
-            "Result-cache hit rate since service start.",
-        ).set(self.cache.hit_rate)
-        reg.gauge(
-            "repro_serve_tenant_table_size",
-            "Distinct tenants with live quota buckets.",
-        ).set(float(self.quotas.tenant_count()))
-        reg.gauge(
-            "repro_serve_shed_requests",
-            "Requests shed by admission control since service start.",
-        ).set(float(self.rejected_quota + self.rejected_backpressure))
 
     # ------------------------------------------------------------------
     # introspection

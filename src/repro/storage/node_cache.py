@@ -6,8 +6,9 @@ The storage hierarchy seen by an index is::
 
 A cached :class:`~repro.index.nodes.Node` holds its page payload and
 everything derived from it: an internal node's entry objects, a leaf's
-array views and per-query score memo.  A warm lookup is a dict hit
-(~1 µs) where re-reading the page costs a CRC pass plus fresh views, and
+array views and per-query score memo, a level-1 feature node's
+concatenation of its leaves' columns (``leafdata.SiblingBlock``).  A
+warm lookup is a dict hit (~1 µs) where re-reading the page costs a CRC pass plus fresh views, and
 the memo can only live on an object that survives between visits — which
 is why leaves are cached too.  The cache is keyed by page id and must be
 explicitly invalidated whenever a page is rewritten
@@ -123,11 +124,25 @@ class NodeCache:
     def peek(self, page_id: int) -> "Node | None":
         """Cached node without touching counters or LRU order.
 
-        For coherence checks and tests only — the query path uses
-        :meth:`get` so hit accounting stays truthful.
+        For coherence checks and tests; the query path reads through
+        :meth:`get` so hit accounting stays truthful, and asks only
+        :meth:`peek_all` whether a node's children are resident.
         """
         with self._lock:
             return self._cache.get(page_id)
+
+    def peek_all(self, page_ids: list[int]) -> "list[Node] | None":
+        """:meth:`peek` of every page, or None unless all are cached.
+
+        One lock for the lot; like :meth:`peek` it counts nothing and
+        leaves the LRU order alone, so a caller may ask what is resident
+        without changing what any query counts (the stream's sibling
+        pass, ``FeatureTree.score_leaves``).
+        """
+        with self._lock:
+            get = self._cache.get
+            nodes = [get(page_id) for page_id in page_ids]
+        return None if None in nodes else nodes
 
     def page_ids(self) -> list[int]:
         """Page ids currently cached (LRU order, oldest first)."""

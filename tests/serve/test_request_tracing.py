@@ -21,6 +21,7 @@ from repro.core.query import PreferenceQuery
 from repro.core.results import QueryResult, QueryStats, ResultItem
 from repro.obs import metrics as _metrics
 from repro.obs import requests as _requests
+from repro.obs import tracing
 from repro.serve.http import ServeServer
 from repro.serve.quota import QuotaSpec
 from repro.serve.service import (
@@ -170,6 +171,48 @@ class TestOneTraceIdEverywhere:
         assert parsed is not None
         assert parsed[0] != "xyz"
         assert doc["trace_id"]  # a fresh service-minted id
+
+
+class TestNoPhaseSpansWhenServed:
+    """A served query's phases are timed only under global tracing: an
+    STPS query emits phase spans per pull, which under a request's
+    collector cost more than the query itself and overflowed it."""
+
+    def _served_spans(self, service, query):
+        decision = service.handle("t", query, algorithm="stps")
+        assert decision.status == 200 and not decision.cached
+        trace = _requests.get(decision.trace_id)
+        assert trace is not None
+        (record,) = trace.records
+        return {s["name"] for s in trace.spans}, record
+
+    def test_store_on_tracing_off_files_no_phase_span(
+        self, served, observability
+    ):
+        service, _ = served
+        names, record = self._served_spans(
+            service, PreferenceQuery(3, 0.26, 0.5, (0xFF, 0xFF))
+        )
+        assert {"serve.execute", "query.stps"} <= names
+        assert not {n for n in names if n.startswith("stps.")}
+        assert record.phase_times == {}
+        (flight,) = [
+            r for r in _requests.flight_records()
+            if r["trace_id"] == record.trace_id
+        ]
+        assert flight["phase_times"] == {}
+
+    def test_global_tracing_still_times_the_phases(
+        self, served, observability
+    ):
+        service, _ = served
+        with tracing.enabled_tracing():
+            names, record = self._served_spans(
+                service, PreferenceQuery(3, 0.27, 0.5, (0xFF, 0xFF))
+            )
+        tracing.clear()
+        assert {"stps.feature_pull", "stps.combination_assembly"} <= names
+        assert "stps.feature_pull" in record.phase_times
 
 
 class TestRejectionTracing:

@@ -280,6 +280,28 @@ class TestMetricsAndDescribe:
         assert rejections == {"quota": 1}
         assert statuses == {"200": 1, "429": 1}
 
+    def test_families_follow_registry_swaps_and_resets(self):
+        """The families are looked up once per registry, not per request:
+        a service built before a swap records into the swapped-in
+        registry, and a reset zeroes what it records into."""
+
+        def requests_in(reg) -> dict:
+            family = reg.get("repro_serve_requests_total")
+            return {lv: c.value for lv, c in family.series()}
+
+        service = make_service(cache_enabled=False)
+        with _metrics.scoped_registry() as first:
+            service.handle("t", QUERY)
+        with _metrics.scoped_registry() as second:
+            service.handle("t", QUERY)
+            service.handle("u", QUERY)
+            second.reset()
+            service.handle("u", QUERY)
+            gauge = second.get("repro_serve_tenant_table_size").value
+        assert requests_in(first) == {("t", "ok"): 1}
+        assert requests_in(second) == {("t", "ok"): 0, ("u", "ok"): 1}
+        assert gauge == 2.0
+
     def test_describe_is_strict_json(self):
         service = make_service()
         service.handle("t", QUERY)
